@@ -53,7 +53,7 @@ from repro.obs import (
     merge_chrome,
     render_prometheus,
 )
-from repro.shell import render_top
+from repro.obs.console import render_top
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
 

@@ -21,7 +21,6 @@ or in-process::
 
 from .local import LocalCluster
 from .router import RouterDatabase, RouterSession, RoutePlan
-from .server import RouterServer, serve_router
 from .shardmap import (
     PARTITION_COLUMNS,
     REPLICATED_TABLES,
@@ -36,10 +35,8 @@ __all__ = [
     "LocalCluster",
     "RoutePlan",
     "RouterDatabase",
-    "RouterServer",
     "RouterSession",
     "ShardMap",
-    "serve_router",
     "shard_for_warehouse",
     "warehouses_for_shard",
 ]

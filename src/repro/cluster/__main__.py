@@ -28,11 +28,10 @@ import sys
 import threading
 
 from ..obs import Observability
-from ..net.server import ServerConfig
+from ..net.server import BullfrogServer, ServerConfig
 from ..tpcc.schema import ScaleConfig
 from .local import LocalCluster
 from .router import RouterDatabase
-from .server import RouterServer
 from .shardmap import ShardMap
 
 
@@ -73,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         router_db = RouterDatabase(
             shard_map, obs=Observability(), pool_size=args.pool_size
         )
-        router = RouterServer(router_db, config).start()
+        router = BullfrogServer(router_db, config).start()
         for entry in router_db.shard_status():
             state = "up" if entry["healthy"] else "UNREACHABLE"
             print(f"shard {entry['shard']}: {entry['addr']} ({state})",

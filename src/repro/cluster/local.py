@@ -5,8 +5,8 @@
 :class:`~repro.db.Database` instances (each loading only the TPC-C
 warehouses its shard owns, with ``item`` replicated everywhere),
 serves each with a :class:`~repro.net.server.BullfrogServer` on an
-ephemeral port, and fronts them with a
-:class:`~repro.cluster.server.RouterServer`.  Everything lives in one
+ephemeral port, and fronts them with one more ``BullfrogServer`` over a
+:class:`~repro.cluster.router.RouterDatabase`.  Everything lives in one
 process (threads, loopback sockets), which is exactly what the tests,
 the benchmark, and ``python -m repro.cluster`` need; the pieces are
 the same classes a real multi-host deployment would run.
@@ -22,7 +22,6 @@ from ..net.server import BullfrogServer, ServerConfig
 from ..tpcc.loader import load_tpcc
 from ..tpcc.schema import ScaleConfig, create_schema
 from .router import RouterDatabase
-from .server import RouterServer
 from .shardmap import ShardMap, warehouses_for_shard
 
 __all__ = ["LocalCluster"]
@@ -63,7 +62,7 @@ class LocalCluster:
         self.shard_dbs: list[Database] = []
         self.shard_servers: list[BullfrogServer] = []
         self.router_db: RouterDatabase | None = None
-        self.router: RouterServer | None = None
+        self.router: BullfrogServer | None = None
         shard_faults = shard_faults or {}
         base = shard_config or ServerConfig()
         try:
@@ -97,7 +96,7 @@ class LocalCluster:
             )
             # Shards are always ephemeral (port=0 above); the router's
             # config is honoured verbatim so the CLI can pin its port.
-            self.router = RouterServer(
+            self.router = BullfrogServer(
                 self.router_db,
                 router_config or ServerConfig(port=0),
                 faults=router_faults,
@@ -120,11 +119,8 @@ class LocalCluster:
         return warehouses_for_shard(shard, self.n_shards, self.scale.warehouses)
 
     def migrations_complete(self) -> bool:
-        return all(
-            engine.progress().get("complete", False)
-            for db in self.shard_dbs
-            for engine in db.migration_engines()
-        )
+        assert self.router_db is not None
+        return self.router_db.migrations_complete()
 
     def shutdown(self) -> None:
         if self.router is not None:

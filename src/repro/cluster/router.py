@@ -1,13 +1,14 @@
 """``bullfrog-router``: one wire-protocol endpoint over N shards.
 
-The router *is* a :class:`~repro.net.server.BullfrogServer` — it
-reuses the event loop, the worker pool, prepared statements,
-pipelining, drain, and the META plumbing wholesale — serving a
-:class:`RouterDatabase` whose sessions route statements instead of
-executing them.  Clients connect with the unchanged client library and
-cannot tell the difference: HELLO/WELCOME, QUERY/PARSE/BIND/EXECUTE,
-COMPLETE frames carrying the (cluster) schema epoch, errors as
-structured frames.
+The router is a plain :class:`~repro.net.server.BullfrogServer` — event
+loop, worker pool, prepared statements, pipelining, drain and the META
+console, all unchanged — serving a :class:`RouterDatabase` whose
+sessions route statements instead of executing them and which
+registers the cluster's admin verbs (``shards [json]``, ``cluster
+migrate <scenario>``, a per-shard ``progress``) on its own verb table.
+Clients connect with the unchanged client library and cannot tell the
+difference: HELLO/WELCOME, QUERY/PARSE/BIND/EXECUTE, COMPLETE frames
+carrying the (cluster) schema epoch, errors as structured frames.
 
 Routing (``RoutePlan``, cached per SQL string):
 
@@ -71,15 +72,17 @@ from ..db import Database, Result, Session
 from ..errors import (
     ConnectionClosedError,
     ExecutionError,
+    ProtocolError,
     ReproError,
     SessionClosed,
     TransactionError,
 )
 from ..exec.plan import _OrderKey as OrderKey
 from ..net.client import Connection, ConnectionPool
+from ..obs import console
+from ..obs.sysviews import _BOOL, _FLOAT, _INT, _TEXT  # the views' column types
 from ..sql import ast_nodes as ast
 from ..sql.render import render_select
-from ..types import SqlType, TypeKind
 from .shardmap import ShardMap
 
 # RoutePlan modes.
@@ -90,6 +93,10 @@ SCATTER = "scatter"
 BROADCAST = "broadcast"
 
 _AGGS = {"COUNT", "SUM", "MIN", "MAX"}
+
+# How long new work (and a mixed-epoch scatter retry) waits at the
+# router's flip gate before running anyway.
+_FLIP_GATE_TIMEOUT = 30.0
 
 # value sources: ("param", index) | ("const", value)
 _Source = tuple[str, Any]
@@ -307,13 +314,11 @@ class RouterDatabase(Database):
         pool_size: int = 8,
         connect_timeout: float = 10.0,
         isolation: Any = None,
-        flip_gate_timeout: float = 30.0,
     ) -> None:
         if shard_map.n_shards < 1:
             raise ValueError("shard map must name at least one shard")
         super().__init__(obs=obs, isolation=isolation)
         self.shard_map = shard_map
-        self.flip_gate_timeout = flip_gate_timeout
         trace = obs is not None
         self.pools = [
             ConnectionPool(
@@ -349,6 +354,11 @@ class RouterDatabase(Database):
         # invariant checker's replicated-identity check finds it).
         self.broadcast_partial_failures = 0
         self._register_shard_view()
+        self.admin_verbs.update(
+            shards=self._verb_shards,
+            cluster=self._verb_cluster,
+            progress=self._verb_progress,
+        )
 
     # ------------------------------------------------------------------
     def connect(
@@ -577,7 +587,7 @@ class RouterDatabase(Database):
             # Wait out the flip, then re-run both halves on the new
             # schema (SchemaVersionError from a retired table will
             # surface to the client as usual).
-            self.flip_gate.wait(self.flip_gate_timeout)
+            self.flip_gate.wait(_FLIP_GATE_TIMEOUT)
         with self._flip_latch:
             self.mixed_epoch_errors += 1
         raise ExecutionError(
@@ -816,12 +826,9 @@ class RouterDatabase(Database):
 
     def migrations_complete(self) -> bool:
         """True when every shard reports its migration finished."""
-        for admin in self.admins:
-            status = json.loads(admin.meta("epoch status"))
-            migrations = status.get("migrations") or []
-            if not migrations or not all(m["complete"] for m in migrations):
-                return False
-        return True
+        return all(
+            entry.get("migration_complete") for entry in self.shard_status()
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -853,13 +860,30 @@ class RouterDatabase(Database):
             out.append(entry)
         return out
 
+    def _verb_shards(self, _db: Database, arg: str) -> str:
+        if arg == "json":
+            return json.dumps(self.shard_status(), indent=2)
+        return console.format_shards(console.view(self, "bullfrog_stat_shards"))
+
+    def _verb_cluster(self, _db: Database, arg: str) -> str:
+        sub = arg.split()
+        if len(sub) == 2 and sub[0] == "migrate":
+            return json.dumps(self.cluster_migrate(sub[1]))
+        raise ProtocolError(f"unknown cluster command {arg!r}")
+
+    def _verb_progress(self, _db: Database, arg: str) -> str:
+        """Each shard's own ``progress`` under a ``shard N:`` header."""
+        blocks = []
+        for shard, admin in enumerate(self.admins):
+            try:
+                body = admin.meta("progress")
+            except (ReproError, OSError) as exc:
+                body = f"  (unreachable: {exc})"
+            blocks.append(f"shard {shard}:\n{body}")
+        return "\n".join(blocks)
+
     def _register_shard_view(self) -> None:
         from ..catalog.catalog import VirtualTable
-
-        _INT = SqlType(TypeKind.BIGINT)
-        _FLOAT = SqlType(TypeKind.FLOAT)
-        _TEXT = SqlType(TypeKind.TEXT)
-        _BOOL = SqlType(TypeKind.BOOL)
 
         def produce(ctx: Any) -> list[tuple]:
             now = time.time()
@@ -883,7 +907,7 @@ class RouterDatabase(Database):
                 ))
             return rows
 
-        self.catalog._virtual["bullfrog_stat_shards"] = VirtualTable(
+        self.catalog.register_virtual(VirtualTable(
             "bullfrog_stat_shards",
             (
                 "shard", "addr", "healthy", "epoch", "gate_open",
@@ -894,7 +918,7 @@ class RouterDatabase(Database):
             (_INT, _TEXT, _BOOL, _INT, _BOOL, _BOOL, _INT, _INT, _INT,
              _INT, _INT, _FLOAT),
             produce,
-        )
+        ))
 
     def close(self) -> None:
         for pool in self.pools:
@@ -1042,7 +1066,7 @@ class RouterSession(Session):
             # New work holds here while a cluster epoch flip runs
             # (mirrors the shard-side gate; in-transaction statements
             # pass so bound transactions can reach COMMIT).
-            rdb.flip_gate.wait(rdb.flip_gate_timeout)
+            rdb.flip_gate.wait(_FLIP_GATE_TIMEOUT)
         trace_parent = self._request_ctx
         if self._r_in_txn:
             return self._execute_in_txn(plan, params, sql_text, trace_parent)

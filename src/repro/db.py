@@ -132,6 +132,11 @@ class Database:
         # ``bullfrog_stat_migrations`` system view can enumerate live
         # progress without the views layer knowing about engine types.
         self._engines: list[Any] = []
+        # Admin verbs beyond the console's built-in vocabulary
+        # (``repro.obs.console``): whoever owns more state registers
+        # ``verb -> handler(db, arg)`` here — a server its ``epoch`` /
+        # ``migrate``, a router its ``shards`` / ``cluster``.
+        self.admin_verbs: dict[str, Callable[["Database", str], str]] = {}
         register_system_views(self)
 
     # ------------------------------------------------------------------
@@ -355,31 +360,18 @@ class Session:
             # would double-count migration work as client latency.
             return self._run_statement(stmt, params, sql_text)
         start = obs.statement_begin(type(stmt))
-        if not obs.statement_tracing:
-            if not start:
-                # Counted but not latency-sampled (see Observability's
-                # ``sample_statements``): run without the clock reads.
-                return self._run_statement(stmt, params, sql_text)
-            try:
-                return self._run_statement(stmt, params, sql_text)
-            finally:
-                # One histogram observation + one trace span per sampled
-                # client statement, measured around interception — so the
-                # latency a client sees *including* any lazy migration it
-                # triggered.
-                obs.statement_done(_stmt_kind(stmt), start)
-        # Statement tracing: fork the statement's trace context — a
-        # child of the server's request context when one is active
-        # (networked path), a fresh root otherwise (embedded path) —
-        # and expose it via the contextvar so locks/WAL/migration below
-        # attribute their waits to this statement.  Root spans are head
-        # sampled (see Observability.sample_traces): ``statement_begin``
-        # answers ``0.0`` for an unsampled statement (span-free at the
-        # metrics fast-path cost; the counters already saw it) and a
-        # *negative* start for latency-sampled-but-untraced ones
-        # (histogram only).  A propagated context always wins over the
-        # sample coin — a traced networked request never loses its
-        # engine spans.
+        # Fork the statement's trace context — a child of the server's
+        # request context when one is active (networked path), a fresh
+        # root otherwise (embedded path) — and expose it via the
+        # contextvar so locks/WAL/migration below attribute their waits
+        # to this statement.  ``statement_begin`` answers a signed
+        # clock: ``0.0`` for an unsampled statement (counted, no end
+        # work), a *negative* start for a latency-sampled-but-untraced
+        # one (histogram only), and a positive start for a head-sampled
+        # root span (see Observability.sample_traces; never positive
+        # with statement tracing off).  A propagated context always
+        # wins over the sample coin — a traced networked request never
+        # loses its engine spans.
         parent = self._request_ctx
         if parent is None:
             if not start:

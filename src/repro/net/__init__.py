@@ -26,7 +26,7 @@ from .client import (
 )
 from .driver import NetworkTpccClient
 from .protocol import PROTOCOL_VERSION
-from .server import BullfrogServer, ServerConfig, serve
+from .server import BullfrogServer, ServerConfig
 
 __all__ = [
     "BullfrogServer",
@@ -41,5 +41,4 @@ __all__ = [
     "decorrelated_jitter",
     "parse_hostport",
     "parse_hostport_list",
-    "serve",
 ]

@@ -28,17 +28,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=5433)
     parser.add_argument("--max-connections", type=int, default=64)
-    parser.add_argument("--backlog", type=int, default=16)
     parser.add_argument("--idle-timeout", type=float, default=None)
     parser.add_argument("--statement-timeout", type=float, default=None)
     parser.add_argument("--drain-timeout", type=float, default=5.0)
     parser.add_argument(
         "--workers", type=int, default=4,
         help="permanent execution workers behind the event loop",
-    )
-    parser.add_argument(
-        "--max-workers", type=int, default=64,
-        help="elastic worker ceiling (lock waits can park workers)",
     )
     parser.add_argument(
         "--load-tpcc", type=int, metavar="WAREHOUSES", default=None,
@@ -66,12 +61,10 @@ def main(argv: list[str] | None = None) -> int:
         host=args.host,
         port=args.port,
         max_connections=args.max_connections,
-        backlog=args.backlog,
         idle_timeout=args.idle_timeout,
         statement_timeout=args.statement_timeout,
         drain_timeout=args.drain_timeout,
         workers=args.workers,
-        max_workers=args.max_workers,
     )
     server = BullfrogServer(db, config).start()
     print(f"bullfrogd listening on {args.host}:{server.port}", flush=True)

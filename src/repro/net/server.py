@@ -27,9 +27,9 @@ pool.
 The worker pool is elastic: ``workers`` threads are permanent, and
 when every worker is blocked (strict-2PL lock waits can park a worker
 mid-statement while the lock holder's COMMIT frame sits queued behind
-it) the server spawns transient workers up to ``max_workers`` so
+it) the server spawns transient workers up to ``_MAX_WORKERS`` so
 pipelined frames keep draining; transients exit after
-``worker_keepalive`` seconds idle.
+``_WORKER_KEEPALIVE`` seconds idle.
 
 Prepared statements: PARSE caches the parsed AST server-side, keyed
 per connection; EXECUTE binds parameters (inline, or from a BIND
@@ -66,6 +66,11 @@ net seam = the I/O "fails"); ``net.read`` fires once per decoded
 frame, ``net.write`` once per response frame.  Per-connection metrics
 live in the attached observability registry and the
 ``bullfrog_stat_network`` system view.
+
+META frames are answered by the shared admin console
+(:func:`repro.obs.console.run`); the server only registers the verbs
+that need its own state — ``epoch`` (the shard side of the cluster's
+two-phase flip) and ``migrate`` — on the database's verb table.
 """
 
 from __future__ import annotations
@@ -92,13 +97,14 @@ from ..errors import (
     ServerShutdownError,
     StatementTimeoutError,
 )
+from ..obs import console
 from ..obs.registry import NULL_METRIC
+from ..obs.sysviews import _BOOL, _FLOAT, _INT, _TEXT  # the views' column types
 from ..obs.tracectx import TraceContext
 from ..obs.tracectx import activate as _trace_activate
 from ..obs.tracectx import deactivate as _trace_deactivate
 from ..sql import ast_nodes as ast
 from ..txn import IsolationLevel
-from ..types import SqlType, TypeKind
 from . import protocol
 
 _RECV_CHUNK = 65536
@@ -115,36 +121,37 @@ _HOT_POLL = 0.0005
 # (large result sets stream in HIWAT-sized writes).
 _FLUSH_HIWAT = 262144
 
+_BACKLOG = 16  # bounded TCP accept queue
+_BATCH_ROWS = 256  # result-set streaming granularity
+_MAX_WORKERS = 64  # elastic worker ceiling (lock waits park workers)
+_WORKER_KEEPALIVE = 10.0  # transient worker idle lifetime (seconds)
+_MAX_PREPARED = 1024  # per-connection prepared-statement cap
+_TICK = 0.05  # event-loop bookkeeping cadence (seconds)
+# Cluster epoch flip: how long a gated statement waits for the flip to
+# finish before running anyway.
+_EPOCH_GATE_TIMEOUT = 30.0
+
 
 @dataclass
 class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 5433  # 0 = ephemeral (tests)
     max_connections: int = 64
-    backlog: int = 16  # bounded TCP accept queue
     idle_timeout: float | None = None
     statement_timeout: float | None = None
     drain_timeout: float = 5.0
-    batch_rows: int = 256  # result-set streaming granularity
     workers: int = 4  # permanent execution workers
-    max_workers: int = 64  # elastic ceiling (lock waits park workers)
-    worker_keepalive: float = 10.0  # transient worker idle lifetime
-    max_prepared: int = 1024  # per-connection prepared-statement cap
-    tick: float = 0.05  # event-loop bookkeeping cadence
     # Monitoring: when the Database runs instrumented, start() attaches
     # the metrics-history sampler + health engine + flight recorder
     # (obs.attach_monitoring) so `\top` over the wire, /healthz, and
     # incident bundles work out of the box.  No-op when obs is detached.
     monitor: bool = True
     monitor_interval: float = 0.25  # history sampling cadence (seconds)
-    monitor_capacity: int = 240  # history ring width (samples)
     incident_dir: str | None = None  # flight-recorder output (default results/incidents)
     # Cluster two-phase epoch flip: how long a PREPARE may sit without
     # its COMMIT/ABORT before the shard aborts unilaterally (coordinator
-    # died between the phases), and how long a gated statement waits for
-    # the flip to finish before running anyway.
+    # died between the phases).
     epoch_prepare_timeout: float = 10.0
-    epoch_gate_timeout: float = 30.0
 
 
 class _Prepared:
@@ -269,6 +276,7 @@ class BullfrogServer:
         self._init_metrics()
         self._register_network_view()
         self._register_server_view()
+        db.admin_verbs.update(epoch=self._verb_epoch, migrate=self._verb_migrate)
 
     # ------------------------------------------------------------------
     # Metrics
@@ -286,7 +294,6 @@ class BullfrogServer:
             self._g_workers_busy = null
             self._g_dispatch_depth = null
             self._rt_cells = {}
-            self._rt_fallback = null
             return
         registry = obs.registry
         self._m_accepted = registry.counter(
@@ -336,17 +343,11 @@ class BullfrogServer:
             for kind in ("query", "txn", "meta", "ping",
                          "parse", "bind", "execute")
         }
-        self._rt_fallback = rt
 
     # ------------------------------------------------------------------
     # bullfrog_stat_network
     # ------------------------------------------------------------------
     def _register_network_view(self) -> None:
-        _INT = SqlType(TypeKind.BIGINT)
-        _FLOAT = SqlType(TypeKind.FLOAT)
-        _TEXT = SqlType(TypeKind.TEXT)
-        _BOOL = SqlType(TypeKind.BOOL)
-
         def produce(ctx: Any) -> list[tuple]:
             now = time.monotonic()
             with self._conns_latch:
@@ -373,7 +374,7 @@ class BullfrogServer:
 
         # Overwrites any previous registration (server restart on the
         # same Database), exactly like re-registering a producer.
-        self.db.catalog._virtual["bullfrog_stat_network"] = VirtualTable(
+        self.db.catalog.register_virtual(VirtualTable(
             "bullfrog_stat_network",
             (
                 "conn_id", "peer", "state", "connected_seconds",
@@ -384,15 +385,12 @@ class BullfrogServer:
             (_INT, _TEXT, _TEXT, _FLOAT, _FLOAT, _BOOL, _INT, _INT,
              _INT, _INT, _INT, _INT),
             produce,
-        )
+        ))
 
     # ------------------------------------------------------------------
     # bullfrog_stat_server (one row of event-loop / worker-pool health)
     # ------------------------------------------------------------------
     def _register_server_view(self) -> None:
-        _INT = SqlType(TypeKind.BIGINT)
-        _BOOL = SqlType(TypeKind.BOOL)
-
         def produce(ctx: Any) -> list[tuple]:
             with self._worker_latch:
                 workers = len(self._worker_threads)
@@ -410,7 +408,7 @@ class BullfrogServer:
                 self._draining.is_set(),
             )]
 
-        self.db.catalog._virtual["bullfrog_stat_server"] = VirtualTable(
+        self.db.catalog.register_virtual(VirtualTable(
             "bullfrog_stat_server",
             (
                 "workers", "workers_busy", "workers_transient",
@@ -419,7 +417,7 @@ class BullfrogServer:
             ),
             (_INT, _INT, _INT, _INT, _INT, _INT, _INT, _BOOL),
             produce,
-        )
+        ))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -431,7 +429,7 @@ class BullfrogServer:
         try:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             sock.bind((self.config.host, self.config.port))
-            sock.listen(self.config.backlog)
+            sock.listen(_BACKLOG)
             sock.setblocking(False)
         except OSError:
             # A failed bind (port in use) must not leak the socket.
@@ -470,7 +468,6 @@ class BullfrogServer:
         obs.attach_monitoring(
             self.db,
             interval=self.config.monitor_interval,
-            capacity=self.config.monitor_capacity,
             incident_dir=self.config.incident_dir,
         )
         health = obs.health
@@ -478,12 +475,15 @@ class BullfrogServer:
             return  # restart on the same Database: rule already wired
         from ..obs.health import WARN, ThresholdRule
 
+        db = self.db
+
         def saturation(_ctx) -> float:
-            with self._worker_latch:
-                workers = len(self._worker_threads)
-            if workers == 0 or self._busy_workers < workers:
+            # The view row, not this server's counters: the rule
+            # outlives a restart on the same Database.
+            (row,) = console.view(db, "bullfrog_stat_server")
+            if row["workers"] == 0 or row["workers_busy"] < row["workers"]:
                 return 0.0
-            return float(self._work_queue.qsize())
+            return float(row["dispatch_queue_depth"])
 
         health.add_rule(ThresholdRule(
             "worker_saturation",
@@ -495,29 +495,9 @@ class BullfrogServer:
         ))
 
     def monitor_summary(self) -> dict:
-        """One merged dict for the shell's ``\\top`` renderer: the
-        history summary plus health report plus live worker/inbox
-        stats.  Served by ``META top json``."""
-        obs = self.db.obs
-        history = getattr(obs, "history", None) if obs is not None else None
-        summary: dict = history.summary() if history is not None else {}
-        health = getattr(obs, "health", None) if obs is not None else None
-        if health is not None:
-            summary["health"] = health.report(max_age=1.0)
-        with self._worker_latch:
-            workers = len(self._worker_threads)
-            transient = self._transient_workers
-        summary["server"] = {
-            "workers": workers,
-            "busy": self._busy_workers,
-            "transient": transient,
-            "idle": self._idle_workers,
-            "dispatch_queue_depth": self._work_queue.qsize(),
-            "connections": self.active_connections(),
-            "max_connections": self.config.max_connections,
-            "draining": self._draining.is_set(),
-        }
-        return summary
+        """The ``top json`` payload (history summary + health report +
+        this server's ``bullfrog_stat_server`` row)."""
+        return console.monitor_summary(self.db)
 
     def __enter__(self) -> "BullfrogServer":
         return self.start()
@@ -561,7 +541,7 @@ class BullfrogServer:
         next_tick = time.monotonic()
         while self._io_running:
             try:
-                events = sel.select(self.config.tick)
+                events = sel.select(_TICK)
             except OSError:
                 events = []
             for key, mask in events:
@@ -585,7 +565,7 @@ class BullfrogServer:
             self._drain_ioq()
             now = time.monotonic()
             if now >= next_tick:
-                next_tick = now + self.config.tick
+                next_tick = now + _TICK
                 self._check_idle_timeouts(now)
                 # NULL_METRIC no-ops when observability is detached.
                 self._g_workers_busy.set(self._busy_workers)
@@ -937,17 +917,16 @@ class BullfrogServer:
         if self._idle_workers > 0 or not self._running:
             return
         with self._worker_latch:
-            if len(self._worker_threads) < self.config.max_workers:
+            if len(self._worker_threads) < _MAX_WORKERS:
                 self._spawn_worker_locked(transient=True)
 
     def _worker_loop(self, transient: bool) -> None:
-        keepalive = self.config.worker_keepalive
         while True:
             with self._worker_latch:
                 self._idle_workers += 1
             try:
                 conn = self._work_queue.get(
-                    timeout=keepalive if transient else None
+                    timeout=_WORKER_KEEPALIVE if transient else None
                 )
             except queue.Empty:
                 conn = None  # transient worker idled out
@@ -1213,7 +1192,7 @@ class BullfrogServer:
             # COMMIT, or the flip could deadlock against 2PL locks.
             # (COMMIT/ROLLBACK frames on an idle session are errors
             # either way, so gating them too is harmless.)
-            self._epoch_gate.wait(self.config.epoch_gate_timeout)
+            self._epoch_gate.wait(_EPOCH_GATE_TIMEOUT)
         if ftype == protocol.QUERY:
             frame = protocol.decode_query(payload)
             sql, params = frame["sql"], frame["params"]
@@ -1263,12 +1242,12 @@ class BullfrogServer:
             name, sql = frame["name"], frame["sql"]
             if (
                 name not in conn.prepared
-                and len(conn.prepared) >= self.config.max_prepared
+                and len(conn.prepared) >= _MAX_PREPARED
             ):
                 self._send(conn, protocol.encode_error(
                     ProtocolError(
                         f"prepared-statement cache full "
-                        f"({self.config.max_prepared}); PARSE rejected"
+                        f"({_MAX_PREPARED}); PARSE rejected"
                     ),
                     conn.session.in_transaction,
                 ))
@@ -1307,7 +1286,7 @@ class BullfrogServer:
         if ftype == protocol.META:
             command = protocol.decode_meta(payload)["command"]
             try:
-                text = self._run_meta(command)
+                text = console.run(self.db, command)
             except ReproError as exc:
                 self._send(conn, protocol.encode_error(
                     exc, conn.session.in_transaction
@@ -1407,11 +1386,10 @@ class BullfrogServer:
             self._send(conn, protocol.encode_row_header(
                 result.statement, result.columns
             ))
-            batch = self.config.batch_rows
             rows = result.rows
-            for start in range(0, len(rows), batch):
+            for start in range(0, len(rows), _BATCH_ROWS):
                 self._send(conn, protocol.encode_row_batch(
-                    rows[start : start + batch]
+                    rows[start : start + _BATCH_ROWS]
                 ))
         self._send(conn, protocol.encode_complete(
             result.statement,
@@ -1520,107 +1498,18 @@ class BullfrogServer:
                 self._do_retire(conn, "idle_timeout")
 
     # ------------------------------------------------------------------
-    # META passthrough (remote shell support)
-    # ------------------------------------------------------------------
-    def _run_meta(self, command: str) -> str:
-        parts = command.split(None, 1)
-        name = parts[0] if parts else ""
-        arg = parts[1] if len(parts) > 1 else ""
-        if name == "metrics":
-            obs = self.db.obs
-            if obs is None or not obs.metrics_enabled:
-                return "(observability detached)"
-            from ..obs import render_prometheus, snapshot_json
-
-            if arg == "json":
-                return snapshot_json(obs.registry, indent=2)
-            return render_prometheus(obs.registry)
-        if name == "progress":
-            return self._format_progress()
-        if name == "tables":
-            lines = [
-                f"  {t.schema.name}{' (retired)' if t.retired else ''}"
-                f"  [{len(t)} rows]"
-                for t in self.db.catalog.tables()
-            ]
-            return "\n".join(lines) or "(no tables)"
-        if name == "top":
-            summary = self.monitor_summary()
-            if arg == "json":
-                return json.dumps(summary)
-            from ..shell import render_top  # deferred: shell imports net
-
-            return render_top(summary)
-        if name == "history":
-            obs = self.db.obs
-            history = getattr(obs, "history", None) if obs is not None else None
-            if history is None:
-                return "(no history sampler attached)"
-            args = arg.split()
-            as_json = bool(args) and args[0] == "json"
-            try:
-                window = float(args[-1]) if len(args) > (1 if as_json else 0) else None
-            except ValueError:
-                raise ProtocolError(f"bad history window {args[-1]!r}")
-            payload = history.to_json(window)
-            if as_json:
-                return json.dumps(payload)
-            from ..shell import render_top
-
-            return render_top(payload["summary"])
-        if name in ("health", "healthz"):
-            obs = self.db.obs
-            health = getattr(obs, "health", None) if obs is not None else None
-            if health is None:
-                return "(no health engine attached)"
-            report = health.report(max_age=1.0)
-            if arg == "json":
-                return json.dumps(report)
-            from ..shell import format_health
-
-            return format_health(report)
-        if name == "dump":
-            obs = self.db.obs
-            flight = getattr(obs, "flight", None) if obs is not None else None
-            if flight is None:
-                return "(no flight recorder attached)"
-            path = flight.dump(arg or "meta", force=True)
-            return f"incident bundle written: {path}"
-        if name == "describe" and arg:
-            table = self.db.catalog.table(arg)
-            lines = [
-                f"  {c.name}  {c.type.render()}"
-                + ("  NOT NULL" if c.not_null else "")
-                for c in table.schema.columns
-            ]
-            if table.schema.primary_key:
-                lines.append(
-                    "  PRIMARY KEY "
-                    f"({', '.join(table.schema.primary_key.columns)})"
-                )
-            for index_name in table.indexes:
-                lines.append(f"  INDEX {index_name}")
-            return "\n".join(lines)
-        if name == "epoch":
-            return self._run_epoch_meta(arg)
-        if name == "migrate" and arg:
-            return self._run_migrate(arg)
-        raise ProtocolError(f"unknown meta command {command!r}")
-
-    # ------------------------------------------------------------------
     # Cluster epoch flip (shard side of the two-phase switch)
     # ------------------------------------------------------------------
-    def _run_epoch_meta(self, arg: str) -> str:
+    def _verb_epoch(self, _db: Database, arg: str) -> str:
         parts = arg.split()
         verb = parts[0] if parts else "status"
         if verb == "status":
-            engines = []
-            for engine in self.db.migration_engines():
-                progress = engine.progress()
-                engines.append({
-                    "migration": progress.get("migration"),
-                    "complete": bool(progress.get("complete")),
-                })
+            engines = [
+                {"migration": migration, "complete": complete}
+                for migration, _units, complete in console.migrations(
+                    console.view(self.db, "bullfrog_stat_migrations")
+                )
+            ]
             with self._epoch_latch:
                 token = self._epoch_token
             return json.dumps({
@@ -1705,10 +1594,15 @@ class BullfrogServer:
         router's next prepare starts a fresh round)."""
         self._epoch_release(token)
 
-    def _run_migrate(self, arg: str) -> str:
+    def _verb_migrate(self, _db: Database, arg: str) -> str:
         parts = arg.split()
+        if not parts:
+            raise ProtocolError("unknown meta command 'migrate' (need a scenario)")
         scenario = parts[0]
-        delay = float(parts[1]) if len(parts) > 1 else 0.5
+        try:
+            delay = float(parts[1]) if len(parts) > 1 else 0.5
+        except ValueError:
+            raise ProtocolError(f"bad migrate delay {parts[1]!r}") from None
         handle = self._submit_scenario(scenario, background_delay=delay)
         return json.dumps({
             "migration": scenario,
@@ -1737,36 +1631,6 @@ class BullfrogServer:
                                         interval=0.002),
             big_flip=spec["big_flip"],
         )
-
-    def _format_progress(self) -> str:
-        engines = self.db.migration_engines()
-        if not engines:
-            return "(no migration submitted)"
-        lines: list[str] = []
-        for engine in engines:
-            progress = engine.progress()
-            lines.append(
-                f"migration: {progress.get('migration')}"
-                f"  complete: {progress.get('complete')}"
-            )
-            fraction = progress.get("fraction")
-            if fraction is not None:
-                lines.append(
-                    f"granules:  {progress.get('granules_migrated', 0)} "
-                    f"({100.0 * fraction:.1f}%)"
-                )
-            lines.append(
-                f"tuples:    {progress.get('tuples_migrated', 0)} "
-                f"({progress.get('tuples_per_sec', 0.0):.0f} tuples/s now)"
-            )
-            eta = progress.get("eta_seconds")
-            if progress.get("complete"):
-                lines.append("eta:       done")
-            elif eta is not None:
-                lines.append(f"eta:       ~{eta:.1f}s at current rate")
-            else:
-                lines.append("eta:       unknown")
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------
     # Graceful shutdown
@@ -1877,8 +1741,7 @@ class BullfrogServer:
         # embedding application that attached monitoring first keeps
         # its sampler running after the server goes away.
         if self._monitor_owns_history:
-            obs = self.db.obs
-            history = getattr(obs, "history", None) if obs is not None else None
+            history = getattr(self.db.obs, "history", None)
             if history is not None:
                 history.stop()
             self._monitor_owns_history = False
@@ -1888,9 +1751,3 @@ class BullfrogServer:
         self._draining.clear()
         return {"drained": drained, "aborted": aborted}
 
-
-def serve(
-    db: Database, config: ServerConfig | None = None, faults: Any = None
-) -> BullfrogServer:
-    """Start a server and return it (non-blocking)."""
-    return BullfrogServer(db, config, faults=faults).start()

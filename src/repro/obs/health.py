@@ -54,6 +54,17 @@ UNKNOWN = "unknown"
 _RANK = {OK: 0, UNKNOWN: 0, WARN: 1, CRITICAL: 2}
 
 
+def overall_status(results: list[dict[str, Any]]) -> str:
+    """The worst status among rule results; ``unknown`` never degrades
+    it.  Shared by the engine's report and the console's rendering of
+    ``bullfrog_stat_health`` rows."""
+    overall = OK
+    for result in results:
+        if _RANK[result["status"]] > _RANK[overall]:
+            overall = result["status"]
+    return overall
+
+
 class HealthContext:
     """What a rule sees at evaluation time."""
 
@@ -365,12 +376,8 @@ class HealthEngine:
                         fired.append(result)
                 result["since"] = self._since.get(name, now)
                 result["breaches"] = self._breaches.get(name, 0)
-            overall = OK
-            for result in results:
-                if _RANK[result["status"]] > _RANK[overall]:
-                    overall = result["status"]
             report = {
-                "status": overall,
+                "status": overall_status(results),
                 "ts": now,
                 "rules": results,
             }
@@ -443,4 +450,5 @@ __all__ = [
     "UNKNOWN",
     "WARN",
     "default_rules",
+    "overall_status",
 ]

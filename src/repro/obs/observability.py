@@ -197,6 +197,12 @@ class Observability:
         # Pre-bound *cells* (not families): emission is a dict lookup +
         # one locked add — no registry traversal, no family delegation.
         self._point_counters: dict[str, Any] = {}
+        # What the per-statement hooks below close over; empty/no-op
+        # with metrics off.
+        stmt_observes: dict[str, Any] = {}
+        stmt_incs_by_type: dict[type, Any] = {}
+        ddl_inc = _noop
+        hot_cells: tuple = ()
         if metrics:
             for point, (name, help_text) in POINT_COUNTERS.items():
                 self._point_counters[point] = self.registry.counter(
@@ -234,26 +240,24 @@ class Observability:
                 "client statements executed (exact, never sampled)",
                 labelnames=("stmt",),
             )
-            self._stmt_cells = {
-                kind: self.statement_latency.labels(stmt=kind)
-                for kind in ("select", "insert", "update", "delete", "ddl")
+            kinds = ("select", "insert", "update", "delete", "ddl")
+            stmt_observes = {
+                kind: self.statement_latency.labels(stmt=kind).observe
+                for kind in kinds
             }
-            self._stmt_observes = {
-                kind: cell.observe for kind, cell in self._stmt_cells.items()
-            }
-            self._stmt_incs = {
-                kind: self.statements_total.labels(stmt=kind).inc1
-                for kind in ("select", "insert", "update", "delete", "ddl")
+            stmt_counts = {
+                kind: self.statements_total.labels(stmt=kind) for kind in kinds
             }
             # Keyed by AST class so the executor seam dispatches with
             # one ``type(stmt)`` + one dict probe; anything not DML
             # (DDL included) falls back to the ``ddl`` series.
-            self._stmt_incs_by_type = {
-                _ast.Select: self._stmt_incs["select"],
-                _ast.Insert: self._stmt_incs["insert"],
-                _ast.Update: self._stmt_incs["update"],
-                _ast.Delete: self._stmt_incs["delete"],
+            stmt_incs_by_type = {
+                _ast.Select: stmt_counts["select"].inc1,
+                _ast.Insert: stmt_counts["insert"].inc1,
+                _ast.Update: stmt_counts["update"].inc1,
+                _ast.Delete: stmt_counts["delete"].inc1,
             }
+            ddl_inc = stmt_counts["ddl"].inc1
             self.lock_wait_latency = self.registry.histogram(
                 "repro_lock_wait_seconds",
                 "time spent blocked on lock acquisition (contended path "
@@ -290,61 +294,11 @@ class Observability:
             # atomic unit-increment directly when tracing is off.
             self.inc_claim_round = self._point_counters["migrate.before_claim"].inc1
             self.inc_txn_commit = self._point_counters["txn.commit"].inc1
-            if not self.statement_tracing:
-                # Metrics-only statement hooks, specialized at attach
-                # time: no tracing branch, no method-dispatch glue —
-                # the executor calls straight into the counter and
-                # histogram cells.  The sampling coin is a one-slot
-                # list cycling 0..255 — every value it ever holds is an
-                # interned small int, so the per-statement cost is one
-                # allocation-free append (the count), one subscript
-                # read, one masked store.  A racing second worker can
-                # only jitter the sampling *cadence* (the counts stay
-                # exact — they live in the deques); and the sampled
-                # slow path doubles as the compaction tick that keeps
-                # the hot cells' inc1 queues bounded in a process
-                # nobody ever scrapes.
-                incs_by_type_get = self._stmt_incs_by_type.get
-                ddl_inc = self._stmt_incs["ddl"]
-                observes_get = self._stmt_observes.get
-                fallback = self.statement_latency
-                mask = self.sample_statements - 1
-                coin = [0]
-                hot_cells = tuple(
-                    {
-                        self._point_counters["migrate.before_claim"],
-                        self._point_counters["txn.commit"],
-                        *(
-                            self.statements_total.labels(stmt=kind)
-                            for kind in ("select", "insert", "update", "delete", "ddl")
-                        ),
-                    }
-                )
-
-                def _statement_begin(
-                    stmt_type: type, _pc=time.perf_counter
-                ) -> float:
-                    incs_by_type_get(stmt_type, ddl_inc)()
-                    n = coin[0]
-                    coin[0] = (n + 1) & 255
-                    if n & mask:
-                        return 0.0
-                    if not n:
-                        for cell in hot_cells:
-                            cell.maybe_compact()
-                    return _pc()
-
-                def _statement_done(
-                    kind: str, start_s: float, _pc=time.perf_counter
-                ) -> None:
-                    observe = observes_get(kind)
-                    if observe is not None:
-                        observe(_pc() - start_s)
-                    else:
-                        fallback.labels(stmt=kind).observe(_pc() - start_s)
-
-                self.statement_begin = _statement_begin
-                self.statement_done = _statement_done
+            hot_cells = (
+                self._point_counters["migrate.before_claim"],
+                self._point_counters["txn.commit"],
+                *stmt_counts.values(),
+            )
         else:
             self.statement_latency = None
             self.statements_total = None
@@ -357,135 +311,134 @@ class Observability:
             self.lock_timeouts_total = None
             self.serialization_failures_total = None
             self._rows_cells = {}
-            self._stmt_cells = {}
-            self._stmt_observes = {}
-            self._stmt_incs = {}
-            self._stmt_incs_by_type = {}
             self._wip_cell = None
             self._wal_cells = None
             self.inc_claim_round = _noop
             self.inc_txn_commit = _noop
-        if self.statement_tracing:
-            # Statement-tracing hooks, specialized at attach time like
-            # the metrics-only pair above: every cell, dict probe, and
-            # the trace ring itself become closure locals.  Head
-            # sampling rides the same one-slot cyclic coin the metrics
-            # pair uses (see its comment), answered as a *signed* clock
-            # reading: ``0.0`` for an unsampled statement ("count it,
-            # but unless a propagated trace context says otherwise,
-            # skip all end work" — the exact fast path of the
-            # metrics-only pair), a *negative* timestamp for a
-            # latency-sampled-but-untraced one (histogram observation
-            # only), and a positive timestamp for a trace-sampled root
-            # (full span/context machinery).  The caller
-            # (``Session.execute_statement``) always honors an active
-            # propagated context regardless of the coin, re-reading the
-            # clock itself for that case.
-            incs_by_type_get = self._stmt_incs_by_type.get
-            ddl_inc = self._stmt_incs["ddl"] if self._stmt_incs else _noop
-            observes_get = self._stmt_observes.get
-            fallback = self.statement_latency
-            mask = self.sample_statements - 1
-            tmask = self.sample_traces - 1
-            cycle_mask = max(self.sample_traces, 256) - 1
-            coin = [0]
-            if metrics:
-                hot_cells = tuple(
-                    {
-                        self._point_counters["migrate.before_claim"],
-                        self._point_counters["txn.commit"],
-                        *(
-                            self.statements_total.labels(stmt=kind)
-                            for kind in ("select", "insert", "update", "delete", "ddl")
-                        ),
-                    }
-                )
-            else:
-                hot_cells = ()
-            staging = self._wait_staging
-            fold = self._fold_waits
-            trace = self.trace
-            tappend = trace._append
-            epoch = trace._epoch
-            tracing_on = tracing
-            threshold = slow_query_threshold
-            record_slow = self._record_slow
+        # Per-statement executor hooks, specialized at attach time:
+        # every cell, dict probe, and the trace ring itself become
+        # closure locals — no method-dispatch glue on the hot loop.
+        # ``statement_begin(stmt_type)`` bumps the exact statement count
+        # and answers head sampling as a *signed* clock reading: ``0.0``
+        # for an unsampled statement ("counted; unless a propagated
+        # trace context says otherwise, skip all end work"), a
+        # *negative* timestamp for a latency-sampled-but-untraced one
+        # (histogram observation only), and a positive timestamp for a
+        # trace-sampled root (full span/context machinery) — never
+        # positive when statement tracing is off.  The caller
+        # (``Session.execute_statement``) always honors an active
+        # propagated context regardless of the coin, re-reading the
+        # clock itself for that case.
+        #
+        # The sampling coin is a one-slot list cycling through interned
+        # small ints, so the per-statement cost is one allocation-free
+        # append (the count), one subscript read, one masked store.  A
+        # racing second worker can only jitter the sampling *cadence*
+        # (the counts stay exact — they live in the cells' deques); and
+        # the coin's wrap doubles as the compaction tick that keeps the
+        # hot cells' inc1 queues bounded in a process nobody scrapes.
+        incs_by_type_get = stmt_incs_by_type.get
+        observes_get = stmt_observes.get
+        fallback = self.statement_latency
+        mask = self.sample_statements - 1
+        tmask = self.sample_traces - 1
+        cycle_mask = max(self.sample_traces, 256) - 1
+        coin = [0]
+        roots = self.statement_tracing
+        staging = self._wait_staging
+        fold = self._fold_waits
+        trace = self.trace
+        tappend = trace._append
+        epoch = trace._epoch
+        tracing_on = tracing
+        threshold = slow_query_threshold
+        record_slow = self._record_slow
 
-            def _statement_begin(stmt_type: type, _pc=time.perf_counter) -> float:
-                incs_by_type_get(stmt_type, ddl_inc)()
-                n = coin[0]
-                coin[0] = (n + 1) & cycle_mask
-                if n & mask:
-                    return 0.0
-                if n & tmask:
-                    return -_pc()
-                if not n:
-                    for cell in hot_cells:
-                        cell.maybe_compact()
-                return _pc()
+        def _statement_begin(stmt_type: type, _pc=time.perf_counter) -> float:
+            incs_by_type_get(stmt_type, ddl_inc)()
+            n = coin[0]
+            coin[0] = (n + 1) & cycle_mask
+            if n & mask:
+                return 0.0
+            if not n:
+                for cell in hot_cells:
+                    cell.maybe_compact()
+            if n & tmask or not roots:
+                return -_pc()
+            return _pc()
 
-            def _statement_done(
-                kind: str,
-                start_s: float,
-                ctx: Any = None,
-                sql_text: str | None = None,
-                isolation: str | None = None,
-                _pc=time.perf_counter,
-                _ident=threading.get_ident,
-                _event=TraceEvent,
-                _names_get=_STMT_SPAN_NAMES.get,
-            ) -> None:
-                now = _pc()
-                seconds = now - start_s
-                observe = observes_get(kind)
-                if observe is not None:
-                    observe(seconds)
-                elif fallback is not None:
-                    fallback.labels(stmt=kind).observe(seconds)
-                cpu = seconds
-                if ctx is not None:
-                    waits = ctx.waits
-                    if waits:
-                        cpu -= (
-                            waits.get("lock", 0.0)
-                            + waits.get("migration", 0.0)
-                            + waits.get("wal", 0.0)
-                        )
-                        if cpu < 0.0:
-                            cpu = 0.0
-                    staging.append(("cpu", cpu))
-                    if len(staging) >= _WAIT_FOLD_THRESHOLD:
-                        fold()
-                if tracing_on and ctx is not None:
-                    # Span emission tracks the trace coin, not the
-                    # latency coin: a latency-sampled-but-untraced
-                    # statement (ctx None) gets its histogram
-                    # observation above and no orphan span here.
-                    dur_us = seconds * 1e6
-                    end_us = (now - epoch) * 1e6
-                    args: dict[str, Any] = {
-                        "trace": ctx.trace_id,
-                        "span": ctx.span_id,
-                    }
-                    parent = ctx.parent_id
-                    if parent is not None:
-                        args["parent"] = parent
-                    tappend(
-                        _event(
-                            _names_get(kind) or f"stmt.{kind}",
-                            "exec",
-                            "X",
-                            end_us - dur_us,
-                            dur_us,
-                            _ident(),
-                            args,
-                        )
+        def _statement_done(
+            kind: str,
+            start_s: float,
+            ctx: Any = None,
+            sql_text: str | None = None,
+            isolation: str | None = None,
+            _pc=time.perf_counter,
+            _ident=threading.get_ident,
+            _event=TraceEvent,
+            _names_get=_STMT_SPAN_NAMES.get,
+        ) -> None:
+            """End-of-statement hook: latency histogram, ``stmt.<kind>``
+            trace span (tagged with the statement's trace ids), the
+            derived ``cpu`` wait event, and the slow-query check — all
+            off one clock read.  ``ctx`` is the statement's
+            :class:`~repro.obs.tracectx.TraceContext` when it is traced;
+            its shared wait accumulator holds every wait the statement
+            incurred below this frame."""
+            now = _pc()
+            seconds = now - start_s
+            observe = observes_get(kind)
+            if observe is not None:
+                observe(seconds)
+            elif fallback is not None:
+                fallback.labels(stmt=kind).observe(seconds)
+            cpu = seconds
+            if ctx is not None:
+                waits = ctx.waits
+                if waits:
+                    # net_queue/pool precede execution (they accrue on
+                    # the shared accumulator before the statement
+                    # starts), so only in-statement waits come off cpu.
+                    cpu -= (
+                        waits.get("lock", 0.0)
+                        + waits.get("migration", 0.0)
+                        + waits.get("wal", 0.0)
                     )
-                if threshold is not None and seconds >= threshold:
-                    record_slow(kind, seconds, cpu, ctx, sql_text, isolation)
+                    if cpu < 0.0:
+                        cpu = 0.0
+                staging.append(("cpu", cpu))
+                if len(staging) >= _WAIT_FOLD_THRESHOLD:
+                    fold()
+            if tracing_on and ctx is not None:
+                # Span emission tracks the trace coin, not the latency
+                # coin: a latency-sampled-but-untraced statement (ctx
+                # None) gets its histogram observation above and no
+                # orphan span here.
+                dur_us = seconds * 1e6
+                end_us = (now - epoch) * 1e6
+                args: dict[str, Any] = {
+                    "trace": ctx.trace_id,
+                    "span": ctx.span_id,
+                }
+                parent = ctx.parent_id
+                if parent is not None:
+                    args["parent"] = parent
+                tappend(
+                    _event(
+                        _names_get(kind) or f"stmt.{kind}",
+                        "exec",
+                        "X",
+                        end_us - dur_us,
+                        dur_us,
+                        _ident(),
+                        args,
+                    )
+                )
+            if threshold is not None and seconds >= threshold:
+                record_slow(kind, seconds, cpu, ctx, sql_text, isolation)
 
-            self.statement_begin = _statement_begin
-            self.statement_done = _statement_done
+        self.statement_begin = _statement_begin
+        self.statement_done = _statement_done
 
     # ------------------------------------------------------------------
     # Lifecycle-point emission (the fault seams)
@@ -600,89 +553,6 @@ class Observability:
                 cat="lifecycle",
                 args={"txn_id": txn_id, "records": records},
             )
-
-    # ------------------------------------------------------------------
-    # Per-statement executor instrumentation
-    # ------------------------------------------------------------------
-    def statement_begin(self, stmt_type: type) -> float:
-        """Start-of-statement hook: exact statement count, then the
-        start timestamp — or ``0.0`` when this statement's latency is
-        not sampled, telling the caller to skip :meth:`statement_done`.
-        This general (non-specialized) path always samples; the
-        attach-time closures installed by ``__init__`` shadow it on
-        every live configuration."""
-        incs = self._stmt_incs_by_type
-        if incs:
-            incs.get(stmt_type, self._stmt_incs["ddl"])()
-        return time.perf_counter()
-
-    def statement_done(
-        self,
-        kind: str,
-        start_s: float,
-        ctx: Any = None,
-        sql_text: str | None = None,
-        isolation: str | None = None,
-        _pc=time.perf_counter,
-        _ident=threading.get_ident,
-        _names=_STMT_SPAN_NAMES,
-    ) -> None:
-        """End-of-statement hook: latency histogram, ``stmt.<kind>``
-        trace span (tagged with the statement's trace ids), the derived
-        ``cpu`` wait event, and the slow-query check — all off one
-        clock read.  ``ctx`` is the statement's
-        :class:`~repro.obs.tracectx.TraceContext` when statement
-        tracing is on; its shared wait accumulator holds every wait the
-        statement incurred below this frame."""
-        now = _pc()
-        seconds = now - start_s
-        observe = self._stmt_observes.get(kind)
-        if observe is not None:
-            observe(seconds)
-        elif self.statement_latency is not None:
-            self.statement_latency.labels(stmt=kind).observe(seconds)
-        cpu = seconds
-        if ctx is not None:
-            waits = ctx.waits
-            if waits:
-                # net_queue/pool precede execution (they accrue on the
-                # shared accumulator before the statement starts), so
-                # only in-statement waits are subtracted from cpu.
-                cpu -= (
-                    waits.get("lock", 0.0)
-                    + waits.get("migration", 0.0)
-                    + waits.get("wal", 0.0)
-                )
-                if cpu < 0.0:
-                    cpu = 0.0
-            staging = self._wait_staging
-            staging.append(("cpu", cpu))
-            if len(staging) >= _WAIT_FOLD_THRESHOLD:
-                self._fold_waits()
-        if self.tracing_enabled and ctx is not None:
-            trace = self.trace
-            dur_us = seconds * 1e6
-            end_us = (now - trace._epoch) * 1e6
-            args: dict[str, Any] = {
-                "trace": ctx.trace_id,
-                "span": ctx.span_id,
-            }
-            if ctx.parent_id is not None:
-                args["parent"] = ctx.parent_id
-            trace._append(
-                TraceEvent(
-                    _names.get(kind) or f"stmt.{kind}",
-                    "exec",
-                    "X",
-                    end_us - dur_us,
-                    dur_us,
-                    _ident(),
-                    args,
-                )
-            )
-        threshold = self.slow_query_threshold
-        if threshold is not None and seconds >= threshold:
-            self._record_slow(kind, seconds, cpu, ctx, sql_text, isolation)
 
     # ------------------------------------------------------------------
     # Lock-wait profiling (called by LockManager on the contended path)
@@ -967,9 +837,6 @@ class Observability:
     # ------------------------------------------------------------------
     # Lazy-migration interceptor span (statement-tracing path)
     # ------------------------------------------------------------------
-    def intercept_begin(self, _pc=time.perf_counter) -> float:
-        return _pc()
-
     def intercept_done(
         self,
         start_s: float,

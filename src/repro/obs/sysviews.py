@@ -217,59 +217,44 @@ def _slow_queries_producer(db: "Database") -> Callable[[Any], Iterable[Row]]:
     return produce
 
 
+# Views whose producer already yields dicts keyed by column name: the
+# column tuple below is the one place the shape is spelled out.
+_HISTORY_COLUMNS = (
+    "ts", "dt_seconds", "qps", "commits_per_sec",
+    "aborts_per_sec", "deadlocks_per_sec",
+    "wal_batches_per_sec", "p50_ms", "p95_ms", "p99_ms",
+    "lock_wait_p99_ms", "lock_wait_ms_per_sec",
+    "migration_wait_ms_per_sec", "migration_fraction",
+    "migration_tuples_per_sec", "migration_eta_seconds",
+)
+_HEALTH_COLUMNS = (
+    "rule", "severity", "status", "value", "bound",
+    "window_seconds", "since", "breaches", "detail",
+)
+
+
 def _history_producer(db: "Database") -> Callable[[Any], Iterable[Row]]:
     def produce(ctx: Any) -> Iterable[Row]:
-        obs = db.obs  # read live: the bench swaps bundles in place
-        history = getattr(obs, "history", None) if obs is not None else None
+        # db.obs is read live: the bench swaps bundles in place
+        history = getattr(db.obs, "history", None)
         if history is None:
             return []
-        rows: list[Row] = []
-        for row in history.rows():
-            rows.append(
-                (
-                    row["ts"],
-                    row["dt_seconds"],
-                    row["qps"],
-                    row["commits_per_sec"],
-                    row["aborts_per_sec"],
-                    row["deadlocks_per_sec"],
-                    row["wal_batches_per_sec"],
-                    row["p50_ms"],
-                    row["p95_ms"],
-                    row["p99_ms"],
-                    row["lock_wait_p99_ms"],
-                    row["lock_wait_ms_per_sec"],
-                    row["migration_wait_ms_per_sec"],
-                    row["migration_fraction"],
-                    row["migration_tuples_per_sec"],
-                    row["migration_eta_seconds"],
-                )
-            )
-        return rows
+        return [
+            tuple(row[column] for column in _HISTORY_COLUMNS)
+            for row in history.rows()
+        ]
 
     return produce
 
 
 def _health_producer(db: "Database") -> Callable[[Any], Iterable[Row]]:
     def produce(ctx: Any) -> Iterable[Row]:
-        obs = db.obs  # read live: the bench swaps bundles in place
-        health = getattr(obs, "health", None) if obs is not None else None
+        health = getattr(db.obs, "health", None)
         if health is None:
             return []
-        report = health.report(max_age=1.0)
         return [
-            (
-                result["rule"],
-                result["severity"],
-                result["status"],
-                result["value"],
-                result["bound"],
-                result["window_seconds"],
-                result["since"],
-                result["breaches"],
-                result["detail"],
-            )
-            for result in report["rules"]
+            tuple(result[column] for column in _HEALTH_COLUMNS)
+            for result in health.report(max_age=1.0)["rules"]
         ]
 
     return produce
@@ -396,29 +381,15 @@ def register_system_views(db: "Database") -> None:
     db.catalog.register_virtual(
         VirtualTable(
             "bullfrog_stat_history",
-            (
-                "ts", "dt_seconds", "qps", "commits_per_sec",
-                "aborts_per_sec", "deadlocks_per_sec",
-                "wal_batches_per_sec", "p50_ms", "p95_ms", "p99_ms",
-                "lock_wait_p99_ms", "lock_wait_ms_per_sec",
-                "migration_wait_ms_per_sec", "migration_fraction",
-                "migration_tuples_per_sec", "migration_eta_seconds",
-            ),
-            (
-                _FLOAT, _FLOAT, _FLOAT, _FLOAT, _FLOAT, _FLOAT, _FLOAT,
-                _FLOAT, _FLOAT, _FLOAT, _FLOAT, _FLOAT, _FLOAT, _FLOAT,
-                _FLOAT, _FLOAT,
-            ),
+            _HISTORY_COLUMNS,
+            (_FLOAT,) * len(_HISTORY_COLUMNS),
             _history_producer(db),
         )
     )
     db.catalog.register_virtual(
         VirtualTable(
             "bullfrog_stat_health",
-            (
-                "rule", "severity", "status", "value", "bound",
-                "window_seconds", "since", "breaches", "detail",
-            ),
+            _HEALTH_COLUMNS,
             (
                 _TEXT, _TEXT, _TEXT, _FLOAT, _FLOAT, _FLOAT, _FLOAT,
                 _INT, _TEXT,

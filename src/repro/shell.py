@@ -26,12 +26,13 @@ progress/ETA — ``\\top 0 1`` renders one frame and returns),
 a flight-recorder incident bundle, ``\\shards`` shows per-shard health
 when connected to a ``bullfrog-router``, ``\\q`` quits.
 
-``python -m repro --connect HOST:PORT`` attaches the same shell to a
-running ``bullfrogd`` instead of an embedded database: SQL travels over
-the wire and ``\\dt``/``\\d``/``\\progress``/``\\metrics``/``\\top``/
-``\\health``/``\\dump`` become server-side META requests, so ``\\top``
-renders the *server's* history (including its worker-pool and inbox
-stats).
+Every backslash command except ``\\explain``/``\\migrate``/``\\q`` is
+an admin verb answered by :func:`repro.obs.console.run` — in-process
+for the embedded shell, and as a META request to the server's console
+under ``python -m repro --connect HOST:PORT``, where SQL travels over
+the wire too and ``\\top`` renders the *server's* history (including
+its worker-pool and inbox stats).  DESIGN.md "Admin surface" has the
+verb table.
 """
 
 from __future__ import annotations
@@ -44,103 +45,20 @@ import time
 from .core import BackgroundConfig, MigrationController, Strategy
 from .db import Database, Result
 from .errors import ReproError
-from .obs import Observability, render_prometheus, snapshot_json
+from .obs import Observability, console
+from .obs.console import format_health, render_top  # noqa: F401 - re-exported
 
-
-def _num(value, suffix: str = "", digits: int = 1) -> str:
-    if value is None:
-        return "-"
-    return f"{value:.{digits}f}{suffix}"
-
-
-def render_top(summary: dict) -> str:
-    """Render one ``\\top`` frame from a monitor summary — the dict
-    :meth:`repro.obs.history.MetricsHistory.summary` produces, with
-    optional ``health`` (a health report) and ``server`` (bullfrogd
-    worker/inbox stats) sections merged in.  Pure function: the live
-    loop, the single-frame test mode, and the tour all call this."""
-    ts = summary.get("ts")
-    when = (
-        time.strftime("%H:%M:%S", time.localtime(ts)) if ts else "--:--:--"
-    )
-    lines = [
-        f"bullfrog top — {when}  "
-        f"window {summary.get('window_seconds') or 0.0:.1f}s  "
-        f"samples {summary.get('samples', 0)}"
-    ]
-    lines.append(
-        "load      "
-        f"qps {_num(summary.get('qps'))}   "
-        f"commits/s {_num(summary.get('commits_per_sec'))}   "
-        f"aborts/s {_num(summary.get('aborts_per_sec'))}   "
-        f"deadlocks/s {_num(summary.get('deadlocks_per_sec'))}   "
-        f"wal/s {_num(summary.get('wal_batches_per_sec'))}"
-    )
-    lines.append(
-        "latency   "
-        f"p50 {_num(summary.get('p50_ms'), ' ms', 2)}   "
-        f"p95 {_num(summary.get('p95_ms'), ' ms', 2)}   "
-        f"p99 {_num(summary.get('p99_ms'), ' ms', 2)}   "
-        f"lock p99 {_num(summary.get('lock_wait_p99_ms'), ' ms', 2)}"
-    )
-    waits = summary.get("wait_ms_per_sec") or {}
-    busy = [
-        f"{cls} {value:.1f} ms/s"
-        for cls, value in sorted(waits.items())
-        if value and value >= 0.05
-    ]
-    lines.append("waits     " + ("   ".join(busy) if busy else "(quiet)"))
-    migration = summary.get("migration") or {}
-    if migration.get("running"):
-        fraction = migration.get("fraction")
-        eta = migration.get("eta_seconds")
-        lines.append(
-            "migration "
-            + (f"{100.0 * fraction:.1f}% done   " if fraction is not None else "")
-            + f"{_num(migration.get('tuples_per_sec'), ' tuples/s', 0)}   "
-            + (f"eta ~{eta:.1f}s" if eta is not None else "eta unknown")
-        )
-    else:
-        lines.append("migration (none running)")
-    health = summary.get("health")
-    if health:
-        breached = [
-            f"{r['rule']}={r['status']}"
-            for r in health.get("rules", [])
-            if r.get("status") in ("warn", "critical")
-        ]
-        lines.append(
-            f"health    {health.get('status', 'unknown')}"
-            + (f"   [{', '.join(breached)}]" if breached else "")
-        )
-    server = summary.get("server")
-    if server:
-        lines.append(
-            "server    "
-            f"workers {server.get('busy', 0)}/{server.get('workers', 0)} busy "
-            f"(+{server.get('transient', 0)} transient)   "
-            f"inbox {server.get('dispatch_queue_depth', 0)}   "
-            f"conns {server.get('connections', 0)}"
-            f"/{server.get('max_connections', 0)}"
-            + ("   DRAINING" if server.get("draining") else "")
-        )
-    return "\n".join(lines)
-
-
-def format_health(report: dict) -> str:
-    """Text form of a health report for ``\\health``."""
-    lines = [f"status: {report.get('status', 'unknown')}"]
-    for result in report.get("rules", []):
-        value = result.get("value")
-        bound = result.get("bound")
-        lines.append(
-            f"  {result['rule']:<28} {result['status']:<9}"
-            f" value={_num(value, '', 2)} bound={_num(bound, '', 2)}"
-            f" window={result.get('window_seconds', 0):.0f}s"
-            f" breaches={result.get('breaches', 0)}"
-            + (f"  ({result['detail']})" if result.get("detail") else "")
-        )
-    return "\n".join(lines)
+# Backslash command -> admin verb (repro.obs.console); the rest of the
+# line rides along as the verb's argument.
+_VERBS = {
+    "\\dt": "tables",
+    "\\d": "describe",
+    "\\progress": "progress",
+    "\\metrics": "metrics",
+    "\\health": "health",
+    "\\dump": "dump",
+    "\\shards": "shards",
+}
 
 
 def format_result(result: Result) -> str:
@@ -173,8 +91,8 @@ class Shell:
         if connect_to is not None:
             # Remote mode: the "session" is a net.Connection — it has
             # the same execute() -> Result surface, so the REPL loop and
-            # format_result work unchanged.  Meta-commands that need the
-            # catalog/registry become server-side META requests.
+            # format_result work unchanged, and admin verbs travel as
+            # META requests to the server's console.
             from .net.addr import parse_hostport
             from .net.client import connect as net_connect
 
@@ -184,6 +102,7 @@ class Shell:
             self.obs = None
             self.db = None
             self.controller = None
+            self.admin = self.remote.meta
             return
         # The shell always runs instrumented: it is the demo surface for
         # the observability layer (\\progress, \\metrics, \\top and
@@ -193,91 +112,52 @@ class Shell:
         self.session = self.db.connect()
         self.controller = MigrationController(self.db)
         self.obs.attach_monitoring(self.db)
+        self.admin = lambda command: console.run(self.db, command)
 
     def handle_meta(self, line: str) -> str | None:
-        parts = line.split(None, 2)
-        command = parts[0]
+        command, _, arg = line.partition(" ")
+        arg = arg.strip()
         if command == "\\q":
             raise EOFError
-        if self.remote is not None:
-            return self._handle_remote_meta(line, parts)
-        if command == "\\dt":
-            tables = [
-                f"  {t.schema.name}{' (retired)' if t.retired else ''}"
-                f"  [{len(t)} rows]"
-                for t in self.db.catalog.tables()
-            ]
-            return "\n".join(tables) or "(no tables)"
-        if command == "\\d" and len(parts) > 1:
-            table = self.db.catalog.table(parts[1])
-            lines = [
-                f"  {c.name}  {c.type.render()}"
-                + ("  NOT NULL" if c.not_null else "")
-                for c in table.schema.columns
-            ]
-            if table.schema.primary_key:
-                lines.append(
-                    f"  PRIMARY KEY ({', '.join(table.schema.primary_key.columns)})"
+        if command == "\\explain" and arg:
+            result = self.session.execute("EXPLAIN " + arg)
+            return "\n".join(str(row[0]) for row in result.rows)
+        if command == "\\migrate":
+            if self.remote is not None:
+                return "\\migrate is not available over --connect (run DDL as SQL)"
+            migration_id, _, ddl = arg.partition(" ")
+            if ddl:
+                self.controller.submit(
+                    migration_id,
+                    ddl,
+                    strategy=Strategy.LAZY,
+                    background=BackgroundConfig(delay=2.0),
                 )
-            for name in table.indexes:
-                lines.append(f"  INDEX {name}")
-            return "\n".join(lines)
-        if command == "\\explain" and len(parts) > 1:
-            return self.session.explain(line.split(None, 1)[1])
-        if command == "\\migrate" and len(parts) > 2:
-            handle = self.controller.submit(
-                parts[1],
-                parts[2],
-                strategy=Strategy.LAZY,
-                background=BackgroundConfig(delay=2.0),
-            )
-            return f"migration {parts[1]!r} submitted (new schema live)"
-        if command == "\\progress":
-            if self.controller.active is None:
-                return "(no migration submitted)"
-            return self._format_progress()
-        if command == "\\metrics":
-            if len(parts) > 1 and parts[1] == "json":
-                return snapshot_json(self.obs.registry, indent=2)
-            return render_prometheus(self.obs.registry)
+                return f"migration {migration_id!r} submitted (new schema live)"
         if command == "\\top":
-            return self._run_top(parts, self.top_summary)
-        if command == "\\health":
-            return format_health(self.obs.health.report(max_age=1.0))
-        if command == "\\dump":
-            reason = parts[1] if len(parts) > 1 else "manual"
-            path = self.obs.flight.dump(reason, force=True)
-            return f"incident bundle written: {path}"
-        if command == "\\shards":
-            return (
-                "\\shards needs a cluster: connect to a bullfrog-router "
-                "(python -m repro.cluster) with --connect HOST:PORT"
-            )
-        return f"unknown meta-command {command!r}"
+            return self._run_top(arg.split())
+        verb = _VERBS.get(command)
+        if verb is None:
+            return f"unknown meta-command {command!r}"
+        return self.admin(f"{verb} {arg}".rstrip())
 
-    def top_summary(self) -> dict:
-        """One merged monitor summary for :func:`render_top` (embedded
-        mode).  Forces a scrape when the ring is too young to have two
-        samples, so ``\\top`` works right after startup."""
-        history = self.obs.history
-        if len(history.samples(float("inf"))) < 2:
-            history.sample_now()
-        summary = history.summary()
-        summary["health"] = self.obs.health.report(max_age=1.0)
-        return summary
-
-    def _run_top(self, parts: list[str], fetch) -> str | None:
+    def _run_top(self, args: list[str]) -> str | None:
         """Drive ``\\top [interval [frames]]``.  ``frames == 1`` renders
         once and returns the text (the testable path); otherwise loop,
         clearing the screen between frames, until the frame budget runs
-        out or the user interrupts."""
+        out or the user interrupts.  The wire (and the embedded console)
+        carries ``top json``, never ANSI; rendering is local."""
         try:
-            interval = float(parts[1]) if len(parts) > 1 else 1.0
-            frames = int(parts[2]) if len(parts) > 2 else None
+            interval = float(args[0]) if args else 1.0
+            frames = int(args[1]) if len(args) > 1 else None
         except ValueError:
             return "usage: \\top [interval_seconds [frames]]"
+
+        def frame() -> str:
+            return render_top(json.loads(self.admin("top json")))
+
         if frames == 1:
-            return render_top(fetch())
+            return frame()
         rendered = 0
         try:
             while frames is None or rendered < frames:
@@ -285,109 +165,12 @@ class Shell:
                     time.sleep(max(interval, 0.05))
                 # ANSI clear + home, like top(1); harmless when piped.
                 sys.stdout.write("\x1b[2J\x1b[H")
-                print(render_top(fetch()))
+                print(frame())
                 print("(ctrl-c to stop)")
                 rendered += 1
         except KeyboardInterrupt:
             pass
         return None
-
-    def _handle_remote_meta(self, line: str, parts: list[str]) -> str | None:
-        """Server-side passthrough for the connected shell: the data a
-        meta-command needs (catalog, migration engines, metric registry)
-        lives in the server process, so ask *it*."""
-        assert self.remote is not None
-        command = parts[0]
-        if command == "\\dt":
-            return self.remote.meta("tables")
-        if command == "\\d" and len(parts) > 1:
-            return self.remote.meta(f"describe {parts[1]}")
-        if command == "\\explain" and len(parts) > 1:
-            result = self.session.execute("EXPLAIN " + line.split(None, 1)[1])
-            return "\n".join(str(row[0]) for row in result.rows)
-        if command == "\\progress":
-            return self.remote.meta("progress")
-        if command == "\\metrics":
-            if len(parts) > 1 and parts[1] == "json":
-                return self.remote.meta("metrics json")
-            return self.remote.meta("metrics")
-        if command == "\\top":
-            return self._run_top(
-                parts, lambda: json.loads(self.remote.meta("top json"))
-            )
-        if command == "\\health":
-            return self.remote.meta("health")
-        if command == "\\dump":
-            reason = parts[1] if len(parts) > 1 else "manual"
-            return self.remote.meta(f"dump {reason}")
-        if command == "\\migrate":
-            return "\\migrate is not available over --connect (run DDL as SQL)"
-        if command == "\\shards":
-            # Only a bullfrog-router answers this META verb; a plain
-            # bullfrogd rejects it, which we surface as-is.
-            return self.remote.meta("shards")
-        return f"unknown meta-command {command!r}"
-
-    def _format_progress(self) -> str:
-        """Live migration progress from the stats view: granule counts,
-        migration rate, contention signals, background lag."""
-        active = self.controller.active
-        progress = active.progress()
-        lines = [
-            f"migration: {progress.get('migration')}"
-            f"  complete: {progress.get('complete')}"
-        ]
-        stats = getattr(active, "stats", None)
-        snap = stats.snapshot() if stats is not None else {}
-        done = progress.get("granules_migrated", 0)
-        total = snap.get("granules_total")
-        fraction = progress.get("fraction")
-        if total:
-            pct = 100.0 * done / total
-            lines.append(f"granules:  {done}/{total} ({pct:.1f}%)")
-        elif fraction is not None:
-            lines.append(f"granules:  {done} ({100.0 * fraction:.1f}%)")
-        else:
-            lines.append(f"granules:  {done} (total unknown: hashmap unit)")
-        tuples = progress.get("tuples_migrated", 0)
-        started = snap.get("started_at")
-        if started is not None:
-            ended = snap.get("completed_at") or time.monotonic()
-            elapsed = max(ended - started, 1e-9)
-            lines.append(
-                f"tuples:    {tuples} ({tuples / elapsed:.0f} tuples/s avg, "
-                f"{progress.get('tuples_per_sec', 0.0):.0f} tuples/s now)"
-            )
-        else:
-            lines.append(f"tuples:    {tuples}")
-        eta = progress.get("eta_seconds")
-        if progress.get("complete"):
-            lines.append("eta:       done")
-        elif eta is not None:
-            lines.append(f"eta:       ~{eta:.1f}s at current rate")
-        else:
-            lines.append("eta:       unknown (no throughput observed yet)")
-        lines.append(
-            f"contention: skip_waits={progress.get('skip_waits', 0)} "
-            f"aborts={progress.get('aborts', 0)} "
-            f"duplicates={progress.get('duplicates', 0)}"
-        )
-        bg = snap.get("background_started_at")
-        if bg is not None and started is not None:
-            lines.append(
-                f"background: started {bg - started:.1f}s after migration "
-                "(foreground had the head start)"
-            )
-        else:
-            lines.append("background: not started")
-        for unit in progress.get("units", []):
-            total_s = f"/{unit['total']}" if "total" in unit else ""
-            lines.append(
-                f"  unit {unit['unit']} [{unit['category']}]: "
-                f"{unit['migrated']}{total_s} migrated"
-                f"{' (complete)' if unit['complete'] else ''}"
-            )
-        return "\n".join(lines)
 
     def run(self) -> int:
         if self.remote is not None:

@@ -434,12 +434,17 @@ def test_meta_shards_and_stat_view(cluster, router_conn):
     ).rows
     assert [r[0] for r in rows] == [0, 1]
     assert all(r[1] for r in rows)
-    # Pool rows are folded into the network view (negative conn ids).
-    net = router_conn.execute(
-        "SELECT conn_id, state FROM bullfrog_stat_network WHERE conn_id < 0 "
-        "ORDER BY conn_id DESC"
+    # Backend-pool health lives in the shard view's pool_* columns (one
+    # row per shard); the network view lists client connections only.
+    pools = router_conn.execute(
+        "SELECT shard, pool_size, pool_in_use, pool_idle, pool_reconnects "
+        "FROM bullfrog_stat_shards ORDER BY shard"
     ).rows
-    assert [r[1] for r in net] == ["shard0:pool", "shard1:pool"]
+    assert [r[:2] for r in pools] == [(0, 8), (1, 8)]
+    assert all(r[2] + r[3] <= r[1] and r[4] == 0 for r in pools)
+    assert router_conn.execute(
+        "SELECT COUNT(*) FROM bullfrog_stat_network WHERE conn_id < 0"
+    ).scalar() == 0
 
 
 def test_pool_stats_surface():

@@ -716,46 +716,6 @@ def test_driver_books_connection_errors_separately():
 
 
 # ----------------------------------------------------------------------
-# Remote shell
-# ----------------------------------------------------------------------
-
-
-def test_shell_connect_mode(server):
-    from repro.shell import Shell, format_result
-
-    db, srv = server
-    shell = Shell(connect_to=f"127.0.0.1:{srv.port}")
-    try:
-        shell.session.execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
-        shell.session.execute("INSERT INTO t VALUES (1, 'hello')")
-        out = format_result(shell.session.execute("SELECT * FROM t"))
-        assert "hello" in out and "(1 row)" in out
-        assert "t" in shell.handle_meta("\\dt")
-        assert "id" in shell.handle_meta("\\d t")
-        assert "repro_net_connections_accepted_total" in (
-            shell.handle_meta("\\metrics")
-        )
-        assert "no migration" in shell.handle_meta("\\progress")
-        assert "SeqScan" in shell.handle_meta(
-            "\\explain SELECT * FROM t WHERE id = 1"
-        ) or "Scan" in shell.handle_meta(
-            "\\explain SELECT * FROM t WHERE id = 1"
-        )
-        assert "--connect" in shell.handle_meta("\\migrate x CREATE TABLE y")
-    finally:
-        shell.remote.close()
-
-
-def test_shell_embedded_mode_unchanged():
-    from repro.shell import Shell
-
-    shell = Shell()
-    assert shell.remote is None
-    shell.session.execute("CREATE TABLE t (id INT PRIMARY KEY)")
-    assert "t" in shell.handle_meta("\\dt")
-
-
-# ----------------------------------------------------------------------
 # Prepared statements + pipelining
 # ----------------------------------------------------------------------
 

@@ -559,6 +559,17 @@ def test_unknown_meta_verb_rejected_connection_survives(fc_server, verb):
         assert conn.execute("SELECT 1").rows == [(1,)]
 
 
+def test_bad_migrate_delay_rejected_connection_survives(fc_server):
+    """A malformed verb argument is a vocabulary miss like any other:
+    an error reply for the statement, not ``internal_error`` and a
+    retired connection (the pre-fix outcome of the bare ``float()``)."""
+    with connect(port=fc_server.port) as conn:
+        with pytest.raises(ProtocolError, match="bad migrate delay"):
+            conn.meta("migrate split nope")
+        assert conn.ping() is True
+        assert conn.execute("SELECT 1").rows == [(1,)]
+
+
 def _raw_handshake(port, hello_frame):
     sock = _socket.create_connection(("127.0.0.1", port), timeout=10)
     stream = protocol.FrameStream(sock)

@@ -318,7 +318,7 @@ class TestObservability:
         sampled = [s for s in starts if s]
         assert len(sampled) == 3  # statements 1, 17, 33
         for start in sampled:
-            obs.statement_done("select", start)
+            obs.statement_done("select", abs(start))
         snap = obs.snapshot()
         by_label = {
             s["labels"]["stmt"]: s["value"]
