@@ -101,46 +101,26 @@ class BackgroundMigrator:
                     return
                 if runtime.complete:
                     continue
-                faults = self.engine.faults
-                obs = self.engine.obs
-                if obs is not None and not obs.active:
-                    obs = None
+                obs = self.engine._active_obs()
+                pass_fn = (
+                    self._bitmap_pass
+                    if runtime.plan.category.uses_bitmap
+                    else self._hashmap_pass
+                )
+                context = {"unit": runtime.plan.unit_id, "worker": worker_index}
                 try:
-                    if obs is not None:
-                        obs.emit(
-                            "background.pass",
-                            unit=runtime.plan.unit_id,
-                            worker=worker_index,
-                        )
-                    if faults is not None and "background.pass" in faults.watching:
-                        faults.fire(
-                            "background.pass",
-                            unit=runtime.plan.unit_id,
-                            worker=worker_index,
-                        )
-                    if obs is None:
-                        if runtime.plan.category.uses_bitmap:
-                            did_work |= self._bitmap_pass(runtime)
-                        else:
-                            did_work |= self._hashmap_pass(runtime)
-                    else:
-                        # One span per pass: in the Chrome trace these
-                        # sit on the background thread's track, visibly
-                        # overlapping the foreground ``migrate.wip``
-                        # spans on the client threads.
-                        start = obs.span_start()
-                        try:
-                            if runtime.plan.category.uses_bitmap:
-                                did_work |= self._bitmap_pass(runtime)
-                            else:
-                                did_work |= self._hashmap_pass(runtime)
-                        finally:
+                    self.engine._seam("background.pass", **context)
+                    # One span per pass: in the Chrome trace these sit on
+                    # the background thread's track, visibly overlapping
+                    # the foreground ``migrate.wip`` spans on the client
+                    # threads.
+                    start = obs.span_start() if obs is not None else 0.0
+                    try:
+                        did_work |= pass_fn(runtime)
+                    finally:
+                        if obs is not None:
                             obs.span_end(
-                                "background.pass",
-                                start,
-                                cat="background",
-                                unit=runtime.plan.unit_id,
-                                worker=worker_index,
+                                "background.pass", start, cat="background", **context
                             )
                 except TransactionAborted:
                     # A migration txn lost a lock conflict (wait-die) or

@@ -101,6 +101,27 @@ class UnitPlan:
     def output_tables(self) -> tuple[str, ...]:
         return tuple(output.table for output in self.outputs)
 
+    @property
+    def key_sides(self) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
+        """Hashmap units: ``(table, binding, columns)`` for each input
+        side carrying the group key — the anchor alone for n:1, both
+        join sides for n:n.  Empty for bitmap units (no group key)."""
+        if self.join_key is not None:
+            jk = self.join_key
+            return (
+                (self.anchor, self.anchor_binding, jk.anchor_columns),
+                (jk.other_table, jk.other_binding, jk.other_columns),
+            )
+        if self.group_columns:
+            return ((self.anchor, self.anchor_binding, self.group_columns),)
+        return ()
+
+    @property
+    def key_columns(self) -> tuple[str, ...]:
+        """The anchor-side columns whose values form the group key."""
+        sides = self.key_sides
+        return sides[0][2] if sides else ()
+
 
 @dataclass
 class MappingStatement:

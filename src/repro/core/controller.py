@@ -59,7 +59,7 @@ class SubmitResult:
 
     @property
     def stats(self):
-        return self._impl.stats if not self.lazy else self.lazy.stats
+        return self._impl.stats
 
     def shutdown(self) -> None:
         """Stop any background machinery (bench teardown)."""

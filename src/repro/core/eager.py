@@ -21,14 +21,10 @@ from typing import Any
 
 from ..db import Database
 from ..errors import MigrationStateError
-from ..sql import ast_nodes as ast
-from ..sql.render import render_statement
 from ..txn.locks import LockMode
 from .migration import MigrationSpec, parse_migration
+from .production import create_outputs, insert_select
 from .stats import MigrationStats
-from ..catalog import Column, TableSchema
-from ..db import build_schema
-from ..types import text_type
 
 
 class EagerMigration:
@@ -60,42 +56,18 @@ class EagerMigration:
                 txn.lock_table(table_name, LockMode.X)
 
             # Create outputs (empty) ...
-            for unit in spec.units:
-                for output in unit.outputs:
-                    schema_stmt = spec.explicit_schemas.get(output.table)
-                    if schema_stmt is not None:
-                        self.db.catalog.create_table(build_schema(schema_stmt))
-                    else:
-                        planned = self.db.planner.plan_select(output.select)
-                        name_to_type = dict(zip(planned.names, planned.types))
-                        columns = tuple(
-                            Column(name, name_to_type.get(name) or text_type())
-                            for name in output.column_names
-                        )
-                        self.db.catalog.create_table(
-                            TableSchema(name=output.table, columns=columns)
-                        )
-            for index_stmt in spec.index_statements:
-                self.db.catalog.create_index(
-                    index_stmt.name,
-                    index_stmt.table,
-                    index_stmt.columns,
-                    unique=index_stmt.unique,
-                    ordered=True,
-                )
+            create_outputs(self.db, spec)
             self.db.bump_epoch()
 
-            # ... and fill them in full.
+            # ... and fill them in full: the migration DDL's own
+            # INSERT .. SELECT, no key pinned.
             produced = 0
             for unit in spec.units:
                 for output in unit.outputs:
-                    insert = ast.Insert(
-                        table=output.table,
-                        columns=output.column_names,
-                        query=output.select,
+                    insert_sql, _select, _copies = insert_select(
+                        unit, output, pin_key=False
                     )
-                    result = session.execute_statement(insert)
-                    produced += result.rowcount
+                    produced += session.execute(insert_sql).rowcount
             self.stats.add(tuples=produced)
 
             # Big flip at the end: the new schema becomes the only one.

@@ -23,29 +23,22 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Sequence
 
-from ..db import Database, Session, build_schema
+from ..db import Database, Session
 from ..errors import (
     MigrationError,
     MigrationStateError,
-    TransactionAborted,
     UnsupportedMigrationError,
 )
-from ..catalog import Column, TableSchema
-from ..exec.expressions import RowLayout, compile_expr, predicate_satisfied
-from ..exec.plan import ExecutionContext
 from ..obs import Observability
 from ..obs.tracectx import current as _trace_current
 from ..sql import ast_nodes as ast
-from ..sql.render import render_statement
 from ..txn import IsolationLevel
-from ..types import text_type
 from .background import BackgroundConfig, BackgroundMigrator
 from .bitmap import Claim, MigrationBitmap
-from .classify import MigrationCategory, UnitPlan
+from .classify import UnitPlan
 from .constraints import (
     fk_parent_conjuncts,
     insert_conjuncts,
@@ -56,6 +49,7 @@ from .granularity import GranuleMapper
 from .hashmap import MigrationHashMap
 from .migration import MigrationSpec, parse_migration
 from .predicates import PredicateTransfer, Scope
+from .production import RowProjection, create_outputs, insert_select
 from .stats import MigrationStats
 
 
@@ -64,21 +58,21 @@ class ConflictMode(Enum):
     ON_CONFLICT = "on-conflict"
 
 
-@dataclass
-class _OutputRuntime:
-    table: Any  # catalog Table
-    column_names: tuple[str, ...]
-    fns: list  # compiled projections over the combined anchor(+aux) layout
-
-
 class UnitRuntime:
-    """Everything needed to migrate one unit at run time."""
+    """Everything needed to migrate one unit at run time.
+
+    The tracker kind — bitmap over anchor granules (Algorithm 2) or
+    hashmap over group keys (Algorithm 3) — is decided here, once: the
+    engine above only ever asks a runtime for the units a scope covers,
+    to produce or project them, and to release their claims.
+    """
 
     def __init__(self, engine: "LazyMigrationEngine", plan: UnitPlan) -> None:
         self.engine = engine
         self.plan = plan
         self.catalog = engine.db.catalog
         self.anchor_table = self.catalog.table(plan.anchor)
+        self.output_tables = frozenset(plan.output_tables)
         self.complete = False
         self.swept = False  # hashmap units: background finished a clean pass
         self._latch = threading.Lock()
@@ -87,184 +81,109 @@ class UnitRuntime:
         self.transfer = PredicateTransfer(
             plan, self.catalog, engine.db.planner, granule_size
         )
-        if plan.category.uses_bitmap:
-            self.mapper = GranuleMapper(self.anchor_table.heap, granule_size)
-            self.tracker: MigrationBitmap | MigrationHashMap = MigrationBitmap(
-                self.mapper.granule_count, partitions=engine.tracker_partitions
-            )
-        else:
-            self.mapper = None
-            self.tracker = MigrationHashMap(partitions=engine.tracker_partitions)
-
-        self._compile_production()
-        self._build_key_sql()
-
-    # ------------------------------------------------------------------
-    # Compilation
-    # ------------------------------------------------------------------
-    def _compile_production(self) -> None:
-        """Bitmap units: compile per-output projections over the anchor
-        (plus aux-join) row layout for direct, TID-addressed production."""
-        plan = self.plan
-        if not plan.category.uses_bitmap:
-            self.outputs_runtime: list[_OutputRuntime] = []
-            return
-        layout = RowLayout.for_table(
-            plan.anchor_binding, self.anchor_table.schema.column_names
-        )
-        self.aux_table = None
-        self._aux_positions: list[int] = []
-        self._aux_index = None
-        self._aux_lookup_positions: list[int] = []
-        if plan.aux is not None:
-            self.aux_table = self.catalog.table(plan.aux.table)
-            aux_layout = RowLayout.for_table(
-                plan.aux.binding, self.aux_table.schema.column_names
-            )
-            layout = layout.extend(aux_layout)
-            anchor_schema = self.anchor_table.schema
-            self._aux_positions = [
-                anchor_schema.column_index(a) for a, _b in plan.aux.pairs
-            ]
-            aux_cols = tuple(b for _a, b in plan.aux.pairs)
-            self._aux_index = self.aux_table.find_prefix_index(frozenset(aux_cols))
-            if self._aux_index is not None:
-                # Key order must follow the index's column order.
-                by_aux = {b: a for a, b in plan.aux.pairs}
-                self._aux_positions = [
-                    anchor_schema.column_index(by_aux[c])
-                    for c in self._aux_index.columns
-                ]
-            else:
-                self._aux_lookup_positions = [
-                    self.aux_table.schema.column_index(b) for _a, b in plan.aux.pairs
-                ]
-        self._layout = layout
-        self._static_fn = (
-            compile_expr(plan.static_filter, layout)
-            if plan.static_filter is not None
-            else None
-        )
-        self.outputs_runtime = []
-        for output in plan.outputs:
-            table = self.catalog.table(output.table)
-            fns = [compile_expr(item, layout) for item in output.items]
-            self.outputs_runtime.append(
-                _OutputRuntime(table, output.column_names, fns)
-            )
-
-    def _build_key_sql(self) -> None:
-        """Hashmap units: pre-render per-key INSERT..SELECT statements
-        (the paper's rewritten migration DDL with injected predicates)."""
+        # Hashmap units: per-key INSERT..SELECT statements (the paper's
+        # rewritten migration DDL with injected predicates), and the bare
+        # per-key SELECTs read-only consumers run instead.
         self.key_sql: list[str] = []
-        # Parallel list of the bare per-key SELECTs (no INSERT wrapper):
-        # the invariant checker recomputes expected output rows from
-        # them without mutating anything.
         self.key_select_sql: list[str] = []
-        plan = self.plan
+        self._key_param_copies = 0
         if plan.category.uses_bitmap:
-            return
-        on_conflict = self.engine.conflict_mode is ConflictMode.ON_CONFLICT
-        if plan.category is MigrationCategory.N_TO_ONE:
-            key_refs = [
-                ast.ColumnRef(c, plan.anchor_binding) for c in plan.group_columns
-            ]
-            sides = [key_refs]
+            self.mapper: GranuleMapper | None = GranuleMapper(
+                self.anchor_table.heap, granule_size
+            )
+            self.projection: RowProjection | None = RowProjection(self.catalog, plan)
+            self.outputs_runtime = self.projection.outputs
+            self._produce, self._release = "produce_bitmap_granules", "reset"
+            self.units_in = self._granules_in
+            self.project = self.project_granules
         else:
-            jk = plan.join_key
-            assert jk is not None
-            sides = [
-                [ast.ColumnRef(c, plan.anchor_binding) for c in jk.anchor_columns],
-                [ast.ColumnRef(c, jk.other_binding) for c in jk.other_columns],
-            ]
-        for output in plan.outputs:
-            select = output.select
-            where = select.where
-            param_index = 0
-            for side in sides:
-                for ref in side:
-                    clause = ast.BinaryOp("=", ref, ast.Param(param_index))
-                    param_index += 1
-                    where = (
-                        clause if where is None else ast.BinaryOp("AND", where, clause)
-                    )
-            pinned = ast.Select(
-                items=select.items,
-                from_items=select.from_items,
-                where=where,
-                group_by=select.group_by,
-                having=select.having,
-                distinct=select.distinct,
-            )
-            insert = ast.Insert(
-                table=output.table,
-                columns=output.column_names,
-                query=pinned,
-                on_conflict_do_nothing=on_conflict,
-            )
-            self.key_sql.append(render_statement(insert))
-            self.key_select_sql.append(render_statement(pinned))
-        self._key_param_copies = len(sides)
+            self.mapper = self.projection = None
+            self.outputs_runtime = []
+            for output in plan.outputs:
+                insert_sql, select_sql, self._key_param_copies = insert_select(
+                    plan,
+                    output,
+                    pin_key=True,
+                    on_conflict=engine.conflict_mode is ConflictMode.ON_CONFLICT,
+                )
+                self.key_sql.append(insert_sql)
+                self.key_select_sql.append(select_sql)
+            self._produce, self._release = "produce_keys", "mark_aborted"
+            self.units_in = self._keys_in
+            self.project = self.project_keys
+        self.tracker = self.new_tracker()
+
+    def new_tracker(self) -> MigrationBitmap | MigrationHashMap:
+        """A fresh, empty tracker for this unit (submit; crash recovery
+        re-creates the volatile state the same way)."""
+        partitions = self.engine.tracker_partitions
+        if self.mapper is not None:
+            return MigrationBitmap(self.mapper.granule_count, partitions=partitions)
+        return MigrationHashMap(partitions=partitions)
+
+    # ------------------------------------------------------------------
+    # Scope -> units
+    # ------------------------------------------------------------------
+    def _granules_in(self, scope: Scope, unmigrated_only: bool = False) -> Sequence:
+        if not scope.full:
+            return sorted(scope.granules)
+        if unmigrated_only:
+            return list(self.tracker.iter_unmigrated())
+        return range(self.tracker.size)
+
+    def _keys_in(self, scope: Scope, unmigrated_only: bool = False) -> Sequence:
+        return sorted(self.all_keys() if scope.full else scope.keys)
+
+    def key_positions(self) -> list[int]:
+        schema = self.anchor_table.schema
+        return [schema.column_index(c) for c in self.plan.key_columns]
+
+    def all_keys(self) -> set[tuple]:
+        positions = self.key_positions()
+        return {
+            tuple(row[p] for p in positions)
+            for _tid, row in self.anchor_table.heap.scan()
+        }
 
     # ------------------------------------------------------------------
     # Production
     # ------------------------------------------------------------------
+    def produce(self, units: Sequence, session: Session) -> int:
+        """Materialize the output rows of claimed granules / group keys
+        inside the session's open transaction; returns tuples produced.
+        The producer is looked up on the instance per call so a test can
+        swap ``produce_bitmap_granules`` / ``produce_keys`` there."""
+        return getattr(self, self._produce)(units, session)
+
+    def granule_rows(self, granules: Sequence[int], snapshot_ts: int | None = None):
+        """The anchor tuples ``granules`` cover: current heads, or the
+        versions visible at ``snapshot_ts``."""
+        assert self.mapper is not None
+        for granule in granules:
+            for _tid, row in self.mapper.tuples_in(granule, snapshot_ts=snapshot_ts):
+                yield row
+
     def produce_bitmap_granules(
         self, granules: Sequence[int], session: Session
     ) -> int:
-        """Materialize the output rows for claimed bitmap granules inside
-        the session's open transaction.  Returns tuples produced."""
-        assert self.mapper is not None
+        """Bitmap units: project the granules' anchor tuples and insert
+        the results directly, TID-addressed (no SQL round trip)."""
+        assert self.projection is not None
         ctx = session._context()
         ctx.params = ()
-        executor = self.engine.db.executor
-        on_conflict = self.engine.conflict_mode is ConflictMode.ON_CONFLICT
-        produced = 0
-        batches: list[list[dict]] = [[] for _ in self.outputs_runtime]
-        for granule in granules:
-            for _tid, row in self.mapper.tuples_in(granule):
-                for combined in self._joined_rows(row):
-                    if self._static_fn is not None and not predicate_satisfied(
-                        self._static_fn(combined, ())
-                    ):
-                        continue
-                    for position, output in enumerate(self.outputs_runtime):
-                        values = {
-                            name: fn(combined, ())
-                            for name, fn in zip(output.column_names, output.fns)
-                        }
-                        batches[position].append(values)
-                    produced += 1
-        for output, batch in zip(self.outputs_runtime, batches):
-            if batch:
-                inserted = executor.insert_rows(
-                    output.table, batch, ctx, on_conflict_skip=on_conflict
-                )
-                if on_conflict and inserted < len(batch):
-                    self.engine.stats.add_duplicates(len(batch) - inserted)
+        produced, duplicates = self.projection.insert_projected(
+            self.granule_rows(granules),
+            self.engine.db.executor,
+            ctx,
+            on_conflict=self.engine.conflict_mode is ConflictMode.ON_CONFLICT,
+        )
+        if duplicates:
+            self.engine.stats.add_duplicates(duplicates)
         return produced
 
-    def _joined_rows(self, row: tuple):
-        """Anchor row extended by its aux (PK-side) match, inner-join
-        semantics: rows without a match produce nothing but are still
-        considered migrated (section 3.6)."""
-        if self.plan.aux is None:
-            yield row
-            return
-        key = tuple(row[p] for p in self._aux_positions)
-        if self._aux_index is not None:
-            for tid in self._aux_index.lookup(key):
-                aux_row = self.aux_table.heap.read(tid)
-                if aux_row is not None:
-                    yield row + aux_row
-            return
-        for _tid, aux_row in self.aux_table.heap.scan():
-            if tuple(aux_row[p] for p in self._aux_lookup_positions) == key:
-                yield row + aux_row
-
     def produce_keys(self, keys: Sequence[tuple], session: Session) -> int:
-        """Materialize output rows for claimed group keys by running the
-        pre-rendered INSERT..SELECT with the key bound as parameters."""
+        """Hashmap units: run the pre-rendered INSERT..SELECT of every
+        output with each group key bound as its parameters."""
         produced = 0
         for key in keys:
             params = tuple(key) * self._key_param_copies
@@ -279,39 +198,32 @@ class UnitRuntime:
     def project_granules(
         self, granules: Sequence[int], snapshot_ts: int
     ) -> dict[str, list[tuple]]:
-        """Read-only twin of :meth:`produce_bitmap_granules`: compute the
-        output rows the given granules *would* produce, from the input
-        tuple versions visible at ``snapshot_ts``.  Nothing is written,
-        locked, or claimed — snapshot readers consume the result as an
-        overlay instead of waiting for the granules to migrate."""
-        assert self.mapper is not None
+        """Compute the output rows the given granules *would* produce,
+        from the input tuple versions visible at ``snapshot_ts``.
+        Nothing is written, locked, or claimed — snapshot readers
+        consume the result as an overlay instead of waiting for the
+        granules to migrate."""
+        assert self.projection is not None
+        schemas = [output.table.schema for output in self.projection.outputs]
         rows_by_output: dict[str, list[tuple]] = {}
-        for granule in granules:
-            for _tid, row in self.mapper.tuples_in(
-                granule, snapshot_ts=snapshot_ts
-            ):
-                for combined in self._joined_rows(row):
-                    if self._static_fn is not None and not predicate_satisfied(
-                        self._static_fn(combined, ())
-                    ):
-                        continue
-                    for output in self.outputs_runtime:
-                        values = {
-                            name: fn(combined, ())
-                            for name, fn in zip(output.column_names, output.fns)
-                        }
-                        rows_by_output.setdefault(
-                            output.table.schema.name, []
-                        ).append(output.table.schema.coerce_row(values))
+        for values in self.projection.project(
+            self.granule_rows(granules, snapshot_ts)
+        ):
+            for schema, row_values in zip(schemas, values):
+                rows_by_output.setdefault(schema.name, []).append(
+                    schema.coerce_row(row_values)
+                )
         return rows_by_output
 
     def project_keys(
-        self, keys: Sequence[tuple], session: Session
+        self, keys: Sequence[tuple], snapshot_ts: int
     ) -> dict[str, list[tuple]]:
-        """Hashmap twin of :meth:`project_granules`: run the bare per-key
-        SELECTs (no INSERT wrapper) on an internal session.  Input tables
-        are retired and immutable under the big flip, so their current
-        heads equal the pre-migration image at any snapshot."""
+        """Hashmap counterpart of :meth:`project_granules`: run the bare
+        per-key SELECTs (no INSERT wrapper) on an internal session.
+        Input tables are retired and immutable under the big flip, so
+        their current heads equal the pre-migration image at any
+        snapshot."""
+        session = self.engine._internal_session()
         rows_by_output: dict[str, list[tuple]] = {}
         for key in keys:
             params = tuple(key) * self._key_param_copies
@@ -327,40 +239,23 @@ class UnitRuntime:
         return rows_by_output
 
     # ------------------------------------------------------------------
-    # Key enumeration (full scope / background)
+    # Claims and completion
     # ------------------------------------------------------------------
-    def key_positions(self) -> list[int]:
-        plan = self.plan
-        columns = (
-            plan.group_columns
-            if plan.category is MigrationCategory.N_TO_ONE
-            else plan.join_key.anchor_columns  # type: ignore[union-attr]
-        )
-        schema = self.anchor_table.schema
-        return [schema.column_index(c) for c in columns]
+    def release_claims(self, units: Sequence) -> None:
+        """Abort handling (section 3.5): claimed granules return to
+        ``[0 0]``, claimed groups flip to ``abort`` — either way another
+        worker may re-claim them."""
+        tracker = self.tracker  # read per call: crash recovery swaps it
+        getattr(tracker, self._release)(units)
+        tracker.clear_stamps(units)
 
-    def all_keys(self) -> set[tuple]:
-        positions = self.key_positions()
-        return {
-            tuple(row[p] for p in positions)
-            for _tid, row in self.anchor_table.heap.scan()
-        }
-
-    # ------------------------------------------------------------------
-    # Completion
-    # ------------------------------------------------------------------
     def check_complete(self) -> bool:
         if self.complete:
             return True
-        if self.plan.category.uses_bitmap:
-            assert isinstance(self.tracker, MigrationBitmap)
-            if self.tracker.all_migrated:
-                with self._latch:
-                    self.complete = True
-        else:
-            if self.swept:
-                with self._latch:
-                    self.complete = True
+        done = self.tracker.all_migrated if self.mapper is not None else self.swept
+        if done:
+            with self._latch:
+                self.complete = True
         return self.complete
 
     def progress(self) -> dict[str, Any]:
@@ -454,41 +349,8 @@ class LazyMigrationEngine:
         spec = parse_migration(
             migration_id, ddl, self.db.catalog, self.fkpk_join_mode
         )
-        session = self.db.connect()
-        session.internal = True
-
-        # 1. Create the output tables, empty.
-        for unit in spec.units:
-            for output in unit.outputs:
-                if resume and self.db.catalog.has_table(output.table):
-                    continue
-                schema_stmt = spec.explicit_schemas.get(output.table)
-                if schema_stmt is not None:
-                    schema = build_schema(schema_stmt)
-                    self.db.catalog.create_table(schema)
-                else:
-                    planned = self.db.planner.plan_select(output.select)
-                    name_to_type = dict(zip(planned.names, planned.types))
-                    columns = tuple(
-                        Column(name, name_to_type.get(name) or text_type())
-                        for name in output.column_names
-                    )
-                    self.db.catalog.create_table(
-                        TableSchema(name=output.table, columns=columns)
-                    )
-        # 2. Secondary indexes on outputs.
-        for index_stmt in spec.index_statements:
-            if resume and any(
-                index_stmt.name in t.indexes for t in self.db.catalog.tables()
-            ):
-                continue
-            self.db.catalog.create_index(
-                index_stmt.name,
-                index_stmt.table,
-                index_stmt.columns,
-                unique=index_stmt.unique,
-                ordered=True,
-            )
+        # 1-2. Create the output tables (empty) and their indexes.
+        create_outputs(self.db, spec, resume=resume)
         # 3. Internal views recording the mapping (the paper's
         #    FLEWONINFO_VIEW): used by tooling/EXPLAIN; the predicate
         #    transfer machinery works from the same SELECTs.
@@ -582,8 +444,7 @@ class LazyMigrationEngine:
         for runtime in self.units:
             if runtime.complete:
                 continue
-            outputs = set(runtime.plan.output_tables)
-            if not ((referenced | fk_targets) & outputs):
+            if not ((referenced | fk_targets) & runtime.output_tables):
                 continue
             scope = self._scope_for(runtime, stmt, params, sql_text)
             if not scope.is_empty:
@@ -640,47 +501,23 @@ class LazyMigrationEngine:
         double-count with them."""
         referenced = _referenced_tables(stmt)
         overlay: dict[str, list[tuple]] = {}
-        project_session: Session | None = None
         for runtime in self.units:
             if runtime.complete:
                 continue
-            if not (referenced & set(runtime.plan.output_tables)):
+            if not (referenced & runtime.output_tables):
                 continue
             scope = self._scope_for(runtime, stmt, params, sql_text)
             if scope.is_empty:
                 continue
             tracker = runtime.tracker
-            if runtime.plan.category.uses_bitmap:
-                assert isinstance(tracker, MigrationBitmap)
-                source: Sequence = (
-                    range(tracker.size) if scope.full else sorted(scope.granules)
-                )
-                pending = [
-                    g
-                    for g in source
-                    if not self._visibly_migrated(tracker, g, snapshot_ts)
-                ]
-                if not pending:
-                    continue
-                produced = runtime.project_granules(pending, snapshot_ts)
-            else:
-                source = (
-                    sorted(runtime.all_keys())
-                    if scope.full
-                    else sorted(scope.keys)
-                )
-                pending = [
-                    k
-                    for k in source
-                    if not self._visibly_migrated(tracker, k, snapshot_ts)
-                ]
-                if not pending:
-                    continue
-                if project_session is None:
-                    project_session = self.db.connect(allow_retired=True)
-                    project_session.internal = True
-                produced = runtime.project_keys(pending, project_session)
-            for name, rows in produced.items():
+            pending = [
+                unit
+                for unit in runtime.units_in(scope)
+                if not self._visibly_migrated(tracker, unit, snapshot_ts)
+            ]
+            if not pending:
+                continue
+            for name, rows in runtime.project(pending, snapshot_ts).items():
                 overlay.setdefault(name, []).extend(rows)
         if session._txn is None:
             # Autocommit: the implicit transaction must read at the very
@@ -709,7 +546,7 @@ class LazyMigrationEngine:
                 table, stmt, params, set(self._outputs_to_units)
             )
             mine = [
-                (t, c) for t, c in conjuncts if t in runtime.plan.output_tables
+                (t, c) for t, c in conjuncts if t in runtime.output_tables
             ]
             if not mine:
                 return Scope()  # plain INSERT: no prior migration needed
@@ -720,7 +557,7 @@ class LazyMigrationEngine:
         if isinstance(stmt, ast.Update):
             table = self.db.catalog.table(stmt.table)
             extra = update_unique_conjuncts(table, stmt, params)
-            mine = [(t, c) for t, c in extra if t in runtime.plan.output_tables]
+            mine = [(t, c) for t, c in extra if t in runtime.output_tables]
             if mine:
                 extra_scope = runtime.transfer.scope_for_output_conjuncts(
                     mine, params
@@ -739,47 +576,37 @@ class LazyMigrationEngine:
     ) -> None:
         if runtime.complete or scope.is_empty:
             return
-        if runtime.plan.category.uses_bitmap:
-            if scope.full:
-                assert isinstance(runtime.tracker, MigrationBitmap)
-                pending: list = list(
-                    runtime.tracker.iter_unmigrated()
-                )
-            else:
-                pending = sorted(scope.granules)
-            self._run_migration_loop(
-                runtime, pending, is_bitmap=True, wait=wait_for_skipped
-            )
-        else:
-            if scope.full:
-                pending = sorted(runtime.all_keys())
-            else:
-                pending = sorted(scope.keys)
-            self._run_migration_loop(
-                runtime, pending, is_bitmap=False, wait=wait_for_skipped
-            )
+        pending = runtime.units_in(scope, unmigrated_only=True)
+        self._run_migration_loop(runtime, pending, wait=wait_for_skipped)
         runtime.check_complete()
 
     def _run_migration_loop(
-        self,
-        runtime: UnitRuntime,
-        pending: list,
-        is_bitmap: bool,
-        wait: bool,
+        self, runtime: UnitRuntime, pending: Sequence, wait: bool
     ) -> None:
         """Algorithm 1: claim → migrate in a separate transaction → mark
-        migrated → loop over SKIP until drained."""
-        if self.conflict_mode is ConflictMode.ON_CONFLICT or not self.tracking_enabled:
-            self._run_unclaimed(runtime, pending, is_bitmap)
-            return
+        migrated → loop over SKIP until drained.
+
+        ``pending`` holds distinct granules / group keys, so Algorithm
+        3's worker-local membership checks (lines 2-3: "already in my
+        WIP / SKIP list") can never fire and both tracker kinds are
+        claimed through the same one-argument ``try_begin``."""
         tracker = runtime.tracker
+        if self.conflict_mode is ConflictMode.ON_CONFLICT or not self.tracking_enabled:
+            # Claim-free paths.  ON_CONFLICT (section 3.7): duplicates
+            # are detected by the output tables' unique indexes at
+            # insert time.  Tracking disabled (section 4.4.1): no
+            # duplicate prevention at all — valid only for disjoint
+            # access patterns.  The tracker keeps completion
+            # bookkeeping only.
+            todo = [g for g in pending if not tracker.is_migrated(g)]
+            if todo:
+                self._migrate(runtime, todo, claimed=False)
+            return
         faults = self.faults
         obs = self.obs
         if obs is not None and not obs.active:
             obs = None  # attached-but-disabled: skip the dispatches
         deadline = time.monotonic() + self.skip_wait_timeout
-        wip_seen: set = set()
-        skip_seen: set = set()
         while pending:
             if obs is not None:
                 obs.inc_claim_round()
@@ -792,16 +619,11 @@ class LazyMigrationEngine:
             wip: list = []
             skip: list = []
             for granule in pending:
-                if is_bitmap:
-                    claim = tracker.try_begin(granule)  # Algorithm 2
-                else:
-                    claim = tracker.try_begin(granule, wip_seen, skip_seen)  # Alg. 3
+                claim = tracker.try_begin(granule)  # Algorithm 2 / 3
                 if claim is Claim.MIGRATE:
                     wip.append(granule)
-                    wip_seen.add(granule)
                 elif claim is Claim.SKIP:
                     skip.append(granule)
-                    skip_seen.add(granule)
             if obs is not None and (wip or skip):
                 # The instant is emitted only for rounds that found
                 # work: the steady-state round (everything already
@@ -817,8 +639,7 @@ class LazyMigrationEngine:
                     skip=len(skip),
                 )
             if wip:
-                self._migrate_wip(runtime, wip, is_bitmap)
-                wip_seen.difference_update(wip)
+                self._migrate(runtime, wip, claimed=True)
                 # Productive iteration: time spent migrating our own WIP
                 # must not count against the skip-wait timeout, or large
                 # batches spuriously time out on granules other workers
@@ -829,7 +650,6 @@ class LazyMigrationEngine:
             # Re-check skipped granules in a fresh iteration: the other
             # worker either completes (DONE) or aborts (re-claimable).
             self.stats.add_skip_wait(len(skip))
-            skip_seen.difference_update(skip)
             pending = skip
             if time.monotonic() > deadline:
                 raise MigrationError(
@@ -838,92 +658,63 @@ class LazyMigrationEngine:
                 )
             time.sleep(0.0002)
 
-    def _migrate_wip(self, runtime: UnitRuntime, wip: list, is_bitmap: bool) -> None:
-        """One migration transaction for this worker's WIP list.
-
-        With observability attached the whole transaction becomes one
-        ``migrate.wip`` span (claim batch -> produce -> commit -> mark),
+    def _migrate(self, runtime: UnitRuntime, granules: list, claimed: bool) -> int:
+        """Run one migration transaction; with observability attached it
+        becomes one ``migrate.wip`` span (produce -> commit -> mark),
         which is what makes foreground migration cost visible next to
-        the background passes in the Chrome trace.
-        """
-        obs = self.obs
-        if obs is None or not obs.active:
-            self._migrate_wip_txn(runtime, wip, is_bitmap)
-            return
+        the background passes in the Chrome trace."""
+        obs = self._active_obs()
+        if obs is None:
+            return self._migration_txn(runtime, granules, claimed)
         start = obs.span_start()
         produced: int | None = None
         try:
-            produced = self._migrate_wip_txn(runtime, wip, is_bitmap)
+            produced = self._migration_txn(runtime, granules, claimed)
+            return produced
         finally:
             obs.observe_wip(
                 start,
                 unit=runtime.plan.unit_id,
-                wip=len(wip),
+                wip=len(granules),
                 produced=produced,
             )
 
-    def _migrate_wip_txn(
-        self, runtime: UnitRuntime, wip: list, is_bitmap: bool
+    def _migration_txn(
+        self, runtime: UnitRuntime, granules: list, claimed: bool
     ) -> int:
+        """The migration transaction (Algorithm 1 lines 5-9): produce
+        the granules' output rows in a transaction of their own, commit,
+        then set their migrate bits.  ``claimed`` says the caller holds
+        the granules' lock bits (TRACKER mode) and they must be given
+        back if the transaction aborts."""
         tracker = runtime.tracker
-        faults = self.faults
-        obs = self.obs
-        if obs is not None and not obs.active:
-            obs = None
-        session = self.db.connect(allow_retired=True)
-        session.internal = True
+        unit = runtime.plan.unit_id
+        count = len(granules)
+        session = self._internal_session()
         session.begin()
         txn = session._txn
         assert txn is not None
-        # Stamp the claims with this transaction's commit stamp *before*
-        # producing: the instant the transaction commits (the shared
-        # stamp gains a timestamp) the granules become visibly migrated
-        # to later snapshots, closing the commit-to-mark_migrated window
-        # for snapshot readers.
-        tracker.set_stamps(wip, txn.stamp)
-        if is_bitmap:
-            def _undo_claims() -> None:
-                tracker.reset(wip)
-                tracker.clear_stamps(wip)
-        else:
-            def _undo_claims() -> None:
-                tracker.mark_aborted(wip)
-                tracker.clear_stamps(wip)
-        txn.on_abort(_undo_claims)
+        if claimed:
+            # Stamp the claims with this transaction's commit stamp
+            # *before* producing: the instant the transaction commits
+            # (the shared stamp gains a timestamp) the granules become
+            # visibly migrated to later snapshots, closing the
+            # commit-to-mark_migrated window for snapshot readers.
+            tracker.set_stamps(granules, txn.stamp)
+            txn.on_abort(lambda: runtime.release_claims(granules))
         try:
-            if is_bitmap:
-                produced = runtime.produce_bitmap_granules(wip, session)
-            else:
-                produced = runtime.produce_keys(wip, session)
-            if obs is not None:
-                obs.emit(
-                    "migrate.after_produce",
-                    unit=runtime.plan.unit_id,
-                    wip=len(wip),
-                    produced=produced,
-                )
-            if faults is not None and "migrate.after_produce" in faults.watching:
-                faults.fire(
-                    "migrate.after_produce",
-                    unit=runtime.plan.unit_id,
-                    wip=len(wip),
-                    produced=produced,
-                )
-            txn.record_migration(
-                runtime.plan.unit_id, runtime.plan.anchor, tuple(wip)
+            produced = runtime.produce(granules, session)
+            self._seam(
+                "migrate.after_produce", unit=unit, wip=count, produced=produced
             )
+            txn.record_migration(unit, runtime.plan.anchor, tuple(granules))
             session.commit()
-        except TransactionAborted:
-            # Usually the lock manager already aborted the txn
-            # (wait-die) and the abort hook reset our claims.  But a
-            # TransactionAborted from any other source (fault injection,
-            # a conflict surfacing at commit) leaves the txn ACTIVE and
-            # its locks held — roll back so nothing leaks.
-            if session.in_transaction:
-                session.rollback()
-            self.stats.add_abort()
-            raise
         except BaseException:
+            # Usually the lock manager already aborted the txn
+            # (wait-die) and the abort hook released our claims.  But an
+            # exception from any other source (fault injection, failed
+            # production, a conflict surfacing at commit) leaves the txn
+            # ACTIVE and its locks held — roll back so nothing leaks.
             if session.in_transaction:
                 session.rollback()
             self.stats.add_abort()
@@ -931,122 +722,41 @@ class LazyMigrationEngine:
         # The committed-but-untracked window: a crash between COMMIT and
         # mark_migrated leaves the migrate bits unset; recovery replays
         # the WAL's MIGRATE record to restore them (section 3.5).
-        if obs is not None:
-            obs.emit(
-                "migrate.before_mark", unit=runtime.plan.unit_id, wip=len(wip)
-            )
-        if faults is not None and "migrate.before_mark" in faults.watching:
-            faults.fire(
-                "migrate.before_mark", unit=runtime.plan.unit_id, wip=len(wip)
-            )
-        tracker.mark_migrated(wip)  # Algorithm 1 lines 8-9
-        self.stats.add(granules=len(wip), tuples=produced)
+        self._seam("migrate.before_mark", unit=unit, wip=count)
+        tracker.mark_migrated(granules)  # Algorithm 1 lines 8-9
+        self.stats.add(granules=count, tuples=produced)
         ctx = _trace_current()
         if ctx is not None:
             # Foreground statement pulled this migration in: the work
             # lands in its slow-query record.
-            ctx.note("granules", len(wip))
+            ctx.note("granules", count)
             ctx.note("tuples", produced)
-        if obs is not None:
-            obs.emit(
-                "migrate.after_commit", unit=runtime.plan.unit_id, wip=len(wip)
-            )
-        if faults is not None and "migrate.after_commit" in faults.watching:
-            faults.fire(
-                "migrate.after_commit", unit=runtime.plan.unit_id, wip=len(wip)
-            )
+        self._seam("migrate.after_commit", unit=unit, wip=count)
         return produced
 
-    def _run_unclaimed(
-        self, runtime: UnitRuntime, pending: list, is_bitmap: bool
-    ) -> None:
-        """Claim-free migration paths:
-
-        * ON_CONFLICT mode (section 3.7): duplicates are detected by the
-          output tables' unique indexes at insert time;
-        * tracking-disabled mode (section 4.4.1): no duplicate
-          prevention at all — valid only for disjoint access patterns.
-        """
-        tracker = runtime.tracker
-        todo = [
-            g
-            for g in pending
-            if not (
-                tracker.is_migrated(g)
-                if is_bitmap
-                else runtime.tracker.is_migrated(g)  # type: ignore[union-attr]
-            )
-        ]
-        if not todo:
-            return
-        faults = self.faults
+    def _seam(self, point: str, **context: Any) -> None:
+        """A named seam on the migration path: the observability event,
+        then the fault-injection point of the same name (which may
+        raise).  Both are ``None``/inactive in production."""
         obs = self.obs
-        if obs is not None and not obs.active:
-            obs = None
-        span_start = obs.span_start() if obs is not None else 0.0
+        if obs is not None and obs.active:
+            obs.emit(point, **context)
+        faults = self.faults
+        if faults is not None and point in faults.watching:
+            faults.fire(point, **context)
+
+    def _active_obs(self) -> Observability | None:
+        """The attached observability if it is recording, else None
+        (attached-but-disabled skips the dispatches entirely)."""
+        obs = self.obs
+        return obs if obs is not None and obs.active else None
+
+    def _internal_session(self) -> Session:
+        """A session for the engine's own statements: not a client (no
+        interception, no statement stats), may read retired inputs."""
         session = self.db.connect(allow_retired=True)
         session.internal = True
-        session.begin()
-        txn = session._txn
-        assert txn is not None
-        try:
-            if is_bitmap:
-                produced = runtime.produce_bitmap_granules(todo, session)
-            else:
-                produced = runtime.produce_keys(todo, session)
-            if obs is not None:
-                obs.emit(
-                    "migrate.after_produce",
-                    unit=runtime.plan.unit_id,
-                    wip=len(todo),
-                    produced=produced,
-                )
-            if faults is not None and "migrate.after_produce" in faults.watching:
-                faults.fire(
-                    "migrate.after_produce",
-                    unit=runtime.plan.unit_id,
-                    wip=len(todo),
-                    produced=produced,
-                )
-            txn.record_migration(
-                runtime.plan.unit_id, runtime.plan.anchor, tuple(todo)
-            )
-            session.commit()
-        except BaseException:
-            if session.in_transaction:
-                session.rollback()
-            self.stats.add_abort()
-            raise
-        # Completion bookkeeping only — there are no lock bits in this
-        # mode, so mark directly.
-        if obs is not None:
-            obs.emit(
-                "migrate.before_mark", unit=runtime.plan.unit_id, wip=len(todo)
-            )
-        if faults is not None and "migrate.before_mark" in faults.watching:
-            faults.fire(
-                "migrate.before_mark", unit=runtime.plan.unit_id, wip=len(todo)
-            )
-        tracker.mark_migrated(todo)
-        self.stats.add(granules=len(todo), tuples=produced)
-        ctx = _trace_current()
-        if ctx is not None:
-            ctx.note("granules", len(todo))
-            ctx.note("tuples", produced)
-        if obs is not None:
-            obs.emit(
-                "migrate.after_commit", unit=runtime.plan.unit_id, wip=len(todo)
-            )
-            obs.observe_wip(
-                span_start,
-                unit=runtime.plan.unit_id,
-                wip=len(todo),
-                produced=produced,
-            )
-        if faults is not None and "migrate.after_commit" in faults.watching:
-            faults.fire(
-                "migrate.after_commit", unit=runtime.plan.unit_id, wip=len(todo)
-            )
+        return session
 
     # ==================================================================
     # Completion

@@ -11,14 +11,15 @@ where those guarantees are actually at stake:
 point                    where it fires
 ======================== ==============================================
 ``migrate.before_claim`` ``_run_migration_loop``, before a claim round
-``migrate.after_produce`` ``_migrate_wip``/``_run_unclaimed``, after the
+``migrate.after_produce`` ``_migration_txn`` (the one migration
+                         transaction, claimed or claim-free), after the
                          output rows were produced but *before* the
                          migration transaction commits
-``migrate.before_mark``  ``_migrate_wip``, after the migration
+``migrate.before_mark``  ``_migration_txn``, after the migration
                          transaction committed but before the tracker's
                          migrate bits are set — the classic
                          committed-but-untracked crash window
-``migrate.after_commit`` ``_migrate_wip``, after tracker + stats update
+``migrate.after_commit`` ``_migration_txn``, after tracker + stats update
 ``background.pass``      ``BackgroundMigrator``, before each per-unit
                          pass
 ``txn.commit``           ``Transaction.commit`` entry
@@ -49,16 +50,20 @@ matches one point and performs one action when it fires:
 
 Zero-cost-when-disabled contract: hot paths hold an optional injector
 reference (``None`` by default) and guard every ``fire`` with a plain
-``is not None`` check — no function call, no dict lookup, nothing on
-the instruction path of a production run.  ``benchmarks/
-bench_fault_overhead.py`` holds this to <2% end-to-end.
+``is not None`` check.  The per-statement seam (``migrate.before_claim``)
+and the txn/wal/net seams spell the guard inline — no function call, no
+dict lookup; the three per-migration-transaction seams and
+``background.pass`` go through ``LazyMigrationEngine._seam``, one call
+whose body is that guard.  ``benchmarks/bench_fault_overhead.py`` holds
+the whole to <2% end-to-end.
 
 These seams are also the observability layer's emission sites: each
 point maps to a counter + trace event in
 :data:`repro.obs.observability.POINT_COUNTERS`, emitted by the same
 hot-path branches under the same contract (one ``obs is not None``
-guard per seam — see :mod:`repro.obs`).  Adding a fault point?  Add a
-matching entry there so the new seam is observable too.
+guard per seam, event before fault — see :mod:`repro.obs`).  Adding a
+fault point?  Add a matching entry there so the new seam is observable
+too.
 
 Raising at ``txn.abort`` is unsupported (an abort must not itself
 fail); use ``LATENCY``/``CALLBACK`` there.  An ``ABORT`` rule at

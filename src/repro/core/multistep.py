@@ -28,15 +28,13 @@ import threading
 import time
 from typing import Any
 
-from ..db import Database, Session, build_schema
+from ..db import Database, Session
 from ..errors import MigrationStateError, UnsupportedMigrationError
-from ..catalog import Column, TableSchema
 from ..exec.plan import ExecutionContext
 from ..sql import ast_nodes as ast
-from ..sql.render import render_statement
-from ..types import text_type
-from .classify import MigrationCategory, UnitPlan
+from .classify import UnitPlan
 from .migration import MigrationSpec, parse_migration
+from .production import RowProjection, create_outputs, insert_select
 from .stats import MigrationStats
 
 _NOT_COPIED, _COPYING, _COPIED = 0, 1, 2
@@ -114,7 +112,8 @@ class MultiStepMigration:
         self._thread: threading.Thread | None = None
         self._bitmap_states: dict[str, _BitmapUnitState] = {}
         self._keyed_states: dict[str, _KeyedUnitState] = {}
-        self._unit_sql: dict[str, dict[str, Any]] = {}
+        self._projections: dict[str, RowProjection] = {}  # bitmap units
+        self._unit_sql: dict[str, dict[str, Any]] = {}  # keyed units
 
     # ==================================================================
     # Submission
@@ -128,29 +127,7 @@ class MultiStepMigration:
         self.stats.mark_background_started()  # copier starts immediately
 
         # Create the shadow output tables + indexes.
-        for unit in spec.units:
-            for output in unit.outputs:
-                schema_stmt = spec.explicit_schemas.get(output.table)
-                if schema_stmt is not None:
-                    self.db.catalog.create_table(build_schema(schema_stmt))
-                else:
-                    planned = self.db.planner.plan_select(output.select)
-                    name_to_type = dict(zip(planned.names, planned.types))
-                    columns = tuple(
-                        Column(name, name_to_type.get(name) or text_type())
-                        for name in output.column_names
-                    )
-                    self.db.catalog.create_table(
-                        TableSchema(name=output.table, columns=columns)
-                    )
-        for index_stmt in spec.index_statements:
-            self.db.catalog.create_index(
-                index_stmt.name,
-                index_stmt.table,
-                index_stmt.columns,
-                unique=index_stmt.unique,
-                ordered=True,
-            )
+        create_outputs(self.db, spec)
         self.db.bump_epoch()
 
         for unit in spec.units:
@@ -167,26 +144,36 @@ class MultiStepMigration:
 
     # ------------------------------------------------------------------
     def _prepare_unit(self, unit: UnitPlan) -> None:
-        sql: dict[str, Any] = {}
+        """Compile everything the copier and the dual-write hooks need
+        for ``unit``, once — nothing is compiled per row or per write."""
         if unit.category.uses_bitmap:
+            if unit.aux is not None:
+                raise UnsupportedMigrationError(
+                    "multi-step dual writes over FK-PK join migrations are not "
+                    "supported; use the lazy or eager strategy"
+                )
             self._bitmap_states[unit.unit_id] = _BitmapUnitState()
             for output in unit.outputs:
                 table = self.db.catalog.table(output.table)
-                unique_sets = table.schema.unique_column_sets()
-                if not unique_sets:
+                if not table.schema.unique_column_sets():
                     raise UnsupportedMigrationError(
                         f"multi-step migration requires a unique constraint "
                         f"on output table {output.table!r} (for idempotent "
                         "copy + dual writes)"
                     )
+            self._projections[unit.unit_id] = RowProjection(self.db.catalog, unit)
         else:
             self._keyed_states[unit.unit_id] = _KeyedUnitState()
             # Per-key INSERT..SELECT (recompute) and DELETE statements.
-            inserts, param_copies = _build_key_inserts(unit, on_conflict=True)
-            sql["key_inserts"] = inserts
-            sql["param_copies"] = param_copies
-            sql["key_deletes"] = _build_key_deletes(unit, self.db.catalog)
-        self._unit_sql[unit.unit_id] = sql
+            inserts = [
+                insert_select(unit, output, pin_key=True, on_conflict=True)
+                for output in unit.outputs
+            ]
+            self._unit_sql[unit.unit_id] = {
+                "key_inserts": [insert_sql for insert_sql, _select, _n in inserts],
+                "param_copies": inserts[0][2],
+                "key_deletes": _build_key_deletes(unit),
+            }
 
     # ==================================================================
     # Dual-write hooks (triggers)
@@ -211,7 +198,7 @@ class MultiStepMigration:
             self.db.add_row_hook(anchor, bitmap_hook)
         else:
             state = self._keyed_states[unit.unit_id]
-            for table_name, key_columns in _keyed_hook_tables(unit):
+            for table_name, _binding, key_columns in unit.key_sides:
                 table = self.db.catalog.table(table_name)
                 positions = [table.schema.column_index(c) for c in key_columns]
 
@@ -237,24 +224,18 @@ class MultiStepMigration:
         """Dual-write one anchor-row change into the shadow outputs:
         delete the outputs derived from the old version (by unique key),
         insert the outputs derived from the new version."""
-        anchor_table = self.db.catalog.table(unit.anchor)
-        executor = self.db.executor
-        for output in unit.outputs:
-            out_table = self.db.catalog.table(output.table)
-            unique_set = out_table.schema.unique_column_sets()[0]
-            projection = dict(zip(output.column_names, output.items))
-            if old_row is not None:
-                values = _project_row(anchor_table, unit, old_row, projection)
-                if values is not None:
-                    self._delete_by_key(ctx, out_table, unique_set, values)
-            if new_row is not None:
-                values = _project_row(anchor_table, unit, new_row, projection)
-                if values is not None:
-                    executor.insert_rows(
-                        out_table, [values], ctx, on_conflict_skip=True
-                    )
+        projection = self._projections[unit.unit_id]
+        if old_row is not None:
+            for values in projection.project([old_row]):
+                for output, row_values in zip(projection.outputs, values):
+                    self._delete_by_key(ctx, output.table, row_values)
+        if new_row is not None:
+            projection.insert_projected(
+                [new_row], self.db.executor, ctx, on_conflict=True
+            )
 
-    def _delete_by_key(self, ctx, out_table, unique_set, values) -> None:
+    def _delete_by_key(self, ctx, out_table, values) -> None:
+        unique_set = out_table.schema.unique_column_sets()[0]
         key = tuple(values[c] for c in unique_set)
         index = out_table.find_index(tuple(unique_set))
         tids = index.lookup(key) if index is not None else []
@@ -311,13 +292,9 @@ class MultiStepMigration:
 
     def _copy_bitmap_unit(self, unit: UnitPlan, session: Session) -> None:
         state = self._bitmap_states[unit.unit_id]
+        projection = self._projections[unit.unit_id]
         heap = self.db.catalog.table(unit.anchor).heap
         executor = self.db.executor
-        anchor_table = self.db.catalog.table(unit.anchor)
-        projections = [
-            (self.db.catalog.table(o.table), dict(zip(o.column_names, o.items)))
-            for o in unit.outputs
-        ]
         while not self._stop.is_set():
             start = state.hwm
             end = heap.max_ordinal
@@ -327,15 +304,19 @@ class MultiStepMigration:
             state.advance(chunk_end)  # advance BEFORE copying the chunk
             session.begin()
             try:
+                # Row at a time, not one batch per chunk: each row is
+                # inserted right after it is read, so a concurrent
+                # dual-written DELETE has the narrowest window in which
+                # the copier could re-insert the row it just removed.
+                ctx = session._context()
                 copied = 0
-                for _tid, row in heap.scan_range(start, chunk_end):
-                    ctx = session._context()
-                    for out_table, projection in projections:
-                        values = _project_row(anchor_table, unit, row, projection)
-                        if values is not None:
-                            executor.insert_rows(
-                                out_table, [values], ctx, on_conflict_skip=True
-                            )
+                for values in projection.project(
+                    row for _tid, row in heap.scan_range(start, chunk_end)
+                ):
+                    for output, row_values in zip(projection.outputs, values):
+                        executor.insert_rows(
+                            output.table, [row_values], ctx, on_conflict_skip=True
+                        )
                     copied += 1
                 session.commit()
                 self.stats.add(granules=chunk_end - start, tuples=copied)
@@ -351,12 +332,7 @@ class MultiStepMigration:
         sql = self._unit_sql[unit.unit_id]
         heap = self.db.catalog.table(unit.anchor).heap
         table = self.db.catalog.table(unit.anchor)
-        key_columns = (
-            unit.group_columns
-            if unit.category is MigrationCategory.N_TO_ONE
-            else unit.join_key.anchor_columns  # type: ignore[union-attr]
-        )
-        positions = [table.schema.column_index(c) for c in key_columns]
+        positions = [table.schema.column_index(c) for c in unit.key_columns]
         while not self._stop.is_set():
             progressed = False
             start = 0
@@ -431,65 +407,13 @@ class MultiStepMigration:
         }
 
 
-# ======================================================================
-# Helpers shared with (and mirroring) the lazy engine
-# ======================================================================
-
-
-def _build_key_inserts(unit: UnitPlan, on_conflict: bool) -> tuple[list[str], int]:
-    """Per-key INSERT..SELECT statements for hashmap-shaped units."""
-    if unit.category is MigrationCategory.N_TO_ONE:
-        sides = [[ast.ColumnRef(c, unit.anchor_binding) for c in unit.group_columns]]
-    else:
-        jk = unit.join_key
-        assert jk is not None
-        sides = [
-            [ast.ColumnRef(c, unit.anchor_binding) for c in jk.anchor_columns],
-            [ast.ColumnRef(c, jk.other_binding) for c in jk.other_columns],
-        ]
-    statements: list[str] = []
-    for output in unit.outputs:
-        select = output.select
-        where = select.where
-        param_index = 0
-        for side in sides:
-            for ref in side:
-                clause = ast.BinaryOp("=", ref, ast.Param(param_index))
-                param_index += 1
-                where = clause if where is None else ast.BinaryOp("AND", where, clause)
-        pinned = ast.Select(
-            items=select.items,
-            from_items=select.from_items,
-            where=where,
-            group_by=select.group_by,
-            having=select.having,
-            distinct=select.distinct,
-        )
-        statements.append(
-            render_statement(
-                ast.Insert(
-                    table=output.table,
-                    columns=output.column_names,
-                    query=pinned,
-                    on_conflict_do_nothing=on_conflict,
-                )
-            )
-        )
-    return statements, len(sides)
-
-
-def _build_key_deletes(unit: UnitPlan, catalog) -> list[str]:
+def _build_key_deletes(unit: UnitPlan) -> list[str]:
     """Per-key DELETE statements on the outputs of a hashmap unit: the
     output columns corresponding to the unit's anchor-side key."""
-    key_columns = (
-        unit.group_columns
-        if unit.category is MigrationCategory.N_TO_ONE
-        else unit.join_key.anchor_columns  # type: ignore[union-attr]
-    )
     statements: list[str] = []
     for output in unit.outputs:
         out_key_cols: list[str] = []
-        for key_column in key_columns:
+        for key_column in unit.key_columns:
             match = None
             for name, item in zip(output.column_names, output.items):
                 if (
@@ -508,53 +432,3 @@ def _build_key_deletes(unit: UnitPlan, catalog) -> list[str]:
         where = " AND ".join(f"{c} = ?" for c in out_key_cols)
         statements.append(f"DELETE FROM {output.table} WHERE {where}")
     return statements
-
-
-def _keyed_hook_tables(unit: UnitPlan) -> list[tuple[str, tuple[str, ...]]]:
-    """Input tables to hook for a hashmap unit, with the columns that
-    carry the group key in each."""
-    if unit.category is MigrationCategory.N_TO_ONE:
-        return [(unit.anchor, unit.group_columns)]
-    jk = unit.join_key
-    assert jk is not None
-    return [
-        (unit.anchor, jk.anchor_columns),
-        (jk.other_table, jk.other_columns),
-    ]
-
-
-def _project_row(anchor_table, unit: UnitPlan, row, projection: dict) -> dict | None:
-    """Evaluate a bitmap unit's output projection for one anchor row.
-    Returns None when the unit's static filter rejects the row.
-
-    Projections are compiled lazily per (unit, output) and cached on the
-    function to keep hook overhead low.
-    """
-    from ..exec.expressions import RowLayout, compile_expr, predicate_satisfied
-
-    cache = _project_row.__dict__.setdefault("_cache", {})
-    key = (unit.unit_id, id(projection))
-    compiled = cache.get(key)
-    if compiled is None:
-        if unit.aux is not None:
-            raise UnsupportedMigrationError(
-                "multi-step dual writes over FK-PK join migrations are not "
-                "supported; use the lazy or eager strategy"
-            )
-        layout = RowLayout.for_table(
-            unit.anchor_binding, anchor_table.schema.column_names
-        )
-        fns = {
-            name: compile_expr(item, layout) for name, item in projection.items()
-        }
-        static = (
-            compile_expr(unit.static_filter, layout)
-            if unit.static_filter is not None
-            else None
-        )
-        compiled = (fns, static)
-        cache[key] = compiled
-    fns, static = compiled
-    if static is not None and not predicate_satisfied(static(row, ())):
-        return None
-    return {name: fn(row, ()) for name, fn in fns.items()}

@@ -21,25 +21,13 @@ if TYPE_CHECKING:
     from .engine import LazyMigrationEngine
 
 from ..txn.wal import LogOp, RedoLog
-from .bitmap import MigrationBitmap
-from .granularity import GranuleMapper
-from .hashmap import MigrationHashMap
 
 
 def simulate_crash(engine: "LazyMigrationEngine") -> None:
     """Wipe the volatile tracker state (what a crash would destroy),
     leaving heap data and the REDO log intact."""
     for runtime in engine.units:
-        if runtime.plan.category.uses_bitmap:
-            assert runtime.mapper is not None
-            runtime.tracker = MigrationBitmap(
-                runtime.mapper.granule_count,
-                partitions=engine.tracker_partitions,
-            )
-        else:
-            runtime.tracker = MigrationHashMap(
-                partitions=engine.tracker_partitions
-            )
+        runtime.tracker = runtime.new_tracker()
         runtime.complete = False
         runtime.swept = False
 

@@ -638,11 +638,8 @@ class Session:
 
     def _create_table_as(self, stmt: ast.CreateTable, ctx: ExecutionContext) -> Result:
         planned = self.db.planner.plan_select(stmt.as_select, self.allow_retired)
-        columns = tuple(
-            Column(name, inferred or text_type())
-            for name, inferred in zip(planned.names, planned.types)
-        )
-        schema = TableSchema(name=stmt.name, columns=columns)
+        schema = planned_schema(stmt.name, planned)
+        columns = schema.columns
         table = self.db.catalog.create_table(schema, if_not_exists=stmt.if_not_exists)
         self.db.bump_epoch()
         count = 0
@@ -875,6 +872,21 @@ def build_schema(stmt: ast.CreateTable) -> TableSchema:
         checks=tuple(checks),
         foreign_keys=tuple(fks),
     )
+
+
+def planned_schema(
+    name: str, planned: PlannedQuery, column_names: Sequence[str] | None = None
+) -> TableSchema:
+    """Schema of a table materialized from a planned SELECT (CREATE
+    TABLE AS, migration outputs declared without explicit DDL): each
+    column takes the planner's inferred output type, TEXT where it could
+    not infer one.  ``column_names`` defaults to the SELECT's own."""
+    name_to_type = dict(zip(planned.names, planned.types))
+    columns = tuple(
+        Column(column, name_to_type.get(column) or text_type())
+        for column in (column_names or planned.names)
+    )
+    return TableSchema(name=name, columns=columns)
 
 
 def _column_from_def(column_def: ast.ColumnDef) -> Column:

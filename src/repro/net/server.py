@@ -34,11 +34,12 @@ pipelined frames keep draining; transients exit after
 Prepared statements: PARSE caches the parsed AST server-side, keyed
 per connection; EXECUTE binds parameters (inline, or from a BIND
 portal) and runs :meth:`Session.execute_statement` directly — no SQL
-text, no tokenizer, no parser on the hot path.  Cached statements
-record the schema epoch they were parsed under and transparently
-re-parse after a migration's logical switch bumps the epoch; execution
-against a retired table still raises ``SchemaVersionError``, so the
-paper's front-end-restart story is unchanged for prepared clients.
+text, no tokenizer, no parser on the hot path.  A parsed statement
+does not depend on the catalog, so it outlives a migration's logical
+switch: plans re-plan (the plan cache is keyed by schema epoch) and
+execution against a retired table still raises ``SchemaVersionError``,
+so the paper's front-end-restart story is unchanged for prepared
+clients.
 
 Connection lifecycle guarantees (unchanged from the threaded server):
 
@@ -157,14 +158,12 @@ class ServerConfig:
 class _Prepared:
     """One server-side prepared statement (per connection)."""
 
-    __slots__ = ("name", "sql", "stmt", "epoch")
+    __slots__ = ("name", "sql", "stmt")
 
-    def __init__(self, name: str, sql: str, stmt: ast.Statement,
-                 epoch: int) -> None:
+    def __init__(self, name: str, sql: str, stmt: ast.Statement) -> None:
         self.name = name
         self.sql = sql
         self.stmt = stmt
-        self.epoch = epoch
 
 
 class _Connection:
@@ -1215,20 +1214,6 @@ class BullfrogServer:
             params = frame["params"]
             if params is None:
                 params = conn.portals.get(ps.name, ())
-            if ps.epoch != self.db.epoch:
-                # The logical schema switch (or any DDL) bumped the
-                # epoch: re-parse so the cached plan can never straddle
-                # schema versions.  Retired-table enforcement still
-                # happens at execution, so SchemaVersionError reaches
-                # prepared clients exactly like QUERY clients.
-                try:
-                    ps.stmt = self.db.parse(ps.sql)
-                    ps.epoch = self.db.epoch
-                except ReproError as exc:
-                    self._send(conn, protocol.encode_error(
-                        exc, conn.session.in_transaction
-                    ))
-                    return "execute"
             self._run_statement(
                 conn,
                 lambda: conn.session.execute_statement(
@@ -1259,7 +1244,7 @@ class BullfrogServer:
                     exc, conn.session.in_transaction
                 ))
                 return "parse"
-            conn.prepared[name] = _Prepared(name, sql, stmt, self.db.epoch)
+            conn.prepared[name] = _Prepared(name, sql, stmt)
             conn.portals.pop(name, None)
             self._send(conn, protocol.encode_parse_ok(name))
             return "parse"

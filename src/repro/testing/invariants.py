@@ -40,7 +40,6 @@ from collections import Counter
 from typing import TYPE_CHECKING, Any, Hashable
 
 from ..errors import ReproError
-from ..exec.expressions import predicate_satisfied
 
 if TYPE_CHECKING:
     from ..core.engine import LazyMigrationEngine, UnitRuntime
@@ -152,25 +151,15 @@ class InvariantChecker:
     ) -> dict[str, Counter]:
         """Ground truth: project exactly the migrated granules' tuples
         through the unit's compiled production pipeline."""
+        outputs = runtime.outputs_runtime
         expected: dict[str, Counter] = {
-            out.table.schema.name: Counter() for out in runtime.outputs_runtime
+            out.table.schema.name: Counter() for out in outputs
         }
-        assert runtime.mapper is not None
-        for granule in migrated:
-            for _tid, row in runtime.mapper.tuples_in(granule):
-                for combined in runtime._joined_rows(row):
-                    if runtime._static_fn is not None and not predicate_satisfied(
-                        runtime._static_fn(combined, ())
-                    ):
-                        continue
-                    for out in runtime.outputs_runtime:
-                        values = {
-                            name: fn(combined, ())
-                            for name, fn in zip(out.column_names, out.fns)
-                        }
-                        expected[out.table.schema.name][
-                            _schema_ordered(out.table, values)
-                        ] += 1
+        for values in runtime.projection.project(runtime.granule_rows(migrated)):
+            for out, row_values in zip(outputs, values):
+                expected[out.table.schema.name][
+                    _schema_ordered(out.table, row_values)
+                ] += 1
         return expected
 
     # ------------------------------------------------------------------

@@ -145,6 +145,61 @@ class TestMultiStep:
         assert multistep.await_completion(timeout=60)
         assert s.execute("SELECT COUNT(*) FROM a WHERE id = 1").scalar() == 0
 
+    def test_projection_compiled_once_per_unit(self, monkeypatch):
+        """The copier and the dual-write hooks run the projection that
+        ``submit()`` compiled: no ``compile_expr`` per copied or
+        dual-written row, and no function- or module-level cache that
+        grows with the number of rows (the old per-row cache was keyed
+        on the id() of a per-call temporary, never hit, and leaked an
+        entry per row per output)."""
+        import inspect
+
+        import repro.core.multistep as multistep_module
+        import repro.core.production as production_module
+        import repro.exec.expressions as expressions_module
+
+        def container_sizes():
+            sizes = {}
+            for module in (multistep_module, production_module):
+                for name, value in vars(module).items():
+                    holders = [(name, value)]
+                    if inspect.isfunction(value):
+                        holders = [
+                            (f"{name}.{attr}", held)
+                            for attr, held in vars(value).items()
+                        ]
+                    for label, held in holders:
+                        if isinstance(held, (dict, list, set)):
+                            sizes[(module.__name__, label)] = len(held)
+            return sizes
+
+        rows, extra = 300, 60
+        db, s = make_db(rows=rows)
+        multistep = MultiStepMigration(db, chunk=16, interval=0.005)
+        multistep.submit("m", SPLIT_DDL)
+
+        compiled = []
+        real_compile = expressions_module.compile_expr
+
+        def counting_compile(*args, **kwargs):
+            compiled.append(args[0])
+            return real_compile(*args, **kwargs)
+
+        # Both the name production.py bound at import and the one a
+        # function-level import would pick up.
+        monkeypatch.setattr(expressions_module, "compile_expr", counting_compile)
+        monkeypatch.setattr(production_module, "compile_expr", counting_compile)
+        before = container_sizes()
+        for i in range(extra):  # inserts are always dual-written
+            s.execute("INSERT INTO src VALUES (?, ?, ?)", [10_000 + i, i % 4, i])
+        assert multistep.await_completion(timeout=60)
+        assert s.execute("SELECT COUNT(*) FROM a").scalar() == rows + extra
+        assert s.execute("SELECT COUNT(*) FROM b").scalar() == rows + extra
+        assert compiled == []
+        after = container_sizes()
+        grown = {k: n for k, n in after.items() if n > before.get(k, 0)}
+        assert grown == {}
+
     def test_keyed_unit_group_recompute(self):
         """Aggregate shadow: a write to a copied group recomputes it."""
         db, s = make_db(rows=200)

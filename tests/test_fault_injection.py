@@ -274,6 +274,89 @@ def test_abort_resets_claims_and_retry_succeeds():
         harness.shutdown()
 
 
+SEAM_MODES = {
+    "tracker": {"conflict_mode": ConflictMode.TRACKER},
+    "on-conflict": {"conflict_mode": ConflictMode.ON_CONFLICT},
+    "tracking-off": {"tracking_enabled": False},
+}
+SEAM_STATEMENTS = {
+    "bitmap": ("SELECT v FROM left_part WHERE id = 5", 50),
+    "hashmap": (
+        "SELECT total FROM grp_totals WHERE grp = 1",
+        sum(i * 10 for i in range(ROWS) if i % GROUPS == 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("category", sorted(CATEGORIES))
+@pytest.mark.parametrize("mode", sorted(SEAM_MODES))
+def test_one_migration_transaction_one_seam_sequence(mode, category):
+    """Claimed (TRACKER) and claim-free (ON_CONFLICT, tracking disabled)
+    migrations run the same transaction: an abort at ``after_produce``
+    leaves nothing behind, and a successful transaction fires the three
+    seams once each, in order, with the same payloads — for both tracker
+    kinds."""
+    seen = []
+
+    def record(point):
+        return FaultRule(
+            point,
+            FaultAction.CALLBACK,
+            times=None,
+            callback=lambda ctx: seen.append((point, dict(ctx))),
+        )
+
+    plan = FaultPlan(
+        [
+            # First hit aborts; the recorder behind it sees every later hit.
+            FaultRule("migrate.after_produce", FaultAction.ABORT, times=1),
+            record("migrate.after_produce"),
+            record("migrate.before_mark"),
+            record("migrate.after_commit"),
+        ]
+    )
+    ddl, _ops = CATEGORIES[category]
+    sql, expected = SEAM_STATEMENTS[category]
+    db = make_db()
+    harness = FaultHarness(
+        db,
+        "m",
+        ddl,
+        plan=plan,
+        engine_kwargs={
+            "background": BackgroundConfig(enabled=False),
+            **SEAM_MODES[mode],
+        },
+    )
+    harness.submit()
+    try:
+        engine = harness.engine
+        runtime = engine.units[0]
+        session = db.connect()
+        with pytest.raises(TransactionAborted):
+            session.execute(sql)
+        assert seen == []  # nothing past the aborted after_produce
+        for name in runtime.plan.output_tables:
+            assert list(db.catalog.table(name).heap.scan()) == []
+        harness.check().raise_if_violated()  # no stuck IN_PROGRESS claims
+        assert runtime.tracker.migrated_count == 0
+        assert engine.stats.snapshot()["migration_txn_aborts"] == 1
+
+        assert session.execute(sql).scalar() == expected
+        unit = runtime.plan.unit_id
+        assert seen == [
+            ("migrate.after_produce", {"unit": unit, "wip": 1, "produced": 1}),
+            ("migrate.before_mark", {"unit": unit, "wip": 1}),
+            ("migrate.after_commit", {"unit": unit, "wip": 1}),
+        ]
+        snapshot = engine.stats.snapshot()
+        assert snapshot["migration_txn_aborts"] == 1
+        assert snapshot["granules_migrated"] == 1
+        harness.check().raise_if_violated()
+    finally:
+        harness.shutdown()
+
+
 def test_invariant_checker_detects_planted_duplicate():
     """The checker itself must catch violations: plant a duplicate row
     in an output heap and expect a report."""

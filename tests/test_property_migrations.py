@@ -1,14 +1,19 @@
 """Property-based end-to-end checks: for randomized data and randomized
 migration shapes, lazy migration (driven by randomized client queries +
-background sweep) must reach exactly the state eager migration computes
-in one shot.
+background sweep) and the multi-step copier must reach exactly the state
+eager migration computes in one shot.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import BackgroundConfig, Database
-from repro.core import ConflictMode, LazyMigrationEngine, EagerMigration
+from repro.core import (
+    ConflictMode,
+    EagerMigration,
+    LazyMigrationEngine,
+    MultiStepMigration,
+)
 
 _settings = settings(
     max_examples=15,
@@ -81,6 +86,10 @@ def run_lazy(rows, queries, ddl, table, conflict_mode):
         elif kind == "range" and table == "part_a":
             s.execute("SELECT COUNT(v) FROM part_a WHERE id < ?", [value])
     assert handle.await_completion(timeout=60)
+    return read_outputs(s, table)
+
+
+def read_outputs(s, table):
     if table == "sums":
         return sorted(s.execute("SELECT grp, total, n FROM sums").rows)
     return (
@@ -92,12 +101,15 @@ def run_lazy(rows, queries, ddl, table, conflict_mode):
 def run_eager(rows, ddl, table):
     db, s = build_db(rows)
     EagerMigration(db).submit("m", ddl)
-    if table == "sums":
-        return sorted(s.execute("SELECT grp, total, n FROM sums").rows)
-    return (
-        sorted(s.execute("SELECT id, v FROM part_a").rows),
-        sorted(s.execute("SELECT id, grp, w FROM part_b").rows),
-    )
+    return read_outputs(s, table)
+
+
+def run_multistep(rows, ddl, table):
+    db, s = build_db(rows)
+    multistep = MultiStepMigration(db, chunk=16, interval=0.0)
+    multistep.submit("m", ddl)
+    assert multistep.await_completion(timeout=60)
+    return read_outputs(s, table)
 
 
 @pytest.mark.slow
@@ -107,6 +119,7 @@ def test_lazy_split_equals_eager(rows, queries):
     lazy = run_lazy(rows, queries, SPLIT_DDL, "part_a", ConflictMode.TRACKER)
     eager = run_eager(rows, SPLIT_DDL, "part_a")
     assert lazy == eager
+    assert run_multistep(rows, SPLIT_DDL, "part_a") == eager
 
 
 @pytest.mark.slow
@@ -116,6 +129,7 @@ def test_lazy_aggregate_equals_eager(rows, queries):
     lazy = run_lazy(rows, queries, AGG_DDL, "sums", ConflictMode.TRACKER)
     eager = run_eager(rows, AGG_DDL, "sums")
     assert lazy == eager
+    assert run_multistep(rows, AGG_DDL, "sums") == eager
 
 
 @pytest.mark.slow
