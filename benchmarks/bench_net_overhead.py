@@ -1,7 +1,7 @@
 """Protocol + loopback overhead of ``bullfrogd`` vs the embedded engine.
 
 Five measurements, written to ``results/net_bench.json`` (the CI
-``network`` job uploads it as an artifact):
+``artifacts`` job uploads it as an artifact):
 
 * **single-client latency** — the same point-SELECT / point-UPDATE mix
   timed embedded (``db.connect()``), networked with per-statement
@@ -9,7 +9,7 @@ Five measurements, written to ``results/net_bench.json`` (the CI
   frames, no parser), and networked **pipelined** (batches of
   ``PIPELINE_DEPTH`` prepared statements per write).  The
   prepared-vs-parsed and pipelined-vs-serial deltas are the payoff of
-  the PARSE/BIND/EXECUTE protocol extension.
+  the PARSE/EXECUTE frames and pipelining.
 * **1→64-client scaling** — closed-loop aggregate throughput against
   one event-loop server (the GIL bounds CPU parallelism; the point is
   that adding clients must not *collapse* throughput, and that 64

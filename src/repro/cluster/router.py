@@ -7,10 +7,10 @@ sessions route statements instead of executing them and which
 registers the cluster's admin verbs (``shards [json]``, ``cluster
 migrate <scenario>``, a per-shard ``progress``) on its own verb table.
 Clients connect with the unchanged client library and cannot tell the
-difference: HELLO/WELCOME, QUERY/PARSE/BIND/EXECUTE, COMPLETE frames
+difference: HELLO/WELCOME, QUERY/PARSE/EXECUTE, COMPLETE frames
 carrying the (cluster) schema epoch, errors as structured frames.
 
-Routing (``RoutePlan``, cached per SQL string):
+Routing (``RoutePlan``, cached on the statement handle):
 
 * **single** — a WHERE/VALUES equality on the partition column of any
   referenced table pins the statement to one shard (TPC-C transactions
@@ -68,7 +68,7 @@ import time
 import uuid
 from typing import Any, Callable, Sequence
 
-from ..db import Database, Result, Session
+from ..db import Database, Result, Session, Statement
 from ..errors import (
     ConnectionClosedError,
     ExecutionError,
@@ -147,7 +147,7 @@ class MergeSpec:
 
 
 class RoutePlan:
-    """The routing decision for one SQL string (cached by text)."""
+    """The routing decision for one statement (``Statement.route``)."""
 
     __slots__ = ("mode", "key_sources", "merge", "error")
 
@@ -182,19 +182,6 @@ class RoutePlan:
 # ----------------------------------------------------------------------
 # Statement analysis
 # ----------------------------------------------------------------------
-def _base_tables(node: Any, out: set[str]) -> None:
-    if isinstance(node, ast.Select):
-        for item in node.from_items:
-            _base_tables(item, out)
-    elif isinstance(node, ast.TableRef):
-        out.add(node.name.lower())
-    elif isinstance(node, ast.Join):
-        _base_tables(node.left, out)
-        _base_tables(node.right, out)
-    elif isinstance(node, ast.SubquerySource):
-        _base_tables(node.query, out)
-
-
 def _conjuncts(expr: Any):
     if isinstance(expr, ast.BinaryOp) and expr.op.upper() == "AND":
         yield from _conjuncts(expr.left)
@@ -301,10 +288,11 @@ _DDL_NODES = (
 class RouterDatabase(Database):
     """A Database whose sessions route to shards.
 
-    The inherited local engine still matters: it parses SQL (shared
-    dialect with the shards), caches plans for local statements, and
-    hosts the router's virtual views — which is how ``SELECT * FROM
-    bullfrog_stat_shards`` is just SQL through the normal path.
+    The inherited local engine still matters: it prepares SQL (shared
+    dialect with the shards; the handle also carries the route), runs
+    local statements, and hosts the router's virtual views — which is
+    how ``SELECT * FROM bullfrog_stat_shards`` is just SQL through the
+    normal path.
     """
 
     def __init__(
@@ -332,8 +320,6 @@ class RouterDatabase(Database):
             _AdminLink(host, port, connect_timeout)
             for host, port in shard_map.addresses
         ]
-        self._route_cache: dict[str, RoutePlan] = {}
-        self._route_latch = threading.Lock()
         # itertools.count: next() is atomic under the GIL, so
         # concurrent worker threads never observe the same tick.
         self._rr = itertools.count()
@@ -373,30 +359,24 @@ class RouterDatabase(Database):
     # ------------------------------------------------------------------
     # Route plans
     # ------------------------------------------------------------------
-    def route_plan(self, stmt: ast.Statement, sql_text: str | None) -> RoutePlan:
-        if sql_text is not None:
-            plan = self._route_cache.get(sql_text)
-            if plan is not None:
-                return plan
-        plan = self._analyze(stmt)
-        if sql_text is not None:
-            with self._route_latch:
-                if len(self._route_cache) < 10_000:
-                    self._route_cache[sql_text] = plan
+    def route_plan(self, handle: Statement) -> RoutePlan:
+        plan = handle.route
+        if plan is None:
+            plan = handle.route = self._analyze(handle)
         return plan
 
-    def _analyze(self, stmt: ast.Statement) -> RoutePlan:
+    def _analyze(self, handle: Statement) -> RoutePlan:
         shard_map = self.shard_map
+        stmt = handle.ast
         if isinstance(stmt, ast.Explain):
-            inner = self._analyze(stmt.query)
+            inner = self._analyze(Statement(stmt.query))
             if inner.mode == LOCAL:
                 return inner
             # EXPLAIN of a routed query: one shard's plan is as good as
             # another's (identical schemas).
             return RoutePlan(ANY)
         if isinstance(stmt, ast.Select):
-            tables: set[str] = set()
-            _base_tables(stmt, tables)
+            tables = handle.tables
             known = {t for t in tables if shard_map.knows(t)}
             if not known:
                 return RoutePlan(LOCAL)
@@ -1038,26 +1018,18 @@ class RouterSession(Session):
 
     # -- statement execution -------------------------------------------
     def execute_statement(
-        self,
-        stmt: ast.Statement,
-        params: Sequence[Any] = (),
-        sql_text: str | None = None,
+        self, stmt: "Statement | ast.Statement", params: Sequence[Any] = ()
     ) -> Result:
-        if isinstance(stmt, ast.BeginTransaction):
-            self.begin()
-            return Result("BEGIN")
-        if isinstance(stmt, ast.CommitTransaction):
-            self.commit()
-            return Result("COMMIT")
-        if isinstance(stmt, ast.RollbackTransaction):
-            self.rollback()
-            return Result("ROLLBACK")
         if self._closed:
             raise SessionClosed("session is closed")
+        handle = stmt if type(stmt) is Statement else Statement(stmt)
         rdb: RouterDatabase = self.db  # type: ignore[assignment]
-        plan = rdb.route_plan(stmt, sql_text)
+        plan = rdb.route_plan(handle)
         if plan.mode == LOCAL:
-            return super().execute_statement(stmt, params, sql_text)
+            # Also transaction control: the inherited path calls this
+            # session's begin/commit/rollback.
+            return super().execute_statement(handle, params)
+        sql_text = handle.sql
         if sql_text is None:
             raise ExecutionError(
                 "the router needs the statement's SQL text to forward it"

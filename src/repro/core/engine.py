@@ -26,7 +26,7 @@ import time
 from enum import Enum
 from typing import Any, Sequence
 
-from ..db import Database, Session
+from ..db import Database, Session, Statement
 from ..errors import (
     MigrationError,
     MigrationStateError,
@@ -409,14 +409,11 @@ class LazyMigrationEngine:
     # Interception (section 2.1) — migrate, then let the request run
     # ==================================================================
     def _intercept(
-        self,
-        session: Session,
-        stmt: ast.Statement,
-        params: Sequence[Any],
-        sql_text: str | None = None,
+        self, session: Session, handle: Statement, params: Sequence[Any]
     ) -> None:
         if self._complete_event.is_set():
             return
+        stmt = handle.ast
         if (
             isinstance(stmt, ast.Select)
             and self.tracking_enabled
@@ -430,11 +427,9 @@ class LazyMigrationEngine:
             # output rows under 2PL.
             snapshot_ts = self._snapshot_ts_for(session)
             if snapshot_ts is not None:
-                self._prepare_snapshot_read(
-                    session, stmt, params, snapshot_ts, sql_text
-                )
+                self._prepare_snapshot_read(session, handle, params, snapshot_ts)
                 return
-        referenced = _referenced_tables(stmt)
+        referenced = handle.tables
         fk_targets: set[str] = set()
         if isinstance(stmt, ast.Insert) and self.db.catalog.has_table(stmt.table):
             # An INSERT into a non-migrated table whose FK references an
@@ -446,7 +441,7 @@ class LazyMigrationEngine:
                 continue
             if not ((referenced | fk_targets) & runtime.output_tables):
                 continue
-            scope = self._scope_for(runtime, stmt, params, sql_text)
+            scope = self._scope_for(runtime, handle, params)
             if not scope.is_empty:
                 self.migrate_scope(runtime, scope)
         self._check_completion()
@@ -487,10 +482,9 @@ class LazyMigrationEngine:
     def _prepare_snapshot_read(
         self,
         session: Session,
-        stmt: ast.Select,
+        handle: Statement,
         params: Sequence[Any],
         snapshot_ts: int,
-        sql_text: str | None = None,
     ) -> None:
         """Build the pre-migration overlay for a snapshot SELECT.
 
@@ -499,14 +493,14 @@ class LazyMigrationEngine:
         output rows are invisible at this snapshot and the overlay rows
         (projected from input versions visible at the snapshot) cannot
         double-count with them."""
-        referenced = _referenced_tables(stmt)
+        referenced = handle.tables
         overlay: dict[str, list[tuple]] = {}
         for runtime in self.units:
             if runtime.complete:
                 continue
             if not (referenced & runtime.output_tables):
                 continue
-            scope = self._scope_for(runtime, stmt, params, sql_text)
+            scope = self._scope_for(runtime, handle, params)
             if scope.is_empty:
                 continue
             tracker = runtime.tracker
@@ -533,12 +527,9 @@ class LazyMigrationEngine:
             )
 
     def _scope_for(
-        self,
-        runtime: UnitRuntime,
-        stmt: ast.Statement,
-        params: Sequence[Any],
-        sql_text: str | None = None,
+        self, runtime: UnitRuntime, handle: Statement, params: Sequence[Any]
     ) -> Scope:
+        stmt = handle.ast
         if isinstance(stmt, ast.Insert):
             table = self.db.catalog.table(stmt.table)
             conjuncts = insert_conjuncts(table, stmt, params)
@@ -552,7 +543,7 @@ class LazyMigrationEngine:
                 return Scope()  # plain INSERT: no prior migration needed
             return runtime.transfer.scope_for_output_conjuncts(mine, params)
         scope = runtime.transfer.scope_for_statement(
-            stmt, params, cache_key=sql_text
+            stmt, params, cache_key=handle.sql
         )
         if isinstance(stmt, ast.Update):
             table = self.db.catalog.table(stmt.table)
@@ -895,34 +886,6 @@ class MigrationHandle:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-
-
-def _referenced_tables(stmt: ast.Statement) -> set[str]:
-    tables: set[str] = set()
-    if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
-        tables.add(stmt.table)
-        if isinstance(stmt, ast.Insert) and stmt.query is not None:
-            tables |= _select_tables(stmt.query)
-    elif isinstance(stmt, ast.Select):
-        tables |= _select_tables(stmt)
-    return tables
-
-
-def _select_tables(select: ast.Select) -> set[str]:
-    tables: set[str] = set()
-
-    def walk_item(item: ast.FromItem) -> None:
-        if isinstance(item, ast.TableRef):
-            tables.add(item.name)
-        elif isinstance(item, ast.SubquerySource):
-            tables.update(_select_tables(item.query))
-        elif isinstance(item, ast.Join):
-            walk_item(item.left)
-            walk_item(item.right)
-
-    for item in select.from_items:
-        walk_item(item)
-    return tables
 
 
 def _merge_scopes(a: Scope, b: Scope) -> Scope:

@@ -1,4 +1,4 @@
-"""Database facade: sessions, statement dispatch, DDL, plan caching.
+"""Database facade: sessions, prepared statements, DDL.
 
 ``Database`` wires the substrate together (catalog + transactions +
 planner + executor) and exposes the user-facing API::
@@ -10,11 +10,21 @@ planner + executor) and exposes the user-facing API::
     result = session.execute("SELECT v FROM t WHERE id = ?", [1])
     result.rows  # [("hello",)]
 
+Every statement runs prepared.  ``Database.prepare(sql)`` returns the
+one :class:`Statement` handle kept per SQL text — AST, statement kind,
+referenced base tables, the runner chosen from the AST type, and the
+executor artifact (plan + compiled expressions) for the current schema
+epoch — and ``Session.execute(sql)`` is ``execute_statement(
+db.prepare(sql), params)``: a repeated statement pays one dict probe,
+no parser, no planner, no expression compile.  Any DDL or logical flip
+bumps the epoch, so the next execution re-plans.
+
 BullFrog integration points:
 
 * ``set_statement_interceptor`` — the lazy-migration engine registers a
-  callback invoked before every SELECT/INSERT/UPDATE/DELETE so it can
-  migrate relevant tuples first (paper section 2.1);
+  callback ``(session, handle, params)`` invoked before every
+  SELECT/INSERT/UPDATE/DELETE so it can migrate relevant tuples first
+  (paper section 2.1);
 * ``add_row_hook`` — the multi-step baseline registers trigger-style
   dual-write hooks;
 * retired tables — after a big-flip migration, statements touching the
@@ -82,9 +92,96 @@ class Result:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
 
-StatementInterceptor = Callable[
-    ["Session", ast.Statement, Sequence[Any], "str | None"], None
-]
+_MAX_STATEMENTS = 10_000  # handles a Database keeps (one per SQL text)
+
+_TXN_OPS = {
+    ast.BeginTransaction: "begin",
+    ast.CommitTransaction: "commit",
+    ast.RollbackTransaction: "rollback",
+}
+
+
+def _base_tables(node: Any, out: set[str]) -> None:
+    """Collect the base tables a statement names: DML targets plus
+    every FROM item, through joins, subqueries and INSERT ... SELECT."""
+    if isinstance(node, (ast.Insert, ast.Update, ast.Delete)):
+        out.add(node.table)
+        node = getattr(node, "query", None)
+    if isinstance(node, ast.Select):
+        for item in node.from_items:
+            _base_tables(item, out)
+    elif isinstance(node, ast.TableRef):
+        out.add(node.name)
+    elif isinstance(node, ast.Join):
+        _base_tables(node.left, out)
+        _base_tables(node.right, out)
+    elif isinstance(node, ast.SubquerySource):
+        _base_tables(node.query, out)
+
+
+class Statement:
+    """One prepared statement: everything the path from socket to
+    executor needs to know about a piece of SQL, decided once.
+
+    ``Database.prepare(sql)`` keeps one per SQL text, shared by every
+    session, the wire server's PARSE/EXECUTE and the router; an AST
+    executed without text gets a throwaway one.
+
+    * ``sql`` / ``ast`` / ``ast_type`` — the text (``None`` when there
+      is none) and its parse;
+    * ``txn_op`` — ``"begin"`` / ``"commit"`` / ``"rollback"`` for
+      transaction control, else ``None``;
+    * ``kind`` — the latency-histogram label: one value per DML kind
+      keeps ``repro_statement_seconds`` cardinality bounded, everything
+      else (DDL, EXPLAIN) shares ``ddl``;
+    * ``tables`` — the base tables named (what the migration
+      interceptor and the router match on);
+    * ``run`` — ``run(session, handle, ctx) -> Result``, picked from
+      the AST type; ``runner`` names the ``Executor`` method a DML
+      runner calls.  Names, not bound methods: they are resolved on
+      the executor per call, so wrapping ``Executor.run_select`` later
+      still takes effect;
+    * ``route`` — the router's cached ``RoutePlan`` (unused elsewhere).
+    """
+
+    __slots__ = (
+        "sql", "ast", "ast_type", "txn_op", "kind", "tables", "run",
+        "runner", "route", "_artifacts",
+    )
+
+    def __init__(self, node: ast.Statement, sql: str | None = None) -> None:
+        self.sql = sql
+        self.ast = node
+        self.ast_type = ast_type = type(node)
+        self.txn_op = _TXN_OPS.get(ast_type)
+        tables: set[str] = set()
+        _base_tables(node, tables)
+        self.tables = frozenset(tables)
+        self.kind, self.run, self.runner = _RUNNERS.get(ast_type, _UNSUPPORTED)
+        if ast_type is ast.Select and node.for_update:
+            self.runner = "run_select_for_update"
+        self.route: Any = None
+        # (epoch, artifact) per allow_retired flavour: migration-internal
+        # sessions plan against retired tables, clients must not.
+        self._artifacts: list[tuple[int, Any] | None] = [None, None]
+
+    def artifact(self, session: "Session") -> Any:
+        """What ``Executor.prepare`` made of this statement for the
+        session's ``allow_retired`` flavour at the current schema epoch
+        — built on first use and again after every epoch bump, so a
+        statement prepared before a DDL or a migration flip re-plans
+        (and meets ``SchemaVersionError`` if its table was retired)."""
+        db = session.db
+        flavour = session.allow_retired
+        epoch = db._epoch
+        entry = self._artifacts[flavour]
+        if entry is None or entry[0] != epoch:
+            entry = (epoch, db.executor.prepare(self.ast, flavour))
+            self._artifacts[flavour] = entry
+        return entry[1]
+
+
+StatementInterceptor = Callable[["Session", Statement, Sequence[Any]], None]
 
 
 class Database:
@@ -123,8 +220,9 @@ class Database:
             self.txns.locks.obs = obs
             self.executor.obs = obs
         self._epoch = 0
-        self._parse_cache: dict[str, ast.Statement] = {}
-        self._plan_cache: dict[tuple, Any] = {}
+        # SQL text -> Statement.  Hits read the dict bare; the latch
+        # orders inserts and epoch bumps only.
+        self._statements: dict[str, Statement] = {}
         self._cache_latch = threading.Lock()
         self._interceptor: StatementInterceptor | None = None
         self._row_hooks: dict[str, list] = {}
@@ -170,47 +268,43 @@ class Database:
         self._row_hooks.pop(table_name, None)
 
     # ------------------------------------------------------------------
-    # Caching
+    # Prepared statements
     # ------------------------------------------------------------------
     @property
     def epoch(self) -> int:
         return self._epoch
 
     def bump_epoch(self) -> None:
-        """Invalidate cached plans after any DDL."""
+        """Invalidate every statement's executor artifact after any
+        DDL (artifacts are tagged with the epoch they were built at)."""
         with self._cache_latch:
             self._epoch += 1
-            self._plan_cache.clear()
 
-    def parse(self, sql: str) -> ast.Statement:
-        cached = self._parse_cache.get(sql)
-        if cached is not None:
-            return cached
+    def prepare(self, sql: str) -> Statement:
+        """The handle for ``sql`` — the same object on every call while
+        the cache has room, so nothing about a repeated statement is
+        worked out twice."""
+        handle = self._statements.get(sql)
+        if handle is not None:
+            return handle
         obs = self.obs
         if obs is not None and obs.tracing_enabled:
             # Parse is a span only on a cache miss: the steady state
             # hits the cache, and those statements genuinely do no
             # parse work worth a row in Perfetto.
             start_us = obs.trace.now_us()
-            stmt = parse_statement(sql)
+            node = parse_statement(sql)
             obs.trace.complete("stmt.parse", start_us, cat="exec", args=_trace_tags())
         else:
-            stmt = parse_statement(sql)
+            node = parse_statement(sql)
+        handle = Statement(node, sql)
         with self._cache_latch:
-            if len(self._parse_cache) < 10_000:
-                self._parse_cache[sql] = stmt
-        return stmt
+            if len(self._statements) < _MAX_STATEMENTS:
+                handle = self._statements.setdefault(sql, handle)
+        return handle
 
-    def cached_plan(self, key: tuple, builder: Callable[[], Any]) -> Any:
-        with self._cache_latch:
-            cached = self._plan_cache.get(key)
-        if cached is not None:
-            return cached
-        built = builder()
-        with self._cache_latch:
-            if len(self._plan_cache) < 10_000:
-                self._plan_cache[key] = built
-        return built
+    def parse(self, sql: str) -> ast.Statement:
+        return self.prepare(sql).ast
 
 
 class Session:
@@ -333,33 +427,27 @@ class Session:
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Result:
         if self._closed:
             raise SessionClosed("session is closed")
-        stmt = self.db.parse(sql)
-        return self.execute_statement(stmt, params, sql_text=sql)
+        return self.execute_statement(self.db.prepare(sql), params)
 
     def execute_statement(
-        self,
-        stmt: ast.Statement,
-        params: Sequence[Any] = (),
-        sql_text: str | None = None,
+        self, stmt: "Statement | ast.Statement", params: Sequence[Any] = ()
     ) -> Result:
-        # Transaction control first: it changes session state.
-        if isinstance(stmt, ast.BeginTransaction):
-            self.begin()
-            return Result("BEGIN")
-        if isinstance(stmt, ast.CommitTransaction):
-            self.commit()
-            return Result("COMMIT")
-        if isinstance(stmt, ast.RollbackTransaction):
-            self.rollback()
-            return Result("ROLLBACK")
+        handle = stmt if type(stmt) is Statement else Statement(stmt)
+        op = handle.txn_op
+        if op is not None:
+            # Transaction control changes session state and nothing
+            # else.  Resolved on the session, so a subclass that keeps
+            # its transactions elsewhere overrides begin/commit/rollback.
+            getattr(self, op)()
+            return Result(op.upper())
 
         obs = self.db.obs
         if obs is None or self.internal or not obs.active:
             # Internal (migration-engine) statements are covered by the
             # enclosing ``migrate.wip`` span; instrumenting them here too
             # would double-count migration work as client latency.
-            return self._run_statement(stmt, params, sql_text)
-        start = obs.statement_begin(type(stmt))
+            return self._run_statement(handle, params)
+        start = obs.statement_begin(handle.ast_type)
         # Fork the statement's trace context — a child of the server's
         # request context when one is active (networked path), a fresh
         # root otherwise (embedded path) — and expose it via the
@@ -375,12 +463,12 @@ class Session:
         parent = self._request_ctx
         if parent is None:
             if not start:
-                return self._run_statement(stmt, params, sql_text)
+                return self._run_statement(handle, params)
             if start < 0.0:
                 try:
-                    return self._run_statement(stmt, params, sql_text)
+                    return self._run_statement(handle, params)
                 finally:
-                    obs.statement_done(_stmt_kind(stmt), -start)
+                    obs.statement_done(handle.kind, -start)
         elif start < 0.0:
             start = -start
         if not start:
@@ -388,29 +476,25 @@ class Session:
         ctx = parent.child() if parent is not None else TraceContext()
         token = _trace_activate(ctx)
         try:
-            return self._run_statement(stmt, params, sql_text, ctx)
+            return self._run_statement(handle, params, ctx)
         finally:
             _trace_deactivate(token)
             obs.statement_done(
-                _stmt_kind(stmt),
+                handle.kind,
                 start,
                 ctx,
-                sql_text,
+                handle.sql,
                 self.isolation.value,
             )
 
     def _run_statement(
-        self,
-        stmt: ast.Statement,
-        params: Sequence[Any],
-        sql_text: str | None,
-        trace_ctx: Any = None,
+        self, handle: Statement, params: Sequence[Any], trace_ctx: Any = None
     ) -> Result:
         interceptor = self.db._interceptor
         if (
             interceptor is not None
+            and handle.runner is not None  # DML only (not DDL, not EXPLAIN)
             and not self.internal
-            and isinstance(stmt, (ast.Select, ast.Insert, ast.Update, ast.Delete))
         ):
             if trace_ctx is not None:
                 # Only statements that carry a trace context (sampled
@@ -420,15 +504,15 @@ class Session:
                 obs = self.db.obs
                 t0 = time.perf_counter()
                 try:
-                    interceptor(self, stmt, params, sql_text)
+                    interceptor(self, handle, params)
                 finally:
                     obs.intercept_done(t0, trace_ctx)
             else:
-                interceptor(self, stmt, params, sql_text)
+                interceptor(self, handle, params)
 
         try:
             if self.in_transaction:
-                return self._dispatch(stmt, params, sql_text)
+                return self._dispatch(handle, params)
             # Autocommit: wrap in a transaction.  A snapshot timestamp
             # the interceptor pinned (before it computed overlay state)
             # carries into the transaction so both agree on visibility.
@@ -438,7 +522,7 @@ class Session:
             )
             self._txn = txn
             try:
-                result = self._dispatch(stmt, params, sql_text)
+                result = self._dispatch(handle, params)
             except BaseException:
                 if txn.is_active:
                     txn.abort()
@@ -468,109 +552,53 @@ class Session:
             ctx.overlay = self._pending_overlay
         return ctx
 
-    def _dispatch(
-        self, stmt: ast.Statement, params: Sequence[Any], sql_text: str | None
-    ) -> Result:
+    def _dispatch(self, handle: Statement, params: Sequence[Any]) -> Result:
         ctx = self._context()
         ctx.params = params
-        if isinstance(stmt, ast.Explain):
-            return self._run_explain(stmt, params, ctx)
-        if isinstance(stmt, ast.Select):
-            if stmt.for_update:
-                prepared = None
-                if sql_text is not None:
-                    key = ("for-update", sql_text, self.db.epoch, self.allow_retired)
-                    prepared = self.db.cached_plan(
-                        key,
-                        lambda: self.db.executor.prepare_select_for_update(
-                            stmt, self.allow_retired
-                        ),
-                    )
-                rows, columns = self.db.executor.run_select_for_update(
-                    stmt, ctx, prepared
-                )
-                return Result(
-                    "SELECT", rows=rows, columns=columns, rowcount=len(rows)
-                )
-            if sql_text is not None:
-                key = ("select", sql_text, self.db.epoch, self.allow_retired)
-                planned: PlannedQuery = self.db.cached_plan(
-                    key, lambda: self.db.planner.plan_select(stmt, self.allow_retired)
-                )
-            else:
-                planned = self.db.planner.plan_select(stmt, self.allow_retired)
-            rows = self.db.executor.run_select(planned, ctx)
-            return Result("SELECT", rows=rows, columns=planned.names, rowcount=len(rows))
-        if isinstance(stmt, ast.Insert):
-            count = self.db.executor.run_insert(stmt, ctx)
-            return Result("INSERT", rowcount=count)
-        if isinstance(stmt, ast.Update):
-            prepared = None
-            if sql_text is not None:
-                key = ("update", sql_text, self.db.epoch, self.allow_retired)
-                prepared = self.db.cached_plan(
-                    key,
-                    lambda: self.db.executor.prepare_update(stmt, self.allow_retired),
-                )
-            count = self.db.executor.run_update(stmt, ctx, prepared)
-            return Result("UPDATE", rowcount=count)
-        if isinstance(stmt, ast.Delete):
-            prepared = None
-            if sql_text is not None:
-                key = ("delete", sql_text, self.db.epoch, self.allow_retired)
-                prepared = self.db.cached_plan(
-                    key,
-                    lambda: self.db.executor.prepare_delete(stmt, self.allow_retired),
-                )
-            count = self.db.executor.run_delete(stmt, ctx, prepared)
-            return Result("DELETE", rowcount=count)
-        if isinstance(stmt, ast.CreateTable):
-            return self._create_table(stmt, ctx)
-        if isinstance(stmt, ast.CreateView):
-            self.db.catalog.create_view(stmt.name, stmt.query, or_replace=stmt.or_replace)
-            self.db.bump_epoch()
-            return Result("CREATE VIEW")
-        if isinstance(stmt, ast.CreateIndex):
-            self.db.catalog.create_index(
-                stmt.name, stmt.table, stmt.columns, unique=stmt.unique, ordered=True
-            )
-            self.db.bump_epoch()
-            return Result("CREATE INDEX")
-        if isinstance(stmt, ast.DropTable):
-            self.db.catalog.drop_table(stmt.name, if_exists=stmt.if_exists)
-            self.db.bump_epoch()
-            return Result("DROP TABLE")
-        if isinstance(stmt, ast.DropView):
-            self.db.catalog.drop_view(stmt.name, if_exists=stmt.if_exists)
-            self.db.bump_epoch()
-            return Result("DROP VIEW")
-        if isinstance(stmt, ast.DropIndex):
-            self.db.catalog.drop_index(stmt.name, if_exists=stmt.if_exists)
-            self.db.bump_epoch()
-            return Result("DROP INDEX")
-        if isinstance(stmt, ast.AlterTable):
-            return self._alter_table(stmt, ctx)
-        raise ExecutionError(f"unsupported statement {type(stmt).__name__}")
+        return handle.run(self, handle, ctx)
+
+    # Runners: ``Statement.run`` is one of these, chosen when the handle
+    # is built.  The executor method is looked up by name per call.
+    def _run_query(self, handle: Statement, ctx: ExecutionContext) -> Result:
+        artifact = handle.artifact(self)
+        rows = getattr(self.db.executor, handle.runner)(artifact, ctx)
+        return Result(
+            "SELECT", rows=rows, columns=artifact.names, rowcount=len(rows)
+        )
+
+    def _run_write(self, handle: Statement, ctx: ExecutionContext) -> Result:
+        count = getattr(self.db.executor, handle.runner)(
+            handle.artifact(self), ctx
+        )
+        return Result(handle.kind.upper(), rowcount=count)
+
+    def _run_catalog_ddl(self, handle: Statement, ctx: ExecutionContext) -> Result:
+        tag, apply = _CATALOG_DDL[handle.ast_type]
+        apply(self.db.catalog, handle.ast)
+        self.db.bump_epoch()
+        return Result(tag)
+
+    def _run_unsupported(self, handle: Statement, ctx: ExecutionContext) -> Result:
+        raise ExecutionError(f"unsupported statement {handle.ast_type.__name__}")
 
     # ------------------------------------------------------------------
     # EXPLAIN [ANALYZE]
     # ------------------------------------------------------------------
-    def _run_explain(
-        self, stmt: ast.Explain, params: Sequence[Any], ctx: ExecutionContext
-    ) -> Result:
-        """Dispatch target for a parsed ``EXPLAIN [ANALYZE] SELECT``.
+    def _run_explain(self, handle: Statement, ctx: ExecutionContext) -> Result:
+        """Runner for a parsed ``EXPLAIN [ANALYZE] SELECT``.
 
-        Both forms bypass the plan cache: ANALYZE wraps a throwaway
-        instrumented clone anyway, and the plain form is rare enough
-        that caching would only let an ``EXPLAIN`` pin a plan the next
-        real query then shares.
+        Both forms plan afresh instead of using a handle's artifact:
+        ANALYZE wraps a throwaway instrumented clone anyway, and the
+        plain form is rare enough that caching would only let an
+        ``EXPLAIN`` pin a plan the next real query then shares.
 
-        ``ast.Explain`` is deliberately absent from the interceptor's
-        isinstance tuple in ``_run_statement``; ANALYZE invokes the
-        interceptor *itself*, under a timer, so the migrate-stall cost
-        a client would have paid for this query shows up as its own
-        summary line instead of disappearing before planning.
+        EXPLAIN is deliberately not a statement ``_run_statement``
+        intercepts; ANALYZE invokes the interceptor *itself*, under a
+        timer, so the migrate-stall cost a client would have paid for
+        this query shows up as its own summary line instead of
+        disappearing before planning.
         """
+        stmt, params = handle.ast, ctx.params
         query = stmt.query
         if not stmt.analyze:
             planned = self.db.planner.plan_select(query, self.allow_retired)
@@ -590,7 +618,7 @@ class Session:
             stats = getattr(engine, "stats", None)
             before = stats.snapshot() if stats is not None else None
             start = time.perf_counter()
-            interceptor(self, query, params, None)
+            interceptor(self, Statement(query), params)
             stall_seconds = time.perf_counter() - start
             if before is not None:
                 after = stats.snapshot()
@@ -628,7 +656,8 @@ class Session:
     # ------------------------------------------------------------------
     # DDL
     # ------------------------------------------------------------------
-    def _create_table(self, stmt: ast.CreateTable, ctx: ExecutionContext) -> Result:
+    def _create_table(self, handle: Statement, ctx: ExecutionContext) -> Result:
+        stmt = handle.ast
         if stmt.as_select is not None:
             return self._create_table_as(stmt, ctx)
         schema = build_schema(stmt)
@@ -653,7 +682,8 @@ class Session:
             count += 1
         return Result("CREATE TABLE AS", rowcount=count)
 
-    def _alter_table(self, stmt: ast.AlterTable, ctx: ExecutionContext) -> Result:
+    def _alter_table(self, handle: Statement, ctx: ExecutionContext) -> Result:
+        stmt = handle.ast
         catalog = self.db.catalog
         table = catalog.table(stmt.name)
         if ctx.txn is not None:
@@ -756,7 +786,7 @@ class Session:
     # Introspection helpers
     # ------------------------------------------------------------------
     def explain(self, sql: str) -> str:
-        stmt = self.db.parse(sql)
+        stmt = self.db.prepare(sql).ast
         if isinstance(stmt, ast.Explain):
             stmt = stmt.query
         if not isinstance(stmt, ast.Select):
@@ -782,19 +812,34 @@ class _SessionTxn:
         return False
 
 
-_STMT_KINDS = {
-    ast.Select: "select",
-    ast.Insert: "insert",
-    ast.Update: "update",
-    ast.Delete: "delete",
+# Catalog-only DDL: AST type -> (result tag, catalog call).
+_CATALOG_DDL = {
+    ast.CreateView: ("CREATE VIEW", lambda catalog, s: catalog.create_view(
+        s.name, s.query, or_replace=s.or_replace)),
+    ast.CreateIndex: ("CREATE INDEX", lambda catalog, s: catalog.create_index(
+        s.name, s.table, s.columns, unique=s.unique, ordered=True)),
+    ast.DropTable: ("DROP TABLE", lambda catalog, s: catalog.drop_table(
+        s.name, if_exists=s.if_exists)),
+    ast.DropView: ("DROP VIEW", lambda catalog, s: catalog.drop_view(
+        s.name, if_exists=s.if_exists)),
+    ast.DropIndex: ("DROP INDEX", lambda catalog, s: catalog.drop_index(
+        s.name, if_exists=s.if_exists)),
 }
 
-
-def _stmt_kind(stmt: ast.Statement) -> str:
-    """Histogram label for a statement — one label value per DML kind
-    keeps the ``repro_statement_seconds`` family's cardinality bounded
-    (everything else, DDL included, shares the ``ddl`` label)."""
-    return _STMT_KINDS.get(type(stmt), "ddl")
+# AST type -> (Statement.kind, Statement.run, Statement.runner).  The
+# four with an Executor method are DML: the statements the migration
+# interceptor sees.
+_RUNNERS = {
+    ast.Select: ("select", Session._run_query, "run_select"),
+    ast.Insert: ("insert", Session._run_write, "run_insert"),
+    ast.Update: ("update", Session._run_write, "run_update"),
+    ast.Delete: ("delete", Session._run_write, "run_delete"),
+    ast.Explain: ("ddl", Session._run_explain, None),
+    ast.CreateTable: ("ddl", Session._create_table, None),
+    ast.AlterTable: ("ddl", Session._alter_table, None),
+    **dict.fromkeys(_CATALOG_DDL, ("ddl", Session._run_catalog_ddl, None)),
+}
+_UNSUPPORTED = ("ddl", Session._run_unsupported, None)
 
 
 # ======================================================================

@@ -2,14 +2,16 @@
 
 The executor owns the write path: table IX + tuple X locking, FK
 enforcement (both directions), undo/redo recording on the transaction.
-It is deliberately independent of the SQL front end — DML statements
-arrive as AST nodes already, and the BullFrog engine also calls
-``insert_rows`` directly when materializing migrated tuples.
+It is deliberately independent of the SQL front end: ``prepare`` turns
+a DML AST node into an artifact once, the ``run_*`` methods execute
+that artifact with per-call parameters, and the BullFrog engine also
+calls ``insert_rows`` directly when materializing migrated tuples.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Sequence
 
 from ..errors import (
     ExecutionError,
@@ -35,18 +37,23 @@ from .planner import PlannedQuery, Planner
 Row = tuple[Any, ...]
 
 
-class PreparedScan:
-    """A cached DML scan + derived compile artifacts for one statement
-    shape.  Plans compile expressions once; executions bind parameters
-    per call (the Database caches these keyed by SQL text + epoch)."""
+@dataclass(slots=True)
+class PreparedDml:
+    """The executor's artifact for one DML statement shape: the target
+    table's name, the planned scan (or INSERT source) and every
+    expression compiled once.  Executions bind parameters per call; the
+    statement handle (:class:`repro.db.Statement`) keeps one per schema
+    epoch and ``allow_retired`` flavour."""
 
-    __slots__ = ("scan", "assignments", "item_fns", "item_names")
-
-    def __init__(self, scan, assignments=None, item_fns=None, item_names=None):
-        self.scan = scan
-        self.assignments = assignments
-        self.item_fns = item_fns
-        self.item_names = item_names
+    table: str
+    scan: Any = None
+    assignments: list | None = None  # UPDATE: [(position, fn)]
+    item_fns: list | None = None  # SELECT ... FOR UPDATE projection
+    names: list[str] | None = None  # ... and its output column names
+    columns: Sequence[str] | None = None  # INSERT target columns
+    row_fns: list | None = None  # INSERT ... VALUES: one fn list per row
+    query: PlannedQuery | None = None  # INSERT ... SELECT source plan
+    on_conflict_skip: bool = False
 
 
 class Executor:
@@ -57,6 +64,106 @@ class Executor:
         # Database when one is attached; None keeps the write path free
         # of any accounting beyond a single ``is not None`` check.
         self.obs: Any = None
+
+    # ==================================================================
+    # Prepare: everything a statement shape needs, compiled once
+    # ==================================================================
+    def prepare(
+        self, stmt: ast.Statement, allow_retired: bool
+    ) -> "PlannedQuery | PreparedDml":
+        """Plan and compile one SELECT / INSERT / UPDATE / DELETE for
+        repeated execution.  The result is what the matching ``run_*``
+        method takes: a :class:`PlannedQuery` for a plain SELECT, a
+        :class:`PreparedDml` for everything else.  It is valid until the
+        next DDL (the caller re-prepares per schema epoch)."""
+        return _PREPARERS[type(stmt)](self, stmt, allow_retired)
+
+    def _prepare_select(
+        self, stmt: ast.Select, allow_retired: bool
+    ) -> "PlannedQuery | PreparedDml":
+        if not stmt.for_update:
+            return self.planner.plan_select(stmt, allow_retired)
+        if (
+            len(stmt.from_items) != 1
+            or not isinstance(stmt.from_items[0], ast.TableRef)
+            or stmt.group_by
+            or stmt.having is not None
+            or stmt.order_by
+            or stmt.distinct
+        ):
+            raise ExecutionError(
+                "FOR UPDATE supports plain single-table SELECT statements"
+            )
+        ref = stmt.from_items[0]
+        scan = self.planner.plan_dml_scan(
+            ref.name, ref.alias, stmt.where, allow_retired
+        )
+        layout = scan.layout
+        names: list[str] = []
+        fns = []
+        for index, item in enumerate(stmt.items):
+            if isinstance(item.expr, ast.Star):
+                for _binding, name in layout.columns:
+                    names.append(name)
+                    fns.append(
+                        compile_expr(ast.ColumnRef(name, ref.binding), layout)
+                    )
+                continue
+            names.append(item.alias or _item_default_name(item.expr, index))
+            fns.append(compile_expr(item.expr, layout))
+        return PreparedDml(ref.name, scan, item_fns=fns, names=names)
+
+    def _prepare_insert(self, stmt: ast.Insert, allow_retired: bool) -> PreparedDml:
+        table = self.catalog.table_checked(stmt.table, allow_retired)
+        columns = stmt.columns or table.schema.column_names
+        unknown = [c for c in columns if not table.schema.has_column(c)]
+        if unknown:
+            raise ExecutionError(
+                f"table {stmt.table} has no column(s) {unknown!r}"
+            )
+        prepared = PreparedDml(
+            stmt.table,
+            columns=columns,
+            on_conflict_skip=stmt.on_conflict_do_nothing,
+        )
+        if stmt.query is not None:
+            prepared.query = self.planner.plan_select(stmt.query, allow_retired)
+            if len(prepared.query.names) != len(columns):
+                raise ExecutionError(
+                    f"INSERT target has {len(columns)} column(s) but the "
+                    f"query produces {len(prepared.query.names)}"
+                )
+            return prepared
+        empty = RowLayout()
+        prepared.row_fns = []
+        for row_exprs in stmt.rows:
+            if len(row_exprs) != len(columns):
+                raise ExecutionError(
+                    f"INSERT row has {len(row_exprs)} value(s) for "
+                    f"{len(columns)} column(s)"
+                )
+            prepared.row_fns.append(
+                [compile_expr(expr, empty) for expr in row_exprs]
+            )
+        return prepared
+
+    def _prepare_update(self, stmt: ast.Update, allow_retired: bool) -> PreparedDml:
+        table = self.catalog.table_checked(stmt.table, allow_retired)
+        scan = self.planner.plan_dml_scan(
+            stmt.table, stmt.alias, stmt.where, allow_retired
+        )
+        layout = scan.layout
+        assignments = [
+            (table.schema.column_index(column), compile_expr(expr, layout))
+            for column, expr in stmt.assignments
+        ]
+        return PreparedDml(stmt.table, scan, assignments=assignments)
+
+    def _prepare_delete(self, stmt: ast.Delete, allow_retired: bool) -> PreparedDml:
+        scan = self.planner.plan_dml_scan(
+            stmt.table, stmt.alias, stmt.where, allow_retired
+        )
+        return PreparedDml(stmt.table, scan)
 
     # ==================================================================
     # Snapshot-isolation write conflicts (first-updater-wins)
@@ -91,6 +198,28 @@ class Executor:
     def _write_stamp(ctx: ExecutionContext):
         return ctx.txn.stamp if ctx.txn is not None else BOOTSTRAP_STAMP
 
+    def _locked_rows(self, table: "Table", scan, ctx: ExecutionContext):
+        """The write path's read side, shared by UPDATE, DELETE and
+        SELECT ... FOR UPDATE: yield ``(tid, row)`` for every tuple the
+        scan qualifies, with the tuple X-locked and the row re-read and
+        re-filtered *after* the lock — it may have changed (or gone)
+        while we waited, so a concurrent writer cannot slip between
+        read and write."""
+        ctx.lock_table(table.schema.name, LockMode.IX)
+        filter_fn = getattr(scan, "filter_fn", None)
+        for tid, _row in scan.rows_with_tids(ctx):
+            if ctx.txn is not None:
+                ctx.txn.lock_tuple(table.schema.name, tid, LockMode.X)
+            self._check_write_conflict(table, tid, ctx)
+            row = table.heap.read(tid)
+            if row is None:
+                continue
+            if filter_fn is not None and not predicate_satisfied(
+                filter_fn(row, ctx.params)
+            ):
+                continue
+            yield tid, row
+
     # ==================================================================
     # SELECT
     # ==================================================================
@@ -105,118 +234,44 @@ class Executor:
         Returns the result rows (discarded by the caller, per Postgres
         semantics) and the instrumented root whose ``explain()`` renders
         per-node actual time/rows/loops.  The original plan object —
-        possibly shared via the session plan cache — is never touched.
+        possibly shared via a statement handle — is never touched.
         """
         root = instrument_plan(planned.node)
         rows = list(root.rows(ctx))
         return rows, root
 
-    def prepare_select_for_update(
-        self, stmt: ast.Select, allow_retired: bool
-    ) -> PreparedScan:
-        """Compile the scan + projection for ``SELECT ... FOR UPDATE``."""
-        if (
-            len(stmt.from_items) != 1
-            or not isinstance(stmt.from_items[0], ast.TableRef)
-            or stmt.group_by
-            or stmt.having is not None
-            or stmt.order_by
-            or stmt.distinct
-        ):
-            raise ExecutionError(
-                "FOR UPDATE supports plain single-table SELECT statements"
-            )
-        ref = stmt.from_items[0]
-        scan = self.planner.plan_dml_scan(
-            ref.name, ref.alias, stmt.where, allow_retired
-        )
-        layout = scan.layout
-        names: list[str] = []
-        fns = []
-        for index, item in enumerate(stmt.items):
-            if isinstance(item.expr, ast.Star):
-                for _binding, name in layout.columns:
-                    names.append(name)
-                    fns.append(
-                        compile_expr(ast.ColumnRef(name, ref.binding), layout)
-                    )
-                continue
-            names.append(item.alias or _item_default_name(item.expr, index))
-            fns.append(compile_expr(item.expr, layout))
-        return PreparedScan(scan, item_fns=fns, item_names=names)
-
     def run_select_for_update(
-        self,
-        stmt: ast.Select,
-        ctx: ExecutionContext,
-        prepared: PreparedScan | None = None,
-    ) -> tuple[list[Row], list[str]]:
+        self, prepared: PreparedDml, ctx: ExecutionContext
+    ) -> list[Row]:
         """``SELECT ... FOR UPDATE``: single-table reads that X-lock the
-        qualifying tuples (re-checked after the lock, like UPDATE), so a
-        concurrent writer cannot slip between read and write — TPC-C's
-        district ``d_next_o_id`` claim depends on this."""
-        if prepared is None:
-            prepared = self.prepare_select_for_update(stmt, ctx.allow_retired)
-        ref = stmt.from_items[0]
-        table = self.catalog.table_checked(ref.name, ctx.allow_retired)
-        scan = prepared.scan
+        qualifying tuples — TPC-C's district ``d_next_o_id`` claim
+        depends on this.  Column names are ``prepared.names``."""
+        table = self.catalog.table_checked(prepared.table, ctx.allow_retired)
         fns = prepared.item_fns
-        names = prepared.item_names
-        ctx.lock_table(table.schema.name, LockMode.IX)
-        filter_fn = getattr(scan, "filter_fn", None)
-        rows: list[Row] = []
-        for tid, _row in scan.rows_with_tids(ctx):
-            if ctx.txn is not None:
-                ctx.txn.lock_tuple(table.schema.name, tid, LockMode.X)
-            self._check_write_conflict(table, tid, ctx)
-            row = table.heap.read(tid)
-            if row is None:
-                continue
-            if filter_fn is not None and not predicate_satisfied(
-                filter_fn(row, ctx.params)
-            ):
-                continue
-            rows.append(tuple(fn(row, ctx.params) for fn in fns))
-        return rows, names
+        params = ctx.params
+        return [
+            tuple(fn(row, params) for fn in fns)
+            for _tid, row in self._locked_rows(table, prepared.scan, ctx)
+        ]
 
     # ==================================================================
     # INSERT
     # ==================================================================
-    def run_insert(self, stmt: ast.Insert, ctx: ExecutionContext) -> int:
-        table = self.catalog.table_checked(stmt.table, ctx.allow_retired)
-        columns = stmt.columns or table.schema.column_names
-        unknown = [c for c in columns if not table.schema.has_column(c)]
-        if unknown:
-            raise ExecutionError(
-                f"table {stmt.table} has no column(s) {unknown!r}"
-            )
-        if stmt.query is not None:
-            planned = self.planner.plan_select(stmt.query, ctx.allow_retired)
-            if len(planned.names) != len(columns):
-                raise ExecutionError(
-                    f"INSERT target has {len(columns)} column(s) but the "
-                    f"query produces {len(planned.names)}"
-                )
-            source_rows: Iterable[Row] = planned.node.rows(ctx)
+    def run_insert(self, prepared: PreparedDml, ctx: ExecutionContext) -> int:
+        table = self.catalog.table_checked(prepared.table, ctx.allow_retired)
+        source_rows: Iterable[Row]
+        if prepared.query is not None:
+            source_rows = prepared.query.node.rows(ctx)
         else:
-            empty = RowLayout()
-            compiled_rows = []
-            for row_exprs in stmt.rows:
-                if len(row_exprs) != len(columns):
-                    raise ExecutionError(
-                        f"INSERT row has {len(row_exprs)} value(s) for "
-                        f"{len(columns)} column(s)"
-                    )
-                compiled_rows.append(
-                    [compile_expr(expr, empty) for expr in row_exprs]
-                )
+            params = ctx.params
             source_rows = (
-                tuple(fn((), ctx.params) for fn in row_fns)
-                for row_fns in compiled_rows
+                tuple(fn((), params) for fn in row_fns)
+                for row_fns in prepared.row_fns
             )
+        columns = prepared.columns
         value_dicts = (dict(zip(columns, row)) for row in source_rows)
         return self.insert_rows(
-            table, value_dicts, ctx, on_conflict_skip=stmt.on_conflict_do_nothing
+            table, value_dicts, ctx, on_conflict_skip=prepared.on_conflict_skip
         )
 
     def insert_rows(
@@ -250,45 +305,11 @@ class Executor:
     # ==================================================================
     # UPDATE
     # ==================================================================
-    def prepare_update(self, stmt: ast.Update, allow_retired: bool) -> PreparedScan:
-        table = self.catalog.table_checked(stmt.table, allow_retired)
-        scan = self.planner.plan_dml_scan(
-            stmt.table, stmt.alias, stmt.where, allow_retired
-        )
-        layout = scan.layout
-        assignments = [
-            (table.schema.column_index(column), compile_expr(expr, layout))
-            for column, expr in stmt.assignments
-        ]
-        return PreparedScan(scan, assignments=assignments)
-
-    def run_update(
-        self,
-        stmt: ast.Update,
-        ctx: ExecutionContext,
-        prepared: PreparedScan | None = None,
-    ) -> int:
-        if prepared is None:
-            prepared = self.prepare_update(stmt, ctx.allow_retired)
-        table = self.catalog.table_checked(stmt.table, ctx.allow_retired)
-        scan = prepared.scan
+    def run_update(self, prepared: PreparedDml, ctx: ExecutionContext) -> int:
+        table = self.catalog.table_checked(prepared.table, ctx.allow_retired)
         assignments = prepared.assignments
-        ctx.lock_table(table.schema.name, LockMode.IX)
-        filter_fn = getattr(scan, "filter_fn", None)
         updated = 0
-        for tid, _row in scan.rows_with_tids(ctx):
-            if ctx.txn is not None:
-                ctx.txn.lock_tuple(table.schema.name, tid, LockMode.X)
-            self._check_write_conflict(table, tid, ctx)
-            # Re-read after locking: the row may have changed (or gone)
-            # while we waited for the X lock.
-            row = table.heap.read(tid)
-            if row is None:
-                continue
-            if filter_fn is not None and not predicate_satisfied(
-                filter_fn(row, ctx.params)
-            ):
-                continue
+        for tid, row in self._locked_rows(table, prepared.scan, ctx):
             new_row = list(row)
             for position, fn in assignments:
                 new_row[position] = table.schema.columns[position].coerce(
@@ -319,36 +340,10 @@ class Executor:
     # ==================================================================
     # DELETE
     # ==================================================================
-    def prepare_delete(self, stmt: ast.Delete, allow_retired: bool) -> PreparedScan:
-        scan = self.planner.plan_dml_scan(
-            stmt.table, stmt.alias, stmt.where, allow_retired
-        )
-        return PreparedScan(scan)
-
-    def run_delete(
-        self,
-        stmt: ast.Delete,
-        ctx: ExecutionContext,
-        prepared: PreparedScan | None = None,
-    ) -> int:
-        if prepared is None:
-            prepared = self.prepare_delete(stmt, ctx.allow_retired)
-        table = self.catalog.table_checked(stmt.table, ctx.allow_retired)
-        scan = prepared.scan
-        ctx.lock_table(table.schema.name, LockMode.IX)
-        filter_fn = getattr(scan, "filter_fn", None)
+    def run_delete(self, prepared: PreparedDml, ctx: ExecutionContext) -> int:
+        table = self.catalog.table_checked(prepared.table, ctx.allow_retired)
         deleted = 0
-        for tid, _row in scan.rows_with_tids(ctx):
-            if ctx.txn is not None:
-                ctx.txn.lock_tuple(table.schema.name, tid, LockMode.X)
-            self._check_write_conflict(table, tid, ctx)
-            row = table.heap.read(tid)
-            if row is None:
-                continue
-            if filter_fn is not None and not predicate_satisfied(
-                filter_fn(row, ctx.params)
-            ):
-                continue
+        for tid, row in self._locked_rows(table, prepared.scan, ctx):
             self._check_no_fk_children(table, row, ctx)
             old_row = table.physical_delete(tid, self._write_stamp(ctx))
             if ctx.txn is not None:
@@ -500,6 +495,14 @@ class Executor:
             if tuple(row[p] for p in positions) == parent_key:
                 return True
         return False
+
+
+_PREPARERS = {
+    ast.Select: Executor._prepare_select,
+    ast.Insert: Executor._prepare_insert,
+    ast.Update: Executor._prepare_update,
+    ast.Delete: Executor._prepare_delete,
+}
 
 
 def _reorder_key(

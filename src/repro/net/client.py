@@ -6,8 +6,8 @@ and return the same :class:`~repro.db.Result` objects, so code written
 against the embedded engine (the TPC-C terminals, ``format_result`` in
 the shell) runs over a socket unchanged.
 
-Two hot-path features come from the PARSE/BIND/EXECUTE protocol
-extension:
+Two hot-path features come from the PARSE/EXECUTE frames and frame
+pipelining:
 
 * **Prepared statements** — ``conn.prepare(sql)`` parses once
   server-side and returns a :class:`PreparedStatement`; executing it
@@ -243,9 +243,6 @@ class Connection:
         except OSError:
             pass
 
-    def _raise_error(self, payload: bytes) -> None:
-        raise self._decode_error(payload)
-
     def _decode_error(self, payload: bytes) -> ReproError:
         frame = protocol.decode_error(payload)
         self._in_transaction = frame["in_transaction"]
@@ -326,35 +323,64 @@ class Connection:
         finally:
             self._trace_end("client.query", ctx, start_us, sql=sql)
 
-    def _read_query_response(self) -> Result:
-        columns: list[str] = []
-        rows: list[tuple] = []
-        tag = ""
+    # One reader pair serves serial execution and ``Pipeline.sync``.
+    # ``embed_errors`` is the pipelined form: an engine error is that
+    # operation's *result* (the connection survives, later replies
+    # still arrive) unless the server killed the connection with it.
+    def _read_query_response(
+        self, embed_errors: bool = False
+    ) -> "Result | ReproError":
+        result = Result("")
         while True:
             ftype, payload = self._recv()
             if ftype == protocol.ROW_HEADER:
                 header = protocol.decode_row_header(payload)
-                tag = header["tag"]
-                columns = header["columns"]
+                result.statement = header["tag"]
+                result.columns = header["columns"]
             elif ftype == protocol.ROW_BATCH:
-                rows.extend(protocol.decode_row_batch(payload))
-            elif ftype == protocol.COMPLETE:
-                frame = protocol.decode_complete(payload)
-                self._in_transaction = frame["in_transaction"]
-                self.schema_epoch = frame["schema_epoch"]
-                return Result(
-                    statement=frame["tag"] or tag,
-                    rows=rows,
-                    columns=columns,
-                    rowcount=frame["rowcount"],
-                )
-            elif ftype == protocol.ERROR:
-                self._raise_error(payload)
+                result.rows.extend(protocol.decode_row_batch(payload))
             else:
-                self._mark_broken()
-                raise ProtocolError(
-                    f"unexpected frame type 0x{ftype:02x} in query response"
-                )
+                return self._complete(ftype, payload, result, embed_errors)
+
+    def _read_txn_response(
+        self, embed_errors: bool = False
+    ) -> "Result | ReproError":
+        return self._complete(*self._recv(), Result(""), embed_errors)
+
+    def _complete(
+        self, ftype: int, payload: bytes, result: Result, embed_errors: bool
+    ) -> "Result | ReproError":
+        """The frame that ends a reply: COMPLETE fills in ``result``;
+        an error is raised, or returned when embedded (see above)."""
+        if ftype == protocol.COMPLETE:
+            frame = protocol.decode_complete(payload)
+            self._in_transaction = frame["in_transaction"]
+            self.schema_epoch = frame["schema_epoch"]
+            result.statement = frame["tag"] or result.statement
+            result.rowcount = frame["rowcount"]
+            return result
+        exc = self._reply_error(ftype, payload, "statement")
+        if embed_errors and not self._closed:
+            return exc
+        raise exc
+
+    def _recv_reply(self, expected: int, what: str) -> bytes:
+        """Payload of a one-frame reply of type ``expected``."""
+        ftype, payload = self._recv()
+        if ftype == expected:
+            return payload
+        raise self._reply_error(ftype, payload, what)
+
+    def _reply_error(self, ftype: int, payload: bytes, what: str) -> ReproError:
+        """What a reply frame that is not the expected one means: the
+        server's error for an ERROR frame, otherwise a protocol
+        violation that breaks the connection."""
+        if ftype == protocol.ERROR:
+            return self._decode_error(payload)
+        self._mark_broken()
+        return ProtocolError(
+            f"unexpected frame type 0x{ftype:02x} in {what} response"
+        )
 
     # ------------------------------------------------------------------
     # Prepared statements
@@ -366,23 +392,15 @@ class Connection:
             self._next_ps += 1
             name = f"ps_{self.session_id}_{self._next_ps}"
         self._send(protocol.encode_parse(name, sql))
-        ftype, payload = self._recv()
-        if ftype == protocol.ERROR:
-            self._raise_error(payload)
-        if ftype != protocol.PARSE_OK:
-            self._mark_broken()
-            raise ProtocolError(
-                f"unexpected frame type 0x{ftype:02x} in parse response"
-            )
+        self._recv_reply(protocol.PARSE_OK, "parse")
         return PreparedStatement(self, name, sql)
 
     def execute_prepared(
         self,
         statement: "PreparedStatement | str",
-        params: Sequence[Any] | None = (),
+        params: Sequence[Any] = (),
     ) -> Result:
-        """Run a prepared statement.  ``params=None`` executes the
-        portal most recently bound with :meth:`bind` (or no params)."""
+        """Run a prepared statement with ``params`` bound inline."""
         name = statement if isinstance(statement, str) else statement.name
         ctx, start_us = self._trace_begin()
         self._send(protocol.encode_execute(
@@ -392,21 +410,6 @@ class Connection:
             return self._read_query_response()
         finally:
             self._trace_end("client.execute", ctx, start_us, name=name)
-
-    def bind(self, statement: "PreparedStatement | str",
-             params: Sequence[Any]) -> None:
-        """Stash a parameter row server-side (a portal);
-        ``execute_prepared(name, params=None)`` runs it."""
-        name = statement if isinstance(statement, str) else statement.name
-        self._send(protocol.encode_bind(name, params))
-        ftype, payload = self._recv()
-        if ftype == protocol.ERROR:
-            self._raise_error(payload)
-        if ftype != protocol.BIND_OK:
-            self._mark_broken()
-            raise ProtocolError(
-                f"unexpected frame type 0x{ftype:02x} in bind response"
-            )
 
     # ------------------------------------------------------------------
     # Pipelining
@@ -426,17 +429,7 @@ class Connection:
         ctx, start_us = self._trace_begin()
         self._send(protocol.encode_txn(op, trace=self._wire_trace(ctx)))
         try:
-            ftype, payload = self._recv()
-            if ftype == protocol.ERROR:
-                self._raise_error(payload)
-            if ftype != protocol.COMPLETE:
-                self._mark_broken()
-                raise ProtocolError(
-                    f"unexpected frame type 0x{ftype:02x} in txn response"
-                )
-            frame = protocol.decode_complete(payload)
-            self._in_transaction = frame["in_transaction"]
-            self.schema_epoch = frame["schema_epoch"]
+            self._read_txn_response()
         finally:
             self._trace_end("client.txn", ctx, start_us, op=op)
 
@@ -491,14 +484,7 @@ class Connection:
         """Admin passthrough (``\\metrics`` / ``\\progress`` for the
         remote shell)."""
         self._send(protocol.encode_meta(command))
-        ftype, payload = self._recv()
-        if ftype == protocol.ERROR:
-            self._raise_error(payload)
-        if ftype != protocol.META_RESULT:
-            self._mark_broken()
-            raise ProtocolError(
-                f"unexpected frame type 0x{ftype:02x} in meta response"
-            )
+        payload = self._recv_reply(protocol.META_RESULT, "meta")
         return protocol.decode_meta_result(payload)["text"]
 
     # -- monitoring convenience (JSON forms of the META commands) ------
@@ -549,11 +535,8 @@ class PreparedStatement:
         self.name = name
         self.sql = sql
 
-    def execute(self, params: Sequence[Any] | None = ()) -> Result:
+    def execute(self, params: Sequence[Any] = ()) -> Result:
         return self.conn.execute_prepared(self, params)
-
-    def bind(self, params: Sequence[Any]) -> None:
-        self.conn.bind(self, params)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PreparedStatement({self.name!r}, {self.sql!r})"
@@ -600,7 +583,7 @@ class Pipeline:
     def execute_prepared(
         self,
         statement: PreparedStatement | str,
-        params: Sequence[Any] | None = (),
+        params: Sequence[Any] = (),
     ) -> int:
         name = statement if isinstance(statement, str) else statement.name
         self._buf += protocol.encode_execute(
@@ -653,9 +636,9 @@ class Pipeline:
         try:
             for kind in ops:
                 if kind == "txn":
-                    results.append(self._read_txn_reply())
+                    results.append(conn._read_txn_response(embed_errors=True))
                 else:
-                    results.append(self._read_query_reply())
+                    results.append(conn._read_query_response(embed_errors=True))
         finally:
             if log is not None and conn._trace:
                 # One client-side span covers the whole batch (the
@@ -672,60 +655,6 @@ class Pipeline:
                 )
         self.results = results
         return results
-
-    def _read_query_reply(self) -> Result | ReproError:
-        conn = self._conn
-        columns: list[str] = []
-        rows: list[tuple] = []
-        tag = ""
-        while True:
-            ftype, payload = conn._recv()
-            if ftype == protocol.ROW_HEADER:
-                header = protocol.decode_row_header(payload)
-                tag = header["tag"]
-                columns = header["columns"]
-            elif ftype == protocol.ROW_BATCH:
-                rows.extend(protocol.decode_row_batch(payload))
-            elif ftype == protocol.COMPLETE:
-                frame = protocol.decode_complete(payload)
-                conn._in_transaction = frame["in_transaction"]
-                conn.schema_epoch = frame["schema_epoch"]
-                return Result(
-                    statement=frame["tag"] or tag,
-                    rows=rows,
-                    columns=columns,
-                    rowcount=frame["rowcount"],
-                )
-            elif ftype == protocol.ERROR:
-                exc = conn._decode_error(payload)
-                if conn._closed:
-                    # The server killed the connection after this
-                    # frame: nothing further will arrive.
-                    raise exc
-                return exc
-            else:
-                conn._mark_broken()
-                raise ProtocolError(
-                    f"unexpected frame type 0x{ftype:02x} in pipeline reply"
-                )
-
-    def _read_txn_reply(self) -> Result | ReproError:
-        conn = self._conn
-        ftype, payload = conn._recv()
-        if ftype == protocol.ERROR:
-            exc = conn._decode_error(payload)
-            if conn._closed:
-                raise exc
-            return exc
-        if ftype != protocol.COMPLETE:
-            conn._mark_broken()
-            raise ProtocolError(
-                f"unexpected frame type 0x{ftype:02x} in pipeline txn reply"
-            )
-        frame = protocol.decode_complete(payload)
-        conn._in_transaction = frame["in_transaction"]
-        conn.schema_epoch = frame["schema_epoch"]
-        return Result(statement=frame["tag"], rowcount=frame["rowcount"])
 
     def __enter__(self) -> "Pipeline":
         return self

@@ -15,13 +15,12 @@ length that was really line noise.
 Client-to-server frames: HELLO (handshake), QUERY (sql + bound
 params), TXN (begin/commit/rollback), META (admin passthrough for the
 remote shell), PING (pool health checks), CLOSE (clean goodbye), and
-the prepared-statement triple PARSE (name + sql, cached server-side
-per connection), BIND (stash a parameter portal for a name) and
-EXECUTE (run a prepared statement; parameters may ride inline in the
-same frame, which is the one-frame hot path that skips the SQL parser
-entirely).  Frames may be **pipelined**: a client can write any number
-of frames before reading replies; the server answers strictly in
-request order.
+the prepared-statement pair PARSE (name + sql, prepared server-side
+and remembered per connection) and EXECUTE (run a prepared statement
+by name with its parameters inline: the one-frame hot path that skips
+the SQL parser entirely).  Frames may be **pipelined**: a client can
+write any number of frames before reading replies; the server answers
+strictly in request order.
 
 Server-to-client frames: WELCOME (protocol/server version + the
 current **schema epoch**, so clients can observe the logical switch),
@@ -84,8 +83,7 @@ META = 0x04
 PING = 0x05
 CLOSE = 0x06
 PARSE = 0x07
-BIND = 0x08
-EXECUTE = 0x09
+EXECUTE = 0x09  # 0x08 (BIND) is retired
 
 # server -> client
 WELCOME = 0x81
@@ -96,13 +94,12 @@ ERROR = 0x85
 PONG = 0x86
 META_RESULT = 0x87
 PARSE_OK = 0x88
-BIND_OK = 0x89
 
 FRAME_TYPES = frozenset(
     {
-        HELLO, QUERY, TXN, META, PING, CLOSE, PARSE, BIND, EXECUTE,
+        HELLO, QUERY, TXN, META, PING, CLOSE, PARSE, EXECUTE,
         WELCOME, ROW_HEADER, ROW_BATCH, COMPLETE, ERROR, PONG, META_RESULT,
-        PARSE_OK, BIND_OK,
+        PARSE_OK,
     }
 )
 
@@ -585,48 +582,16 @@ def decode_parse_ok(payload: bytes) -> dict[str, Any]:
     return out
 
 
-def encode_bind(name: str, params: Sequence[Any] = ()) -> bytes:
-    w = _Writer()
-    w.str(name)
-    _write_row(w, tuple(params))
-    return encode_frame(BIND, w.getvalue())
-
-
-def decode_bind(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    out = {"name": r.str(), "params": _read_row(r)}
-    r.expect_end()
-    return out
-
-
-def encode_bind_ok(name: str) -> bytes:
-    w = _Writer()
-    w.str(name)
-    return encode_frame(BIND_OK, w.getvalue())
-
-
-def decode_bind_ok(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    out = {"name": r.str()}
-    r.expect_end()
-    return out
-
-
 def encode_execute(
     name: str,
-    params: Sequence[Any] | None = None,
+    params: Sequence[Any] = (),
     trace: tuple[int, int] | None = None,
 ) -> bytes:
-    """EXECUTE a prepared statement.  ``params`` inline binds in the
-    same frame (the one-frame hot path); ``None`` executes the portal
-    left by the last BIND for this name (or no parameters)."""
+    """EXECUTE a prepared statement with its parameters inline."""
     w = _Writer()
     w.str(name)
-    if params is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        _write_row(w, tuple(params))
+    w.u8(1)  # has_params: always set (0 meant "use the bound portal")
+    _write_row(w, tuple(params))
     _write_trace(w, trace)
     return encode_frame(EXECUTE, w.getvalue())
 
@@ -637,7 +602,7 @@ def decode_execute(payload: bytes) -> dict[str, Any]:
     has_params = r.u8()
     if has_params not in (0, 1):
         raise ProtocolError(f"bad EXECUTE has_params flag {has_params}")
-    params = _read_row(r) if has_params else None
+    params = _read_row(r) if has_params else ()
     trace = _read_trace(r)
     r.expect_end()
     return {"name": name, "params": params, "trace": trace}

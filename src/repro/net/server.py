@@ -31,15 +31,15 @@ it) the server spawns transient workers up to ``_MAX_WORKERS`` so
 pipelined frames keep draining; transients exit after
 ``_WORKER_KEEPALIVE`` seconds idle.
 
-Prepared statements: PARSE caches the parsed AST server-side, keyed
-per connection; EXECUTE binds parameters (inline, or from a BIND
-portal) and runs :meth:`Session.execute_statement` directly — no SQL
-text, no tokenizer, no parser on the hot path.  A parsed statement
-does not depend on the catalog, so it outlives a migration's logical
-switch: plans re-plan (the plan cache is keyed by schema epoch) and
-execution against a retired table still raises ``SchemaVersionError``,
-so the paper's front-end-restart story is unchanged for prepared
-clients.
+Prepared statements: PARSE stores ``db.prepare(sql)`` — the database's
+one :class:`~repro.db.Statement` handle for that text, shared with
+every other connection and with the embedded path — under the client's
+name; EXECUTE hands it to :meth:`Session.execute_statement` with the
+frame's inline parameters — no SQL text, no tokenizer, no parser, no
+lookup by text on the hot path.  The handle re-plans by itself after a
+schema-epoch bump and execution against a retired table still raises
+``SchemaVersionError``, so the paper's front-end-restart story is
+unchanged for prepared clients.
 
 Connection lifecycle guarantees (unchanged from the threaded server):
 
@@ -89,7 +89,7 @@ from typing import Any, Callable
 
 from .. import __version__ as _SERVER_VERSION
 from ..catalog.catalog import VirtualTable
-from ..db import Database, Result, Session
+from ..db import Database, Result, Session, Statement
 from ..errors import (
     IdleTimeoutError,
     ProtocolError,
@@ -104,7 +104,6 @@ from ..obs.sysviews import _BOOL, _FLOAT, _INT, _TEXT  # the views' column types
 from ..obs.tracectx import TraceContext
 from ..obs.tracectx import activate as _trace_activate
 from ..obs.tracectx import deactivate as _trace_deactivate
-from ..sql import ast_nodes as ast
 from ..txn import IsolationLevel
 from . import protocol
 
@@ -155,17 +154,6 @@ class ServerConfig:
     epoch_prepare_timeout: float = 10.0
 
 
-class _Prepared:
-    """One server-side prepared statement (per connection)."""
-
-    __slots__ = ("name", "sql", "stmt")
-
-    def __init__(self, name: str, sql: str, stmt: ast.Statement) -> None:
-        self.name = name
-        self.sql = sql
-        self.stmt = stmt
-
-
 class _Connection:
     """Server-side bookkeeping for one client socket.
 
@@ -183,7 +171,7 @@ class _Connection:
         "connected_at", "last_activity", "statements", "transactions",
         "bytes_in", "bytes_out", "out_hiwat",
         "inbuf", "inbox", "scheduled", "eof", "eof_cause", "retired",
-        "greeted", "trace", "trace_ctx", "prepared", "portals", "lock",
+        "greeted", "trace", "trace_ctx", "prepared", "lock",
         "out_lock", "outbuf", "want_write", "sel_mask",
     )
 
@@ -213,8 +201,7 @@ class _Connection:
         self.greeted = False
         self.trace = False  # client asked for trace trailers (HELLO)
         self.trace_ctx: TraceContext | None = None  # current request hop
-        self.prepared: dict[str, _Prepared] = {}
-        self.portals: dict[str, tuple] = {}
+        self.prepared: dict[str, Statement] = {}  # PARSE name -> handle
         self.lock = threading.Lock()
         self.out_lock = threading.Lock()
         self.outbuf = bytearray()
@@ -340,7 +327,7 @@ class BullfrogServer:
         self._rt_cells = {
             kind: rt.labels(kind=kind).observe
             for kind in ("query", "txn", "meta", "ping",
-                         "parse", "bind", "execute")
+                         "parse", "execute")
         }
 
     # ------------------------------------------------------------------
@@ -758,9 +745,7 @@ class BullfrogServer:
             # Garbage framing: answer with a structured 08P01 frame if
             # the socket still works, then hang up.
             del conn.inbuf[:pos]
-            self._send_best_effort(conn, protocol.encode_error(
-                exc, conn.session.in_transaction
-            ))
+            self._send_error(conn, exc, self._send_best_effort)
             self._on_disconnect(conn, "protocol_error")
             return
         del conn.inbuf[:pos]
@@ -877,6 +862,17 @@ class BullfrogServer:
             self._ioq.append(("want_write", conn))
             self._wake()
 
+    def _send_error(
+        self, conn: _Connection, exc: BaseException,
+        send: Callable[[_Connection, bytes], None] | None = None,
+    ) -> None:
+        """Every ERROR frame to an admitted connection is built here:
+        the structured error plus the session's transaction flag (the
+        client's ``in_transaction`` is server-authoritative).  ``send``
+        defaults to the buffered ``_send``."""
+        frame = protocol.encode_error(exc, conn.session.in_transaction)
+        (send or self._send)(conn, frame)
+
     def _try_send(self, conn: _Connection, frame: bytes) -> None:
         try:
             self._send(conn, frame)
@@ -976,10 +972,10 @@ class BullfrogServer:
                 # Drain point: this connection's transaction (if any)
                 # just finished; retire it politely.
                 if self._mark_retired(conn):
-                    self._try_send(conn, protocol.encode_error(
-                        ServerShutdownError("server is shutting down"),
-                        in_transaction=False,
-                    ))
+                    self._send_error(
+                        conn, ServerShutdownError("server is shutting down"),
+                        self._try_send,
+                    )
                     self._do_retire(conn, "shutdown")
                 return
 
@@ -1074,26 +1070,12 @@ class BullfrogServer:
         retired (protocol violation, CLOSE, dead socket)."""
         ftype, payload, enq_ts = frame
         try:
-            if not conn.greeted:
+            if not conn.greeted and ftype != protocol.HELLO:
                 # Client-initiated handshake: the first frame must be a
                 # HELLO; the WELCOME answers it (version + epoch + id).
-                if ftype != protocol.HELLO:
-                    raise ProtocolError(
-                        f"expected HELLO, got frame type 0x{ftype:02x}"
-                    )
-                hello = protocol.decode_hello(payload)
-                self._apply_hello_options(conn, hello.get("options") or {})
-                # The capabilities trailer goes only to clients that
-                # asked for tracing — an old client's decode_welcome
-                # would reject the extra byte.
-                self._send(conn, protocol.encode_welcome(
-                    _SERVER_VERSION, self.db.epoch, conn.id,
-                    capabilities=protocol.CAP_TRACE if conn.trace else 0,
-                ))
-                conn.greeted = True
-                if not conn.inbox:
-                    self._flush_conn(conn)
-                return True
+                raise ProtocolError(
+                    f"expected HELLO, got frame type 0x{ftype:02x}"
+                )
             if ftype == protocol.CLOSE:
                 if self._mark_retired(conn):
                     self._do_retire(conn, "client_close")
@@ -1127,9 +1109,7 @@ class BullfrogServer:
                 observe(time.monotonic() - began)
             return True
         except ProtocolError as exc:
-            self._try_send(conn, protocol.encode_error(
-                exc, conn.session.in_transaction
-            ))
+            self._send_error(conn, exc, self._try_send)
             if self._mark_retired(conn):
                 self._do_retire(conn, "protocol_error")
             return False
@@ -1139,9 +1119,7 @@ class BullfrogServer:
                 self._do_retire(conn, cause)
             return False
         except Exception as exc:  # noqa: BLE001 - last-resort server guard
-            self._try_send(conn, protocol.encode_error(
-                exc, conn.session.in_transaction
-            ))
+            self._send_error(conn, exc, self._try_send)
             if self._mark_retired(conn):
                 self._do_retire(conn, "internal_error")
             return False
@@ -1202,65 +1180,37 @@ class BullfrogServer:
             return "query"
         if ftype == protocol.EXECUTE:
             frame = protocol.decode_execute(payload)
-            ps = conn.prepared.get(frame["name"])
-            if ps is None:
-                self._send(conn, protocol.encode_error(
-                    ProtocolError(
-                        f"unknown prepared statement {frame['name']!r}"
-                    ),
-                    conn.session.in_transaction,
+            handle = conn.prepared.get(frame["name"])
+            if handle is None:
+                self._send_error(conn, ProtocolError(
+                    f"unknown prepared statement {frame['name']!r}"
                 ))
                 return "execute"
             params = frame["params"]
-            if params is None:
-                params = conn.portals.get(ps.name, ())
             self._run_statement(
                 conn,
-                lambda: conn.session.execute_statement(
-                    ps.stmt, params, sql_text=ps.sql
-                ),
+                lambda: conn.session.execute_statement(handle, params),
                 self._continue_trace(conn, frame["trace"], enq_ts),
             )
             return "execute"
         if ftype == protocol.PARSE:
             frame = protocol.decode_parse(payload)
             name, sql = frame["name"], frame["sql"]
-            if (
-                name not in conn.prepared
-                and len(conn.prepared) >= _MAX_PREPARED
-            ):
-                self._send(conn, protocol.encode_error(
-                    ProtocolError(
+            try:
+                if (
+                    name not in conn.prepared
+                    and len(conn.prepared) >= _MAX_PREPARED
+                ):
+                    raise ProtocolError(
                         f"prepared-statement cache full "
                         f"({_MAX_PREPARED}); PARSE rejected"
-                    ),
-                    conn.session.in_transaction,
-                ))
-                return "parse"
-            try:
-                stmt = self.db.parse(sql)
+                    )
+                conn.prepared[name] = self.db.prepare(sql)
             except ReproError as exc:
-                self._send(conn, protocol.encode_error(
-                    exc, conn.session.in_transaction
-                ))
+                self._send_error(conn, exc)
                 return "parse"
-            conn.prepared[name] = _Prepared(name, sql, stmt)
-            conn.portals.pop(name, None)
             self._send(conn, protocol.encode_parse_ok(name))
             return "parse"
-        if ftype == protocol.BIND:
-            frame = protocol.decode_bind(payload)
-            if frame["name"] not in conn.prepared:
-                self._send(conn, protocol.encode_error(
-                    ProtocolError(
-                        f"unknown prepared statement {frame['name']!r}"
-                    ),
-                    conn.session.in_transaction,
-                ))
-                return "bind"
-            conn.portals[frame["name"]] = frame["params"]
-            self._send(conn, protocol.encode_bind_ok(frame["name"]))
-            return "bind"
         if ftype == protocol.TXN:
             frame = protocol.decode_txn(payload)
             self._run_txn(
@@ -1273,9 +1223,7 @@ class BullfrogServer:
             try:
                 text = console.run(self.db, command)
             except ReproError as exc:
-                self._send(conn, protocol.encode_error(
-                    exc, conn.session.in_transaction
-                ))
+                self._send_error(conn, exc)
                 return "meta"
             self._send(conn, protocol.encode_meta_result(text))
             return "meta"
@@ -1283,14 +1231,18 @@ class BullfrogServer:
             self._send(conn, protocol.encode_pong(self.db.epoch))
             return "ping"
         if ftype == protocol.HELLO:
-            # A second handshake is harmless; re-welcome.
+            # The handshake (a repeated one is harmless: re-welcome).
             hello = protocol.decode_hello(payload)
             self._apply_hello_options(conn, hello.get("options") or {})
+            # The capabilities trailer goes only to clients that asked
+            # for tracing — an old client's decode_welcome would reject
+            # the extra byte.
             self._send(conn, protocol.encode_welcome(
                 _SERVER_VERSION, self.db.epoch, conn.id,
                 capabilities=protocol.CAP_TRACE if conn.trace else 0,
             ))
-            return "meta"
+            conn.greeted = True
+            return "hello"
         raise ProtocolError(f"unexpected frame type 0x{ftype:02x} from client")
 
     def _apply_hello_options(
@@ -1348,9 +1300,7 @@ class BullfrogServer:
             result = thunk()
         except ReproError as exc:
             if conn.doomed is None:
-                self._send(conn, protocol.encode_error(
-                    exc, conn.session.in_transaction
-                ))
+                self._send_error(conn, exc)
             return
         finally:
             if watchdog is not None:
@@ -1408,9 +1358,7 @@ class BullfrogServer:
                 conn.transactions += 1
                 tag = "ROLLBACK"
         except ReproError as exc:
-            self._send(conn, protocol.encode_error(
-                exc, session.in_transaction
-            ))
+            self._send_error(conn, exc)
             return
         finally:
             if obs is not None:

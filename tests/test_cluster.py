@@ -152,7 +152,7 @@ def rdb():
 
 
 def plan_for(rdb, sql):
-    return rdb.route_plan(rdb.parse(sql), sql)
+    return rdb.route_plan(rdb.prepare(sql))
 
 
 def test_route_point_select(rdb):

@@ -33,8 +33,8 @@ class TestInterceptor:
     def test_interceptor_called_for_dml_and_select(self, db, s):
         calls = []
         db.set_statement_interceptor(
-            lambda session, stmt, params, sql_text: calls.append(
-                type(stmt).__name__
+            lambda session, handle, params: calls.append(
+                type(handle.ast).__name__
             )
         )
         s.execute("SELECT * FROM t")
@@ -66,8 +66,8 @@ class TestInterceptor:
     def test_interceptor_receives_params(self, db, s):
         seen = {}
         db.set_statement_interceptor(
-            lambda session, stmt, params, sql_text: seen.update(
-                params=list(params), sql=sql_text
+            lambda session, handle, params: seen.update(
+                params=list(params), sql=handle.sql
             )
         )
         s.execute("SELECT * FROM t WHERE id = ?", [42])

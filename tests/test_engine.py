@@ -177,6 +177,39 @@ class TestLazyBehaviour:
         assert total == expected
         assert engine.units[0].tracker.migrated_count == 1
 
+    def test_aggregate_unit_plans_its_insert_select_once(self, monkeypatch):
+        """Algorithm 3 runs the unit's pre-rendered INSERT ... SELECT
+        once per group key; that one unchanged statement must be planned
+        O(1) times, not once per key (the parent commit: N + 1)."""
+        from repro.exec.planner import Planner
+
+        groups = 120
+        db = Database(isolation="read_committed")
+        s = db.connect()
+        s.execute("CREATE TABLE src (id INT PRIMARY KEY, grp INT, v INT)")
+        for i in range(2 * groups):
+            s.execute("INSERT INTO src VALUES (?, ?, ?)", [i, i % groups, i])
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", AGG_DDL)
+
+        calls = []
+        plan_select = Planner.plan_select
+
+        def counting(self, select, allow_retired=False):
+            calls.append(select)
+            return plan_select(self, select, allow_retired)
+
+        monkeypatch.setattr(Planner, "plan_select", counting)
+        for grp in range(groups):
+            total = s.execute(
+                "SELECT total FROM grp_totals WHERE grp = ?", [grp]
+            ).scalar()
+            assert total == grp + (grp + groups)
+        assert engine.units[0].tracker.migrated_count == groups
+        # The client's SELECT and the migration's INSERT ... SELECT:
+        # one plan each, whatever the number of keyed reads.
+        assert len(calls) <= 4, f"{len(calls)} plan_select calls for {groups} reads"
+
     def test_static_filter_drops_rows_but_marks_migrated(self):
         db, s = make_source_db()
         engine = LazyMigrationEngine(db, background=no_background())

@@ -727,9 +727,6 @@ def test_prepared_statement_roundtrip(server):
         ps = conn.prepare("SELECT v FROM t WHERE id = ?")
         assert ps.execute([1]).rows == [("one",)]
         assert ps.execute([2]).rows == [("two",)]
-        # portal form: BIND stashes the params, EXECUTE(None) runs them
-        ps.bind([1])
-        assert conn.execute_prepared(ps, params=None).rows == [("one",)]
 
 
 def test_prepared_statement_unknown_name_keeps_connection(server):

@@ -201,19 +201,6 @@ def test_parse_roundtrip(name, sql):
 
 @_settings
 @given(name=st.text(max_size=60), params=row_strategy)
-def test_bind_roundtrip(name, params):
-    frame = protocol.encode_bind(name, params)
-    ftype, payload, _ = protocol.decode_frame(frame)
-    assert ftype == protocol.BIND
-    out = protocol.decode_bind(payload)
-    assert out["name"] == name
-    assert out["params"] == tuple(params)
-    _, payload, _ = protocol.decode_frame(protocol.encode_bind_ok(name))
-    assert protocol.decode_bind_ok(payload) == {"name": name}
-
-
-@_settings
-@given(name=st.text(max_size=60), params=row_strategy)
 def test_execute_inline_params_roundtrip(name, params):
     frame = protocol.encode_execute(name, params)
     ftype, payload, _ = protocol.decode_frame(frame)
@@ -226,21 +213,6 @@ def test_execute_inline_params_roundtrip(name, params):
         assert type(a) is type(b)
 
 
-@_settings
-@given(name=st.text(max_size=60))
-def test_execute_portal_form_roundtrip(name):
-    """``params=None`` means "run the bound portal" and must be
-    distinguishable from an empty inline parameter row."""
-    _, payload, _ = protocol.decode_frame(protocol.encode_execute(name, None))
-    assert protocol.decode_execute(payload) == {
-        "name": name, "params": None, "trace": None,
-    }
-    _, payload, _ = protocol.decode_frame(protocol.encode_execute(name, ()))
-    assert protocol.decode_execute(payload) == {
-        "name": name, "params": (), "trace": None,
-    }
-
-
 def test_execute_bad_has_params_flag_rejected():
     frame = protocol.encode_execute("q", (1,))
     _, payload, _ = protocol.decode_frame(frame)
@@ -251,6 +223,12 @@ def test_execute_bad_has_params_flag_rejected():
     mangled = payload[:flag_offset] + b"\x02" + payload[flag_offset + 1 :]
     with pytest.raises(ProtocolError):
         protocol.decode_execute(mangled)
+    # Flag 0 (an old client's "no inline parameters" form) still decodes.
+    _, bare, _ = protocol.decode_frame(protocol.encode_execute("q"))
+    bare = bare[:flag_offset] + b"\x00"
+    assert protocol.decode_execute(bare) == {
+        "name": "q", "params": (), "trace": None,
+    }
 
 
 def test_txn_unknown_op_rejected():
@@ -325,8 +303,6 @@ _sample_frames = [
     protocol.encode_meta_result("text"),
     protocol.encode_parse("q1", "SELECT * FROM t WHERE id = ?"),
     protocol.encode_parse_ok("q1"),
-    protocol.encode_bind("q1", (17, "x", None)),
-    protocol.encode_bind_ok("q1"),
     protocol.encode_execute("q1", (17, None)),
     # Trace-trailer variants: the optional trailer must obey the same
     # truncation/garbage discipline as every fixed field.
@@ -350,8 +326,6 @@ _decoders = {
     protocol.PONG: protocol.decode_pong,
     protocol.PARSE: protocol.decode_parse,
     protocol.PARSE_OK: protocol.decode_parse_ok,
-    protocol.BIND: protocol.decode_bind,
-    protocol.BIND_OK: protocol.decode_bind_ok,
     protocol.EXECUTE: protocol.decode_execute,
 }
 

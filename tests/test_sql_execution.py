@@ -508,19 +508,132 @@ class TestDdlStatements:
             s.execute("SELECT * FROM emp")
 
 
-class TestPlanCache:
-    def test_select_plans_cached(self, db, s):
-        sql = "SELECT name FROM emp WHERE id = ?"
-        s.execute(sql, [1])
-        cached_before = len(db._plan_cache)
-        s.execute(sql, [2])
-        assert len(db._plan_cache) == cached_before
+CACHED_DML = [
+    ("SELECT name FROM emp WHERE id = ?", [1]),
+    ("SELECT name FROM emp WHERE id = ? FOR UPDATE", [1]),
+    ("INSERT INTO emp (id, name) VALUES (?, ?)", [None, "new"]),
+    ("INSERT INTO emp_copy SELECT id, name FROM emp WHERE id = ?", [1]),
+    ("UPDATE emp SET salary = salary + 1 WHERE id = ?", [1]),
+    ("DELETE FROM emp WHERE id = ?", [None]),
+]
 
-    def test_ddl_invalidates_cache(self, db, s):
-        s.execute("SELECT name FROM emp WHERE id = ?", [1])
-        assert db._plan_cache
+
+class TestPreparedStatements:
+    """``db.prepare(sql)``: one handle per SQL text, one executor
+    artifact per schema epoch and ``allow_retired`` flavour."""
+
+    def test_one_handle_per_sql_text(self, db, s):
+        sql = "SELECT name FROM emp WHERE id = ?"
+        handle = db.prepare(sql)
+        assert db.prepare(sql) is handle
+        assert db.parse(sql) is handle.ast
+        assert handle.sql == sql and handle.kind == "select"
+        assert handle.tables == {"emp"}
+        assert db.prepare("INSERT INTO a SELECT * FROM b JOIN c ON x = y").tables == {
+            "a", "b", "c",
+        }
+
+    @pytest.mark.parametrize(
+        "sql,params", CACHED_DML,
+        ids=["select", "for-update", "insert-values", "insert-select",
+             "update", "delete"],
+    )
+    def test_second_execution_does_no_front_end_work(
+        self, db, s, monkeypatch, sql, params
+    ):
+        """Parse, plan and expression compile happen on the first
+        execution of a SQL text only (INSERT included: the parent
+        recompiled its VALUES row on every execution)."""
+        import repro.db
+        import repro.exec.executor
+        from repro.exec.planner import Planner
+
+        s.execute("CREATE TABLE emp_copy (id INT, name VARCHAR(30))")
+        fresh = iter(range(100, 200))
+        bind = lambda: [next(fresh) if p is None else p for p in params]
+        first = s.execute(sql, bind())
+
+        def forbidden(name):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"{name} called on a repeated statement")
+            return fail
+
+        monkeypatch.setattr(repro.db, "parse_statement", forbidden("parse_statement"))
+        monkeypatch.setattr(Planner, "plan_select", forbidden("plan_select"))
+        monkeypatch.setattr(Planner, "plan_dml_scan", forbidden("plan_dml_scan"))
+        monkeypatch.setattr(
+            repro.exec.executor, "compile_expr", forbidden("compile_expr")
+        )
+        second = s.execute(sql, bind())
+        assert (second.statement, second.columns) == (first.statement, first.columns)
+
+    def test_artifact_rebuilt_after_ddl_uses_new_index(self, db, s):
+        sql = "SELECT id FROM emp WHERE name = ?"
+        handle = db.prepare(sql)
+        assert s.execute(sql, ["ada"]).rows == [(1,)]
+        before = handle.artifact(s)
+        assert handle.artifact(s) is before
+        assert "emp_name_idx" not in before.explain()
         s.execute("CREATE INDEX emp_name_idx ON emp (name)")
-        assert not db._plan_cache  # epoch bump cleared the cache
+        assert db.prepare(sql) is handle  # the handle survives DDL ...
+        after = handle.artifact(s)  # ... its plan does not
+        assert after is not before
+        assert "Index Scan using emp_name_idx" in after.explain()
+        assert s.execute(sql, ["ada"]).rows == [(1,)]
+
+    def test_artifact_rebuilt_after_alter_table(self, db, s):
+        sql = "INSERT INTO emp VALUES (?, ?, ?, ?, ?)"
+        s.execute(sql, [6, "fay", "eng", "1.00", "2022-01-01"])
+        s.execute("ALTER TABLE emp ADD COLUMN nick VARCHAR(10)")
+        with pytest.raises(ExecutionError):  # five values, six columns now
+            s.execute(sql, [7, "gus", "eng", "1.00", "2022-01-01"])
+
+    def test_migration_flip_replans_and_retires(self, db, s):
+        from repro import BackgroundConfig, LazyMigrationEngine
+        from repro.errors import SchemaVersionError
+
+        old, new = "SELECT name FROM emp WHERE id = ?", "SELECT name FROM emp2 WHERE id = ?"
+        assert s.execute(old, [1]).rows == [("ada",)]
+        engine = LazyMigrationEngine(db, background=BackgroundConfig(enabled=False))
+        engine.submit(
+            "m",
+            "CREATE TABLE emp2 (id INT PRIMARY KEY, name VARCHAR(30));"
+            "INSERT INTO emp2 (id, name) SELECT id, name FROM emp;",
+        )
+        with pytest.raises(SchemaVersionError):
+            s.execute(old, [1])  # prepared before the flip, retired after
+        assert s.execute(new, [1]).rows == [("ada",)]
+        # Migration-internal sessions still read the retired input, from
+        # an artifact of their own.
+        internal = db.connect(allow_retired=True)
+        assert internal.execute(old, [1]).rows == [("ada",)]
+        handle = db.prepare(old)
+        assert handle.artifact(internal) is handle.artifact(internal)
+        with pytest.raises(SchemaVersionError):
+            handle.artifact(s)
+
+    def test_bare_ast_runs_on_an_uncached_handle(self, db, s, monkeypatch):
+        from repro.exec.planner import Planner
+        from repro.sql.parser import parse_statement
+
+        calls = []
+        plan_select = Planner.plan_select
+
+        def counting(self, select, allow_retired=False):
+            calls.append(select)
+            return plan_select(self, select, allow_retired)
+
+        monkeypatch.setattr(Planner, "plan_select", counting)
+        stmt = parse_statement("SELECT COUNT(*) FROM emp")
+        assert s.execute_statement(stmt).scalar() == 5
+        assert s.execute_statement(stmt).scalar() == 5
+        assert len(calls) == 2  # no SQL text, nothing to cache under
+
+    def test_explain_is_never_cached(self, db, s):
+        sql = "EXPLAIN SELECT id FROM emp WHERE name = 'ada'"
+        assert "emp_name_idx" not in str(s.execute(sql).rows)
+        s.execute("CREATE INDEX emp_name_idx ON emp (name)")
+        assert "emp_name_idx" in str(s.execute(sql).rows)
 
     def test_plan_after_ddl_sees_new_index(self, s):
         sql = "SELECT id FROM emp WHERE name = ?"
@@ -528,3 +641,82 @@ class TestPlanCache:
         s.execute("CREATE INDEX emp_name_idx ON emp (name)")
         plan = s.explain("SELECT id FROM emp WHERE name = 'ada'")
         assert "emp_name_idx" in plan
+
+
+# ----------------------------------------------------------------------
+# One statement path, three surfaces
+# ----------------------------------------------------------------------
+PARITY_STATEMENTS = [
+    ("CREATE TABLE kv (w INT, k INT, v INT, PRIMARY KEY (w, k))", ()),
+    ("CREATE TABLE kv_copy (w INT, k INT, v INT)", ()),
+    ("INSERT INTO kv (w, k, v) VALUES (?, ?, ?)", (1, 1, 10)),
+    ("INSERT INTO kv (w, k, v) VALUES (?, ?, ?)", (1, 2, 20)),
+    ("INSERT INTO kv (w, k, v) VALUES (?, ?, ?)", (1, 2, 21)),  # duplicate key
+    ("SELECT k, v FROM kv WHERE w = ? AND k = ?", (1, 2)),
+    ("BEGIN", ()),
+    ("SELECT v FROM kv WHERE w = ? AND k = ? FOR UPDATE", (1, 1)),
+    ("UPDATE kv SET v = v + ? WHERE w = ? AND k = ?", (5, 1, 1)),
+    ("COMMIT", ()),
+    ("BEGIN", ()),
+    ("DELETE FROM kv WHERE w = ? AND k = ?", (1, 2)),
+    ("ROLLBACK", ()),
+    ("COMMIT", ()),  # no transaction in progress
+    ("INSERT INTO kv_copy SELECT w, k, v FROM kv WHERE w = ?", (1,)),
+    ("SELECT k, v FROM kv_copy ORDER BY k", ()),
+    ("DELETE FROM kv WHERE w = ? AND k = ?", (1, 2)),
+    ("SELECT COUNT(*) FROM kv WHERE w = ?", (1,)),
+]
+
+
+@pytest.fixture(params=["embedded", "wire-prepared", "router"])
+def surface_execute(request):
+    """``execute(sql, params)`` on each way into the statement path:
+    ``Session.execute``, PARSE + EXECUTE against a bullfrogd, and a
+    one-shard router (``kv`` partitioned by ``w``, ``kv_copy``
+    replicated, so every routing mode but scatter is crossed)."""
+    from repro.cluster.router import RouterDatabase
+    from repro.cluster.shardmap import ShardMap
+    from repro.net import BullfrogServer, ServerConfig, connect
+
+    db = Database()
+    if request.param == "embedded":
+        yield db.connect().execute
+        return
+    stops = []
+    try:
+        server = BullfrogServer(db, ServerConfig(port=0)).start()
+        stops.append(server.shutdown)
+        port = server.port
+        if request.param == "router":
+            router_db = RouterDatabase(ShardMap(
+                addresses=[("127.0.0.1", port)],
+                partition_columns={"kv": "w"},
+                replicated=frozenset({"kv_copy"}),
+            ))
+            stops.append(router_db.close)
+            router = BullfrogServer(router_db, ServerConfig(port=0)).start()
+            stops.append(router.shutdown)
+            port = router.port
+        conn = connect("127.0.0.1", port, auto_prepare=64)
+        stops.append(conn.close)
+        yield conn.execute
+    finally:
+        for stop in reversed(stops):
+            stop()
+
+
+def test_statement_parity_across_surfaces(surface_execute):
+    from repro.errors import ReproError
+
+    def outcome(execute, sql, params):
+        try:
+            r = execute(sql, params)
+        except ReproError as exc:
+            return type(exc).__name__
+        return (r.statement, r.columns, r.rows, r.rowcount)
+
+    reference = Database().connect().execute
+    for sql, params in PARITY_STATEMENTS:
+        assert outcome(surface_execute, sql, params) == outcome(
+            reference, sql, params
+        ), sql

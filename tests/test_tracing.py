@@ -61,7 +61,7 @@ class TestTrailerCodec:
     @_settings
     @given(
         name=st.text(max_size=40),
-        params=st.none() | st.tuples(_ids),
+        params=st.just(()) | st.tuples(_ids),
         trace=_trace_strategy,
     )
     def test_execute_trailer_roundtrip(self, name, params, trace):
