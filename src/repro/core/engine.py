@@ -456,7 +456,13 @@ class LazyMigrationEngine:
         if txn is not None:
             return txn.snapshot_ts  # None for read-committed txns
         if session.effective_isolation is IsolationLevel.SNAPSHOT:
-            return self.db.txns.current_ts()
+            # Autocommit: the implicit transaction must read at the very
+            # timestamp the overlay is computed against, and version GC
+            # must not cut below it before that transaction begins —
+            # the session unpins once it has.
+            ts = self.db.txns.pin_snapshot()
+            session._pending_snapshot_ts = ts
+            return ts
         return None
 
     @staticmethod
@@ -513,10 +519,6 @@ class LazyMigrationEngine:
                 continue
             for name, rows in runtime.project(pending, snapshot_ts).items():
                 overlay.setdefault(name, []).extend(rows)
-        if session._txn is None:
-            # Autocommit: the implicit transaction must read at the very
-            # timestamp the overlay was computed against.
-            session._pending_snapshot_ts = snapshot_ts
         session._pending_overlay = overlay or None
         if self.obs is not None and self.obs.active and overlay:
             self.obs.emit(

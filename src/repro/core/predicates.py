@@ -344,7 +344,7 @@ class PredicateTransfer:
     def _compile_bitmap_scope(self, predicate: ast.Expr):
         scan = self.planner.plan_dml_scan(
             self.unit.anchor, self.unit.anchor_binding, predicate, allow_retired=True
-        )
+        ).compile_tids()
         heap = self.catalog.table(self.unit.anchor).heap
         size = self.granule_size
         catalog = self.catalog
@@ -358,7 +358,7 @@ class PredicateTransfer:
             ctx.params = params
             granules = {
                 heap.ordinal(tid) // size
-                for tid, _row in scan.rows_with_tids(ctx)
+                for tid, _row in scan(ctx)
             }
             return Scope(granules=granules)
 
@@ -513,7 +513,7 @@ class PredicateTransfer:
     ):
         scan = self.planner.plan_dml_scan(
             table_name, binding, predicate, allow_retired=True
-        )
+        ).compile_tids()
         table = self.catalog.table(table_name)
         positions = [table.schema.column_index(c) for c in key_columns]
         catalog = self.catalog
@@ -527,7 +527,7 @@ class PredicateTransfer:
             ctx.params = params
             return {
                 tuple(row[p] for p in positions)
-                for _tid, row in scan.rows_with_tids(ctx)
+                for _tid, row in scan(ctx)
             }
 
         return collect

@@ -325,9 +325,11 @@ class Session:
         self.internal = False
         self._closed = False
         # Set by the migration interceptor for a snapshot SELECT: the
-        # snapshot timestamp it pinned *before* computing overlay state,
-        # and the pre-migration row overlay for not-yet-visible granules.
-        # Consumed by the next transaction begin / execution context.
+        # snapshot timestamp it pinned (``TransactionManager.
+        # pin_snapshot``) *before* computing overlay state, and the
+        # pre-migration row overlay for not-yet-visible granules.
+        # Consumed by the statement's transaction begin / execution
+        # context, and released when the statement ends.
         self._pending_snapshot_ts: int | None = None
         self._pending_overlay: dict[str, list[tuple]] | None = None
         # Propagated request trace context: ``bullfrogd`` parks the
@@ -491,34 +493,34 @@ class Session:
         self, handle: Statement, params: Sequence[Any], trace_ctx: Any = None
     ) -> Result:
         interceptor = self.db._interceptor
-        if (
-            interceptor is not None
-            and handle.runner is not None  # DML only (not DDL, not EXPLAIN)
-            and not self.internal
-        ):
-            if trace_ctx is not None:
-                # Only statements that carry a trace context (sampled
-                # roots and propagated requests) pay the two clock
-                # reads around interception; an untraced statement
-                # runs the interceptor bare.
-                obs = self.db.obs
-                t0 = time.perf_counter()
-                try:
-                    interceptor(self, handle, params)
-                finally:
-                    obs.intercept_done(t0, trace_ctx)
-            else:
-                interceptor(self, handle, params)
-
         try:
+            if (
+                interceptor is not None
+                and handle.runner is not None  # DML only (not DDL, not EXPLAIN)
+                and not self.internal
+            ):
+                if trace_ctx is not None:
+                    # Only statements that carry a trace context (sampled
+                    # roots and propagated requests) pay the two clock
+                    # reads around interception; an untraced statement
+                    # runs the interceptor bare.
+                    obs = self.db.obs
+                    t0 = time.perf_counter()
+                    try:
+                        interceptor(self, handle, params)
+                    finally:
+                        obs.intercept_done(t0, trace_ctx)
+                else:
+                    interceptor(self, handle, params)
+
             if self.in_transaction:
                 return self._dispatch(handle, params)
             # Autocommit: wrap in a transaction.  A snapshot timestamp
             # the interceptor pinned (before it computed overlay state)
             # carries into the transaction so both agree on visibility.
-            pinned, self._pending_snapshot_ts = self._pending_snapshot_ts, None
             txn = self.db.txns.begin(
-                isolation=self.effective_isolation, snapshot_ts=pinned
+                isolation=self.effective_isolation,
+                snapshot_ts=self._pending_snapshot_ts,
             )
             self._txn = txn
             try:
@@ -533,8 +535,13 @@ class Session:
             self._txn = None
             return result
         finally:
-            # Overlay state is per-statement: never leak it into the next.
-            self._pending_snapshot_ts = None
+            # Overlay state and the pinned snapshot are per-statement:
+            # never leak them into the next.  The pin has held the GC
+            # horizon until the transaction registered its snapshot.
+            pinned = self._pending_snapshot_ts
+            if pinned is not None:
+                self._pending_snapshot_ts = None
+                self.db.txns.unpin_snapshot(pinned)
             self._pending_overlay = None
 
     # ------------------------------------------------------------------
@@ -672,7 +679,7 @@ class Session:
         table = self.db.catalog.create_table(schema, if_not_exists=stmt.if_not_exists)
         self.db.bump_epoch()
         count = 0
-        for row in planned.node.rows(ctx):
+        for row in planned.run(ctx):
             coerced = tuple(
                 column.coerce(value) for column, value in zip(columns, row)
             )

@@ -55,6 +55,15 @@ class ExecutionError(ReproError):
     """Base class for runtime query-execution failures."""
 
 
+class InvalidRowCount(ExecutionError):
+    """A negative LIMIT or OFFSET count.  Carries PostgreSQL's SQLSTATE:
+    2201W for LIMIT, 2201X for OFFSET."""
+
+    def __init__(self, message: str, sqlstate: str) -> None:
+        super().__init__(message)
+        self.sqlstate = sqlstate
+
+
 class StorageError(ExecutionError):
     """The physical storage layer was asked to do something structurally
     impossible: update or double-delete a tombstoned tuple, overflow a

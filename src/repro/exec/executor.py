@@ -30,8 +30,8 @@ from ..sql import ast_nodes as ast
 from ..storage.tid import Tid
 from ..storage.version import BOOTSTRAP_STAMP
 from ..txn.locks import LockMode
-from .expressions import RowLayout, compile_expr, predicate_satisfied
-from .plan import AnalyzedNode, ExecutionContext, PlanNode, instrument_plan
+from .expressions import RowLayout, compile_expr, compile_projection
+from .plan import AnalyzedNode, ExecutionContext, TableScan, instrument_plan
 from .planner import PlannedQuery, Planner
 
 Row = tuple[Any, ...]
@@ -40,16 +40,17 @@ Row = tuple[Any, ...]
 @dataclass(slots=True)
 class PreparedDml:
     """The executor's artifact for one DML statement shape: the target
-    table's name, the planned scan (or INSERT source) and every
+    table's name, the compiled locked scan (or INSERT source) and every
     expression compiled once.  Executions bind parameters per call; the
     statement handle (:class:`repro.db.Statement`) keeps one per schema
     epoch and ``allow_retired`` flavour."""
 
     table: str
+    # UPDATE / DELETE: ctx -> [(tid, row)] of X-locked qualifying
+    # tuples; SELECT ... FOR UPDATE: ctx -> projected rows.
     scan: Any = None
     assignments: list | None = None  # UPDATE: [(position, fn)]
-    item_fns: list | None = None  # SELECT ... FOR UPDATE projection
-    names: list[str] | None = None  # ... and its output column names
+    names: list[str] | None = None  # FOR UPDATE output column names
     columns: Sequence[str] | None = None  # INSERT target columns
     row_fns: list | None = None  # INSERT ... VALUES: one fn list per row
     query: PlannedQuery | None = None  # INSERT ... SELECT source plan
@@ -100,18 +101,19 @@ class Executor:
         )
         layout = scan.layout
         names: list[str] = []
-        fns = []
+        exprs: list[ast.Expr] = []
         for index, item in enumerate(stmt.items):
             if isinstance(item.expr, ast.Star):
                 for _binding, name in layout.columns:
                     names.append(name)
-                    fns.append(
-                        compile_expr(ast.ColumnRef(name, ref.binding), layout)
-                    )
+                    exprs.append(ast.ColumnRef(name, ref.binding))
                 continue
             names.append(item.alias or _item_default_name(item.expr, index))
-            fns.append(compile_expr(item.expr, layout))
-        return PreparedDml(ref.name, scan, item_fns=fns, names=names)
+            exprs.append(item.expr)
+        project = compile_projection(exprs, layout)
+        return PreparedDml(
+            ref.name, self._locked_scan(scan, project), names=names
+        )
 
     def _prepare_insert(self, stmt: ast.Insert, allow_retired: bool) -> PreparedDml:
         table = self.catalog.table_checked(stmt.table, allow_retired)
@@ -157,25 +159,26 @@ class Executor:
             (table.schema.column_index(column), compile_expr(expr, layout))
             for column, expr in stmt.assignments
         ]
-        return PreparedDml(stmt.table, scan, assignments=assignments)
+        return PreparedDml(
+            stmt.table, self._locked_scan(scan), assignments=assignments
+        )
 
     def _prepare_delete(self, stmt: ast.Delete, allow_retired: bool) -> PreparedDml:
         scan = self.planner.plan_dml_scan(
             stmt.table, stmt.alias, stmt.where, allow_retired
         )
-        return PreparedDml(stmt.table, scan)
+        return PreparedDml(stmt.table, self._locked_scan(scan))
 
     # ==================================================================
     # Snapshot-isolation write conflicts (first-updater-wins)
     # ==================================================================
     def _check_write_conflict(self, table: "Table", tid: Tid, ctx: ExecutionContext) -> None:
-        """Under SNAPSHOT isolation, a write target whose newest
-        committed version postdates our snapshot means another
-        transaction won the conflict: abort with SQLSTATE 40001.  Called
-        after the tuple X lock is held, so the chain head is stable and
-        any non-aborted foreign stamp is fully committed."""
-        if ctx.snapshot_ts is None or ctx.txn is None:
-            return
+        """Under SNAPSHOT isolation (``ctx`` has a transaction and a
+        snapshot), a write target whose newest committed version
+        postdates our snapshot means another transaction won the
+        conflict: abort with SQLSTATE 40001.  Called after the tuple X
+        lock is held, so the chain head is stable and any non-aborted
+        foreign stamp is fully committed."""
         version = table.heap.read_version(tid)
         while version is not None and version.stamp.aborted:
             version = version.prev
@@ -198,33 +201,46 @@ class Executor:
     def _write_stamp(ctx: ExecutionContext):
         return ctx.txn.stamp if ctx.txn is not None else BOOTSTRAP_STAMP
 
-    def _locked_rows(self, table: "Table", scan, ctx: ExecutionContext):
-        """The write path's read side, shared by UPDATE, DELETE and
-        SELECT ... FOR UPDATE: yield ``(tid, row)`` for every tuple the
-        scan qualifies, with the tuple X-locked and the row re-read and
-        re-filtered *after* the lock — it may have changed (or gone)
-        while we waited, so a concurrent writer cannot slip between
-        read and write."""
-        ctx.lock_table(table.schema.name, LockMode.IX)
-        filter_fn = getattr(scan, "filter_fn", None)
-        for tid, _row in scan.rows_with_tids(ctx):
-            if ctx.txn is not None:
-                ctx.txn.lock_tuple(table.schema.name, tid, LockMode.X)
-            self._check_write_conflict(table, tid, ctx)
-            row = table.heap.read(tid)
-            if row is None:
-                continue
-            if filter_fn is not None and not predicate_satisfied(
-                filter_fn(row, ctx.params)
-            ):
-                continue
-            yield tid, row
+    def _locked_scan(self, scan: TableScan, project=None):
+        """Compile the write path's read side, shared by UPDATE, DELETE
+        and SELECT ... FOR UPDATE: ``run(ctx)`` returns every tuple the
+        scan qualifies, X-locked, re-read and re-filtered *after* the
+        lock — it may have changed (or gone) while we waited, so a
+        concurrent writer cannot slip between read and write — as
+        ``(tid, row)`` pairs, or as ``project(row, params)`` rows."""
+        qualifying = scan.compile_tids()
+        table = scan.table
+        name = table.schema.name
+        heap = table.heap
+        filter_fn = scan.filter_fn
+        check_conflict = self._check_write_conflict
+
+        def locked_scan(ctx: ExecutionContext) -> list:
+            ctx.lock_table(name, LockMode.IX)
+            txn = ctx.txn
+            params = ctx.params
+            snapshot = ctx.snapshot_ts is not None and txn is not None
+            out = []
+            for tid, _row in qualifying(ctx):
+                if txn is not None:
+                    txn.lock_tuple(name, tid, LockMode.X)
+                if snapshot:
+                    check_conflict(table, tid, ctx)
+                row = heap.read(tid)
+                if row is None:
+                    continue
+                if filter_fn is not None and filter_fn(row, params) is not True:
+                    continue
+                out.append((tid, row) if project is None else project(row, params))
+            return out
+
+        return locked_scan
 
     # ==================================================================
     # SELECT
     # ==================================================================
     def run_select(self, planned: PlannedQuery, ctx: ExecutionContext) -> list[Row]:
-        return list(planned.node.rows(ctx))
+        return planned.run(ctx)
 
     def run_analyze(
         self, planned: PlannedQuery, ctx: ExecutionContext
@@ -237,7 +253,7 @@ class Executor:
         possibly shared via a statement handle — is never touched.
         """
         root = instrument_plan(planned.node)
-        rows = list(root.rows(ctx))
+        rows = root.compile()(ctx)
         return rows, root
 
     def run_select_for_update(
@@ -246,13 +262,10 @@ class Executor:
         """``SELECT ... FOR UPDATE``: single-table reads that X-lock the
         qualifying tuples — TPC-C's district ``d_next_o_id`` claim
         depends on this.  Column names are ``prepared.names``."""
-        table = self.catalog.table_checked(prepared.table, ctx.allow_retired)
-        fns = prepared.item_fns
-        params = ctx.params
-        return [
-            tuple(fn(row, params) for fn in fns)
-            for _tid, row in self._locked_rows(table, prepared.scan, ctx)
-        ]
+        # Like run_update / run_delete: refuse a table a flip retired
+        # after this artifact was fetched.
+        self.catalog.table_checked(prepared.table, ctx.allow_retired)
+        return prepared.scan(ctx)
 
     # ==================================================================
     # INSERT
@@ -261,7 +274,7 @@ class Executor:
         table = self.catalog.table_checked(prepared.table, ctx.allow_retired)
         source_rows: Iterable[Row]
         if prepared.query is not None:
-            source_rows = prepared.query.node.rows(ctx)
+            source_rows = prepared.query.run(ctx)
         else:
             params = ctx.params
             source_rows = (
@@ -309,7 +322,7 @@ class Executor:
         table = self.catalog.table_checked(prepared.table, ctx.allow_retired)
         assignments = prepared.assignments
         updated = 0
-        for tid, row in self._locked_rows(table, prepared.scan, ctx):
+        for tid, row in prepared.scan(ctx):
             new_row = list(row)
             for position, fn in assignments:
                 new_row[position] = table.schema.columns[position].coerce(
@@ -343,7 +356,7 @@ class Executor:
     def run_delete(self, prepared: PreparedDml, ctx: ExecutionContext) -> int:
         table = self.catalog.table_checked(prepared.table, ctx.allow_retired)
         deleted = 0
-        for tid, row in self._locked_rows(table, prepared.scan, ctx):
+        for tid, row in prepared.scan(ctx):
             self._check_no_fk_children(table, row, ctx)
             old_row = table.physical_delete(tid, self._write_stamp(ctx))
             if ctx.txn is not None:

@@ -201,6 +201,43 @@ _CMP_MAKERS: dict[str, Callable[[int], bool]] = {
     ">=": lambda c: c >= 0,
 }
 
+# Same-type fast paths for compiled operators.  A pair whose operands
+# share one of these exact types (``bool`` is its own type, so it never
+# qualifies) skips the generic dispatch; every other pair — NULL,
+# strings with CHAR padding, mixed numerics, dates — goes through
+# ``compare_values`` / ``_ARITH_OPS``, which stay the reference.
+_NUMERIC_TYPES = frozenset({int, float, Decimal})
+
+_FAST_ARITH: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+}
+
+_INT_CMP: dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _same_type_cmp(op: str) -> dict[type, Callable[[Any, Any], bool]]:
+    """Comparison ``op`` per operand type, computing exactly what
+    ``compare_values`` + the predicate would.  Only ``int`` maps to the
+    bare ``operator`` function: for ``float`` and ``Decimal`` NaN makes
+    the two differ (``compare_values`` ranks NaN above everything, and
+    Decimal NaN raises on ``<``), so they keep its ``==``-then-``<``
+    order without its type dispatch."""
+    predicate = _CMP_MAKERS[op]
+
+    def ordered(left: Any, right: Any) -> bool:
+        return predicate(0 if left == right else -1 if left < right else 1)
+
+    return {int: _INT_CMP[op], float: ordered, Decimal: ordered}
+
 
 def like_match(value: Any, pattern: Any) -> Any:
     """SQL LIKE with ``%`` and ``_`` wildcards; NULL-propagating."""
@@ -409,15 +446,31 @@ def _compile_binary(expr: ast.BinaryOp, layout: RowLayout) -> CompiledExpr:
         return lambda row, params: sql_or(left(row, params), right(row, params))
     if op in _CMP_MAKERS:
         predicate = _CMP_MAKERS[op]
+        fast_by_type = _same_type_cmp(op)
         def eval_cmp(row: Row, params: Sequence[Any]) -> Any:
-            cmp = compare_values(left(row, params), right(row, params))
+            lhs = left(row, params)
+            rhs = right(row, params)
+            if type(lhs) is type(rhs):
+                fast = fast_by_type.get(type(lhs))
+                if fast is not None:
+                    return fast(lhs, rhs)
+            cmp = compare_values(lhs, rhs)
             if cmp is None:
                 return None
             return predicate(cmp)
         return eval_cmp
     if op in _ARITH_OPS:
         apply = _ARITH_OPS[op]
-        return lambda row, params: apply(left(row, params), right(row, params))
+        fast_arith = _FAST_ARITH.get(op)
+        if fast_arith is None:
+            return lambda row, params: apply(left(row, params), right(row, params))
+        def eval_arith(row: Row, params: Sequence[Any]) -> Any:
+            lhs = left(row, params)
+            rhs = right(row, params)
+            if type(lhs) is type(rhs) and type(lhs) in _NUMERIC_TYPES:
+                return fast_arith(lhs, rhs)
+            return apply(lhs, rhs)
+        return eval_arith
     if op == "||":
         def eval_concat(row: Row, params: Sequence[Any]) -> Any:
             lhs = left(row, params)
@@ -466,6 +519,38 @@ def _compile_case(expr: ast.CaseExpr, layout: RowLayout) -> CompiledExpr:
         return default(row, params) if default is not None else None
 
     return eval_case
+
+
+def compile_projection(
+    exprs: Sequence[ast.Expr], layout: RowLayout
+) -> Callable[[Row, Sequence[Any]], Row]:
+    """Compile a list of expressions into one closure ``fn(row, params)
+    -> tuple`` built for its item count: a list of plain columns is an
+    ``itemgetter``, a short list a fixed tuple display, so no row pays
+    for a ``tuple(genexpr)``.  Used for select lists, index keys, hash
+    join keys and group keys alike."""
+    if all(isinstance(expr, ast.ColumnRef) for expr in exprs):
+        positions = [layout.position(expr) for expr in exprs]
+        if not positions:
+            return lambda row, params: ()
+        if len(positions) == 1:
+            (position,) = positions
+            return lambda row, params: (row[position],)
+        getter = operator.itemgetter(*positions)
+        return lambda row, params: getter(row)
+    fns = [compile_expr(expr, layout) for expr in exprs]
+    if len(fns) == 1:
+        (f0,) = fns
+        return lambda row, params: (f0(row, params),)
+    if len(fns) == 2:
+        f0, f1 = fns
+        return lambda row, params: (f0(row, params), f1(row, params))
+    if len(fns) == 3:
+        f0, f1, f2 = fns
+        return lambda row, params: (
+            f0(row, params), f1(row, params), f2(row, params)
+        )
+    return lambda row, params: tuple([fn(row, params) for fn in fns])
 
 
 def evaluate_constant(expr: ast.Expr, params: Sequence[Any] = ()) -> Any:

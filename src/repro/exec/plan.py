@@ -1,10 +1,22 @@
-"""Physical plan nodes.
+"""Physical plan nodes, compiled into closures at prepare time.
 
 Plan nodes are built by :mod:`repro.exec.planner` with all expressions
-pre-compiled; ``rows(ctx)`` streams result tuples.  Nodes carry a
-:class:`~repro.exec.expressions.RowLayout` describing their output and a
-parallel list of inferred column types (used by CREATE TABLE AS
+pre-compiled.  A node is executed through ``compile()``, once per
+prepared statement: it returns ``run(ctx) -> list of rows``.  A base
+table scan with its residual filter and the projection above it
+compiles into *one* loop that appends straight into the result list
+(:meth:`TableScan.compile`); every other node consumes its child's
+list.  The tree itself stays what ``explain()`` and EXPLAIN ANALYZE
+(:func:`instrument_plan`) walk — there is no second, row-at-a-time
+execution path.  Nodes carry a
+:class:`~repro.exec.expressions.RowLayout` describing their output and
+a parallel list of inferred column types (used by CREATE TABLE AS
 SELECT).
+
+Storage is read through ``HeapTable.read`` / ``read_snapshot`` and the
+index ``lookup`` / ``prefix_scan`` methods, looked up on the objects
+at every execution, so wrappers installed on those classes see every
+read.
 
 Locking policy (documented in DESIGN.md): scans take a table-level IS
 lock — enough to make eager migration's exclusive table lock block all
@@ -17,15 +29,19 @@ MVCC snapshot reads.
 from __future__ import annotations
 
 import copy
+import math
+import operator
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from itertools import chain
+from typing import Any, Callable, Sequence
 
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoid a circular import: catalog depends on exec.expressions
     from ..catalog.catalog import Table
 
+from ..errors import InvalidRowCount
 from ..storage.index import Index
 from ..storage.tid import Tid
 from ..txn.locks import LockMode
@@ -35,6 +51,10 @@ from .expressions import CompiledExpr, RowLayout, compare_values, predicate_sati
 from .operators import OperatorStats
 
 Row = tuple[Any, ...]
+Projection = Callable[[Row, Sequence[Any]], Row]
+Compiled = Callable[["ExecutionContext"], list]
+
+_second = operator.itemgetter(1)
 
 
 @dataclass
@@ -86,7 +106,9 @@ class PlanNode:
     layout: RowLayout
     types: list[SqlType | None]
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def compile(self) -> Compiled:
+        """This node as one closure ``run(ctx) -> list of rows``.
+        Called once per prepared plan; ``run`` is what executes."""
         raise NotImplementedError
 
     def explain(self, indent: int = 0) -> list[str]:
@@ -94,7 +116,71 @@ class PlanNode:
         raise NotImplementedError
 
 
-class SeqScanNode(PlanNode):
+def _row_sink(
+    filter_fn: CompiledExpr | None, project: Projection | None
+) -> Callable[[Any, Sequence[Any]], list]:
+    """The tail of a fused scan: ``sink(rows, params)`` runs the
+    residual filter and the projection over candidate rows (``None``
+    marks a tuple that vanished between index and heap) in one
+    comprehension."""
+    if filter_fn is None:
+        if project is None:
+            return lambda rows, params: [row for row in rows if row is not None]
+        return lambda rows, params: [
+            project(row, params) for row in rows if row is not None
+        ]
+    if project is None:
+        return lambda rows, params: [
+            row for row in rows
+            if row is not None and filter_fn(row, params) is True
+        ]
+    return lambda rows, params: [
+        project(row, params) for row in rows
+        if row is not None and filter_fn(row, params) is True
+    ]
+
+
+def _pair_sink(
+    filter_fn: CompiledExpr | None,
+) -> Callable[[Any, Sequence[Any]], list[tuple[Tid, Row]]]:
+    """:func:`_row_sink` for the DML form: keeps ``(tid, row)``."""
+    if filter_fn is None:
+        return lambda pairs, params: [
+            (tid, row) for tid, row in pairs if row is not None
+        ]
+    return lambda pairs, params: [
+        (tid, row) for tid, row in pairs
+        if row is not None and filter_fn(row, params) is True
+    ]
+
+
+class TableScan(PlanNode):
+    """A scan of a base table with its residual filter.
+
+    Two compiled forms: ``compile(project)`` — the SELECT form, with the
+    projection above it fused into the same loop and, under SNAPSHOT
+    isolation, the interceptor's pre-migration overlay unioned in — and
+    ``compile_tids()`` — the DML form, ``(tid, row)`` pairs for UPDATE /
+    DELETE / FOR UPDATE and the migration scope probes.  Under SNAPSHOT
+    the DML form reads the snapshot (SI semantics: DML targets the rows
+    your snapshot shows; the executor's first-updater-wins check aborts
+    if a target's current version committed after the snapshot) and has
+    no overlay: the interceptor migrates a DML statement's scope
+    synchronously, so write targets are always in the new table."""
+
+    table: "Table"
+    binding: str
+    filter_fn: CompiledExpr | None
+    filter_text: str
+
+    def compile(self, project: Projection | None = None) -> Compiled:
+        raise NotImplementedError
+
+    def compile_tids(self) -> Callable[["ExecutionContext"], list[tuple[Tid, Row]]]:
+        raise NotImplementedError
+
+
+class SeqScanNode(TableScan):
     """Full scan of a base table with an optional residual filter."""
 
     def __init__(
@@ -113,47 +199,34 @@ class SeqScanNode(PlanNode):
         self.filter_fn = filter_fn
         self.filter_text = filter_text
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        ctx.lock_table(self.table.schema.name, LockMode.IS)
-        filter_fn = self.filter_fn
-        params = ctx.params
-        if ctx.snapshot_ts is not None:
-            source: Iterator[tuple[Any, Row]] = self.table.heap.scan_snapshot(
-                ctx.snapshot_ts, ctx.own_stamp
-            )
-        else:
-            source = self.table.heap.scan()
-        if filter_fn is None:
-            for _tid, row in source:
-                yield row
-        else:
-            for _tid, row in source:
-                if predicate_satisfied(filter_fn(row, params)):
-                    yield row
-        if ctx.snapshot_ts is not None:
-            for row in ctx.overlay_rows(self.table.schema.name):
-                if filter_fn is None or predicate_satisfied(filter_fn(row, params)):
-                    yield row
+    def compile(self, project: Projection | None = None) -> Compiled:
+        name = self.table.schema.name
+        heap = self.table.heap
+        sink = _row_sink(self.filter_fn, project)
 
-    def rows_with_tids(self, ctx: ExecutionContext) -> Iterator[tuple[Tid, Row]]:
-        """DML variant: yields (tid, row).  Under SNAPSHOT isolation the
-        scan sees the snapshot (SI semantics: DML targets the rows your
-        snapshot shows; the executor's first-updater-wins check aborts if
-        a target's current version committed after the snapshot).  No
-        overlay here: the interceptor migrates a DML statement's scope
-        synchronously, so write targets are always in the new table."""
-        ctx.lock_table(self.table.schema.name, LockMode.IS)
-        filter_fn = self.filter_fn
-        params = ctx.params
-        if ctx.snapshot_ts is not None:
-            source: Iterator[tuple[Tid, Row]] = self.table.heap.scan_snapshot(
-                ctx.snapshot_ts, ctx.own_stamp
-            )
-        else:
-            source = self.table.heap.scan()
-        for tid, row in source:
-            if filter_fn is None or predicate_satisfied(filter_fn(row, params)):
-                yield tid, row
+        def seq_scan(ctx: ExecutionContext) -> list:
+            ctx.lock_table(name, LockMode.IS)
+            snapshot_ts = ctx.snapshot_ts
+            if snapshot_ts is None:
+                return sink(map(_second, heap.scan()), ctx.params)
+            rows = map(_second, heap.scan_snapshot(snapshot_ts, ctx.own_stamp))
+            return sink(chain(rows, ctx.overlay_rows(name)), ctx.params)
+
+        return seq_scan
+
+    def compile_tids(self) -> Callable[["ExecutionContext"], list[tuple[Tid, Row]]]:
+        name = self.table.schema.name
+        heap = self.table.heap
+        sink = _pair_sink(self.filter_fn)
+
+        def seq_scan_tids(ctx: ExecutionContext) -> list[tuple[Tid, Row]]:
+            ctx.lock_table(name, LockMode.IS)
+            snapshot_ts = ctx.snapshot_ts
+            if snapshot_ts is None:
+                return sink(heap.scan(), ctx.params)
+            return sink(heap.scan_snapshot(snapshot_ts, ctx.own_stamp), ctx.params)
+
+        return seq_scan_tids
 
     def explain(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
@@ -163,8 +236,10 @@ class SeqScanNode(PlanNode):
         return lines
 
 
-class IndexScanNode(PlanNode):
-    """Equality lookup through an index, plus residual filter."""
+class IndexScanNode(TableScan):
+    """Equality lookup through an index, plus residual filter.
+    ``key_fn(() , params)`` computes the (possibly leading-prefix)
+    lookup key."""
 
     def __init__(
         self,
@@ -173,7 +248,8 @@ class IndexScanNode(PlanNode):
         layout: RowLayout,
         types: list[SqlType | None],
         index: Index,
-        key_fns: list[CompiledExpr],
+        key_fn: Projection,
+        key_width: int,
         filter_fn: CompiledExpr | None,
         index_cond_text: str = "",
         filter_text: str = "",
@@ -183,68 +259,104 @@ class IndexScanNode(PlanNode):
         self.layout = layout
         self.types = types
         self.index = index
-        self.key_fns = key_fns
+        self.key_fn = key_fn
+        self.key_width = key_width
         self.filter_fn = filter_fn
         self.index_cond_text = index_cond_text
         self.filter_text = filter_text
 
-    def _key(self, ctx: ExecutionContext) -> tuple[Any, ...]:
-        return tuple(fn((), ctx.params) for fn in self.key_fns)
+    def _lookup(self) -> Callable[[tuple], Sequence[Tid]]:
+        """``key -> TIDs``: an equality lookup for the full key, a
+        ``prefix_scan`` of an ordered index for a leading prefix."""
+        index = self.index
+        if self.key_width == len(index.columns):
+            return lambda key: index.lookup(key)
+        return lambda key: [tid for _key, tid in index.prefix_scan(key)]
 
-    def _key_matches(self, row: Row, key: tuple[Any, ...]) -> bool:
-        """Does ``row``'s indexed key match the (possibly partial)
-        lookup key?  Snapshot reads re-check this because the index is
-        unversioned: an entry can point at a chain whose visible version
-        carries a different key."""
-        full = self.table.index_key(self.index, row)
-        return tuple(full[: len(key)]) == key
+    def _snapshot_pairs(self, lookup: Callable[[tuple], Sequence[Tid]]):
+        """SNAPSHOT candidates as ``pairs(ctx, key)``: the index maps
+        current heads only.  Rows deleted or re-keyed after the snapshot
+        fell out of it, but their older versions may still be visible —
+        the table's unindexed-TID log supplies those candidates, and a
+        key re-check drops the versions whose key does not match (the
+        index is unversioned)."""
+        table = self.table
+        heap = table.heap
+        index = self.index
+        width = self.key_width
 
-    def _matches(self, ctx: ExecutionContext) -> Iterator[tuple[Tid, Row]]:
-        ctx.lock_table(self.table.schema.name, LockMode.IS)
-        key = self._key(ctx)
-        filter_fn = self.filter_fn
-        if len(key) < len(self.index.columns):
-            # Leading-prefix lookup on an ordered index.
-            tids = [tid for _key, tid in self.index.prefix_scan(key)]
-        else:
-            tids = self.index.lookup(key)
-        snapshot_ts = ctx.snapshot_ts
-        if snapshot_ts is not None:
-            # The index maps current heads only.  Rows deleted or
-            # re-keyed after the snapshot fell out of it, but their
-            # older versions may still be visible — the table's
-            # unindexed-TID log supplies those candidates, and the key
-            # re-check below filters the misses.
-            extra = self.table.unindexed_tids()
+        def pairs(ctx: ExecutionContext, key: tuple):
+            tids = lookup(key)
+            extra = table.unindexed_tids()
             if extra:
                 seen = set(tids)
                 tids = list(tids) + [t for t in extra if t not in seen]
-        for tid in tids:
-            if snapshot_ts is None:
-                row = self.table.heap.read(tid)
-            else:
-                row = self.table.heap.read_snapshot(tid, snapshot_ts, ctx.own_stamp)
-            if row is None:
-                continue  # tombstoned between index read and heap read
-            if snapshot_ts is not None and not self._key_matches(row, key):
-                continue  # key changed after the snapshot was taken
-            if filter_fn is None or predicate_satisfied(filter_fn(row, ctx.params)):
-                yield tid, row
+            snapshot_ts, own_stamp = ctx.snapshot_ts, ctx.own_stamp
+            for tid in tids:
+                row = heap.read_snapshot(tid, snapshot_ts, own_stamp)
+                if row is not None and table.index_key(index, row)[:width] == key:
+                    yield tid, row
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for _tid, row in self._matches(ctx):
-            yield row
-        if ctx.snapshot_ts is not None:
-            key = self._key(ctx)
-            filter_fn = self.filter_fn
-            for row in ctx.overlay_rows(self.table.schema.name):
-                if not self._key_matches(row, key):
-                    continue
-                if filter_fn is None or predicate_satisfied(filter_fn(row, ctx.params)):
-                    yield row
+        return pairs
 
-    def rows_with_tids(self, ctx: ExecutionContext) -> Iterator[tuple[Tid, Row]]:
-        yield from self._matches(ctx)
+    def compile(self, project: Projection | None = None) -> Compiled:
+        table = self.table
+        name = table.schema.name
+        heap = table.heap
+        index = self.index
+        width = self.key_width
+        key_fn = self.key_fn
+        lookup = self._lookup()
+        snapshot_pairs = self._snapshot_pairs(lookup)
+        filter_fn = self.filter_fn
+        sink = _row_sink(filter_fn, project)
+        # A full unique key matches at most one tuple (NULL keys aside),
+        # so a plain loop over the lookup beats building the sink's
+        # iterators.
+        point = index.unique and width == len(index.columns)
+
+        def index_scan(ctx: ExecutionContext) -> list:
+            ctx.lock_table(name, LockMode.IS)
+            params = ctx.params
+            key = key_fn((), params)
+            if ctx.snapshot_ts is None:
+                if not point:
+                    return sink(map(heap.read, lookup(key)), params)
+                out = []
+                for tid in index.lookup(key):
+                    row = heap.read(tid)
+                    if row is not None and (
+                        filter_fn is None or filter_fn(row, params) is True
+                    ):
+                        out.append(row if project is None else project(row, params))
+                return out
+            overlay = [
+                row for row in ctx.overlay_rows(name)
+                if table.index_key(index, row)[:width] == key
+            ]
+            rows = map(_second, snapshot_pairs(ctx, key))
+            return sink(chain(rows, overlay), params)
+
+        return index_scan
+
+    def compile_tids(self) -> Callable[["ExecutionContext"], list[tuple[Tid, Row]]]:
+        name = self.table.schema.name
+        heap = self.table.heap
+        key_fn = self.key_fn
+        lookup = self._lookup()
+        snapshot_pairs = self._snapshot_pairs(lookup)
+        sink = _pair_sink(self.filter_fn)
+
+        def index_scan_tids(ctx: ExecutionContext) -> list[tuple[Tid, Row]]:
+            ctx.lock_table(name, LockMode.IS)
+            params = ctx.params
+            key = key_fn((), params)
+            if ctx.snapshot_ts is None:
+                tids = lookup(key)
+                return sink(zip(tids, map(heap.read, tids)), params)
+            return sink(snapshot_pairs(ctx, key), params)
+
+        return index_scan_tids
 
     def explain(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
@@ -275,8 +387,8 @@ class DerivedNode(PlanNode):
         self.layout = layout
         self.types = types
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return self.inner.rows(ctx)
+    def compile(self) -> Compiled:
+        return self.inner.compile()
 
     def explain(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
@@ -303,21 +415,30 @@ class NestedLoopJoinNode(PlanNode):
         self.condition = condition
         self.kind = kind
         self.condition_text = condition_text
-        self._right_width = len(right.layout)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        right_rows = list(self.right.rows(ctx))
+    def compile(self) -> Compiled:
+        run_left = self.left.compile()
+        run_right = self.right.compile()
         condition = self.condition
-        null_pad = (None,) * self._right_width
-        for left_row in self.left.rows(ctx):
-            matched = False
-            for right_row in right_rows:
-                combined = left_row + right_row
-                if condition is None or predicate_satisfied(condition(combined, ctx.params)):
-                    matched = True
-                    yield combined
-            if self.kind == "LEFT" and not matched:
-                yield left_row + null_pad
+        outer = self.kind == "LEFT"
+        null_pad = (None,) * len(self.right.layout)
+
+        def nested_loop(ctx: ExecutionContext) -> list:
+            params = ctx.params
+            right_rows = run_right(ctx)
+            out = []
+            for left_row in run_left(ctx):
+                matched = False
+                for right_row in right_rows:
+                    combined = left_row + right_row
+                    if condition is None or predicate_satisfied(condition(combined, params)):
+                        matched = True
+                        out.append(combined)
+                if outer and not matched:
+                    out.append(left_row + null_pad)
+            return out
+
+        return nested_loop
 
     def explain(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
@@ -331,7 +452,8 @@ class NestedLoopJoinNode(PlanNode):
 
 
 class HashJoinNode(PlanNode):
-    """Equi-join: builds a hash table on the right input."""
+    """Equi-join: builds a hash table on the right input.  The key
+    functions compute a side's join key tuple from its row."""
 
     def __init__(
         self,
@@ -339,8 +461,8 @@ class HashJoinNode(PlanNode):
         right: PlanNode,
         layout: RowLayout,
         types: list[SqlType | None],
-        left_key_fns: list[CompiledExpr],
-        right_key_fns: list[CompiledExpr],
+        left_key: Projection,
+        right_key: Projection,
         residual: CompiledExpr | None,
         kind: str = "INNER",
         condition_text: str = "",
@@ -349,34 +471,43 @@ class HashJoinNode(PlanNode):
         self.right = right
         self.layout = layout
         self.types = types
-        self.left_key_fns = left_key_fns
-        self.right_key_fns = right_key_fns
+        self.left_key = left_key
+        self.right_key = right_key
         self.residual = residual
         self.kind = kind
         self.condition_text = condition_text
-        self._right_width = len(right.layout)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        params = ctx.params
-        build: dict[tuple, list[Row]] = {}
-        for right_row in self.right.rows(ctx):
-            key = tuple(fn(right_row, params) for fn in self.right_key_fns)
-            if any(part is None for part in key):
-                continue  # NULL never equi-joins
-            build.setdefault(key, []).append(right_row)
+    def compile(self) -> Compiled:
+        run_left = self.left.compile()
+        run_right = self.right.compile()
+        left_key, right_key = self.left_key, self.right_key
         residual = self.residual
-        null_pad = (None,) * self._right_width
-        for left_row in self.left.rows(ctx):
-            key = tuple(fn(left_row, params) for fn in self.left_key_fns)
-            matched = False
-            if not any(part is None for part in key):
-                for right_row in build.get(key, ()):
-                    combined = left_row + right_row
-                    if residual is None or predicate_satisfied(residual(combined, params)):
-                        matched = True
-                        yield combined
-            if self.kind == "LEFT" and not matched:
-                yield left_row + null_pad
+        outer = self.kind == "LEFT"
+        null_pad = (None,) * len(self.right.layout)
+
+        def hash_join(ctx: ExecutionContext) -> list:
+            params = ctx.params
+            build: dict[tuple, list[Row]] = {}
+            for right_row in run_right(ctx):
+                key = right_key(right_row, params)
+                if None in key:
+                    continue  # NULL never equi-joins
+                build.setdefault(key, []).append(right_row)
+            out = []
+            for left_row in run_left(ctx):
+                key = left_key(left_row, params)
+                matched = False
+                if None not in key:
+                    for right_row in build.get(key, ()):
+                        combined = left_row + right_row
+                        if residual is None or predicate_satisfied(residual(combined, params)):
+                            matched = True
+                            out.append(combined)
+                if outer and not matched:
+                    out.append(left_row + null_pad)
+            return out
+
+        return hash_join
 
     def explain(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
@@ -397,12 +528,10 @@ class FilterNode(PlanNode):
         self.filter_fn = filter_fn
         self.filter_text = filter_text
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        filter_fn = self.filter_fn
-        params = ctx.params
-        for row in self.child.rows(ctx):
-            if predicate_satisfied(filter_fn(row, params)):
-                yield row
+    def compile(self) -> Compiled:
+        run = self.child.compile()
+        sink = _row_sink(self.filter_fn, None)
+        return lambda ctx: sink(run(ctx), ctx.params)
 
     def explain(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
@@ -411,25 +540,30 @@ class FilterNode(PlanNode):
 
 
 class ProjectNode(PlanNode):
+    """Select-list evaluation; ``project(row, params)`` builds the
+    output tuple.  Over a base-table scan it compiles into the scan's
+    own loop."""
+
     def __init__(
         self,
         child: PlanNode,
-        exprs: list[CompiledExpr],
+        project: Projection,
         layout: RowLayout,
         types: list[SqlType | None],
         names: list[str],
     ) -> None:
         self.child = child
-        self.exprs = exprs
+        self.project = project
         self.layout = layout
         self.types = types
         self.names = names
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        exprs = self.exprs
-        params = ctx.params
-        for row in self.child.rows(ctx):
-            yield tuple(expr(row, params) for expr in exprs)
+    def compile(self) -> Compiled:
+        if isinstance(self.child, TableScan):
+            return self.child.compile(self.project)
+        run = self.child.compile()
+        sink = _row_sink(None, self.project)
+        return lambda ctx: sink(run(ctx), ctx.params)
 
     def explain(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
@@ -439,19 +573,19 @@ class ProjectNode(PlanNode):
 class AggregateNode(PlanNode):
     """Hash aggregation.
 
-    ``group_fns`` compute the grouping key from an input row;
+    ``group_key`` computes the grouping key tuple from an input row;
     ``agg_factories`` create fresh accumulators per group (see
-    :mod:`repro.exec.operators`); ``output_fns`` compute the final
-    select items from the synthetic group row
-    ``group_key + tuple(agg_results)``; ``having_fn`` filters groups.
+    :mod:`repro.exec.operators`); ``output`` computes the final select
+    items from the synthetic group row ``group_key + tuple(agg_results)``;
+    ``having_fn`` filters groups.
     """
 
     def __init__(
         self,
         child: PlanNode,
-        group_fns: list[CompiledExpr],
+        group_key: Projection,
         agg_factories: list[Callable[[], Any]],
-        output_fns: list[CompiledExpr],
+        output: Projection,
         having_fn: CompiledExpr | None,
         layout: RowLayout,
         types: list[SqlType | None],
@@ -459,35 +593,45 @@ class AggregateNode(PlanNode):
         implicit_single_group: bool = False,
     ) -> None:
         self.child = child
-        self.group_fns = group_fns
+        self.group_key = group_key
         self.agg_factories = agg_factories
-        self.output_fns = output_fns
+        self.output = output
         self.having_fn = having_fn
         self.layout = layout
         self.types = types
         self.names = names
         self.implicit_single_group = implicit_single_group
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        params = ctx.params
-        groups: dict[tuple, list[Any]] = {}
-        for row in self.child.rows(ctx):
-            key = tuple(fn(row, params) for fn in self.group_fns)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [factory() for factory in self.agg_factories]
-                groups[key] = accumulators
-            for accumulator in accumulators:
-                accumulator.add(row, params)
-        if not groups and self.implicit_single_group:
-            groups[()] = [factory() for factory in self.agg_factories]
-        for key, accumulators in groups.items():
-            group_row = key + tuple(acc.result() for acc in accumulators)
-            if self.having_fn is not None and not predicate_satisfied(
-                self.having_fn(group_row, params)
-            ):
-                continue
-            yield tuple(fn(group_row, params) for fn in self.output_fns)
+    def compile(self) -> Compiled:
+        run = self.child.compile()
+        group_key, factories = self.group_key, self.agg_factories
+        output, having_fn = self.output, self.having_fn
+        implicit_single_group = self.implicit_single_group
+
+        def aggregate(ctx: ExecutionContext) -> list:
+            params = ctx.params
+            groups: dict[tuple, list[Any]] = {}
+            for row in run(ctx):
+                key = group_key(row, params)
+                accumulators = groups.get(key)
+                if accumulators is None:
+                    accumulators = [factory() for factory in factories]
+                    groups[key] = accumulators
+                for accumulator in accumulators:
+                    accumulator.add(row, params)
+            if not groups and implicit_single_group:
+                groups[()] = [factory() for factory in factories]
+            out = []
+            for key, accumulators in groups.items():
+                group_row = key + tuple([acc.result() for acc in accumulators])
+                if having_fn is not None and not predicate_satisfied(
+                    having_fn(group_row, params)
+                ):
+                    continue
+                out.append(output(group_row, params))
+            return out
+
+        return aggregate
 
     def explain(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
@@ -500,12 +644,9 @@ class DistinctNode(PlanNode):
         self.layout = child.layout
         self.types = child.types
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        seen: set = set()
-        for row in self.child.rows(ctx):
-            if row not in seen:
-                seen.add(row)
-                yield row
+    def compile(self) -> Compiled:
+        run = self.child.compile()
+        return lambda ctx: list(dict.fromkeys(run(ctx)))
 
     def explain(self, indent: int = 0) -> list[str]:
         return ["  " * indent + "Unique"] + self.child.explain(indent + 1)
@@ -524,13 +665,19 @@ class SortNode(PlanNode):
         self.key_fns = key_fns
         self.descending = descending
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        params = ctx.params
-        material = list(self.child.rows(ctx))
+    def compile(self) -> Compiled:
+        run = self.child.compile()
         # Stable multi-key sort: apply keys right-to-left.
-        for key_fn, desc in reversed(list(zip(self.key_fns, self.descending))):
-            material.sort(key=lambda row: _OrderKey(key_fn(row, params)), reverse=desc)
-        return iter(material)
+        keys = list(reversed(list(zip(self.key_fns, self.descending))))
+
+        def sort(ctx: ExecutionContext) -> list:
+            params = ctx.params
+            material = run(ctx)
+            for key_fn, desc in keys:
+                material.sort(key=lambda row: _OrderKey(key_fn(row, params)), reverse=desc)
+            return material
+
+        return sort
 
     def explain(self, indent: int = 0) -> list[str]:
         return ["  " * indent + "Sort"] + self.child.explain(indent + 1)
@@ -573,19 +720,26 @@ class LimitNode(PlanNode):
         self.limit_fn = limit_fn
         self.offset_fn = offset_fn
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        limit = self.limit_fn((), ctx.params) if self.limit_fn is not None else None
-        offset = self.offset_fn((), ctx.params) if self.offset_fn is not None else 0
-        produced = 0
-        skipped = 0
-        for row in self.child.rows(ctx):
-            if skipped < (offset or 0):
-                skipped += 1
-                continue
-            if limit is not None and produced >= limit:
-                return
-            produced += 1
-            yield row
+    def compile(self) -> Compiled:
+        run = self.child.compile()
+        limit_fn, offset_fn = self.limit_fn, self.offset_fn
+
+        def limit(ctx: ExecutionContext) -> list:
+            # NULL means no limit / no offset, as in PostgreSQL.
+            count = limit_fn((), ctx.params) if limit_fn is not None else None
+            skip = offset_fn((), ctx.params) if offset_fn is not None else None
+            if count is not None and count < 0:
+                raise InvalidRowCount("LIMIT must not be negative", "2201W")
+            if skip is not None and skip < 0:
+                raise InvalidRowCount("OFFSET must not be negative", "2201X")
+            rows = run(ctx)
+            # ceil: a fractional count admits the row it reaches into.
+            start = math.ceil(skip) if skip is not None else 0
+            if count is None:
+                return rows[start:]
+            return rows[start : start + math.ceil(count)]
+
+        return limit
 
     def explain(self, indent: int = 0) -> list[str]:
         return ["  " * indent + "Limit"] + self.child.explain(indent + 1)
@@ -614,8 +768,9 @@ class VirtualScanNode(PlanNode):
         self.types = types
         self.producer = producer
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        yield from self.producer(ctx)
+    def compile(self) -> Compiled:
+        producer = self.producer
+        return lambda ctx: list(producer(ctx))
 
     def explain(self, indent: int = 0) -> list[str]:
         return ["  " * indent + f"Virtual Scan on {self.name} {self.binding}"]
@@ -631,12 +786,13 @@ _CHILD_ATTRS = ("child", "inner", "left", "right")
 class AnalyzedNode(PlanNode):
     """Instrumented wrapper around a plan node for ``EXPLAIN ANALYZE``.
 
-    Counts rows, loops (stream re-opens, e.g. per outer row on the
-    inner side of a join), and inclusive wall time per node.  The
-    wrapped node is attribute-named ``target`` — deliberately distinct
-    from the child attributes scanned by :func:`instrument_plan` — and
-    is a shallow *clone* of the original, so cached shared plans are
-    never mutated by instrumentation.
+    Counts rows, loops (executions of the node) and inclusive wall time
+    per node.  The wrapped node is attribute-named ``target`` —
+    deliberately distinct from the child attributes scanned by
+    :func:`instrument_plan` — and is a shallow *clone* of the original,
+    so cached shared plans are never mutated by instrumentation.  A
+    wrapper between a projection and its scan is also what keeps the
+    two from compiling into one loop, so each reports its own counters.
     """
 
     def __init__(self, target: PlanNode) -> None:
@@ -645,23 +801,20 @@ class AnalyzedNode(PlanNode):
         self.types = target.types
         self.stats = OperatorStats()
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def compile(self) -> Compiled:
+        run = self.target.compile()
         stats = self.stats
-        stats.loops += 1
         perf = time.perf_counter
-        start = perf()
-        inner = iter(self.target.rows(ctx))  # eager nodes (Sort) pay here
-        stats.seconds += perf() - start
-        while True:
+
+        def analyzed(ctx: ExecutionContext) -> list:
+            stats.loops += 1
             start = perf()
-            try:
-                row = next(inner)
-            except StopIteration:
-                stats.seconds += perf() - start
-                return
+            rows = run(ctx)
             stats.seconds += perf() - start
-            stats.rows += 1
-            yield row
+            stats.rows += len(rows)
+            return rows
+
+        return analyzed
 
     def explain(self, indent: int = 0) -> list[str]:
         lines = self.target.explain(indent)
@@ -677,7 +830,7 @@ def instrument_plan(node: PlanNode) -> AnalyzedNode:
     """Wrap a plan tree for ANALYZE without mutating the original.
 
     Each node is shallow-copied and its child attributes are replaced by
-    instrumented wrappers, so plans held in the session plan cache stay
+    instrumented wrappers, so plans held by statement handles stay
     untouched and uninstrumented execution keeps zero overhead.
     """
     clone = copy.copy(node)

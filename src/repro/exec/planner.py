@@ -19,7 +19,7 @@ BullFrog leans on (paper section 2.1):
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Any, Sequence
 
@@ -28,7 +28,7 @@ from ..sql import ast_nodes as ast
 from ..sql.render import render_expr
 from ..types import SqlType, TypeKind
 from . import plan as planlib
-from .expressions import CompiledExpr, RowLayout, compile_expr
+from .expressions import CompiledExpr, RowLayout, compile_expr, compile_projection
 from .operators import make_aggregate_factory
 from .rewrite import (
     EquivalenceClasses,
@@ -42,11 +42,17 @@ from .rewrite import (
 
 @dataclass
 class PlannedQuery:
-    """A planned SELECT: executable node + output metadata."""
+    """A planned SELECT: the plan tree, output metadata, and ``run`` —
+    the tree compiled once (:meth:`PlanNode.compile`) into the closure
+    that executes it."""
 
     node: planlib.PlanNode
     names: list[str]
     types: list[SqlType | None]
+    run: planlib.Compiled = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.run = self.node.compile()
 
     def explain(self) -> str:
         return "\n".join(self.node.explain())
@@ -79,7 +85,8 @@ class Planner:
         allow_retired: bool = False,
     ):
         """Plan the qualifying-row scan for UPDATE/DELETE.  Returns a
-        scan node exposing ``rows_with_tids``."""
+        :class:`~repro.exec.plan.TableScan`; its ``compile_tids()`` is
+        the executable form."""
         if self.catalog.has_virtual(table_name):
             raise ExecutionError(
                 f"{table_name!r} is a read-only system view"
@@ -206,23 +213,22 @@ class Planner:
     def _plan_constant_select(self, select: ast.Select) -> PlannedQuery:
         """SELECT with no FROM: one row of constant expressions."""
         layout = RowLayout()
-        exprs: list[CompiledExpr] = []
         names: list[str] = []
         types: list[SqlType | None] = []
         for index, item in enumerate(select.items):
             if isinstance(item.expr, ast.Star):
                 raise ExecutionError("'*' requires a FROM clause")
-            exprs.append(compile_expr(item.expr, layout))
             names.append(item.alias or _default_name(item.expr, index))
             types.append(_infer_type(item.expr, layout, []))
+        project = compile_projection([item.expr for item in select.items], layout)
 
         class _OneRow(planlib.PlanNode):
             def __init__(self) -> None:
                 self.layout = RowLayout()
                 self.types = []
 
-            def rows(self, ctx):
-                yield ()
+            def compile(self):
+                return lambda ctx: [()]
 
             def explain(self, indent: int = 0):
                 return ["  " * indent + "Result"]
@@ -230,7 +236,7 @@ class Planner:
         out_layout = RowLayout()
         for name in names:
             out_layout.add(None, name)
-        node = planlib.ProjectNode(_OneRow(), exprs, out_layout, types, names)
+        node = planlib.ProjectNode(_OneRow(), project, out_layout, types, names)
         return PlannedQuery(node, names, types)
 
     # ------------------------------------------------------------------
@@ -417,8 +423,9 @@ class Planner:
                 for c in conjuncts
                 if not any(c is eq_conjuncts.get(col) for col in covered)
             ]
-            empty = RowLayout()
-            key_fns = [compile_expr(eq_values[col], empty) for col in key_columns]
+            key_fn = compile_projection(
+                [eq_values[col] for col in key_columns], RowLayout()
+            )
             residual_expr = conjoin(residual)
             filter_fn = (
                 compile_expr(residual_expr, layout) if residual_expr is not None else None
@@ -433,7 +440,8 @@ class Planner:
                 layout,
                 types,
                 index,
-                key_fns,
+                key_fn,
+                len(key_columns),
                 filter_fn,
                 index_cond_text=cond_text,
                 filter_text=render_expr(residual_expr) if residual_expr else "",
@@ -479,8 +487,8 @@ class Planner:
 
         condition_text = render_expr(conjoin(applicable)) if applicable else ""
         if equi:
-            left_keys = [compile_expr(l, left.node.layout) for l, _r in equi]
-            right_keys = [compile_expr(r, right.node.layout) for _l, r in equi]
+            left_key = compile_projection([l for l, _r in equi], left.node.layout)
+            right_key = compile_projection([r for _l, r in equi], right.node.layout)
             residual_expr = conjoin(residual)
             residual_fn = (
                 compile_expr(residual_expr, layout)
@@ -492,8 +500,8 @@ class Planner:
                 right.node,
                 layout,
                 types,
-                left_keys,
-                right_keys,
+                left_key,
+                right_key,
                 residual_fn,
                 condition_text=condition_text,
             )
@@ -537,17 +545,16 @@ class Planner:
     def _plan_project(
         self, node: planlib.PlanNode, items: list[ast.SelectItem]
     ) -> tuple[planlib.PlanNode, list[str], list[SqlType | None]]:
-        exprs: list[CompiledExpr] = []
+        project = compile_projection([item.expr for item in items], node.layout)
         names: list[str] = []
         types: list[SqlType | None] = []
         for index, item in enumerate(items):
-            exprs.append(compile_expr(item.expr, node.layout))
             names.append(item.alias or _default_name(item.expr, index))
             types.append(_infer_type(item.expr, node.layout, node.types))
         out_layout = RowLayout()
         for name in names:
             out_layout.add(None, name)
-        return planlib.ProjectNode(node, exprs, out_layout, types, names), names, types
+        return planlib.ProjectNode(node, project, out_layout, types, names), names, types
 
     def _plan_aggregate(
         self,
@@ -586,7 +593,7 @@ class Planner:
         for position in range(len(agg_order)):
             synthetic.add(None, f"#a{position}")
 
-        group_fns = [compile_expr(g, child_layout) for g in group_by]
+        group_key = compile_projection(group_by, child_layout)
 
         agg_factories = []
         for call in agg_order:
@@ -660,12 +667,10 @@ class Planner:
                 )
             return expr
 
-        output_fns: list[CompiledExpr] = []
+        output = compile_projection([rewrite(item.expr) for item in items], synthetic)
         names: list[str] = []
         types: list[SqlType | None] = []
         for index, item in enumerate(items):
-            rewritten = rewrite(item.expr)
-            output_fns.append(compile_expr(rewritten, synthetic))
             names.append(item.alias or _default_name(item.expr, index))
             types.append(_infer_type(item.expr, child_layout, node.types))
 
@@ -678,9 +683,9 @@ class Planner:
             out_layout.add(None, name)
         agg_node = planlib.AggregateNode(
             node,
-            group_fns,
+            group_key,
             agg_factories,
-            output_fns,
+            output,
             having_fn,
             out_layout,
             types,

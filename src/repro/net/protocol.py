@@ -159,6 +159,8 @@ SQLSTATE_BY_EXC: dict[type, str] = {
 
 
 def sqlstate_for(exc: BaseException) -> str:
+    if isinstance(exc, errors.InvalidRowCount):
+        return exc.sqlstate
     for cls in type(exc).__mro__:
         code = SQLSTATE_BY_EXC.get(cls)
         if code is not None:

@@ -18,6 +18,12 @@ Two deadlock policies are supported:
   dies); cheaper, never builds the graph.
 
 A configurable timeout bounds pathological waits under either policy.
+
+The lock table holds an entry only while it is worth keeping: a tuple
+resource's entry is dropped when its last holder releases it, unless
+someone waits on it or it was ever contended (its wait-profiling
+counters are what ``bullfrog_stat_locks`` reports).  Table entries,
+few and hot, stay.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ from enum import Enum, IntEnum
 from typing import Any, Hashable
 
 from ..errors import DeadlockAvoided, LockTimeout
+
+# Reclaimed entries kept for reuse: building a Condition per tuple lock
+# would otherwise be paid on every uncontended acquire.
+_SPARE_ENTRIES = 64
 
 
 class LockMode(IntEnum):
@@ -142,6 +152,7 @@ class LockManager:
         self.timeout = timeout
         self.policy = policy
         self._entries: dict[Hashable, _LockEntry] = {}
+        self._spare: list[_LockEntry] = []
         self._latch = threading.Lock()
         self._waits_for = _WaitsForGraph()
         # Optional observability (repro.obs.Observability), set by the
@@ -153,9 +164,29 @@ class LockManager:
         with self._latch:
             entry = self._entries.get(resource)
             if entry is None:
-                entry = _LockEntry()
+                entry = self._spare.pop() if self._spare else _LockEntry()
                 self._entries[resource] = entry
             return entry
+
+    def _reclaim(self, resource: Hashable, entry: _LockEntry) -> None:
+        """Drop ``entry`` from the table if it is idle and was never
+        contended, keeping it as a spare.  Called with
+        ``entry.condition`` held, which is what :meth:`acquire`
+        re-validates under."""
+        if (
+            entry.holders
+            or entry.waiting
+            or entry.wait_count
+            or entry.deadlock_aborts
+            or entry.timeouts
+            or resource_class(resource) != "tuple"
+        ):
+            return
+        with self._latch:
+            if self._entries.get(resource) is entry:
+                del self._entries[resource]
+                if len(self._spare) < _SPARE_ENTRIES:
+                    self._spare.append(entry)
 
     def _peek(self, resource: Hashable) -> _LockEntry | None:
         """The entry for ``resource`` if one exists — unlike
@@ -201,43 +232,67 @@ class LockManager:
         transaction already held a covering mode.  Raises
         DeadlockAvoided or LockTimeout.
         """
-        entry = self._entry(resource)
-        with entry.condition:
-            held = entry.holders.get(txn_id)
-            if held is not None and held >= mode and not (
-                held == LockMode.IX and mode == LockMode.S
-            ):
-                return False
-            target = mode if held is None else supremum(held, mode)
-            deadline = None
-            waited = False
-            wait_started = 0.0
-            try:
-                while True:
-                    conflicting = {
-                        other
-                        for other, other_mode in entry.holders.items()
-                        if other != txn_id and not _COMPATIBLE[other_mode][target]
-                    }
-                    if not conflicting:
-                        if waited:
-                            self._record_wait(
-                                entry,
-                                resource,
-                                time.monotonic() - wait_started,
-                                entry.last_blockers,
-                            )
-                        entry.holders[txn_id] = target
-                        return True
-                    # Contended path: everything below (including the
-                    # profiling) is off the uncontended fast path.
-                    blockers = tuple(sorted(conflicting))
+        while True:
+            entry = self._entry(resource)
+            with entry.condition:
+                # A release may have reclaimed the entry between the
+                # lookup and taking its condition: then look again.
+                if self._entries.get(resource) is entry:
+                    return self._acquire(entry, txn_id, resource, mode)
+
+    def _acquire(
+        self, entry: _LockEntry, txn_id: int, resource: Hashable, mode: LockMode
+    ) -> bool:
+        """:meth:`acquire` on the registered entry, its condition held."""
+        held = entry.holders.get(txn_id)
+        if held is not None and held >= mode and not (
+            held == LockMode.IX and mode == LockMode.S
+        ):
+            return False
+        target = mode if held is None else supremum(held, mode)
+        deadline = None
+        waited = False
+        wait_started = 0.0
+        try:
+            while True:
+                conflicting = {
+                    other
+                    for other, other_mode in entry.holders.items()
+                    if other != txn_id and not _COMPATIBLE[other_mode][target]
+                }
+                if not conflicting:
+                    if waited:
+                        self._record_wait(
+                            entry,
+                            resource,
+                            time.monotonic() - wait_started,
+                            entry.last_blockers,
+                        )
+                    entry.holders[txn_id] = target
+                    return True
+                # Contended path: everything below (including the
+                # profiling) is off the uncontended fast path.
+                blockers = tuple(sorted(conflicting))
+                if not waited:
+                    wait_started = time.monotonic()
+                entry.last_blockers = blockers
+                if self.policy is DeadlockPolicy.WAIT_DIE:
+                    # Only wait for strictly older holders.
+                    if any(other < txn_id for other in conflicting):
+                        self._record_wait(
+                            entry,
+                            resource,
+                            time.monotonic() - wait_started,
+                            blockers,
+                            deadlock=True,
+                        )
+                        raise DeadlockAvoided(
+                            f"transaction {txn_id} dies waiting for lock "
+                            f"on {resource!r} held by older transaction(s)"
+                        )
+                else:
                     if not waited:
-                        wait_started = time.monotonic()
-                    entry.last_blockers = blockers
-                    if self.policy is DeadlockPolicy.WAIT_DIE:
-                        # Only wait for strictly older holders.
-                        if any(other < txn_id for other in conflicting):
+                        if self._waits_for.would_deadlock(txn_id, conflicting):
                             self._record_wait(
                                 entry,
                                 resource,
@@ -246,55 +301,47 @@ class LockManager:
                                 deadlock=True,
                             )
                             raise DeadlockAvoided(
-                                f"transaction {txn_id} dies waiting for lock "
-                                f"on {resource!r} held by older transaction(s)"
+                                f"deadlock detected: transaction {txn_id} "
+                                f"waiting on {resource!r} closes a cycle"
                             )
                     else:
-                        if not waited:
-                            if self._waits_for.would_deadlock(txn_id, conflicting):
-                                self._record_wait(
-                                    entry,
-                                    resource,
-                                    time.monotonic() - wait_started,
-                                    blockers,
-                                    deadlock=True,
-                                )
-                                raise DeadlockAvoided(
-                                    f"deadlock detected: transaction {txn_id} "
-                                    f"waiting on {resource!r} closes a cycle"
-                                )
-                        else:
-                            self._waits_for.update(txn_id, conflicting)
-                    waited = True
-                    if deadline is None:
-                        deadline = time.monotonic() + self.timeout
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self._record_wait(
-                            entry,
-                            resource,
-                            time.monotonic() - wait_started,
-                            blockers,
-                            timeout=True,
-                        )
-                        raise LockTimeout(
-                            f"transaction {txn_id} timed out waiting for "
-                            f"{target.name} lock on {resource!r}"
-                        )
-                    entry.waiting += 1
-                    try:
-                        entry.condition.wait(min(remaining, 0.2))
-                    finally:
-                        entry.waiting -= 1
-            finally:
-                if waited:
-                    self._waits_for.clear(txn_id)
+                        self._waits_for.update(txn_id, conflicting)
+                waited = True
+                if deadline is None:
+                    deadline = time.monotonic() + self.timeout
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    self._record_wait(
+                        entry,
+                        resource,
+                        time.monotonic() - wait_started,
+                        blockers,
+                        timeout=True,
+                    )
+                    raise LockTimeout(
+                        f"transaction {txn_id} timed out waiting for "
+                        f"{target.name} lock on {resource!r}"
+                    )
+                entry.waiting += 1
+                try:
+                    entry.condition.wait(min(remaining, 0.2))
+                finally:
+                    entry.waiting -= 1
+        finally:
+            if waited:
+                self._waits_for.clear(txn_id)
 
     def release(self, txn_id: int, resource: Hashable) -> None:
-        entry = self._entry(resource)
+        entry = self._peek(resource)
+        if entry is None:
+            return
         with entry.condition:
-            if entry.holders.pop(txn_id, None) is not None:
+            if entry.holders.pop(txn_id, None) is None:
+                return
+            if entry.waiting:
                 entry.condition.notify_all()
+            else:
+                self._reclaim(resource, entry)
 
     def release_all(self, txn_id: int, resources: list[Hashable]) -> None:
         for resource in resources:
@@ -321,9 +368,9 @@ class LockManager:
         """Per-resource lock state + wait-profiling counters for
         ``bullfrog_stat_locks``.
 
-        Entries that are idle and were never contended are skipped —
-        ``_entries`` never shrinks (tuple locks accumulate), so the
-        snapshot stays bounded by what is interesting.
+        Entries that are idle and were never contended are skipped:
+        table entries are kept while idle, and a tuple entry between its
+        last release and its reclamation can be seen here too.
         """
         with self._latch:
             items = list(self._entries.items())

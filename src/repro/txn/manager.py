@@ -64,15 +64,15 @@ class Transaction:
         txn_id: int,
         manager: "TransactionManager",
         isolation: IsolationLevel = IsolationLevel.READ_COMMITTED,
-        snapshot_ts: int | None = None,
     ) -> None:
         self.id = txn_id
         self.state = TxnState.ACTIVE
         self.isolation = isolation
-        #: Snapshot timestamp (SNAPSHOT isolation only): this txn sees
-        #: exactly the versions committed at or before this timestamp,
-        #: plus its own writes.
-        self.snapshot_ts = snapshot_ts
+        #: Snapshot timestamp (SNAPSHOT isolation only, set by
+        #: ``TransactionManager.begin``): this txn sees exactly the
+        #: versions committed at or before this timestamp, plus its own
+        #: writes.
+        self.snapshot_ts: int | None = None
         #: Shared mutable stamp carried by every version this txn
         #: writes; commit assigns its timestamp once (publishing all of
         #: them atomically), abort marks it aborted.
@@ -271,6 +271,11 @@ class TransactionManager:
         self.obs: Any = None
         self._next_id = itertools.count(1)
         self._active: dict[int, Transaction] = {}
+        # Snapshot timestamps read for a transaction not begun yet
+        # (ts -> count): see pin_snapshot.
+        self._pins: dict[int, int] = {}
+        # Orders transaction registration, snapshot clock reads and GC
+        # horizon computation (taken before _clock_latch, never after).
         self._latch = threading.Lock()
         # Global commit-timestamp clock.  0 is the bootstrap timestamp
         # (loader/DDL/replay writes); real commits start at 1.
@@ -283,18 +288,20 @@ class TransactionManager:
         snapshot_ts: int | None = None,
     ) -> Transaction:
         """Start a transaction.  For SNAPSHOT isolation, ``snapshot_ts``
-        pins the snapshot (a caller that already read the clock — e.g.
-        the statement interceptor — passes it so the snapshot and any
-        derived state agree); by default the current clock is read."""
+        fixes the snapshot (a caller that already read the clock — e.g.
+        the statement interceptor, through :meth:`pin_snapshot` — passes
+        it so the snapshot and any derived state agree); by default the
+        current clock is read.  Reading the clock and registering the
+        transaction are one step under the latch, so a concurrent
+        :meth:`oldest_snapshot_ts` either sees the snapshot or ran before
+        the clock was read."""
         level = IsolationLevel.coerce(isolation) or IsolationLevel.READ_COMMITTED
-        if level is IsolationLevel.SNAPSHOT and snapshot_ts is None:
-            snapshot_ts = self.current_ts()
-        elif level is not IsolationLevel.SNAPSHOT:
-            snapshot_ts = None
-        txn = Transaction(
-            next(self._next_id), self, isolation=level, snapshot_ts=snapshot_ts
-        )
+        txn = Transaction(next(self._next_id), self, isolation=level)
         with self._latch:
+            if level is IsolationLevel.SNAPSHOT:
+                txn.snapshot_ts = (
+                    self.current_ts() if snapshot_ts is None else snapshot_ts
+                )
             self._active[txn.id] = txn
         return txn
 
@@ -307,24 +314,38 @@ class TransactionManager:
         with self._clock_latch:
             return self._last_commit_ts
 
+    def pin_snapshot(self) -> int:
+        """Read the clock for a snapshot whose transaction begins later,
+        holding the GC horizon at it until :meth:`unpin_snapshot` — the
+        migration interceptor computes a snapshot read's overlay before
+        the statement's transaction exists."""
+        with self._latch:
+            ts = self.current_ts()
+            self._pins[ts] = self._pins.get(ts, 0) + 1
+        return ts
+
+    def unpin_snapshot(self, ts: int) -> None:
+        with self._latch:
+            left = self._pins.pop(ts) - 1
+            if left:
+                self._pins[ts] = left
+
     def _assign_commit_ts(self, stamp: CommitStamp) -> None:
         with self._clock_latch:
             self._last_commit_ts += 1
             stamp.ts = self._last_commit_ts
 
     def oldest_snapshot_ts(self) -> int:
-        """GC horizon: the oldest snapshot any active transaction holds
-        (versions older than the newest committed-before-horizon version
-        of a tuple can never be read again)."""
+        """GC horizon: the oldest snapshot any active transaction or pin
+        holds (versions older than the newest committed-before-horizon
+        version of a tuple can never be read again)."""
         with self._latch:
-            snapshots = [
-                txn.snapshot_ts
-                for txn in self._active.values()
-                if txn.snapshot_ts is not None
-            ]
-        horizon = self.current_ts()
-        if snapshots:
-            horizon = min(horizon, min(snapshots))
+            horizon = self.current_ts()
+            for txn in self._active.values():
+                if txn.snapshot_ts is not None and txn.snapshot_ts < horizon:
+                    horizon = txn.snapshot_ts
+            if self._pins:
+                horizon = min(horizon, min(self._pins))
         return horizon
 
     def _finished(self, txn: Transaction) -> None:

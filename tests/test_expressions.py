@@ -4,10 +4,12 @@ import datetime
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError, TypeError_, UnknownObjectError
 from repro.exec.expressions import (
+    _ARITH_OPS,
+    _CMP_MAKERS,
     RowLayout,
     compare_values,
     compile_expr,
@@ -18,7 +20,7 @@ from repro.exec.expressions import (
     sql_not,
     sql_or,
 )
-from repro.sql import parse_expression
+from repro.sql import ast_nodes as ast, parse_expression
 
 
 def evaluate(sql: str, row=(), layout=None, params=()):
@@ -330,3 +332,55 @@ def test_like_prefix_pattern(pattern, text):
     literal_prefix = pattern.split("%")[0].split("_")[0]
     if pattern == literal_prefix + "%":
         assert like_match(text, pattern) == text.startswith(literal_prefix)
+
+
+# ----------------------------------------------------------------------
+# Same-type fast paths vs the generic reference
+# ----------------------------------------------------------------------
+_OPERAND_KINDS = [
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    # NaN is where a bare ``operator`` call would disagree with the
+    # reference, so it is drawn often, not left to chance.
+    st.floats() | st.sampled_from([float("nan"), float("inf"), -0.0]),
+    st.decimals() | st.sampled_from([Decimal("NaN"), Decimal("sNaN"), Decimal("-0")]),
+    st.text(alphabet="ab ", max_size=3),  # trailing spaces: CHAR padding
+    st.dates(),
+    st.datetimes(),
+]
+# Half the pairs share a kind (the fast paths), half are drawn freely.
+_OPERAND_PAIRS = st.one_of(
+    st.sampled_from(_OPERAND_KINDS).flatmap(lambda kind: st.tuples(kind, kind)),
+    st.tuples(st.one_of(_OPERAND_KINDS), st.one_of(_OPERAND_KINDS)),
+)
+
+
+def _outcome(fn, *args):
+    """Value, its type and its repr (NaN- and -0.0-exact), or the
+    exception class raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc)
+    return type(value), repr(value)
+
+
+def _generic(op, left, right):
+    if op in _CMP_MAKERS:
+        cmp = compare_values(left, right)
+        return None if cmp is None else _CMP_MAKERS[op](cmp)
+    return _ARITH_OPS[op](left, right)
+
+
+@settings(max_examples=500)
+@given(
+    op=st.sampled_from(["=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "%"]),
+    pair=_OPERAND_PAIRS,
+)
+def test_compiled_operators_match_generic_reference(op, pair):
+    """Compiled comparisons and arithmetic take same-type shortcuts for
+    int / float / Decimal; for every operand pair they must agree with
+    ``compare_values`` / ``_ARITH_OPS`` in value, type and exception."""
+    compiled = compile_expr(ast.BinaryOp(op, ast.Param(0), ast.Param(1)), RowLayout())
+    assert _outcome(compiled, (), pair) == _outcome(_generic, op, *pair)

@@ -7,6 +7,7 @@ served pre-migration overlays for in-flight granules instead of
 blocking on the migration loop.
 """
 
+import threading
 import time
 
 import pytest
@@ -280,6 +281,93 @@ class TestVersionGC:
         assert si.execute("SELECT v FROM t WHERE id = 1").scalar() == 10
         si.execute("COMMIT")
 
+    def test_pinned_snapshot_holds_the_gc_horizon(self):
+        """A snapshot read from the clock before its transaction begins
+        (the interceptor's pin) bounds GC like an active snapshot."""
+        db, s = make_kv_db()
+        table = db.catalog.table("t")
+        ts = db.txns.pin_snapshot()
+        s.execute("UPDATE t SET v = 11 WHERE id = 1")
+        s.execute("UPDATE t SET v = 12 WHERE id = 1")
+        table.prune_versions(db.txns.oldest_snapshot_ts())
+        txn = db.txns.begin(IsolationLevel.SNAPSHOT, snapshot_ts=ts)
+        db.txns.unpin_snapshot(ts)
+        tid = next(t for t, row in table.heap.scan() if row[0] == 1)
+        assert table.heap.read_snapshot(tid, txn.snapshot_ts) == (1, 10)
+        txn.commit()
+        assert db.txns.oldest_snapshot_ts() == db.txns.current_ts()
+
+    def test_begin_reads_the_clock_and_registers_in_one_step(self, monkeypatch):
+        """A commit plus a GC horizon computed right after ``begin``
+        read the clock must still see the new snapshot (the parent
+        registered it only afterwards, so the horizon passed it)."""
+        from repro.txn.manager import TransactionManager
+
+        db, _ = make_kv_db()
+        main = threading.current_thread()
+        real_clock = TransactionManager.current_ts
+        horizon = []
+
+        def race():
+            db.connect(isolation="read_committed").execute(
+                "UPDATE t SET v = 11 WHERE id = 1"
+            )
+            horizon.append(db.txns.oldest_snapshot_ts())
+
+        racer = threading.Thread(target=race)
+
+        def clock(self):
+            ts = real_clock(self)
+            if threading.current_thread() is main and not racer.is_alive() and not horizon:
+                racer.start()
+                racer.join(0.3)  # runs to completion unless begin blocks it
+            return ts
+
+        monkeypatch.setattr(TransactionManager, "current_ts", clock)
+        txn = db.txns.begin(IsolationLevel.SNAPSHOT)
+        racer.join(5)
+        assert not racer.is_alive()
+        assert horizon[0] <= txn.snapshot_ts
+        txn.commit()
+
+    def test_snapshot_read_survives_gc_between_pin_and_begin(self, monkeypatch):
+        """The lazy interceptor fixes an autocommit SI SELECT's snapshot
+        before the statement's transaction exists.  Two commits and a
+        version GC landing in that window must not cut the version the
+        statement then reads (at the parent the row vanished)."""
+        db, s = make_source_db()
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", SPLIT_DDL)
+        s.execute("SELECT v FROM left_part WHERE id = 7")  # migrated, committed
+        prepare = LazyMigrationEngine._prepare_snapshot_read
+
+        def racing(self, session, handle, params, snapshot_ts):
+            prepare(self, session, handle, params, snapshot_ts)
+            s.execute("UPDATE left_part SET v = 71 WHERE id = 7")
+            s.execute("UPDATE left_part SET v = 72 WHERE id = 7")
+            engine.prune_versions()
+
+        monkeypatch.setattr(LazyMigrationEngine, "_prepare_snapshot_read", racing)
+        si = db.connect(isolation="snapshot")
+        assert si.execute("SELECT v FROM left_part WHERE id = 7").rows == [(70,)]
+        assert si.execute("SELECT v FROM left_part WHERE id = 7").rows == [(72,)]
+        assert db.txns._pins == {}
+
+    def test_pin_released_when_the_interceptor_fails(self, monkeypatch):
+        db, s = make_source_db()
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", SPLIT_DDL)
+
+        def broken(self, session, handle, params, snapshot_ts):
+            raise RuntimeError("overlay failed")
+
+        monkeypatch.setattr(LazyMigrationEngine, "_prepare_snapshot_read", broken)
+        si = db.connect(isolation="snapshot")
+        with pytest.raises(RuntimeError):
+            si.execute("SELECT v FROM left_part WHERE id = 7")
+        assert db.txns._pins == {} and si._pending_snapshot_ts is None
+        assert db.txns.oldest_snapshot_ts() == db.txns.current_ts()
+
     def test_recovery_collapses_chains(self):
         db, s = make_kv_db()
         for v in range(4):
@@ -343,6 +431,21 @@ class TestMigrationSnapshotReads:
         si = db.connect(isolation="snapshot")
         assert si.execute("SELECT v FROM left_part WHERE id = 7").scalar() == 70
         assert engine.stats.tuples_migrated == 0
+
+    def test_snapshot_index_scan_filters_and_projects_overlay(self):
+        """The compiled SI index scan applies the key re-check, the
+        residual filter and the projection to overlay rows too."""
+        db, s = make_source_db()
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", SPLIT_DDL)
+        s.execute("SELECT v FROM left_part WHERE id = 8")  # migrated
+        si = db.connect(isolation="snapshot")
+        sql = "SELECT id, v * 2 FROM left_part WHERE id = ? AND v >= ?"
+        assert si.execute(sql, [7, 0]).rows == [(7, 140)]  # from the overlay
+        assert si.execute(sql, [8, 0]).rows == [(8, 160)]  # from the heap
+        assert si.execute(sql, [7, 71]).rows == []
+        assert si.execute(sql, [8, 81]).rows == []
+        assert engine.stats.tuples_migrated == 1
 
     def test_snapshot_read_mixes_migrated_and_overlay(self):
         db, s = make_source_db()

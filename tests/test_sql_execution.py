@@ -1,6 +1,7 @@
 """End-to-end SQL execution tests through the Database facade."""
 
 import datetime
+import time
 from decimal import Decimal
 
 import pytest
@@ -85,6 +86,22 @@ class TestSelect:
     def test_limit_offset(self, s):
         result = s.execute("SELECT id FROM emp ORDER BY id LIMIT 2 OFFSET 1")
         assert [r[0] for r in result.rows] == [2, 3]
+
+    @pytest.mark.parametrize(
+        "clause,sqlstate", [("LIMIT ?", "2201W"), ("OFFSET ?", "2201X")]
+    )
+    def test_negative_limit_or_offset_rejected(self, s, clause, sqlstate):
+        """PostgreSQL refuses a negative count (the parent returned no
+        rows for ``LIMIT -1`` and ignored a negative OFFSET)."""
+        from repro.net.protocol import sqlstate_for
+
+        with pytest.raises(ExecutionError, match="must not be negative") as info:
+            s.execute(f"SELECT id FROM emp ORDER BY id {clause}", [-1])
+        assert sqlstate_for(info.value) == sqlstate
+
+    def test_null_limit_and_offset_mean_none(self, s):
+        result = s.execute("SELECT id FROM emp ORDER BY id LIMIT ? OFFSET ?", [None, None])
+        assert [r[0] for r in result.rows] == [1, 2, 3, 4, 5]
 
     def test_distinct(self, s):
         result = s.execute("SELECT DISTINCT dept FROM emp")
@@ -508,6 +525,124 @@ class TestDdlStatements:
             s.execute("SELECT * FROM emp")
 
 
+class TestCompiledScans:
+    """Every path of the compiled scan (``exec/plan.py`` ``TableScan``):
+    each result is checked against the same predicate evaluated in
+    Python over the whole table."""
+
+    @pytest.fixture
+    def kv(self, db):
+        session = db.connect(isolation="read_committed")
+        session.execute(
+            "CREATE TABLE kv (k INT PRIMARY KEY, g INT, v INT, pad VARCHAR(8))"
+        )
+        session.execute("CREATE INDEX kv_gv ON kv (g, v)")  # ordered
+        for k in range(40):
+            session.execute(
+                "INSERT INTO kv VALUES (?, ?, ?, ?)", [k, k % 4, k % 7, f"p{k % 3}"]
+            )
+        return session
+
+    @staticmethod
+    def table(session):
+        return session.execute("SELECT k, g, v, pad FROM kv").rows
+
+    def test_unique_point_lookup(self, kv):
+        sql = "SELECT v, k * 2 FROM kv WHERE k = ?"
+        assert "Index Scan using kv_pkey" in kv.explain(sql)
+        assert kv.execute(sql, [5]).rows == [(5, 10)]
+        assert kv.execute(sql, [99]).rows == []
+
+    def test_prefix_scan_with_residual(self, kv):
+        sql = "SELECT k, v + 1 FROM kv WHERE g = ? AND pad = ?"
+        plan = kv.explain(sql)
+        assert "Index Scan using kv_gv" in plan and "Filter:" in plan
+        expected = [(k, v + 1) for k, g, v, pad in self.table(kv)
+                    if g == 2 and pad == "p1"]
+        assert sorted(kv.execute(sql, [2, "p1"]).rows) == sorted(expected)
+
+    def test_seq_scan_with_filter(self, kv):
+        sql = "SELECT k FROM kv WHERE v > ? AND pad = 'p0'"
+        assert "Seq Scan" in kv.explain(sql)
+        expected = [(k,) for k, g, v, pad in self.table(kv) if v > 3 and pad == "p0"]
+        assert sorted(kv.execute(sql, [3]).rows) == sorted(expected)
+
+    @pytest.mark.parametrize("sql,outcome", [
+        ("SELECT k FROM kv WHERE v = ? FOR UPDATE", lambda r: r.rows),
+        ("UPDATE kv SET pad = 'x' WHERE v = ?", lambda r: r.rowcount),
+        ("DELETE FROM kv WHERE v = ?", lambda r: r.rowcount),
+    ], ids=["for-update", "update", "delete"])
+    def test_dml_refilters_after_the_lock(self, db, kv, sql, outcome):
+        """A row that qualifies when scanned but not once its X lock is
+        granted is skipped: the writer holding it rolls back."""
+        import threading
+
+        writer = db.connect(isolation="read_committed")
+        writer.begin()
+        writer.execute("UPDATE kv SET v = 100 WHERE k = 1")  # visible, X-locked
+        tid = next(t for t, row in db.catalog.table("kv").heap.scan() if row[0] == 1)
+        result = {}
+
+        def dml():
+            result["r"] = db.connect(isolation="read_committed").execute(sql, [100])
+
+        thread = threading.Thread(target=dml)
+        thread.start()
+        deadline = time.monotonic() + 5
+        while db.txns.locks.waiter_count(("tuple", "kv", tid)) == 0:
+            assert time.monotonic() < deadline, "the DML never waited on the lock"
+            time.sleep(0.001)
+        writer.rollback()
+        thread.join(5)
+        assert not thread.is_alive()
+        assert not outcome(result["r"])
+        assert kv.execute("SELECT COUNT(*) FROM kv WHERE pad = 'x'").scalar() == 0
+        assert kv.execute("SELECT v FROM kv WHERE k = 1").scalar() == 1
+
+    def test_explain_analyze_counts_each_node(self, kv):
+        lines = [row[0] for row in kv.execute(
+            "EXPLAIN ANALYZE SELECT a.k, b.v * 2 FROM kv a JOIN kv b ON a.k = b.k "
+            "WHERE a.g = 1 AND b.v >= 0"
+        ).rows]
+        counted = [line.strip() for line in lines if "actual time" in line]
+        # Project, Hash Join, and a scan per side, each run once.
+        assert len(counted) == 4
+        assert all("loops=1" in line for line in counted)
+        assert counted[0].startswith("Project") and "rows=10" in counted[0]
+        assert any(line.startswith("Index Scan") and "rows=10" in line for line in counted)
+        assert any(line.startswith("Seq Scan") and "rows=40" in line for line in counted)
+
+    def test_repeated_scan_runs_only_its_compiled_closure(self, kv, monkeypatch):
+        """The second execution of a prepared scan goes straight to the
+        closure compiled on the first: no plan node method runs (the
+        parent pulled rows through ``IndexScanNode.rows`` →
+        ``ProjectNode.rows`` generators on every execution)."""
+        from repro.exec import plan
+
+        sql = "SELECT k, v * 2 + 1 FROM kv WHERE g = ? AND v >= ?"
+        first = kv.execute(sql, [1, 2]).rows
+        calls = []
+
+        def spy(cls, name):
+            original = cls.__dict__[name]
+
+            def called(*args, **kwargs):
+                calls.append(f"{cls.__name__}.{name}")
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, called)
+
+        pending = [plan.PlanNode]
+        while pending:
+            cls = pending.pop()
+            pending.extend(cls.__subclasses__())
+            for name in ("rows", "rows_with_tids", "compile", "compile_tids"):
+                if name in cls.__dict__:
+                    spy(cls, name)
+        assert kv.execute(sql, [1, 2]).rows == first
+        assert calls == []
+
+
 CACHED_DML = [
     ("SELECT name FROM emp WHERE id = ?", [1]),
     ("SELECT name FROM emp WHERE id = ? FOR UPDATE", [1]),
@@ -563,6 +698,9 @@ class TestPreparedStatements:
         monkeypatch.setattr(Planner, "plan_dml_scan", forbidden("plan_dml_scan"))
         monkeypatch.setattr(
             repro.exec.executor, "compile_expr", forbidden("compile_expr")
+        )
+        monkeypatch.setattr(
+            repro.exec.executor, "compile_projection", forbidden("compile_projection")
         )
         second = s.execute(sql, bind())
         assert (second.statement, second.columns) == (first.statement, first.columns)

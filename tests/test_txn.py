@@ -86,6 +86,103 @@ class TestLockCompatibility:
         assert supremum(LockMode.S, LockMode.S) is LockMode.S
 
 
+class TestLockTableReclamation:
+    """Idle, never-contended tuple entries leave the lock table (the
+    parent kept one ``_LockEntry`` with its own Condition per tuple ever
+    locked)."""
+
+    def test_distinct_tuple_locks_leave_the_table_bounded(self):
+        from repro import Database
+
+        db = Database()
+        s = db.connect(isolation="read_committed")
+        s.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        s.begin()
+        for i in range(300):
+            s.execute("INSERT INTO t VALUES (?, ?)", [i, i])
+        s.commit()
+        for i in range(300):
+            s.execute("UPDATE t SET v = v + 1 WHERE id = ?", [i])
+        tuples = [r for r in db.txns.locks._entries if r[0] == "tuple"]
+        assert tuples == []  # parent: 300
+        assert len(db.txns.locks._entries) <= 1  # the table's own entry
+
+    def test_churn_never_admits_two_x_holders(self):
+        """Threads hammer X locks over a shared set of tuples, so
+        entries are reclaimed, reused from the spare list and
+        re-registered under other resources while other threads look
+        them up; at no point may two transactions hold one tuple."""
+        import random
+        import sys
+
+        lm = LockManager(timeout=10.0)
+        resources = [("tuple", "t", Tid(0, n)) for n in range(64)]
+        holder: dict = {}
+        check = threading.Lock()
+        violations: list = []
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            for step in range(400):
+                txn_id = seed * 10_000 + step
+                resource = rng.choice(resources)
+                lm.acquire(txn_id, resource, LockMode.X)
+                with check:
+                    if resource in holder:
+                        violations.append((resource, holder[resource], txn_id))
+                    holder[resource] = txn_id
+                with check:
+                    del holder[resource]
+                lm.release(txn_id, resource)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(1, 7)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert violations == []
+        with lm._latch:
+            live = dict(lm._entries)
+        assert all(not entry.holders for entry in live.values())
+
+    def test_contended_entry_survives_and_is_reported(self):
+        from repro import Database
+
+        db = Database()
+        s = db.connect(isolation="read_committed")
+        s.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        s.execute("INSERT INTO t VALUES (1, 10)")
+        tid = next(t for t, _row in db.catalog.table("t").heap.scan())
+        writer = db.connect(isolation="read_committed")
+        writer.begin()
+        writer.execute("UPDATE t SET v = 11 WHERE id = 1")
+        waiter = threading.Thread(
+            target=db.connect(isolation="read_committed").execute,
+            args=("UPDATE t SET v = 12 WHERE id = 1",),
+        )
+        waiter.start()
+        deadline = time.monotonic() + 5
+        while db.txns.locks.waiter_count(("tuple", "t", tid)) == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        writer.commit()
+        waiter.join(5)
+        assert not waiter.is_alive()
+        assert ("tuple", "t", tid) in db.txns.locks._entries
+        rows = s.execute(
+            "SELECT resource, wait_count FROM bullfrog_stat_locks "
+            "WHERE resource_class = 'tuple'"
+        ).rows
+        assert rows == [(repr(("tuple", "t", tid)), 1)]
+        assert s.execute("SELECT v FROM t WHERE id = 1").scalar() == 12
+
+
 class TestDeadlockHandling:
     def test_detect_policy_finds_cycle(self):
         lm = LockManager(timeout=5.0, policy=DeadlockPolicy.DETECT)
