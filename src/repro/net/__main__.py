@@ -32,10 +32,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--statement-timeout", type=float, default=None)
     parser.add_argument("--drain-timeout", type=float, default=5.0)
     parser.add_argument(
-        "--workers", type=int, default=4,
-        help="permanent execution workers behind the event loop",
-    )
-    parser.add_argument(
         "--load-tpcc", type=int, metavar="WAREHOUSES", default=None,
         help="pre-load a small TPC-C data set with N warehouses",
     )
@@ -64,7 +60,6 @@ def main(argv: list[str] | None = None) -> int:
         idle_timeout=args.idle_timeout,
         statement_timeout=args.statement_timeout,
         drain_timeout=args.drain_timeout,
-        workers=args.workers,
     )
     server = BullfrogServer(db, config).start()
     print(f"bullfrogd listening on {args.host}:{server.port}", flush=True)

@@ -491,7 +491,7 @@ class Connection:
     def monitor_summary(self) -> dict:
         """The server's live ``\\top`` summary: QPS, latency
         percentiles, wait classes, migration progress, health report,
-        worker/inbox stats."""
+        the server's ``bullfrog_stat_server`` row."""
         return json.loads(self.meta("top json"))
 
     def metrics_history(self, seconds: float | None = None) -> dict:

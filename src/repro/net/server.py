@@ -1,35 +1,29 @@
 """``bullfrogd``: an event-loop socket server in front of a Database.
 
-One I/O thread multiplexes **every** socket through a
-:mod:`selectors` event loop — accepts, reads (frame reassembly from a
-per-connection input buffer), and writes (per-connection outbound
-buffers, flushed opportunistically from workers and drained by the
-loop when the kernel buffer fills).  Decoded frames are queued per
-connection and executed by a small worker pool; a connection is
-dispatched to at most one worker at a time, so statements on its
-dedicated :class:`~repro.db.Session` stay strictly ordered even when
-the client **pipelines** many frames before reading a single reply.
-Idle connections cost one selector registration and a few KB — no
-thread — which is what lets one ``bullfrogd`` hold thousands of parked
-clients.
+One I/O thread accepts connections and runs a :mod:`selectors` loop
+over the *parked* ones — connections with no request in flight.  When
+a parked socket turns readable, the loop switches its READ interest
+off, stamps the hand-off time and submits the connection to a
+**runner**; the loop never reads that socket itself.  The runner
+(:meth:`BullfrogServer._serve`) serves the connection from socket read
+to reply: ``recv`` into the input buffer, decode every complete frame,
+run the frames in order on the connection's dedicated
+:class:`~repro.db.Session`, flush the replies once per batch, and
+linger ``_HOT_POLL`` seconds for the next frame before parking the
+connection back on the selector.  A chatty client therefore runs
+request → reply on one thread, and a client that **pipelines** many
+frames before reading a reply gets the replies in request order,
+because a connection has at most one runner.  A parked connection
+costs one selector slot and a few KB — no thread — which is what lets
+one ``bullfrogd`` hold thousands of idle clients.
 
-Connection affinity keeps the hot path fast: while a worker owns a
-connection, the connection's selector READ interest is switched off
-and the worker reads the socket directly, lingering ``_HOT_POLL``
-seconds after draining the inbox in case the next frame is already in
-flight.  A chatty terminal therefore runs request → reply on a single
-thread (no selector round trip, no cross-thread queue handoff, ~the
-latency of a thread-per-connection server), while parked connections
-still cost only a selector slot.  Workers never linger when other
-connections are waiting for a worker, so affinity cannot starve the
-pool.
-
-The worker pool is elastic: ``workers`` threads are permanent, and
-when every worker is blocked (strict-2PL lock waits can park a worker
-mid-statement while the lock holder's COMMIT frame sits queued behind
-it) the server spawns transient workers up to ``_MAX_WORKERS`` so
-pipelined frames keep draining; transients exit after
-``_WORKER_KEEPALIVE`` seconds idle.
+Runners come from a :class:`~concurrent.futures.ThreadPoolExecutor`
+sized ``max_connections``.  Its idle accounting spends one permit per
+submit, so every active connection gets a thread of its own.  That is
+a correctness requirement: a statement blocked on a 2PL lock (or in
+the lazy-migration skip-wait) holds its runner, and the frame that
+ends the wait — typically the lock holder's COMMIT — arrives on
+another connection, which must never queue behind the waiters.
 
 Prepared statements: PARSE stores ``db.prepare(sql)`` — the database's
 one :class:`~repro.db.Statement` handle for that text, shared with
@@ -49,15 +43,14 @@ Connection lifecycle guarantees (unchanged from the threaded server):
   open transaction and releases its locks via ``Session.close()``.
 * **Admission control** — beyond ``max_connections`` the server sends
   a structured ``ServerBusyError`` frame (SQLSTATE 53300) and closes.
-* **Timeouts** — an idle connection (no frame for ``idle_timeout``,
-  and nothing queued or executing) is closed with an
-  ``IdleTimeoutError`` frame by the loop's bookkeeping tick; a
-  statement running longer than ``statement_timeout`` gets its
-  connection killed by a watchdog timer.
+* **Timeouts** — the loop's bookkeeping tick closes a parked
+  connection with no frame for ``idle_timeout`` (after an
+  ``IdleTimeoutError`` frame) and kills a connection whose current
+  statement started more than ``statement_timeout`` ago.
 * **Graceful shutdown** — ``shutdown()`` stops accepting, immediately
-  retires idle out-of-transaction connections with a
+  retires parked out-of-transaction connections with a
   ``ServerShutdownError`` frame, lets in-flight transactions drain
-  until ``drain_timeout`` (workers retire their connection at the
+  until ``drain_timeout`` (runners retire their connection at the
   first statement boundary outside a transaction), then force-closes
   stragglers.
 
@@ -66,7 +59,9 @@ Fault seams ``net.accept`` / ``net.read`` / ``net.write`` follow the
 net seam = the I/O "fails"); ``net.read`` fires once per decoded
 frame, ``net.write`` once per response frame.  Per-connection metrics
 live in the attached observability registry and the
-``bullfrog_stat_network`` system view.
+``bullfrog_stat_network`` system view; ``bullfrog_stat_server`` is the
+one-row summary (connections served by a runner right now, open
+connections, the cap, draining).
 
 META frames are answered by the shared admin console
 (:func:`repro.obs.console.run`); the server only registers the verbs
@@ -77,13 +72,14 @@ two-phase flip) and ``migrate`` — on the database's verb table.
 from __future__ import annotations
 
 import json
-import queue
 import select
 import selectors
 import socket
+import sys
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -109,11 +105,11 @@ from . import protocol
 
 _RECV_CHUNK = 65536
 
-# How long a worker lingers on its connection's socket after draining
-# the inbox, hoping the next frame is already in flight.  A hit keeps
-# the whole request on one thread (no selector round trip, no queue
-# handoff) — chatty connections get thread-per-connection latency while
-# parked ones cost only a selector slot.
+# How long a runner lingers on its connection's socket after a batch,
+# hoping the next frame is already in flight.  A hit keeps the next
+# request on the same thread (no selector round trip, no hand-off) —
+# chatty connections get thread-per-connection latency while parked
+# ones cost only a selector slot.
 _HOT_POLL = 0.0005
 
 # Replies are flushed once per statement boundary, not once per frame;
@@ -123,8 +119,6 @@ _FLUSH_HIWAT = 262144
 
 _BACKLOG = 16  # bounded TCP accept queue
 _BATCH_ROWS = 256  # result-set streaming granularity
-_MAX_WORKERS = 64  # elastic worker ceiling (lock waits park workers)
-_WORKER_KEEPALIVE = 10.0  # transient worker idle lifetime (seconds)
 _MAX_PREPARED = 1024  # per-connection prepared-statement cap
 _TICK = 0.05  # event-loop bookkeeping cadence (seconds)
 # Cluster epoch flip: how long a gated statement waits for the flip to
@@ -140,7 +134,6 @@ class ServerConfig:
     idle_timeout: float | None = None
     statement_timeout: float | None = None
     drain_timeout: float = 5.0
-    workers: int = 4  # permanent execution workers
     # Monitoring: when the Database runs instrumented, start() attaches
     # the metrics-history sampler + health engine + flight recorder
     # (obs.attach_monitoring) so `\top` over the wire, /healthz, and
@@ -157,20 +150,23 @@ class ServerConfig:
 class _Connection:
     """Server-side bookkeeping for one client socket.
 
-    ``lock`` guards the scheduling state (``inbox`` / ``scheduled`` /
-    ``eof`` / ``retired``); ``out_lock`` guards the outbound buffer and
-    ``doomed``.  ``inbuf`` is touched only by whichever thread is
-    allowed to read the socket right now: the I/O thread while the
-    connection is parked (READ interest on), or the owning worker on
-    the hot path (READ interest off).  ``sel_mask`` is the current
-    selector interest and is touched only by the I/O thread.
+    A connection is either *parked* (READ interest on, no runner) or
+    *owned* by exactly one runner (READ interest off).  ``lock`` guards
+    ``owned`` and ``retired``: only the I/O thread hands a parked
+    connection to a runner, only that runner parks it again, and any
+    other thread may retire it only while it is parked.  Everything
+    else a runner touches — ``inbuf``, ``inbox``, the session — is the
+    owner's alone.  ``out_lock`` guards the outbound buffer and
+    ``doomed`` (the loop drains write backlogs; kills come from the
+    tick or ``shutdown``).  ``sel_mask`` is the current selector
+    interest and is touched only by the I/O thread.
     """
 
     __slots__ = (
         "id", "sock", "addr", "session", "state", "doomed",
         "connected_at", "last_activity", "statements", "transactions",
-        "bytes_in", "bytes_out", "out_hiwat",
-        "inbuf", "inbox", "scheduled", "eof", "eof_cause", "retired",
+        "bytes_in", "bytes_out", "out_hiwat", "inbuf", "inbox",
+        "owned", "handoff", "stmt_started", "retired",
         "greeted", "trace", "trace_ctx", "prepared", "lock",
         "out_lock", "outbuf", "want_write", "sel_mask",
     )
@@ -191,12 +187,15 @@ class _Connection:
         self.bytes_out = 0
         self.out_hiwat = 0  # outbound-buffer high-water mark (bytes)
         self.inbuf = bytearray()
-        # (frame type, payload, enqueue perf_counter) — the timestamp
-        # is what prices the net_queue wait class.
-        self.inbox: deque[tuple[int, bytes, float]] = deque()
-        self.scheduled = False
-        self.eof = False
-        self.eof_cause = "eof"
+        # (frame type, payload): decoded by the runner, not yet run.
+        self.inbox: deque[tuple[int, bytes]] = deque()
+        self.owned = False
+        # perf_counter of the loop's hand-off to a runner — what the
+        # first batch's net_queue wait is measured from.
+        self.handoff = time.perf_counter()
+        # monotonic start of the statement running now (None between
+        # statements); the tick enforces statement_timeout from it.
+        self.stmt_started: float | None = None
         self.retired = False
         self.greeted = False
         self.trace = False  # client asked for trace trailers (HELLO)
@@ -229,12 +228,7 @@ class BullfrogServer:
         self._waker_w: socket.socket | None = None
         self._io_thread: threading.Thread | None = None
         self._ioq: deque[tuple] = deque()  # cross-thread selector requests
-        self._work_queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._worker_latch = threading.Lock()
-        self._worker_threads: list[threading.Thread] = []
-        self._idle_workers = 0  # heuristic; GIL-atomic +=/-=, no latch
-        self._busy_workers = 0  # workers inside _process right now
-        self._transient_workers = 0  # elastic workers currently alive
+        self._runners: ThreadPoolExecutor | None = None
         self._conns: dict[int, _Connection] = {}
         self._conns_latch = threading.Lock()
         self._next_conn_id = 0
@@ -277,8 +271,7 @@ class BullfrogServer:
             self._m_bytes_in = null
             self._m_bytes_out = null
             self._m_disconnects = null
-            self._g_workers_busy = null
-            self._g_dispatch_depth = null
+            self._g_serving = null
             self._rt_cells = {}
             return
         registry = obs.registry
@@ -308,15 +301,11 @@ class BullfrogServer:
             labelnames=("cause",),
         )
         # Refreshed on the event-loop tick so the history ring (and
-        # therefore incident bundles) records worker-pool saturation
-        # over time, not just the instant a view is queried.
-        self._g_workers_busy = registry.gauge(
-            "repro_net_workers_busy",
-            "execution workers currently running a request",
-        ).cell()
-        self._g_dispatch_depth = registry.gauge(
-            "repro_net_dispatch_depth",
-            "connections queued for an execution worker",
+        # therefore incident bundles) records how many connections were
+        # active over time, not just the instant a view is queried.
+        self._g_serving = registry.gauge(
+            "repro_net_connections_serving",
+            "client connections currently owned by a runner",
         ).cell()
         rt = registry.histogram(
             "repro_net_request_seconds",
@@ -374,34 +363,23 @@ class BullfrogServer:
         ))
 
     # ------------------------------------------------------------------
-    # bullfrog_stat_server (one row of event-loop / worker-pool health)
+    # bullfrog_stat_server (one row of server health)
     # ------------------------------------------------------------------
     def _register_server_view(self) -> None:
         def produce(ctx: Any) -> list[tuple]:
-            with self._worker_latch:
-                workers = len(self._worker_threads)
-                transient = self._transient_workers
             with self._conns_latch:
-                connections = len(self._conns)
+                conns = list(self._conns.values())
             return [(
-                workers,
-                self._busy_workers,
-                transient,
-                self._idle_workers,
-                self._work_queue.qsize(),
-                connections,
+                sum(conn.owned for conn in conns),
+                len(conns),
                 self.config.max_connections,
                 self._draining.is_set(),
             )]
 
         self.db.catalog.register_virtual(VirtualTable(
             "bullfrog_stat_server",
-            (
-                "workers", "workers_busy", "workers_transient",
-                "workers_idle", "dispatch_queue_depth", "connections",
-                "max_connections", "draining",
-            ),
-            (_INT, _INT, _INT, _INT, _INT, _INT, _INT, _BOOL),
+            ("serving", "connections", "max_connections", "draining"),
+            (_INT, _INT, _INT, _BOOL),
             produce,
         ))
 
@@ -429,23 +407,26 @@ class BullfrogServer:
         self._waker_r.setblocking(False)
         self._waker_w.setblocking(False)
         self._selector.register(self._waker_r, selectors.EVENT_READ, "waker")
+        # One runner per active connection at most, so the pool never
+        # needs more threads than connections it may admit.
+        self._runners = ThreadPoolExecutor(
+            max_workers=self.config.max_connections,
+            thread_name_prefix="bullfrogd-runner",
+        )
         self._running = True
         self._io_running = True
         self._io_thread = threading.Thread(
             target=self._io_loop, daemon=True, name="bullfrogd-io"
         )
         self._io_thread.start()
-        with self._worker_latch:
-            for i in range(self.config.workers):
-                self._spawn_worker_locked(transient=False)
         self._attach_monitoring()
         return self
 
     def _attach_monitoring(self) -> None:
         """Wire the history sampler / health engine / flight recorder
-        onto the database's observability bundle, plus a server-local
-        worker-saturation rule.  Skipped when observability is detached
-        or ``config.monitor`` is off — the zero-cost contract holds."""
+        onto the database's observability bundle.  Skipped when
+        observability is detached or ``config.monitor`` is off — the
+        zero-cost contract holds."""
         obs = self.db.obs
         if obs is None or not obs.metrics_enabled or not self.config.monitor:
             return
@@ -456,29 +437,6 @@ class BullfrogServer:
             interval=self.config.monitor_interval,
             incident_dir=self.config.incident_dir,
         )
-        health = obs.health
-        if any(rule.name == "worker_saturation" for rule in health.rules):
-            return  # restart on the same Database: rule already wired
-        from ..obs.health import WARN, ThresholdRule
-
-        db = self.db
-
-        def saturation(_ctx) -> float:
-            # The view row, not this server's counters: the rule
-            # outlives a restart on the same Database.
-            (row,) = console.view(db, "bullfrog_stat_server")
-            if row["workers"] == 0 or row["workers_busy"] < row["workers"]:
-                return 0.0
-            return float(row["dispatch_queue_depth"])
-
-        health.add_rule(ThresholdRule(
-            "worker_saturation",
-            saturation,
-            bound=4.0 * max(self.config.workers, 1),
-            severity=WARN,
-            window=self.config.monitor_interval,
-            description="dispatch backlog while every worker is busy",
-        ))
 
     def monitor_summary(self) -> dict:
         """The ``top json`` payload (history summary + health report +
@@ -504,10 +462,6 @@ class BullfrogServer:
     def io_thread_count(self) -> int:
         """How many threads multiplex sockets (always 1: the loop)."""
         return 1 if self._io_running else 0
-
-    def worker_count(self) -> int:
-        with self._worker_latch:
-            return len(self._worker_threads)
 
     def _wake(self) -> None:
         waker = self._waker_w
@@ -541,21 +495,15 @@ class BullfrogServer:
                 elif tag == "listen":
                     self._handle_accept()
                 else:
-                    conn: _Connection = tag
-                    if conn.retired:
-                        continue
                     if mask & selectors.EVENT_WRITE:
-                        self._handle_writable(conn)
-                    if mask & selectors.EVENT_READ and not conn.retired:
-                        self._handle_readable(conn)
+                        self._handle_writable(tag)
+                    if mask & selectors.EVENT_READ:
+                        self._hand_off(tag)
             self._drain_ioq()
             now = time.monotonic()
             if now >= next_tick:
                 next_tick = now + _TICK
-                self._check_idle_timeouts(now)
-                # NULL_METRIC no-ops when observability is detached.
-                self._g_workers_busy.set(self._busy_workers)
-                self._g_dispatch_depth.set(self._work_queue.qsize())
+                self._tick(now)
 
     def _drain_ioq(self) -> None:
         """Apply selector mutations requested by other threads — all
@@ -575,7 +523,7 @@ class BullfrogServer:
                 self._sel_update(conn, conn.sel_mask | selectors.EVENT_WRITE)
                 conn.want_write = True
             elif op == "resume_read":
-                # A worker parked its connection: hand the socket back
+                # A runner parked its connection: hand the socket back
                 # to the event loop.  Level-triggered readiness means
                 # any bytes that arrived while ownership was in flight
                 # surface on the very next select().
@@ -609,7 +557,7 @@ class BullfrogServer:
     def _sel_update(self, conn: _Connection, mask: int) -> None:
         """Move one socket to a new selector interest set (I/O thread
         only).  ``mask`` 0 means unregistered — the state of a socket
-        whose owning worker is reading it directly.  On any selector
+        whose runner is reading it directly.  On any selector
         error the socket is forced out of the selector; the close path
         cleans up the fd."""
         sel = self._selector
@@ -693,103 +641,18 @@ class BullfrogServer:
         finally:
             sock.close()
 
-    # ------------------------------------------------------------------
-    # Read path: frame reassembly + per-frame fault seam
-    # ------------------------------------------------------------------
-    def _handle_readable(self, conn: _Connection) -> None:
-        try:
-            while True:
-                chunk = conn.sock.recv(_RECV_CHUNK)
-                if not chunk:
-                    cause = "protocol_error" if conn.inbuf else "eof"
-                    self._on_disconnect(conn, cause)
-                    return
-                conn.inbuf += chunk
-                if len(chunk) < _RECV_CHUNK:
-                    break
-        except (BlockingIOError, InterruptedError):
-            pass
-        except OSError:
-            self._on_disconnect(conn, "abrupt_disconnect")
-            return
-        self._pump_frames(conn)
-
-    def _pump_frames(self, conn: _Connection) -> None:
-        """Decode every complete frame out of the input buffer, firing
-        the ``net.read`` seam once per frame, then hand the batch to
-        the worker pool."""
-        frames: list[tuple[int, bytes]] = []
-        pos = 0
-        died = False
-        faults = self.faults
-        obs = self.db.obs
-        try:
-            while True:
-                decoded = protocol.decode_frame(conn.inbuf, pos)
-                if decoded is None:
-                    break
-                ftype, payload, pos = decoded
-                if faults is not None and "net.read" in faults.watching:
-                    try:
-                        faults.fire("net.read", conn_id=conn.id)
-                    except Exception:
-                        # Injected ABORT = "this read failed": frames
-                        # already decoded still execute, then the
-                        # connection dies like a reset peer.
-                        died = True
-                        break
-                if obs is not None and obs.active:
-                    obs.count("net.read")
-                frames.append((ftype, payload))
-        except ProtocolError as exc:
-            # Garbage framing: answer with a structured 08P01 frame if
-            # the socket still works, then hang up.
-            del conn.inbuf[:pos]
-            self._send_error(conn, exc, self._send_best_effort)
-            self._on_disconnect(conn, "protocol_error")
-            return
-        del conn.inbuf[:pos]
-        if frames:
-            conn.last_activity = time.monotonic()
-            size = sum(protocol.HEADER_SIZE + len(p) for _, p in frames)
-            conn.bytes_in += size
-            self._m_bytes_in.inc(size)
-            # One timestamp for the whole batch: frames decoded
-            # together were enqueued together, and the net_queue wait
-            # measures inbox-to-worker latency, not intra-batch skew.
-            enq = time.perf_counter()
-            with conn.lock:
-                conn.inbox.extend((f, p, enq) for f, p in frames)
-                newly = not conn.scheduled and not conn.retired
-                if newly:
-                    conn.scheduled = True
-            if newly:
-                # Only the I/O thread can newly-schedule a connection
-                # (a worker pumping on the hot path already owns it),
-                # so mutating the selector here is safe.  READ interest
-                # goes dark *before* the worker can see the connection
-                # on the queue — from here until _park, the worker is
-                # the only thread reading this socket.
-                self._sel_update(conn, conn.sel_mask & ~selectors.EVENT_READ)
-                self._work_queue.put(conn)
-                self._maybe_spawn_worker()
-        if died:
-            self._on_disconnect(conn, "abrupt_disconnect")
-
-    def _on_disconnect(self, conn: _Connection, cause: str) -> None:
-        """The socket is gone (EOF, reset, injected fault).  If no
-        worker owns the connection, retire it now; otherwise the worker
-        retires it at its next statement boundary."""
+    def _hand_off(self, conn: _Connection) -> None:
+        """A parked socket turned readable (a frame, EOF or a reset):
+        give the connection to a runner.  READ interest goes dark first
+        — from here until the runner parks it, the runner is the only
+        thread reading this socket."""
         with conn.lock:
-            if conn.retired:
+            if conn.owned or conn.retired:
                 return
-            conn.eof = True
-            conn.eof_cause = cause
-            owner = not conn.scheduled
-            if owner:
-                conn.retired = True
-        if owner:
-            self._do_retire(conn, "killed" if conn.doomed is not None else cause)
+            conn.owned = True
+        self._sel_update(conn, conn.sel_mask & ~selectors.EVENT_READ)
+        conn.handoff = time.perf_counter()
+        self._runners.submit(self._serve, conn)  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------
     # Write path
@@ -815,8 +678,10 @@ class BullfrogServer:
                 self._flush_out_locked(conn)
                 drained = not conn.outbuf
         except OSError:
-            self._on_disconnect(conn, "abrupt_disconnect")
-            return
+            # Dead socket: stop watching it.  A parked connection
+            # retires here; a runner meets the error itself.
+            drained = True
+            self._retire_parked(conn, "abrupt_disconnect")
         if drained and conn.want_write:
             self._sel_update(conn, conn.sel_mask & ~selectors.EVENT_WRITE)
             conn.want_write = False
@@ -880,179 +745,152 @@ class BullfrogServer:
         except OSError:
             pass
 
-    def _send_best_effort(self, conn: _Connection, frame: bytes) -> None:
-        """Farewell frames from the I/O thread: skip seams, never raise."""
-        with conn.out_lock:
-            if conn.doomed is not None:
-                return
-            conn.outbuf += frame
-            try:
-                self._flush_out_locked(conn)
-            except OSError:
-                pass
-
     # ------------------------------------------------------------------
-    # Worker pool (elastic)
+    # Runner: one connection from socket read to reply
     # ------------------------------------------------------------------
-    def _spawn_worker_locked(self, transient: bool) -> None:
-        index = len(self._worker_threads)
-        thread = threading.Thread(
-            target=self._worker_loop, args=(transient,), daemon=True,
-            name=f"bullfrogd-worker-{index}",
-        )
-        self._worker_threads.append(thread)
-        if transient:
-            self._transient_workers += 1
-        thread.start()
+    def _serve(self, conn: _Connection) -> None:
+        """Serve an owned connection until it parks or retires.  Each
+        batch: read what the socket has, decode every complete frame,
+        run them in order, flush once (after the last frame), then
+        linger ``_HOT_POLL`` for the next batch.  The first batch has
+        waited since the loop's hand-off — what ``net_queue`` prices."""
+        ready = conn.handoff
+        try:
+            while True:
+                cause, error = self._recv_frames(conn)
+                if not self._run_frames(conn, ready):
+                    return
+                if error is not None:
+                    # Garbage framing: the frames before it have run;
+                    # answer with a structured 08P01 frame, then hang up.
+                    self._send_error(conn, error, self._try_send)
+                if cause is not None:
+                    self._retire(
+                        conn, "killed" if conn.doomed is not None else cause
+                    )
+                    return
+                if not self._hot_poll(conn):
+                    self._park(conn)
+                    return
+                ready = time.perf_counter()
+        except BaseException:
+            # _handle_frame answers every Exception a frame raises, so
+            # this is a simulated crash or a server bug.  The executor
+            # would file it in a future nobody reads: report it here.
+            sys.excepthook(*sys.exc_info())
+            raise
 
-    def _maybe_spawn_worker(self) -> None:
-        """Grow the pool when every worker is busy (a lock-free read of
-        the idle count keeps the common dispatch path latch-free; the
-        latch is taken only to actually spawn)."""
-        if self._idle_workers > 0 or not self._running:
-            return
-        with self._worker_latch:
-            if len(self._worker_threads) < _MAX_WORKERS:
-                self._spawn_worker_locked(transient=True)
-
-    def _worker_loop(self, transient: bool) -> None:
-        while True:
-            with self._worker_latch:
-                self._idle_workers += 1
-            try:
-                conn = self._work_queue.get(
-                    timeout=_WORKER_KEEPALIVE if transient else None
-                )
-            except queue.Empty:
-                conn = None  # transient worker idled out
-            with self._worker_latch:
-                self._idle_workers -= 1
-            if conn is None:  # idle exit or shutdown sentinel
-                with self._worker_latch:
+    def _recv_frames(
+        self, conn: _Connection
+    ) -> tuple[str | None, ProtocolError | None]:
+        """Read what the socket holds and decode every complete frame
+        into the inbox, firing ``net.read`` once per frame.  Returns why
+        the connection must retire once those frames have run (``None``
+        while it lives) and the framing error to answer, if any."""
+        cause = None
+        try:
+            while True:
+                chunk = conn.sock.recv(_RECV_CHUNK)
+                if not chunk:
+                    cause = "eof"
+                    break
+                conn.inbuf += chunk
+                if len(chunk) < _RECV_CHUNK:
+                    break
+        except (BlockingIOError, InterruptedError):
+            pass
+        except OSError:
+            cause = "abrupt_disconnect"
+        inbuf = conn.inbuf
+        pos = 0
+        error = None
+        faults = self.faults
+        obs = self.db.obs
+        try:
+            while True:
+                decoded = protocol.decode_frame(inbuf, pos)
+                if decoded is None:
+                    break
+                if faults is not None and "net.read" in faults.watching:
                     try:
-                        self._worker_threads.remove(threading.current_thread())
-                    except ValueError:
-                        pass
-                    if transient:
-                        self._transient_workers -= 1
-                return
-            # Heuristic like _idle_workers: GIL-atomic bumps, no latch.
-            self._busy_workers += 1
-            try:
-                self._process(conn)
-            finally:
-                self._busy_workers -= 1
+                        faults.fire("net.read", conn_id=conn.id)
+                    except Exception:
+                        # Injected ABORT = "this read failed": frames
+                        # already decoded still run, then the
+                        # connection dies like a reset peer.
+                        cause = "abrupt_disconnect"
+                        break
+                if obs is not None and obs.active:
+                    obs.count("net.read")
+                conn.inbox.append(decoded[:2])
+                pos = decoded[2]
+        except ProtocolError as exc:
+            error, cause = exc, "protocol_error"
+        if pos:
+            del inbuf[:pos]
+            conn.last_activity = time.monotonic()
+            conn.bytes_in += pos
+            self._m_bytes_in.inc(pos)
+        if cause == "eof" and inbuf:
+            cause = "protocol_error"  # the peer hung up mid-frame
+        return cause, error
 
-    def _process(self, conn: _Connection) -> None:
-        """Run one connection's queued frames to exhaustion.  Exactly
-        one worker owns a connection at a time (``scheduled``), which
-        is what guarantees pipelined replies arrive in request order."""
-        while True:
-            with conn.lock:
-                frame = conn.inbox.popleft() if conn.inbox else None
-            if frame is None:
-                if self._hot_poll(conn):
-                    continue
-                if self._park(conn):
-                    continue
-                return
+    def _run_frames(self, conn: _Connection, ready: float) -> bool:
+        """Run the decoded frames in order; False once the connection
+        has been retired."""
+        inbox = conn.inbox
+        while inbox:
+            ftype, payload = inbox.popleft()
             conn.state = "active"
-            keep = self._handle_frame(conn, frame)
-            conn.state = "closing" if conn.doomed is not None else "idle"
-            if not keep:
-                return
+            if not self._handle_frame(conn, ftype, payload, ready):
+                return False
+            conn.state = "idle"
             if conn.doomed is not None:
-                if self._mark_retired(conn):
-                    self._do_retire(conn, "killed")
-                return
-            if (
-                self._draining.is_set()
-                and not conn.session.in_transaction
-            ):
+                self._retire(conn, "killed")
+                return False
+            if self._draining.is_set() and not conn.session.in_transaction:
                 # Drain point: this connection's transaction (if any)
                 # just finished; retire it politely.
-                if self._mark_retired(conn):
-                    self._send_error(
-                        conn, ServerShutdownError("server is shutting down"),
-                        self._try_send,
-                    )
-                    self._do_retire(conn, "shutdown")
-                return
+                self._send_error(
+                    conn, ServerShutdownError("server is shutting down"),
+                    self._try_send,
+                )
+                self._retire(conn, "shutdown")
+                return False
+        return True
 
     def _hot_poll(self, conn: _Connection) -> bool:
-        """Linger on the owned connection's socket before parking.
-        While a worker owns a connection its selector READ interest is
-        off, so the worker may read the socket directly; a hit keeps
-        the whole request → reply exchange on one thread, with no
-        selector round trip and no queue handoff — a busy terminal gets
-        thread-per-connection latency while parked connections still
-        cost only a selector slot.  The worker never lingers when other
-        connections are waiting for a worker.  Returns True when the
-        poll made progress (new frames, or a disconnect for ``_park``
-        to act on)."""
-        if (
-            conn.eof
-            or conn.doomed is not None
-            or conn.retired
-            or self._draining.is_set()
-        ):
-            return False
-        # Linger when no other connection is waiting for a worker —
-        # and *always* for a connection inside a transaction: it holds
-        # 2PL locks, and gluing its worker to the socket keeps the
-        # lock-hold window one poll away from the next frame instead
-        # of a full selector round trip, which is what other
-        # transactions blocked on those locks are paying for.
-        if not conn.session.in_transaction and not self._work_queue.empty():
+        """Linger on the owned connection's socket before parking.  A
+        hit keeps the next request → reply exchange on this thread,
+        with no selector round trip and no hand-off — a busy terminal
+        gets thread-per-connection latency while parked connections
+        still cost only a selector slot.  True when the socket turned
+        readable (new frames, or a disconnect to act on)."""
+        if conn.doomed is not None or self._draining.is_set():
             return False
         try:
             readable, _, _ = select.select([conn.sock], [], [], _HOT_POLL)
         except (OSError, ValueError):
             return False
-        if not readable:
-            return False
-        self._handle_readable(conn)
-        return True
+        return bool(readable)
 
-    def _park(self, conn: _Connection) -> bool:
-        """Inbox ran dry: release ownership, or retire if the
-        connection died while we were executing.  Returns True when new
-        frames raced in and the worker should keep going."""
-        cause = None
+    def _park(self, conn: _Connection) -> None:
+        """Release ownership and hand the socket back to the event loop
+        (READ interest was off while the runner owned it).  A kill that
+        lands from here on turns the parked socket readable, and the
+        runner it is handed to retires it."""
+        conn.last_activity = time.monotonic()
         with conn.lock:
-            if conn.inbox:
-                return True
-            if conn.retired:
-                conn.scheduled = False
-                return False
-            if conn.doomed is not None:
-                cause = "killed"
-            elif conn.eof:
-                cause = conn.eof_cause
-            if cause is not None:
-                conn.retired = True
-            conn.scheduled = False
-        if cause is not None:
-            self._do_retire(conn, cause)
-            return False
-        # Hand the socket back to the event loop (READ interest was
-        # off for the duration of this worker's ownership).
+            conn.owned = False
         self._ioq.append(("resume_read", conn))
         self._wake()
-        return False
 
-    def _mark_retired(self, conn: _Connection) -> bool:
-        with conn.lock:
-            if conn.retired:
-                return False
-            conn.retired = True
-            return True
-
-    def _do_retire(self, conn: _Connection, cause: str) -> None:
+    def _retire(self, conn: _Connection, cause: str) -> None:
         """The single disconnect path: roll back, release, deregister.
         ``Session.close()`` aborts any open transaction, which releases
-        every lock the connection held.  Callers must have won the
-        ``retired`` flag under ``conn.lock``."""
+        every lock the connection held.  Callers own the connection —
+        its runner, or ``_retire_parked`` after winning it."""
+        conn.retired = True
         conn.state = "closing"
         conn.session.close()
         with self._conns_latch:
@@ -1062,13 +900,34 @@ class BullfrogServer:
         self._ioq.append(("close", conn))
         self._wake()
 
+    def _retire_parked(
+        self, conn: _Connection, cause: str,
+        farewell: ReproError | None = None, unless_in_txn: bool = False,
+    ) -> None:
+        """Retire a connection no runner owns (idle timeout, the
+        shutdown sweep, a dead socket seen by the loop), after sending
+        ``farewell`` as its last frame.  An owned connection is left to
+        its runner; ``unless_in_txn`` also spares one whose client is
+        mid-transaction."""
+        with conn.lock:
+            if (
+                conn.owned or conn.retired
+                or (unless_in_txn and conn.session.in_transaction)
+            ):
+                return
+            conn.retired = True
+        if farewell is not None:
+            self._kill(conn, farewell)
+        self._retire(conn, cause)
+
     # ------------------------------------------------------------------
     # Frame execution
     # ------------------------------------------------------------------
-    def _handle_frame(self, conn: _Connection, frame: tuple[int, bytes]) -> bool:
+    def _handle_frame(
+        self, conn: _Connection, ftype: int, payload: bytes, enq_ts: float
+    ) -> bool:
         """Dispatch one frame; returns False when the connection was
         retired (protocol violation, CLOSE, dead socket)."""
-        ftype, payload, enq_ts = frame
         try:
             if not conn.greeted and ftype != protocol.HELLO:
                 # Client-initiated handshake: the first frame must be a
@@ -1077,8 +936,7 @@ class BullfrogServer:
                     f"expected HELLO, got frame type 0x{ftype:02x}"
                 )
             if ftype == protocol.CLOSE:
-                if self._mark_retired(conn):
-                    self._do_retire(conn, "client_close")
+                self._retire(conn, "client_close")
                 return False
             began = time.monotonic()
             kind = self._dispatch(conn, ftype, payload, enq_ts)
@@ -1087,8 +945,7 @@ class BullfrogServer:
                 # Statement boundary with nothing else queued: push the
                 # buffered reply (or the whole pipelined batch of
                 # replies) to the kernel in one write.  The peek is
-                # exact — while this worker owns the connection, only
-                # this worker can append to the inbox.
+                # exact — only this runner appends to the inbox.
                 obs = self.db.obs
                 if (
                     ctx is not None
@@ -1110,18 +967,16 @@ class BullfrogServer:
             return True
         except ProtocolError as exc:
             self._send_error(conn, exc, self._try_send)
-            if self._mark_retired(conn):
-                self._do_retire(conn, "protocol_error")
+            self._retire(conn, "protocol_error")
             return False
         except OSError:
-            if self._mark_retired(conn):
-                cause = "killed" if conn.doomed is not None else "abrupt_disconnect"
-                self._do_retire(conn, cause)
+            self._retire(
+                conn, "killed" if conn.doomed is not None else "abrupt_disconnect"
+            )
             return False
         except Exception as exc:  # noqa: BLE001 - last-resort server guard
             self._send_error(conn, exc, self._try_send)
-            if self._mark_retired(conn):
-                self._do_retire(conn, "internal_error")
+            self._retire(conn, "internal_error")
             return False
 
     def _continue_trace(
@@ -1130,9 +985,11 @@ class BullfrogServer:
     ) -> TraceContext | None:
         """Continue the client's trace as this request's server hop: a
         context carrying the wire ``trace_id``, parented on the
-        client-side span, with the frame's inbox dwell already recorded
-        as ``net_queue`` wait (it happened before any statement context
-        existed, and the shared accumulator hands it down)."""
+        client-side span, with the frame's wait since its batch was
+        ready (the loop's hand-off, or the runner's own read on the hot
+        path) already recorded as ``net_queue`` wait (it happened before
+        any statement context existed, and the shared accumulator hands
+        it down)."""
         if trace is None:
             return None
         obs = self.db.obs
@@ -1270,28 +1127,14 @@ class BullfrogServer:
         thunk: Callable[[], Result],
         ctx: TraceContext | None = None,
     ) -> None:
-        """Execute one statement (parsed or prepared) under the
-        statement-timeout watchdog and stream its result.  A non-None
-        ``ctx`` (the continued client trace) is parked on the session
-        so ``execute_statement`` forks its statement span under the
-        server hop, and the hop itself is recorded as ``server.execute``."""
+        """Execute one statement (parsed or prepared) and stream its
+        result.  The start stamp is what the loop's tick measures
+        ``statement_timeout`` against.  A non-None ``ctx`` (the
+        continued client trace) is parked on the session so
+        ``execute_statement`` forks its statement span under the server
+        hop, and the hop itself is recorded as ``server.execute``."""
         conn.statements += 1
-        watchdog: threading.Timer | None = None
-        if self.config.statement_timeout is not None:
-            watchdog = threading.Timer(
-                self.config.statement_timeout,
-                self._kill,
-                (
-                    conn,
-                    StatementTimeoutError(
-                        f"statement exceeded statement_timeout "
-                        f"({self.config.statement_timeout}s); "
-                        "connection terminated"
-                    ),
-                ),
-            )
-            watchdog.daemon = True
-            watchdog.start()
+        conn.stmt_started = time.monotonic()
         obs = self.db.obs if ctx is not None else None
         if obs is not None:
             start_us = obs.trace.now_us()
@@ -1303,8 +1146,7 @@ class BullfrogServer:
                 self._send_error(conn, exc)
             return
         finally:
-            if watchdog is not None:
-                watchdog.cancel()
+            conn.stmt_started = None
             if obs is not None:
                 conn.session._request_ctx = None
                 obs.trace.complete(
@@ -1377,10 +1219,11 @@ class BullfrogServer:
     # Kills and timeouts
     # ------------------------------------------------------------------
     def _kill(self, conn: _Connection, exc: BaseException) -> None:
-        """Doom a connection from another thread (watchdog/shutdown):
-        mark it, push a best-effort error frame, sever the socket.  The
-        I/O thread (EOF) or the owning worker then retires it through
-        the normal path."""
+        """Doom a connection from another thread (the tick or
+        shutdown): mark it, push a best-effort error frame, sever the
+        socket.  Its runner retires it at the statement boundary; a
+        parked one turns readable (EOF) and the runner it is handed to
+        retires it."""
         with conn.out_lock:
             if conn.doomed is not None:
                 return
@@ -1408,27 +1251,36 @@ class BullfrogServer:
             pass
         self._wake()
 
-    def _check_idle_timeouts(self, now: float) -> None:
-        timeout = self.config.idle_timeout
-        if timeout is None:
-            return
+    def _tick(self, now: float) -> None:
+        """The loop's bookkeeping: refresh the serving gauge, kill a
+        connection whose statement has run past ``statement_timeout``
+        and retire a parked one with no frame for ``idle_timeout`` (an
+        owned connection is not idle, however old its last frame)."""
         with self._conns_latch:
             conns = list(self._conns.values())
+        # NULL_METRIC no-ops when observability is detached.
+        self._g_serving.set(sum(conn.owned for conn in conns))
+        stmt_timeout = self.config.statement_timeout
+        idle_timeout = self.config.idle_timeout
+        if stmt_timeout is None and idle_timeout is None:
+            return
         for conn in conns:
-            with conn.lock:
-                # A connection with queued or executing work is not
-                # idle, however long ago its last frame arrived.
-                parked = (
-                    not conn.scheduled and not conn.inbox and not conn.retired
-                )
-                expired = parked and now - conn.last_activity > timeout
-                if expired:
-                    conn.retired = True
-            if expired:
-                self._kill(conn, IdleTimeoutError(
-                    f"idle timeout ({timeout}s) exceeded"
+            started = conn.stmt_started
+            if (
+                stmt_timeout is not None and started is not None
+                and now - started > stmt_timeout and conn.doomed is None
+            ):
+                self._kill(conn, StatementTimeoutError(
+                    f"statement exceeded statement_timeout ({stmt_timeout}s); "
+                    "connection terminated"
                 ))
-                self._do_retire(conn, "idle_timeout")
+            elif (
+                idle_timeout is not None and not conn.owned
+                and now - conn.last_activity > idle_timeout
+            ):
+                self._retire_parked(conn, "idle_timeout", IdleTimeoutError(
+                    f"idle timeout ({idle_timeout}s) exceeded"
+                ))
 
     # ------------------------------------------------------------------
     # Cluster epoch flip (shard side of the two-phase switch)
@@ -1581,7 +1433,7 @@ class BullfrogServer:
         self._running = False
         self._draining.set()
         # A prepared flip can never commit once we are shutting down;
-        # reopen the gate so gated workers drain instead of timing out.
+        # reopen the gate so gated runners drain instead of timing out.
         with self._epoch_latch:
             if self._epoch_abort_timer is not None:
                 self._epoch_abort_timer.cancel()
@@ -1601,10 +1453,11 @@ class BullfrogServer:
         self._ioq.append(("stop_accept",))
         self._wake()
 
-        # Phases 1+2: idle connections outside a transaction have
+        # Phases 1+2: parked connections outside a transaction have
         # nothing to drain — retire them immediately; keep sweeping as
-        # in-flight work reaches a statement boundary (workers also
-        # retire their own connection at drain points — see _process).
+        # in-flight work reaches a statement boundary (runners also
+        # retire their own connection at drain points — see
+        # _run_frames).
         shutdown_exc = ServerShutdownError("server is shutting down")
         while True:
             with self._conns_latch:
@@ -1612,18 +1465,9 @@ class BullfrogServer:
             if not remaining:
                 break
             for conn in remaining:
-                with conn.lock:
-                    idle = (
-                        not conn.scheduled
-                        and not conn.inbox
-                        and not conn.retired
-                        and not conn.session.in_transaction
-                    )
-                    if idle:
-                        conn.retired = True
-                if idle:
-                    self._kill(conn, shutdown_exc)
-                    self._do_retire(conn, "shutdown")
+                self._retire_parked(
+                    conn, "shutdown", shutdown_exc, unless_in_txn=True
+                )
             if time.monotonic() >= deadline:
                 break
             time.sleep(0.01)
@@ -1639,26 +1483,26 @@ class BullfrogServer:
                     "server shutdown deadline reached; transaction aborted"
                 ),
             )
-        # Wait for the kills to unwind (a worker mid-statement retires
-        # its connection when the statement returns).
+        # Wait for the kills to unwind (a runner mid-statement retires
+        # its connection when the statement returns; a parked one is
+        # handed to a runner by its EOF).
         wait_deadline = time.monotonic() + 5.0
         while time.monotonic() < wait_deadline:
             with self._conns_latch:
-                if not self._conns:
-                    break
+                stuck = bool(self._conns)
+            if not stuck:
+                break
             time.sleep(0.01)
 
-        # Stop the pool and the loop.
-        with self._worker_latch:
-            workers = list(self._worker_threads)
-        for _ in workers:
-            self._work_queue.put(None)
-        for thread in workers:
-            thread.join(timeout=5.0)
+        # Stop the loop, then the runners — a runner still inside a
+        # statement past every deadline is left to finish on its own —
+        # then apply the close requests the last runners posted.
         self._io_running = False
         self._wake()
         if self._io_thread is not None:
             self._io_thread.join(timeout=5.0)
+        self._runners.shutdown(wait=not stuck)  # type: ignore[union-attr]
+        self._drain_ioq()
         if self._selector is not None:
             try:
                 self._selector.close()

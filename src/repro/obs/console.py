@@ -10,7 +10,7 @@ database's ``admin_verbs`` table (``BullfrogServer``: ``epoch``,
 per-shard ``progress`` that shadows the built-in one).
 
 Handlers read the ``bullfrog_stat_*`` system views (:func:`view`)
-rather than walking engines, rules and worker counters themselves, so
+rather than walking engines, rules and server state themselves, so
 the text a verb prints and the rows a ``SELECT`` returns cannot drift
 apart.  The renderers are pure functions of those rows.
 """
@@ -123,9 +123,7 @@ def render_top(summary: dict) -> str:
     if server:
         lines.append(
             "server    "
-            f"workers {server.get('busy', 0)}/{server.get('workers', 0)} busy "
-            f"(+{server.get('transient', 0)} transient)   "
-            f"inbox {server.get('dispatch_queue_depth', 0)}   "
+            f"serving {server.get('serving', 0)}   "
             f"conns {server.get('connections', 0)}"
             f"/{server.get('max_connections', 0)}"
             + ("   DRAINING" if server.get("draining") else "")
@@ -235,10 +233,7 @@ def monitor_summary(db: "Database") -> dict:
     if health is not None:
         summary["health"] = health.report(max_age=1.0)
     for row in view(db, "bullfrog_stat_server"):
-        summary["server"] = {
-            column.removeprefix("workers_"): value
-            for column, value in row.items()
-        }
+        summary["server"] = row
     return summary
 
 

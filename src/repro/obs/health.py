@@ -129,8 +129,8 @@ class HealthRule:
 
 
 class ThresholdRule(HealthRule):
-    """``value_fn(ctx) > bound`` breaches.  The workhorse: the server's
-    worker-saturation rule and ad-hoc test rules are thresholds over
+    """``value_fn(ctx) > bound`` breaches.  The workhorse: ad-hoc rules
+    (an embedding application's, a test's) are thresholds over
     arbitrary callables."""
 
     def __init__(

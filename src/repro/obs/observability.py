@@ -2,8 +2,9 @@
 
 One object owns the metric registry and the trace log, plus pre-bound
 emission helpers for the migration-lifecycle points.  The emission
-sites are exactly the eight fault seams of :mod:`repro.core.faults`
-(``FAULT_POINTS``) — the hot paths already branch there, so attaching
+sites are the fault seams of :mod:`repro.core.faults` (``FAULT_POINTS``)
+that have a counter in :data:`POINT_COUNTERS` — all but the cluster
+epoch-flip pair — and the hot paths already branch there, so attaching
 observability adds **one** guarded call per seam
 (``obs is not None`` → ``obs.emit(point, ...)``), which bumps the
 point's counter *and* appends a trace event in a single dispatch, not

@@ -27,8 +27,9 @@ Wait classes (the classifier's vocabulary)::
     migration  stalled in the lazy-migration interceptor (claim,
                synchronous granule/key migration, overlay projection)
     wal        appending the redo batch at commit
-    net_queue  decoded frame sitting in the event loop's inbox before
-               a worker picked it up
+    net_queue  a request waiting to run: from the event loop handing
+               its connection to a runner (or the runner's own read,
+               on the hot path) until its frame is dispatched
     pool       client-side: waiting for a pooled connection
 
 The accumulator is shared down the chain: the server context seeds

@@ -31,7 +31,7 @@ an admin verb answered by :func:`repro.obs.console.run` — in-process
 for the embedded shell, and as a META request to the server's console
 under ``python -m repro --connect HOST:PORT``, where SQL travels over
 the wire too and ``\\top`` renders the *server's* history (including
-its worker-pool and inbox stats).  DESIGN.md "Admin surface" has the
+its ``bullfrog_stat_server`` row).  DESIGN.md "Admin surface" has the
 verb table.
 """
 

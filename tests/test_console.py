@@ -94,9 +94,9 @@ def _metrics_json(out, direct, surface):
 def _top(out, direct, surface):
     assert out[0] == "ok"
     assert "bullfrog top" in out[1] and "latency" in out[1]
-    # A server's worker/inbox row rides along; an embedded shell has
-    # no server, so no row.
-    assert ("server    workers" in out[1]) == surface.remote
+    # A server's bullfrog_stat_server row rides along; an embedded
+    # shell has no server, so no row.
+    assert ("server    serving" in out[1]) == surface.remote
 
 
 def _health(out, direct, surface):

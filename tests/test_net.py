@@ -347,6 +347,176 @@ def test_statement_timeout_kills_connection():
         srv.shutdown(drain_timeout=1.0)
 
 
+def test_statement_timeout_rides_the_tick_not_a_timer(monkeypatch):
+    """The statement timeout is enforced by the event loop's
+    bookkeeping tick: no watchdog thread is started per statement."""
+    timers = []
+
+    class CountingTimer(threading.Timer):
+        def __init__(self, *args, **kwargs):
+            timers.append(args)
+            super().__init__(*args, **kwargs)
+
+    db, srv = start_server(Database(), statement_timeout=30)
+    try:
+        with connect("127.0.0.1", srv.port) as conn:
+            conn.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+            monkeypatch.setattr(threading, "Timer", CountingTimer)
+            for i in range(100):
+                conn.execute("SELECT id FROM t WHERE id = ?", (i,))
+        assert timers == []
+    finally:
+        srv.shutdown(drain_timeout=1.0)
+
+
+# ----------------------------------------------------------------------
+# Runners: one per active connection
+# ----------------------------------------------------------------------
+
+
+def server_stat(db, column):
+    return db.connect().execute(
+        f"SELECT {column} FROM bullfrog_stat_server"
+    ).scalar()
+
+
+@pytest.mark.parametrize("waiters", [40, 70])
+def test_lock_holder_commit_not_stranded_behind_waiters(waiters):
+    """Statements blocked on a transaction's row lock must never hold
+    up the frame that ends their wait.  The holder's COMMIT runs at
+    once on its own runner — below the old 64-thread cap and above it
+    — and every waiter then takes the lock in turn."""
+    # Pinned isolation: under snapshot isolation the waiters would fail
+    # first-updater-wins (40001) instead of waiting.
+    db = Database(lock_timeout=8.0, isolation="read_committed")
+    db, srv = start_server(db, max_connections=waiters + 8)
+    clients = []
+    try:
+        with connect("127.0.0.1", srv.port) as setup:
+            setup.execute("CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+            setup.execute("INSERT INTO t VALUES (1, 0)")
+        holder = connect("127.0.0.1", srv.port)
+        clients.append(holder)
+        holder.begin()
+        holder.execute("UPDATE t SET v = v + 1 WHERE k = 1")
+        clients += [connect("127.0.0.1", srv.port) for _ in range(waiters)]
+        outcomes = [None] * waiters
+
+        def wait_on_lock(index):
+            try:
+                outcomes[index] = clients[index + 1].execute(
+                    "UPDATE t SET v = v + 1 WHERE k = 1"
+                ).rowcount
+            except ReproError as exc:
+                outcomes[index] = exc
+
+        threads = [
+            threading.Thread(target=wait_on_lock, args=(i,))
+            for i in range(waiters)
+        ]
+        for t in threads:
+            t.start()
+        wait_until(
+            lambda: sum(
+                row["waiters"] for row in db.txns.locks.snapshot()
+            ) >= waiters,
+            timeout=1.0,
+        )
+        began = time.monotonic()
+        holder.commit()
+        elapsed = time.monotonic() - began
+        for t in threads:
+            t.join(timeout=30.0)
+        assert elapsed < 1.0, f"holder's COMMIT took {elapsed:.2f}s"
+        assert outcomes == [1] * waiters
+        assert holder.execute(
+            "SELECT v FROM t WHERE k = 1"
+        ).rows == [(waiters + 1,)]
+        assert wait_until(lambda: server_stat(db, "serving") == 0)
+    finally:
+        for conn in clients:
+            conn.close()
+        srv.shutdown(drain_timeout=1.0)
+
+
+def _replies(sock):
+    """Every frame the peer has written so far, as (type, payload)."""
+    buf = bytearray()
+    while True:
+        try:
+            chunk = sock.recv(65536)
+        except BlockingIOError:
+            break
+        if not chunk:
+            break
+        buf += chunk
+    frames, pos = [], 0
+    while (decoded := protocol.decode_frame(buf, pos)) is not None:
+        ftype, payload, pos = decoded
+        frames.append((ftype, payload))
+    assert pos == len(buf)
+    return frames
+
+
+def test_runner_serves_a_socketpair_without_the_event_loop():
+    """Serving a connection is one function call: the runner works on
+    one end of a socketpair for a server that was never started."""
+    from repro.net.server import _Connection
+
+    db = Database()
+    seed = db.connect()
+    seed.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+    for k in (1, 2, 3):
+        seed.execute("INSERT INTO kv VALUES (?, ?)", (k, k * 10))
+    srv = BullfrogServer(db, ServerConfig(port=0))
+
+    def open_conn(conn_id):
+        served, client = socket.socketpair()
+        served.setblocking(False)
+        client.setblocking(False)
+        return _Connection(conn_id, served, None, db.connect()), client
+
+    conn, client = open_conn(1)
+    try:
+        client.sendall(protocol.encode_hello())
+        srv._serve(conn)
+        assert [f for f, _ in _replies(client)] == [protocol.WELCOME]
+
+        # PARSE plus three pipelined EXECUTEs: one batch, replies in order.
+        client.sendall(
+            protocol.encode_parse("get", "SELECT v FROM kv WHERE k = ?")
+            + protocol.encode_execute("get", [3])
+            + protocol.encode_execute("get", [1])
+            + protocol.encode_execute("get", [2])
+        )
+        srv._serve(conn)
+        replies = _replies(client)
+        assert [f for f, _ in replies] == [protocol.PARSE_OK] + [
+            protocol.ROW_HEADER, protocol.ROW_BATCH, protocol.COMPLETE,
+        ] * 3
+        assert [
+            protocol.decode_row_batch(p)
+            for f, p in replies if f == protocol.ROW_BATCH
+        ] == [[(30,)], [(10,)], [(20,)]]
+        assert not conn.retired and not conn.owned
+    finally:
+        conn.sock.close()
+        client.close()
+
+    # A first frame that is not HELLO: 08P01, and the connection retires.
+    conn, client = open_conn(2)
+    try:
+        client.sendall(protocol.encode_ping())
+        srv._serve(conn)
+        ((ftype, payload),) = _replies(client)
+        assert ftype == protocol.ERROR
+        assert protocol.decode_error(payload)["sqlstate"] == "08P01"
+        assert conn.retired and conn.session.closed
+    finally:
+        conn.sock.close()
+        client.close()
+
+
 # ----------------------------------------------------------------------
 # Graceful shutdown
 # ----------------------------------------------------------------------
@@ -847,9 +1017,9 @@ def test_pipeline_context_manager_syncs(server):
 
 def test_idle_connections_do_not_cost_threads():
     """The event loop holds many parked connections with one I/O
-    thread; server-side thread count is bounded by the worker pool,
-    not the connection count (the thread-per-connection server scaled
-    1:1)."""
+    thread; server-side thread count is bounded by how many
+    connections were active at once, not the connection count (the
+    thread-per-connection server scaled 1:1)."""
     db, srv = start_server(max_connections=256)
     conns = []
     try:
@@ -861,7 +1031,7 @@ def test_idle_connections_do_not_cost_threads():
             t for t in threading.enumerate()
             if t.name.startswith("bullfrogd-")
         ]
-        assert len(bullfrog_threads) < 32  # io + elastic worker pool
+        assert len(bullfrog_threads) < 32  # io + runners
         # parked connections still answer
         assert all(c.ping() for c in conns[::16])
     finally:

@@ -390,9 +390,9 @@ class TestEndToEnd:
                 ).dicts()
                 assert len(server_rows) == 1
                 row = server_rows[0]
-                assert row["workers"] >= 1
                 assert row["connections"] >= 1
-                assert row["workers_busy"] >= 0
+                assert 0 <= row["serving"] <= row["connections"]
+                assert row["max_connections"] == 64
                 assert row["draining"] is False
                 net_rows = session.execute(
                     "SELECT * FROM bullfrog_stat_network"
