@@ -35,7 +35,8 @@ Routing (``RoutePlan``, cached on the statement handle):
 
 Transactions bind lazily: BEGIN is deferred until the first keyed
 statement fixes the shard, then the whole transaction runs on one
-pooled backend connection (BEGIN forwarded first).  A statement that
+pooled backend connection (BEGIN and that first statement leave in one
+write and cost one shard round trip).  A statement that
 routes elsewhere mid-transaction is an error — the cluster offers
 single-shard transactions, exactly SLSM's model.
 
@@ -1085,15 +1086,8 @@ class RouterSession(Session):
                 "column, e.g. w_id = ?)"
             )
         if self._r_shard is None:
-            handle = rdb.pools[shard].acquire()
-            try:
-                handle.conn.begin()
-            except BaseException:
-                handle.release()
-                raise
-            self._r_handle = handle
-            self._r_shard = shard
-        elif shard != self._r_shard:
+            return self._bind(shard, sql_text, params, trace_parent)
+        if shard != self._r_shard:
             raise ExecutionError(
                 f"transaction is bound to shard {self._r_shard} but this "
                 f"statement routes to shard {shard}; cluster transactions "
@@ -1104,11 +1098,63 @@ class RouterSession(Session):
         try:
             return conn.execute(sql_text, params)
         except ReproError:
-            if conn.closed or not conn.in_transaction:
-                # The shard rolled the transaction back (abort, kill):
-                # reflect that, so the COMPLETE/ERROR frames the server
-                # builds from ``session.in_transaction`` stay truthful.
-                self._abort_binding()
+            self._check_binding(conn)
             raise
         finally:
             conn.trace_parent = None
+
+    def _bind(
+        self,
+        shard: int,
+        sql_text: str,
+        params: Sequence[Any],
+        trace_parent: Any,
+    ) -> Result:
+        """Bind the transaction to ``shard`` with its first statement:
+        BEGIN and the statement (EXECUTE through the connection's
+        auto-prepared handle) leave in one write, and both replies come
+        back in one round trip.  Sending the statement before BEGIN is
+        acknowledged is safe: a shard session refuses BEGIN only when
+        closed or already in a transaction, and the pool never keeps a
+        connection that is in one.  Should BEGIN fail anyway, the
+        connection is released — which resets it, rolling back whatever
+        the statement did — and BEGIN's error is raised.  Should the
+        connection die on the way (a kill, a crash), the shard
+        transaction died with it, and so does this one."""
+        rdb: RouterDatabase = self.db  # type: ignore[assignment]
+        handle = rdb.pools[shard].acquire()
+        conn: Connection = handle.conn
+        conn.trace_parent = trace_parent
+        try:
+            prepared = conn.cached_statement(sql_text)
+            pipe = conn.pipeline()
+            pipe.begin()
+            if prepared is not None:
+                pipe.execute_prepared(prepared, params)
+            else:
+                pipe.execute(sql_text, params)
+            began, result = pipe.sync()
+        except BaseException:
+            if conn.closed:
+                self._r_in_txn = False
+            handle.release()
+            raise
+        finally:
+            conn.trace_parent = None
+        if isinstance(began, ReproError):
+            handle.release()
+            raise began
+        self._r_handle = handle
+        self._r_shard = shard
+        if isinstance(result, ReproError):
+            self._check_binding(conn)
+            raise result
+        return result
+
+    def _check_binding(self, conn: Connection) -> None:
+        """After a statement error: if the shard rolled the transaction
+        back (abort, kill), drop the binding, so the COMPLETE/ERROR
+        frames the server builds from ``session.in_transaction`` stay
+        truthful."""
+        if conn.closed or not conn.in_transaction:
+            self._abort_binding()

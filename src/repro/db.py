@@ -141,12 +141,14 @@ class Statement:
       runner calls.  Names, not bound methods: they are resolved on
       the executor per call, so wrapping ``Executor.run_select`` later
       still takes effect;
-    * ``route`` — the router's cached ``RoutePlan`` (unused elsewhere).
+    * ``route`` — the router's cached ``RoutePlan`` (unused elsewhere);
+    * ``wire_header`` — bullfrogd's cached ROW_HEADER frame (unused
+      elsewhere).
     """
 
     __slots__ = (
         "sql", "ast", "ast_type", "txn_op", "kind", "tables", "run",
-        "runner", "route", "_artifacts",
+        "runner", "route", "wire_header", "_artifacts",
     )
 
     def __init__(self, node: ast.Statement, sql: str | None = None) -> None:
@@ -161,6 +163,7 @@ class Statement:
         if ast_type is ast.Select and node.for_update:
             self.runner = "run_select_for_update"
         self.route: Any = None
+        self.wire_header: tuple[list[str], bytes] | None = None
         # (epoch, artifact) per allow_retired flavour: migration-internal
         # sessions plan against retired tables, clients must not.
         self._artifacts: list[tuple[int, Any] | None] = [None, None]

@@ -31,8 +31,14 @@ frame carries the session's ``in_transaction`` flag and the current
 schema epoch, which is how a client observes BullFrog's logical schema
 switch without any extra round trip.
 
+Replies are read frame by frame at an offset into one buffer
+(:class:`~repro.net.protocol.FrameStream`), and a prepared statement
+remembers its last ROW_HEADER, so a repeat execution compares the
+header's bytes instead of decoding them.
+
 :class:`ConnectionPool` adds thread-safe pooling with a liveness check
-on acquire and reconnect with decorrelated-jitter backoff when the
+on acquire that costs no round trip (a zero-timeout ``poll`` on the
+idle socket) and reconnect with decorrelated-jitter backoff when the
 check fails — the building block for "clients reconnecting across the
 migration" runs.
 
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import json
 import random
+import select
 import socket
 import threading
 import time
@@ -304,16 +311,9 @@ class Connection:
         return self._in_transaction
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Result:
-        if self._auto_prepare > 0:
-            ps = self._stmt_cache.get(sql)
-            if ps is None and len(self._stmt_cache) < self._auto_prepare:
-                # Implicit statement cache (the asyncpg idiom): the
-                # first sighting of a SQL string pays one PARSE round
-                # trip; every later execution skips the parser.
-                ps = self.prepare(sql)
-                self._stmt_cache[sql] = ps
-            if ps is not None:
-                return self.execute_prepared(ps, params)
+        ps = self.cached_statement(sql)
+        if ps is not None:
+            return self.execute_prepared(ps, params)
         ctx, start_us = self._trace_begin()
         self._send(protocol.encode_query(
             sql, params, trace=self._wire_trace(ctx)
@@ -323,24 +323,51 @@ class Connection:
         finally:
             self._trace_end("client.query", ctx, start_us, sql=sql)
 
+    def cached_statement(self, sql: str) -> "PreparedStatement | None":
+        """The implicit statement cache (``auto_prepare=N``, the asyncpg
+        idiom): the prepared handle for ``sql``, PARSEd — one round
+        trip — the first time one of the first N distinct SQL strings
+        is seen; ``None`` when auto-prepare is off or the cache is full,
+        and the statement goes out as a QUERY."""
+        if self._auto_prepare <= 0:
+            return None
+        ps = self._stmt_cache.get(sql)
+        if ps is None and len(self._stmt_cache) < self._auto_prepare:
+            ps = self._stmt_cache[sql] = self.prepare(sql)
+        return ps
+
     # One reader pair serves serial execution and ``Pipeline.sync``.
     # ``embed_errors`` is the pipelined form: an engine error is that
     # operation's *result* (the connection survives, later replies
     # still arrive) unless the server killed the connection with it.
     def _read_query_response(
-        self, embed_errors: bool = False
+        self,
+        embed_errors: bool = False,
+        statement: "PreparedStatement | None" = None,
     ) -> "Result | ReproError":
-        result = Result("")
+        """Read one statement's reply.  A prepared ``statement``
+        remembers its last ROW_HEADER payload and decoded header, so a
+        repeat execution compares bytes instead of decoding them."""
+        tag = ""
+        columns: list[str] = []
+        rows: list[tuple] = []
         while True:
             ftype, payload = self._recv()
-            if ftype == protocol.ROW_HEADER:
-                header = protocol.decode_row_header(payload)
-                result.statement = header["tag"]
-                result.columns = header["columns"]
-            elif ftype == protocol.ROW_BATCH:
-                result.rows.extend(protocol.decode_row_batch(payload))
+            if ftype == protocol.ROW_BATCH:
+                rows += protocol.decode_row_batch(payload)
+            elif ftype == protocol.ROW_HEADER:
+                cached = statement.header if statement is not None else None
+                if cached is None or cached[0] != payload:
+                    header = protocol.decode_row_header(payload)
+                    cached = (payload, header["tag"], header["columns"])
+                    if statement is not None:
+                        statement.header = cached
+                tag = cached[1]
+                columns = list(cached[2])
             else:
-                return self._complete(ftype, payload, result, embed_errors)
+                return self._complete(
+                    ftype, payload, Result(tag, rows, columns), embed_errors
+                )
 
     def _read_txn_response(
         self, embed_errors: bool = False
@@ -401,13 +428,16 @@ class Connection:
         params: Sequence[Any] = (),
     ) -> Result:
         """Run a prepared statement with ``params`` bound inline."""
-        name = statement if isinstance(statement, str) else statement.name
+        if isinstance(statement, str):
+            name, statement = statement, None
+        else:
+            name = statement.name
         ctx, start_us = self._trace_begin()
         self._send(protocol.encode_execute(
             name, params, trace=self._wire_trace(ctx)
         ))
         try:
-            return self._read_query_response()
+            return self._read_query_response(statement=statement)
         finally:
             self._trace_end("client.execute", ctx, start_us, name=name)
 
@@ -461,7 +491,7 @@ class Connection:
     # Health + admin
     # ------------------------------------------------------------------
     def ping(self, timeout: float = 2.0) -> bool:
-        """Round-trip liveness probe (pool health checks)."""
+        """Round-trip liveness probe: a PING answered by a PONG."""
         if self._closed:
             return False
         try:
@@ -479,6 +509,24 @@ class Connection:
             return False
         self.schema_epoch = protocol.decode_pong(payload)["schema_epoch"]
         return True
+
+    def idle_alive(self) -> bool:
+        """Zero-round-trip liveness probe for a connection with no
+        request in flight (the pool's check on acquire): a live server
+        has nothing to say on such a socket, so a readable one — EOF,
+        a reset, a kill's farewell frame, stray bytes — or a closed fd
+        means the connection is gone.  A ``poll`` with timeout 0; no
+        frame is sent.  ``poll``, not ``select``: a process holding
+        many sockets (a router) has descriptors above ``FD_SETSIZE``,
+        which ``select`` refuses."""
+        if self._closed:
+            return False
+        fd = self._sock.fileno()
+        if fd < 0:
+            return False
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+        return not poller.poll(0)
 
     def meta(self, command: str) -> str:
         """Admin passthrough (``\\metrics`` / ``\\progress`` for the
@@ -526,14 +574,17 @@ class Connection:
 
 
 class PreparedStatement:
-    """Client handle to a server-side parsed statement."""
+    """Client handle to a server-side parsed statement.  ``header`` is
+    ``(payload, tag, columns)`` of the last ROW_HEADER its replies
+    carried (a server sends the same bytes until the plan changes)."""
 
-    __slots__ = ("conn", "name", "sql")
+    __slots__ = ("conn", "name", "sql", "header")
 
     def __init__(self, conn: Connection, name: str, sql: str) -> None:
         self.conn = conn
         self.name = name
         self.sql = sql
+        self.header: tuple[bytes, str, list[str]] | None = None
 
     def execute(self, params: Sequence[Any] = ()) -> Result:
         return self.conn.execute_prepared(self, params)
@@ -554,64 +605,72 @@ class Pipeline:
     break the connection, exactly like serial execution.
     """
 
+    # The reply shape of a queued TXN frame; a queued statement records
+    # its PreparedStatement (or None for a QUERY) instead.
+    _TXN = "txn"
+
     def __init__(self, conn: Connection) -> None:
         self._conn = conn
         self._buf = bytearray()
-        self._ops: list[str] = []  # "query" | "txn" (reply shapes)
-        # One root context per queued op (None when tracing is off),
-        # parallel to ``results`` — how a caller maps reply *i* to its
-        # request tree in the server's TraceLog.
+        self._ops: list[Any] = []
+        # One root context per queued op, parallel to ``results`` — how
+        # a caller maps reply *i* to its request tree in the server's
+        # TraceLog.  Only minted when the connection traces; otherwise
+        # every entry is None.
         self.traces: list[TraceContext | None] = []
         self.results: list[Result | ReproError] | None = None
 
     def __len__(self) -> int:
         return len(self._ops)
 
-    def _queue_trace(self) -> tuple[int, int] | None:
-        ctx, _ = self._conn._trace_begin()
+    def _mint_trace(self) -> tuple[int, int] | None:
+        """Mint the next op's root context; returns its trace trailer."""
+        conn = self._conn
+        if not conn._trace:
+            self.traces.append(None)
+            return None
+        ctx, _ = conn._trace_begin()
         self.traces.append(ctx)
-        return self._conn._wire_trace(ctx)
+        return conn._wire_trace(ctx)
+
+    def _add(self, frame: bytes, reply: Any) -> int:
+        self._buf += frame
+        self._ops.append(reply)
+        return len(self._ops) - 1
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> int:
         """Queue a QUERY; returns its index into ``sync()``'s list."""
-        self._buf += protocol.encode_query(
-            sql, params, trace=self._queue_trace()
+        return self._add(
+            protocol.encode_query(sql, params, trace=self._mint_trace()), None
         )
-        self._ops.append("query")
-        return len(self._ops) - 1
 
     def execute_prepared(
         self,
         statement: PreparedStatement | str,
         params: Sequence[Any] = (),
     ) -> int:
-        name = statement if isinstance(statement, str) else statement.name
-        self._buf += protocol.encode_execute(
-            name, params, trace=self._queue_trace()
+        if isinstance(statement, str):
+            name, statement = statement, None
+        else:
+            name = statement.name
+        return self._add(
+            protocol.encode_execute(name, params, trace=self._mint_trace()),
+            statement,
         )
-        self._ops.append("query")
-        return len(self._ops) - 1
+
+    def _txn(self, op: int) -> int:
+        return self._add(
+            protocol.encode_txn(op, trace=self._mint_trace()), self._TXN
+        )
 
     def begin(self) -> int:
-        self._buf += protocol.encode_txn(
-            protocol.TXN_BEGIN, trace=self._queue_trace()
-        )
-        self._ops.append("txn")
-        return len(self._ops) - 1
+        return self._txn(protocol.TXN_BEGIN)
 
     def commit(self) -> int:
-        self._buf += protocol.encode_txn(
-            protocol.TXN_COMMIT, trace=self._queue_trace()
-        )
-        self._ops.append("txn")
-        return len(self._ops) - 1
+        return self._txn(protocol.TXN_COMMIT)
 
     def rollback(self) -> int:
-        self._buf += protocol.encode_txn(
-            protocol.TXN_ROLLBACK, trace=self._queue_trace()
-        )
-        self._ops.append("txn")
-        return len(self._ops) - 1
+        return self._txn(protocol.TXN_ROLLBACK)
 
     def sync(self) -> list[Result | ReproError]:
         """Flush every queued frame in one write, then read one reply
@@ -622,23 +681,16 @@ class Pipeline:
         if not ops:
             self.results = []
             return self.results
-        if conn._closed:
-            raise ConnectionClosedError("connection is closed")
         log = conn._trace_log
         start_us = log.now_us() if log is not None else 0.0
-        try:
-            conn._sock.sendall(buf)
-        except OSError as exc:
-            conn._mark_broken()
-            raise ConnectionClosedError(f"send failed: {exc}") from exc
-        conn.bytes_out += len(buf)
+        conn._send(buf)
         results: list[Result | ReproError] = []
         try:
-            for kind in ops:
-                if kind == "txn":
+            for reply in ops:
+                if reply is self._TXN:
                     results.append(conn._read_txn_response(embed_errors=True))
                 else:
-                    results.append(conn._read_query_response(embed_errors=True))
+                    results.append(conn._read_query_response(True, reply))
         finally:
             if log is not None and conn._trace:
                 # One client-side span covers the whole batch (the
@@ -689,12 +741,13 @@ class _ConnTxn:
 class ConnectionPool:
     """Thread-safe pool of :class:`Connection`\\ s.
 
-    ``acquire()`` health-checks the pooled connection (one PING round
-    trip) and transparently replaces dead ones, reconnecting with
-    decorrelated-jitter backoff — so a pool survives a server restart
-    or a connection killed mid-migration without its callers seeing
-    anything but latency, and without every worker hammering the
-    listener in lockstep when it comes back.
+    ``acquire()`` checks the pooled connection's liveness without a
+    round trip (:meth:`Connection.idle_alive`) and transparently
+    replaces dead ones, reconnecting with decorrelated-jitter backoff —
+    so a pool survives a server restart or a connection killed
+    mid-migration without its callers seeing anything but latency, and
+    without every worker hammering the listener in lockstep when it
+    comes back.
     """
 
     def __init__(
@@ -743,8 +796,8 @@ class ConnectionPool:
         self.reconnects = 0
         self.health_check_failures = 0
         self._in_use = 0
-        # Wall-clock of the last successful health-check PING (None
-        # until the first checked acquire) — ``stats()["last_ping"]``.
+        # Wall-clock of the last successful liveness check (None until
+        # the first checked acquire) — ``stats()["last_ping"]``.
         self.last_ping: float | None = None
 
     # ------------------------------------------------------------------
@@ -784,7 +837,7 @@ class ConnectionPool:
                 if self._idle:
                     conn = self._idle.pop()
             if conn is not None and self.health_check:
-                if conn.closed or not conn.ping():
+                if not conn.idle_alive():
                     with self._latch:
                         self.health_check_failures += 1
                     conn.close()
@@ -859,7 +912,7 @@ class ConnectionPool:
         surface this in ``bullfrog_stat_shards`` / ``\\shards``.
 
         ``last_ping`` is wall-clock seconds (``time.time()``) of the
-        most recent successful health-check PING, or ``None``.
+        most recent successful liveness check on acquire, or ``None``.
         """
         with self._latch:
             return {

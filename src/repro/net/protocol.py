@@ -46,9 +46,17 @@ direction interoperate: an old client never sends trailers and never
 triggers the WELCOME one; a new server accepts trailer-less frames as
 untraced.
 
+**The codec is table-driven.**  A value is encoded by one table keyed
+by its exact type (a subclass falls back to the ``isinstance`` order),
+a row is ``u32 count`` plus the join of its values, and a frame is one
+:func:`encode_frame` call; decoders walk the payload at an offset with
+precompiled ``Struct.unpack_from`` calls.  The bytes are exactly those
+of the field-at-a-time codec this replaced (``tests/wire_reference.py``
+keeps it, and a differential test holds both directions to it).
+
 All decode paths raise :class:`~repro.errors.ProtocolError` on
 truncated or malformed input — never ``struct.error``, never an
-over-read, never a hang.
+over-read, never a hang: every read checks the remaining length first.
 """
 
 from __future__ import annotations
@@ -195,95 +203,87 @@ def reconstruct_error(cls_name: str, sqlstate: str, message: str) -> ReproError:
 
 
 # ======================================================================
-# Primitive writers
+# Primitives
 # ======================================================================
+# Every fixed-width field has one precompiled Struct.  Encoders build a
+# frame's payload from ``bytes`` pieces joined once; decoders walk the
+# payload with an offset, ``unpack_from`` at that offset, and check the
+# remaining length before every read, so a truncated payload raises
+# ProtocolError — never struct.error, never an over-read.
+
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_I64 = struct.Struct(">q")
+_F64 = struct.Struct(">d")
+_TAGGED_I64 = struct.Struct(">Bq")  # value tag + i64
+_TAGGED_F64 = struct.Struct(">Bd")  # value tag + f64
+_TAGGED_LEN = struct.Struct(">BI")  # value tag + u32 text length
+_WELCOME_IDS = struct.Struct(">qq")  # schema_epoch, session_id
+_COMPLETE_TAIL = struct.Struct(">qBq")  # rowcount, in_transaction, schema_epoch
+_TRACE = struct.Struct(">Bqq")  # marker, trace_id, span_id
+
+_u8 = _U8.pack
+_u32 = _U32.pack
+_unpack_u32 = _U32.unpack_from
+_unpack_i64 = _I64.unpack_from
+_unpack_f64 = _F64.unpack_from
+_pack_tagged_i64 = _TAGGED_I64.pack
+_pack_tagged_len = _TAGGED_LEN.pack
 
 
-class _Writer:
-    __slots__ = ("parts",)
-
-    def __init__(self) -> None:
-        self.parts: list[bytes] = []
-
-    def u8(self, v: int) -> None:
-        self.parts.append(struct.pack(">B", v))
-
-    def u16(self, v: int) -> None:
-        self.parts.append(struct.pack(">H", v))
-
-    def u32(self, v: int) -> None:
-        self.parts.append(struct.pack(">I", v))
-
-    def i64(self, v: int) -> None:
-        self.parts.append(struct.pack(">q", v))
-
-    def f64(self, v: float) -> None:
-        self.parts.append(struct.pack(">d", v))
-
-    def str(self, s: str) -> None:
-        raw = s.encode("utf-8")
-        self.u32(len(raw))
-        self.parts.append(raw)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.parts)
+def _truncated(wanted: int, remain: int) -> ProtocolError:
+    return ProtocolError(
+        f"truncated payload: wanted {wanted} bytes, {remain} remain"
+    )
 
 
-class _Reader:
-    """Bounded cursor over one frame payload.  Every read checks the
-    remaining length first, so truncated input raises
-    :class:`ProtocolError` instead of over-reading into the next frame
-    (or off the end of the buffer)."""
+def _text(s: str) -> bytes:
+    raw = s.encode("utf-8")
+    return _u32(len(raw)) + raw
 
-    __slots__ = ("buf", "pos", "end")
 
-    def __init__(self, buf: bytes, pos: int = 0, end: int | None = None) -> None:
-        self.buf = buf
-        self.pos = pos
-        self.end = len(buf) if end is None else end
+def _read_text(buf: bytes, pos: int, end: int) -> tuple[str, int]:
+    """A u32-length-prefixed UTF-8 string at ``pos``; returns it and
+    the offset after it."""
+    if end - pos < 4:
+        raise _truncated(4, end - pos)
+    (length,) = _unpack_u32(buf, pos)
+    pos += 4
+    stop = pos + length
+    if stop > end:
+        raise ProtocolError(
+            f"truncated string: declared {length} bytes, {end - pos} remain"
+        )
+    try:
+        return buf[pos:stop].decode("utf-8"), stop
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"invalid UTF-8 in string field: {exc}") from exc
 
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > self.end:
-            raise ProtocolError(
-                f"truncated payload: wanted {n} bytes, "
-                f"{self.end - self.pos} remain"
-            )
-        chunk = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
 
-    def u8(self) -> int:
-        return self._take(1)[0]
+def _read_fixed(
+    fmt: struct.Struct, buf: bytes, pos: int, end: int
+) -> tuple[tuple, int]:
+    if end - pos < fmt.size:
+        raise _truncated(fmt.size, end - pos)
+    return fmt.unpack_from(buf, pos), pos + fmt.size
 
-    def u16(self) -> int:
-        return struct.unpack(">H", self._take(2))[0]
 
-    def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
+def _expect_end(pos: int, end: int) -> None:
+    if pos != end:
+        raise ProtocolError(f"{end - pos} trailing bytes after payload")
 
-    def i64(self) -> int:
-        return struct.unpack(">q", self._take(8))[0]
 
-    def f64(self) -> float:
-        return struct.unpack(">d", self._take(8))[0]
-
-    def str(self) -> str:
-        length = self.u32()
-        if length > self.end - self.pos:
-            raise ProtocolError(
-                f"truncated string: declared {length} bytes, "
-                f"{self.end - self.pos} remain"
-            )
-        try:
-            return self._take(length).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"invalid UTF-8 in string field: {exc}") from exc
-
-    def expect_end(self) -> None:
-        if self.pos != self.end:
-            raise ProtocolError(
-                f"{self.end - self.pos} trailing bytes after payload"
-            )
+def _read_texts(payload: bytes, count: int) -> list[str]:
+    """A payload that is exactly ``count`` strings."""
+    end = len(payload)
+    pos = 0
+    texts = []
+    for _ in range(count):
+        text, pos = _read_text(payload, pos, end)
+        texts.append(text)
+    _expect_end(pos, end)
+    return texts
 
 
 # ======================================================================
@@ -303,93 +303,133 @@ _TAG_DATETIME = ord("T")
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
-def _write_value(w: _Writer, value: Any) -> None:
-    if value is None:
-        w.u8(_TAG_NULL)
-    elif value is True or value is False:
-        w.u8(_TAG_BOOL)
-        w.u8(1 if value else 0)
-    elif isinstance(value, int):
-        if _I64_MIN <= value <= _I64_MAX:
-            w.u8(_TAG_INT)
-            w.i64(value)
-        else:
-            w.u8(_TAG_BIGNUM)
-            w.str(str(value))
-    elif isinstance(value, float):
-        w.u8(_TAG_FLOAT)
-        w.f64(value)
-    elif isinstance(value, Decimal):
-        w.u8(_TAG_DECIMAL)
-        w.str(str(value))
-    elif isinstance(value, str):
-        w.u8(_TAG_STR)
-        w.str(value)
-    elif isinstance(value, datetime.datetime):
-        # datetime before date: datetime is a date subclass.
-        w.u8(_TAG_DATETIME)
-        w.str(value.isoformat())
-    elif isinstance(value, datetime.date):
-        w.u8(_TAG_DATE)
-        w.str(value.isoformat())
-    else:
-        raise ProtocolError(
-            f"cannot encode value of type {type(value).__name__!r}"
-        )
+def _tagged_text(tag: int, text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return _pack_tagged_len(tag, len(raw)) + raw
 
 
-def _read_value(r: _Reader) -> Any:
-    tag = r.u8()
-    if tag == _TAG_NULL:
-        return None
-    if tag == _TAG_BOOL:
-        return r.u8() != 0
-    if tag == _TAG_INT:
-        return r.i64()
-    if tag == _TAG_BIGNUM:
-        text = r.str()
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise ProtocolError(f"invalid bignum literal {text!r}") from exc
-    if tag == _TAG_FLOAT:
-        return r.f64()
-    if tag == _TAG_DECIMAL:
-        text = r.str()
-        try:
-            return Decimal(text)
-        except InvalidOperation as exc:
-            raise ProtocolError(f"invalid decimal literal {text!r}") from exc
-    if tag == _TAG_STR:
-        return r.str()
-    if tag == _TAG_DATE:
-        text = r.str()
-        try:
-            return datetime.date.fromisoformat(text)
-        except ValueError as exc:
-            raise ProtocolError(f"invalid date literal {text!r}") from exc
-    if tag == _TAG_DATETIME:
-        text = r.str()
-        try:
-            return datetime.datetime.fromisoformat(text)
-        except ValueError as exc:
-            raise ProtocolError(f"invalid datetime literal {text!r}") from exc
-    raise ProtocolError(f"unknown value tag 0x{tag:02x}")
+def _encode_int(value: int) -> bytes:
+    if _I64_MIN <= value <= _I64_MAX:
+        return _pack_tagged_i64(_TAG_INT, value)
+    return _tagged_text(_TAG_BIGNUM, str(value))
 
 
-def _write_row(w: _Writer, row: Sequence[Any]) -> None:
-    w.u32(len(row))
-    for value in row:
-        _write_value(w, value)
+def _encode_str(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    return _pack_tagged_len(_TAG_STR, len(raw)) + raw
 
 
-def _read_row(r: _Reader) -> tuple:
-    count = r.u32()
-    if count > r.end - r.pos:
+# Exact type -> encoder.  A row is ``u32 count`` plus the join of its
+# values' encodings; the table lookup replaces a chain of isinstance
+# tests per value.
+_VALUE_ENCODERS: dict[type, Any] = {
+    type(None): lambda value: b"N",
+    bool: lambda value: b"b\x01" if value else b"b\x00",
+    int: _encode_int,
+    float: lambda value: _TAGGED_F64.pack(_TAG_FLOAT, value),
+    Decimal: lambda value: _tagged_text(_TAG_DECIMAL, str(value)),
+    str: _encode_str,
+    datetime.datetime: lambda value: _tagged_text(_TAG_DATETIME, value.isoformat()),
+    datetime.date: lambda value: _tagged_text(_TAG_DATE, value.isoformat()),
+}
+
+# Subclasses (an IntEnum, a str subclass) take their base's encoder, in
+# isinstance order: datetime before date, since datetime is a date.
+# ``bool`` cannot be subclassed, so its exact-type entry is the whole
+# story.
+_SUBCLASS_ORDER = (int, float, Decimal, str, datetime.datetime, datetime.date)
+
+
+def _encode_other(value: Any) -> bytes:
+    for base in _SUBCLASS_ORDER:
+        if isinstance(value, base):
+            return _VALUE_ENCODERS[base](value)
+    raise ProtocolError(
+        f"cannot encode value of type {type(value).__name__!r}"
+    )
+
+
+def _row_parts(rows: Sequence[Sequence[Any]]) -> list[bytes]:
+    """The encoded pieces of ``rows``, each ``u32 count`` + its values.
+    A 64-bit ``int`` — the commonest value — is packed in line; every
+    other value goes through the table."""
+    get = _VALUE_ENCODERS.get
+    parts: list[bytes] = []
+    append = parts.append
+    for row in rows:
+        append(_u32(len(row)))
+        for value in row:
+            if type(value) is int and _I64_MIN <= value <= _I64_MAX:
+                append(_pack_tagged_i64(_TAG_INT, value))
+            else:
+                append(get(type(value), _encode_other)(value))
+    return parts
+
+
+def _encode_row(row: Sequence[Any]) -> bytes:
+    return b"".join(_row_parts((row,)))
+
+
+# Tags whose payload is text: how the text becomes a value, the error
+# a malformed text raises, and the kind named in the ProtocolError.
+_TEXT_VALUES = {
+    _TAG_BIGNUM: (int, ValueError, "bignum"),
+    _TAG_DECIMAL: (Decimal, InvalidOperation, "decimal"),
+    _TAG_DATE: (datetime.date.fromisoformat, ValueError, "date"),
+    _TAG_DATETIME: (datetime.datetime.fromisoformat, ValueError, "datetime"),
+}
+
+
+def _read_row(buf: bytes, pos: int, end: int) -> tuple[tuple, int]:
+    """A ``u32 count`` + tagged values row at ``pos``; returns the row
+    and the offset after it.  The fixed-width kinds are unpacked in
+    line; the text kinds share :func:`_read_text`."""
+    if end - pos < 4:
+        raise _truncated(4, end - pos)
+    (count,) = _unpack_u32(buf, pos)
+    pos += 4
+    if count > end - pos:
         # Each value costs >= 1 byte, so a count beyond the remaining
         # payload is garbage; reject before looping on it.
         raise ProtocolError(f"row claims {count} values, payload too short")
-    return tuple(_read_value(r) for _ in range(count))
+    values = []
+    append = values.append
+    for _ in range(count):
+        if pos >= end:
+            raise _truncated(1, 0)
+        tag = buf[pos]
+        pos += 1
+        if tag == _TAG_INT:
+            if end - pos < 8:
+                raise _truncated(8, end - pos)
+            append(_unpack_i64(buf, pos)[0])
+            pos += 8
+        elif tag == _TAG_STR:
+            text, pos = _read_text(buf, pos, end)
+            append(text)
+        elif tag == _TAG_NULL:
+            append(None)
+        elif tag == _TAG_FLOAT:
+            if end - pos < 8:
+                raise _truncated(8, end - pos)
+            append(_unpack_f64(buf, pos)[0])
+            pos += 8
+        elif tag == _TAG_BOOL:
+            if pos >= end:
+                raise _truncated(1, 0)
+            append(buf[pos] != 0)
+            pos += 1
+        else:
+            kind = _TEXT_VALUES.get(tag)
+            if kind is None:
+                raise ProtocolError(f"unknown value tag 0x{tag:02x}")
+            parse, error, name = kind
+            text, pos = _read_text(buf, pos, end)
+            try:
+                append(parse(text))
+            except error as exc:
+                raise ProtocolError(f"invalid {name} literal {text!r}") from exc
+    return tuple(values), pos
 
 
 # ======================================================================
@@ -430,35 +470,37 @@ def decode_frame(buf: bytes, pos: int = 0) -> tuple[int, bytes, int] | None:
 
 
 # ----------------------------------------------------------------------
-# Per-frame payload codecs.  Encoders return payload bytes; decoders
-# take payload bytes and return a dict, always calling ``expect_end``
-# so trailing garbage inside a well-framed payload is still rejected.
+# Per-frame payload codecs.  Encoders return whole frames (one
+# ``encode_frame`` call each); decoders take payload bytes, return a
+# dict (a list of rows for ROW_BATCH), and reject trailing garbage
+# inside a well-framed payload.
 # ----------------------------------------------------------------------
 
 
-def _write_trace(w: _Writer, trace: tuple[int, int] | None) -> None:
-    """Append the optional trace trailer: ``(trace_id, span_id)`` of
-    the client-side span this request belongs to.  Omitted entirely
-    when ``trace`` is None, so a frame without one is byte-identical
-    to what an old client sends."""
+def _trace_bytes(trace: tuple[int, int] | None) -> bytes:
+    """The optional trace trailer: ``(trace_id, span_id)`` of the
+    client-side span this request belongs to.  Empty when ``trace`` is
+    None, so a frame without one is byte-identical to what an old
+    client sends."""
     if trace is None:
-        return
+        return b""
     trace_id, span_id = trace
-    w.u8(_TRACE_MARKER)
-    w.i64(trace_id)
-    w.i64(span_id)
+    return _TRACE.pack(_TRACE_MARKER, trace_id, span_id)
 
 
-def _read_trace(r: _Reader) -> tuple[int, int] | None:
-    """Read the optional trace trailer.  Absent (old peer, or tracing
-    off) when the payload ends here; malformed markers are rejected so
-    garbage never silently becomes a trace id."""
-    if r.pos >= r.end:
+def _read_trailer(buf: bytes, pos: int, end: int) -> tuple[int, int] | None:
+    """The optional trace trailer, which must end the payload.  Absent
+    (old peer, or tracing off) when the payload ends at ``pos``;
+    malformed markers are rejected so garbage never silently becomes a
+    trace id."""
+    if pos == end:
         return None
-    marker = r.u8()
+    marker = buf[pos]
     if marker != _TRACE_MARKER:
         raise ProtocolError(f"unknown request trailer marker 0x{marker:02x}")
-    return (r.i64(), r.i64())
+    (_, trace_id, span_id), pos = _read_fixed(_TRACE, buf, pos, end)
+    _expect_end(pos, end)
+    return (trace_id, span_id)
 
 
 def encode_hello(
@@ -472,35 +514,35 @@ def encode_hello(
     servers that stop reading after ``client_name`` would reject it —
     but new servers still accept old clients, whose payload simply ends
     early (no options)."""
-    w = _Writer()
-    w.u16(version)
-    w.str(client_name)
+    parts = [_U16.pack(version), _text(client_name)]
     if options:
         if len(options) > 255:
             raise ProtocolError("too many HELLO options (max 255)")
-        w.u8(len(options))
+        parts.append(_u8(len(options)))
         for key, value in options.items():
-            w.str(key)
-            w.str(value)
-    return encode_frame(HELLO, w.getvalue())
+            parts.append(_text(key))
+            parts.append(_text(value))
+    return encode_frame(HELLO, b"".join(parts))
 
 
 def decode_hello(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    out: dict[str, Any] = {"version": r.u16(), "client_name": r.str()}
+    end = len(payload)
+    (version,), pos = _read_fixed(_U16, payload, 0, end)
+    client_name, pos = _read_text(payload, pos, end)
     options: dict[str, str] = {}
-    if r.pos < r.end:  # optional trailer: absent from old clients
-        count = r.u8()
+    if pos < end:  # optional trailer: absent from old clients
+        count = payload[pos]
+        pos += 1
         if count == 0:
             # The encoder omits the trailer entirely when there are no
             # options, so a zero count is garbage, not a valid HELLO.
             raise ProtocolError("empty HELLO options trailer")
         for _ in range(count):
-            key = r.str()
-            options[key] = r.str()
-    out["options"] = options
-    r.expect_end()
-    return out
+            key, pos = _read_text(payload, pos, end)
+            value, pos = _read_text(payload, pos, end)
+            options[key] = value
+    _expect_end(pos, end)
+    return {"version": version, "client_name": client_name, "options": options}
 
 
 def encode_welcome(
@@ -512,29 +554,34 @@ def encode_welcome(
     server only sends a nonzero mask to clients that *asked* for a
     capability in their HELLO options — an old client never requested
     one, never receives the trailer, and sees a byte-identical WELCOME."""
-    w = _Writer()
-    w.u16(version)
-    w.str(server_version)
-    w.i64(schema_epoch)
-    w.i64(session_id)
+    payload = (
+        _U16.pack(version) + _text(server_version)
+        + _WELCOME_IDS.pack(schema_epoch, session_id)
+    )
     if capabilities:
         if not 0 < capabilities <= 255:
             raise ProtocolError(f"capability mask {capabilities} out of range")
-        w.u8(capabilities)
-    return encode_frame(WELCOME, w.getvalue())
+        payload += _u8(capabilities)
+    return encode_frame(WELCOME, payload)
 
 
 def decode_welcome(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    out = {
-        "version": r.u16(),
-        "server_version": r.str(),
-        "schema_epoch": r.i64(),
-        "session_id": r.i64(),
+    end = len(payload)
+    (version,), pos = _read_fixed(_U16, payload, 0, end)
+    server_version, pos = _read_text(payload, pos, end)
+    (schema_epoch, session_id), pos = _read_fixed(_WELCOME_IDS, payload, pos, end)
+    capabilities = 0
+    if pos < end:
+        capabilities = payload[pos]
+        pos += 1
+    _expect_end(pos, end)
+    return {
+        "version": version,
+        "server_version": server_version,
+        "schema_epoch": schema_epoch,
+        "session_id": session_id,
+        "capabilities": capabilities,
     }
-    out["capabilities"] = r.u8() if r.pos < r.end else 0
-    r.expect_end()
-    return out
 
 
 def encode_query(
@@ -542,46 +589,34 @@ def encode_query(
     params: Sequence[Any] = (),
     trace: tuple[int, int] | None = None,
 ) -> bytes:
-    w = _Writer()
-    w.str(sql)
-    _write_row(w, tuple(params))
-    _write_trace(w, trace)
-    return encode_frame(QUERY, w.getvalue())
+    return encode_frame(
+        QUERY, _text(sql) + _encode_row(tuple(params)) + _trace_bytes(trace)
+    )
 
 
 def decode_query(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    out = {"sql": r.str(), "params": _read_row(r)}
-    out["trace"] = _read_trace(r)
-    r.expect_end()
-    return out
+    end = len(payload)
+    sql, pos = _read_text(payload, 0, end)
+    params, pos = _read_row(payload, pos, end)
+    return {"sql": sql, "params": params, "trace": _read_trailer(payload, pos, end)}
 
 
 def encode_parse(name: str, sql: str) -> bytes:
-    w = _Writer()
-    w.str(name)
-    w.str(sql)
-    return encode_frame(PARSE, w.getvalue())
+    return encode_frame(PARSE, _text(name) + _text(sql))
 
 
 def decode_parse(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    out = {"name": r.str(), "sql": r.str()}
-    r.expect_end()
-    return out
+    name, sql = _read_texts(payload, 2)
+    return {"name": name, "sql": sql}
 
 
 def encode_parse_ok(name: str) -> bytes:
-    w = _Writer()
-    w.str(name)
-    return encode_frame(PARSE_OK, w.getvalue())
+    return encode_frame(PARSE_OK, _text(name))
 
 
 def decode_parse_ok(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    out = {"name": r.str()}
-    r.expect_end()
-    return out
+    (name,) = _read_texts(payload, 1)
+    return {"name": name}
 
 
 def encode_execute(
@@ -589,39 +624,43 @@ def encode_execute(
     params: Sequence[Any] = (),
     trace: tuple[int, int] | None = None,
 ) -> bytes:
-    """EXECUTE a prepared statement with its parameters inline."""
-    w = _Writer()
-    w.str(name)
-    w.u8(1)  # has_params: always set (0 meant "use the bound portal")
-    _write_row(w, tuple(params))
-    _write_trace(w, trace)
-    return encode_frame(EXECUTE, w.getvalue())
+    """EXECUTE a prepared statement with its parameters inline.  The
+    ``has_params`` byte is always 1 (0 meant "use the bound portal")."""
+    return encode_frame(
+        EXECUTE,
+        _text(name) + b"\x01" + _encode_row(tuple(params)) + _trace_bytes(trace),
+    )
 
 
 def decode_execute(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    name = r.str()
-    has_params = r.u8()
-    if has_params not in (0, 1):
+    end = len(payload)
+    name, pos = _read_text(payload, 0, end)
+    if pos >= end:
+        raise _truncated(1, 0)
+    has_params = payload[pos]
+    pos += 1
+    if has_params == 1:
+        params, pos = _read_row(payload, pos, end)
+    elif has_params == 0:
+        params = ()
+    else:
         raise ProtocolError(f"bad EXECUTE has_params flag {has_params}")
-    params = _read_row(r) if has_params else ()
-    trace = _read_trace(r)
-    r.expect_end()
-    return {"name": name, "params": params, "trace": trace}
+    return {
+        "name": name, "params": params,
+        "trace": _read_trailer(payload, pos, end),
+    }
 
 
 def encode_txn(op: int, trace: tuple[int, int] | None = None) -> bytes:
-    w = _Writer()
-    w.u8(op)
-    _write_trace(w, trace)
-    return encode_frame(TXN, w.getvalue())
+    return encode_frame(TXN, _u8(op) + _trace_bytes(trace))
 
 
 def decode_txn(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    op = r.u8()
-    trace = _read_trace(r)
-    r.expect_end()
+    end = len(payload)
+    if not end:
+        raise _truncated(1, 0)
+    op = payload[0]
+    trace = _read_trailer(payload, 1, end)
     if op not in (TXN_BEGIN, TXN_COMMIT, TXN_ROLLBACK):
         raise ProtocolError(f"unknown TXN op {op}")
     return {"op": op, "trace": trace}
@@ -638,113 +677,116 @@ def encode_meta(command: str) -> bytes:
     (flight-recorder incident bundle).  The ``json`` forms return a
     JSON document as the text payload — the remote ``\\top`` renderer
     and the client's monitoring helpers parse it client-side."""
-    w = _Writer()
-    w.str(command)
-    return encode_frame(META, w.getvalue())
+    return encode_frame(META, _text(command))
 
 
 def decode_meta(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    out = {"command": r.str()}
-    r.expect_end()
-    return out
+    (command,) = _read_texts(payload, 1)
+    return {"command": command}
 
 
 def encode_meta_result(text: str) -> bytes:
-    w = _Writer()
-    w.str(text)
-    return encode_frame(META_RESULT, w.getvalue())
+    return encode_frame(META_RESULT, _text(text))
 
 
 def decode_meta_result(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    out = {"text": r.str()}
-    r.expect_end()
-    return out
+    (text,) = _read_texts(payload, 1)
+    return {"text": text}
 
 
 def encode_row_header(tag: str, columns: Sequence[str]) -> bytes:
-    w = _Writer()
-    w.str(tag)
-    w.u32(len(columns))
-    for name in columns:
-        w.str(name)
-    return encode_frame(ROW_HEADER, w.getvalue())
+    """The column names of a result.  A server builds it once per
+    planned query (``Statement.wire_header``), not once per reply."""
+    return encode_frame(
+        ROW_HEADER,
+        _text(tag) + _u32(len(columns)) + b"".join([_text(n) for n in columns]),
+    )
 
 
 def decode_row_header(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    tag = r.str()
-    count = r.u32()
-    if count > r.end - r.pos:
+    end = len(payload)
+    tag, pos = _read_text(payload, 0, end)
+    (count,), pos = _read_fixed(_U32, payload, pos, end)
+    if count > end - pos:
         raise ProtocolError(
             f"row header claims {count} columns, payload too short"
         )
-    columns = [r.str() for _ in range(count)]
-    r.expect_end()
+    columns = []
+    for _ in range(count):
+        name, pos = _read_text(payload, pos, end)
+        columns.append(name)
+    _expect_end(pos, end)
     return {"tag": tag, "columns": columns}
 
 
 def encode_row_batch(rows: Sequence[Sequence[Any]]) -> bytes:
-    w = _Writer()
-    w.u32(len(rows))
-    for row in rows:
-        _write_row(w, row)
-    return encode_frame(ROW_BATCH, w.getvalue())
+    return encode_frame(ROW_BATCH, _u32(len(rows)) + b"".join(_row_parts(rows)))
 
 
 def decode_row_batch(payload: bytes) -> list[tuple]:
-    r = _Reader(payload)
-    count = r.u32()
-    if count > r.end - r.pos:
+    end = len(payload)
+    if end < 4:
+        raise _truncated(4, end)
+    (count,) = _unpack_u32(payload, 0)
+    if count > end - 4:
         raise ProtocolError(f"batch claims {count} rows, payload too short")
-    rows = [_read_row(r) for _ in range(count)]
-    r.expect_end()
+    rows = []
+    pos = 4
+    for _ in range(count):
+        row, pos = _read_row(payload, pos, end)
+        rows.append(row)
+    _expect_end(pos, end)
     return rows
 
 
 def encode_complete(
     tag: str, rowcount: int, in_transaction: bool, schema_epoch: int
 ) -> bytes:
-    w = _Writer()
-    w.str(tag)
-    w.i64(rowcount)
-    w.u8(1 if in_transaction else 0)
-    w.i64(schema_epoch)
-    return encode_frame(COMPLETE, w.getvalue())
+    return encode_frame(
+        COMPLETE,
+        _text(tag) + _COMPLETE_TAIL.pack(
+            rowcount, 1 if in_transaction else 0, schema_epoch
+        ),
+    )
 
 
 def decode_complete(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    out = {
-        "tag": r.str(),
-        "rowcount": r.i64(),
-        "in_transaction": r.u8() != 0,
-        "schema_epoch": r.i64(),
+    end = len(payload)
+    tag, pos = _read_text(payload, 0, end)
+    (rowcount, in_transaction, schema_epoch), pos = _read_fixed(
+        _COMPLETE_TAIL, payload, pos, end
+    )
+    _expect_end(pos, end)
+    return {
+        "tag": tag,
+        "rowcount": rowcount,
+        "in_transaction": in_transaction != 0,
+        "schema_epoch": schema_epoch,
     }
-    r.expect_end()
-    return out
 
 
 def encode_error(exc: BaseException, in_transaction: bool) -> bytes:
-    w = _Writer()
-    w.str(type(exc).__name__)
-    w.str(sqlstate_for(exc))
-    w.str(str(exc))
-    w.u8(1 if in_transaction else 0)
-    return encode_frame(ERROR, w.getvalue())
+    return encode_frame(
+        ERROR,
+        _text(type(exc).__name__) + _text(sqlstate_for(exc)) + _text(str(exc))
+        + (b"\x01" if in_transaction else b"\x00"),
+    )
 
 
 def decode_error(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    out = {
-        "error_class": r.str(),
-        "sqlstate": r.str(),
-        "message": r.str(),
-        "in_transaction": r.u8() != 0,
+    end = len(payload)
+    error_class, pos = _read_text(payload, 0, end)
+    sqlstate, pos = _read_text(payload, pos, end)
+    message, pos = _read_text(payload, pos, end)
+    if pos >= end:
+        raise _truncated(1, 0)
+    _expect_end(pos + 1, end)
+    return {
+        "error_class": error_class,
+        "sqlstate": sqlstate,
+        "message": message,
+        "in_transaction": payload[pos] != 0,
     }
-    r.expect_end()
-    return out
 
 
 def encode_ping() -> bytes:
@@ -752,16 +794,14 @@ def encode_ping() -> bytes:
 
 
 def encode_pong(schema_epoch: int) -> bytes:
-    w = _Writer()
-    w.i64(schema_epoch)
-    return encode_frame(PONG, w.getvalue())
+    return encode_frame(PONG, _I64.pack(schema_epoch))
 
 
 def decode_pong(payload: bytes) -> dict[str, Any]:
-    r = _Reader(payload)
-    out = {"schema_epoch": r.i64()}
-    r.expect_end()
-    return out
+    end = len(payload)
+    (schema_epoch,), pos = _read_fixed(_I64, payload, 0, end)
+    _expect_end(pos, end)
+    return {"schema_epoch": schema_epoch}
 
 
 def encode_close() -> bytes:
@@ -778,16 +818,20 @@ class FrameStream:
 
     ``recv_frame`` blocks until one complete frame is available (or the
     peer closes / a socket timeout fires, which propagate as the
-    socket's own exceptions).  The internal buffer only ever holds
-    bytes the peer already framed, bounded by ``MAX_FRAME`` via
-    :func:`decode_frame`'s length check.
+    socket's own exceptions).  Frames are peeled off the buffer at an
+    offset; the consumed prefix is dropped only when more bytes must be
+    read, so a burst of pipelined replies costs no re-slicing per frame
+    and a frame larger than one ``recv`` grows the buffer in place.
+    The buffer only ever holds bytes the peer already framed, bounded
+    by ``MAX_FRAME`` via :func:`decode_frame`'s length check.
     """
 
-    __slots__ = ("sock", "_buf")
+    __slots__ = ("sock", "_buf", "_pos")
 
     def __init__(self, sock: Any) -> None:
         self.sock = sock
-        self._buf = b""
+        self._buf = bytearray()
+        self._pos = 0
 
     def send_frame(self, frame: bytes) -> int:
         self.sock.sendall(frame)
@@ -796,18 +840,18 @@ class FrameStream:
     def recv_frame(self) -> tuple[int, bytes] | None:
         """Next frame, or ``None`` on clean EOF at a frame boundary.
         EOF mid-frame raises :class:`ProtocolError`."""
+        buf = self._buf
         while True:
-            decoded = decode_frame(self._buf)
+            decoded = decode_frame(buf, self._pos)
             if decoded is not None:
-                ftype, payload, consumed = decoded
-                self._buf = self._buf[consumed:]
+                ftype, payload, self._pos = decoded
                 return ftype, payload
+            if self._pos:
+                del buf[: self._pos]
+                self._pos = 0
             chunk = self.sock.recv(65536)
             if not chunk:
-                if self._buf:
+                if buf:
                     raise ProtocolError("connection closed mid-frame")
                 return None
-            self._buf += chunk
-
-    def bytes_buffered(self) -> int:
-        return len(self._buf)
+            buf += chunk

@@ -30,10 +30,16 @@ one :class:`~repro.db.Statement` handle for that text, shared with
 every other connection and with the embedded path — under the client's
 name; EXECUTE hands it to :meth:`Session.execute_statement` with the
 frame's inline parameters — no SQL text, no tokenizer, no parser, no
-lookup by text on the hot path.  The handle re-plans by itself after a
-schema-epoch bump and execution against a retired table still raises
-``SchemaVersionError``, so the paper's front-end-restart story is
-unchanged for prepared clients.
+lookup by text on the hot path.  A QUERY takes ``db.prepare(sql)``
+and then runs exactly like an EXECUTE.  The handle re-plans by itself
+after a schema-epoch bump and execution against a retired table still
+raises ``SchemaVersionError``, so the paper's front-end-restart story
+is unchanged for prepared clients.
+
+**One write per reply**: a statement's ROW_HEADER (encoded once per
+planned query and cached on it), ROW_BATCHes and COMPLETE are joined
+and queued by one ``_send`` — one lock, one byte count, one counter
+bump — and a pipelined batch of replies leaves in one flush.
 
 Connection lifecycle guarantees (unchanged from the threaded server):
 
@@ -57,7 +63,8 @@ Connection lifecycle guarantees (unchanged from the threaded server):
 Fault seams ``net.accept`` / ``net.read`` / ``net.write`` follow the
 :mod:`repro.core.faults` contract (``is not None`` guard, ABORT at a
 net seam = the I/O "fails"); ``net.read`` fires once per decoded
-frame, ``net.write`` once per response frame.  Per-connection metrics
+frame, ``net.write`` once per response frame (a reply queued by one
+write still passes it once per frame it holds).  Per-connection metrics
 live in the attached observability registry and the
 ``bullfrog_stat_network`` system view; ``bullfrog_stat_server`` is the
 one-row summary (connections served by a runner right now, open
@@ -81,7 +88,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .. import __version__ as _SERVER_VERSION
 from ..catalog.catalog import VirtualTable
@@ -686,33 +693,39 @@ class BullfrogServer:
             self._sel_update(conn, conn.sel_mask & ~selectors.EVENT_WRITE)
             conn.want_write = False
 
-    def _send(self, conn: _Connection, frame: bytes) -> None:
-        """Queue one response frame.  Replies accumulate in the
+    def _send(self, conn: _Connection, data: bytes, frames: int = 1) -> None:
+        """Queue ``frames`` whole response frames, already joined into
+        ``data`` — a statement's reply is one call: one ``out_lock``,
+        one byte count, one counter bump.  Replies accumulate in the
         outbound buffer and are flushed at the next statement boundary
         (``_flush_conn``), so one write syscall covers a whole reply —
         or a whole pipelined batch of replies; the high-water mark
-        bounds buffering for huge result sets.  Raises OSError when the
-        connection is dead/killed."""
+        bounds buffering for huge result sets.  The ``net.write`` seam
+        still fires once per frame; a frame it fails takes the rest of
+        ``data`` with it (nothing of it is queued).  Raises OSError when
+        the connection is dead/killed."""
         faults = self.faults
         if faults is not None and "net.write" in faults.watching:
-            try:
-                faults.fire("net.write", conn_id=conn.id)
-            except Exception as exc:  # SimulatedCrash (BaseException) passes
-                raise OSError(f"injected write failure: {exc}") from exc
+            for _ in range(frames):
+                try:
+                    faults.fire("net.write", conn_id=conn.id)
+                except Exception as exc:  # SimulatedCrash (BaseException) passes
+                    raise OSError(f"injected write failure: {exc}") from exc
         obs = self.db.obs
         if obs is not None and obs.active:
-            obs.count("net.write")
+            obs.count("net.write", frames)
         with conn.out_lock:
             if conn.doomed is not None:
                 raise OSError("connection was killed")
-            conn.outbuf += frame
-            buffered = len(conn.outbuf)
+            outbuf = conn.outbuf
+            outbuf += data
+            buffered = len(outbuf)
             if buffered > conn.out_hiwat:
                 conn.out_hiwat = buffered
             if buffered >= _FLUSH_HIWAT:
                 self._flush_out_locked(conn)
-        conn.bytes_out += len(frame)
-        self._m_bytes_out.inc(len(frame))
+        conn.bytes_out += len(data)
+        self._m_bytes_out.inc(len(data))
 
     def _flush_conn(self, conn: _Connection) -> None:
         """Hand buffered replies to the kernel; if it cannot take them
@@ -802,10 +815,11 @@ class BullfrogServer:
         except OSError:
             cause = "abrupt_disconnect"
         inbuf = conn.inbuf
+        inbox = conn.inbox
+        decoded_frames = 0
         pos = 0
         error = None
         faults = self.faults
-        obs = self.db.obs
         try:
             while True:
                 decoded = protocol.decode_frame(inbuf, pos)
@@ -820,12 +834,14 @@ class BullfrogServer:
                         # connection dies like a reset peer.
                         cause = "abrupt_disconnect"
                         break
-                if obs is not None and obs.active:
-                    obs.count("net.read")
-                conn.inbox.append(decoded[:2])
-                pos = decoded[2]
+                ftype, payload, pos = decoded
+                inbox.append((ftype, payload))
+                decoded_frames += 1
         except ProtocolError as exc:
             error, cause = exc, "protocol_error"
+        obs = self.db.obs
+        if decoded_frames and obs is not None and obs.active:
+            obs.count("net.read", decoded_frames)
         if pos:
             del inbuf[:pos]
             conn.last_activity = time.monotonic()
@@ -1027,14 +1043,6 @@ class BullfrogServer:
             # (COMMIT/ROLLBACK frames on an idle session are errors
             # either way, so gating them too is harmless.)
             self._epoch_gate.wait(_EPOCH_GATE_TIMEOUT)
-        if ftype == protocol.QUERY:
-            frame = protocol.decode_query(payload)
-            sql, params = frame["sql"], frame["params"]
-            self._run_statement(
-                conn, lambda: conn.session.execute(sql, params),
-                self._continue_trace(conn, frame["trace"], enq_ts),
-            )
-            return "query"
         if ftype == protocol.EXECUTE:
             frame = protocol.decode_execute(payload)
             handle = conn.prepared.get(frame["name"])
@@ -1043,13 +1051,18 @@ class BullfrogServer:
                     f"unknown prepared statement {frame['name']!r}"
                 ))
                 return "execute"
-            params = frame["params"]
             self._run_statement(
-                conn,
-                lambda: conn.session.execute_statement(handle, params),
+                conn, handle, frame["params"],
                 self._continue_trace(conn, frame["trace"], enq_ts),
             )
             return "execute"
+        if ftype == protocol.QUERY:
+            frame = protocol.decode_query(payload)
+            self._run_statement(
+                conn, frame["sql"], frame["params"],
+                self._continue_trace(conn, frame["trace"], enq_ts),
+            )
+            return "query"
         if ftype == protocol.PARSE:
             frame = protocol.decode_parse(payload)
             name, sql = frame["name"], frame["sql"]
@@ -1124,11 +1137,14 @@ class BullfrogServer:
     def _run_statement(
         self,
         conn: _Connection,
-        thunk: Callable[[], Result],
-        ctx: TraceContext | None = None,
+        handle: Statement | str,
+        params: Sequence[Any],
+        ctx: TraceContext | None,
     ) -> None:
-        """Execute one statement (parsed or prepared) and stream its
-        result.  The start stamp is what the loop's tick measures
+        """Execute one statement — EXECUTE's PARSEd handle, or QUERY's
+        SQL text, prepared here so that a parse error is counted, timed
+        and traced like any other statement error — and queue its
+        reply.  The start stamp is what the loop's tick measures
         ``statement_timeout`` against.  A non-None ``ctx`` (the
         continued client trace) is parked on the session so
         ``execute_statement`` forks its statement span under the server
@@ -1140,7 +1156,9 @@ class BullfrogServer:
             start_us = obs.trace.now_us()
             conn.session._request_ctx = ctx
         try:
-            result = thunk()
+            if isinstance(handle, str):
+                handle = self.db.prepare(handle)
+            result = conn.session.execute_statement(handle, params)
         except ReproError as exc:
             if conn.doomed is None:
                 self._send_error(conn, exc)
@@ -1156,24 +1174,56 @@ class BullfrogServer:
                 )
         if conn.doomed is not None:
             return
-        self._send_result(conn, result)
+        self._send_result(conn, handle, result)
 
-    def _send_result(self, conn: _Connection, result: Result) -> None:
-        if result.columns:
-            self._send(conn, protocol.encode_row_header(
-                result.statement, result.columns
-            ))
-            rows = result.rows
-            for start in range(0, len(rows), _BATCH_ROWS):
-                self._send(conn, protocol.encode_row_batch(
-                    rows[start : start + _BATCH_ROWS]
-                ))
-        self._send(conn, protocol.encode_complete(
+    def _send_result(
+        self, conn: _Connection, handle: Statement, result: Result
+    ) -> None:
+        """ROW_HEADER, the ROW_BATCHes and COMPLETE, queued by one
+        ``_send``.  A result too big for that streams: a chunk is queued
+        — and ``_send`` flushes it — whenever it would fill the outbound
+        buffer to ``_FLUSH_HIWAT``, so the buffer never holds more than
+        the high-water mark plus one batch."""
+        complete = protocol.encode_complete(
             result.statement,
             result.rowcount,
             conn.session.in_transaction,
             self.db.epoch,
-        ))
+        )
+        if not result.columns:
+            self._send(conn, complete)
+            return
+        frames = [self._row_header(handle, result)]
+        size = len(frames[0])
+        room = _FLUSH_HIWAT - len(conn.outbuf)
+        rows = result.rows
+        for start in range(0, len(rows), _BATCH_ROWS):
+            batch = protocol.encode_row_batch(rows[start : start + _BATCH_ROWS])
+            frames.append(batch)
+            size += len(batch)
+            if size >= room:
+                self._send(conn, b"".join(frames), len(frames))
+                frames = []
+                size = 0
+                room = _FLUSH_HIWAT - len(conn.outbuf)
+        frames.append(complete)
+        self._send(conn, b"".join(frames), len(frames))
+
+    @staticmethod
+    def _row_header(handle: Statement, result: Result) -> bytes:
+        """The result's ROW_HEADER frame, encoded once per planned
+        query: a SELECT's ``Result.columns`` *is* its ``PlannedQuery``'s
+        ``names`` list, built afresh with every plan, so a header cached
+        on the handle next to that list describes exactly the results
+        of its plan.  A re-plan (every schema epoch) brings a new list
+        and the header is encoded again; so is every result whose
+        columns are built per call (EXPLAIN, a routed statement)."""
+        cached = handle.wire_header
+        if cached is not None and cached[0] is result.columns:
+            return cached[1]
+        header = protocol.encode_row_header(result.statement, result.columns)
+        handle.wire_header = (result.columns, header)
+        return header
 
     def _run_txn(
         self, conn: _Connection, op: int,

@@ -458,13 +458,15 @@ class Observability:
                 args["parent"] = ctx.span_id
             self.trace.instant(point, cat="lifecycle", args=args or None)
 
-    def count(self, point: str) -> None:
-        """Metrics-only fast path for a lifecycle point: ``emit(point)``
-        minus the kwargs collection (which costs more than the counter
-        bump itself).  Hot seams take it when tracing is off."""
+    def count(self, point: str, n: int = 1) -> None:
+        """Metrics-only fast path for ``n`` passes through a lifecycle
+        point: ``emit(point)`` minus the kwargs collection (which costs
+        more than the counter bump itself).  Hot seams take it when
+        tracing is off; bullfrogd counts a whole batch of frames in one
+        call."""
         cell = self._point_counters.get(point)
         if cell is not None:
-            cell.inc()
+            cell.inc(n)
 
     @staticmethod
     def in_trace() -> bool:

@@ -14,9 +14,14 @@ import pytest
 
 from repro import Database
 from repro.core import FaultAction, FaultInjector, FaultPlan, FaultRule
-from repro.errors import ExecutionError, ProtocolError, TransactionError
+from repro.errors import (
+    ExecutionError,
+    ProtocolError,
+    StatementTimeoutError,
+    TransactionError,
+)
 from repro.net import connect, parse_hostport, parse_hostport_list
-from repro.net.client import ConnectionPool
+from repro.net.client import Connection, ConnectionPool
 from repro.cluster import (
     PARTITION_COLUMNS,
     LocalCluster,
@@ -412,6 +417,109 @@ def test_rollback_reverts_on_the_shard(cluster, router_conn):
         "SELECT w_ytd FROM warehouse WHERE w_id = ?", (3,)
     ).scalar()
     assert after == before
+
+
+def _run_w1_transaction(conn):
+    conn.begin()
+    conn.execute(
+        "UPDATE warehouse SET w_ytd = w_ytd + ? WHERE w_id = ?", (1, 1)
+    )
+    conn.execute("SELECT w_ytd FROM warehouse WHERE w_id = ?", (1,))
+    conn.execute(
+        "UPDATE district SET d_ytd = d_ytd + ? WHERE d_w_id = ? AND d_id = ?",
+        (1, 1, 1),
+    )
+    conn.commit()
+
+
+def test_router_binds_transaction_in_one_shard_round_trip(
+    cluster, router_conn, monkeypatch
+):
+    """BEGIN rides with the transaction's first statement: a
+    3-statement transaction costs its shard connection 4 writes
+    (BEGIN + statement, two statements, COMMIT) — no PING on acquire,
+    no BEGIN round trip of its own."""
+    _run_w1_transaction(router_conn)  # the shard connection PARSEs once
+    writes = []
+    send = Connection._send
+
+    def spy(self, frame):
+        if self is not router_conn:
+            writes.append(frame)
+        return send(self, frame)
+
+    monkeypatch.setattr(Connection, "_send", spy)
+    _run_w1_transaction(router_conn)
+    assert len(writes) == 4
+
+
+def held_locks(db):
+    rows = db.connect().execute("SELECT * FROM bullfrog_stat_locks").dicts()
+    return sum(1 for row in rows if row["holders"])
+
+
+def test_router_begin_failure_undoes_the_statement_sent_with_it(
+    cluster, router_conn
+):
+    """The statement that travels with BEGIN runs even if BEGIN fails.
+    Force every idle shard connection into a transaction behind the
+    pool's back: the client gets BEGIN's TransactionError, the UPDATE
+    sent with it is rolled back, and no lock is left behind."""
+    read = "SELECT w_ytd FROM warehouse WHERE w_id = ?"
+    before = router_conn.execute(read, (1,)).scalar()
+    pool = cluster.router_db.pools[0]  # warehouse 1 lives on shard 0
+    forced = list(pool._idle)
+    assert forced
+    for conn in forced:
+        conn.begin()
+    try:
+        router_conn.begin()
+        with pytest.raises(TransactionError):
+            router_conn.execute(
+                "UPDATE warehouse SET w_ytd = w_ytd + ? WHERE w_id = ?",
+                (100, 1),
+            )
+        router_conn.rollback()
+    finally:
+        for conn in forced:
+            conn.reset()
+    assert router_conn.execute(read, (1,)).scalar() == before
+    assert held_locks(cluster.shard_dbs[0]) == 0
+
+
+def test_router_transaction_ends_when_its_shard_dies_while_binding(cluster):
+    """A shard connection killed during the transaction's first
+    statement (here as a statement timeout would kill it) takes the
+    BEGIN that travelled with it: the router session must report no
+    transaction, not one whose next statement silently binds afresh."""
+    shard_db, shard_srv = cluster.shard_dbs[0], cluster.shard_servers[0]
+    previous = shard_db._interceptor
+    update = "UPDATE warehouse SET w_ytd = w_ytd + ? WHERE w_id = ?"
+
+    def kill_mid_statement(session, handle, params):
+        if previous is not None:
+            previous(session, handle, params)
+        if handle.sql == update and params[0] == 555:
+            served = next(
+                c for c in list(shard_srv._conns.values())
+                if c.session is session
+            )
+            shard_srv._kill(served, StatementTimeoutError("killed mid-bind"))
+
+    session = cluster.router_db.connect()
+    read = "SELECT w_ytd FROM warehouse WHERE w_id = ?"
+    before = session.execute(read, (1,)).scalar()
+    shard_db.set_statement_interceptor(kill_mid_statement)
+    try:
+        session.begin()
+        with pytest.raises(StatementTimeoutError):
+            session.execute(update, (555, 1))
+    finally:
+        shard_db.set_statement_interceptor(previous)
+    assert not session.in_transaction
+    assert wait_until(lambda: held_locks(shard_db) == 0)
+    assert session.execute(read, (1,)).scalar() == before
+    session.close()
 
 
 def test_prepared_statements_through_router(cluster, router_conn):

@@ -27,6 +27,7 @@ from repro.errors import (
     ConnectionClosedError,
     IdleTimeoutError,
     NetworkError,
+    ParseError,
     ProtocolError,
     ReproError,
     SchemaVersionError,
@@ -308,6 +309,24 @@ def test_network_stat_view(server):
     assert wait_until(lambda: srv.active_connections() == 0)
     local = db.connect()
     assert local.execute("SELECT * FROM bullfrog_stat_network").rows == []
+
+
+def test_unparsable_query_is_counted_like_any_statement(server):
+    """QUERY and EXECUTE share one statement path, so SQL that fails to
+    parse is that statement's error: counted, and the connection goes
+    on."""
+    db, srv = server
+    with connect("127.0.0.1", srv.port) as conn:
+        def statements():
+            return conn.execute(
+                "SELECT statements FROM bullfrog_stat_network"
+            ).scalar()
+
+        before = statements()
+        with pytest.raises(ParseError):
+            conn.execute("SELEC nonsense")
+        assert statements() == before + 2
+        assert conn.execute("SELECT 1").rows == [(1,)]
 
 
 def test_idle_timeout_reaps_connection():
@@ -615,6 +634,70 @@ def test_pool_health_check_replaces_dead_connection(server):
         pool.close()
 
 
+def frames_read(db):
+    return db.obs.registry.get("repro_net_frames_read_total").value
+
+
+def test_pool_acquire_checks_liveness_without_a_round_trip(server):
+    """Handing out a healthy idle connection costs the server nothing:
+    the liveness check is a zero-timeout ``select`` on the idle socket,
+    not a PING the server must read and answer."""
+    db, srv = server
+    pool = ConnectionPool("127.0.0.1", srv.port, size=1)
+    try:
+        with pool.acquire() as conn:
+            conn.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        before = frames_read(db)
+        with pool.acquire() as conn:
+            assert frames_read(db) == before
+        assert pool.health_check_failures == 0
+        assert pool.stats()["last_ping"] is not None
+    finally:
+        pool.close()
+
+
+def test_pool_replaces_connection_killed_server_side(server):
+    """A pooled connection whose server end was killed while it sat
+    idle (its socket turned readable: farewell frame, then EOF) is
+    replaced on acquire, and the caller's statement just works."""
+    db, srv = server
+    pool = ConnectionPool("127.0.0.1", srv.port, size=1, backoff=0.01)
+    try:
+        with pool.acquire() as conn:
+            conn.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        served = srv._conns[conn.session_id]
+        srv._kill(served, ServerShutdownError("killed while idle"))
+        assert wait_until(lambda: not conn.idle_alive())
+        with pool.acquire() as conn2:
+            assert conn2 is not conn
+            assert conn2.execute("SELECT * FROM t").rows == []
+        assert pool.health_check_failures == 1
+        assert pool.reconnects == 1
+    finally:
+        pool.close()
+
+
+def test_idle_probe_handles_descriptors_above_fd_setsize(server):
+    """A process holding many sockets — a router — gets pool
+    connections with descriptors above ``select``'s FD_SETSIZE (1024);
+    the liveness probe must still see them as alive."""
+    import os
+    import resource
+
+    db, srv = server
+    high = 4096
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= high:
+        pytest.skip("the descriptor limit is below the probe's test fd")
+    with connect("127.0.0.1", srv.port) as conn:
+        low = conn._sock
+        conn._sock = conn._stream.sock = socket.socket(
+            fileno=os.dup2(low.fileno(), high)
+        )
+        low.close()
+        assert conn.idle_alive()
+        assert conn.execute("SELECT 1").rows == [(1,)]
+
+
 def test_pool_rolls_back_leaked_transactions(server):
     db, srv = server
     pool = ConnectionPool("127.0.0.1", srv.port, size=1)
@@ -695,6 +778,161 @@ def test_net_write_fault_mid_response():
         assert wait_until(lambda: srv.active_connections() == 0)
     finally:
         srv.shutdown(drain_timeout=1.0)
+
+
+def test_net_write_fault_kills_reply_after_its_row_header():
+    """The ``net.write`` seam fires once per frame even though a reply
+    is queued by one write: with the first two frames (WELCOME, then
+    the SELECT's ROW_HEADER) let through, the rule fires on the
+    ROW_BATCH.  The client then sees the connection die — never a
+    partial Result."""
+    faults = FaultInjector(FaultPlan([
+        FaultRule(point="net.write", action=FaultAction.ABORT, after=2),
+    ]))
+    db, srv = start_server(faults=faults)
+    try:
+        conn = connect("127.0.0.1", srv.port)
+        with pytest.raises(ConnectionClosedError):
+            conn.execute("SELECT 1")
+        assert [event.hit for event in faults.events] == [3]
+        assert conn.closed
+        assert wait_until(lambda: srv.active_connections() == 0)
+    finally:
+        srv.shutdown(drain_timeout=1.0)
+
+
+def test_pipeline_moves_frame_and_byte_counters_exactly(server):
+    """One write per reply, one counter bump per batch: the counters
+    still count frames and bytes exactly — 16 EXECUTEs read, 16 x
+    (ROW_HEADER + ROW_BATCH + COMPLETE) written, and the byte totals
+    the client itself sent and received."""
+    db, srv = server
+    registry = db.obs.registry
+
+    def counters():
+        moved = registry.get("repro_net_bytes_total")
+        return (
+            frames_read(db),
+            registry.get("repro_net_frames_written_total").value,
+            moved.labels(direction="in").value,
+            moved.labels(direction="out").value,
+        )
+
+    with connect("127.0.0.1", srv.port) as conn:
+        seed_table(conn)
+        ps = conn.prepare("SELECT v FROM t WHERE id = ?")
+        before = counters()
+        sent, received = conn.bytes_out, conn.bytes_in
+        pipe = conn.pipeline()
+        for i in range(16):
+            pipe.execute_prepared(ps, [1 + i % 2])
+        assert [r.rows for r in pipe.sync()] == [[("one",)], [("two",)]] * 8
+        after = counters()
+        assert after[0] - before[0] == 16
+        assert after[1] - before[1] == 48
+        assert after[2] - before[2] == conn.bytes_out - sent
+        assert after[3] - before[3] == conn.bytes_in - received
+
+
+def test_row_header_comes_from_the_plan_that_produced_the_result():
+    """The ROW_HEADER cached on a handle serves only results of the plan
+    it was encoded for (their ``columns`` *is* that plan's ``names``):
+    a repeat of the plan reuses the bytes, a result from a plan a DDL
+    has since replaced gets its own header."""
+    db = Database()
+    admin = db.connect()
+    admin.execute("CREATE TABLE w (id INT PRIMARY KEY, v INT)")
+    admin.execute("INSERT INTO w VALUES (1, 10)")
+    session = db.connect()
+    handle = db.prepare("SELECT * FROM w")
+    row_header = BullfrogServer._row_header
+
+    def header_columns(result):
+        frame = row_header(handle, result)
+        return protocol.decode_row_header(protocol.decode_frame(frame)[1])["columns"]
+
+    before = session.execute_statement(handle, ())
+    assert header_columns(before) == ["id", "v"]
+    again = session.execute_statement(handle, ())
+    assert row_header(handle, again) is row_header(handle, before)
+    admin.execute("ALTER TABLE w ADD COLUMN c INT")
+    after = session.execute_statement(handle, ())
+    assert header_columns(after) == ["id", "v", "c"]
+    assert header_columns(before) == ["id", "v"]
+
+
+def test_cached_row_header_tracks_the_plan_under_concurrent_ddl(server):
+    """Every connection running a statement shares its plan's cached
+    ROW_HEADER.  Readers hammer a prepared ``SELECT *`` while the table
+    gains columns: each reply's header must name exactly the columns of
+    its own rows, never a neighbouring plan's."""
+    import sys
+
+    db, srv = server
+    admin = db.connect()
+    admin.execute("CREATE TABLE w (id INT PRIMARY KEY, v INT)")
+    admin.execute("INSERT INTO w VALUES (1, 10)")
+    stop = threading.Event()
+    wrong: list = []
+    served: list = []
+
+    def reader():
+        with connect("127.0.0.1", srv.port) as conn:
+            ps = conn.prepare("SELECT * FROM w WHERE id = ?")
+            count = 0
+            while not stop.is_set():
+                result = ps.execute([1])
+                names = ["id", "v"] + [f"c{i}" for i in range(len(result.columns) - 2)]
+                if result.columns != names or len(result.rows[0]) != len(names):
+                    wrong.append((result.columns, result.rows))
+                count += 1
+            served.append(count)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    try:
+        for t in threads:
+            t.start()
+        for i in range(12):
+            time.sleep(0.02)
+            admin.execute(f"ALTER TABLE w ADD COLUMN c{i} INT")
+        time.sleep(0.02)
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(served) == 4 and all(served)
+
+
+def test_large_result_streams_within_the_high_water_mark(server):
+    """A 20k-row SELECT is not built into one write: it goes out in
+    chunks, so the outbound buffer never holds more than
+    ``_FLUSH_HIWAT`` plus one ROW_BATCH."""
+    from repro.net.server import _BATCH_ROWS, _FLUSH_HIWAT
+
+    db, srv = server
+    rows = [(i, f"row-{i:08d}-" + "x" * 30) for i in range(20_000)]
+    session = db.connect()
+    session.execute("CREATE TABLE big (id INT PRIMARY KEY, v TEXT)")
+    session.begin()
+    for row in rows:
+        session.execute("INSERT INTO big VALUES (?, ?)", row)
+    session.commit()
+    batch = max(
+        len(protocol.encode_row_batch(rows[start : start + _BATCH_ROWS]))
+        for start in range(0, len(rows), _BATCH_ROWS)
+    )
+    with connect("127.0.0.1", srv.port) as conn:
+        result = conn.execute("SELECT id, v FROM big")
+        assert sorted(result.rows) == rows
+        hiwat = conn.execute(
+            "SELECT outbuf_hiwat FROM bullfrog_stat_network"
+        ).scalar()
+    assert _FLUSH_HIWAT <= hiwat <= _FLUSH_HIWAT + batch
 
 
 def test_net_accept_fault_rejects_connection():
