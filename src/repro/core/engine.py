@@ -39,11 +39,6 @@ from ..txn import IsolationLevel
 from .background import BackgroundConfig, BackgroundMigrator
 from .bitmap import Claim, MigrationBitmap
 from .classify import UnitPlan
-from .constraints import (
-    fk_parent_conjuncts,
-    insert_conjuncts,
-    update_unique_conjuncts,
-)
 from .faults import FaultInjector
 from .granularity import GranuleMapper
 from .hashmap import MigrationHashMap
@@ -72,7 +67,6 @@ class UnitRuntime:
         self.plan = plan
         self.catalog = engine.db.catalog
         self.anchor_table = self.catalog.table(plan.anchor)
-        self.output_tables = frozenset(plan.output_tables)
         self.complete = False
         self.swept = False  # hashmap units: background finished a clean pass
         self._latch = threading.Lock()
@@ -317,7 +311,6 @@ class LazyMigrationEngine:
         )
         self._background: BackgroundMigrator | None = None
         self._complete_event = threading.Event()
-        self._outputs_to_units: dict[str, UnitRuntime] = {}
         # MVCC garbage collection: total tuple versions unlinked from
         # the version chains of this migration's input/output heaps.
         self._versions_pruned = 0
@@ -370,8 +363,6 @@ class LazyMigrationEngine:
                 self.stats.granules_total = (
                     self.stats.granules_total or 0
                 ) + runtime.tracker.size
-            for output in runtime.plan.output_tables:
-                self._outputs_to_units[output] = runtime
         if self.conflict_mode is ConflictMode.ON_CONFLICT:
             self._require_unique_outputs()
 
@@ -413,9 +404,8 @@ class LazyMigrationEngine:
     ) -> None:
         if self._complete_event.is_set():
             return
-        stmt = handle.ast
         if (
-            isinstance(stmt, ast.Select)
+            handle.ast_type is ast.Select
             and self.tracking_enabled
             and self.conflict_mode is ConflictMode.TRACKER
         ):
@@ -429,22 +419,35 @@ class LazyMigrationEngine:
             if snapshot_ts is not None:
                 self._prepare_snapshot_read(session, handle, params, snapshot_ts)
                 return
-        referenced = handle.tables
-        fk_targets: set[str] = set()
-        if isinstance(stmt, ast.Insert) and self.db.catalog.has_table(stmt.table):
-            # An INSERT into a non-migrated table whose FK references an
-            # output table still forces parent migration (section 2.1).
-            for fk in self.db.catalog.table(stmt.table).schema.foreign_keys:
-                fk_targets.add(fk.ref_table)
-        for runtime in self.units:
-            if runtime.complete:
-                continue
-            if not ((referenced | fk_targets) & runtime.output_tables):
-                continue
-            scope = self._scope_for(runtime, handle, params)
-            if not scope.is_empty:
-                self.migrate_scope(runtime, scope)
+        for runtime, scope in self._scopes(handle, params):
+            self.migrate_scope(runtime, scope)
         self._check_completion()
+
+    def _scopes(self, handle: Statement, params: Sequence[Any]):
+        """(unit, non-empty scope) for each unit of the statement's
+        migration plan that is not complete yet.
+
+        The plan lives on the handle (``Statement.migration``): the
+        units the statement can touch — its DML target and FROM tables,
+        and the FK parents of an INSERT's table — each with the
+        ``fn(params) -> Scope`` its :class:`PredicateTransfer` compiled.
+        It is built on the first interception and again after a schema
+        epoch bump (a DDL may add a key, an FK or an index), so an
+        execution parses, plans and compiles nothing."""
+        plan = handle.migration
+        epoch = self.db.epoch
+        if plan is None or plan[0] is not self or plan[1] != epoch:
+            stmt = handle.ast
+            plan = handle.migration = (self, epoch, [
+                (runtime, scope_of)
+                for runtime in self.units
+                if (scope_of := runtime.transfer.compile_scope(stmt)) is not None
+            ])
+        for runtime, scope_of in plan[2]:
+            if not runtime.complete:
+                scope = scope_of(params)
+                if not scope.is_empty:
+                    yield runtime, scope
 
     # ------------------------------------------------------------------
     # Snapshot reads during migration (never block on in-flight granules)
@@ -499,16 +502,8 @@ class LazyMigrationEngine:
         output rows are invisible at this snapshot and the overlay rows
         (projected from input versions visible at the snapshot) cannot
         double-count with them."""
-        referenced = handle.tables
         overlay: dict[str, list[tuple]] = {}
-        for runtime in self.units:
-            if runtime.complete:
-                continue
-            if not (referenced & runtime.output_tables):
-                continue
-            scope = self._scope_for(runtime, handle, params)
-            if scope.is_empty:
-                continue
+        for runtime, scope in self._scopes(handle, params):
             tracker = runtime.tracker
             pending = [
                 unit
@@ -527,36 +522,6 @@ class LazyMigrationEngine:
                 tables=len(overlay),
                 rows=sum(len(r) for r in overlay.values()),
             )
-
-    def _scope_for(
-        self, runtime: UnitRuntime, handle: Statement, params: Sequence[Any]
-    ) -> Scope:
-        stmt = handle.ast
-        if isinstance(stmt, ast.Insert):
-            table = self.db.catalog.table(stmt.table)
-            conjuncts = insert_conjuncts(table, stmt, params)
-            conjuncts += fk_parent_conjuncts(
-                table, stmt, params, set(self._outputs_to_units)
-            )
-            mine = [
-                (t, c) for t, c in conjuncts if t in runtime.output_tables
-            ]
-            if not mine:
-                return Scope()  # plain INSERT: no prior migration needed
-            return runtime.transfer.scope_for_output_conjuncts(mine, params)
-        scope = runtime.transfer.scope_for_statement(
-            stmt, params, cache_key=handle.sql
-        )
-        if isinstance(stmt, ast.Update):
-            table = self.db.catalog.table(stmt.table)
-            extra = update_unique_conjuncts(table, stmt, params)
-            mine = [(t, c) for t, c in extra if t in runtime.output_tables]
-            if mine:
-                extra_scope = runtime.transfer.scope_for_output_conjuncts(
-                    mine, params
-                )
-                scope = _merge_scopes(scope, extra_scope)
-        return scope
 
     # ==================================================================
     # Algorithm 1: the per-transaction migration loop
@@ -883,17 +848,3 @@ class MigrationHandle:
 
     def drop_old_schema(self) -> None:
         self.engine.drop_old_schema()
-
-
-# ----------------------------------------------------------------------
-# Helpers
-# ----------------------------------------------------------------------
-
-
-def _merge_scopes(a: Scope, b: Scope) -> Scope:
-    if a.full or b.full:
-        return Scope(full=True)
-    return Scope(
-        granules=a.granules | b.granules,
-        keys=a.keys | b.keys,
-    )

@@ -23,15 +23,20 @@ substitution directly on the AST:
 Aggregate-valued output columns are not pushable through a GROUP BY
 (only group keys are), matching what an optimizer can push through an
 aggregating view.
+
+All of that happens once per prepared statement: :meth:`PredicateTransfer.
+compile_scope` returns a ``fn(params) -> Scope`` whose scans were planned
+and compiled with the statement's ``?`` left as parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..sql import ast_nodes as ast
 from ..exec.expressions import RowLayout, compile_expr, predicate_satisfied
+from ..exec.plan import ExecutionContext
 from ..exec.rewrite import (
     EquivalenceClasses,
     conjoin,
@@ -40,6 +45,7 @@ from ..exec.rewrite import (
     transform_expr,
 )
 from .classify import MigrationCategory, UnitPlan
+from .constraints import constraint_conjuncts
 
 
 @dataclass
@@ -62,8 +68,15 @@ class Scope:
         return not self.full and not self.granules and not self.keys
 
 
+ScopeFn = Callable[[Sequence[Any]], Scope]
+
+
+def _full_scope(params: Sequence[Any]) -> Scope:
+    return Scope(full=True)
+
+
 class PredicateTransfer:
-    """Computes migration scopes for a single migration unit."""
+    """Compiles migration scopes for a single migration unit."""
 
     def __init__(
         self, unit: UnitPlan, catalog, planner, granule_size: int = 1
@@ -72,9 +85,7 @@ class PredicateTransfer:
         self.catalog = catalog
         self.planner = planner
         self.granule_size = granule_size
-        # Compiled scope computers keyed by the client statement's SQL
-        # text (see scope_for_statement).
-        self._computer_cache: dict = {}
+        self.output_tables = frozenset(unit.output_tables)
         # Per output table: column name -> defining expression.
         self._projections: dict[str, dict[str, ast.Expr]] = {}
         for output in unit.outputs:
@@ -99,55 +110,59 @@ class PredicateTransfer:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def scope_for_statement(
-        self,
-        stmt: ast.Statement,
-        params: Sequence[Any],
-        cache_key: Any = None,
-    ) -> Scope:
-        """Scope induced by a SELECT/UPDATE/DELETE over the new schema.
-        (INSERT scope is constraint-driven: see
-        :mod:`repro.core.constraints`.)
+    def compile_scope(self, stmt: ast.Statement) -> ScopeFn | None:
+        """``fn(params) -> Scope``: what ``stmt`` needs migrated in this
+        unit before it runs — or None when it touches none of the unit's
+        outputs.  Built once per prepared statement; an execution only
+        binds parameters and runs the compiled scans.
 
-        The predicate analysis and scan planning are parameter
-        independent, so when ``cache_key`` is given (the engine passes
-        the statement's SQL text) the compiled *scope computer* is
-        reused across executions — the analogue of PostgreSQL executing
-        a cached plan for each prepared statement.
-        """
-        computer = None
-        if cache_key is not None:
-            computer = self._computer_cache.get(cache_key)
-        if computer is None:
-            computer = self._build_computer(stmt)
-            if cache_key is not None and len(self._computer_cache) < 4096:
-                self._computer_cache[cache_key] = computer
-        return computer(params)
+        The scope is the *union* of independent conjunct groups, each
+        compiled on its own: the client's own predicates (SELECT /
+        UPDATE / DELETE, or an INSERT's SELECT), and every constraint
+        group of :mod:`repro.core.constraints` — one per VALUES row and
+        unique key, per FK parent, per unique key an UPDATE assigns.
+        ANDing them would keep only rows every group needs: a two-row
+        INSERT, or one conflicting on only one of two keys, would
+        migrate nothing and slip past the old rows it collides with."""
+        groups: list[list[tuple[str, ast.Expr]]] = []
+        client = self._client_conjuncts(stmt)
+        if client is None:
+            return _full_scope  # referenced, nothing pushable
+        if client:
+            groups.append(client)
+        if isinstance(stmt, (ast.Insert, ast.Update)) and self.catalog.has_table(
+            stmt.table
+        ):
+            table = self.catalog.table(stmt.table)
+            for output, predicate in constraint_conjuncts(
+                table, stmt, self.output_tables
+            ):
+                if predicate is None:
+                    return _full_scope
+                groups.append([(output, predicate)])
+        if not groups:
+            return None
+        computers = [self._compile_group(group) for group in groups]
+        if _full_scope in computers:
+            return _full_scope
+        if len(computers) == 1:
+            return computers[0]
 
-    def _build_computer(self, stmt: ast.Statement):
-        conjuncts = self._client_conjuncts(stmt, ())
-        if conjuncts is None:
-            return lambda params: Scope(full=True)  # nothing pushable
-        if not conjuncts:
-            return lambda params: Scope()  # unit's outputs untouched
-        return self.compile_output_conjuncts(conjuncts)
+        def union(params: Sequence[Any]) -> Scope:
+            granules: set[int] = set()
+            keys: set[tuple] = set()
+            for computer in computers:
+                part = computer(params)
+                granules |= part.granules
+                keys |= part.keys
+            return Scope(granules=granules, keys=keys)
 
-    def scope_for_output_conjuncts(
-        self,
-        conjuncts: list[tuple[str, ast.Expr]],
-        params: Sequence[Any],
-    ) -> Scope:
-        """Scope from (output_table, conjunct-over-output-columns) pairs.
-        Conjuncts use *unqualified* output column names (uncached path —
-        used for constraint-driven scopes whose values are literals)."""
-        return self.compile_output_conjuncts(conjuncts)(params)
+        return union
 
-    def compile_output_conjuncts(
-        self, conjuncts: list[tuple[str, ast.Expr]]
-    ):
-        """Build a reusable ``fn(params) -> Scope`` from output-column
-        conjuncts.  Parameters stay as ``Param`` placeholders inside the
-        compiled scans and are bound per call."""
+    def _compile_group(self, conjuncts: list[tuple[str, ast.Expr]]) -> ScopeFn:
+        """One conjunct group — (output_table, conjunct over unqualified
+        output columns) pairs, ANDed — as ``fn(params) -> Scope``.
+        Parameters stay ``Param`` placeholders in the compiled scans."""
         old_conjuncts: list[ast.Expr] = []
         any_pushable = False
         for output_table, conjunct in conjuncts:
@@ -161,7 +176,7 @@ class PredicateTransfer:
             # combined AND per unique set).
             old_conjuncts.extend(split_conjuncts(mapped))
         if not any_pushable:
-            return lambda params: Scope(full=True)
+            return _full_scope
         classes = EquivalenceClasses.from_conjuncts(
             old_conjuncts + self._join_equalities()
         )
@@ -174,15 +189,17 @@ class PredicateTransfer:
     # Step 1: collect client conjuncts on the new table(s)
     # ------------------------------------------------------------------
     def _client_conjuncts(
-        self, stmt: ast.Statement, params: Sequence[Any]
+        self, stmt: ast.Statement
     ) -> list[tuple[str, ast.Expr]] | None:
-        """Extract per-output-table conjuncts from the client statement.
-        Returns None when the statement gives no usable filter (full
-        scope)."""
-        output_tables = set(self.unit.output_tables)
+        """Extract per-output-table conjuncts from the client statement
+        (an INSERT's from its SELECT, if any).  Returns None when the
+        statement gives no usable filter (full scope)."""
+        output_tables = self.output_tables
         found: list[tuple[str, ast.Expr]] = []
         saw_reference = False
 
+        if isinstance(stmt, ast.Insert):
+            return [] if stmt.query is None else self._client_conjuncts(stmt.query)
         if isinstance(stmt, (ast.Update, ast.Delete)):
             if stmt.table not in output_tables:
                 return []
@@ -196,6 +213,7 @@ class PredicateTransfer:
                     found.append((stmt.table, normalized))
         elif isinstance(stmt, ast.Select):
             bindings: dict[str, str] = {}  # binding -> output table
+            subqueries: list[ast.Select] = []
 
             def collect(item: ast.FromItem, conjuncts_out: list[ast.Expr]) -> None:
                 if isinstance(item, ast.TableRef):
@@ -206,11 +224,16 @@ class PredicateTransfer:
                     collect(item.right, conjuncts_out)
                     if item.condition is not None:
                         conjuncts_out.extend(split_conjuncts(item.condition))
-                # Subquery sources: conservatively contribute nothing.
+                elif isinstance(item, ast.SubquerySource):
+                    subqueries.append(item.query)
 
             join_conjuncts: list[ast.Expr] = []
             for item in stmt.from_items:
                 collect(item, join_conjuncts)
+            if any(self._client_conjuncts(query) != [] for query in subqueries):
+                # The outer filters do not bound what a derived table
+                # reads of this unit's outputs: all of it.
+                return None
             if not bindings:
                 return []
             saw_reference = True
@@ -313,35 +336,18 @@ class PredicateTransfer:
                 mine.append(conjunct)
         return conjoin(mine)
 
-    def extract_old_schema_filters(
-        self, conjuncts: list[ast.Expr]
-    ) -> dict[str, ast.Expr | None]:
-        """Per input-table residual predicate (public: used by tests and
-        by the EXPLAIN-style tooling)."""
-        unit = self.unit
-        result = {unit.anchor: self._per_table_predicate(conjuncts, unit.anchor_binding)}
-        if unit.aux is not None:
-            result[unit.aux.table] = self._per_table_predicate(
-                conjuncts, unit.aux.binding
-            )
-        if unit.join_key is not None:
-            result[unit.join_key.other_table] = self._per_table_predicate(
-                conjuncts, unit.join_key.other_binding
-            )
-        return result
-
-    def _compile_enumerate(self, conjuncts: list[ast.Expr]):
+    def _compile_enumerate(self, conjuncts: list[ast.Expr]) -> ScopeFn:
         unit = self.unit
         if unit.category.uses_bitmap:
             predicate = self._per_table_predicate(conjuncts, unit.anchor_binding)
             if predicate is None:
-                return lambda params: Scope(full=True)
+                return _full_scope
             return self._compile_bitmap_scope(predicate)
         if unit.category is MigrationCategory.N_TO_ONE:
             return self._compile_group_scope(conjuncts)
         return self._compile_join_scope(conjuncts)
 
-    def _compile_bitmap_scope(self, predicate: ast.Expr):
+    def _compile_bitmap_scope(self, predicate: ast.Expr) -> ScopeFn:
         scan = self.planner.plan_dml_scan(
             self.unit.anchor, self.unit.anchor_binding, predicate, allow_retired=True
         ).compile_tids()
@@ -350,8 +356,6 @@ class PredicateTransfer:
         catalog = self.catalog
 
         def compute(params: Sequence[Any]) -> Scope:
-            from ..exec.plan import ExecutionContext
-
             ctx = ExecutionContext(
                 catalog=catalog, txn=None, allow_retired=True, lock_tables=False
             )
@@ -364,94 +368,80 @@ class PredicateTransfer:
 
         return compute
 
-    def _compile_group_scope(self, conjuncts: list[ast.Expr]):
+    def _compile_group_scope(self, conjuncts: list[ast.Expr]) -> ScopeFn:
         unit = self.unit
-        pinned = _pinned_value_getters(conjuncts, unit.anchor_binding)
-        if all(column in pinned for column in unit.group_columns):
-            getters = [pinned[column] for column in unit.group_columns]
-            return lambda params: Scope(
-                keys={tuple(get(params) for get in getters)}
-            )
+        pinned = self._pinned_scope(conjuncts, unit.anchor_binding, unit.group_columns)
+        if pinned is not None:
+            return pinned
         predicate = self._per_table_predicate(conjuncts, unit.anchor_binding)
         if predicate is None:
-            return lambda params: Scope(full=True)
+            return _full_scope
         collect = self._compile_key_collector(
             unit.anchor, unit.anchor_binding, predicate, unit.group_columns
         )
         return lambda params: Scope(keys=collect(params))
 
-    def _compile_join_scope(self, conjuncts: list[ast.Expr]):
+    def _compile_join_scope(self, conjuncts: list[ast.Expr]) -> ScopeFn:
         unit = self.unit
         jk = unit.join_key
         assert jk is not None
         anchor_pred = self._per_table_predicate(conjuncts, unit.anchor_binding)
         other_pred = self._per_table_predicate(conjuncts, jk.other_binding)
         if anchor_pred is None and other_pred is None:
-            return lambda params: Scope(full=True)
+            return _full_scope
 
         # Pinned fast path: if either side's key columns are all pinned
         # by equalities, the group key is known without any scan.
-        anchor_pinned = self._pinned_key_getter(
+        pinned = self._pinned_scope(
             conjuncts, unit.anchor_binding, jk.anchor_columns
-        )
-        other_pinned = self._pinned_key_getter(
-            conjuncts, jk.other_binding, jk.other_columns
-        )
-        pinned = anchor_pinned or other_pinned
+        ) or self._pinned_scope(conjuncts, jk.other_binding, jk.other_columns)
         if pinned is not None:
-            return lambda params: Scope(keys={pinned(params)})
+            return pinned
 
+        if anchor_pred is None:
+            collect_other = self._compile_key_collector(
+                jk.other_table, jk.other_binding, other_pred, jk.other_columns
+            )
+            return lambda params: Scope(keys=collect_other(params))
         # A join-value group is relevant to the request only if SOME
         # anchor row with that value matches the anchor-side predicate
         # AND SOME other-side row matches the other-side predicate —
         # when both sides filter, the needed keys are the intersection.
         # Enumerate ONE side and probe the other per candidate key
         # (index point lookups), never a second full enumeration.
-        collect_anchor = (
-            self._compile_key_collector(
-                unit.anchor, unit.anchor_binding, anchor_pred, jk.anchor_columns
-            )
-            if anchor_pred is not None
-            else None
+        collect_anchor = self._compile_key_collector(
+            unit.anchor, unit.anchor_binding, anchor_pred, jk.anchor_columns
         )
-        collect_other = (
-            self._compile_key_collector(
-                jk.other_table, jk.other_binding, other_pred, jk.other_columns
-            )
-            if other_pred is not None
-            else None
+        if other_pred is None:
+            return lambda params: Scope(keys=collect_anchor(params))
+        probe_other = self._compile_key_probe(
+            jk.other_table, jk.other_binding, other_pred, jk.other_columns
         )
-        probe_other = (
-            self._compile_key_probe(
-                jk.other_table, jk.other_binding, other_pred, jk.other_columns
-            )
-            if other_pred is not None
-            else None
+        return lambda params: Scope(
+            keys={k for k in collect_anchor(params) if probe_other(k, params)}
         )
 
-        def compute(params: Sequence[Any]) -> Scope:
-            if collect_anchor is not None:
-                keys = collect_anchor(params)
-                if probe_other is not None:
-                    keys = {k for k in keys if probe_other(k, params)}
-                return Scope(keys=keys)
-            return Scope(keys=collect_other(params) if collect_other else set())
-
-        return compute
-
-    def _pinned_key_getter(
+    def _pinned_scope(
         self,
         conjuncts: list[ast.Expr],
         binding: str,
         key_columns: tuple[str, ...],
-    ):
-        """fn(params) -> key when every key column of ``binding`` is
-        pinned to a literal/parameter; else None."""
+    ) -> ScopeFn | None:
+        """When every key column of ``binding`` is pinned to a literal or
+        parameter, the one group key is known without a scan.  A bound
+        key holding NULL matches no row (``= NULL`` is never true): its
+        scope is empty, so no NULL key is ever claimed and marked
+        migrated."""
         pinned = _pinned_value_getters(conjuncts, binding)
-        if all(column in pinned for column in key_columns):
-            getters = [pinned[column] for column in key_columns]
-            return lambda params: tuple(get(params) for get in getters)
-        return None
+        if not all(column in pinned for column in key_columns):
+            return None
+        getters = [pinned[column] for column in key_columns]
+
+        def compute(params: Sequence[Any]) -> Scope:
+            key = tuple(get(params) for get in getters)
+            return Scope() if None in key else Scope(keys={key})
+
+        return compute
 
     def _compile_key_probe(
         self,
@@ -519,8 +509,6 @@ class PredicateTransfer:
         catalog = self.catalog
 
         def collect(params: Sequence[Any]) -> set[tuple]:
-            from ..exec.plan import ExecutionContext
-
             ctx = ExecutionContext(
                 catalog=catalog, txn=None, allow_retired=True, lock_tables=False
             )

@@ -143,12 +143,14 @@ class Statement:
       still takes effect;
     * ``route`` — the router's cached ``RoutePlan`` (unused elsewhere);
     * ``wire_header`` — bullfrogd's cached ROW_HEADER frame (unused
-      elsewhere).
+      elsewhere);
+    * ``migration`` — the lazy engine's per-epoch migration plan: the
+      units this statement can touch and each one's compiled scope.
     """
 
     __slots__ = (
         "sql", "ast", "ast_type", "txn_op", "kind", "tables", "run",
-        "runner", "route", "wire_header", "_artifacts",
+        "runner", "route", "wire_header", "migration", "_artifacts",
     )
 
     def __init__(self, node: ast.Statement, sql: str | None = None) -> None:
@@ -164,6 +166,7 @@ class Statement:
             self.runner = "run_select_for_update"
         self.route: Any = None
         self.wire_header: tuple[list[str], bytes] | None = None
+        self.migration: Any = None
         # (epoch, artifact) per allow_retired flavour: migration-internal
         # sessions plan against retired tables, clients must not.
         self._artifacts: list[tuple[int, Any] | None] = [None, None]
@@ -630,6 +633,8 @@ class Session:
             start = time.perf_counter()
             interceptor(self, Statement(query), params)
             stall_seconds = time.perf_counter() - start
+            # ctx predates the interceptor: hand its snapshot overlay on.
+            ctx.overlay = self._pending_overlay
             if before is not None:
                 after = stats.snapshot()
                 migrated = (
@@ -787,6 +792,9 @@ class Session:
                 name=name,
             )
             table.schema = table.schema.with_constraint(fk)
+            # In force from here even if an existing row fails below:
+            # re-plan statements now (an INSERT's FK-parent migration).
+            self.db.bump_epoch()
             for _tid, row in table.heap.scan():
                 self.db.executor._check_fk_parents(table, row, ctx)
         else:

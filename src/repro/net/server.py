@@ -1103,6 +1103,11 @@ class BullfrogServer:
         if ftype == protocol.HELLO:
             # The handshake (a repeated one is harmless: re-welcome).
             hello = protocol.decode_hello(payload)
+            if hello["version"] != protocol.PROTOCOL_VERSION:
+                raise ProtocolError(
+                    f"protocol version mismatch: client v{hello['version']}, "
+                    f"server v{protocol.PROTOCOL_VERSION}"
+                )
             self._apply_hello_options(conn, hello.get("options") or {})
             # The capabilities trailer goes only to clients that asked
             # for tracing — an old client's decode_welcome would reject

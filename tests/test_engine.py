@@ -164,6 +164,19 @@ class TestLazyBehaviour:
         # A genuinely new id inserts fine.
         s.execute("INSERT INTO left_part (id, v) VALUES (1000, 0)")
 
+    def test_insert_select_and_derived_table_read_migrated_rows(self):
+        """An output read by an INSERT ... SELECT or inside a derived
+        table migrates first; unmigrated, it would read as empty."""
+        db, s = make_source_db()
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", SPLIT_DDL)
+        s.execute("CREATE TABLE sink (id INT, v INT)")
+        insert = "INSERT INTO sink SELECT id, v FROM left_part WHERE id = ?"
+        assert s.execute(insert, [7]).rowcount == 1
+        assert engine.stats.tuples_migrated == 1
+        derived = "SELECT COUNT(*) FROM (SELECT id FROM left_part WHERE id < 5) x"
+        assert s.execute(derived).scalar() == 5
+
     def test_aggregate_unit_lazy_group(self):
         db, s = make_source_db()
         engine = LazyMigrationEngine(
@@ -238,6 +251,150 @@ class TestLazyBehaviour:
         row = s.execute("SELECT label FROM denorm WHERE fid = 4").rows[0]
         assert row == ("L1",)
         assert engine.stats.tuples_migrated == 1
+
+
+# An output with two unique keys: src row i holds id i and u = 10 * i.
+TWO_KEY_DDL = """
+CREATE TABLE dst (id INT PRIMARY KEY, u INT UNIQUE, grp INT);
+INSERT INTO dst (id, u, grp) SELECT id, v, grp FROM src;
+"""
+
+
+def forbid_front_end_work(monkeypatch):
+    """Make any parse, plan or expression compile raise from now on;
+    returns the list of the ones attempted (a caller may swallow the
+    error)."""
+    import sys
+
+    import repro.db
+    from repro.exec import expressions
+    from repro.exec.planner import Planner
+
+    calls = []
+
+    def forbidden(name):
+        def fail(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called on a repeated statement")
+        return fail
+
+    monkeypatch.setattr(repro.db, "parse_statement", forbidden("parse_statement"))
+    monkeypatch.setattr(Planner, "plan_select", forbidden("plan_select"))
+    monkeypatch.setattr(Planner, "plan_dml_scan", forbidden("plan_dml_scan"))
+    original = expressions.compile_expr
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "compile_expr", None) is original:
+            monkeypatch.setattr(module, "compile_expr", forbidden("compile_expr"))
+    return calls
+
+
+class TestConstraintScope:
+    """A write migrates every old row it could conflict with first:
+    the union of its VALUES rows x unique keys (and SET-assigned keys),
+    never their conjunction (paper sections 2.1, 4.5)."""
+
+    def submit(self):
+        db, s = make_source_db()
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", TWO_KEY_DDL)
+        return db, s, engine
+
+    def assert_output_readable(self, s):
+        # A conflicting old row accepted past would wedge the migration:
+        # every full read would then fail with UniqueViolation.
+        ids = [row[0] for row in s.execute("SELECT id FROM dst").rows]
+        assert sorted(ids) == list(range(50))
+
+    def test_two_row_insert_over_two_unmigrated_ids_is_rejected(self):
+        from repro.errors import UniqueViolation
+
+        db, s, engine = self.submit()
+        with pytest.raises(UniqueViolation):
+            s.execute(
+                "INSERT INTO dst (id, u, grp) VALUES (3, 1001, 0), (4, 1002, 0)"
+            )
+        self.assert_output_readable(s)
+
+    @pytest.mark.parametrize(
+        "values", [(5, 1003), (1000, 60)], ids=["id-only", "u-only"]
+    )
+    def test_insert_conflicting_on_one_of_two_keys_is_rejected(self, values):
+        from repro.errors import UniqueViolation
+
+        db, s, engine = self.submit()
+        with pytest.raises(UniqueViolation):
+            s.execute("INSERT INTO dst (id, u, grp) VALUES (?, ?, 0)", values)
+        self.assert_output_readable(s)
+
+    def test_update_of_both_keys_against_unmigrated_holders_is_rejected(self):
+        from repro.errors import UniqueViolation
+
+        db, s, engine = self.submit()
+        with pytest.raises(UniqueViolation):
+            s.execute("UPDATE dst SET id = 5, u = 90 WHERE id = 1")
+        self.assert_output_readable(s)
+
+    def test_unique_key_computed_from_the_row_migrates_everything(self):
+        from repro.errors import UniqueViolation
+
+        db, s, engine = self.submit()
+        with pytest.raises(UniqueViolation):
+            s.execute("UPDATE dst SET u = u + 10 WHERE id = 1")  # u 20: id 2's
+        self.assert_output_readable(s)
+
+    def test_fk_left_in_force_by_a_failed_alter_replans_inserts(self):
+        """Figure 12's harness adds orders' FK mid-migration; validating
+        the existing rows fails (their parents are unmigrated) but the
+        FK stays in force, so INSERT plans made before it are stale."""
+        from repro.errors import ForeignKeyViolation
+
+        db, s, engine = self.submit()
+        s.execute("CREATE TABLE child (cid INT PRIMARY KEY, pid INT)")
+        insert = "INSERT INTO child VALUES (?, ?)"
+        s.execute(insert, [1, 3])
+        with pytest.raises(ForeignKeyViolation):
+            s.execute(
+                "ALTER TABLE child ADD CONSTRAINT child_fk "
+                "FOREIGN KEY (pid) REFERENCES dst (id)"
+            )
+        assert engine.stats.tuples_migrated == 0
+        s.execute(insert, [2, 4])  # parent 4 migrates, then the check passes
+        assert engine.stats.tuples_migrated == 1
+
+    def test_null_unique_value_migrates_nothing(self):
+        db, s, engine = self.submit()
+        s.execute("INSERT INTO dst (id, u, grp) VALUES (?, ?, 0)", [1000, None])
+        assert engine.stats.tuples_migrated == 0
+
+    @pytest.mark.parametrize(
+        "sql,first,second",
+        [
+            ("INSERT INTO dst (id, u, grp) VALUES (?, ?, 0)", [1000, 2000], [1001, 2001]),
+            ("UPDATE dst SET grp = 7 WHERE id = ?", [1], [2]),
+            ("INSERT INTO child VALUES (?, ?)", [1, 3], [2, 4]),
+        ],
+        ids=["insert-output", "update-const", "insert-fk-child"],
+    )
+    def test_repeated_write_plans_nothing(self, monkeypatch, sql, first, second):
+        """The statement's migration scope is planned on its first
+        execution and kept on its handle; a later execution only binds
+        parameters and runs the compiled scans."""
+        db, s, engine = self.submit()
+        s.execute("CREATE TABLE child (cid INT PRIMARY KEY, pid INT)")
+        s.execute(
+            "ALTER TABLE child ADD CONSTRAINT child_fk "
+            "FOREIGN KEY (pid) REFERENCES dst (id)"
+        )
+        s.execute(sql, first)
+        migrated = engine.stats.tuples_migrated
+        calls = forbid_front_end_work(monkeypatch)
+        s.execute(sql, second)
+        assert calls == []
+        assert not engine.is_complete
+        if sql.startswith("INSERT INTO dst"):
+            assert engine.stats.tuples_migrated == migrated == 0
+        else:  # the second execution still migrated its own row
+            assert engine.stats.tuples_migrated == migrated + 1
 
 
 class TestBackgroundMigration:

@@ -476,6 +476,23 @@ class TestMigrationSnapshotReads:
         ]
         assert engine.stats.tuples_migrated == 0
 
+    def test_explain_analyze_counts_the_overlay_rows_the_select_sees(self):
+        """EXPLAIN ANALYZE runs the interceptor after its execution
+        context exists; the overlay must still reach the instrumented
+        scan, or it reports rows=0 for a 10-row result."""
+        import re
+
+        db, _ = make_source_db()
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", SPLIT_DDL)
+        si = db.connect(isolation="snapshot")
+        sql = "SELECT id FROM left_part WHERE v >= 400"
+        expected = si.execute(sql).rowcount
+        assert expected == 10
+        plan = si.execute("EXPLAIN ANALYZE " + sql).rows
+        assert re.search(r"rows=(\d+)", plan[0][0]).group(1) == str(expected)
+        assert engine.stats.tuples_migrated == 0
+
     def test_explicit_snapshot_txn_consistent_across_migration(self):
         db, s = make_source_db()
         engine = LazyMigrationEngine(db, background=no_background())

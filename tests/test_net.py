@@ -536,6 +536,22 @@ def test_runner_serves_a_socketpair_without_the_event_loop():
         client.close()
 
 
+def test_hello_of_another_protocol_version_is_refused(server):
+    """A HELLO the server cannot speak gets a structured 08P01 ERROR and
+    the connection retires, as for a non-HELLO first frame — not a
+    WELCOME."""
+    _db, srv = server
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as sock:
+        sock.sendall(protocol.encode_hello(version=protocol.PROTOCOL_VERSION + 1))
+        received = bytearray()
+        while chunk := sock.recv(65536):  # until the server hangs up
+            received += chunk
+    ftype, payload, end = protocol.decode_frame(received, 0)
+    assert ftype == protocol.ERROR and end == len(received)
+    error = protocol.decode_error(payload)
+    assert error["sqlstate"] == "08P01" and "version" in error["message"]
+
+
 # ----------------------------------------------------------------------
 # Graceful shutdown
 # ----------------------------------------------------------------------

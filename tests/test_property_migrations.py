@@ -5,7 +5,7 @@ eager migration computes in one shot.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import BackgroundConfig, Database
 from repro.core import (
@@ -14,6 +14,7 @@ from repro.core import (
     LazyMigrationEngine,
     MultiStepMigration,
 )
+from repro.errors import ReproError
 
 _settings = settings(
     max_examples=15,
@@ -163,3 +164,141 @@ def test_any_granularity_equals_eager(rows, granule_size, queries):
     lazy = sorted(s.execute("SELECT id, v FROM part_a").rows)
     eager = run_eager(rows, SPLIT_DDL, "part_a")[0]
     assert lazy == eager
+
+
+# ----------------------------------------------------------------------
+# Client writes against an output's unique keys (sections 2.1, 4.5)
+# ----------------------------------------------------------------------
+
+# Two unique keys on the output; old row i holds id i and u = 100 + 2i,
+# or a NULL u when its w is 0 (any number of NULLs is unique).
+KEYS_DDL = """
+CREATE TABLE dst (id INT PRIMARY KEY, u INT UNIQUE, v INT);
+INSERT INTO dst (id, u, v) SELECT id, u, v FROM src;
+"""
+
+
+def build_keyed_db(rows):
+    db = Database()
+    s = db.connect()
+    s.execute("CREATE TABLE src (id INT PRIMARY KEY, v INT, u INT)")
+    for i, (_grp, v, w) in enumerate(rows):
+        s.execute(
+            "INSERT INTO src VALUES (?, ?, ?)", [i, v, None if w == 0 else 100 + 2 * i]
+        )
+    return db
+
+
+ids = st.integers(min_value=0, max_value=45)
+us = st.one_of(st.none(), st.integers(min_value=100, max_value=190))
+writes_strategy = st.lists(
+    st.one_of(
+        # INSERT ... VALUES with 1-3 (id, u) rows, as literals or params.
+        st.tuples(
+            st.just("insert"),
+            st.lists(st.tuples(ids, us), min_size=1, max_size=3).map(tuple),
+            st.booleans(),
+        ),
+        # UPDATE dst SET id = ?, u = ? (either or both) WHERE id = ?.
+        st.tuples(
+            st.just("update"),
+            st.one_of(st.none(), ids),
+            st.one_of(st.just("keep"), us),
+            ids,
+            st.booleans(),
+        ).filter(lambda w: w[1] is not None or w[2] != "keep"),
+        # A unique key computed from the row itself, one row at a time.
+        st.tuples(
+            st.just("bump"),
+            st.sampled_from(["id", "u"]),
+            st.integers(min_value=1, max_value=6),
+            ids,
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def render_write(write):
+    """(sql, params) for one generated write."""
+    kind = write[0]
+    if kind == "bump":
+        _kind, column, step, where_id = write
+        return f"UPDATE dst SET {column} = {column} + ? WHERE id = ?", [step, where_id]
+    if kind == "insert":
+        _kind, values, as_params = write
+        params = [x for row in values for x in row]
+        if as_params:
+            return "INSERT INTO dst (id, u, v) VALUES " + ", ".join(
+                "(?, ?, 0)" for _row in values
+            ), params
+        return "INSERT INTO dst (id, u, v) VALUES " + ", ".join(
+            f"({i}, {'NULL' if u is None else u}, 0)" for i, u in values
+        ), []
+    _kind, new_id, new_u, where_id, as_params = write
+    assigned = [("id", new_id)] if new_id is not None else []
+    if new_u != "keep":
+        assigned.append(("u", new_u))
+    if as_params:
+        sets = ", ".join(f"{column} = ?" for column, _value in assigned)
+        return f"UPDATE dst SET {sets} WHERE id = ?", [v for _c, v in assigned] + [where_id]
+    sets = ", ".join(
+        f"{column} = {'NULL' if value is None else value}" for column, value in assigned
+    )
+    return f"UPDATE dst SET {sets} WHERE id = {where_id}", []
+
+
+def apply_writes(db, writes):
+    """Each write's outcome (accepted, or the error class), then the
+    whole output — read under 2PL, so a lazy migration completes."""
+    s = db.connect()
+    outcomes = []
+    for write in writes:
+        sql, params = render_write(write)
+        try:
+            s.execute(sql, params)
+            outcomes.append("ok")
+        except ReproError as exc:
+            outcomes.append(type(exc).__name__)
+    reader = db.connect(isolation="read_committed")
+    return outcomes, sorted(reader.execute("SELECT id, u, v FROM dst").rows)
+
+
+TEN_ROWS = [(0, i, 1) for i in range(10)]
+
+
+@pytest.mark.slow
+@_settings
+@given(
+    rows=rows_strategy,
+    writes=writes_strategy,
+    conflict_mode=st.sampled_from([ConflictMode.TRACKER, ConflictMode.ON_CONFLICT]),
+)
+# Writes that slip past unmigrated conflicting rows if a statement's
+# constraint groups are ANDed instead of ORed: a two-row VALUES over
+# unmigrated ids 3 and 4, an INSERT colliding on only the PRIMARY KEY
+# or only the UNIQUE, and an UPDATE assigning both keys.
+@example(rows=TEN_ROWS, writes=[("insert", ((3, 900), (4, 901)), False)],
+         conflict_mode=ConflictMode.TRACKER)
+@example(rows=TEN_ROWS, writes=[("insert", ((5, 902),), False)],
+         conflict_mode=ConflictMode.TRACKER)
+@example(rows=TEN_ROWS, writes=[("insert", ((40, 106),), True)],
+         conflict_mode=ConflictMode.TRACKER)
+@example(rows=TEN_ROWS, writes=[("update", 5, 190, 1, False)],
+         conflict_mode=ConflictMode.TRACKER)
+def test_lazy_unique_key_writes_equal_eager(rows, writes, conflict_mode):
+    """Every write's accept/reject outcome and the final output match
+    eager migration's: the write migrates each old row it could collide
+    with before it runs, so a conflict is caught at the statement, not
+    left to wedge a later migration of the colliding row."""
+    db = build_keyed_db(rows)
+    engine = LazyMigrationEngine(
+        db, background=BackgroundConfig(enabled=False), conflict_mode=conflict_mode
+    )
+    engine.submit("m", KEYS_DDL)
+    lazy = apply_writes(db, writes)  # its final full read migrates the rest
+    assert engine.is_complete
+    db = build_keyed_db(rows)
+    EagerMigration(db).submit("m", KEYS_DDL)
+    assert lazy == apply_writes(db, writes)
