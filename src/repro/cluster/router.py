@@ -56,7 +56,9 @@ until the flip settles.
 Tracing: the server parks the continued client context on the session
 (``_request_ctx``); the router sets it as ``trace_parent`` on the
 backend connection, so the shard-side server spans are children of the
-client's span — one request tree across three processes.
+client's span — one request tree across three processes.  A request
+without one is head-sampled like an embedded statement; the pool's
+connections mint no trace roots of their own.
 """
 
 from __future__ import annotations
@@ -82,6 +84,9 @@ from ..exec.plan import _OrderKey as OrderKey
 from ..net.client import Connection, ConnectionPool
 from ..obs import console
 from ..obs.sysviews import _BOOL, _FLOAT, _INT, _TEXT  # the views' column types
+from ..obs.tracectx import TraceContext
+from ..obs.tracectx import activate as _trace_activate
+from ..obs.tracectx import deactivate as _trace_deactivate
 from ..sql import ast_nodes as ast
 from ..sql.render import render_select
 from .shardmap import ShardMap
@@ -308,6 +313,8 @@ class RouterDatabase(Database):
             raise ValueError("shard map must name at least one shard")
         super().__init__(obs=obs, isolation=isolation)
         self.shard_map = shard_map
+        # ``trace`` negotiates trace trailers with the shards; a pooled
+        # connection sends one only under a ``trace_parent``.
         trace = obs is not None
         self.pools = [
             ConnectionPool(
@@ -1040,7 +1047,39 @@ class RouterSession(Session):
             # (mirrors the shard-side gate; in-transaction statements
             # pass so bound transactions can reach COMMIT).
             rdb.flip_gate.wait(_FLIP_GATE_TIMEOUT)
-        trace_parent = self._request_ctx
+        # Forward a trace context only when the client sent one, or when
+        # the head-sampling coin an embedded root uses picks this
+        # request (``statement_begin``: 0.0 = counted only, negative =
+        # latency-sampled, positive = traced root); every other request
+        # reaches the shards untraced.  The context is active while the
+        # statement routes, so the pool's acquire lands in its tree.
+        ctx = self._request_ctx
+        obs = rdb.obs
+        start = 0.0
+        if ctx is None and obs is not None and obs.active:
+            start = obs.statement_begin(handle.ast_type)
+            if start > 0.0:
+                ctx = TraceContext()
+        if ctx is None and not start:
+            return self._route(plan, params, sql_text, None)
+        token = _trace_activate(ctx) if ctx is not None else None
+        try:
+            return self._route(plan, params, sql_text, ctx)
+        finally:
+            if token is not None:
+                _trace_deactivate(token)
+            if start:
+                obs.statement_done(handle.kind, abs(start), ctx, sql_text,
+                                   self.isolation.value)
+
+    def _route(
+        self,
+        plan: RoutePlan,
+        params: Sequence[Any],
+        sql_text: str,
+        trace_parent: Any,
+    ) -> Result:
+        rdb: RouterDatabase = self.db  # type: ignore[assignment]
         if self._r_in_txn:
             return self._execute_in_txn(plan, params, sql_text, trace_parent)
         if plan.mode == SINGLE:

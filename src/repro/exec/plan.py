@@ -29,10 +29,12 @@ MVCC snapshot reads.
 from __future__ import annotations
 
 import copy
+import datetime
 import math
 import operator
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal
 from itertools import chain
 from typing import Any, Callable, Sequence
 
@@ -41,7 +43,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # avoid a circular import: catalog depends on exec.expressions
     from ..catalog.catalog import Table
 
-from ..errors import InvalidRowCount
+from ..errors import InvalidRowCount, TypeError_
 from ..storage.index import Index
 from ..storage.tid import Tid
 from ..txn.locks import LockMode
@@ -236,10 +238,42 @@ class SeqScanNode(TableScan):
         return lines
 
 
+# Value types whose Python order is the SQL order (and the ordered
+# index's): the only ones a range bound narrows a span with.
+_ORDERED_TYPES = frozenset({int, Decimal, datetime.date, datetime.datetime})
+
+
+def _index_bound(value: Any, coerce: Callable[[Any], Any]) -> Any:
+    """``value`` as a bound on an ordered index column, or ``None`` when
+    it cannot be one: NULL, any type outside :data:`_ORDERED_TYPES`
+    (``bool``, ``str``, ``float``/NaN ...), a non-finite ``Decimal``, an
+    aware ``datetime``, or a value the column's own coercion rejects or
+    changes (``2.5`` for an INT column)."""
+    kind = type(value)
+    if kind not in _ORDERED_TYPES:
+        return None
+    if kind is Decimal and not value.is_finite():
+        return None
+    if kind is datetime.datetime and value.tzinfo is not None:
+        return None
+    try:
+        coerced = coerce(value)
+    except (TypeError_, ArithmeticError):
+        return None
+    if type(coerced) not in _ORDERED_TYPES or coerced != value:
+        return None
+    return coerced
+
+
 class IndexScanNode(TableScan):
-    """Equality lookup through an index, plus residual filter.
-    ``key_fn(() , params)`` computes the (possibly leading-prefix)
-    lookup key."""
+    """A span of an index, plus residual filter.  ``key_fn((), params)``
+    computes the (possibly leading-prefix) equality key.  Under a prefix
+    of an ordered index, ``low`` / ``high`` — ``(value_fn, inclusive)``
+    range conjuncts on the next column, of SQL type ``range_type`` —
+    narrow the span the index returns.  They only narrow: the range
+    conjuncts stay in the residual filter, which decides every row, and
+    an execution whose bound values cannot be index bounds
+    (:func:`_index_bound`) reads the whole prefix."""
 
     def __init__(
         self,
@@ -253,6 +287,9 @@ class IndexScanNode(TableScan):
         filter_fn: CompiledExpr | None,
         index_cond_text: str = "",
         filter_text: str = "",
+        low: tuple[CompiledExpr, bool] | None = None,
+        high: tuple[CompiledExpr, bool] | None = None,
+        range_type: SqlType | None = None,
     ) -> None:
         self.table = table
         self.binding = binding
@@ -264,29 +301,67 @@ class IndexScanNode(TableScan):
         self.filter_fn = filter_fn
         self.index_cond_text = index_cond_text
         self.filter_text = filter_text
+        self.low = low
+        self.high = high
+        self.range_type = range_type
 
-    def _lookup(self) -> Callable[[tuple], Sequence[Tid]]:
-        """``key -> TIDs``: an equality lookup for the full key, a
-        ``prefix_scan`` of an ordered index for a leading prefix."""
+    def _bounds(self) -> Callable[[Sequence[Any]], tuple | None] | None:
+        """``bounds(params)`` -> the ``prefix_scan`` bound arguments of
+        one execution, or ``None`` to read the whole prefix; ``None``
+        itself when the plan has no range bounds."""
+        if self.low is None and self.high is None:
+            return None
+        coerce = self.range_type.coerce
+        low_fn, low_inclusive = self.low or (None, True)
+        high_fn, high_inclusive = self.high or (None, True)
+
+        def bounds(params: Sequence[Any]) -> tuple | None:
+            low = high = None
+            if low_fn is not None:
+                low = _index_bound(low_fn((), params), coerce)
+                if low is None:
+                    return None
+            if high_fn is not None:
+                high = _index_bound(high_fn((), params), coerce)
+                if high is None:
+                    return None
+            return low, high, low_inclusive, high_inclusive
+
+        return bounds
+
+    def _lookup(self) -> Callable[[tuple, Sequence[Any]], list[Tid]]:
+        """``(key, params) -> TIDs``: an equality lookup for the full
+        key, else the ``prefix_scan`` span of an ordered index, bounded
+        when this execution's bound values allow it."""
         index = self.index
         if self.key_width == len(index.columns):
-            return lambda key: index.lookup(key)
-        return lambda key: [tid for _key, tid in index.prefix_scan(key)]
+            return lambda key, params: index.lookup(key)
+        bounds = self._bounds()
+        if bounds is None:
+            return lambda key, params: list(map(_second, index.prefix_scan(key)))
 
-    def _snapshot_pairs(self, lookup: Callable[[tuple], Sequence[Tid]]):
+        def lookup(key: tuple, params: Sequence[Any]) -> list[Tid]:
+            span = bounds(params)
+            if span is None:
+                return list(map(_second, index.prefix_scan(key)))
+            return list(map(_second, index.prefix_scan(key, *span)))
+
+        return lookup
+
+    def _snapshot_pairs(self, lookup: Callable[[tuple, Sequence[Any]], list[Tid]]):
         """SNAPSHOT candidates as ``pairs(ctx, key)``: the index maps
         current heads only.  Rows deleted or re-keyed after the snapshot
         fell out of it, but their older versions may still be visible —
         the table's unindexed-TID log supplies those candidates, and a
         key re-check drops the versions whose key does not match (the
-        index is unversioned)."""
+        index is unversioned); the residual filter re-checks the range."""
         table = self.table
         heap = table.heap
         index = self.index
         width = self.key_width
 
         def pairs(ctx: ExecutionContext, key: tuple):
-            tids = lookup(key)
+            tids = lookup(key, ctx.params)
             extra = table.unindexed_tids()
             if extra:
                 seen = set(tids)
@@ -321,7 +396,7 @@ class IndexScanNode(TableScan):
             key = key_fn((), params)
             if ctx.snapshot_ts is None:
                 if not point:
-                    return sink(map(heap.read, lookup(key)), params)
+                    return sink(map(heap.read, lookup(key, params)), params)
                 out = []
                 for tid in index.lookup(key):
                     row = heap.read(tid)
@@ -352,7 +427,7 @@ class IndexScanNode(TableScan):
             params = ctx.params
             key = key_fn((), params)
             if ctx.snapshot_ts is None:
-                tids = lookup(key)
+                tids = lookup(key, params)
                 return sink(zip(tids, map(heap.read, tids)), params)
             return sink(snapshot_pairs(ctx, key), params)
 

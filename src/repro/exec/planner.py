@@ -11,7 +11,8 @@ BullFrog leans on (paper section 2.1):
   through equality join predicates (``f.flightid = fi.flightid`` lets a
   predicate on one side apply to the other);
 * **index selection** — equality conjuncts are matched against
-  available indexes;
+  available indexes, and range conjuncts on the column after an
+  ordered index's equality prefix bound the span it reads;
 * an ``EXPLAIN``-style rendering used both by tests and by
   BullFrog's predicate-transfer machinery.
 """
@@ -404,7 +405,10 @@ class Planner:
         types: list[SqlType | None],
         conjuncts: list[ast.Expr],
     ):
-        """Choose an index for equality conjuncts, else sequential scan."""
+        """Choose an index for equality conjuncts, else sequential scan.
+        Under an ordered index's equality prefix, the first lower and
+        upper range conjunct on the next column become the bounds of the
+        span it reads (they also stay in the residual filter)."""
         eq_values: dict[str, ast.Expr] = {}
         eq_conjuncts: dict[str, ast.Expr] = {}
         for conjunct in conjuncts:
@@ -430,10 +434,29 @@ class Planner:
             filter_fn = (
                 compile_expr(residual_expr, layout) if residual_expr is not None else None
             )
-            cond_text = " AND ".join(
+            conds = [
                 f"{binding}.{col} = {render_expr(eq_values[col])}"
                 for col in key_columns
-            )
+            ]
+            bounds: dict[str, tuple[CompiledExpr, bool]] = {}
+            range_type = None
+            if len(key_columns) < len(index.columns):
+                column = index.columns[len(key_columns)]
+                range_type = table.schema.column(column).type
+                if range_type.kind in _BOUNDABLE_KINDS:
+                    for conjunct in residual:
+                        op, value = _range_parts(conjunct, binding, column)
+                        if op is None:
+                            continue
+                        side = "low" if op in (">", ">=") else "high"
+                        if side in bounds:
+                            continue
+                        bounds[side] = (
+                            compile_expr(value, RowLayout()), op in (">=", "<=")
+                        )
+                        conds.append(
+                            f"{binding}.{column} {op} {render_expr(value)}"
+                        )
             return planlib.IndexScanNode(
                 table,
                 binding,
@@ -443,8 +466,11 @@ class Planner:
                 key_fn,
                 len(key_columns),
                 filter_fn,
-                index_cond_text=cond_text,
+                index_cond_text=" AND ".join(conds),
                 filter_text=render_expr(residual_expr) if residual_expr else "",
+                low=bounds.get("low"),
+                high=bounds.get("high"),
+                range_type=range_type,
             )
         predicate = conjoin(conjuncts)
         filter_fn = compile_expr(predicate, layout) if predicate is not None else None
@@ -836,6 +862,42 @@ def _equality_parts(
             )
         ):
             return column_side.name, value_side
+    return None, None
+
+
+# Column types an ordered index can be range-bounded on: the ones whose
+# stored values order in Python as they do in SQL (no float NaN, no
+# string collation, no bool).
+_BOUNDABLE_KINDS = frozenset({
+    TypeKind.INT, TypeKind.BIGINT, TypeKind.DECIMAL, TypeKind.DATE,
+    TypeKind.TIMESTAMP,
+})
+
+_FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
+
+
+def _range_parts(
+    conjunct: ast.Expr, binding: str, column: str
+) -> tuple[str | None, ast.Expr | None]:
+    """If ``conjunct`` compares ``binding.column`` with ``<``, ``<=``,
+    ``>`` or ``>=`` against a column-free expression (either operand
+    order), return (op with the column on the left, value_expr); else
+    (None, None)."""
+    if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op in _FLIPPED):
+        return None, None
+    for column_side, value_side, op in (
+        (conjunct.left, conjunct.right, conjunct.op),
+        (conjunct.right, conjunct.left, _FLIPPED[conjunct.op]),
+    ):
+        if (
+            isinstance(column_side, ast.ColumnRef)
+            and column_side.table == binding
+            and column_side.name == column
+            and not any(
+                isinstance(n, ast.ColumnRef) for n in ast.walk(value_side)
+            )
+        ):
+            return op, value_side
     return None, None
 
 

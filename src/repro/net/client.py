@@ -76,6 +76,7 @@ from ..errors import (
     ReproError,
 )
 from ..obs.tracectx import TraceContext
+from ..obs.tracectx import current as _trace_current
 from . import protocol
 from .addr import parse_hostport
 
@@ -149,8 +150,12 @@ class Connection:
         self.last_trace: TraceContext | None = None
         # When set, request contexts are minted as *children* of this
         # context instead of fresh roots — how the router fans one
-        # client span out into per-shard server spans.
+        # client span out into per-shard server spans.  A pool's
+        # connections mint no roots (``ConnectionPool`` clears
+        # ``_mints_roots``): they trace only under a ``trace_parent``,
+        # so an untraced request stays untraced downstream.
         self.trace_parent: TraceContext | None = None
+        self._mints_roots = True
         try:
             self._sock = socket.create_connection(
                 (host, port), timeout=connect_timeout
@@ -266,13 +271,19 @@ class Connection:
     # Tracing
     # ------------------------------------------------------------------
     def _trace_begin(self) -> tuple[TraceContext | None, float]:
-        """Mint the root context for one request (or ``(None, 0)`` when
-        tracing is off).  The returned timestamp is the client-side
+        """Mint the context for one request — a child of
+        ``trace_parent``, else a root — or ``(None, 0)`` when the
+        request is untraced.  The returned timestamp is the client-side
         span's start in the local TraceLog's clock."""
         if not self._trace:
             return None, 0.0
         parent = self.trace_parent
-        ctx = parent.child() if parent is not None else TraceContext()
+        if parent is not None:
+            ctx = parent.child()
+        elif self._mints_roots:
+            ctx = TraceContext()
+        else:
+            return None, 0.0
         self.last_trace = ctx
         log = self._trace_log
         return ctx, (log.now_us() if log is not None else 0.0)
@@ -808,7 +819,9 @@ class ConnectionPool:
             if self._closed:
                 raise ConnectionClosedError("pool is closed")
             try:
-                return self._factory()
+                conn = self._factory()
+                conn._mints_roots = False
+                return conn
             except NetworkError as exc:
                 last = exc
                 if attempt + 1 == self.max_connect_attempts:
@@ -860,14 +873,18 @@ class ConnectionPool:
             if obs is not None and obs.active:
                 # Everything between the caller asking and getting a
                 # healthy connection — semaphore wait, health check,
-                # reconnect backoff — is ``pool`` wait.
+                # reconnect backoff — is ``pool`` wait; its span is
+                # recorded only inside a trace, tagged into the tree.
                 waited = time.perf_counter() - began
-                obs.record_wait("pool", waited)
-                if obs.tracing_enabled:
+                ctx = _trace_current()
+                obs.record_wait("pool", waited, ctx)
+                if ctx is not None and obs.tracing_enabled:
                     end_us = obs.trace.now_us()
                     obs.trace.complete(
                         "pool.acquire", end_us - waited * 1e6, cat="net",
-                        args={"wait": "pool"}, end_us=end_us,
+                        args={"wait": "pool", "trace": ctx.trace_id,
+                              "parent": ctx.span_id},
+                        end_us=end_us,
                     )
             with self._latch:
                 self._in_use += 1

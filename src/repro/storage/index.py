@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Iterator
+from typing import Any
 
 from ..errors import UniqueViolation
 from .tid import Tid
@@ -76,34 +76,34 @@ class HashIndex:
             self._entries.clear()
 
 
-class _SortKey:
-    """Total-order wrapper so heterogeneous/NULL keys sort deterministically.
+def _sort_key(key: Key) -> tuple:
+    """Total-order form of a key, so heterogeneous/NULL keys sort
+    deterministically and bisect compares plain tuples at C speed.
 
     NULLs sort last (PostgreSQL default for ASC).  Values of different
     types compare by type name first — the engine never relies on
     cross-type ordering, this only keeps bisect from raising.
     """
+    return tuple(
+        (1, "NoneType", None) if part is None else (0, type(part).__name__, part)
+        for part in key
+    )
 
-    __slots__ = ("key",)
 
-    def __init__(self, key: Key) -> None:
-        self.key = tuple(
-            (1, type(part).__name__, None) if part is None else (0, type(part).__name__, part)
-            for part in key
-        )
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        return self.key < other.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortKey) and self.key == other.key
+# Appended to a sort key, sorts after every key that extends it: the
+# exclusive end of "this key, then anything".  ``_NULLS`` sorts before
+# a NULL next part and after every value: the end of a lower-bounded
+# span, which no NULL satisfies.
+_AFTER = ((2,),)
+_NULLS = ((1,),)
 
 
 class OrderedIndex:
     """Range index over sorted (key, tid) pairs using bisect.
 
-    Supports ``lookup`` (equality) and ``range_scan`` with optional
-    inclusive/exclusive bounds, ascending order.
+    Every read is one span found by bisecting both of its ends:
+    ``lookup`` (equality on the full key) and ``prefix_scan`` (a leading
+    prefix, optionally bounded on the next column), ascending order.
     """
 
     def __init__(self, name: str, table: str, columns: tuple[str, ...], unique: bool = False) -> None:
@@ -111,7 +111,7 @@ class OrderedIndex:
         self.table = table
         self.columns = columns
         self.unique = unique
-        self._sort_keys: list[_SortKey] = []
+        self._sort_keys: list[tuple] = []
         self._pairs: list[tuple[Key, Tid]] = []
         self._latch = threading.RLock()
 
@@ -119,7 +119,7 @@ class OrderedIndex:
         return len(self._pairs)
 
     def insert(self, key: Key, tid: Tid) -> None:
-        sort_key = _SortKey(key)
+        sort_key = _sort_key(key)
         with self._latch:
             position = bisect.bisect_left(self._sort_keys, sort_key)
             if self.unique and not any(part is None for part in key):
@@ -132,7 +132,7 @@ class OrderedIndex:
             self._pairs.insert(position, (key, tid))
 
     def delete(self, key: Key, tid: Tid) -> None:
-        sort_key = _SortKey(key)
+        sort_key = _sort_key(key)
         with self._latch:
             position = bisect.bisect_left(self._sort_keys, sort_key)
             while position < len(self._pairs) and self._pairs[position][0] == key:
@@ -142,71 +142,50 @@ class OrderedIndex:
                     return
                 position += 1
 
-    def lookup(self, key: Key) -> list[Tid]:
-        sort_key = _SortKey(key)
+    def _span(self, start: tuple, stop: tuple) -> list[tuple[Key, Tid]]:
+        """The entries whose sort keys lie in ``[start, stop)``, copied
+        under the latch so callers iterate without holding it.  Both
+        ends are bisected; ``start > stop`` is an empty span."""
         with self._latch:
-            position = bisect.bisect_left(self._sort_keys, sort_key)
-            result: list[Tid] = []
-            while position < len(self._pairs) and self._pairs[position][0] == key:
-                result.append(self._pairs[position][1])
-                position += 1
-            return result
+            keys = self._sort_keys
+            return self._pairs[
+                bisect.bisect_left(keys, start):bisect.bisect_left(keys, stop)
+            ]
+
+    def lookup(self, key: Key) -> list[Tid]:
+        sort_key = _sort_key(key)
+        return [tid for _key, tid in self._span(sort_key, sort_key + _AFTER)]
 
     def contains(self, key: Key) -> bool:
         return bool(self.lookup(key))
 
-    def range_scan(
+    def prefix_scan(
         self,
-        low: Key | None = None,
-        high: Key | None = None,
+        prefix: Key,
+        low: Any = None,
+        high: Any = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> Iterator[tuple[Key, Tid]]:
-        """Yield (key, tid) pairs with low <= key <= high (bounds optional).
-
-        Snapshot-copies the matching span under the latch so callers can
-        iterate without holding it.
-        """
-        with self._latch:
-            if low is None:
-                start = 0
-            else:
-                sk = _SortKey(low)
-                start = (
-                    bisect.bisect_left(self._sort_keys, sk)
-                    if low_inclusive
-                    else bisect.bisect_right(self._sort_keys, sk)
-                )
-            if high is None:
-                stop = len(self._pairs)
-            else:
-                sk = _SortKey(high)
-                stop = (
-                    bisect.bisect_right(self._sort_keys, sk)
-                    if high_inclusive
-                    else bisect.bisect_left(self._sort_keys, sk)
-                )
-            span = list(self._pairs[start:stop])
-        yield from span
-
-    def prefix_scan(self, prefix: Key) -> Iterator[tuple[Key, Tid]]:
-        """Yield (key, tid) for every entry whose key starts with
-        ``prefix`` (a leading subset of the index columns)."""
-        if not prefix:
-            with self._latch:
-                span = list(self._pairs)
-            yield from span
-            return
-        width = len(prefix)
-        low = _SortKey(prefix)
-        with self._latch:
-            start = bisect.bisect_left(self._sort_keys, low)
-            stop = start
-            n = len(self._pairs)
-            while stop < n and self._pairs[stop][0][:width] == prefix:
-                stop += 1
-            span = list(self._pairs[start:stop])
-        yield from span
+    ) -> list[tuple[Key, Tid]]:
+        """(key, tid) for every entry whose key starts with ``prefix`` (a
+        leading subset of the index columns) and whose next column lies
+        between ``low`` and ``high`` — ``None`` leaves that end open, and
+        a bounded span holds no NULL there.  A bound compares by the
+        index's own order, so it must have the type the column stores."""
+        base = _sort_key(prefix)
+        if low is None:
+            start = base
+        else:
+            start = base + _sort_key((low,))
+            if not low_inclusive:
+                start += _AFTER
+        if high is None:
+            stop = base + (_AFTER if low is None else _NULLS)
+        else:
+            stop = base + _sort_key((high,))
+            if high_inclusive:
+                stop += _AFTER
+        return self._span(start, stop)
 
     def keys(self) -> list[Key]:
         with self._latch:

@@ -650,6 +650,9 @@ CACHED_DML = [
     ("INSERT INTO emp_copy SELECT id, name FROM emp WHERE id = ?", [1]),
     ("UPDATE emp SET salary = salary + 1 WHERE id = ?", [1]),
     ("DELETE FROM emp WHERE id = ?", [None]),
+    # Range-bounded spans of the ordered index emp_dept_id (dept, id).
+    ("SELECT name FROM emp WHERE dept = ? AND id >= ? AND id < ?", ["eng", 1, 3]),
+    ("UPDATE emp SET salary = salary + 1 WHERE dept = ? AND ? < id", ["ops", 3]),
 ]
 
 
@@ -671,19 +674,22 @@ class TestPreparedStatements:
     @pytest.mark.parametrize(
         "sql,params", CACHED_DML,
         ids=["select", "for-update", "insert-values", "insert-select",
-             "update", "delete"],
+             "update", "delete", "select-range", "update-range"],
     )
     def test_second_execution_does_no_front_end_work(
         self, db, s, monkeypatch, sql, params
     ):
         """Parse, plan and expression compile happen on the first
         execution of a SQL text only (INSERT included: the parent
-        recompiled its VALUES row on every execution)."""
+        recompiled its VALUES row on every execution; a range scan's
+        index bounds are compiled with its plan)."""
         import repro.db
         import repro.exec.executor
+        import repro.exec.planner
         from repro.exec.planner import Planner
 
         s.execute("CREATE TABLE emp_copy (id INT, name VARCHAR(30))")
+        s.execute("CREATE INDEX emp_dept_id ON emp (dept, id)")
         fresh = iter(range(100, 200))
         bind = lambda: [next(fresh) if p is None else p for p in params]
         first = s.execute(sql, bind())
@@ -701,6 +707,9 @@ class TestPreparedStatements:
         )
         monkeypatch.setattr(
             repro.exec.executor, "compile_projection", forbidden("compile_projection")
+        )
+        monkeypatch.setattr(
+            repro.exec.planner, "compile_expr", forbidden("planner compile_expr")
         )
         second = s.execute(sql, bind())
         assert (second.statement, second.columns) == (first.statement, first.columns)

@@ -287,7 +287,7 @@ class TestOrderedIndex:
         index = OrderedIndex("i", "t", ("a",))
         for i in range(10):
             index.insert((i,), Tid(0, i))
-        keys = [key[0] for key, _tid in index.range_scan((3,), (6,))]
+        keys = [key[0] for key, _tid in index.prefix_scan((), 3, 6)]
         assert keys == [3, 4, 5, 6]
 
     def test_range_scan_exclusive(self):
@@ -296,8 +296,8 @@ class TestOrderedIndex:
             index.insert((i,), Tid(0, i))
         keys = [
             key[0]
-            for key, _tid in index.range_scan(
-                (1,), (4,), low_inclusive=False, high_inclusive=False
+            for key, _tid in index.prefix_scan(
+                (), 1, 4, low_inclusive=False, high_inclusive=False
             )
         ]
         assert keys == [2, 3]
@@ -306,8 +306,42 @@ class TestOrderedIndex:
         index = OrderedIndex("i", "t", ("a",))
         for i in range(5):
             index.insert((i,), Tid(0, i))
-        assert len(list(index.range_scan(None, None))) == 5
-        assert len(list(index.range_scan((3,), None))) == 2
+        assert len(index.prefix_scan(())) == 5
+        assert len(index.prefix_scan((), 3)) == 2
+        assert [key[0] for key, _tid in index.prefix_scan((), None, 1)] == [0, 1]
+
+    def test_range_scan_empty_when_low_exceeds_high(self):
+        index = OrderedIndex("i", "t", ("a",))
+        for i in range(5):
+            index.insert((i,), Tid(0, i))
+        assert index.prefix_scan((), 3, 1) == []
+        assert index.prefix_scan((), 2, 2, low_inclusive=False) == []
+
+    def test_prefix_scan_composite_inclusive_high(self):
+        """An inclusive high bound on the column after the prefix keeps
+        every longer key that starts with it: ``(w, d, 31)`` covers
+        ``(w, d, 31, n)`` for every ``n``."""
+        index = OrderedIndex("i", "t", ("w", "d", "o", "n"))
+        for w in (1, 2):
+            for o in range(28, 34):
+                for n in (1, 2):
+                    index.insert((w, 3, o, n), Tid(o, n + 4 * w))
+        keys = [key for key, _tid in index.prefix_scan((1, 3), 30, 31)]
+        assert sorted(keys) == [(1, 3, o, n) for o in (30, 31) for n in (1, 2)]
+        exclusive = index.prefix_scan(
+            (1, 3), 30, 31, low_inclusive=False, high_inclusive=False
+        )
+        assert exclusive == []
+        assert len(index.prefix_scan((1, 3), None, 29)) == 4
+        assert len(index.prefix_scan((2,))) == 12
+
+    def test_prefix_scan_bound_skips_nulls(self):
+        index = OrderedIndex("i", "t", ("a", "b"))
+        for b in (None, 1, 2, None):
+            index.insert((1, b), Tid(0, len(index)))
+        assert [key[1] for key, _tid in index.prefix_scan((1,), 0)] == [1, 2]
+        assert len(index.prefix_scan((1,))) == 4
+        assert len(index.lookup((1, None))) == 2
 
     def test_prefix_scan(self):
         index = OrderedIndex("i", "t", ("a", "b"))
@@ -326,7 +360,7 @@ class TestOrderedIndex:
         index = OrderedIndex("i", "t", ("a",))
         index.insert((None,), Tid(0, 0))
         index.insert((1,), Tid(0, 1))
-        keys = [key[0] for key, _tid in index.range_scan(None, None)]
+        keys = [key[0] for key, _tid in index.prefix_scan(())]
         assert keys == [1, None]
 
     def test_delete(self):
@@ -357,8 +391,11 @@ def test_ordered_index_matches_sorted_reference(pairs):
             (tid for key, tid in reference if key == probe),
         )
         assert sorted(index.lookup((probe,))) == expected
-    all_keys = [key[0] for key, _tid in index.range_scan(None, None)]
+    all_keys = [key[0] for key, _tid in index.prefix_scan(())]
     assert all_keys == sorted(key for key, _ in pairs)
+    for low, high in ((3, 9), (10, 2), (0, 20)):
+        bounded = [key[0] for key, _tid in index.prefix_scan((), low, high)]
+        assert bounded == [k for k in all_keys if low <= k <= high]
 
 
 @settings(max_examples=50)

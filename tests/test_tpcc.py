@@ -240,3 +240,70 @@ class TestTransactionsAfterMigrations:
                 [w, d, o],
             ).scalar()
             assert actual == total, (w, d, o)
+
+
+# The layers benchmark's ``tpcc_split_lazy`` data size.
+SPLIT_SCALE = ScaleConfig(
+    warehouses=1, districts_per_warehouse=10, customers_per_district=500,
+    items=200, initial_orders_per_district=30,
+)
+
+
+class TestStockLevelScan:
+    def test_stock_level_reads_only_its_twenty_orders(self, monkeypatch):
+        """Stock-Level's ``ol_o_id >= ? AND ol_o_id < ?`` bounds the
+        ``order_line_order_idx`` span: after 2,000 New-Orders its
+        order_line scan reads the lines of the 20 orders it asks for,
+        not the district's whole history."""
+        from repro import Database
+        from repro.db import Session
+        from repro.storage.heap import HeapTable
+        from repro.tpcc import create_schema, load_tpcc
+
+        db = Database()
+        session = db.connect()
+        create_schema(session)
+        load_tpcc(db, SPLIT_SCALE)
+        client = TpccClient(db, SPLIT_SCALE, seed=29, rollback_rate=0.0)
+        for _ in range(2000):
+            assert client.run("new_order")
+
+        order_line = db.catalog.table("order_line").heap
+        reads = []
+        statements = []
+        execute = Session.execute
+
+        def counted(method):
+            def read(heap, tid, *args):
+                if heap is order_line:
+                    reads.append(tid)
+                return method(heap, tid, *args)
+            return read
+
+        def spied_execute(self, sql, params=()):
+            if "FROM order_line, stock" in sql:
+                statements.append((sql, list(params)))
+            return execute(self, sql, params)
+
+        # Snapshot isolation reads versions through read_snapshot.
+        for name in ("read", "read_snapshot"):
+            monkeypatch.setattr(HeapTable, name, counted(getattr(HeapTable, name)))
+        monkeypatch.setattr(Session, "execute", spied_execute)
+        for _ in range(10):
+            reads.clear()
+            assert client.run("stock_level")
+            sql, params = statements[-1]
+            w_id, d_id, low, high = params[:4]
+            lines = sum(
+                1 for _tid, row in order_line.scan()
+                if row[:2] == (w_id, d_id) and low <= row[2] < high
+            )
+            assert 0 < len(reads) <= lines
+        monkeypatch.undo()
+
+        plan = [
+            row[0] for row in session.execute("EXPLAIN ANALYZE " + sql, params).rows
+        ]
+        cond = next(line for line in plan if "order_line.ol_o_id" in line)
+        assert "Index Cond:" in cond
+        assert "order_line.ol_o_id >= ? AND order_line.ol_o_id < ?" in cond

@@ -28,6 +28,9 @@ from repro import BackgroundConfig, Database, LazyMigrationEngine
 from repro.net import BullfrogServer, ConnectionPool, ServerConfig, connect
 from repro.net import protocol
 from repro.obs import Observability, TraceLog, WAIT_CLASSES, merge_chrome
+from repro.obs.tracectx import TraceContext
+from repro.obs.tracectx import activate as trace_activate
+from repro.obs.tracectx import deactivate as trace_deactivate
 
 pytestmark = pytest.mark.obs
 
@@ -413,29 +416,100 @@ class TestEndToEnd:
             try:
                 with pool.acquire() as conn:
                     conn.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+                    ctx = TraceContext()
 
                     def contender():
-                        with pool.acquire() as other:
-                            other.execute("SELECT * FROM t")
+                        # The pool.acquire span is recorded inside a
+                        # trace only; the wait is classified either way.
+                        token = trace_activate(ctx)
+                        try:
+                            with pool.acquire() as other:
+                                other.execute("SELECT * FROM t")
+                        finally:
+                            trace_deactivate(token)
 
                     thread = threading.Thread(target=contender)
                     thread.start()
                     time.sleep(0.25)  # hold the only slot
                 thread.join(10)
                 count, total = obs.wait_events_snapshot()["pool"]
-                assert count >= 1
+                assert count >= 2  # the untraced first acquire counts too
                 assert total >= 0.15
                 waits = [
                     e for e in obs.trace.events()
                     if e.name == "pool.acquire"
                     and (e.args or {}).get("wait") == "pool"
                 ]
-                assert waits
-                assert max(e.dur for e in waits) >= 0.15 * 1e6
+                assert [e.args["trace"] for e in waits] == [ctx.trace_id]
+                assert waits[0].dur >= 0.15 * 1e6
+                assert ctx.wait_seconds("pool") >= 0.15
             finally:
                 pool.close()
         finally:
             srv.shutdown(drain_timeout=1.0)
+
+
+# ----------------------------------------------------------------------
+# Router: client → router → shard, head-sampled when the client is not
+# ----------------------------------------------------------------------
+
+_ROUTED = "SELECT w_name FROM warehouse WHERE w_id = ?"
+
+
+@pytest.fixture
+def traced_cluster():
+    from repro.cluster import LocalCluster
+
+    with LocalCluster(n_shards=2, load=False, obs_factory=Observability) as cluster:
+        yield cluster
+
+
+class TestRouterTracing:
+    def test_untraced_routed_statements_are_head_sampled(self, traced_cluster):
+        """The router forwards a trace context only for the requests its
+        own head-sampling coin picks: N untraced statements leave about
+        N / sample_traces server spans on the shards, not N."""
+        n = 256
+        with connect("127.0.0.1", traced_cluster.port) as conn:
+            for i in range(n):
+                conn.execute(_ROUTED, (i % 4 + 1,))
+        time.sleep(0.1)
+        router_obs = traced_cluster.router_db.obs
+        sampled = n // router_obs.sample_traces
+        executes = [
+            e for db in traced_cluster.shard_dbs for e in db.obs.trace.events()
+            if e.name == "server.execute"
+        ]
+        assert 1 <= len(executes) <= 2 * sampled
+        # Each sampled request is a root on the router: its statement
+        # span carries the trace id the shard continued.
+        roots = {
+            e.args["trace"] for e in router_obs.trace.events()
+            if e.name == "stmt.select"
+        }
+        assert {e.args["trace"] for e in executes} <= roots
+        acquires = [
+            e for e in router_obs.trace.events() if e.name == "pool.acquire"
+        ]
+        assert len(acquires) <= 2 * sampled
+        assert all(e.args["trace"] in roots for e in acquires)
+
+    def test_traced_request_crosses_router_to_shard(self, traced_cluster):
+        with connect("127.0.0.1", traced_cluster.port, trace=True) as conn:
+            for _ in range(4):
+                conn.execute(_ROUTED, (2,))
+                ctx = conn.last_trace
+                time.sleep(0.05)
+                router = {
+                    e.name for e in traced_cluster.router_db.obs.trace
+                    .events_for_trace(ctx.trace_id)
+                }
+                shards = {
+                    e.name for db in traced_cluster.shard_dbs
+                    for e in db.obs.trace.events_for_trace(ctx.trace_id)
+                }
+                assert {"net.queue", "server.execute", "pool.acquire"} <= router
+                assert {"net.queue", "server.execute"} <= shards
 
 
 # ----------------------------------------------------------------------
