@@ -1,6 +1,6 @@
 """OLTP-Bench-style harness + the paper's figure runners."""
 
-from .driver import DriverConfig, DriverResult, WorkloadDriver, stat_views_sampler
+from .driver import DriverConfig, DriverResult, WorkloadDriver
 from .metrics import LatencyRecorder, LatencySummary, ThroughputSeries, cdf_points, percentile
 from .report import render_cdf, render_timeseries, summary_rows
 from .scenarios import (
@@ -17,7 +17,6 @@ __all__ = [
     "DriverConfig",
     "DriverResult",
     "WorkloadDriver",
-    "stat_views_sampler",
     "LatencyRecorder",
     "LatencySummary",
     "ThroughputSeries",

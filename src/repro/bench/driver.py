@@ -36,12 +36,6 @@ class DriverConfig:
     rate: float | None = None  # scheduled txns/second; None = closed loop
     workers: int = 4
     bucket_seconds: float = 0.5
-    # Open-loop backlog cap: mirrors OLTP-Bench queueing transactions
-    # client-side; the queue length is bounded only by the run length.
-    max_lag: float | None = None
-    # When a sampler is attached, how often the coordinator thread runs
-    # it (seconds).  The samples ride along in DriverResult.samples.
-    sample_interval: float = 0.5
 
 
 @dataclass
@@ -54,8 +48,6 @@ class DriverResult:
     latencies: LatencyRecorder
     events: list[tuple[float, str]]
     errors: dict[str, int] = field(default_factory=dict)
-    # (elapsed_seconds, sampler output) pairs from the coordinator loop.
-    samples: list[tuple[float, Any]] = field(default_factory=list)
     # Connection-level accounting for networked runs: a dropped socket
     # is an infrastructure failure, not a TPC-C abort, and must not
     # pollute ``failed``.  ``reconnects`` sums each client's
@@ -79,17 +71,9 @@ class WorkloadDriver:
         make_client: Callable[[int], ClientLike],
         config: DriverConfig,
         registry: Any = None,
-        sampler: Callable[[], Any] | None = None,
     ) -> None:
         self.make_client = make_client
         self.config = config
-        # Optional introspection hook: called from the coordinator loop
-        # every ``config.sample_interval`` seconds while the workload
-        # runs (e.g. ``stat_views_sampler(db)`` to poll the
-        # ``bullfrog_stat_*`` system views mid-migration).  Runs on the
-        # coordinator thread so a slow sampler stretches the sampling
-        # interval, never the workload itself.
-        self.sampler = sampler
         # With a metric registry the recorders double as metric sources
         # (bench_txn_completed_total / bench_txn_latency_seconds), so an
         # exporter scraping the engine's registry sees the workload too.
@@ -143,21 +127,10 @@ class WorkloadDriver:
             thread.start()
         if on_start is not None:
             on_start(self)
-        deadline = self._start + self.config.duration
-        samples: list[tuple[float, Any]] = []
-        next_sample = self._start
-        while time.monotonic() < deadline:
-            if self.sampler is not None and time.monotonic() >= next_sample:
-                try:
-                    samples.append((self.elapsed(), self.sampler()))
-                except Exception:  # noqa: BLE001 - samples are best-effort
-                    pass
-                next_sample = time.monotonic() + self.config.sample_interval
-            time.sleep(min(0.05, max(0.0, deadline - time.monotonic())))
+        time.sleep(max(0.0, self._start + self.config.duration - time.monotonic()))
         self._stop.set()
         for thread in threads:
             thread.join(timeout=30.0)
-        duration = self.elapsed()
         with self._count_latch:
             clients = list(self._clients)
         return DriverResult(
@@ -169,7 +142,6 @@ class WorkloadDriver:
             latencies=self.latencies,
             events=sorted(self._events),
             errors=dict(self._errors),
-            samples=samples,
             connection_errors=self._connection_errors,
             reconnects=sum(
                 getattr(client, "reconnects", 0) for client in clients
@@ -238,27 +210,3 @@ class WorkloadDriver:
                 self._failed += 1
             self._errors[name] = self._errors.get(name, 0) + 1
 
-
-def stat_views_sampler(db: Any) -> Callable[[], dict[str, list[dict[str, Any]]]]:
-    """Build a driver sampler that polls the ``bullfrog_stat_*`` system
-    views through plain SQL on a dedicated session.
-
-    Each sample is ``{view_name: [row dicts]}`` — the same shape an
-    external monitor scraping the views would see, so bench output can
-    double as fixture data for dashboards.
-    """
-    session = db.connect()
-    views = (
-        "bullfrog_stat_activity",
-        "bullfrog_stat_migrations",
-        "bullfrog_stat_locks",
-        "bullfrog_stat_statements",
-    )
-
-    def sample() -> dict[str, list[dict[str, Any]]]:
-        return {
-            view: session.execute(f"SELECT * FROM {view}").dicts()
-            for view in views
-        }
-
-    return sample

@@ -44,13 +44,19 @@ from .granularity import GranuleMapper
 from .hashmap import MigrationHashMap
 from .migration import MigrationSpec, parse_migration
 from .predicates import PredicateTransfer, Scope
-from .production import RowProjection, create_outputs, insert_select
+from .production import KeyStatements, RowProjection, create_outputs
 from .stats import MigrationStats
 
 
 class ConflictMode(Enum):
     TRACKER = "tracker"
     ON_CONFLICT = "on-conflict"
+
+
+def _nulls_first(key: tuple) -> tuple:
+    """Sort key for group keys: claims go in one global order, and a
+    NULL key part (the NULL group) orders before any value."""
+    return tuple((part is not None, part) for part in key)
 
 
 class UnitRuntime:
@@ -78,9 +84,7 @@ class UnitRuntime:
         # Hashmap units: per-key INSERT..SELECT statements (the paper's
         # rewritten migration DDL with injected predicates), and the bare
         # per-key SELECTs read-only consumers run instead.
-        self.key_sql: list[str] = []
-        self.key_select_sql: list[str] = []
-        self._key_param_copies = 0
+        self.key_statements: KeyStatements | None = None
         if plan.category.uses_bitmap:
             self.mapper: GranuleMapper | None = GranuleMapper(
                 self.anchor_table.heap, granule_size
@@ -93,15 +97,9 @@ class UnitRuntime:
         else:
             self.mapper = self.projection = None
             self.outputs_runtime = []
-            for output in plan.outputs:
-                insert_sql, select_sql, self._key_param_copies = insert_select(
-                    plan,
-                    output,
-                    pin_key=True,
-                    on_conflict=engine.conflict_mode is ConflictMode.ON_CONFLICT,
-                )
-                self.key_sql.append(insert_sql)
-                self.key_select_sql.append(select_sql)
+            self.key_statements = KeyStatements(
+                plan, on_conflict=engine.conflict_mode is ConflictMode.ON_CONFLICT
+            )
             self._produce, self._release = "produce_keys", "mark_aborted"
             self.units_in = self._keys_in
             self.project = self.project_keys
@@ -126,7 +124,7 @@ class UnitRuntime:
         return range(self.tracker.size)
 
     def _keys_in(self, scope: Scope, unmigrated_only: bool = False) -> Sequence:
-        return sorted(self.all_keys() if scope.full else scope.keys)
+        return sorted(self.all_keys() if scope.full else scope.keys, key=_nulls_first)
 
     def key_positions(self) -> list[int]:
         schema = self.anchor_table.schema
@@ -178,10 +176,11 @@ class UnitRuntime:
     def produce_keys(self, keys: Sequence[tuple], session: Session) -> int:
         """Hashmap units: run the pre-rendered INSERT..SELECT of every
         output with each group key bound as its parameters."""
+        assert self.key_statements is not None
         produced = 0
         for key in keys:
-            params = tuple(key) * self._key_param_copies
-            for sql in self.key_sql:
+            inserts, _selects, params = self.key_statements.bind(key)
+            for sql in inserts:
                 result = session.execute(sql, params)
                 produced += result.rowcount
         return produced
@@ -217,11 +216,12 @@ class UnitRuntime:
         Input tables are retired and immutable under the big flip, so
         their current heads equal the pre-migration image at any
         snapshot."""
+        assert self.key_statements is not None
         session = self.engine._internal_session()
         rows_by_output: dict[str, list[tuple]] = {}
         for key in keys:
-            params = tuple(key) * self._key_param_copies
-            for output, sql in zip(self.plan.outputs, self.key_select_sql):
+            _inserts, selects, params = self.key_statements.bind(key)
+            for output, sql in zip(self.plan.outputs, selects):
                 result = session.execute(sql, params)
                 if not result.rows:
                     continue

@@ -34,7 +34,7 @@ from ..exec.plan import ExecutionContext
 from ..sql import ast_nodes as ast
 from .classify import UnitPlan
 from .migration import MigrationSpec, parse_migration
-from .production import RowProjection, create_outputs, insert_select
+from .production import KeyStatements, RowProjection, create_outputs
 from .stats import MigrationStats
 
 _NOT_COPIED, _COPYING, _COPIED = 0, 1, 2
@@ -165,13 +165,8 @@ class MultiStepMigration:
         else:
             self._keyed_states[unit.unit_id] = _KeyedUnitState()
             # Per-key INSERT..SELECT (recompute) and DELETE statements.
-            inserts = [
-                insert_select(unit, output, pin_key=True, on_conflict=True)
-                for output in unit.outputs
-            ]
             self._unit_sql[unit.unit_id] = {
-                "key_inserts": [insert_sql for insert_sql, _select, _n in inserts],
-                "param_copies": inserts[0][2],
+                "keys": KeyStatements(unit, on_conflict=True),
                 "key_deletes": _build_key_deletes(unit),
             }
 
@@ -261,10 +256,16 @@ class MultiStepMigration:
         session = Session(self.db, allow_retired=True)
         session.internal = True
         session._txn = ctx.txn  # join the client's transaction
-        for delete_sql in sql["key_deletes"]:
+        inserts, _selects, params = sql["keys"].bind(key)
+        if None in key:
+            nulls = tuple(part is None for part in key)
+            deletes = _build_key_deletes(unit, nulls)
+            key = tuple(part for part in key if part is not None)
+        else:
+            deletes = sql["key_deletes"]
+        for delete_sql in deletes:
             session.execute(delete_sql, key)
-        params = tuple(key) * sql["param_copies"]
-        for insert_sql in sql["key_inserts"]:
+        for insert_sql in inserts:
             session.execute(insert_sql, params)
         session._txn = None
 
@@ -347,9 +348,9 @@ class MultiStepMigration:
                     progressed = True
                     session.begin()
                     try:
-                        params = tuple(key) * sql["param_copies"]
+                        inserts, _selects, params = sql["keys"].bind(key)
                         produced = 0
-                        for insert_sql in sql["key_inserts"]:
+                        for insert_sql in inserts:
                             produced += session.execute(insert_sql, params).rowcount
                         session.commit()
                         self.stats.add(granules=1, tuples=produced)
@@ -407,9 +408,10 @@ class MultiStepMigration:
         }
 
 
-def _build_key_deletes(unit: UnitPlan) -> list[str]:
+def _build_key_deletes(unit: UnitPlan, nulls: tuple[bool, ...] = ()) -> list[str]:
     """Per-key DELETE statements on the outputs of a hashmap unit: the
-    output columns corresponding to the unit's anchor-side key."""
+    output columns corresponding to the unit's anchor-side key, each
+    ``= ?`` or, where ``nulls`` marks the key part NULL, ``IS NULL``."""
     statements: list[str] = []
     for output in unit.outputs:
         out_key_cols: list[str] = []
@@ -429,6 +431,9 @@ def _build_key_deletes(unit: UnitPlan) -> list[str]:
                     f"expose key column {key_column!r} for group recompute"
                 )
             out_key_cols.append(match)
-        where = " AND ".join(f"{c} = ?" for c in out_key_cols)
+        where = " AND ".join(
+            f"{c} IS NULL" if position < len(nulls) and nulls[position] else f"{c} = ?"
+            for position, c in enumerate(out_key_cols)
+        )
         statements.append(f"DELETE FROM {output.table} WHERE {where}")
     return statements

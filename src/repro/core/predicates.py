@@ -41,6 +41,7 @@ from ..exec.rewrite import (
     EquivalenceClasses,
     conjoin,
     derive_equivalent_predicates,
+    expand_views,
     split_conjuncts,
     transform_expr,
 )
@@ -117,19 +118,18 @@ class PredicateTransfer:
         binds parameters and runs the compiled scans.
 
         The scope is the *union* of independent conjunct groups, each
-        compiled on its own: the client's own predicates (SELECT /
-        UPDATE / DELETE, or an INSERT's SELECT), and every constraint
-        group of :mod:`repro.core.constraints` — one per VALUES row and
-        unique key, per FK parent, per unique key an UPDATE assigns.
-        ANDing them would keep only rows every group needs: a two-row
-        INSERT, or one conflicting on only one of two keys, would
-        migrate nothing and slip past the old rows it collides with."""
-        groups: list[list[tuple[str, ast.Expr]]] = []
-        client = self._client_conjuncts(stmt)
-        if client is None:
+        compiled on its own: the client's own predicates, one group per
+        reference to an output (SELECT / UPDATE / DELETE, or an INSERT's
+        SELECT, with views expanded), and every constraint group of
+        :mod:`repro.core.constraints` — one per VALUES row and unique
+        key, per FK parent, per unique key an UPDATE assigns.  ANDing
+        them would keep only rows every group needs: a self-join, a
+        two-row INSERT, or one conflicting on only one of two keys,
+        would migrate nothing and slip past the old rows it reads or
+        collides with."""
+        groups = self._client_groups(stmt)
+        if groups is None:
             return _full_scope  # referenced, nothing pushable
-        if client:
-            groups.append(client)
         if isinstance(stmt, (ast.Insert, ast.Update)) and self.catalog.has_table(
             stmt.table
         ):
@@ -188,37 +188,32 @@ class PredicateTransfer:
     # ------------------------------------------------------------------
     # Step 1: collect client conjuncts on the new table(s)
     # ------------------------------------------------------------------
-    def _client_conjuncts(
+    def _client_groups(
         self, stmt: ast.Statement
-    ) -> list[tuple[str, ast.Expr]] | None:
-        """Extract per-output-table conjuncts from the client statement
-        (an INSERT's from its SELECT, if any).  Returns None when the
-        statement gives no usable filter (full scope)."""
+    ) -> list[list[tuple[str, ast.Expr]]] | None:
+        """One group of per-output-table conjuncts for each reference the
+        statement (an INSERT's SELECT, if any) makes to this unit's
+        outputs: the conjuncts that filter that reference alone.  Returns
+        None when some reference has no usable filter (full scope)."""
         output_tables = self.output_tables
-        found: list[tuple[str, ast.Expr]] = []
-        saw_reference = False
+        # (output table, the names its columns are qualified with)
+        references: list[tuple[str, set[str]]] = []
 
         if isinstance(stmt, ast.Insert):
-            return [] if stmt.query is None else self._client_conjuncts(stmt.query)
+            return [] if stmt.query is None else self._client_groups(stmt.query)
         if isinstance(stmt, (ast.Update, ast.Delete)):
             if stmt.table not in output_tables:
                 return []
-            saw_reference = True
-            binding = stmt.alias or stmt.table
-            for conjunct in split_conjuncts(stmt.where):
-                normalized = self._normalize_conjunct(
-                    conjunct, stmt.table, {binding, stmt.table}
-                )
-                if normalized is not None:
-                    found.append((stmt.table, normalized))
+            references.append((stmt.table, {stmt.alias or stmt.table, stmt.table}))
+            conjuncts = split_conjuncts(stmt.where)
         elif isinstance(stmt, ast.Select):
-            bindings: dict[str, str] = {}  # binding -> output table
+            stmt = expand_views(stmt, self.planner.view_body)
             subqueries: list[ast.Select] = []
 
             def collect(item: ast.FromItem, conjuncts_out: list[ast.Expr]) -> None:
                 if isinstance(item, ast.TableRef):
                     if item.name in output_tables:
-                        bindings[item.binding] = item.name
+                        references.append((item.name, {item.binding}))
                 elif isinstance(item, ast.Join):
                     collect(item.left, conjuncts_out)
                     collect(item.right, conjuncts_out)
@@ -230,27 +225,25 @@ class PredicateTransfer:
             join_conjuncts: list[ast.Expr] = []
             for item in stmt.from_items:
                 collect(item, join_conjuncts)
-            if any(self._client_conjuncts(query) != [] for query in subqueries):
+            if any(self._client_groups(query) != [] for query in subqueries):
                 # The outer filters do not bound what a derived table
                 # reads of this unit's outputs: all of it.
                 return None
-            if not bindings:
-                return []
-            saw_reference = True
-            all_conjuncts = split_conjuncts(stmt.where) + join_conjuncts
-            for binding, table_name in bindings.items():
-                for conjunct in all_conjuncts:
-                    normalized = self._normalize_conjunct(
-                        conjunct, table_name, {binding}
-                    )
-                    if normalized is not None:
-                        found.append((table_name, normalized))
+            conjuncts = split_conjuncts(stmt.where) + join_conjuncts
         else:
             return []
 
-        if saw_reference and not found:
-            return None  # referenced, but no pushable filter: full scope
-        return found
+        groups = []
+        for table_name, names in references:
+            group = []
+            for conjunct in conjuncts:
+                normalized = self._normalize_conjunct(conjunct, table_name, names)
+                if normalized is not None:
+                    group.append((table_name, normalized))
+            if not group:
+                return None  # referenced, but no pushable filter: full scope
+            groups.append(group)
+        return groups
 
     def _normalize_conjunct(
         self, conjunct: ast.Expr, output_table: str, bindings: set[str]

@@ -8,7 +8,8 @@ The three things every strategy needs live here and nowhere else:
   the planned SELECT's types) and their indexes;
 * :func:`insert_select` — the output's ``INSERT .. SELECT``, optionally
   pinned to one group key by injected ``key_column = ?`` predicates (the
-  paper's rewritten migration DDL; hashmap-shaped units);
+  paper's rewritten migration DDL; hashmap-shaped units), bound to each
+  key through :class:`KeyStatements`;
 * :class:`RowProjection` — the compiled anchor row → (aux join) →
   static filter → per-output projection pipeline (bitmap-shaped units),
   compiled once per unit and consumed as one generator.
@@ -64,26 +65,31 @@ def insert_select(
     output: OutputSpec,
     pin_key: bool,
     on_conflict: bool = False,
+    nulls: tuple[bool, ...] = (),
 ) -> tuple[str, str, int]:
     """Render ``INSERT INTO output .. SELECT`` for one output of ``unit``.
 
     With ``pin_key`` the SELECT is restricted to one group key: every
     key column on every input side (``unit.key_sides``) gets an injected
-    ``column = ?`` conjunct, so callers bind ``key * copies`` as the
-    parameters.  Returns ``(insert_sql, select_sql, copies)`` — the
-    bare SELECT is what read-only consumers (snapshot overlay, the
-    invariant checker) run to see what the insert would produce.
+    ``column = ?`` conjunct — ``column IS NULL`` instead where ``nulls``
+    marks the key part NULL — so callers bind the key's non-NULL parts,
+    ``copies`` times, as the parameters.  Returns ``(insert_sql,
+    select_sql, copies)`` — the bare SELECT is what read-only consumers
+    (snapshot overlay, the invariant checker) run to see what the insert
+    would produce.
     """
     sides = unit.key_sides if pin_key else ()
     select = output.select
     where = select.where
     param_index = 0
     for _table, binding, columns in sides:
-        for column in columns:
-            clause = ast.BinaryOp(
-                "=", ast.ColumnRef(column, binding), ast.Param(param_index)
-            )
-            param_index += 1
+        for position, column in enumerate(columns):
+            ref = ast.ColumnRef(column, binding)
+            if position < len(nulls) and nulls[position]:
+                clause: ast.Expr = ast.IsNull(ref)
+            else:
+                clause = ast.BinaryOp("=", ref, ast.Param(param_index))
+                param_index += 1
             where = clause if where is None else ast.BinaryOp("AND", where, clause)
     pinned = ast.Select(
         items=select.items,
@@ -100,6 +106,42 @@ def insert_select(
         on_conflict_do_nothing=on_conflict,
     )
     return render_statement(insert), render_statement(pinned), len(sides)
+
+
+class KeyStatements:
+    """A hashmap unit's per-group-key statements: each output's pinned
+    ``INSERT .. SELECT`` and bare SELECT (:func:`insert_select`), bound
+    to one key at a time.  ``column = NULL`` matches nothing, so a key
+    with NULL parts — the NULL group, which the unpinned SELECT does
+    produce — is pinned by ``column IS NULL`` instead; that text depends
+    on which parts are NULL and is rendered on the first key that needs
+    it."""
+
+    def __init__(self, unit: UnitPlan, on_conflict: bool = False) -> None:
+        self.unit = unit
+        self.on_conflict = on_conflict
+        self.copies = len(unit.key_sides)
+        self._variants: dict[tuple[bool, ...], tuple[list[str], list[str]]] = {}
+        self.inserts, self.selects = self._variant(())
+
+    def _variant(self, nulls: tuple[bool, ...]) -> tuple[list[str], list[str]]:
+        variant = self._variants.get(nulls)
+        if variant is None:
+            rendered = [
+                insert_select(self.unit, output, True, self.on_conflict, nulls)
+                for output in self.unit.outputs
+            ]
+            inserts, selects, _copies = zip(*rendered)
+            variant = self._variants[nulls] = (list(inserts), list(selects))
+        return variant
+
+    def bind(self, key: tuple) -> tuple[list[str], list[str], tuple]:
+        """``(insert_sqls, select_sqls, params)`` pinned to ``key``."""
+        if None not in key:
+            return self.inserts, self.selects, tuple(key) * self.copies
+        inserts, selects = self._variant(tuple(part is None for part in key))
+        values = tuple(part for part in key if part is not None)
+        return inserts, selects, values * self.copies
 
 
 @dataclass

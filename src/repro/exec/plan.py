@@ -48,7 +48,7 @@ from ..storage.index import Index
 from ..storage.tid import Tid
 from ..txn.locks import LockMode
 from ..txn.manager import Transaction
-from ..types import SqlType
+from ..types import STORED_TYPES, SqlType
 from .expressions import CompiledExpr, RowLayout, compare_values, predicate_satisfied
 from .operators import OperatorStats
 
@@ -267,13 +267,16 @@ def _index_bound(value: Any, coerce: Callable[[Any], Any]) -> Any:
 
 class IndexScanNode(TableScan):
     """A span of an index, plus residual filter.  ``key_fn((), params)``
-    computes the (possibly leading-prefix) equality key.  Under a prefix
-    of an ordered index, ``low`` / ``high`` — ``(value_fn, inclusive)``
-    range conjuncts on the next column, of SQL type ``range_type`` —
-    narrow the span the index returns.  They only narrow: the range
-    conjuncts stay in the residual filter, which decides every row, and
-    an execution whose bound values cannot be index bounds
-    (:func:`_index_bound`) reads the whole prefix."""
+    computes the (possibly leading-prefix) equality key; the equality
+    conjuncts it covers are not in the residual filter.  An execution
+    whose key values cannot be index keys (:meth:`_index_key`) runs a
+    seq scan over every conjunct instead (:meth:`_fallback`).  Under a
+    prefix of an ordered index, ``low`` / ``high`` — ``(value_fn,
+    inclusive)`` range conjuncts on the next column, of SQL type
+    ``range_type`` — narrow the span the index returns.  They only
+    narrow: the range conjuncts stay in the residual filter, which
+    decides every row, and an execution whose bound values cannot be
+    index bounds reads the whole prefix."""
 
     def __init__(
         self,
@@ -304,6 +307,52 @@ class IndexScanNode(TableScan):
         self.low = low
         self.high = high
         self.range_type = range_type
+
+    def _stored_types(self) -> tuple[type, ...]:
+        """The Python type of each equality key part as the index stores
+        it: what its column's coercion returns."""
+        schema = self.table.schema
+        return tuple(
+            STORED_TYPES[schema.column(column).type.kind]
+            for column in self.index.columns[:self.key_width]
+        )
+
+    def _index_key(self, key: tuple) -> tuple | None:
+        """``key``, some part of which is not of the type its column
+        stores, as the index stores it — or ``None`` when a part cannot
+        be an index key (:func:`_index_bound`: NULL, ``1.5`` or ``'1'``
+        for an INT column ...).  The index orders values by type before
+        value, so ``1.0`` or ``Decimal(1)`` must become ``1`` to find an
+        INT column's ``1``."""
+        schema = self.table.schema
+        coerced = []
+        for part, column in zip(key, self.index.columns):
+            sql_type = schema.column(column).type
+            if type(part) is not STORED_TYPES[sql_type.kind]:
+                part = _index_bound(part, sql_type.coerce)
+                if part is None:
+                    return None
+            coerced.append(part)
+        return tuple(coerced)
+
+    def _fallback(self, key: tuple) -> SeqScanNode:
+        """The seq scan an execution whose ``key`` cannot be an index key
+        runs instead.  Its filter is every conjunct: the key's equality
+        conjuncts by :func:`compare_values`, the reference ``=``, and the
+        residual filter, all evaluated on every row as the compiled
+        ``AND`` does.  Built per such execution, from what the plan
+        already holds: a cached plan carries nothing for it."""
+        table, index, residual = self.table, self.index, self.filter_fn
+
+        def every_conjunct(row: Row, params: Sequence[Any]) -> bool:
+            equal = [
+                compare_values(value, part)
+                for value, part in zip(table.index_key(index, row), key)
+            ]
+            passed = True if residual is None else residual(row, params)
+            return passed is True and all(found == 0 for found in equal)
+
+        return SeqScanNode(table, self.binding, self.layout, self.types, every_conjunct)
 
     def _bounds(self) -> Callable[[Sequence[Any]], tuple | None] | None:
         """``bounds(params)`` -> the ``prefix_scan`` bound arguments of
@@ -381,6 +430,10 @@ class IndexScanNode(TableScan):
         index = self.index
         width = self.key_width
         key_fn = self.key_fn
+        stored = self._stored_types()
+        # A one-column key in its stored type costs one type check; for
+        # a wider key ``first`` is None and the tuple compare decides.
+        first = stored[0] if width == 1 else None
         lookup = self._lookup()
         snapshot_pairs = self._snapshot_pairs(lookup)
         filter_fn = self.filter_fn
@@ -391,9 +444,14 @@ class IndexScanNode(TableScan):
         point = index.unique and width == len(index.columns)
 
         def index_scan(ctx: ExecutionContext) -> list:
-            ctx.lock_table(name, LockMode.IS)
             params = ctx.params
             key = key_fn((), params)
+            if type(key[0]) is not first and tuple(map(type, key)) != stored:
+                coerced = self._index_key(key)
+                if coerced is None:
+                    return self._fallback(key).compile(project)(ctx)
+                key = coerced
+            ctx.lock_table(name, LockMode.IS)
             if ctx.snapshot_ts is None:
                 if not point:
                     return sink(map(heap.read, lookup(key, params)), params)
@@ -418,14 +476,21 @@ class IndexScanNode(TableScan):
         name = self.table.schema.name
         heap = self.table.heap
         key_fn = self.key_fn
+        stored = self._stored_types()
+        first = stored[0] if self.key_width == 1 else None
         lookup = self._lookup()
         snapshot_pairs = self._snapshot_pairs(lookup)
         sink = _pair_sink(self.filter_fn)
 
         def index_scan_tids(ctx: ExecutionContext) -> list[tuple[Tid, Row]]:
-            ctx.lock_table(name, LockMode.IS)
             params = ctx.params
             key = key_fn((), params)
+            if type(key[0]) is not first and tuple(map(type, key)) != stored:
+                coerced = self._index_key(key)
+                if coerced is None:
+                    return self._fallback(key).compile_tids()(ctx)
+                key = coerced
+            ctx.lock_table(name, LockMode.IS)
             if ctx.snapshot_ts is None:
                 tids = lookup(key, params)
                 return sink(zip(tids, map(heap.read, tids)), params)

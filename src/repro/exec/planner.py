@@ -75,7 +75,7 @@ class Planner:
     # Entry points
     # ==================================================================
     def plan_select(self, select: ast.Select, allow_retired: bool = False) -> PlannedQuery:
-        expanded = expand_views(select, self._view_body)
+        expanded = expand_views(select, self.view_body)
         return self._plan_expanded(expanded, allow_retired)
 
     def plan_dml_scan(
@@ -108,7 +108,7 @@ class Planner:
     # ==================================================================
     # SELECT planning
     # ==================================================================
-    def _view_body(self, name: str) -> ast.Select | None:
+    def view_body(self, name: str) -> ast.Select | None:
         if self.catalog.has_view(name):
             return self.catalog.view(name).query
         return None

@@ -203,10 +203,10 @@ class InvariantChecker:
         expected: dict[str, Counter] = {
             output.table: Counter() for output in runtime.plan.outputs
         }
-        copies = runtime._key_param_copies
+        assert runtime.key_statements is not None
         for key in migrated:
-            params = tuple(key) * copies
-            for output, sql in zip(runtime.plan.outputs, runtime.key_select_sql):
+            _inserts, selects, params = runtime.key_statements.bind(key)
+            for output, sql in zip(runtime.plan.outputs, selects):
                 table = self.db.catalog.table(output.table)
                 for row in session.execute(sql, params).rows:
                     values = dict(zip(output.column_names, row))

@@ -262,6 +262,15 @@ _COERCERS = {
     TypeKind.TIMESTAMP: _coerce_timestamp,
 }
 
+# The Python type each kind's coercer returns (NULL aside): what a
+# stored value, and so an index key part, of that kind always is.
+STORED_TYPES: dict[TypeKind, type] = {
+    TypeKind.INT: int, TypeKind.BIGINT: int, TypeKind.FLOAT: float,
+    TypeKind.DECIMAL: Decimal, TypeKind.BOOL: bool,
+    TypeKind.CHAR: str, TypeKind.VARCHAR: str, TypeKind.TEXT: str,
+    TypeKind.DATE: datetime.date, TypeKind.TIMESTAMP: datetime.datetime,
+}
+
 
 # ----------------------------------------------------------------------
 # Convenience constructors (public API)

@@ -109,6 +109,39 @@ class TestMultiStep:
         s.execute("UPDATE src SET v = v + 1 WHERE id = 0")
         assert multistep.await_completion(timeout=30)
 
+    @pytest.mark.parametrize("indexed", [True, False], ids=["index", "no_index"])
+    def test_null_group_copied_and_dual_written(self, indexed):
+        """The copier and a dual write both pin the NULL group with
+        ``IS NULL``: the shadow ends equal to an eager run."""
+        ddl = """
+        CREATE TABLE t (grp INT UNIQUE, total INT);
+        INSERT INTO t (grp, total) SELECT grp, SUM(v) FROM src GROUP BY grp;
+        """
+
+        def build():
+            db, s = make_db(rows=12)
+            s.execute("UPDATE src SET grp = NULL WHERE grp = 0")
+            if indexed:
+                s.execute("CREATE INDEX src_grp ON src (grp)")
+            return db, s
+
+        def writes(s):
+            s.execute("INSERT INTO src VALUES (100, NULL, 5)")
+            s.execute("UPDATE src SET v = v + 1 WHERE id = 4")
+
+        eager_db, eager_s = build()
+        writes(eager_s)
+        EagerMigration(eager_db).submit("m", ddl)
+        eager = sorted(eager_s.execute("SELECT grp, total FROM t").rows, key=repr)
+        assert (None, 0 + (4 + 1) + 8 + 5) in eager
+
+        db, s = build()
+        multistep = MultiStepMigration(db, chunk=4, interval=0.3)
+        multistep.submit("m", ddl)
+        writes(s)  # while the copier sleeps between chunks: dual writes
+        assert multistep.await_completion(timeout=20)
+        assert sorted(s.execute("SELECT grp, total FROM t").rows, key=repr) == eager
+
     def test_dual_write_update_of_copied_row(self):
         """An update to an already-copied row must land in the shadow —
         the 'writes happen twice' behaviour."""

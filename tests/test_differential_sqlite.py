@@ -6,6 +6,10 @@ table must agree.  The statements put equality prefixes of width 0-2 on
 the index ``(a, b, c)`` and range conjuncts (both operand orders,
 inclusive and exclusive, often with lo > hi) on the next column — the
 shape an ordered index turns into the bounds of the span it reads.
+Equality-prefix keys are mostly ``int`` but also ``1.0``, ``Decimal(1)``,
+``Decimal("1.000")`` and ``1.5``: numerically equal keys of another
+type must find the rows an ``int`` key finds, and a key no INT equals
+must find none.
 
 Bound values cover every type the bound rule distinguishes: ``int``,
 ``Decimal`` (exact and lossy for the column), ``float``, ``bool`` and
@@ -74,6 +78,11 @@ _agreeing = _weighted(
     (1, st.booleans()),
     (1, st.none()),
 )
+# Equality-prefix keys for the INT columns a and b.
+_prefix_key = _weighted(
+    (3, st.integers(0, 2)),
+    (1, st.sampled_from([1.0, Decimal(1), Decimal("1.000"), 1.5])),
+)
 # Bounds whose SQL meaning differs between the two engines.
 _differing = st.just(float("nan")) | st.sampled_from(["1", "x", ""])
 
@@ -84,7 +93,7 @@ def _predicate(draw, bounds):
     two range conjuncts on the next index column."""
     width = draw(st.integers(0, 2))
     conds = [f"{column} = ?" for column in COLUMNS[:width]]
-    params = [draw(st.integers(0, 2)) for _ in range(width)]
+    params = [draw(_prefix_key) for _ in range(width)]
     column = COLUMNS[width]
     for _ in range(draw(st.integers(1, 2))):
         op = draw(st.sampled_from(sorted(FLIP)))

@@ -128,6 +128,41 @@ class TestLazyBehaviour:
         assert engine.stats.tuples_migrated == 50
         assert engine.is_complete  # every granule migrated -> finalized
 
+    @pytest.mark.parametrize("isolation", ["read_committed", "snapshot"])
+    @pytest.mark.parametrize(
+        "setup,sql,expected",
+        [
+            (
+                "CREATE VIEW lv AS SELECT id, v FROM left_part",
+                "SELECT COUNT(*) FROM lv",
+                [(50,)],
+            ),
+            (
+                None,
+                "SELECT a.v, b.v FROM left_part a, left_part b "
+                "WHERE a.id = 1 AND b.id = 2",
+                [(10, 20)],
+            ),
+            (
+                None,
+                "SELECT l.v, r.tag FROM left_part l JOIN right_part r "
+                "ON r.id = 7 WHERE l.id = 3",
+                [(30, "t1")],
+            ),
+        ],
+        ids=["view", "self-join", "two-outputs"],
+    )
+    def test_every_read_of_an_output_is_in_scope(self, isolation, setup, sql, expected):
+        """A view is read through its expansion, and each binding of a
+        unit's outputs filters only its own rows: the scope is their
+        union, not their conjunction."""
+        db, s = make_source_db()
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", SPLIT_DDL)
+        if setup is not None:
+            s.execute(setup)
+        assert db.connect(isolation=isolation).execute(sql).rows == expected
+
     def test_update_on_new_schema_after_migration(self):
         db, s = make_source_db()
         engine = LazyMigrationEngine(db, background=no_background())
@@ -222,6 +257,35 @@ class TestLazyBehaviour:
         # The client's SELECT and the migration's INSERT ... SELECT:
         # one plan each, whatever the number of keyed reads.
         assert len(calls) <= 4, f"{len(calls)} plan_select calls for {groups} reads"
+
+    @pytest.mark.parametrize("indexed", [True, False], ids=["index", "no_index"])
+    @pytest.mark.parametrize("drive", ["full_scope_read", "background"])
+    def test_null_group_migrates_like_eager(self, indexed, drive):
+        """The NULL group is a group: Algorithm 3 must produce its output
+        row, whether the group column is indexed or not.  Its pinned
+        statement cannot say ``grp = ?`` (NULL = NULL matches nothing)."""
+        from repro.core import EagerMigration
+
+        ddl = AGG_DDL.replace("grp INT PRIMARY KEY", "grp INT")
+        results = []
+        for lazy in (False, True):
+            db, s = make_source_db(rows=15)
+            s.execute("UPDATE src SET grp = NULL WHERE grp = 0")
+            if not indexed:
+                s.execute("DROP INDEX src_grp")
+            if not lazy:
+                EagerMigration(db).submit("m", ddl)
+            elif drive == "full_scope_read":
+                LazyMigrationEngine(db, background=no_background()).submit("m", ddl)
+            else:
+                background = BackgroundConfig(delay=0.0, chunk=4, interval=0.0)
+                engine = LazyMigrationEngine(db, background=background)
+                engine.submit("m", ddl)
+                assert engine.await_completion(timeout=20)
+            results.append(sorted(s.execute("SELECT * FROM grp_totals").rows, key=repr))
+        eager, lazy_rows = results
+        assert (None, 0 + 50 + 100) in eager
+        assert lazy_rows == eager
 
     def test_static_filter_drops_rows_but_marks_migrated(self):
         db, s = make_source_db()

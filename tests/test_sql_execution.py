@@ -714,6 +714,20 @@ class TestPreparedStatements:
         second = s.execute(sql, bind())
         assert (second.statement, second.columns) == (first.statement, first.columns)
 
+    def test_index_scan_fallback_compiles_nothing(self, db, s, monkeypatch):
+        """A key that cannot be an index key (NULL, ``1.5`` on INT) runs
+        the index scan's seq-scan fallback, built from what the cached
+        plan already holds: no expression is compiled for it."""
+        import repro.exec.planner
+
+        sql = "SELECT name FROM emp WHERE id = ? AND salary > ?"
+        assert s.execute(sql, [1, 0]).rows == [("ada",)]
+        monkeypatch.setattr(repro.exec.planner, "compile_expr", None)
+        assert s.execute(sql, [1.5, 0]).rows == []
+        assert s.execute(sql, [None, 0]).rows == []
+        assert s.execute(sql, [1.0, 0]).rows == [("ada",)]
+        assert s.execute(sql, [1.0, 10**6]).rows == []
+
     def test_artifact_rebuilt_after_ddl_uses_new_index(self, db, s):
         sql = "SELECT id FROM emp WHERE name = ?"
         handle = db.prepare(sql)
