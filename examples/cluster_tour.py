@@ -8,9 +8,9 @@ router:
 1. point reads route to the owning shard, cross-shard reads
    scatter/gather with a merged ORDER BY and re-aggregated COUNT;
 2. a transaction binds lazily to one shard and commits there;
-3. ``cluster migrate split`` runs the cluster-wide two-phase epoch
-   flip — every shard switches schemas in one step, then lazily
-   migrates only its own rows;
+3. ``migrate split`` sent to the router runs the cluster-wide
+   two-phase epoch flip — every shard switches schemas in one step,
+   then lazily migrates only its own rows;
 4. the shard health surface: META ``shards`` and the
    ``bullfrog_stat_shards`` system view, via plain SQL.
 
@@ -80,7 +80,7 @@ def main() -> None:
 
         banner("cluster-wide lazy SPLIT migration")
         print("epoch before flip:", conn.schema_epoch)
-        flip = json.loads(conn.meta("cluster migrate split"))
+        flip = json.loads(conn.meta("migrate split"))
         print(f"two-phase flip committed in "
               f"{1000.0 * flip['elapsed_seconds']:.1f}ms "
               f"across {flip['shards']} shards")

@@ -17,7 +17,7 @@ Two modes:
 Either way the router speaks the ordinary wire protocol: point the
 shell at it (``python -m repro.shell --connect :5433``), run
 ``\\shards``, or fire a cluster-wide lazy migration with the META
-command ``cluster migrate split``.
+command ``migrate split``.
 """
 
 from __future__ import annotations

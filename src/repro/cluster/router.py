@@ -1,64 +1,41 @@
 """``bullfrog-router``: one wire-protocol endpoint over N shards.
 
 The router is a plain :class:`~repro.net.server.BullfrogServer` — event
-loop, worker pool, prepared statements, pipelining, drain and the META
-console, all unchanged — serving a :class:`RouterDatabase` whose
-sessions route statements instead of executing them and which
-registers the cluster's admin verbs (``shards [json]``, ``cluster
-migrate <scenario>``, a per-shard ``progress``) on its own verb table.
-Clients connect with the unchanged client library and cannot tell the
-difference: HELLO/WELCOME, QUERY/PARSE/EXECUTE, COMPLETE frames
-carrying the (cluster) schema epoch, errors as structured frames.
+loop, worker pool, prepared statements, pipelining, drain, the META
+console and the flip gate, all unchanged — serving a
+:class:`RouterDatabase`, whose sessions forward statements instead of
+executing them, and whose verb table holds the cluster's admin verbs
+(``shards [json]``, ``migrate <scenario>``, a per-shard ``progress``,
+``epoch status``).  Clients use the unchanged client library.
 
-Routing (``RoutePlan``, cached on the statement handle):
-
-* **single** — a WHERE/VALUES equality on the partition column of any
-  referenced table pins the statement to one shard (TPC-C transactions
-  are all of this shape: every table is co-partitioned by warehouse).
-* **any** — replicated-table reads (``item``) go to one shard,
-  round-robin.
-* **scatter** — cross-shard SELECTs fan out to every shard and the
-  rows are stitched back together: concatenate, re-sort by the ORDER
-  BY (NULLs ordered exactly as the shard engine orders them),
-  re-apply LIMIT/OFFSET, and re-aggregate top-level
-  COUNT/SUM/MIN/MAX.  A query with an OFFSET is rewritten for the
-  shards — ``LIMIT limit+offset``, no OFFSET — because a shard must
-  not skip its own first rows (they may belong in the global result);
-  the offset is applied exactly once, at merge time.  Cross-shard
-  GROUP BY / DISTINCT / AVG are rejected with a hint to filter on the
-  partition column.
-* **broadcast** — DDL, replicated-table writes, and keyless
-  UPDATE/DELETE run on every shard (each shard touches only its own
-  rows); rowcounts sum.
-* **local** — system views (``bullfrog_stat_shards``, the server's own
-  ``bullfrog_stat_network``) execute on the router's embedded Database.
+Routing (``RoutePlan``, cached on the statement handle; DESIGN.md
+section 16): **single** when an equality on a partition column pins one
+shard, **any** for replicated-only reads, **scatter** for cross-shard
+SELECTs (merged: re-sort, LIMIT/OFFSET applied once, COUNT/SUM/MIN/MAX
+re-aggregated; GROUP BY, DISTINCT and AVG refused), **broadcast** for
+DDL, replicated-table writes and keyless UPDATE/DELETE, and **local**
+for the router's own system views and table-less SELECTs, which run on
+the session's private embedded session.  Any other statement that names
+a table the shard map does not know — DDL included — is refused before
+anything reaches a shard.
 
 Transactions bind lazily: BEGIN is deferred until the first keyed
 statement fixes the shard, then the whole transaction runs on one
 pooled backend connection (BEGIN and that first statement leave in one
-write and cost one shard round trip).  A statement that
-routes elsewhere mid-transaction is an error — the cluster offers
-single-shard transactions, exactly SLSM's model.
+write).  A statement that routes elsewhere mid-transaction is an error
+— single-shard transactions, exactly SLSM's model.  Every statement
+leaves on the pools of its session's isolation level.
 
-The **cluster-wide schema switch** is a two-phase epoch flip
-(:meth:`RouterDatabase.cluster_migrate`): PREPARE closes every shard's
-statement gate (and the router's own routing gate), COMMIT performs
-each shard's logical switch and launches its lazy migration, and the
-router bumps its epoch only once every shard committed — so a client
-observes exactly one epoch step and no shard ever serves mixed
-schemas.  A prepare failure aborts the round everywhere; once every
-shard is prepared, commit is driven to completion with per-shard
-retries (classic 2PC — aborting a shard that already committed would
-strand the cluster on mixed epochs).  Scatter reads double-check:
-each sub-result carries its shard's epoch, and a mixed set is retried
-until the flip settles.
+The cluster-wide schema switch is a two-phase epoch flip
+(:meth:`RouterDatabase.cluster_migrate`) that closes every shard's
+``flip_gate`` and the router's own; scatter reads that straddle it are
+retried, so a client never sees two schemas in one answer.
 
 Tracing: the server parks the continued client context on the session
 (``_request_ctx``); the router sets it as ``trace_parent`` on the
 backend connection, so the shard-side server spans are children of the
-client's span — one request tree across three processes.  A request
-without one is head-sampled like an embedded statement; the pool's
-connections mint no trace roots of their own.
+client's span.  A request without one is head-sampled like an embedded
+statement; the pool's connections mint no trace roots of their own.
 """
 
 from __future__ import annotations
@@ -69,9 +46,9 @@ import json
 import threading
 import time
 import uuid
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from ..db import Database, Result, Session, Statement
+from ..db import FLIP_GATE_TIMEOUT, Database, Result, Session, Statement
 from ..errors import (
     ConnectionClosedError,
     ExecutionError,
@@ -89,6 +66,8 @@ from ..obs.tracectx import activate as _trace_activate
 from ..obs.tracectx import deactivate as _trace_deactivate
 from ..sql import ast_nodes as ast
 from ..sql.render import render_select
+from ..tpcc.migrations import SCENARIOS
+from ..txn import IsolationLevel
 from .shardmap import ShardMap
 
 # RoutePlan modes.
@@ -98,11 +77,8 @@ ANY = "any"
 SCATTER = "scatter"
 BROADCAST = "broadcast"
 
-_AGGS = {"COUNT", "SUM", "MIN", "MAX"}
-
-# How long new work (and a mixed-epoch scatter retry) waits at the
-# router's flip gate before running anyway.
-_FLIP_GATE_TIMEOUT = 30.0
+# How each scatter aggregate combines the shards' non-NULL values.
+_MERGE_AGG = {"COUNT": sum, "SUM": sum, "MIN": min, "MAX": max}
 
 # value sources: ("param", index) | ("const", value)
 _Source = tuple[str, Any]
@@ -130,46 +106,32 @@ def _resolve_count(source: _Source, params: Sequence[Any], what: str) -> int:
     return value
 
 
+@dataclasses.dataclass(slots=True)
 class MergeSpec:
-    """How to stitch a scatter SELECT's per-shard results together."""
+    """How to stitch a scatter SELECT's per-shard results together.
+    ``select`` is the parsed statement, kept so the shard-bound query
+    can be rewritten when an OFFSET must not reach the shards."""
 
-    __slots__ = ("aggregates", "order", "limit", "offset", "select")
-
-    def __init__(
-        self,
-        aggregates: list[str] | None = None,
-        order: list[tuple[Any, bool]] | None = None,
-        limit: _Source | None = None,
-        offset: _Source | None = None,
-        select: ast.Select | None = None,
-    ) -> None:
-        self.aggregates = aggregates
-        self.order = order or []
-        self.limit = limit
-        self.offset = offset
-        # The parsed statement, kept so the shard-bound query can be
-        # rewritten when an OFFSET must not reach the shards.
-        self.select = select
+    aggregates: list[str] | None
+    order: list[tuple[Any, bool]]
+    limit: _Source | None
+    offset: _Source | None
+    select: ast.Select
 
 
+@dataclasses.dataclass(slots=True)
 class RoutePlan:
     """The routing decision for one statement (``Statement.route``)."""
 
-    __slots__ = ("mode", "key_sources", "merge", "error")
-
-    def __init__(
-        self,
-        mode: str,
-        key_sources: list[_Source] | None = None,
-        merge: MergeSpec | None = None,
-        error: ExecutionError | None = None,
-    ) -> None:
-        self.mode = mode
-        self.key_sources = key_sources
-        self.merge = merge
-        self.error = error
+    mode: str
+    key_sources: list[_Source] | None = None
+    merge: MergeSpec | None = None
+    error: ExecutionError | None = None
 
     def key(self, params: Sequence[Any]) -> int:
+        """The partition key a SINGLE plan pins, or its refusal."""
+        if self.error is not None:
+            raise self.error
         assert self.key_sources
         keys = {_resolve(source, params) for source in self.key_sources}
         if len(keys) != 1:
@@ -253,7 +215,7 @@ def _merge_spec(stmt: ast.Select) -> tuple[MergeSpec | None, ExecutionError | No
                 expr.name.upper() in ast.AGGREGATE_FUNCTIONS
             ):
                 name = expr.name.upper()
-                if name not in _AGGS:
+                if name not in _MERGE_AGG:
                     raise _unsupported(f"aggregate {name}")
                 if expr.distinct:
                     raise _unsupported(f"{name}(DISTINCT ...)")
@@ -274,11 +236,9 @@ def _merge_spec(stmt: ast.Select) -> tuple[MergeSpec | None, ExecutionError | No
             else:
                 raise _unsupported("ORDER BY on a computed expression")
         merge = MergeSpec(
-            aggregates=aggregates if has_agg else None,
-            order=order,
-            limit=_scalar_source(stmt.limit, "LIMIT"),
-            offset=_scalar_source(stmt.offset, "OFFSET"),
-            select=stmt,
+            aggregates if has_agg else None, order,
+            _scalar_source(stmt.limit, "LIMIT"),
+            _scalar_source(stmt.offset, "OFFSET"), stmt,
         )
         return merge, None
     except ExecutionError as exc:
@@ -291,14 +251,30 @@ _DDL_NODES = (
 )
 
 
-class RouterDatabase(Database):
-    """A Database whose sessions route to shards.
+def _ddl_tables(stmt: Any) -> set[str]:
+    """The tables a DDL statement names: its own, the one an index or
+    ALTER is on (and a RENAME TO's new name), and those its query reads.
+    DROP INDEX names only an index."""
+    if isinstance(stmt, ast.DropIndex):
+        return set()
+    tables = {stmt.table if isinstance(stmt, ast.CreateIndex) else stmt.name}
+    if isinstance(stmt, ast.AlterTable) and stmt.action[0] == "RENAME TO":
+        tables.add(stmt.action[1])
+    query = getattr(stmt, "query", None) or getattr(stmt, "as_select", None)
+    if query is not None:
+        tables |= Statement(query).tables
+    return tables
 
-    The inherited local engine still matters: it prepares SQL (shared
-    dialect with the shards; the handle also carries the route), runs
-    local statements, and hosts the router's virtual views — which is
-    how ``SELECT * FROM bullfrog_stat_shards`` is just SQL through the
-    normal path.
+
+class RouterDatabase(Database):
+    """The Database a router's server fronts; its sessions forward.
+
+    It stays a Database because the server fronts a whole one: it
+    prepares SQL (the shards' dialect; the handle also carries the
+    route), owns the epoch and the flip gate, answers the admin verbs,
+    and its catalog hosts the router's virtual views — which is how
+    ``SELECT * FROM bullfrog_stat_shards`` is plain SQL, run on a
+    session's private embedded session.
     """
 
     def __init__(
@@ -313,17 +289,24 @@ class RouterDatabase(Database):
             raise ValueError("shard map must name at least one shard")
         super().__init__(obs=obs, isolation=isolation)
         self.shard_map = shard_map
+        # One pool per shard and isolation level: a session forwards on
+        # its own level's pools, so the shard runs the statement at that
+        # level.  Pools connect lazily; an unused level holds no socket.
         # ``trace`` negotiates trace trailers with the shards; a pooled
         # connection sends one only under a ``trace_parent``.
         trace = obs is not None
-        self.pools = [
-            ConnectionPool(
-                host, port, size=pool_size,
-                connect_timeout=connect_timeout,
-                auto_prepare=256, trace=trace, obs=obs,
-            )
-            for host, port in shard_map.addresses
-        ]
+        self.pools_by_level = {
+            level: [
+                ConnectionPool(
+                    host, port, size=pool_size,
+                    connect_timeout=connect_timeout,
+                    auto_prepare=256, isolation=level.value,
+                    trace=trace, obs=obs,
+                )
+                for host, port in shard_map.addresses
+            ]
+            for level in IsolationLevel
+        }
         self.admins = [
             _AdminLink(host, port, connect_timeout)
             for host, port in shard_map.addresses
@@ -331,11 +314,6 @@ class RouterDatabase(Database):
         # itertools.count: next() is atomic under the GIL, so
         # concurrent worker threads never observe the same tick.
         self._rr = itertools.count()
-        # Closed for the duration of a cluster epoch flip: sessions
-        # hold *new* statements here (in-transaction statements pass,
-        # mirroring the shard-side gate).
-        self.flip_gate = threading.Event()
-        self.flip_gate.set()
         self._flip_latch = threading.Lock()
         # "Zero mixed-schema responses" accounting: retries are scatter
         # reads that saw shards on different epochs and re-ran; errors
@@ -350,16 +328,14 @@ class RouterDatabase(Database):
         self._register_shard_view()
         self.admin_verbs.update(
             shards=self._verb_shards,
-            cluster=self._verb_cluster,
+            migrate=self._verb_migrate,
+            epoch=self._verb_epoch,
             progress=self._verb_progress,
         )
 
     # ------------------------------------------------------------------
-    def connect(
-        self, allow_retired: bool = False, isolation: Any = None
-    ) -> "RouterSession":
-        return RouterSession(self, allow_retired=allow_retired,
-                             isolation=isolation)
+    def connect(self, isolation: Any = None) -> "RouterSession":
+        return RouterSession(self, isolation)
 
     def next_rr(self) -> int:
         return next(self._rr) % self.shard_map.n_shards
@@ -374,25 +350,26 @@ class RouterDatabase(Database):
         return plan
 
     def _analyze(self, handle: Statement) -> RoutePlan:
+        """The route of any statement but transaction control (which
+        the session handles).  A statement naming a table the shard map
+        does not know is refused here, before anything is sent."""
         shard_map = self.shard_map
         stmt = handle.ast
         if isinstance(stmt, ast.Explain):
             inner = self._analyze(Statement(stmt.query))
-            if inner.mode == LOCAL:
-                return inner
             # EXPLAIN of a routed query: one shard's plan is as good as
             # another's (identical schemas).
-            return RoutePlan(ANY)
+            return inner if inner.mode == LOCAL else RoutePlan(ANY)
+        if isinstance(stmt, _DDL_NODES):
+            self._check_mapped(_ddl_tables(stmt))
+            return RoutePlan(BROADCAST)
+        tables = handle.tables
+        if isinstance(stmt, ast.Select) and all(
+            self.catalog.has_virtual(t) for t in tables
+        ):
+            return RoutePlan(LOCAL)  # the router's views, or no table
+        self._check_mapped(tables)
         if isinstance(stmt, ast.Select):
-            tables = handle.tables
-            known = {t for t in tables if shard_map.knows(t)}
-            if not known:
-                return RoutePlan(LOCAL)
-            if known != tables:
-                return RoutePlan(SCATTER, error=ExecutionError(
-                    f"query mixes sharded tables {sorted(known)} with "
-                    f"router-local tables {sorted(tables - known)}"
-                ))
             pcols = {
                 shard_map.partition_column(t) for t in tables
             } - {None}
@@ -403,76 +380,69 @@ class RouterDatabase(Database):
                 return RoutePlan(SINGLE, key_sources=[key])
             merge, error = _merge_spec(stmt)
             return RoutePlan(SCATTER, merge=merge, error=error)
-        if isinstance(stmt, ast.Insert):
-            table = stmt.table.lower()
-            if not shard_map.knows(table):
-                return RoutePlan(LOCAL)
-            if shard_map.is_replicated(table):
-                return RoutePlan(BROADCAST)
-            pcol = shard_map.partition_column(table)
-            assert pcol is not None
-            if stmt.query is not None:
-                return RoutePlan(SINGLE, error=ExecutionError(
-                    "INSERT ... SELECT through the router is not supported"
-                ))
-            if not stmt.columns:
-                return RoutePlan(SINGLE, error=ExecutionError(
-                    f"INSERT INTO {table} through the router needs an "
-                    "explicit column list (to locate the partition key)"
-                ))
-            lowered = [c.lower() for c in stmt.columns]
-            if pcol not in lowered:
-                return RoutePlan(SINGLE, error=ExecutionError(
-                    f"INSERT INTO {table} must set the partition column "
-                    f"{pcol}"
-                ))
-            position = lowered.index(pcol)
-            sources: list[_Source] = []
-            for row in stmt.rows:
-                value = row[position]
-                if isinstance(value, ast.Param):
-                    sources.append(("param", value.index))
-                elif isinstance(value, ast.Literal) and isinstance(
-                    value.value, int
-                ):
-                    sources.append(("const", value.value))
-                else:
-                    return RoutePlan(SINGLE, error=ExecutionError(
-                        f"partition column {pcol} in INSERT must be a "
-                        "literal or parameter"
-                    ))
-            return RoutePlan(SINGLE, key_sources=sources)
+        table = stmt.table.lower()
+        if shard_map.is_replicated(table):
+            return RoutePlan(BROADCAST)
+        pcol = shard_map.partition_column(table)
+        assert pcol is not None
         if isinstance(stmt, (ast.Update, ast.Delete)):
-            table = stmt.table.lower()
-            if not shard_map.knows(table):
-                return RoutePlan(LOCAL)
-            if shard_map.is_replicated(table):
-                return RoutePlan(BROADCAST)
-            pcol = shard_map.partition_column(table)
-            assert pcol is not None
             key = _key_from_where(stmt.where, {pcol})
             if key is not None:
                 return RoutePlan(SINGLE, key_sources=[key])
             # Keyless write: every shard applies it to its own rows.
             return RoutePlan(BROADCAST)
-        if isinstance(stmt, _DDL_NODES):
-            return RoutePlan(BROADCAST)
-        return RoutePlan(LOCAL)
+        if stmt.query is not None:
+            return RoutePlan(SINGLE, error=ExecutionError(
+                "INSERT ... SELECT through the router is not supported"
+            ))
+        if not stmt.columns:
+            return RoutePlan(SINGLE, error=ExecutionError(
+                f"INSERT INTO {table} through the router needs an "
+                "explicit column list (to locate the partition key)"
+            ))
+        lowered = [c.lower() for c in stmt.columns]
+        if pcol not in lowered:
+            return RoutePlan(SINGLE, error=ExecutionError(
+                f"INSERT INTO {table} must set the partition column "
+                f"{pcol}"
+            ))
+        position = lowered.index(pcol)
+        sources: list[_Source] = []
+        for row in stmt.rows:
+            value = row[position]
+            if isinstance(value, ast.Param):
+                sources.append(("param", value.index))
+            elif isinstance(value, ast.Literal) and isinstance(
+                value.value, int
+            ):
+                sources.append(("const", value.value))
+            else:
+                return RoutePlan(SINGLE, error=ExecutionError(
+                    f"partition column {pcol} in INSERT must be a "
+                    "literal or parameter"
+                ))
+        return RoutePlan(SINGLE, key_sources=sources)
+
+    def _check_mapped(self, tables: frozenset[str] | set[str]) -> None:
+        for table in sorted(tables):
+            if not self.shard_map.knows(table):
+                raise ExecutionError(
+                    f"table {table!r} is not in the router's shard map; "
+                    "the router runs statements only on mapped tables"
+                )
 
     # ------------------------------------------------------------------
     # Forwarding
     # ------------------------------------------------------------------
     def forward(
-        self,
-        shard: int,
-        sql: str,
-        params: Sequence[Any],
-        trace_parent: Any = None,
+        self, shard: int, sql: str, params: Sequence[Any],
+        isolation: IsolationLevel, trace_parent: Any = None,
     ) -> tuple[Result, int]:
-        """Run one statement on one shard via its pool; returns the
-        result plus the schema epoch the shard reported with it."""
+        """Run one statement on one shard via its pool for
+        ``isolation``; returns the result plus the schema epoch the
+        shard reported with it."""
         try:
-            with self.pools[shard].acquire() as conn:
+            with self.pools_by_level[isolation][shard].acquire() as conn:
                 conn.trace_parent = trace_parent
                 try:
                     result = conn.execute(sql, params)
@@ -486,7 +456,8 @@ class RouterDatabase(Database):
             ) from exc
 
     def _fan_out(
-        self, sql: str, params: Sequence[Any], trace_parent: Any
+        self, sql: str, params: Sequence[Any], isolation: IsolationLevel,
+        trace_parent: Any,
     ) -> list[Any]:
         """Run one statement on every shard concurrently.  Each slot is
         either a ``(Result, epoch)`` pair or the exception that shard
@@ -496,7 +467,8 @@ class RouterDatabase(Database):
 
         def run(i: int) -> None:
             try:
-                slots[i] = self.forward(i, sql, params, trace_parent)
+                slots[i] = self.forward(i, sql, params, isolation,
+                                        trace_parent)
             except BaseException as exc:  # noqa: BLE001 - callers re-raise
                 slots[i] = exc
 
@@ -512,9 +484,10 @@ class RouterDatabase(Database):
         return slots
 
     def broadcast(
-        self, sql: str, params: Sequence[Any], trace_parent: Any = None
+        self, sql: str, params: Sequence[Any], isolation: IsolationLevel,
+        trace_parent: Any = None,
     ) -> Result:
-        slots = self._fan_out(sql, params, trace_parent)
+        slots = self._fan_out(sql, params, isolation, trace_parent)
         failed = {
             shard: slot for shard, slot in enumerate(slots)
             if isinstance(slot, BaseException)
@@ -547,11 +520,8 @@ class RouterDatabase(Database):
         ) from first_exc
 
     def scatter(
-        self,
-        plan: RoutePlan,
-        sql: str,
-        params: Sequence[Any],
-        trace_parent: Any = None,
+        self, plan: RoutePlan, sql: str, params: Sequence[Any],
+        isolation: IsolationLevel, trace_parent: Any = None,
         max_attempts: int = 4,
     ) -> Result:
         """Fan a read out to every shard and merge — retrying whenever
@@ -561,7 +531,8 @@ class RouterDatabase(Database):
             raise plan.error
         shard_sql, shard_params = self._shard_query(plan, sql, params)
         for _attempt in range(max_attempts):
-            outcomes = self._fan_out(shard_sql, shard_params, trace_parent)
+            outcomes = self._fan_out(shard_sql, shard_params, isolation,
+                                     trace_parent)
             for slot in outcomes:
                 if isinstance(slot, BaseException):
                     raise slot
@@ -575,7 +546,7 @@ class RouterDatabase(Database):
             # Wait out the flip, then re-run both halves on the new
             # schema (SchemaVersionError from a retired table will
             # surface to the client as usual).
-            self.flip_gate.wait(_FLIP_GATE_TIMEOUT)
+            self.flip_gate.wait(FLIP_GATE_TIMEOUT)
         with self._flip_latch:
             self.mixed_epoch_errors += 1
         raise ExecutionError(
@@ -596,7 +567,7 @@ class RouterDatabase(Database):
         are the last placeholders in the statement, so the remaining
         positions are unchanged)."""
         spec = plan.merge
-        if spec is None or spec.offset is None or spec.select is None:
+        if spec is None or spec.offset is None:
             return sql, params
         offset = _resolve_count(spec.offset, params, "OFFSET")
         consumed = {spec.offset[1]} if spec.offset[0] == "param" else set()
@@ -630,15 +601,10 @@ class RouterDatabase(Database):
                     for r in results
                     if r.rows and r.rows[0][j] is not None
                 ]
-                if fn in ("COUNT", "SUM"):
-                    if values:
-                        row.append(sum(values))
-                    else:
-                        row.append(0 if fn == "COUNT" else None)
-                elif fn == "MIN":
-                    row.append(min(values) if values else None)
-                else:  # MAX
-                    row.append(max(values) if values else None)
+                if fn == "COUNT" or values:
+                    row.append(_MERGE_AGG[fn](values))
+                else:
+                    row.append(None)
             rows: list[tuple] = [tuple(row)]
         else:
             rows = [row for result in results for row in result.rows]
@@ -683,28 +649,27 @@ class RouterDatabase(Database):
     ) -> dict:
         """Flip every shard to ``scenario``'s new schema atomically
         (from any client's point of view) and launch the per-shard lazy
-        migrations.
+        migrations (DESIGN.md section 16).
 
-        Phase 1 — ``epoch prepare <token>`` on every shard: each closes
-        its statement gate (in-flight transactions drain, nothing new
-        starts).  Any prepare failure aborts the round everywhere and
-        nothing about the cluster changed.
-        Phase 2 — ``epoch commit <token> <scenario>``: each shard runs
-        the logical switch + submits its lazy migration, then reopens
-        its gate.  Once every shard is prepared the round is past the
-        point of no return: a shard whose commit fails is *retried*
-        (``commit_attempts`` times, treating a lost reply after an
-        applied commit as success), never aborted — aborting would
-        strand already-committed shards on the new epoch, i.e. exactly
-        the mixed-schema cluster the flip exists to prevent.  The
-        router's routing gate is closed for the whole round and its
-        epoch is bumped only after every shard committed, so router
-        clients observe a single epoch step and a failed round leaves
-        the router's epoch untouched.
+        Phase 1 — ``epoch prepare <token>`` on every shard closes its
+        flip gate; any failure aborts the round everywhere.  Phase 2 —
+        ``epoch commit <token> <scenario>``: each shard switches schema,
+        submits its lazy migration and reopens.  Past phase 1 a failed
+        commit is *retried* (``commit_attempts`` times; a lost reply
+        after an applied commit counts as success), never aborted: that
+        would strand committed shards on the new epoch.  The router's
+        own ``flip_gate`` is closed for the whole round and its epoch
+        bumped only after every shard committed.
 
-        ``prepare_only`` stops after phase 1 (fault-injection tests:
-        the shards' auto-abort timers must clean up).
+        ``prepare_only`` stops after phase 1, leaving the gates closed
+        (fault-injection tests: the shards' auto-abort timers must clean
+        up).
         """
+        if scenario not in SCENARIOS:
+            raise ProtocolError(
+                f"unknown migration scenario {scenario!r} "
+                f"(have: {', '.join(sorted(SCENARIOS))})"
+            )
         token = uuid.uuid4().hex[:12]
         began = time.monotonic()
         self.flip_gate.clear()
@@ -830,7 +795,7 @@ class RouterDatabase(Database):
             entry: dict[str, Any] = {
                 "shard": shard,
                 "addr": f"{host}:{port}",
-                "pool": self.pools[shard].stats(),
+                "pool": self._pool_stats(shard),
             }
             try:
                 status = json.loads(self.admins[shard].meta("epoch status"))
@@ -848,16 +813,41 @@ class RouterDatabase(Database):
             out.append(entry)
         return out
 
+    def _pool_stats(self, shard: int) -> dict:
+        """One shard's :meth:`ConnectionPool.stats` summed over the
+        isolation levels; ``size`` is each level's cap."""
+        stats = [pools[shard].stats() for pools in self.pools_by_level.values()]
+        merged = {key: sum(entry[key] for entry in stats)
+                  for key in ("in_use", "idle", "created", "reconnects",
+                              "health_check_failures")}
+        pings = [e["last_ping"] for e in stats if e["last_ping"] is not None]
+        return {**merged, "size": stats[0]["size"],
+                "last_ping": max(pings, default=None)}
+
     def _verb_shards(self, _db: Database, arg: str) -> str:
         if arg == "json":
             return json.dumps(self.shard_status(), indent=2)
         return console.format_shards(console.view(self, "bullfrog_stat_shards"))
 
-    def _verb_cluster(self, _db: Database, arg: str) -> str:
-        sub = arg.split()
-        if len(sub) == 2 and sub[0] == "migrate":
-            return json.dumps(self.cluster_migrate(sub[1]))
-        raise ProtocolError(f"unknown cluster command {arg!r}")
+    def _verb_migrate(self, _db: Database, arg: str) -> str:
+        parts = arg.split()
+        if len(parts) != 1:
+            raise ProtocolError(
+                "unknown meta command 'migrate' (a router needs exactly "
+                "one scenario)"
+            )
+        return json.dumps(self.cluster_migrate(parts[0]))
+
+    def _verb_epoch(self, _db: Database, arg: str) -> str:
+        """``epoch status`` only: PREPARE, COMMIT and ABORT are the
+        shards' half of the flip, which ``migrate`` drives."""
+        if arg.strip() not in ("", "status"):
+            raise ProtocolError(
+                f"'epoch {arg}' is a shard command; a router flips its "
+                "shards with 'migrate <scenario>'"
+            )
+        return json.dumps({"epoch": self.epoch,
+                           "gate_open": self.flip_gate.is_set()})
 
     def _verb_progress(self, _db: Database, arg: str) -> str:
         """Each shard's own ``progress`` under a ``shard N:`` header."""
@@ -878,19 +868,14 @@ class RouterDatabase(Database):
             rows = []
             for entry in self.shard_status():
                 pool = entry["pool"]
-                last_ping = pool.get("last_ping")
+                last_ping = pool["last_ping"]
                 rows.append((
-                    entry["shard"],
-                    entry["addr"],
-                    entry["healthy"],
+                    entry["shard"], entry["addr"], entry["healthy"],
                     entry.get("epoch", -1),
                     bool(entry.get("gate_open", True)),
                     entry.get("migration_complete"),
-                    pool["size"],
-                    pool["in_use"],
-                    pool["idle"],
-                    pool["reconnects"],
-                    pool["health_check_failures"],
+                    pool["size"], pool["in_use"], pool["idle"],
+                    pool["reconnects"], pool["health_check_failures"],
                     (now - last_ping) if last_ping is not None else None,
                 ))
             return rows
@@ -909,8 +894,9 @@ class RouterDatabase(Database):
         ))
 
     def close(self) -> None:
-        for pool in self.pools:
-            pool.close()
+        for pools in self.pools_by_level.values():
+            for pool in pools:
+                pool.close()
         for admin in self.admins:
             admin.close()
 
@@ -952,33 +938,45 @@ class _AdminLink:
                 self._conn = None
 
 
-class RouterSession(Session):
-    """Session whose statements route to shards (see module docs).
+class RouterSession:
+    """A client session on the router: it forwards, it does not execute.
 
-    Transaction state is router-local: ``BEGIN`` defers until the
-    first keyed statement binds the shard, then the transaction runs on
-    one pooled backend connection end-to-end.
+    Its one transaction state is the shard binding: ``BEGIN`` defers
+    until the first keyed statement binds the shard, then the
+    transaction runs on one pooled backend connection end to end.
+    Statements go out on the shard pools of the session's isolation
+    level.  Router-local statements (the router's views, table-less
+    SELECTs) run on one private embedded session.
     """
 
-    def __init__(self, db: RouterDatabase, allow_retired: bool = False,
-                 isolation: Any = None) -> None:
-        super().__init__(db, allow_retired=allow_retired, isolation=isolation)
+    def __init__(self, db: RouterDatabase, isolation: Any = None) -> None:
+        self.db = db
+        self.isolation = (
+            IsolationLevel.coerce(isolation) or db.default_isolation
+        )
+        self._local = Session(db)
+        # Parked here by bullfrogd around each statement it dispatches.
+        self._request_ctx: Any = None
+        self._closed = False
         self._r_in_txn = False
         self._r_shard: int | None = None
         self._r_handle: Any = None  # _PooledConnection while bound
 
-    # -- transaction state ---------------------------------------------
     @property
-    def in_transaction(self) -> bool:  # type: ignore[override]
+    def closed(self) -> bool:
+        return self._closed
+
+    @property
+    def in_transaction(self) -> bool:
         return self._r_in_txn
 
-    def begin(self, isolation: Any = None):  # type: ignore[override]
+    # -- transaction state ---------------------------------------------
+    def begin(self) -> None:
         if self._closed:
             raise SessionClosed("session is closed")
         if self._r_in_txn:
             raise TransactionError("a transaction is already in progress")
         self._r_in_txn = True
-        return None
 
     def commit(self) -> None:
         self._finish_txn("commit")
@@ -989,64 +987,62 @@ class RouterSession(Session):
     def _finish_txn(self, op: str) -> None:
         if not self._r_in_txn:
             raise TransactionError("no transaction in progress")
-        handle, self._r_handle = self._r_handle, None
-        self._r_shard = None
-        self._r_in_txn = False
-        if handle is None:
-            return  # never bound: BEGIN with no routed statement
-        try:
-            if op == "commit":
-                handle.conn.commit()
-            else:
-                handle.conn.rollback()
-        finally:
-            handle.release()
+        self._unbind(op)
 
-    def _abort_binding(self) -> None:
-        """The backend transaction is gone (remote abort/kill): drop
-        the binding so session state matches what the shard reports."""
+    def _unbind(self, op: str) -> None:
+        """End the transaction: ``op`` (a :class:`Connection` method)
+        on the bound shard connection, if any, which then goes back to
+        its pool."""
         handle, self._r_handle = self._r_handle, None
         self._r_shard = None
         self._r_in_txn = False
         if handle is not None:
             try:
-                handle.conn.reset()
-            except (ReproError, OSError):
-                pass
-            handle.release()
+                getattr(handle.conn, op)()
+            finally:
+                handle.release()
+
+    def reset(self) -> None:
+        """The backend transaction is gone (remote abort/kill): drop
+        the binding so session state matches what the shard reports."""
+        try:
+            self._unbind("reset")
+        except (ReproError, OSError):
+            pass
 
     def close(self) -> None:
         if not self._closed:
-            self._abort_binding()
-        super().close()
-
-    def reset(self) -> None:
-        self._abort_binding()
-        super().reset()
+            self._closed = True
+            self.reset()
+            self._local.close()
 
     # -- statement execution -------------------------------------------
+    def execute(self, sql: str, params: Sequence[Any] = ()) -> Result:
+        if self._closed:
+            raise SessionClosed("session is closed")
+        return self.execute_statement(self.db.prepare(sql), params)
+
     def execute_statement(
         self, stmt: "Statement | ast.Statement", params: Sequence[Any] = ()
     ) -> Result:
         if self._closed:
             raise SessionClosed("session is closed")
         handle = stmt if type(stmt) is Statement else Statement(stmt)
-        rdb: RouterDatabase = self.db  # type: ignore[assignment]
+        op = handle.txn_op
+        if op is not None:
+            getattr(self, op)()
+            return Result(op.upper())
+        rdb = self.db
         plan = rdb.route_plan(handle)
         if plan.mode == LOCAL:
-            # Also transaction control: the inherited path calls this
-            # session's begin/commit/rollback.
-            return super().execute_statement(handle, params)
+            local = self._local
+            local._request_ctx = self._request_ctx
+            return local.execute_statement(handle, params)
         sql_text = handle.sql
         if sql_text is None:
             raise ExecutionError(
                 "the router needs the statement's SQL text to forward it"
             )
-        if not self._r_in_txn:
-            # New work holds here while a cluster epoch flip runs
-            # (mirrors the shard-side gate; in-transaction statements
-            # pass so bound transactions can reach COMMIT).
-            rdb.flip_gate.wait(_FLIP_GATE_TIMEOUT)
         # Forward a trace context only when the client sent one, or when
         # the head-sampling coin an embedded root uses picks this
         # request (``statement_begin``: 0.0 = counted only, negative =
@@ -1073,40 +1069,32 @@ class RouterSession(Session):
                                    self.isolation.value)
 
     def _route(
-        self,
-        plan: RoutePlan,
-        params: Sequence[Any],
-        sql_text: str,
+        self, plan: RoutePlan, params: Sequence[Any], sql_text: str,
         trace_parent: Any,
     ) -> Result:
-        rdb: RouterDatabase = self.db  # type: ignore[assignment]
         if self._r_in_txn:
             return self._execute_in_txn(plan, params, sql_text, trace_parent)
+        rdb = self.db
+        level = self.isolation
         if plan.mode == SINGLE:
-            if plan.error is not None:
-                raise plan.error
             shard = rdb.shard_map.shard_for_key(plan.key(params))
-            result, _ = rdb.forward(shard, sql_text, params, trace_parent)
+            result, _ = rdb.forward(shard, sql_text, params, level,
+                                    trace_parent)
             return result
         if plan.mode == ANY:
-            result, _ = rdb.forward(rdb.next_rr(), sql_text, params,
+            result, _ = rdb.forward(rdb.next_rr(), sql_text, params, level,
                                     trace_parent)
             return result
         if plan.mode == BROADCAST:
-            return rdb.broadcast(sql_text, params, trace_parent)
-        return rdb.scatter(plan, sql_text, params, trace_parent)
+            return rdb.broadcast(sql_text, params, level, trace_parent)
+        return rdb.scatter(plan, sql_text, params, level, trace_parent)
 
     def _execute_in_txn(
-        self,
-        plan: RoutePlan,
-        params: Sequence[Any],
-        sql_text: str,
+        self, plan: RoutePlan, params: Sequence[Any], sql_text: str,
         trace_parent: Any,
     ) -> Result:
-        rdb: RouterDatabase = self.db  # type: ignore[assignment]
+        rdb = self.db
         if plan.mode == SINGLE:
-            if plan.error is not None:
-                raise plan.error
             shard = rdb.shard_map.shard_for_key(plan.key(params))
         elif plan.mode == ANY:
             if self._r_shard is not None:
@@ -1116,7 +1104,7 @@ class RouterSession(Session):
                 # it from any shard outside the transaction (replicated
                 # tables are read-mostly; TPC-C's `item` is read-only).
                 result, _ = rdb.forward(rdb.next_rr(), sql_text, params,
-                                        trace_parent)
+                                        self.isolation, trace_parent)
                 return result
         else:
             raise ExecutionError(
@@ -1143,10 +1131,7 @@ class RouterSession(Session):
             conn.trace_parent = None
 
     def _bind(
-        self,
-        shard: int,
-        sql_text: str,
-        params: Sequence[Any],
+        self, shard: int, sql_text: str, params: Sequence[Any],
         trace_parent: Any,
     ) -> Result:
         """Bind the transaction to ``shard`` with its first statement:
@@ -1160,8 +1145,7 @@ class RouterSession(Session):
         the statement did — and BEGIN's error is raised.  Should the
         connection die on the way (a kill, a crash), the shard
         transaction died with it, and so does this one."""
-        rdb: RouterDatabase = self.db  # type: ignore[assignment]
-        handle = rdb.pools[shard].acquire()
+        handle = self.db.pools_by_level[self.isolation][shard].acquire()
         conn: Connection = handle.conn
         conn.trace_parent = trace_parent
         try:
@@ -1196,4 +1180,4 @@ class RouterSession(Session):
         frames the server builds from ``session.in_transaction`` stay
         truthful."""
         if conn.closed or not conn.in_transaction:
-            self._abort_binding()
+            self.reset()

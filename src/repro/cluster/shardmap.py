@@ -86,7 +86,7 @@ class ShardMap:
 
     def partition_column(self, table: str) -> str | None:
         """The partition column of ``table`` (None for replicated or
-        unknown tables — unknown means scatter)."""
+        unknown tables; the router refuses statements on unknown ones)."""
         return self.partition_columns.get(table.lower())
 
     def is_replicated(self, table: str) -> bool:

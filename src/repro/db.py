@@ -93,6 +93,9 @@ class Result:
 
 
 _MAX_STATEMENTS = 10_000  # handles a Database keeps (one per SQL text)
+# How long new work (and a router's mixed-epoch scatter retry) waits at
+# a closed ``Database.flip_gate`` before running anyway.
+FLIP_GATE_TIMEOUT = 30.0
 
 _TXN_OPS = {
     ast.BeginTransaction: "begin",
@@ -226,6 +229,13 @@ class Database:
             self.txns.locks.obs = obs
             self.executor.obs = obs
         self._epoch = 0
+        # The cluster epoch flip's admission gate (DESIGN.md section 16).
+        # PREPARE closes it — bullfrogd's ``epoch prepare`` on a shard,
+        # ``cluster_migrate`` on a router — and the server then parks
+        # new work (autocommit statements, BEGINs) while open
+        # transactions run on to COMMIT; COMMIT or ABORT reopens it.
+        self.flip_gate = threading.Event()
+        self.flip_gate.set()
         # SQL text -> Statement.  Hits read the dict bare; the latch
         # orders inserts and epoch bumps only.
         self._statements: dict[str, Statement] = {}
@@ -238,8 +248,9 @@ class Database:
         self._engines: list[Any] = []
         # Admin verbs beyond the console's built-in vocabulary
         # (``repro.obs.console``): whoever owns more state registers
-        # ``verb -> handler(db, arg)`` here — a server its ``epoch`` /
-        # ``migrate``, a router its ``shards`` / ``cluster``.
+        # ``verb -> handler(db, arg)`` here — a router its ``shards`` /
+        # ``migrate`` / ``epoch`` / ``progress``, a server its ``epoch`` /
+        # ``migrate`` unless the database already has them.
         self.admin_verbs: dict[str, Callable[["Database", str], str]] = {}
         register_system_views(self)
 
@@ -443,9 +454,7 @@ class Session:
         handle = stmt if type(stmt) is Statement else Statement(stmt)
         op = handle.txn_op
         if op is not None:
-            # Transaction control changes session state and nothing
-            # else.  Resolved on the session, so a subclass that keeps
-            # its transactions elsewhere overrides begin/commit/rollback.
+            # Transaction control changes session state and nothing else.
             getattr(self, op)()
             return Result(op.upper())
 

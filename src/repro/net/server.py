@@ -73,7 +73,8 @@ connections, the cap, draining).
 META frames are answered by the shared admin console
 (:func:`repro.obs.console.run`); the server only registers the verbs
 that need its own state — ``epoch`` (the shard side of the cluster's
-two-phase flip) and ``migrate`` — on the database's verb table.
+two-phase flip) and ``migrate`` — on the database's verb table, where
+a router's own ``epoch`` / ``migrate`` take precedence.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ from typing import Any, Callable, Sequence
 
 from .. import __version__ as _SERVER_VERSION
 from ..catalog.catalog import VirtualTable
-from ..db import Database, Result, Session, Statement
+from ..db import FLIP_GATE_TIMEOUT, Database, Result, Session, Statement
 from ..errors import (
     IdleTimeoutError,
     ProtocolError,
@@ -128,9 +129,6 @@ _BACKLOG = 16  # bounded TCP accept queue
 _BATCH_ROWS = 256  # result-set streaming granularity
 _MAX_PREPARED = 1024  # per-connection prepared-statement cap
 _TICK = 0.05  # event-loop bookkeeping cadence (seconds)
-# Cluster epoch flip: how long a gated statement waits for the flip to
-# finish before running anyway.
-_EPOCH_GATE_TIMEOUT = 30.0
 
 
 @dataclass
@@ -246,15 +244,12 @@ class BullfrogServer:
         # already attached, e.g. by an embedding application) — shutdown
         # only stops a sampler it owns.
         self._monitor_owns_history = False
-        # Cluster epoch flip (DESIGN.md section 16): PREPARE closes the
-        # gate — new autocommit statements and BEGINs *wait* here while
-        # in-flight transactions run to COMMIT — and COMMIT performs
+        # Shard side of the cluster epoch flip (DESIGN.md section 16):
+        # PREPARE closes ``db.flip_gate`` under a token, COMMIT performs
         # the logical schema switch before reopening it, so no two
         # statements on this shard ever straddle the flip.  The
         # auto-abort timer reopens the gate if the coordinator dies
         # between the phases.
-        self._epoch_gate = threading.Event()
-        self._epoch_gate.set()
         self._epoch_latch = threading.Lock()
         self._epoch_token: str | None = None
         self._epoch_abort_timer: threading.Timer | None = None
@@ -263,7 +258,12 @@ class BullfrogServer:
         self._init_metrics()
         self._register_network_view()
         self._register_server_view()
-        db.admin_verbs.update(epoch=self._verb_epoch, migrate=self._verb_migrate)
+        # The database's own ``epoch`` / ``migrate`` (a router flips its
+        # shards instead) win; a previous server's on this database go.
+        for verb, handler in (("epoch", self._verb_epoch),
+                              ("migrate", self._verb_migrate)):
+            if getattr(db.admin_verbs.get(verb), "__self__", None) is not db:
+                db.admin_verbs[verb] = handler
 
     # ------------------------------------------------------------------
     # Metrics
@@ -1030,8 +1030,9 @@ class BullfrogServer:
     def _dispatch(
         self, conn: _Connection, ftype: int, payload: bytes, enq_ts: float
     ) -> str:
+        gate = self.db.flip_gate
         if (
-            not self._epoch_gate.is_set()
+            not gate.is_set()
             and not conn.session.in_transaction
             and ftype in (protocol.QUERY, protocol.EXECUTE, protocol.TXN)
         ):
@@ -1042,7 +1043,7 @@ class BullfrogServer:
             # COMMIT, or the flip could deadlock against 2PL locks.
             # (COMMIT/ROLLBACK frames on an idle session are errors
             # either way, so gating them too is harmless.)
-            self._epoch_gate.wait(_EPOCH_GATE_TIMEOUT)
+            gate.wait(FLIP_GATE_TIMEOUT)
         if ftype == protocol.EXECUTE:
             frame = protocol.decode_execute(payload)
             handle = conn.prepared.get(frame["name"])
@@ -1354,7 +1355,7 @@ class BullfrogServer:
                 token = self._epoch_token
             return json.dumps({
                 "epoch": self.db.epoch,
-                "gate_open": self._epoch_gate.is_set(),
+                "gate_open": self.db.flip_gate.is_set(),
                 "prepared": token,
                 "migrations": engines,
             })
@@ -1377,7 +1378,7 @@ class BullfrogServer:
                     f"(token {self._epoch_token!r})"
                 )
             self._epoch_token = token
-            self._epoch_gate.clear()
+            self.db.flip_gate.clear()
             if self._epoch_abort_timer is not None:
                 self._epoch_abort_timer.cancel()
             timer = threading.Timer(
@@ -1426,7 +1427,7 @@ class BullfrogServer:
             if self._epoch_abort_timer is not None:
                 self._epoch_abort_timer.cancel()
                 self._epoch_abort_timer = None
-            self._epoch_gate.set()
+            self.db.flip_gate.set()
             return True
 
     def _epoch_auto_abort(self, token: str) -> None:
@@ -1494,7 +1495,7 @@ class BullfrogServer:
                 self._epoch_abort_timer.cancel()
                 self._epoch_abort_timer = None
             self._epoch_token = None
-        self._epoch_gate.set()
+        self.db.flip_gate.set()
         # Census first: every connection alive at this instant either
         # drains (self-retires at a statement boundary, or is killed
         # while idle with no transaction) or is aborted at the

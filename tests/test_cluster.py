@@ -20,7 +20,12 @@ from repro.errors import (
     StatementTimeoutError,
     TransactionError,
 )
-from repro.net import connect, parse_hostport, parse_hostport_list
+from repro.net import (
+    BullfrogServer,
+    connect,
+    parse_hostport,
+    parse_hostport_list,
+)
 from repro.net.client import Connection, ConnectionPool
 from repro.cluster import (
     PARTITION_COLUMNS,
@@ -34,6 +39,7 @@ from repro.cluster.router import ANY, BROADCAST, LOCAL, SCATTER, SINGLE
 from repro.testing import ClusterInvariantChecker
 from repro.tpcc import SCENARIOS, SchemaVariant
 from repro.tpcc.schema import ScaleConfig
+from repro.txn import IsolationLevel
 
 from .conftest import TINY_SCALE
 
@@ -257,6 +263,28 @@ def test_route_multi_row_insert_same_shard(rdb):
         plan.key((1, 1, 3, 2, 1, 4))  # straddles shards
 
 
+@pytest.mark.parametrize("sql", [
+    "SELECT * FROM mystery",
+    "SELECT c_id FROM customer JOIN mystery ON c_id = m_id WHERE c_w_id = 1",
+    "SELECT * FROM bullfrog_stat_shards JOIN warehouse ON shard = w_id",
+    "EXPLAIN SELECT * FROM mystery",
+    "INSERT INTO mystery (a, b) VALUES (1, 2)",
+    "UPDATE mystery SET b = 1",
+    "DELETE FROM mystery WHERE a = 1",
+    "CREATE TABLE mystery (a INT PRIMARY KEY, b INT)",
+    "CREATE TABLE item_copy AS SELECT * FROM item",
+    "CREATE VIEW mystery AS SELECT * FROM warehouse",
+    "CREATE INDEX ix_m ON mystery (b)",
+    "DROP TABLE mystery",
+    "ALTER TABLE warehouse RENAME TO mystery",
+])
+def test_route_refuses_tables_outside_the_shard_map(rdb, sql):
+    """No shard is known to hold an unmapped table and the router holds
+    none, so the statement is refused, naming the table."""
+    with pytest.raises(ExecutionError, match="not in the router's shard map"):
+        plan_for(rdb, sql)
+
+
 # ----------------------------------------------------------------------
 # Live cluster: routing, scatter/gather, transactions
 # ----------------------------------------------------------------------
@@ -467,7 +495,9 @@ def test_router_begin_failure_undoes_the_statement_sent_with_it(
     sent with it is rolled back, and no lock is left behind."""
     read = "SELECT w_ytd FROM warehouse WHERE w_id = ?"
     before = router_conn.execute(read, (1,)).scalar()
-    pool = cluster.router_db.pools[0]  # warehouse 1 lives on shard 0
+    rdb = cluster.router_db
+    # The router_conn's level; warehouse 1 lives on shard 0.
+    pool = rdb.pools_by_level[rdb.default_isolation][0]
     forced = list(pool._idle)
     assert forced
     for conn in forced:
@@ -573,6 +603,86 @@ def test_router_rejects_unbindable_txn_write(cluster, router_conn):
     conn.rollback()
 
 
+def test_router_refuses_tables_outside_the_shard_map(cluster, router_conn):
+    """A table the shard map does not name is refused before anything
+    reaches a shard: not created on every shard and then unreachable
+    through the router's own empty engine."""
+    for sql in (
+        "CREATE TABLE foo (a INT PRIMARY KEY, b INT)",
+        "INSERT INTO foo (a, b) VALUES (1, 2)",
+        "SELECT * FROM foo",
+    ):
+        with pytest.raises(ExecutionError, match="'foo'"):
+            router_conn.execute(sql)
+    for db in cluster.shard_dbs:
+        assert not db.catalog.has_table("foo")
+    assert router_conn.execute("SELECT 1").rows == [(1,)]
+
+
+@pytest.mark.parametrize("in_txn", [False, True], ids=["autocommit", "txn"])
+@pytest.mark.parametrize("level", ["read_committed", "snapshot"])
+def test_router_session_isolation_reaches_the_shard(cluster, level, in_txn):
+    """The shard runs a routed statement at the client's isolation
+    level, not at its own default, in a transaction and out of one."""
+    shard_db = cluster.shard_dbs[0]  # warehouse 1
+    previous = shard_db._interceptor
+    sql = "SELECT w_ytd FROM warehouse WHERE w_id = ? AND w_id > 0"
+    seen = []
+
+    def spy(session, handle, params):
+        if previous is not None:
+            previous(session, handle, params)
+        if handle.sql == sql:
+            txn = session._txn
+            seen.append(txn.isolation if txn is not None else session.isolation)
+
+    conn = connect(port=cluster.port, isolation=level)
+    shard_db.set_statement_interceptor(spy)
+    try:
+        if in_txn:
+            conn.begin()
+        conn.execute(sql, (1,))
+        if in_txn:
+            conn.commit()
+    finally:
+        shard_db.set_statement_interceptor(previous)
+        conn.close()
+    assert seen == [IsolationLevel.coerce(level)]
+
+
+def test_router_refuses_shard_side_flip_verbs(cluster, router_conn):
+    """``epoch prepare|commit|abort`` are the shards' half of the flip:
+    a router refuses them (its gate stays open), answers ``epoch
+    status``, and refuses a ``migrate`` whose scenario does not exist
+    before any shard is prepared."""
+    for command in ("epoch prepare tok", "epoch commit tok split",
+                    "epoch abort tok"):
+        with pytest.raises(ProtocolError, match="shard command"):
+            router_conn.meta(command)
+    assert cluster.router_db.flip_gate.is_set()
+    status = json.loads(router_conn.meta("epoch status"))
+    assert status == {"epoch": cluster.router_db.epoch, "gate_open": True}
+    with pytest.raises(ProtocolError, match="unknown migration scenario"):
+        router_conn.meta("migrate nope")
+    for admin in cluster.router_db.admins:
+        status = json.loads(admin.meta("epoch status"))
+        assert status["gate_open"] and status["prepared"] is None
+    assert router_conn.execute("SELECT COUNT(*) FROM warehouse").scalar() == 4
+
+
+def test_flip_verbs_belong_to_the_database_or_its_latest_server(rdb):
+    """A server registers ``epoch`` / ``migrate`` over a previous
+    server's on the same database, never over the database's own."""
+    db = Database()
+    BullfrogServer(db)
+    second = BullfrogServer(db)
+    assert db.admin_verbs["epoch"].__self__ is second
+    assert db.admin_verbs["migrate"].__self__ is second
+    BullfrogServer(rdb)
+    assert rdb.admin_verbs["migrate"].__self__ is rdb
+    assert rdb.admin_verbs["epoch"].__self__ is rdb
+
+
 def test_broadcast_partial_failure_names_shards(cluster, router_conn):
     # Pre-create the index on shard 1 only: the broadcast then applies
     # on shard 0 but fails on shard 1, and the error must say exactly
@@ -636,7 +746,7 @@ def test_cluster_migrate_flips_every_shard():
     with LocalCluster(n_shards=2, scale=flip_scale()) as cluster:
         conn = connect(port=cluster.port)
         epoch_before = conn.schema_epoch
-        out = json.loads(conn.meta("cluster migrate split"))
+        out = json.loads(conn.meta("migrate split"))
         assert out["committed"] and out["shards"] == 2
         conn.execute("SELECT 1")
         assert conn.schema_epoch == epoch_before + 1
@@ -774,6 +884,32 @@ def test_gate_blocks_new_work_during_prepare():
         assert done.wait(10.0)
         assert results == [4]
         conn.close()
+
+        # The router leg: cluster_migrate closes the router's own
+        # Database.flip_gate, which its server checks like a shard's.
+        bound = connect(port=cluster.port)
+        bound.begin()
+        read = "SELECT w_ytd FROM warehouse WHERE w_id = ?"
+        bound.execute(read, (1,))
+        out = rdb.cluster_migrate("split", prepare_only=True)
+        try:
+            assert not rdb.flip_gate.is_set()
+            conn = connect(port=cluster.port)
+            done.clear()
+            results.clear()
+            thread = threading.Thread(target=blocked_query, daemon=True)
+            thread.start()
+            assert not done.wait(0.4)
+            # A statement of an already-bound transaction passes.
+            bound.execute(read, (1,))
+            bound.commit()
+        finally:
+            rdb.admins[0].meta(f"epoch abort {out['token']}")
+            rdb.flip_gate.set()  # coordinator cleanup
+        assert done.wait(10.0)
+        assert results == [4]
+        conn.close()
+        bound.close()
 
 
 # ----------------------------------------------------------------------

@@ -503,7 +503,6 @@ _fc_settings = settings(
 _KNOWN_META = frozenset({
     "metrics", "progress", "tables", "top", "history", "health",
     "healthz", "dump", "describe", "epoch", "migrate", "shards",
-    "cluster",
 })
 _KNOWN_HELLO_OPTIONS = frozenset({"isolation", "trace"})
 

@@ -829,12 +829,15 @@ PARITY_STATEMENTS = [
 ]
 
 
-@pytest.fixture(params=["embedded", "wire-prepared", "router"])
+@pytest.fixture(
+    params=["embedded", "wire-prepared", "router", "embedded-router"]
+)
 def surface_execute(request):
     """``execute(sql, params)`` on each way into the statement path:
     ``Session.execute``, PARSE + EXECUTE against a bullfrogd, and a
     one-shard router (``kv`` partitioned by ``w``, ``kv_copy``
-    replicated, so every routing mode but scatter is crossed)."""
+    replicated, so every routing mode but scatter is crossed), both
+    served and as a bare ``RouterSession``."""
     from repro.cluster.router import RouterDatabase
     from repro.cluster.shardmap import ShardMap
     from repro.net import BullfrogServer, ServerConfig, connect
@@ -848,13 +851,18 @@ def surface_execute(request):
         server = BullfrogServer(db, ServerConfig(port=0)).start()
         stops.append(server.shutdown)
         port = server.port
-        if request.param == "router":
+        if request.param != "wire-prepared":
             router_db = RouterDatabase(ShardMap(
                 addresses=[("127.0.0.1", port)],
                 partition_columns={"kv": "w"},
                 replicated=frozenset({"kv_copy"}),
             ))
             stops.append(router_db.close)
+            if request.param == "embedded-router":
+                session = router_db.connect()
+                stops.append(session.close)
+                yield session.execute
+                return
             router = BullfrogServer(router_db, ServerConfig(port=0)).start()
             stops.append(router.shutdown)
             port = router.port
