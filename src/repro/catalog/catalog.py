@@ -53,7 +53,8 @@ class Table:
         # indexes track the current heads only; snapshot index scans add
         # these TIDs to their candidate set so a reader whose snapshot
         # predates the delete/key change still finds the row.  Trimmed
-        # by :meth:`prune_versions` once the chain collapses.
+        # by :meth:`prune_tuple` / :meth:`prune_versions` once the chain
+        # collapses.
         self._unindexed: set[Tid] = set()
         self._unindexed_latch = threading.Lock()
         self._auto_unique_indexes()
@@ -241,8 +242,8 @@ class Table:
         for index in self.indexes.values():
             index.delete(self.index_key(index, old_row), tid)
         if stamp is not BOOTSTRAP_STAMP:
-            # Bootstrap deletes (loader, WAL replay) leave no older
-            # version any snapshot could want; versioned deletes do.
+            # Bootstrap deletes (loader, DDL) leave no older version
+            # any snapshot could want; versioned deletes do.
             self._note_unindexed(tid)
         return old_row
 
@@ -280,10 +281,20 @@ class Table:
         with self._unindexed_latch:
             return tuple(self._unindexed)
 
+    def prune_tuple(self, tid: Tid, horizon_ts: int) -> None:
+        """Commit-time version GC for one tuple its writer superseded:
+        cut its chain below ``horizon_ts`` and, once the chain is a
+        single version (the indexes already reflect that head), drop it
+        from the unindexed TIDs."""
+        self.heap.prune_tuple(tid, horizon_ts)
+        if tid in self._unindexed and self.heap.read_version(tid).prev is None:
+            with self._unindexed_latch:
+                self._unindexed.discard(tid)
+
     def prune_versions(self, horizon_ts: int) -> int:
-        """Version GC: cut heap chains below ``horizon_ts`` and drop
-        unindexed-TID entries whose chain collapsed to a single version
-        (the indexes already reflect that head).  Returns versions
+        """Bulk version GC for chains a snapshot held back: cut every
+        heap chain below ``horizon_ts`` and drop unindexed-TID entries
+        whose chain collapsed to a single version.  Returns versions
         unlinked."""
         pruned = self.heap.prune_versions(horizon_ts)
         with self._unindexed_latch:
@@ -291,8 +302,7 @@ class Table:
                 self._unindexed = {
                     tid
                     for tid in self._unindexed
-                    if (head := self.heap.read_version(tid)) is not None
-                    and head.prev is not None
+                    if self.heap.read_version(tid).prev is not None
                 }
         return pruned
 

@@ -726,11 +726,12 @@ class LazyMigrationEngine:
             self.finalize()
 
     def prune_versions(self) -> int:
-        """MVCC garbage collection over this migration's heaps.
+        """Bulk MVCC garbage collection over this migration's heaps.
 
-        Cuts version chains below the oldest snapshot any active
-        transaction could still read (and unlinks aborted versions),
-        on the input and output tables.  Safe to call at any time; run
+        Commits prune the chains they supersede; this pass cuts what a
+        snapshot held back then — versions below the oldest snapshot any
+        active transaction could still read, and aborted versions — on
+        the input and output tables.  Safe to call at any time; run
         automatically at :meth:`finalize`.  Returns versions unlinked."""
         horizon = self.db.txns.oldest_snapshot_ts()
         tables: set[str] = set()
@@ -759,6 +760,9 @@ class LazyMigrationEngine:
         self._complete_event.set()
         self.db.set_statement_interceptor(None)
         self.prune_versions()
+        self.db.txns.wal.discard_migration(
+            {runtime.plan.unit_id for runtime in self.units}
+        )
         if self.obs is not None:
             snapshot = self.stats.snapshot()
             self.obs.emit(

@@ -55,7 +55,11 @@ POINT_COUNTERS: dict[str, tuple[str, str]] = {
     ),
     "txn.commit": ("repro_txn_commits_total", "transaction commits"),
     "txn.abort": ("repro_txn_aborts_total", "transaction aborts"),
-    "wal.flush": ("repro_wal_batches_total", "WAL redo batches appended"),
+    "wal.flush": (
+        "repro_wal_batches_total",
+        "WAL commit batches appended (one per write commit; their "
+        "records are MIGRATE only)",
+    ),
     "net.accept": (
         "repro_net_accept_rounds_total",
         "bullfrogd accept-loop rounds (one per inbound connection, "
@@ -224,7 +228,8 @@ class Observability:
             )
             self.wal_batch_records = self.registry.histogram(
                 "repro_wal_batch_records",
-                "redo records per WAL append batch",
+                "MIGRATE records per WAL commit batch (0 for a commit "
+                "that migrated nothing)",
                 buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
             )
             self.rows_written = self.registry.counter(

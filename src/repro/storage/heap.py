@@ -7,12 +7,14 @@ job (``repro.txn``), exactly as in a real engine where short page
 latches and long transaction locks are separate mechanisms.
 
 Every mutation takes an optional :class:`~repro.storage.version.CommitStamp`
-(default :data:`BOOTSTRAP_STAMP` for non-transactional writers — loader,
-DDL rewrites, WAL replay).  Current reads (:meth:`read`, :meth:`scan`)
+(default :data:`BOOTSTRAP_STAMP` for non-transactional writers — loader
+and DDL rewrites).  Current reads (:meth:`read`, :meth:`scan`)
 see the head of each version chain, preserving the pre-MVCC semantics;
 snapshot reads (:meth:`scan_snapshot`, ``snapshot_ts`` on
 :meth:`scan_range`) walk chains for the newest version committed at or
-before the snapshot timestamp.
+before the snapshot timestamp.  Superseded versions are cut by
+:func:`~repro.storage.version.prune_chain` — per tuple at commit
+(:meth:`prune_tuple`), or in bulk (:meth:`prune_versions`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from typing import Iterator
 from ..errors import StorageError
 from .page import DEFAULT_PAGE_CAPACITY, Page
 from .tid import Tid
-from .version import BOOTSTRAP_STAMP, CommitStamp, Row, TupleVersion, visible_version
+from .version import (
+    BOOTSTRAP_STAMP,
+    CommitStamp,
+    Row,
+    TupleVersion,
+    prune_chain,
+    visible_version,
+)
 
 
 class HeapTable:
@@ -84,10 +93,9 @@ class HeapTable:
         with self._latch:
             return self._pages[tid.page].read(tid.slot)
 
-    def read_version(self, tid: Tid) -> TupleVersion | None:
-        """Return the head of the version chain at ``tid`` (``None`` for
-        a replay-materialized empty slot).  Raises IndexError for an
-        address that was never allocated."""
+    def read_version(self, tid: Tid) -> TupleVersion:
+        """Return the head of the version chain at ``tid``.  Raises
+        IndexError for an address that was never allocated."""
         with self._latch:
             return self._pages[tid.page].read_version(tid.slot)
 
@@ -124,19 +132,6 @@ class HeapTable:
         """Undo a delete (abort path)."""
         with self._latch:
             self._pages[tid.page].restore(tid.slot, row, stamp)
-            self._live_count += 1
-
-    def insert_at(self, tid: Tid, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP) -> None:
-        """REDO replay: place ``row`` at exactly ``tid``, materializing
-        any pages/slots in between as tombstones, so recovered TIDs
-        match the pre-crash ones (UPDATE/DELETE records address them)."""
-        with self._latch:
-            while len(self._pages) <= tid.page:
-                self._pages.append(Page(len(self._pages), self.page_capacity))
-            # Earlier pages skipped by this insert are full by definition.
-            for page in self._pages[: tid.page]:
-                page.pad_to_capacity()
-            self._pages[tid.page].place(tid.slot, row, stamp)
             self._live_count += 1
 
     # ------------------------------------------------------------------
@@ -212,47 +207,23 @@ class HeapTable:
     # ------------------------------------------------------------------
     # Version-chain garbage collection
     # ------------------------------------------------------------------
-    def prune_versions(self, horizon_ts: int) -> int:
-        """Drop versions no snapshot at or after ``horizon_ts`` can ever
-        need: aborted versions, and everything below the newest version
-        committed at or before the horizon.  Returns the number of
-        versions unlinked.
+    def prune_tuple(self, tid: Tid, horizon_ts: int) -> None:
+        """Apply :func:`prune_chain` to the tuple at ``tid`` (a committing
+        writer, still holding its X lock)."""
+        with self._latch:
+            prune_chain(self._pages[tid.page].read_version(tid.slot), horizon_ts)
 
-        Safe against concurrent latch-free readers: unlinked versions
-        keep their own ``prev`` pointers, so a reader already standing
-        on one still walks a valid (if stale) chain, and any reader with
-        snapshot >= horizon finds its visible version at or above the
-        cut point.
-        """
+    def prune_versions(self, horizon_ts: int) -> int:
+        """Apply :func:`prune_chain` to every tuple: the bulk pass for
+        chains a snapshot held back when their writer committed.
+        Returns the number of versions unlinked."""
         pruned = 0
         with self._latch:
             pages = list(self._pages)
         for page in pages:
             with self._latch:
-                for slot in range(len(page)):
-                    head = page.read_version(slot)
-                    # Unlink aborted versions (never cut the head: its
-                    # row is the current image by construction).
-                    parent = head
-                    while parent is not None:
-                        v = parent.prev
-                        if v is not None and v.stamp.aborted:
-                            parent.prev = v.prev
-                            pruned += 1
-                        else:
-                            parent = v
-                    # Cut below the first version visible at the horizon.
-                    v = head
-                    while v is not None:
-                        ts = v.stamp.ts
-                        if ts is not None and ts <= horizon_ts:
-                            cut = v.prev
-                            v.prev = None
-                            while cut is not None:
-                                pruned += 1
-                                cut = cut.prev
-                            break
-                        v = v.prev
+                for _slot, head in page.iter_heads():
+                    pruned += prune_chain(head, horizon_ts)
         return pruned
 
     def clear(self) -> None:

@@ -5,9 +5,7 @@ tuple-version chain (:mod:`repro.storage.version`); the head always
 reflects the latest write, so "current" reads are a single pointer
 chase.  A deleted tuple leaves a tombstone *version* (``row is None``)
 at the head, so slot numbers — and therefore TIDs — remain stable for
-the lifetime of the table, which the BullFrog bitmap relies on.  A slot
-that is literally ``None`` was materialized during REDO replay for a
-tuple that did not survive to the log's committed state.
+the lifetime of the table, which the BullFrog bitmap relies on.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ class Page:
     def __init__(self, number: int, capacity: int = DEFAULT_PAGE_CAPACITY) -> None:
         self.number = number
         self.capacity = capacity
-        self._slots: list[TupleVersion | None] = []
+        self._slots: list[TupleVersion] = []
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -39,9 +37,7 @@ class Page:
 
     @property
     def live_count(self) -> int:
-        return sum(
-            1 for head in self._slots if head is not None and head.row is not None
-        )
+        return sum(1 for head in self._slots if head.row is not None)
 
     def append(self, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP) -> int:
         """Append a tuple; returns the slot number.  Caller must check
@@ -54,12 +50,10 @@ class Page:
     def read(self, slot: int) -> Row | None:
         """Return the current tuple at ``slot`` or ``None`` for a
         tombstone.  Raises IndexError for a slot that never existed."""
-        head = self._slots[slot]
-        return None if head is None else head.row
+        return self._slots[slot].row
 
-    def read_version(self, slot: int) -> TupleVersion | None:
-        """Return the head of the version chain at ``slot`` (``None``
-        for a replay-materialized empty slot)."""
+    def read_version(self, slot: int) -> TupleVersion:
+        """Return the head of the version chain at ``slot``."""
         return self._slots[slot]
 
     def write(self, slot: int, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP) -> None:
@@ -69,7 +63,7 @@ class Page:
         what makes abort-undo restore the committed value without
         growing the chain)."""
         head = self._slots[slot]
-        if head is None or head.row is None:
+        if head.row is None:
             raise StorageError(
                 f"cannot update deleted tuple at page {self.number} slot {slot}"
             )
@@ -81,7 +75,7 @@ class Page:
     def delete(self, slot: int, stamp: CommitStamp = BOOTSTRAP_STAMP) -> Row:
         """Tombstone the tuple at ``slot``; returns the old row."""
         head = self._slots[slot]
-        if head is None or head.row is None:
+        if head.row is None:
             raise StorageError(
                 f"tuple at page {self.number} slot {slot} is already deleted"
             )
@@ -95,13 +89,11 @@ class Page:
     def restore(self, slot: int, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP) -> None:
         """Undo a delete: put ``row`` back in a tombstoned ``slot``."""
         head = self._slots[slot]
-        if head is not None and head.row is not None:
+        if head.row is not None:
             raise StorageError(
                 f"slot {slot} of page {self.number} is not a tombstone"
             )
-        if head is None:
-            self._slots[slot] = TupleVersion(row, stamp)
-        elif head.stamp is stamp:
+        if head.stamp is stamp:
             head.row = row
         else:
             self._slots[slot] = TupleVersion(row, stamp, prev=head)
@@ -111,35 +103,13 @@ class Page:
         the last slot appended)."""
         del self._slots[length:]
 
-    def pad_to_capacity(self) -> None:
-        """REDO replay: fill the remaining slots with tombstones (rows
-        that did not survive to the log's committed state)."""
-        while len(self._slots) < self.capacity:
-            self._slots.append(None)
-
-    def place(self, slot: int, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP) -> None:
-        """REDO replay: put ``row`` at ``slot``, materializing any
-        intervening slots as tombstones (they belonged to transactions
-        whose inserts did not survive — aborted or later-deleted)."""
-        if slot >= self.capacity:
-            raise StorageError(f"slot {slot} beyond page capacity {self.capacity}")
-        while len(self._slots) <= slot:
-            self._slots.append(None)
-        if self._slots[slot] is not None:
-            raise StorageError(
-                f"slot {slot} of page {self.number} is already occupied"
-            )
-        self._slots[slot] = TupleVersion(row, stamp)
-
     def iter_live(self) -> Iterator[tuple[int, Row]]:
         """Yield (slot, row) for every currently-live tuple."""
         for slot, head in enumerate(self._slots):
-            if head is not None and head.row is not None:
+            if head.row is not None:
                 yield slot, head.row
 
     def iter_heads(self) -> Iterator[tuple[int, TupleVersion]]:
-        """Yield (slot, head-version) for every slot that has a chain
-        (tombstoned heads included — snapshot scans need them)."""
-        for slot, head in enumerate(self._slots):
-            if head is not None:
-                yield slot, head
+        """Yield (slot, head-version) for every slot (tombstoned heads
+        included — snapshot scans need them)."""
+        return enumerate(self._slots)

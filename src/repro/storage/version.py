@@ -19,9 +19,12 @@ A visible version with ``row is None`` is a *tombstone*: the tuple was
 deleted as of ``S``.  Walk ``prev`` until a visible version is found.
 
 ``BOOTSTRAP_STAMP`` (ts=0) stamps rows written outside any transaction
-— the loader, DDL rewrites, and WAL replay.  Snapshots are always
-``>= 0`` so bootstrap rows are visible everywhere; recovery therefore
-collapses version chains to latest-committed, by construction.
+— the loader and DDL rewrites.  Snapshots are always ``>= 0`` so
+bootstrap rows are visible everywhere.
+
+:func:`prune_chain` is the one garbage-collection rule: a committing
+transaction applies it to each tuple it superseded, and the bulk
+``prune_versions`` passes apply it to chains a snapshot held back.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class CommitStamp:
         return f"CommitStamp(txn={self.txn_id}, {state})"
 
 
-#: Stamp for rows written outside any transaction (loader, DDL, replay).
+#: Stamp for rows written outside any transaction (loader, DDL).
 BOOTSTRAP_STAMP = CommitStamp(ts=0)
 
 
@@ -89,3 +92,38 @@ def visible_version(
             return v
         v = v.prev
     return None
+
+
+def prune_chain(head: TupleVersion, horizon_ts: int) -> int:
+    """Unlink from ``head``'s chain every version no snapshot at or
+    after ``horizon_ts`` can read: aborted versions below the head, and
+    everything below the newest version committed at or before the
+    horizon.  The head itself is never cut (its row is the current
+    image by construction).  Returns the number of versions unlinked.
+
+    Safe against concurrent latch-free readers: unlinked versions keep
+    their own ``prev`` pointers, so a reader already standing on one
+    still walks a valid (if stale) chain, and any reader with snapshot
+    >= horizon finds its visible version at or above the cut point.
+    """
+    pruned = 0
+    parent = head
+    while parent is not None:
+        v = parent.prev
+        if v is not None and v.stamp.aborted:
+            parent.prev = v.prev
+            pruned += 1
+        else:
+            parent = v
+    v = head
+    while v is not None:
+        ts = v.stamp.ts
+        if ts is not None and ts <= horizon_ts:
+            cut = v.prev
+            v.prev = None
+            while cut is not None:
+                pruned += 1
+                cut = cut.prev
+            break
+        v = v.prev
+    return pruned

@@ -3,7 +3,6 @@
 from .locks import DeadlockPolicy, LockManager, LockMode
 from .wal import LogOp, LogRecord, RedoLog
 from .manager import IsolationLevel, Transaction, TransactionManager, TxnState
-from .recovery import RecoveryError, replay_redo
 
 __all__ = [
     "DeadlockPolicy",
@@ -16,6 +15,4 @@ __all__ = [
     "Transaction",
     "TransactionManager",
     "TxnState",
-    "RecoveryError",
-    "replay_redo",
 ]

@@ -1,10 +1,11 @@
-"""Transactions: strict 2PL + undo-based abort + redo logging.
+"""Transactions: strict 2PL + undo-based abort + commit-time version GC.
 
 A :class:`Transaction` tracks held locks, an undo list of physical
-inverse actions, and buffered redo records; COMMIT releases locks after
-appending the redo batch, ABORT applies undo in reverse then runs the
-registered abort hooks — which is where BullFrog resets the lock bits of
-its in-progress migration granules (paper section 3.5).
+inverse actions, and the BullFrog ``MIGRATE`` records it will log;
+COMMIT appends its batch to the redo log, prunes the versions it
+superseded, then releases locks; ABORT applies undo in reverse then runs
+the registered abort hooks — which is where BullFrog resets the lock
+bits of its in-progress migration granules (paper section 3.5).
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ class Transaction:
         self._locks: list[Hashable] = []
         self._undo: list[Callable[[], None]] = []
         self._redo: list[tuple[LogOp, Any]] = []
+        # (table, tid) of every tuple this txn updated or deleted: the
+        # chains whose older versions commit prunes.
+        self._superseded: list[tuple[Any, Tid]] = []
         self._commit_hooks: list[Callable[[], None]] = []
         self._abort_hooks: list[Callable[[], None]] = []
 
@@ -127,19 +131,18 @@ class Transaction:
         self._check_active()
         stamp = self.stamp
         self._undo.append(lambda: table.physical_unindex(tid, row, stamp=stamp))
-        self._redo.append((LogOp.INSERT, (table.schema.name, tid, row)))
 
     def record_update(self, table, tid: Tid, old_row: Row, new_row: Row) -> None:
         self._check_active()
         stamp = self.stamp
         self._undo.append(lambda: table.physical_update(tid, old_row, stamp=stamp))
-        self._redo.append((LogOp.UPDATE, (table.schema.name, tid, new_row)))
+        self._superseded.append((table, tid))
 
     def record_delete(self, table, tid: Tid, old_row: Row) -> None:
         self._check_active()
         stamp = self.stamp
         self._undo.append(lambda: table.physical_restore(tid, old_row, stamp=stamp))
-        self._redo.append((LogOp.DELETE, (table.schema.name, tid, old_row)))
+        self._superseded.append((table, tid))
 
     def record_migration(self, migration_id: str, input_table: str, granules: tuple) -> None:
         """BullFrog: log which granules this txn migrated so recovery can
@@ -165,10 +168,12 @@ class Transaction:
     # ------------------------------------------------------------------
     def commit(self) -> None:
         self._check_active()
-        faults = self._manager.faults
-        obs = self._manager.obs
+        manager = self._manager
+        faults = manager.faults
+        obs = manager.obs
+        wrote = bool(self._undo or self._redo)
         if obs is not None and obs.active:
-            if obs.tracing_enabled and self._redo:
+            if obs.tracing_enabled and wrote:
                 # Read-only commits stay instant-free: the statement
                 # span already bounds them, and one instant per
                 # autocommit SELECT was a top line item in the <5%
@@ -180,8 +185,8 @@ class Transaction:
         try:
             if faults is not None and "txn.commit" in faults.watching:
                 faults.fire("txn.commit", txn_id=self.id)
-            if self._redo:
-                self._manager.wal.append_batch(self.id, self._redo)
+            if wrote:
+                manager.wal.append_batch(self.id, self._redo)
         except TransactionAborted:
             # An abort surfacing inside commit (fault injection, a
             # conflict at flush time) must not leave the transaction
@@ -189,17 +194,24 @@ class Transaction:
             # caller see the abort.
             self.abort()
             raise
-        if self._undo or self._redo:
+        if wrote:
             # Assign the commit timestamp while still holding write
             # locks: every version this txn wrote becomes visible to
             # future snapshots in one latched store.
-            self._manager._assign_commit_ts(self.stamp)
+            manager._assign_commit_ts(self.stamp)
         self.state = TxnState.COMMITTED
+        # Deregistered first, so this txn's own snapshot no longer
+        # holds the horizon its prune reads.
+        manager._finished(self)
+        if self._superseded:
+            # Still under the X locks: no writer races these chains.
+            horizon = manager.oldest_snapshot_ts()
+            for table, tid in self._superseded:
+                table.prune_tuple(tid, horizon)
         self._release_locks()
         hooks, self._commit_hooks = self._commit_hooks, []
         for hook in hooks:
             hook()
-        self._manager._finished(self)
 
     def abort(self) -> None:
         if self.state is TxnState.ABORTED:
@@ -221,7 +233,9 @@ class Transaction:
             # Latency/callback only — FaultRule rejects raising actions
             # at txn.abort (an abort must not itself fail).
             faults.fire("txn.abort", txn_id=self.id)
-        self._manager.wal.append_abort(self.id)
+        if self._redo:
+            # The log keeps nothing for a txn that migrated nothing.
+            self._manager.wal.append_abort(self.id)
         self.state = TxnState.ABORTED
         self._release_locks()
         hooks, self._abort_hooks = self._abort_hooks, []
@@ -238,6 +252,7 @@ class Transaction:
         self._locks.clear()
         self._undo.clear()
         self._redo.clear()
+        self._superseded.clear()
 
     # Context-manager sugar: commits on success, aborts on exception.
     def __enter__(self) -> "Transaction":
@@ -278,7 +293,7 @@ class TransactionManager:
         # horizon computation (taken before _clock_latch, never after).
         self._latch = threading.Lock()
         # Global commit-timestamp clock.  0 is the bootstrap timestamp
-        # (loader/DDL/replay writes); real commits start at 1.
+        # (loader/DDL writes); real commits start at 1.
         self._clock_latch = threading.Lock()
         self._last_commit_ts = 0
 

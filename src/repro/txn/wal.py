@@ -1,26 +1,31 @@
-"""Redo log (WAL).
+"""Redo log (WAL): the records BullFrog's tracker recovery reads.
 
-An in-memory, append-only redo log.  Data-page durability is out of
-scope for this reproduction (storage is volatile anyway); the log
-exists because BullFrog's tracker-recovery path (paper section 3.5)
-rebuilds migration bitmaps/hashmaps by scanning committed migration
-records in the REDO log after a crash — ``repro.core.recovery``
-consumes exactly this structure.
+An in-memory log holding the ``MIGRATE`` records of committed migration
+transactions, each batch followed by its transaction's COMMIT — exactly
+what the tracker-recovery path (paper section 3.5,
+``repro.core.recovery``) scans after a crash to rebuild migration
+bitmaps/hashmaps.  Storage is volatile, so no crash path replays data
+and the log keeps no data records.
+
+Every write commit still passes through :meth:`RedoLog.append_batch`,
+the commit point: the ``wal.flush`` fault seam and the ``wal``
+observability fire there for every batch, and a batch with no records
+leaves nothing behind.  When a migration completes,
+:meth:`RedoLog.discard_migration` drops its records, so the log holds
+only what an in-flight migration's recovery could need.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any, Collection, Iterator
 
 
 class LogOp(Enum):
-    INSERT = "INSERT"
-    UPDATE = "UPDATE"
-    DELETE = "DELETE"
     COMMIT = "COMMIT"
     ABORT = "ABORT"
     MIGRATE = "MIGRATE"  # BullFrog: granule(s) migrated by this txn
@@ -31,8 +36,6 @@ class LogRecord:
     """One redo record.
 
     ``payload`` depends on ``op``:
-      * INSERT/UPDATE/DELETE: (table, tid, row) — row is the after-image
-        (before-image for DELETE).
       * MIGRATE: (migration_id, input_table, granule_keys) where
         granule_keys is a tuple of bitmap ordinals or hashmap group keys.
       * COMMIT/ABORT: None.
@@ -45,10 +48,12 @@ class LogRecord:
 
 
 class RedoLog:
-    """Thread-safe append-only log with monotonically increasing LSNs."""
+    """Thread-safe log with monotonically increasing LSNs.  Every
+    commit and abort takes an LSN, whether or not it leaves a record."""
 
     def __init__(self) -> None:
         self._records: list[LogRecord] = []
+        self._lsns = itertools.count()
         self._latch = threading.Lock()
         # Optional fault injector (repro.core.faults.FaultInjector);
         # None in production.
@@ -58,11 +63,14 @@ class RedoLog:
         self.obs: Any = None
 
     def append_batch(self, txn_id: int, entries: list[tuple[LogOp, Any]]) -> int:
-        """Atomically append a transaction's records followed by COMMIT.
+        """Commit a transaction: atomically append its ``MIGRATE``
+        records followed by COMMIT.
 
-        Mirrors a group-commit: either all of a transaction's redo
-        records (and its COMMIT) appear in the log, or none do.  Returns
-        the commit LSN.
+        Mirrors a group-commit: either all of a transaction's records
+        (and its COMMIT) appear in the log, or none do.  A transaction
+        that migrated nothing has no record any recovery reads, so its
+        batch is empty and the log keeps nothing for it.  Returns the
+        commit LSN.
         """
         faults = self.faults
         obs = self.obs
@@ -83,21 +91,36 @@ class RedoLog:
             # every other committer); a crash here happens *before* the
             # batch lands — the commit is not durable.
             faults.fire("wal.flush", txn_id=txn_id, records=len(entries))
-        with self._latch:
-            base = len(self._records)
-            for offset, (op, payload) in enumerate(entries):
-                self._records.append(LogRecord(base + offset, txn_id, op, payload))
-            commit_lsn = len(self._records)
-            self._records.append(LogRecord(commit_lsn, txn_id, LogOp.COMMIT))
+        if entries:
+            with self._latch:
+                for op, payload in entries:
+                    self._records.append(LogRecord(next(self._lsns), txn_id, op, payload))
+                commit_lsn = next(self._lsns)
+                self._records.append(LogRecord(commit_lsn, txn_id, LogOp.COMMIT))
+        else:
+            commit_lsn = next(self._lsns)
         if start_s:
             obs.wal_append(start_s, txn_id, len(entries))
         return commit_lsn
 
     def append_abort(self, txn_id: int) -> int:
         with self._latch:
-            lsn = len(self._records)
+            lsn = next(self._lsns)
             self._records.append(LogRecord(lsn, txn_id, LogOp.ABORT))
             return lsn
+
+    def discard_migration(self, unit_ids: Collection[str]) -> None:
+        """Drop the MIGRATE records of the completed migration units
+        ``unit_ids``, then every COMMIT/ABORT record whose transaction
+        has no MIGRATE record left: no recovery can need them."""
+        with self._latch:
+            kept = [
+                record
+                for record in self._records
+                if record.op is not LogOp.MIGRATE or record.payload[0] not in unit_ids
+            ]
+            logged = {record.txn_id for record in kept if record.op is LogOp.MIGRATE}
+            self._records = [record for record in kept if record.txn_id in logged]
 
     def __len__(self) -> int:
         with self._latch:
@@ -117,11 +140,9 @@ class RedoLog:
             }
 
     def iter_committed(self) -> Iterator[LogRecord]:
-        """Yield the data records of committed transactions, in LSN order.
-
-        This is the two-pass REDO scan: first find commit records, then
-        replay the records of those transactions.
-        """
+        """Yield the MIGRATE records of committed transactions, in LSN
+        order (first find commit records, then yield those
+        transactions' records)."""
         committed = self.committed_txn_ids()
         for record in self.records():
             if record.op in (LogOp.COMMIT, LogOp.ABORT):

@@ -153,7 +153,9 @@ class TestSystemViews:
             mine = [r for r in rows if r["state"] == "ACTIVE"]
             assert len(mine) == 1
             assert mine[0]["locks_held"] >= 1
-            assert mine[0]["redo_records"] >= 1
+            # The redo log holds MIGRATE records only: a plain INSERT
+            # buffers none.
+            assert mine[0]["redo_records"] == 0
 
     def test_views_support_filters_and_projection(self, session):
         session.execute("CREATE TABLE t (id INT PRIMARY KEY)")

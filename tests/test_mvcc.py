@@ -1,8 +1,8 @@
 """MVCC tuple versioning and snapshot-isolation reads.
 
 Covers the version-chain storage layer end to end through SQL: snapshot
-visibility, first-updater-wins write conflicts, version GC, WAL replay
-collapsing chains — and the migration interplay: snapshot readers are
+visibility, first-updater-wins write conflicts, commit-time and bulk
+version GC — and the migration interplay: snapshot readers are
 served pre-migration overlays for in-flight granules instead of
 blocking on the migration loop.
 """
@@ -23,7 +23,6 @@ from repro.errors import (
 from repro.net import protocol
 from repro.testing import InvariantChecker
 from repro.txn import IsolationLevel
-from repro.txn.recovery import replay_redo
 
 
 def make_kv_db():
@@ -252,22 +251,80 @@ class TestWriteConflicts:
 
 
 # ----------------------------------------------------------------------
-# Version GC and recovery
+# Version GC
 # ----------------------------------------------------------------------
 
 
 class TestVersionGC:
     def test_prune_cuts_superseded_versions(self):
+        """The bulk pass cuts what an open snapshot held back at commit."""
         db, s = make_kv_db()
         heap = db.catalog.table("t").heap
+        si = db.connect(isolation="snapshot")
+        si.execute("BEGIN")
         for v in range(5):
             s.execute("UPDATE t SET v = ? WHERE id = 1", [v])
+        si.execute("COMMIT")
         tid = next(t for t, row in heap.scan() if row[0] == 1)
         assert chain_depth(heap, tid) > 1
         pruned = heap.prune_versions(db.txns.oldest_snapshot_ts())
         assert pruned > 0
         assert chain_depth(heap, tid) == 1
         assert s.execute("SELECT v FROM t WHERE id = 1").scalar() == 4
+
+    @pytest.mark.parametrize("isolation", ["read_committed", "snapshot"])
+    def test_commit_prunes_what_it_superseded(self, isolation):
+        """With no snapshot open, every write commit leaves a one-version
+        chain, and the log keeps nothing for a data write."""
+        db, _ = make_kv_db()
+        s = db.connect(isolation=isolation)
+        heap = db.catalog.table("t").heap
+        tid = next(t for t, row in heap.scan() if row[0] == 1)
+        for v in range(1000):
+            s.execute("UPDATE t SET v = ? WHERE id = 1", [v])
+        assert chain_depth(heap, tid) == 1
+        assert len(db.txns.wal) == 0
+        assert s.execute("SELECT v FROM t WHERE id = 1").scalar() == 999
+
+    def test_open_snapshot_keeps_exactly_the_versions_it_reads(self):
+        """A commit keeps its tuple's versions back to the oldest open
+        snapshot's and cuts the rest; once no snapshot is open, the next
+        write to the tuple collapses the chain."""
+        db, s = make_kv_db()
+        heap = db.catalog.table("t").heap
+        tid = next(t for t, row in heap.scan() if row[0] == 1)
+
+        def rows():
+            version, out = heap.read_version(tid), []
+            while version is not None:
+                out.append(version.row[1])
+                version = version.prev
+            return out
+
+        old = db.connect(isolation="snapshot")
+        old.execute("BEGIN")
+        s.execute("UPDATE t SET v = 20 WHERE id = 1")
+        assert rows() == [20, 10]
+        si = db.connect(isolation="snapshot")
+        si.execute("BEGIN")
+        old.execute("COMMIT")
+        s.execute("UPDATE t SET v = 30 WHERE id = 1")
+        assert rows() == [30, 20]  # 10 is readable by no snapshot left
+        assert si.execute("SELECT v FROM t WHERE id = 1").scalar() == 20
+        si.execute("COMMIT")
+        s.execute("UPDATE t SET v = 40 WHERE id = 1")
+        assert rows() == [40]
+
+    def test_versioned_deletes_leave_no_unindexed_tids(self):
+        db, _ = make_kv_db()
+        s = db.connect(isolation="snapshot")
+        table = db.catalog.table("t")
+        for i in range(10, 20):
+            s.execute("INSERT INTO t VALUES (?, ?)", [i, i])
+        for i in range(10, 20):
+            s.execute("DELETE FROM t WHERE id = ?", [i])
+        assert table.unindexed_tids() == ()
+        assert s.execute("SELECT COUNT(*) FROM t").scalar() == 3
 
     def test_prune_keeps_versions_active_snapshots_need(self):
         db, s = make_kv_db()
@@ -367,25 +424,6 @@ class TestVersionGC:
             si.execute("SELECT v FROM left_part WHERE id = 7")
         assert db.txns._pins == {} and si._pending_snapshot_ts is None
         assert db.txns.oldest_snapshot_ts() == db.txns.current_ts()
-
-    def test_recovery_collapses_chains(self):
-        db, s = make_kv_db()
-        for v in range(4):
-            s.execute("UPDATE t SET v = ? WHERE id = 2", [v])
-        s.execute("DELETE FROM t WHERE id = 3")
-        s.execute("INSERT INTO t VALUES (7, 70)")
-        recovered = Database()
-        recovered.connect().execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        replay_redo(recovered.catalog, db.txns.wal)
-        heap = recovered.catalog.table("t").heap
-        live = sorted(row for _tid, row in heap.scan())
-        assert live == sorted(row for _tid, row in db.catalog.table("t").heap.scan())
-        # Replay applies only committed effects under the bootstrap
-        # stamp: every chain collapses to a single always-visible version.
-        for _tid, row in heap.scan():
-            tid = next(t for t, r in heap.scan() if r == row)
-            assert chain_depth(heap, tid) == 1
-            assert heap.read_version(tid).stamp.ts == 0
 
 
 # ----------------------------------------------------------------------
@@ -538,8 +576,13 @@ class TestMigrationSnapshotReads:
         s.execute("SELECT COUNT(*) FROM left_part")
         s.execute("SELECT COUNT(*) FROM right_part")
         assert engine.is_complete
+        # An open snapshot holds the versions back at commit; once it
+        # ends, the bulk pass collects them.
+        si = db.connect(isolation="snapshot")
+        si.execute("BEGIN")
         for v in range(3):
             s.execute("UPDATE left_part SET v = ? WHERE id = 1", [v])
+        si.execute("COMMIT")
         assert engine.prune_versions() > 0
         assert engine.progress()["versions_pruned"] > 0
         row = s.execute(

@@ -81,16 +81,21 @@ class TestBitmapRecovery:
         rebuild_trackers(engine)
         assert not engine.units[0].tracker.is_migrated(7)
 
-    def test_completion_detected_after_recovery(self):
+    def test_completion_detected_after_recovery(self, monkeypatch):
         db, s = make_db(rows=10)
         engine = LazyMigrationEngine(db, background=BackgroundConfig(enabled=False))
         handle = engine.submit("m", SPLIT_DDL)
+        # Crash after the last migration transaction commits, before
+        # completion is noticed (finalize drops the migration's records).
+        monkeypatch.setattr(engine, "finalize", lambda: None)
         s.execute("SELECT COUNT(*) FROM a")  # full migration
-        assert handle.is_complete
         simulate_crash(engine)
-        engine._complete_event.clear()
+        monkeypatch.undo()
+        assert not handle.is_complete
         rebuild_trackers(engine)
         assert engine.units[0].tracker.all_migrated
+        assert handle.is_complete
+        assert len(db.txns.wal) == 0
 
 
 class TestHashmapRecovery:
@@ -118,3 +123,39 @@ class TestHashmapRecovery:
         txn.commit()
         simulate_crash(engine)
         assert rebuild_trackers(engine) == 0
+
+
+@pytest.mark.faults
+def test_completed_migrations_leave_no_log_and_the_next_still_recovers():
+    """Each migration's records go when it completes, so two migrations
+    in sequence leave an empty log; a crash during the second still
+    restores exactly its committed granules."""
+    db, s = make_db()
+    first = LazyMigrationEngine(db, background=BackgroundConfig(enabled=False))
+    first.submit("m1", SPLIT_DDL)
+    s.execute("SELECT COUNT(*) FROM a")
+    assert first.is_complete
+    assert len(db.txns.wal) == 0
+
+    second = LazyMigrationEngine(db, background=BackgroundConfig(enabled=False))
+    second.submit(
+        "m2",
+        "CREATE TABLE b (id INT PRIMARY KEY, v INT);"
+        "INSERT INTO b (id, v) SELECT id, v FROM a;",
+    )
+    for key in (4, 8, 15):
+        s.execute("SELECT v FROM b WHERE id = ?", [key])
+    tracker = second.units[0].tracker
+    ordinals = range(db.catalog.table("a").heap.max_ordinal)
+    migrated = [o for o in ordinals if tracker.is_migrated(o)]
+    assert len(migrated) == 3
+    simulate_crash(second)
+    assert rebuild_trackers(second) == 3
+    tracker = second.units[0].tracker
+    assert [o for o in ordinals if tracker.is_migrated(o)] == migrated
+
+    s.execute("SELECT COUNT(*) FROM b")
+    assert second.is_complete
+    assert len(db.txns.wal) == 0
+    ids = [r[0] for r in s.execute("SELECT id FROM b").rows]
+    assert sorted(ids) == list(range(30))

@@ -1,163 +1,48 @@
-"""Tests for full REDO-log data recovery (repro.txn.recovery) and its
-composition with BullFrog tracker recovery (sections 3.5 end-to-end)."""
-
-import pytest
+"""End-to-end tracker recovery (paper section 3.5): crash mid-migration,
+resume the migration and rebuild its trackers from the REDO log's
+MIGRATE records, then finish without duplicating migrated rows."""
 
 from repro import BackgroundConfig, Database, LazyMigrationEngine
-from repro.core import rebuild_trackers
-from repro.txn.recovery import RecoveryError, replay_redo
-
-
-DDL = "CREATE TABLE t (id INT PRIMARY KEY, v INT, tag VARCHAR(10))"
-
-
-def fresh_catalog_like(db):
-    """A new database with the same DDL but no data (what an operator
-    re-applies before replaying the log)."""
-    recovered = Database()
-    recovered.connect().execute(DDL)
-    return recovered
-
-
-class TestReplayRedo:
-    def test_inserts_replayed_at_same_tids(self, db):
-        s = db.connect()
-        s.execute(DDL)
-        for i in range(10):
-            s.execute("INSERT INTO t VALUES (?, ?, 'x')", [i, i * 2])
-        recovered = fresh_catalog_like(db)
-        counts = replay_redo(recovered.catalog, db.txns.wal)
-        assert counts["INSERT"] == 10
-        original = sorted(db.catalog.table("t").heap.scan())
-        replayed = sorted(recovered.catalog.table("t").heap.scan())
-        assert original == replayed  # same TIDs, same rows
-
-    def test_updates_and_deletes_replayed(self, db):
-        s = db.connect()
-        s.execute(DDL)
-        for i in range(6):
-            s.execute("INSERT INTO t VALUES (?, ?, 'x')", [i, 0])
-        s.execute("UPDATE t SET v = 99 WHERE id = 2")
-        s.execute("DELETE FROM t WHERE id = 4")
-        recovered = fresh_catalog_like(db)
-        counts = replay_redo(recovered.catalog, db.txns.wal)
-        assert counts["UPDATE"] == 1
-        assert counts["DELETE"] == 1
-        rows = sorted(recovered.connect().execute("SELECT id, v FROM t").rows)
-        assert (2, 99) in rows
-        assert all(row_id != 4 for row_id, _v in rows)
-
-    def test_aborted_transactions_leave_tombstones(self, db):
-        """An aborted insert's TID must stay a hole so later TIDs match."""
-        s = db.connect()
-        s.execute(DDL)
-        s.execute("INSERT INTO t VALUES (1, 1, 'a')")
-        s.execute("BEGIN")
-        s.execute("INSERT INTO t VALUES (2, 2, 'b')")
-        s.execute("ROLLBACK")
-        s.execute("INSERT INTO t VALUES (3, 3, 'c')")
-        recovered = fresh_catalog_like(db)
-        replay_redo(recovered.catalog, db.txns.wal)
-        original = sorted(db.catalog.table("t").heap.scan())
-        replayed = sorted(recovered.catalog.table("t").heap.scan())
-        assert original == replayed
-        # the aborted row's slot is a tombstone in both heaps
-        assert db.catalog.table("t").heap.max_ordinal == 3
-        assert recovered.catalog.table("t").heap.max_ordinal == 3
-
-    def test_indexes_rebuilt(self, db):
-        s = db.connect()
-        s.execute(DDL)
-        s.execute("CREATE INDEX t_tag ON t (tag)")
-        s.execute("INSERT INTO t VALUES (1, 1, 'hot')")
-        recovered = Database()
-        rs = recovered.connect()
-        rs.execute(DDL)
-        rs.execute("CREATE INDEX t_tag ON t (tag)")
-        replay_redo(recovered.catalog, db.txns.wal)
-        plan = rs.explain("SELECT id FROM t WHERE tag = 'hot'")
-        assert "t_tag" in plan
-        assert rs.execute("SELECT id FROM t WHERE tag = 'hot'").scalar() == 1
-
-    def test_missing_table_raises(self, db):
-        s = db.connect()
-        s.execute(DDL)
-        s.execute("INSERT INTO t VALUES (1, 1, 'a')")
-        empty = Database()
-        with pytest.raises(RecoveryError):
-            replay_redo(empty.catalog, db.txns.wal)
-
-    def test_pages_padded_across_boundaries(self):
-        db = Database(page_capacity=4)
-        s = db.connect()
-        s.execute(DDL)
-        # Insert 6, abort 3 in the middle, insert 2 more.
-        for i in range(6):
-            s.execute("INSERT INTO t VALUES (?, 0, 'x')", [i])
-        s.execute("BEGIN")
-        for i in range(6, 9):
-            s.execute("INSERT INTO t VALUES (?, 0, 'x')", [i])
-        s.execute("ROLLBACK")
-        for i in range(9, 11):
-            s.execute("INSERT INTO t VALUES (?, 0, 'x')", [i])
-        recovered = Database(page_capacity=4)
-        recovered.connect().execute(DDL)
-        replay_redo(recovered.catalog, db.txns.wal)
-        assert sorted(recovered.catalog.table("t").heap.scan()) == sorted(
-            db.catalog.table("t").heap.scan()
-        )
+from repro.core import rebuild_trackers, simulate_crash
 
 
 class TestEndToEndCrashRecovery:
     def test_data_plus_tracker_recovery_resumes_migration(self):
-        """The full section 3.5 story: crash mid-migration, replay the
-        REDO log into a fresh database, rebuild the trackers, and let
-        the migration finish without duplicating already-migrated rows."""
+        """The full section 3.5 story: crash mid-migration (the heap
+        survives, the trackers do not), re-attach the migration, rebuild
+        the trackers, and let the migration finish without duplicating
+        already-migrated rows."""
         db = Database(isolation="read_committed")
         s = db.connect()
         s.execute("CREATE TABLE src (id INT PRIMARY KEY, v INT)")
         for i in range(30):
             s.execute("INSERT INTO src VALUES (?, ?)", [i, i])
-        engine = LazyMigrationEngine(
-            db, background=BackgroundConfig(enabled=False)
-        )
-        engine.submit(
-            "m",
+        ddl = (
             "CREATE TABLE copy (id INT PRIMARY KEY, v INT);"
-            "INSERT INTO copy (id, v) SELECT id, v FROM src;",
+            "INSERT INTO copy (id, v) SELECT id, v FROM src;"
         )
+        engine = LazyMigrationEngine(db, background=BackgroundConfig(enabled=False))
+        engine.submit("m", ddl)
         for key in (3, 7, 11):
             s.execute("SELECT v FROM copy WHERE id = ?", [key])
         assert engine.stats.tuples_migrated == 3
 
-        # ---- crash: rebuild everything from the log ----
-        # The operator re-applies the DDL (old schema + migration
-        # outputs), replays the REDO log, then re-attaches the
-        # migration with resume=True and restores the trackers.
-        recovered = Database(isolation="read_committed")
-        rs = recovered.connect()
-        rs.execute("CREATE TABLE src (id INT PRIMARY KEY, v INT)")
-        rs.execute("CREATE TABLE copy (id INT PRIMARY KEY, v INT)")
-        replay_redo(recovered.catalog, db.txns.wal)
-        assert len(recovered.catalog.table("src")) == 30
-        assert len(recovered.catalog.table("copy")) == 3  # pre-crash rows
-
-        engine2 = LazyMigrationEngine(
-            recovered, background=BackgroundConfig(enabled=False)
-        )
-        engine2.submit(
-            "m",
-            "CREATE TABLE copy (id INT PRIMARY KEY, v INT);"
-            "INSERT INTO copy (id, v) SELECT id, v FROM src;",
-            resume=True,
-        )
-        restored = rebuild_trackers(engine2, db.txns.wal)
+        # ---- crash: the trackers are gone, the heap and log are not ----
+        simulate_crash(engine)
+        engine.shutdown()
+        assert len(db.catalog.table("copy")) == 3  # pre-crash rows
+        engine2 = LazyMigrationEngine(db, background=BackgroundConfig(enabled=False))
+        engine2.submit("m", ddl, resume=True)
+        restored = rebuild_trackers(engine2)
         assert restored == 3
         # Touching a recovered-migrated row must NOT migrate it again.
-        assert rs.execute("SELECT v FROM copy WHERE id = 7").scalar() == 7
+        assert s.execute("SELECT v FROM copy WHERE id = 7").scalar() == 7
         assert engine2.stats.tuples_migrated == 0
         # Finishing the migration covers exactly the remaining 27 rows.
-        rs.execute("SELECT COUNT(*) FROM copy")
+        s.execute("SELECT COUNT(*) FROM copy")
         assert engine2.stats.tuples_migrated == 27
-        ids = [r[0] for r in rs.execute("SELECT id FROM copy").rows]
+        ids = [r[0] for r in s.execute("SELECT id FROM copy").rows]
         assert sorted(ids) == list(range(30))
+        # Complete: nothing is left in the log for any recovery to read.
+        assert engine2.is_complete
+        assert len(db.txns.wal) == 0

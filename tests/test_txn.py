@@ -369,9 +369,9 @@ class TestTransaction:
 class TestRedoLog:
     def test_commit_batch_atomic(self):
         log = RedoLog()
-        log.append_batch(1, [(LogOp.INSERT, ("t", Tid(0, 0), (1,)))])
+        log.append_batch(1, [(LogOp.MIGRATE, ("m", "t", (5,)))])
         records = log.records()
-        assert [r.op for r in records] == [LogOp.INSERT, LogOp.COMMIT]
+        assert [r.op for r in records] == [LogOp.MIGRATE, LogOp.COMMIT]
         assert records[0].lsn == 0
         assert records[1].lsn == 1
 
@@ -383,16 +383,33 @@ class TestRedoLog:
     def test_committed_txn_ids(self):
         log = RedoLog()
         log.append_batch(1, [])
+        log.append_batch(3, [(LogOp.MIGRATE, ("m", "t", (5,)))])
         log.append_abort(2)
-        assert log.committed_txn_ids() == {1}
+        # An empty batch is a commit that leaves nothing to recover.
+        assert log.committed_txn_ids() == {3}
 
     def test_iter_committed_filters_aborted(self):
         log = RedoLog()
-        log.append_batch(1, [(LogOp.INSERT, ("t", Tid(0, 0), (1,)))])
+        log.append_batch(1, [(LogOp.MIGRATE, ("m", "t", (4,)))])
         log.append_abort(2)
         log.append_batch(3, [(LogOp.MIGRATE, ("m", "t", (5,)))])
         ops = [(r.txn_id, r.op) for r in log.iter_committed()]
-        assert ops == [(1, LogOp.INSERT), (3, LogOp.MIGRATE)]
+        assert ops == [(1, LogOp.MIGRATE), (3, LogOp.MIGRATE)]
+
+    def test_discard_migration_keeps_other_units(self):
+        log = RedoLog()
+        log.append_batch(1, [(LogOp.MIGRATE, ("a/u0", "t", (4,)))])
+        log.append_batch(
+            2, [(LogOp.MIGRATE, ("a/u0", "t", (5,))), (LogOp.MIGRATE, ("b/u0", "s", (6,)))]
+        )
+        log.append_abort(3)
+        log.discard_migration({"a/u0"})
+        assert [(r.txn_id, r.op) for r in log.records()] == [
+            (2, LogOp.MIGRATE),
+            (2, LogOp.COMMIT),
+        ]
+        log.discard_migration({"b/u0"})
+        assert len(log) == 0
 
     def test_transaction_writes_migrate_records(self):
         tm = TransactionManager()
@@ -413,3 +430,17 @@ class TestRedoLog:
         txn.record_migration("m1", "t", (0,))
         txn.abort()
         assert list(tm.wal.iter_committed()) == []
+        assert [r.op for r in tm.wal.records()] == [LogOp.ABORT]
+
+    def test_data_writes_log_nothing(self):
+        tm = TransactionManager()
+        table = make_table()
+        txn = tm.begin()
+        tid = table.physical_insert((1, 1), txn.stamp)
+        txn.record_insert(table, tid, (1, 1))
+        txn.commit()
+        txn = tm.begin()
+        table.physical_update(tid, (1, 2), txn.stamp)
+        txn.record_update(table, tid, (1, 1), (1, 2))
+        txn.abort()
+        assert len(tm.wal) == 0
