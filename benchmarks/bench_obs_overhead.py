@@ -3,27 +3,22 @@
 The zero-cost-when-detached contract (``repro.obs``): every emission
 site is guarded by a plain ``<owner>.obs is not None`` attribute check
 — the same contract ``repro.core.faults`` established and
-``bench_fault_overhead.py`` holds to numbers.  This benchmark prices
-two configurations against the production default (``obs=None``):
+``bench_fault_overhead.py`` holds to numbers.  Observability is either
+detached (``obs=None``, the production default) or fully on, so this
+benchmark prices the two attached configurations that run against a
+detached database:
 
-* **attached but disabled** — ``Observability(metrics=False,
-  tracing=False)``: the guards all pass and early-out on the
-  ``active`` flag; this bounds the cost of the seams themselves and
-  must stay under **2%**;
-* **metrics enabled** (tracing off) — exact counters on every
-  statement, commit, and claim round, plus the latency histogram at
-  its default 1-in-16 statement sampling; must stay under **5%**;
-* **tracing enabled** — the full request-tracing surface: head-sampled
-  root statement spans (a coarser 1-in-64 period; a propagated trace
-  context always traces), wait-event staging, and the trace ring;
-  must also stay under **5%**;
-* **history sampler** — the background metrics-history thread
-  (``obs.attach_history()``) scraping the registry at its default
-  250 ms cadence while the hot loop runs.  The sampler never touches
-  the statement path — its cost is pure thread interference plus
-  whatever per-metric locks the scrape takes — so it rides the same
-  bounds: **<2%** over an attached-but-disabled bundle, **<5%** with
-  metrics enabled.
+* **full** — ``Observability()``: exact counters on every statement,
+  commit, and claim round, the latency histogram at its default 1-in-16
+  statement sampling, head-sampled root statement spans (a coarser
+  1-in-64 period; a propagated trace context always traces), wait-event
+  staging, and the trace ring; must stay under **5%**;
+* **sampler** — the same bundle plus the background metrics-history
+  thread (``obs.attach_history()``) scraping at its default 250 ms
+  cadence while the hot loop runs: what a monitored bullfrogd runs.
+  The sampler never touches the statement path — its cost is thread
+  interference plus the per-metric locks the scrape takes — so it
+  rides the same **5%** bound.
 
 The measured regime is the *no-op migration hot loop*: a lazy SPLIT is
 submitted and drained down to one remaining granule (untimed), then we
@@ -219,68 +214,29 @@ def _check_overhead(make_obs, bound, leg):
     )
 
 
-def test_disabled_instrumentation_is_cheap():
-    """Attached-but-disabled observability: every guard passes, every
-    emission early-outs.  Contract: <2% end-to-end."""
-    _check_overhead(
-        lambda: Observability(metrics=False, tracing=False),
-        0.02,
-        "disabled",
-    )
-
-
-def test_enabled_metrics_are_cheap():
-    """Live counters + histograms on every seam (tracing off).
-    Contract: <5% end-to-end."""
-    _check_overhead(
-        lambda: Observability(metrics=True, tracing=False),
-        0.05,
-        "metrics",
-    )
-
-
-def test_enabled_tracing_is_cheap():
-    """Metrics + tracing, the full default configuration.  Untraced
-    statements pay one signed clock read over the metrics path; the
+def test_full_observability_is_cheap():
+    """Metrics + tracing, the only attached configuration.  Untraced
+    statements pay one signed clock read over the counters; the
     1-in-64 head-sampled roots pay the full span/context machinery,
     amortized.  Contract: <5% end-to-end."""
-    _check_overhead(
-        lambda: Observability(),
-        0.05,
-        "metrics+tracing",
-    )
+    _check_overhead(Observability, 0.05, "full")
 
 
-def _with_sampler(**obs_kwargs):
+def _with_sampler():
     """An observability bundle with the history sampler running — what
-    a monitored deployment (bullfrogd with ``config.monitor``) attaches.
-    The sampler thread scrapes concurrently with the timed blocks;
-    ``measure()`` stops it via ``obs.close()``."""
-    obs = Observability(**obs_kwargs)
+    a monitored bullfrogd attaches.  The sampler thread scrapes
+    concurrently with the timed blocks; ``measure()`` stops it via
+    ``obs.close()``."""
+    obs = Observability()
     obs.attach_history()
     return obs
 
 
-def test_history_sampler_on_disabled_bundle_is_cheap():
-    """Sampler thread over an attached-but-disabled bundle: the
-    statement path still only pays the guards; the scrape walks an
-    (empty-valued) registry off to the side.  Contract: <2%."""
-    _check_overhead(
-        lambda: _with_sampler(metrics=False, tracing=False),
-        0.02,
-        "sampler-disabled",
-    )
-
-
-def test_history_sampler_with_metrics_is_cheap():
-    """The monitored-production configuration: live counters and
-    histograms on every seam plus the 250 ms history scrape taking
-    per-metric locks against the hot loop.  Contract: <5%."""
-    _check_overhead(
-        lambda: _with_sampler(metrics=True, tracing=False),
-        0.05,
-        "sampler-metrics",
-    )
+def test_history_sampler_is_cheap():
+    """The monitored-production configuration: the full bundle plus
+    the 250 ms history scrape taking per-metric locks against the hot
+    loop.  Contract: <5%."""
+    _check_overhead(_with_sampler, 0.05, "sampler")
 
 
 # ----------------------------------------------------------------------

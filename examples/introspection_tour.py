@@ -55,7 +55,7 @@ def plan_text(session, sql):
 
 
 def main() -> None:
-    obs = Observability(metrics=True, tracing=False, sample_statements=1)
+    obs = Observability(sample_statements=1)
     db = Database(obs=obs)
     session = db.connect()
     create_schema(session)

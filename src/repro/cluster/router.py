@@ -1052,7 +1052,7 @@ class RouterSession:
         ctx = self._request_ctx
         obs = rdb.obs
         start = 0.0
-        if ctx is None and obs is not None and obs.active:
+        if ctx is None and obs is not None:
             start = obs.statement_begin(handle.ast_type)
             if start > 0.0:
                 ctx = TraceContext()

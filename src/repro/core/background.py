@@ -101,7 +101,7 @@ class BackgroundMigrator:
                     return
                 if runtime.complete:
                     continue
-                obs = self.engine._active_obs()
+                obs = self.engine.obs
                 pass_fn = (
                     self._bitmap_pass
                     if runtime.plan.category.uses_bitmap

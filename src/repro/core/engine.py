@@ -515,7 +515,7 @@ class LazyMigrationEngine:
             for name, rows in runtime.project(pending, snapshot_ts).items():
                 overlay.setdefault(name, []).extend(rows)
         session._pending_overlay = overlay or None
-        if self.obs is not None and self.obs.active and overlay:
+        if self.obs is not None and overlay:
             self.obs.emit(
                 "migrate.snapshot_overlay",
                 snapshot_ts=snapshot_ts,
@@ -562,8 +562,6 @@ class LazyMigrationEngine:
             return
         faults = self.faults
         obs = self.obs
-        if obs is not None and not obs.active:
-            obs = None  # attached-but-disabled: skip the dispatches
         deadline = time.monotonic() + self.skip_wait_timeout
         while pending:
             if obs is not None:
@@ -621,7 +619,7 @@ class LazyMigrationEngine:
         becomes one ``migrate.wip`` span (produce -> commit -> mark),
         which is what makes foreground migration cost visible next to
         the background passes in the Chrome trace."""
-        obs = self._active_obs()
+        obs = self.obs
         if obs is None:
             return self._migration_txn(runtime, granules, claimed)
         start = obs.span_start()
@@ -695,19 +693,13 @@ class LazyMigrationEngine:
     def _seam(self, point: str, **context: Any) -> None:
         """A named seam on the migration path: the observability event,
         then the fault-injection point of the same name (which may
-        raise).  Both are ``None``/inactive in production."""
+        raise).  Both are ``None`` in production."""
         obs = self.obs
-        if obs is not None and obs.active:
+        if obs is not None:
             obs.emit(point, **context)
         faults = self.faults
         if faults is not None and point in faults.watching:
             faults.fire(point, **context)
-
-    def _active_obs(self) -> Observability | None:
-        """The attached observability if it is recording, else None
-        (attached-but-disabled skips the dispatches entirely)."""
-        obs = self.obs
-        return obs if obs is not None and obs.active else None
 
     def _internal_session(self) -> Session:
         """A session for the engine's own statements: not a client (no

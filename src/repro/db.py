@@ -305,7 +305,7 @@ class Database:
         if handle is not None:
             return handle
         obs = self.obs
-        if obs is not None and obs.tracing_enabled:
+        if obs is not None:
             # Parse is a span only on a cache miss: the steady state
             # hits the cache, and those statements genuinely do no
             # parse work worth a row in Perfetto.
@@ -459,7 +459,7 @@ class Session:
             return Result(op.upper())
 
         obs = self.db.obs
-        if obs is None or self.internal or not obs.active:
+        if obs is None or self.internal:
             # Internal (migration-engine) statements are covered by the
             # enclosing ``migrate.wip`` span; instrumenting them here too
             # would double-count migration work as client latency.
@@ -473,10 +473,9 @@ class Session:
         # clock: ``0.0`` for an unsampled statement (counted, no end
         # work), a *negative* start for a latency-sampled-but-untraced
         # one (histogram only), and a positive start for a head-sampled
-        # root span (see Observability.sample_traces; never positive
-        # with statement tracing off).  A propagated context always
-        # wins over the sample coin — a traced networked request never
-        # loses its engine spans.
+        # root span (see Observability.sample_traces).  A propagated
+        # context always wins over the sample coin — a traced networked
+        # request never loses its engine spans.
         parent = self._request_ctx
         if parent is None:
             if not start:

@@ -311,7 +311,7 @@ class Executor:
                 ctx.txn.record_insert(table, tid, row)
             ctx.fire_row_hooks(table.schema.name, "INSERT", tid, None, row)
             inserted += 1
-        if self.obs is not None and self.obs.active:
+        if self.obs is not None:
             self.obs.add_rows("insert", inserted)
         return inserted
 
@@ -346,7 +346,7 @@ class Executor:
                 ctx.txn.record_update(table, tid, old_row, new_tuple)
             ctx.fire_row_hooks(table.schema.name, "UPDATE", tid, old_row, new_tuple)
             updated += 1
-        if self.obs is not None and self.obs.active:
+        if self.obs is not None:
             self.obs.add_rows("update", updated)
         return updated
 
@@ -363,7 +363,7 @@ class Executor:
                 ctx.txn.record_delete(table, tid, old_row)
             ctx.fire_row_hooks(table.schema.name, "DELETE", tid, old_row, None)
             deleted += 1
-        if self.obs is not None and self.obs.active:
+        if self.obs is not None:
             self.obs.add_rows("delete", deleted)
         return deleted
 

@@ -870,7 +870,7 @@ class ConnectionPool:
                 conn.close()
                 raise ConnectionClosedError("pool is closed")
             obs = self._obs
-            if obs is not None and obs.active:
+            if obs is not None:
                 # Everything between the caller asking and getting a
                 # healthy connection — semaphore wait, health check,
                 # reconnect backoff — is ``pool`` wait; its span is
@@ -878,7 +878,7 @@ class ConnectionPool:
                 waited = time.perf_counter() - began
                 ctx = _trace_current()
                 obs.record_wait("pool", waited, ctx)
-                if ctx is not None and obs.tracing_enabled:
+                if ctx is not None:
                     end_us = obs.trace.now_us()
                     obs.trace.complete(
                         "pool.acquire", end_us - waited * 1e6, cat="net",

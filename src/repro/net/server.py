@@ -143,7 +143,6 @@ class ServerConfig:
     # the metrics-history sampler + health engine + flight recorder
     # (obs.attach_monitoring) so `\top` over the wire, /healthz, and
     # incident bundles work out of the box.  No-op when obs is detached.
-    monitor: bool = True
     monitor_interval: float = 0.25  # history sampling cadence (seconds)
     incident_dir: str | None = None  # flight-recorder output (default results/incidents)
     # Cluster two-phase epoch flip: how long a PREPARE may sit without
@@ -270,7 +269,7 @@ class BullfrogServer:
     # ------------------------------------------------------------------
     def _init_metrics(self) -> None:
         obs = self.db.obs
-        if obs is None or not obs.metrics_enabled:
+        if obs is None:
             null = NULL_METRIC
             self._m_accepted = null
             self._m_rejected = null
@@ -432,10 +431,9 @@ class BullfrogServer:
     def _attach_monitoring(self) -> None:
         """Wire the history sampler / health engine / flight recorder
         onto the database's observability bundle.  Skipped when
-        observability is detached or ``config.monitor`` is off — the
-        zero-cost contract holds."""
+        observability is detached — the zero-cost contract holds."""
         obs = self.db.obs
-        if obs is None or not obs.metrics_enabled or not self.config.monitor:
+        if obs is None:
             return
         history = obs.history
         self._monitor_owns_history = history is None or not history.running
@@ -608,7 +606,7 @@ class BullfrogServer:
                     sock.close()
                     continue
             obs = self.db.obs
-            if obs is not None and obs.active:
+            if obs is not None:
                 obs.count("net.accept")
             if self._draining.is_set():
                 self._refuse(sock, ServerShutdownError("server is shutting down"))
@@ -712,7 +710,7 @@ class BullfrogServer:
                 except Exception as exc:  # SimulatedCrash (BaseException) passes
                     raise OSError(f"injected write failure: {exc}") from exc
         obs = self.db.obs
-        if obs is not None and obs.active:
+        if obs is not None:
             obs.count("net.write", frames)
         with conn.out_lock:
             if conn.doomed is not None:
@@ -840,7 +838,7 @@ class BullfrogServer:
         except ProtocolError as exc:
             error, cause = exc, "protocol_error"
         obs = self.db.obs
-        if decoded_frames and obs is not None and obs.active:
+        if decoded_frames and obs is not None:
             obs.count("net.read", decoded_frames)
         if pos:
             del inbuf[:pos]
@@ -963,10 +961,7 @@ class BullfrogServer:
                 # replies) to the kernel in one write.  The peek is
                 # exact — only this runner appends to the inbox.
                 obs = self.db.obs
-                if (
-                    ctx is not None
-                    and obs is not None and obs.tracing_enabled
-                ):
+                if ctx is not None and obs is not None:
                     flush_us = obs.trace.now_us()
                     self._flush_conn(conn)
                     obs.trace.complete(
@@ -1009,7 +1004,7 @@ class BullfrogServer:
         if trace is None:
             return None
         obs = self.db.obs
-        if obs is None or not obs.tracing_enabled:
+        if obs is None:
             return None
         ctx = TraceContext(trace[0], None, trace[1])
         queued = max(0.0, time.perf_counter() - enq_ts)

@@ -264,7 +264,7 @@ def _describe(db: "Database", arg: str) -> str:
 
 def _metrics(db: "Database", arg: str) -> str:
     obs = db.obs
-    if obs is None or not obs.metrics_enabled:
+    if obs is None:
         return "(observability detached)"
     if arg == "json":
         return snapshot_json(obs.registry, indent=2)

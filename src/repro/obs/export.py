@@ -16,7 +16,6 @@ from typing import Any
 from urllib.parse import parse_qs, urlparse
 
 from .registry import MetricRegistry
-from .trace import TraceLog
 
 
 def _escape_label_value(value: str) -> str:
@@ -81,26 +80,25 @@ def snapshot_json(registry: MetricRegistry, indent: int | None = None) -> str:
 
 
 class _MetricsHandler(BaseHTTPRequestHandler):
-    registry: MetricRegistry
-    trace: TraceLog | None
-    history: Any  # MetricsHistory | None
-    health: Any  # HealthEngine | None
+    obs: Any  # the Observability bundle served
     server_ref: Any  # the owning MetricsServer (draining flag)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         parsed = urlparse(self.path)
         path = parsed.path
         status = 200
+        obs = self.obs
+        history = obs.history
         if path in ("/metrics", "/"):
-            body = render_prometheus(self.registry).encode()
+            body = render_prometheus(obs.registry).encode()
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         elif path == "/metrics.json":
-            body = snapshot_json(self.registry).encode()
+            body = snapshot_json(obs.registry).encode()
             content_type = "application/json"
-        elif path == "/trace" and self.trace is not None:
-            body = self.trace.to_chrome_json().encode()
+        elif path == "/trace":
+            body = obs.trace.to_chrome_json().encode()
             content_type = "application/json"
-        elif path == "/metrics/history" and self.history is not None:
+        elif path == "/metrics/history" and history is not None:
             window = None
             raw = parse_qs(parsed.query).get("seconds")
             if raw:
@@ -109,9 +107,7 @@ class _MetricsHandler(BaseHTTPRequestHandler):
                 except ValueError:
                     self.send_error(400, "seconds must be a number")
                     return
-            body = json.dumps(
-                self.history.to_json(window), default=str
-            ).encode()
+            body = json.dumps(history.to_json(window), default=str).encode()
             content_type = "application/json"
         elif path == "/healthz":
             status, body = self._healthz()
@@ -134,7 +130,7 @@ class _MetricsHandler(BaseHTTPRequestHandler):
         server = self.server_ref
         if server is not None and server.draining:
             return 503, json.dumps({"status": "draining"}).encode()
-        health = self.health
+        health = self.obs.health
         if health is None:
             return 200, json.dumps(
                 {"status": "ok", "detail": "no health engine attached"}
@@ -148,8 +144,9 @@ class _MetricsHandler(BaseHTTPRequestHandler):
 
 
 class MetricsServer:
-    """A background stdlib HTTP endpoint over one registry (+ trace,
-    history, health).
+    """A background stdlib HTTP endpoint over one observability bundle:
+    its registry and trace always, its history and health once
+    attached.
 
     ``port=0`` binds an ephemeral port (tests); ``server.port`` reports
     the bound one.  Shutdown is graceful and idempotent:
@@ -160,25 +157,13 @@ class MetricsServer:
     """
 
     def __init__(
-        self,
-        registry: MetricRegistry,
-        trace: TraceLog | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        history: Any = None,
-        health: Any = None,
+        self, obs: Any, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.draining = False
         handler = type(
             "_BoundMetricsHandler",
             (_MetricsHandler,),
-            {
-                "registry": registry,
-                "trace": trace,
-                "history": history,
-                "health": health,
-                "server_ref": self,
-            },
+            {"obs": obs, "server_ref": self},
         )
         self._server = ThreadingHTTPServer((host, port), handler)
         self.host = host
@@ -221,17 +206,9 @@ class MetricsServer:
 
 
 def start_metrics_server(
-    registry: MetricRegistry,
-    trace: TraceLog | None = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    history: Any = None,
-    health: Any = None,
+    obs: Any, host: str = "127.0.0.1", port: int = 0
 ) -> MetricsServer:
-    return MetricsServer(
-        registry, trace=trace, host=host, port=port,
-        history=history, health=health,
-    )
+    return MetricsServer(obs, host=host, port=port)
 
 
 __all__ = [

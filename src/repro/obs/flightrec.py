@@ -59,18 +59,16 @@ def _bundle_bytes(path: str) -> int:
 
 
 class FlightRecorder:
-    """Snapshot-everything incident dumper.  All sources are optional:
-    a recorder wired with only an ``obs`` still writes stacks + trace +
-    slow queries; ``db``/``history``/``health`` add their sections when
-    present."""
+    """Snapshot-everything incident dumper over one observability
+    bundle: stacks, trace and slow queries always; the bundle's
+    attached ``history``/``health`` and the ``db`` (locks, migrations)
+    add their sections when present."""
 
     def __init__(
         self,
-        obs: Any = None,
+        obs: Any,
         *,
         db: Any = None,
-        history: Any = None,
-        health: Any = None,
         directory: str = os.path.join("results", "incidents"),
         min_interval: float = 30.0,
         max_incidents: int = 8,
@@ -81,8 +79,6 @@ class FlightRecorder:
             raise ValueError("max_incidents must be at least 1")
         self.obs = obs
         self.db = db
-        self.history = history
-        self.health = health
         self.directory = directory
         self.min_interval = min_interval
         self.max_incidents = max_incidents
@@ -190,18 +186,12 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     def _sections(self, reason, ts, extra):
         obs = self.obs
-        if obs is not None and getattr(obs, "trace", None) is not None:
-            yield "trace.json", obs.trace.to_chrome()
-        if obs is not None and hasattr(obs, "slow_queries"):
-            yield "slow_queries.json", obs.slow_queries()
-        history = self.history
-        if history is None and obs is not None:
-            history = getattr(obs, "history", None)
+        yield "trace.json", obs.trace.to_chrome()
+        yield "slow_queries.json", obs.slow_queries()
+        history = obs.history
         if history is not None:
             yield "history.json", history.to_json(self.history_window)
-        health = self.health
-        if health is None and obs is not None:
-            health = getattr(obs, "health", None)
+        health = obs.health
         if health is not None:
             yield "health.json", health.report(max_age=None)
         db = self.db

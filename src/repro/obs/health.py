@@ -296,24 +296,21 @@ class HealthEngine:
     """Evaluates rules over a history, tracks per-rule status
     transitions, and fans breaches out to listeners.
 
-    ``obs`` (optional) supplies the trace log for transition instants
-    and the registry for the transitions counter; without it the engine
-    still evaluates and reports.  :meth:`attach` registers the engine
-    as a history listener so evaluation follows the sampling cadence.
+    The history's bundle (``history.obs``) supplies the trace log for
+    transition instants and the registry for the transitions counter.
+    :meth:`attach` registers the engine as a history listener so
+    evaluation follows the sampling cadence.
     """
 
     def __init__(
         self,
         history: MetricsHistory,
         rules: list[HealthRule] | None = None,
-        *,
-        obs: Any = None,
     ) -> None:
         self.history = history
         self.rules: list[HealthRule] = (
             list(rules) if rules is not None else default_rules()
         )
-        self.obs = obs if obs is not None else history.obs
         self._latch = threading.Lock()
         self._last_status: dict[str, str] = {}
         self._since: dict[str, float] = {}
@@ -322,14 +319,11 @@ class HealthEngine:
         self._breach_listeners: list[
             Callable[[dict[str, Any], dict[str, Any]], None]
         ] = []
-        self._transitions_counter = None
-        obs_ = self.obs
-        if obs_ is not None and getattr(obs_, "metrics_enabled", False):
-            self._transitions_counter = obs_.registry.counter(
-                "repro_health_transitions_total",
-                "health-rule status transitions",
-                labelnames=("rule",),
-            )
+        self._transitions_counter = history.obs.registry.counter(
+            "repro_health_transitions_total",
+            "health-rule status transitions",
+            labelnames=("rule",),
+        )
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -393,22 +387,18 @@ class HealthEngine:
     def _record_transition(
         self, rule: str, previous: str, status: str, result: dict[str, Any]
     ) -> None:
-        counter = self._transitions_counter
-        if counter is not None:
-            counter.labels(rule=rule).inc()
-        obs = self.obs
-        if obs is not None and getattr(obs, "tracing_enabled", False):
-            obs.trace.instant(
-                "health.transition",
-                cat="health",
-                args={
-                    "rule": rule,
-                    "from": previous,
-                    "to": status,
-                    "value": result.get("value"),
-                    "bound": result.get("bound"),
-                },
-            )
+        self._transitions_counter.labels(rule=rule).inc()
+        self.history.obs.trace.instant(
+            "health.transition",
+            cat="health",
+            args={
+                "rule": rule,
+                "from": previous,
+                "to": status,
+                "value": result.get("value"),
+                "bound": result.get("bound"),
+            },
+        )
 
     # ------------------------------------------------------------------
     # Reads

@@ -8,15 +8,15 @@ p99 spiked 30 seconds before the stall"), and the flight recorder needs
 the recent past to still exist when an incident fires.  This module
 adds that dimension:
 
-* :class:`MetricsHistory` — a daemon thread scrapes the
-  :class:`~repro.obs.registry.MetricRegistry` every ``interval``
-  seconds into a fixed-width ring of :class:`HistorySample` snapshots
-  (counters merged per family and kept per label child, gauges, and
-  histogram bucket states).  The ring is a ``deque(maxlen=capacity)``:
+* :class:`MetricsHistory` — a daemon thread scrapes an
+  :class:`~repro.obs.observability.Observability` bundle's registry and
+  wait-class totals every ``interval`` seconds into a fixed-width ring
+  of :class:`HistorySample` snapshots (counters merged per family and
+  kept per label child, gauges, and histogram bucket states).  The ring is a ``deque(maxlen=capacity)``:
   appends are GIL-atomic, readers copy, nothing blocks the sampler.
 * **Window queries** over the ring: :meth:`MetricsHistory.rate` (sum of
   positive adjacent deltas — a counter that *shrinks* between samples
-  was reset, e.g. the overhead bench swapping registries, and the
+  was reset, e.g. a registry replaced under a live sampler, and the
   post-reset value counts from zero rather than poisoning the rate
   with a huge negative), :meth:`MetricsHistory.percentile` (histogram
   bucket-count deltas between the window's endpoints, linearly
@@ -31,8 +31,9 @@ adds that dimension:
 Overhead contract: the sampler is a *reader* — the write path gains
 nothing.  Scraping N families at 4 Hz from a side thread costs lock
 round-trips on the cells only at scrape instants; the bench
-(``benchmarks/bench_obs_overhead.py``) prices the whole arrangement at
-<2% attached-but-disabled and <5% with metrics + sampler live.
+(``benchmarks/bench_obs_overhead.py``, leg ``sampler``) prices a bundle
+with the sampler running — what a monitored bullfrogd runs — against a
+detached database, bound <5%.
 """
 
 from __future__ import annotations
@@ -42,11 +43,9 @@ import time
 from collections import deque
 from typing import Any, Callable, Iterable
 
-from .registry import MetricRegistry
-
 # Registry names the derived summary/rows read.  Nothing here is
-# required to exist: a disabled bundle scrapes an empty registry and
-# every derived number degrades to None/0.0.
+# required to exist: a series nobody has registered yet (no migration
+# submitted, no server running) degrades to None/0.0.
 STATEMENTS_TOTAL = "repro_statements_total"
 STATEMENT_SECONDS = "repro_statement_seconds"
 TXN_COMMITS = "repro_txn_commits_total"
@@ -81,9 +80,7 @@ class HistorySample:
     children (all children of a family share bucket bounds), with the
     final slot of ``per_bucket_counts`` being the +Inf bucket.
     ``waits`` carries the wait-class classifier totals
-    (``{cls: (count, total_seconds)}``) when the sampler scrapes a full
-    :class:`~repro.obs.observability.Observability` rather than a bare
-    registry.
+    (``{cls: (count, total_seconds)}``).
     """
 
     __slots__ = ("ts", "mono", "counters", "gauges", "hists", "waits")
@@ -95,7 +92,7 @@ class HistorySample:
         counters: dict[str, float],
         gauges: dict[str, float],
         hists: dict[str, tuple],
-        waits: dict[str, tuple[int, float]] | None,
+        waits: dict[str, tuple[int, float]],
     ) -> None:
         self.ts = ts
         self.mono = mono
@@ -143,12 +140,9 @@ def percentile_from_buckets(
 
 
 class MetricsHistory:
-    """Fixed-width ring of registry snapshots with window queries.
-
-    ``source`` is either an
-    :class:`~repro.obs.observability.Observability` (wait-class totals
-    ride along in each sample) or a bare
-    :class:`~repro.obs.registry.MetricRegistry`.  The sampler thread is
+    """Fixed-width ring of snapshots of one
+    :class:`~repro.obs.observability.Observability` bundle's registry
+    and wait-class totals, with window queries.  The sampler thread is
     started explicitly (:meth:`start`) or implicitly by
     ``Observability.attach_history``; :meth:`sample_now` scrapes
     synchronously for deterministic tests and for callers that want a
@@ -157,7 +151,7 @@ class MetricsHistory:
 
     def __init__(
         self,
-        source: Any,
+        obs: Any,
         interval: float = 0.25,
         capacity: int = 240,
     ) -> None:
@@ -165,12 +159,7 @@ class MetricsHistory:
             raise ValueError("interval must be positive")
         if capacity < 2:
             raise ValueError("capacity must hold at least two samples")
-        if isinstance(source, MetricRegistry):
-            self.registry = source
-            self.obs = None
-        else:
-            self.obs = source
-            self.registry = source.registry
+        self.obs = obs
         self.interval = interval
         self.capacity = capacity
         self._ring: deque[HistorySample] = deque(maxlen=capacity)
@@ -249,7 +238,7 @@ class MetricsHistory:
         counters: dict[str, float] = {}
         gauges: dict[str, float] = {}
         hists: dict[str, tuple] = {}
-        for family in self.registry.families():
+        for family in self.obs.registry.families():
             kind = family.kind
             if kind == "counter":
                 total = 0.0
@@ -282,11 +271,9 @@ class MetricsHistory:
                     total_sum += child_sum
                 if merged is not None and bounds is not None:
                     hists[family.name] = (bounds, merged, count, total_sum)
-        waits = (
-            self.obs.wait_events_snapshot() if self.obs is not None else None
-        )
         return HistorySample(
-            time.time(), time.perf_counter(), counters, gauges, hists, waits
+            time.time(), time.perf_counter(), counters, gauges, hists,
+            self.obs.wait_events_snapshot(),
         )
 
     # ------------------------------------------------------------------
@@ -381,8 +368,8 @@ class MetricsHistory:
         self, window: float | None = None
     ) -> dict[str, float]:
         """Wait-class milliseconds accrued per second of wall time over
-        the window (empty when scraping a bare registry)."""
-        samples = [s for s in self.samples(window) if s.waits is not None]
+        the window."""
+        samples = self.samples(window)
         if len(samples) < 2:
             return {}
         dt = samples[-1].mono - samples[0].mono
@@ -390,11 +377,11 @@ class MetricsHistory:
             return {}
         classes: set[str] = set()
         for s in (samples[0], samples[-1]):
-            classes.update(s.waits)  # type: ignore[arg-type]
+            classes.update(s.waits)
         out: dict[str, float] = {}
         for cls in classes:
             seconds = sum_positive_deltas(
-                (s.waits or {}).get(cls, (0, 0.0))[1] for s in samples
+                s.waits.get(cls, (0, 0.0))[1] for s in samples
             )
             out[cls] = seconds * 1e3 / dt
         return out
@@ -480,10 +467,9 @@ class MetricsHistory:
                 return None if seconds is None else seconds * 1e3
 
             waits: dict[str, float] = {}
-            if cur.waits is not None and prev.waits is not None:
-                for cls, (_, total) in cur.waits.items():
-                    delta = total - prev.waits.get(cls, (0, 0.0))[1]
-                    waits[cls] = (delta if delta >= 0.0 else total) * 1e3 / dt
+            for cls, (_, total) in cur.waits.items():
+                delta = total - prev.waits.get(cls, (0, 0.0))[1]
+                waits[cls] = (delta if delta >= 0.0 else total) * 1e3 / dt
             rows.append(
                 {
                     "ts": cur.ts,

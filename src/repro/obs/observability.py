@@ -7,13 +7,13 @@ that have a counter in :data:`POINT_COUNTERS` — all but the cluster
 epoch-flip pair — and the hot paths already branch there, so attaching
 observability adds **one** guarded call per seam
 (``obs is not None`` → ``obs.emit(point, ...)``), which bumps the
-point's counter *and* appends a trace event in a single dispatch, not
-two separate guards for metrics and tracing.
+point's counter *and* appends a trace event in a single dispatch.
 
-Zero-cost-when-detached contract (same as fault injection): every
-owner holds ``obs = None`` by default and guards with a plain
-``is not None``; ``benchmarks/bench_obs_overhead.py`` holds the
-disabled cost to <2% and the enabled-metrics cost to <5%.
+There are two configurations: detached (``obs=None``, the default
+everywhere) or a bundle with metrics and tracing both on.  Every owner
+guards with a plain ``is not None``, the same contract as fault
+injection; ``benchmarks/bench_obs_overhead.py`` prices the bundle, with
+and without the history sampler, against a detached database (<5%).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Any
 from ..sql import ast_nodes as _ast
 from .registry import DEFAULT_LATENCY_BUCKETS, MetricRegistry
 from .trace import TraceEvent, TraceLog
-from .tracectx import WAIT_CLASSES, current as _trace_current
+from .tracectx import WAIT_CLASSES, current as _trace_current, trace_args
 
 # One counter per migration-lifecycle point; keys mirror
 # repro.core.faults.FAULT_POINTS so the seams double as metric sites.
@@ -76,10 +76,6 @@ POINT_COUNTERS: dict[str, tuple[str, str]] = {
 }
 
 
-def _noop(amount: float = 1) -> None:
-    pass
-
-
 # Span names precomputed by statement kind: the f-string was a
 # measurable slice of the per-statement tracing cost.
 _STMT_SPAN_NAMES = {
@@ -94,26 +90,18 @@ _INTERCEPT_SPAN_FLOOR_S = 0.00025
 # Staging entries folded into totals when the deque grows past this.
 _WAIT_FOLD_THRESHOLD = 4096
 
+_TRACE_CAPACITY = 65536  # trace ring events
+_SLOW_QUERY_CAPACITY = 256  # in-memory slow-query records
+
 
 class Observability:
-    """Registry + trace log + pre-bound lifecycle instruments.
-
-    ``metrics=False`` / ``tracing=False`` keep the object attachable
-    (the guards still pass) while the corresponding emissions early-out;
-    the overhead benchmark uses this to price the seams themselves.
-    """
+    """Registry + trace log + pre-bound lifecycle instruments."""
 
     def __init__(
         self,
-        registry: MetricRegistry | None = None,
-        trace: TraceLog | None = None,
-        metrics: bool = True,
-        tracing: bool = True,
-        trace_capacity: int = 65536,
         sample_statements: int = 16,
         sample_traces: int = 64,
         slow_query_threshold: float | None = None,
-        slow_query_capacity: int = 256,
         slow_query_log_path: str | None = None,
         slow_query_log_max_bytes: int = 16 * 1024 * 1024,
     ) -> None:
@@ -126,19 +114,11 @@ class Observability:
             # then also latency-sampled, so a traced root always has
             # its histogram observation.
             raise ValueError("sample_traces must be >= sample_statements")
-        if slow_query_capacity <= 0:
-            raise ValueError("slow_query_capacity must be positive")
         if slow_query_threshold is not None and slow_query_threshold < 0:
             raise ValueError("slow_query_threshold must be non-negative")
-        self.registry = registry if registry is not None else MetricRegistry()
-        self.trace = trace if trace is not None else TraceLog(trace_capacity)
-        self.metrics_enabled = metrics
-        self.tracing_enabled = tracing
-        # The slow-query log needs the same per-statement machinery as
-        # tracing (wait breakdown, trace ids), so either turns on the
-        # "every statement is fully observed" path.
+        self.registry = MetricRegistry()
+        self.trace = TraceLog(_TRACE_CAPACITY)
         self.slow_query_threshold = slow_query_threshold
-        self.statement_tracing = tracing or slow_query_threshold is not None
         # Statement *counts* are exact; statement *latency* is observed
         # for a deterministic 1-in-N sample (the first statement and
         # every Nth after it).  Two clock reads plus a histogram update
@@ -151,9 +131,7 @@ class Observability:
         # propagated trace context — every networked request with
         # tracing negotiated — is always fully traced, and an untraced
         # embedded statement starts a full root trace 1-in-64 by
-        # default.  The two-tier split is what keeps the
-        # enabled-tracing overhead inside the <5% budget on the no-op
-        # hot loop: the full span/context machinery costs ~10x the
+        # default.  The full span/context machinery costs ~10x the
         # histogram observation, so it gets ~4x the sampling period.
         # A slow-query threshold forces both periods to 1: a slow
         # statement must never dodge its record — or arrive in it
@@ -185,142 +163,116 @@ class Observability:
             raise ValueError("slow_query_log_max_bytes must be at least 4096")
         self.slow_query_log_path = slow_query_log_path
         self.slow_query_log_max_bytes = slow_query_log_max_bytes
-        self._slow_queries: deque[dict[str, Any]] = deque(maxlen=slow_query_capacity)
+        self._slow_queries: deque[dict[str, Any]] = deque(
+            maxlen=_SLOW_QUERY_CAPACITY
+        )
         self._slow_latch = threading.Lock()
         self._slow_sink: Any = None
-        # Monitoring attachments (PR 9): the time-series sampler, the
-        # health rule engine, and the flight recorder.  All None until
+        # Monitoring attachments: the time-series sampler, the health
+        # rule engine, and the flight recorder.  All None until
         # attach_history()/attach_monitoring() — a bare Observability
         # stays a passive bundle with no threads.
         self.history: Any = None
         self.health: Any = None
         self.flight: Any = None
-        # Hot seams check this one attribute after their `is not None`
-        # guard: an attached-but-fully-disabled bundle then costs a
-        # branch per seam instead of a full emit dispatch.
-        self.active = bool(metrics or tracing)
         # Pre-bound *cells* (not families): emission is a dict lookup +
         # one locked add — no registry traversal, no family delegation.
-        self._point_counters: dict[str, Any] = {}
-        # What the per-statement hooks below close over; empty/no-op
-        # with metrics off.
-        stmt_observes: dict[str, Any] = {}
-        stmt_incs_by_type: dict[type, Any] = {}
-        ddl_inc = _noop
-        hot_cells: tuple = ()
-        if metrics:
-            for point, (name, help_text) in POINT_COUNTERS.items():
-                self._point_counters[point] = self.registry.counter(
-                    name, help_text
-                ).cell()
-            self.statement_latency = self.registry.histogram(
-                "repro_statement_seconds",
-                "end-to-end statement latency (includes lazy-migration work "
-                "done by the interceptor)",
-                labelnames=("stmt",),
-                buckets=DEFAULT_LATENCY_BUCKETS,
-            )
-            self.migrate_wip_latency = self.registry.histogram(
-                "bullfrog_migrate_wip_seconds",
-                "duration of one migration transaction (claim batch -> "
-                "produce -> commit -> mark)",
-                buckets=DEFAULT_LATENCY_BUCKETS,
-            )
-            self.wal_batch_records = self.registry.histogram(
-                "repro_wal_batch_records",
-                "MIGRATE records per WAL commit batch (0 for a commit "
-                "that migrated nothing)",
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
-            )
-            self.rows_written = self.registry.counter(
-                "repro_rows_written_total",
-                "rows written by DML (post-constraint-check)",
-                labelnames=("op",),
-            )
-            self._rows_cells = {
-                op: self.rows_written.labels(op=op)
-                for op in ("insert", "update", "delete")
-            }
-            self.statements_total = self.registry.counter(
-                "repro_statements_total",
-                "client statements executed (exact, never sampled)",
-                labelnames=("stmt",),
-            )
-            kinds = ("select", "insert", "update", "delete", "ddl")
-            stmt_observes = {
-                kind: self.statement_latency.labels(stmt=kind).observe
-                for kind in kinds
-            }
-            stmt_counts = {
-                kind: self.statements_total.labels(stmt=kind) for kind in kinds
-            }
-            # Keyed by AST class so the executor seam dispatches with
-            # one ``type(stmt)`` + one dict probe; anything not DML
-            # (DDL included) falls back to the ``ddl`` series.
-            stmt_incs_by_type = {
-                _ast.Select: stmt_counts["select"].inc1,
-                _ast.Insert: stmt_counts["insert"].inc1,
-                _ast.Update: stmt_counts["update"].inc1,
-                _ast.Delete: stmt_counts["delete"].inc1,
-            }
-            ddl_inc = stmt_counts["ddl"].inc1
-            self.lock_wait_latency = self.registry.histogram(
-                "repro_lock_wait_seconds",
-                "time spent blocked on lock acquisition (contended path "
-                "only; uncontended acquires are never observed)",
-                labelnames=("resource",),
-                buckets=DEFAULT_LATENCY_BUCKETS,
-            )
-            self._lock_wait_cells = {
-                cls: self.lock_wait_latency.labels(resource=cls).observe
-                for cls in ("table", "tuple", "other")
-            }
-            self.deadlocks_total = self.registry.counter(
-                "repro_deadlock_aborts_total",
-                "lock acquisitions aborted by deadlock handling "
-                "(DETECT victim or WAIT_DIE death)",
-            ).cell()
-            self.lock_timeouts_total = self.registry.counter(
-                "repro_lock_timeouts_total",
-                "lock acquisitions aborted by the lock-wait timeout",
-            ).cell()
-            self.serialization_failures_total = self.registry.counter(
-                "repro_serialization_failures_total",
-                "snapshot-isolation first-updater-wins aborts "
-                "(SQLSTATE 40001)",
-            ).cell()
-            self._wip_cell = self.migrate_wip_latency.cell()
-            self._wal_cells: tuple[Any, Any] | None = (
-                self._point_counters["wal.flush"],
-                self.wal_batch_records.cell(),
-            )
-            # Bound-method fast paths for the two per-statement-rate
-            # counters: on the no-op hot loop even one spare call layer
-            # per seam is measurable, so the seams call the cell's
-            # atomic unit-increment directly when tracing is off.
-            self.inc_claim_round = self._point_counters["migrate.before_claim"].inc1
-            self.inc_txn_commit = self._point_counters["txn.commit"].inc1
-            hot_cells = (
-                self._point_counters["migrate.before_claim"],
-                self._point_counters["txn.commit"],
-                *stmt_counts.values(),
-            )
-        else:
-            self.statement_latency = None
-            self.statements_total = None
-            self.migrate_wip_latency = None
-            self.wal_batch_records = None
-            self.rows_written = None
-            self.lock_wait_latency = None
-            self._lock_wait_cells = {}
-            self.deadlocks_total = None
-            self.lock_timeouts_total = None
-            self.serialization_failures_total = None
-            self._rows_cells = {}
-            self._wip_cell = None
-            self._wal_cells = None
-            self.inc_claim_round = _noop
-            self.inc_txn_commit = _noop
+        self._point_counters: dict[str, Any] = {
+            point: self.registry.counter(name, help_text).cell()
+            for point, (name, help_text) in POINT_COUNTERS.items()
+        }
+        self.statement_latency = self.registry.histogram(
+            "repro_statement_seconds",
+            "end-to-end statement latency (includes lazy-migration work "
+            "done by the interceptor)",
+            labelnames=("stmt",),
+            buckets=DEFAULT_LATENCY_BUCKETS,
+        )
+        self.migrate_wip_latency = self.registry.histogram(
+            "bullfrog_migrate_wip_seconds",
+            "duration of one migration transaction (claim batch -> "
+            "produce -> commit -> mark)",
+            buckets=DEFAULT_LATENCY_BUCKETS,
+        )
+        self.wal_batch_records = self.registry.histogram(
+            "repro_wal_batch_records",
+            "MIGRATE records per WAL commit batch (0 for a commit "
+            "that migrated nothing)",
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
+        )
+        self.rows_written = self.registry.counter(
+            "repro_rows_written_total",
+            "rows written by DML (post-constraint-check)",
+            labelnames=("op",),
+        )
+        self._rows_cells = {
+            op: self.rows_written.labels(op=op)
+            for op in ("insert", "update", "delete")
+        }
+        self.statements_total = self.registry.counter(
+            "repro_statements_total",
+            "client statements executed (exact, never sampled)",
+            labelnames=("stmt",),
+        )
+        kinds = ("select", "insert", "update", "delete", "ddl")
+        stmt_observes = {
+            kind: self.statement_latency.labels(stmt=kind).observe
+            for kind in kinds
+        }
+        stmt_counts = {
+            kind: self.statements_total.labels(stmt=kind) for kind in kinds
+        }
+        # Keyed by AST class so the executor seam dispatches with
+        # one ``type(stmt)`` + one dict probe; anything not DML
+        # (DDL included) falls back to the ``ddl`` series.
+        stmt_incs_by_type = {
+            _ast.Select: stmt_counts["select"].inc1,
+            _ast.Insert: stmt_counts["insert"].inc1,
+            _ast.Update: stmt_counts["update"].inc1,
+            _ast.Delete: stmt_counts["delete"].inc1,
+        }
+        ddl_inc = stmt_counts["ddl"].inc1
+        self.lock_wait_latency = self.registry.histogram(
+            "repro_lock_wait_seconds",
+            "time spent blocked on lock acquisition (contended path "
+            "only; uncontended acquires are never observed)",
+            labelnames=("resource",),
+            buckets=DEFAULT_LATENCY_BUCKETS,
+        )
+        self._lock_wait_cells = {
+            cls: self.lock_wait_latency.labels(resource=cls).observe
+            for cls in ("table", "tuple", "other")
+        }
+        self.deadlocks_total = self.registry.counter(
+            "repro_deadlock_aborts_total",
+            "lock acquisitions aborted by deadlock handling "
+            "(DETECT victim or WAIT_DIE death)",
+        ).cell()
+        self.lock_timeouts_total = self.registry.counter(
+            "repro_lock_timeouts_total",
+            "lock acquisitions aborted by the lock-wait timeout",
+        ).cell()
+        self.serialization_failures_total = self.registry.counter(
+            "repro_serialization_failures_total",
+            "snapshot-isolation first-updater-wins aborts "
+            "(SQLSTATE 40001)",
+        ).cell()
+        self._wip_cell = self.migrate_wip_latency.cell()
+        self._wal_cells = (
+            self._point_counters["wal.flush"],
+            self.wal_batch_records.cell(),
+        )
+        # Bound-method fast paths for the two per-statement-rate
+        # counters: on the no-op hot loop even one spare call layer
+        # per seam is measurable, so the seams that only count call
+        # the cell's atomic unit-increment directly.
+        self.inc_claim_round = self._point_counters["migrate.before_claim"].inc1
+        self.inc_txn_commit = self._point_counters["txn.commit"].inc1
+        hot_cells = (
+            self._point_counters["migrate.before_claim"],
+            self._point_counters["txn.commit"],
+            *stmt_counts.values(),
+        )
         # Per-statement executor hooks, specialized at attach time:
         # every cell, dict probe, and the trace ring itself become
         # closure locals — no method-dispatch glue on the hot loop.
@@ -330,8 +282,7 @@ class Observability:
         # trace context says otherwise, skip all end work"), a
         # *negative* timestamp for a latency-sampled-but-untraced one
         # (histogram observation only), and a positive timestamp for a
-        # trace-sampled root (full span/context machinery) — never
-        # positive when statement tracing is off.  The caller
+        # trace-sampled root (full span/context machinery).  The caller
         # (``Session.execute_statement``) always honors an active
         # propagated context regardless of the coin, re-reading the
         # clock itself for that case.
@@ -344,19 +295,15 @@ class Observability:
         # the coin's wrap doubles as the compaction tick that keeps the
         # hot cells' inc1 queues bounded in a process nobody scrapes.
         incs_by_type_get = stmt_incs_by_type.get
-        observes_get = stmt_observes.get
-        fallback = self.statement_latency
         mask = self.sample_statements - 1
         tmask = self.sample_traces - 1
         cycle_mask = max(self.sample_traces, 256) - 1
         coin = [0]
-        roots = self.statement_tracing
         staging = self._wait_staging
         fold = self._fold_waits
         trace = self.trace
         tappend = trace._append
         epoch = trace._epoch
-        tracing_on = tracing
         threshold = slow_query_threshold
         record_slow = self._record_slow
 
@@ -369,7 +316,7 @@ class Observability:
             if not n:
                 for cell in hot_cells:
                     cell.maybe_compact()
-            if n & tmask or not roots:
+            if n & tmask:
                 return -_pc()
             return _pc()
 
@@ -382,7 +329,7 @@ class Observability:
             _pc=time.perf_counter,
             _ident=threading.get_ident,
             _event=TraceEvent,
-            _names_get=_STMT_SPAN_NAMES.get,
+            _names=_STMT_SPAN_NAMES,
         ) -> None:
             """End-of-statement hook: latency histogram, ``stmt.<kind>``
             trace span (tagged with the statement's trace ids), the
@@ -393,11 +340,7 @@ class Observability:
             incurred below this frame."""
             now = _pc()
             seconds = now - start_s
-            observe = observes_get(kind)
-            if observe is not None:
-                observe(seconds)
-            elif fallback is not None:
-                fallback.labels(stmt=kind).observe(seconds)
+            stmt_observes[kind](seconds)
             cpu = seconds
             if ctx is not None:
                 waits = ctx.waits
@@ -415,7 +358,6 @@ class Observability:
                 staging.append(("cpu", cpu))
                 if len(staging) >= _WAIT_FOLD_THRESHOLD:
                     fold()
-            if tracing_on and ctx is not None:
                 # Span emission tracks the trace coin, not the latency
                 # coin: a latency-sampled-but-untraced statement (ctx
                 # None) gets its histogram observation above and no
@@ -431,7 +373,7 @@ class Observability:
                     args["parent"] = parent
                 tappend(
                     _event(
-                        _names_get(kind) or f"stmt.{kind}",
+                        _names[kind],
                         "exec",
                         "X",
                         end_us - dur_us,
@@ -456,22 +398,14 @@ class Observability:
         counter = self._point_counters.get(point)
         if counter is not None:
             counter.inc()
-        if self.tracing_enabled:
-            ctx = _trace_current()
-            if ctx is not None:
-                args["trace"] = ctx.trace_id
-                args["parent"] = ctx.span_id
-            self.trace.instant(point, cat="lifecycle", args=args or None)
+        self.trace.instant(point, cat="lifecycle", args=trace_args(args) or None)
 
     def count(self, point: str, n: int = 1) -> None:
-        """Metrics-only fast path for ``n`` passes through a lifecycle
-        point: ``emit(point)`` minus the kwargs collection (which costs
-        more than the counter bump itself).  Hot seams take it when
-        tracing is off; bullfrogd counts a whole batch of frames in one
-        call."""
-        cell = self._point_counters.get(point)
-        if cell is not None:
-            cell.inc(n)
+        """Counter-only fast path for ``n`` passes through a lifecycle
+        point: ``emit(point)`` minus the kwargs collection and the
+        instant (which cost more than the counter bump itself).
+        bullfrogd counts a whole batch of frames in one call."""
+        self._point_counters[point].inc(n)
 
     @staticmethod
     def in_trace() -> bool:
@@ -484,12 +418,7 @@ class Observability:
         """Instant-only emission (no counter — the caller already
         counted), trace-tagged.  For seams whose counter must stay
         exact while the instant is emitted selectively."""
-        if self.tracing_enabled:
-            ctx = _trace_current()
-            if ctx is not None:
-                args["trace"] = ctx.trace_id
-                args["parent"] = ctx.span_id
-            self.trace.instant(point, cat="lifecycle", args=args or None)
+        self.trace.instant(point, cat="lifecycle", args=trace_args(args) or None)
 
     # ------------------------------------------------------------------
     # Spans
@@ -497,27 +426,22 @@ class Observability:
     def span_start(self) -> float:
         """Start-of-span timestamp; pair with :meth:`span_end`.  Cheaper
         than a context manager on hot paths."""
-        return self.trace.now_us() if self.tracing_enabled else time.perf_counter() * 1e6
+        return self.trace.now_us()
 
     def span_end(
         self, name: str, start_us: float, cat: str = "", **args: Any
     ) -> float:
-        """Record the span (if tracing) and return its duration in
-        seconds (for feeding a histogram).  Trace-tagged when a context
-        is active."""
-        if self.tracing_enabled:
-            end = self.trace.now_us()
-            ctx = _trace_current()
-            if ctx is not None:
-                args["trace"] = ctx.trace_id
-                args["parent"] = ctx.span_id
-            self.trace.complete(name, start_us, cat=cat, args=args or None, end_us=end)
-            return (end - start_us) / 1e6
-        return time.perf_counter() - start_us / 1e6
+        """Record the span and return its duration in seconds (for
+        feeding a histogram).  Trace-tagged when a context is active."""
+        end = self.trace.now_us()
+        self.trace.complete(
+            name, start_us, cat=cat, args=trace_args(args) or None, end_us=end
+        )
+        return (end - start_us) / 1e6
 
     def observe_wip(self, start_us: float, **args: Any) -> None:
         """End of one migration transaction: the ``migrate.wip`` span
-        (if tracing) and its duration histogram, one guarded call.
+        and its duration histogram, one guarded call.
 
         When a trace context is active this migration ran
         *synchronously inside a foreground statement* (the interceptor
@@ -528,39 +452,31 @@ class Observability:
         durations.  Background-migrator calls carry no context and are
         not waits."""
         ctx = _trace_current()
-        if self.tracing_enabled:
-            end = self.trace.now_us()
-            seconds = (end - start_us) / 1e6
-            if ctx is not None:
-                args["trace"] = ctx.trace_id
-                args["parent"] = ctx.span_id
-                args["wait"] = "migration"
-            self.trace.complete(
-                "migrate.wip", start_us, cat="migration",
-                args=args or None, end_us=end,
-            )
-        else:
-            seconds = time.perf_counter() - start_us * 1e-6
+        end = self.trace.now_us()
+        seconds = (end - start_us) / 1e6
+        args = trace_args(args)
+        if ctx is not None:
+            args["wait"] = "migration"
+        self.trace.complete(
+            "migrate.wip", start_us, cat="migration",
+            args=args or None, end_us=end,
+        )
         if ctx is not None:
             ctx.note("wip", 1)
             self.record_wait("migration", seconds, ctx)
-        cell = self._wip_cell
-        if cell is not None:
-            cell.observe(seconds)
+        self._wip_cell.observe(seconds)
 
     def wal_flush(self, txn_id: int, records: int) -> None:
         """The ``wal.flush`` seam: batch counter + records-per-batch
         histogram + trace instant behind the WAL's one guard."""
-        cells = self._wal_cells
-        if cells is not None:
-            cells[0].inc()
-            cells[1].observe(records)
-        if self.tracing_enabled:
-            self.trace.instant(
-                "wal.flush",
-                cat="lifecycle",
-                args={"txn_id": txn_id, "records": records},
-            )
+        batches, sizes = self._wal_cells
+        batches.inc()
+        sizes.observe(records)
+        self.trace.instant(
+            "wal.flush",
+            cat="lifecycle",
+            args={"txn_id": txn_id, "records": records},
+        )
 
     # ------------------------------------------------------------------
     # Lock-wait profiling (called by LockManager on the contended path)
@@ -571,50 +487,38 @@ class Observability:
         """Contended-path lock wait: histogram, the ``lock`` wait event
         (when a statement context is active), and a ``lock.wait`` span
         naming the blocking transaction ids."""
-        observe = self._lock_wait_cells.get(cls)
-        if observe is not None:
-            observe(seconds)
+        self._lock_wait_cells[cls](seconds)
         ctx = _trace_current()
         if ctx is not None:
             self.record_wait("lock", seconds, ctx)
-        if self.tracing_enabled:
-            end_us = self.trace.now_us()
-            args: dict[str, Any] = {"resource": cls}
-            if blockers:
-                args["blockers"] = list(blockers)
-            if ctx is not None:
-                args["trace"] = ctx.trace_id
-                args["parent"] = ctx.span_id
-                args["wait"] = "lock"
-            self.trace.complete(
-                "lock.wait", end_us - seconds * 1e6, cat="txn",
-                args=args, end_us=end_us,
-            )
+        end_us = self.trace.now_us()
+        args: dict[str, Any] = {"resource": cls}
+        if blockers:
+            args["blockers"] = list(blockers)
+        args = trace_args(args)
+        if ctx is not None:
+            args["wait"] = "lock"
+        self.trace.complete(
+            "lock.wait", end_us - seconds * 1e6, cat="txn",
+            args=args, end_us=end_us,
+        )
 
     def count_deadlock(self) -> None:
-        cell = self.deadlocks_total
-        if cell is not None:
-            cell.inc()
+        self.deadlocks_total.inc()
 
     def count_lock_timeout(self) -> None:
-        cell = self.lock_timeouts_total
-        if cell is not None:
-            cell.inc()
+        self.lock_timeouts_total.inc()
 
     def count_serialization_failure(self) -> None:
-        cell = self.serialization_failures_total
-        if cell is not None:
-            cell.inc()
+        self.serialization_failures_total.inc()
 
     def add_rows(self, op: str, count: int) -> None:
         """Row-count accounting from the executor write path; pre-bound
         label cells so the cost is one dict lookup + one locked add.
         Inside a traced statement the count also lands on the context's
         notes, so the slow-query record reports rows touched per op."""
-        cell = self._rows_cells.get(op)
-        if cell is not None and count:
-            cell.inc(count)
-        if count and self.statement_tracing:
+        if count:
+            self._rows_cells[op].inc(count)
             ctx = _trace_current()
             if ctx is not None:
                 ctx.note("rows_" + op, count)
@@ -726,21 +630,14 @@ class Observability:
     # ------------------------------------------------------------------
     # Monitoring attachments (history sampler, health rules, recorder)
     # ------------------------------------------------------------------
-    def attach_history(
-        self,
-        interval: float = 0.25,
-        capacity: int = 240,
-        start: bool = True,
-    ) -> Any:
+    def attach_history(self, interval: float = 0.25, start: bool = True) -> Any:
         """Create (or return the existing) metrics-history sampler over
         this bundle.  Imported lazily so a bundle that never monitors
         never loads the module."""
         if self.history is None:
             from .history import MetricsHistory
 
-            self.history = MetricsHistory(
-                self, interval=interval, capacity=capacity
-            )
+            self.history = MetricsHistory(self, interval=interval)
         if start:
             self.history.start()
         return self.history
@@ -750,12 +647,10 @@ class Observability:
         db: Any = None,
         *,
         interval: float = 0.25,
-        capacity: int = 240,
         rules: Any = None,
         incident_dir: str | None = None,
         min_dump_interval: float = 30.0,
         max_incidents: int = 8,
-        max_incident_bytes: int = 64 * 1024 * 1024,
         start: bool = True,
     ) -> tuple[Any, Any, Any]:
         """The full monitoring stack in one call: history sampler +
@@ -763,27 +658,22 @@ class Observability:
         recorder wired to breaches.  Returns ``(history, health,
         flight)``; idempotent per component, so a server can add its
         own rules after an embedded shell already attached."""
-        history = self.attach_history(
-            interval=interval, capacity=capacity, start=start
-        )
+        history = self.attach_history(interval=interval, start=start)
         if self.health is None:
             from .health import HealthEngine
 
-            self.health = HealthEngine(history, rules, obs=self).attach()
+            self.health = HealthEngine(history, rules).attach()
         if self.flight is None:
             from .flightrec import FlightRecorder
 
             self.flight = FlightRecorder(
                 self,
                 db=db,
-                history=history,
-                health=self.health,
                 directory=incident_dir
                 if incident_dir is not None
                 else os.path.join("results", "incidents"),
                 min_interval=min_dump_interval,
                 max_incidents=max_incidents,
-                max_bytes=max_incident_bytes,
             )
             self.health.on_breach(self.flight.on_breach)
         elif db is not None and self.flight.db is None:
@@ -802,7 +692,7 @@ class Observability:
                 self._slow_sink = None
 
     # ------------------------------------------------------------------
-    # WAL append span (tracing path; metrics-only keeps wal_flush)
+    # WAL append span (traced commits; untraced ones keep wal_flush)
     # ------------------------------------------------------------------
     def wal_append(
         self,
@@ -814,36 +704,33 @@ class Observability:
     ) -> None:
         """End of one redo-batch append: batch metrics, the ``wal``
         wait event, and a ``wal.append`` span.  The WAL calls this
-        *after* the append (so a crashed append records nothing), only
-        on the statement-tracing path — metrics-only mode keeps the
-        pre-append :meth:`wal_flush` instant."""
+        *after* the append (so a crashed append records nothing), and
+        only for a commit inside a traced statement — every other commit
+        takes the pre-append :meth:`wal_flush` instant."""
         now = _pc()
         seconds = now - start_s
-        cells = self._wal_cells
-        if cells is not None:
-            cells[0].inc()
-            cells[1].observe(records)
+        batches, sizes = self._wal_cells
+        batches.inc()
+        sizes.observe(records)
         ctx = _trace_current()
+        args: dict[str, Any] = {"txn_id": txn_id, "records": records}
         if ctx is not None:
             self.record_wait("wal", seconds, ctx)
-        if self.tracing_enabled:
-            trace = self.trace
-            args: dict[str, Any] = {"txn_id": txn_id, "records": records}
-            if ctx is not None:
-                args["trace"] = ctx.trace_id
-                args["parent"] = ctx.span_id
-                args["wait"] = "wal"
-            dur_us = seconds * 1e6
-            end_us = (now - trace._epoch) * 1e6
-            trace._append(
-                TraceEvent(
-                    "wal.append", "txn", "X", end_us - dur_us, dur_us,
-                    _ident(), args,
-                )
+            args["trace"] = ctx.trace_id
+            args["parent"] = ctx.span_id
+            args["wait"] = "wal"
+        trace = self.trace
+        dur_us = seconds * 1e6
+        end_us = (now - trace._epoch) * 1e6
+        trace._append(
+            TraceEvent(
+                "wal.append", "txn", "X", end_us - dur_us, dur_us,
+                _ident(), args,
             )
+        )
 
     # ------------------------------------------------------------------
-    # Lazy-migration interceptor span (statement-tracing path)
+    # Lazy-migration interceptor span (traced statements)
     # ------------------------------------------------------------------
     def intercept_done(
         self,
@@ -864,19 +751,18 @@ class Observability:
             notes = ctx.notes if ctx is not None else None
             if notes is None or "wip" not in notes:
                 return
-        if self.tracing_enabled:
-            trace = self.trace
-            args: dict[str, Any] | None = None
-            if ctx is not None:
-                args = {"trace": ctx.trace_id, "parent": ctx.span_id}
-            dur_us = seconds * 1e6
-            end_us = (now - trace._epoch) * 1e6
-            trace._append(
-                TraceEvent(
-                    "migrate.intercept", "migration", "X",
-                    end_us - dur_us, dur_us, _ident(), args,
-                )
+        trace = self.trace
+        args: dict[str, Any] | None = None
+        if ctx is not None:
+            args = {"trace": ctx.trace_id, "parent": ctx.span_id}
+        dur_us = seconds * 1e6
+        end_us = (now - trace._epoch) * 1e6
+        trace._append(
+            TraceEvent(
+                "migrate.intercept", "migration", "X",
+                end_us - dur_us, dur_us, _ident(), args,
             )
+        )
 
     # ------------------------------------------------------------------
     # Snapshots

@@ -154,7 +154,7 @@ def _locks_producer(db: "Database") -> Callable[[Any], Iterable[Row]]:
 def _statements_producer(db: "Database") -> Callable[[Any], Iterable[Row]]:
     def produce(ctx: Any) -> Iterable[Row]:
         obs = db.obs  # read live: the bench swaps bundles in place
-        if obs is None or obs.statements_total is None:
+        if obs is None:
             return []
         rows: list[Row] = []
         for kind in _STATEMENT_KINDS:
@@ -174,7 +174,7 @@ def _statements_producer(db: "Database") -> Callable[[Any], Iterable[Row]]:
 def _wait_events_producer(db: "Database") -> Callable[[Any], Iterable[Row]]:
     def produce(ctx: Any) -> Iterable[Row]:
         obs = db.obs  # read live: the bench swaps bundles in place
-        if obs is None or not obs.active:
+        if obs is None:
             return []
         snapshot = obs.wait_events_snapshot()
         return [

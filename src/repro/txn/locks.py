@@ -215,7 +215,7 @@ class LockManager:
         if timeout:
             entry.timeouts += 1
         obs = self.obs
-        if obs is not None and obs.active:
+        if obs is not None:
             obs.observe_lock_wait(resource_class(resource), seconds, blockers)
             if deadlock:
                 obs.count_deadlock()

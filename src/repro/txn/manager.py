@@ -172,8 +172,8 @@ class Transaction:
         faults = manager.faults
         obs = manager.obs
         wrote = bool(self._undo or self._redo)
-        if obs is not None and obs.active:
-            if obs.tracing_enabled and wrote:
+        if obs is not None:
+            if wrote:
                 # Read-only commits stay instant-free: the statement
                 # span already bounds them, and one instant per
                 # autocommit SELECT was a top line item in the <5%
@@ -227,7 +227,7 @@ class Transaction:
             action()
         faults = self._manager.faults
         obs = self._manager.obs
-        if obs is not None and obs.active:
+        if obs is not None:
             obs.emit("txn.abort", txn_id=self.id)
         if faults is not None and "txn.abort" in faults.watching:
             # Latency/callback only — FaultRule rejects raising actions

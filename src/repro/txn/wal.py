@@ -75,8 +75,8 @@ class RedoLog:
         faults = self.faults
         obs = self.obs
         start_s = 0.0
-        if obs is not None and obs.active:
-            if obs.statement_tracing and obs.in_trace():
+        if obs is not None:
+            if obs.in_trace():
                 # A traced statement is committing: time the append (a
                 # ``wal.append`` span + the ``wal`` wait class), so the
                 # metrics move into :meth:`Observability.wal_append`

@@ -167,7 +167,7 @@ class TestSystemViews:
         assert result.columns == ["stmt", "calls"]
 
     def test_statements_view_with_metrics_attached(self):
-        obs = Observability(metrics=True, tracing=False, sample_statements=1)
+        obs = Observability(sample_statements=1)
         db = Database(obs=obs)
         s = db.connect()
         s.execute("CREATE TABLE t (id INT PRIMARY KEY)")
@@ -342,7 +342,7 @@ class TestLockWaitProfiling:
         assert locks.snapshot() == []
 
     def test_lock_wait_metrics_flow_to_registry(self):
-        obs = Observability(metrics=True, tracing=False)
+        obs = Observability()
         locks = LockManager(timeout=5.0)
         locks.obs = obs
         resource = ("tuple", "t", 1)
@@ -426,7 +426,7 @@ class TestDeadlockProfiling:
     def test_deadlock_counters_reach_view_and_registry(self):
         """End to end: a deadlock between two sessions shows up in the
         registry counter and in ``bullfrog_stat_locks`` via plain SQL."""
-        obs = Observability(metrics=True, tracing=False)
+        obs = Observability()
         db = Database(obs=obs, deadlock_policy=DeadlockPolicy.DETECT)
         s1, s2 = db.connect(), db.connect()
         s1.execute("CREATE TABLE t1 (id INT PRIMARY KEY)")

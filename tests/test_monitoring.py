@@ -45,9 +45,9 @@ from repro.shell import Shell, format_health, render_top
 
 class TestHistoryRing:
     def test_retention_and_eviction_at_capacity(self):
-        registry = MetricRegistry()
-        counter = registry.counter("c_total").cell()
-        history = MetricsHistory(registry, interval=0.01, capacity=4)
+        obs = Observability()
+        counter = obs.registry.counter("c_total").cell()
+        history = MetricsHistory(obs, interval=0.01, capacity=4)
         for i in range(10):
             counter.inc()
             history.sample_now()
@@ -62,17 +62,17 @@ class TestHistoryRing:
         assert monos == sorted(monos)
 
     def test_rate_survives_counter_reset(self):
-        """The overhead bench swaps whole registries on live objects;
+        """A registry replaced under a live sampler resets its counters;
         a counter that shrinks between scrapes is a reset and its
         post-reset value counts from zero (Prometheus increase())."""
-        r1 = MetricRegistry()
-        r1.counter("c_total").inc(10)
-        history = MetricsHistory(r1, interval=0.01, capacity=16)
+        obs = Observability()
+        obs.registry.counter("c_total").inc(10)
+        history = MetricsHistory(obs, interval=0.01, capacity=16)
         history.sample_now()
         time.sleep(0.02)
         r2 = MetricRegistry()
         r2.counter("c_total").inc(3)
-        history.registry = r2  # the live swap
+        obs.registry = r2  # the live swap
         history.sample_now()
         time.sleep(0.02)
         r2.get("c_total").cell().inc(2)
@@ -107,11 +107,11 @@ class TestHistoryRing:
         assert sum_positive_deltas(ordered + [v]) == pytest.approx(expected)
 
     def test_percentile_matches_reference_within_bucket(self):
-        registry = MetricRegistry()
-        hist = registry.histogram(
+        obs = Observability()
+        hist = obs.registry.histogram(
             "lat_seconds", buckets=(0.01, 0.1, 1.0)
         ).cell()
-        history = MetricsHistory(registry, interval=0.01, capacity=8)
+        history = MetricsHistory(obs, interval=0.01, capacity=8)
         history.sample_now()  # baseline before any observation
         for value in [0.005] * 50 + [0.05] * 40 + [0.5] * 10:
             hist.observe(value)
@@ -124,9 +124,9 @@ class TestHistoryRing:
         assert 0.1 < p99 <= 1.0
 
     def test_percentile_window_excludes_older_observations(self):
-        registry = MetricRegistry()
-        hist = registry.histogram("lat_seconds", buckets=(0.01, 1.0)).cell()
-        history = MetricsHistory(registry, interval=0.01, capacity=8)
+        obs = Observability()
+        hist = obs.registry.histogram("lat_seconds", buckets=(0.01, 1.0)).cell()
+        history = MetricsHistory(obs, interval=0.01, capacity=8)
         for _ in range(100):
             hist.observe(0.005)  # old fast traffic
         history.sample_now()
@@ -144,7 +144,7 @@ class TestHistoryRing:
         """The sampler appends while readers derive: nothing torn,
         nothing raised.  The ring is a deque(maxlen=...): appends are
         GIL-atomic and readers copy."""
-        obs = Observability(metrics=True, tracing=False)
+        obs = Observability()
         db = Database(obs=obs)
         session = db.connect()
         session.execute("CREATE TABLE t (id INT PRIMARY KEY)")
@@ -180,8 +180,7 @@ class TestHistoryRing:
         assert reads > 0 and history.samples_taken > 0
 
     def test_sampler_thread_lifecycle(self):
-        registry = MetricRegistry()
-        history = MetricsHistory(registry, interval=0.01, capacity=16)
+        history = MetricsHistory(Observability(), interval=0.01, capacity=16)
         assert not history.running
         history.start()
         assert history.running
@@ -200,9 +199,9 @@ class TestHistoryRing:
         history.stop()
 
     def test_to_json_shape(self):
-        registry = MetricRegistry()
-        registry.counter(STATEMENTS_TOTAL).inc(5)
-        history = MetricsHistory(registry, interval=0.01, capacity=8)
+        obs = Observability()
+        obs.statements_total.labels(stmt="select").inc(5)
+        history = MetricsHistory(obs, interval=0.01, capacity=8)
         history.sample_now()
         time.sleep(0.01)
         history.sample_now()
@@ -220,8 +219,9 @@ class TestHistoryRing:
 
 
 def _fresh_history(obs=None):
-    source = obs if obs is not None else MetricRegistry()
-    return MetricsHistory(source, interval=0.01, capacity=64)
+    if obs is None:
+        obs = Observability()
+    return MetricsHistory(obs, interval=0.01, capacity=64)
 
 
 class TestHealthRules:
@@ -257,12 +257,11 @@ class TestHealthRules:
         assert rule_row["breaches"] == 2
 
     def test_rate_rule_breaches_on_real_counter(self):
-        obs = Observability(metrics=True, tracing=False)
+        obs = Observability()
         history = _fresh_history(obs)
         engine = HealthEngine(
             history,
             [RateRule("ser_failures", SERIALIZATION_FAILURES, bound=0.0)],
-            obs=obs,
         )
         history.sample_now()
         time.sleep(0.02)
@@ -300,10 +299,10 @@ class TestHealthRules:
         assert engine.healthy  # only critical flips /healthz
 
     def test_migration_stalled_rule_breaches_on_frozen_gauges(self):
-        registry = MetricRegistry()
-        registry.gauge("bullfrog_migration_running").set(1)
-        registry.gauge("bullfrog_migration_progress_fraction").set(0.4)
-        history = MetricsHistory(registry, interval=0.01, capacity=64)
+        obs = Observability()
+        obs.registry.gauge("bullfrog_migration_running").set(1)
+        obs.registry.gauge("bullfrog_migration_progress_fraction").set(0.4)
+        history = MetricsHistory(obs, interval=0.01, capacity=64)
         rules = default_rules(migration_stall_window=0.1)
         engine = HealthEngine(history, rules)
         history.sample_now()
@@ -340,7 +339,7 @@ class TestMonitoringViews:
         ).rows == []
 
     def test_history_and_health_views_live(self):
-        obs = Observability(metrics=True, tracing=False)
+        obs = Observability()
         db = Database(obs=obs)
         session = db.connect()
         history, health, _flight = obs.attach_monitoring(db, start=False)
@@ -381,22 +380,23 @@ class TestMetricsServerLiveness:
         /metrics but had no liveness endpoint at all — a load balancer
         probing /healthz got a 404 (this test fails on the pre-PR
         server)."""
-        registry = MetricRegistry()
-        with MetricsServer(registry) as server:
+        with MetricsServer(Observability()) as server:
             status, body = _get(f"http://{server.host}:{server.port}/healthz")
             assert status == 200
             assert json.loads(body)["status"] == "ok"
 
     def test_healthz_reflects_health_engine(self):
-        history = _fresh_history()
+        obs = Observability()
+        history = _fresh_history(obs)
         level = {"value": 0.0}
-        engine = HealthEngine(
+        obs.health = HealthEngine(
             history,
             [ThresholdRule("load", lambda ctx: level["value"], bound=1.0)],
         )
+        engine = obs.health
         history.sample_now()
         engine.evaluate()
-        with MetricsServer(history.registry, health=engine) as server:
+        with MetricsServer(obs) as server:
             url = f"http://{server.host}:{server.port}/healthz"
             status, body = _get(url)
             assert status == 200
@@ -410,8 +410,7 @@ class TestMetricsServerLiveness:
             assert doc["rules"][0]["rule"] == "load"
 
     def test_healthz_503_while_draining_and_close_idempotent(self):
-        registry = MetricRegistry()
-        server = MetricsServer(registry)
+        server = MetricsServer(Observability())
         try:
             url = f"http://{server.host}:{server.port}/healthz"
             assert _get(url)[0] == 200
@@ -426,13 +425,13 @@ class TestMetricsServerLiveness:
         server.close()  # idempotent: second close is a no-op
 
     def test_metrics_history_endpoint(self):
-        registry = MetricRegistry()
-        registry.counter(STATEMENTS_TOTAL).inc(3)
-        history = MetricsHistory(registry, interval=0.01, capacity=8)
+        obs = Observability()
+        obs.statements_total.labels(stmt="select").inc(3)
+        history = obs.attach_history(interval=0.01, start=False)
         history.sample_now()
         time.sleep(0.01)
         history.sample_now()
-        with MetricsServer(registry, history=history) as server:
+        with MetricsServer(obs) as server:
             base = f"http://{server.host}:{server.port}"
             status, body = _get(f"{base}/metrics/history")
             assert status == 200

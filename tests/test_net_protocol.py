@@ -513,9 +513,7 @@ _word = st.text(
 
 @pytest.fixture(scope="module")
 def fc_server():
-    server = BullfrogServer(
-        Database(), ServerConfig(port=0, monitor=False)
-    ).start()
+    server = BullfrogServer(Database(), ServerConfig(port=0)).start()
     yield server
     server.shutdown()
 

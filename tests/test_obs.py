@@ -6,8 +6,7 @@ Covers the unified observability contracts:
   lock-free **exactness** under concurrent writers;
 * :class:`TraceLog` concurrency — no lost or corrupt events, ring
   eviction keeps the newest history, Chrome JSON round-trips;
-* :class:`Observability` emission points, statement sampling, and the
-  attached-but-disabled ``active`` flag;
+* :class:`Observability` emission points and statement sampling;
 * ``MigrationStats`` as a registry view (frozen snapshot key set);
 * Prometheus / JSON / HTTP export surfaces end to end on a real lazy
   migration with foreground and background work.
@@ -295,24 +294,8 @@ class TestObservability:
         names = [e.name for e in obs.trace.events()]
         assert names == ["txn.commit", "migrate.before_claim"]
 
-    def test_active_flag(self):
-        assert Observability().active
-        assert Observability(metrics=True, tracing=False).active
-        assert Observability(metrics=False, tracing=True).active
-        assert not Observability(metrics=False, tracing=False).active
-
-    def test_disabled_emissions_are_noops(self):
-        obs = Observability(metrics=False, tracing=False)
-        obs.emit("txn.commit")
-        obs.inc_claim_round()
-        obs.inc_txn_commit()
-        obs.wal_flush(1, 3)
-        obs.add_rows("insert", 2)
-        assert obs.snapshot() == {}
-        assert obs.trace.events() == []
-
     def test_statement_sampling_counts_exact(self):
-        obs = Observability(metrics=True, tracing=False)
+        obs = Observability()
         assert obs.sample_statements == 16
         starts = [obs.statement_begin(ast.Select) for _ in range(33)]
         sampled = [s for s in starts if s]
@@ -338,7 +321,7 @@ class TestObservability:
         # latency-sampled-but-untraced statements, 0.0 for the rest
         # (counted, but end-work-free unless a propagated context
         # overrides the coin).
-        obs = Observability(metrics=True, tracing=True)
+        obs = Observability()
         assert obs.sample_statements == 16
         assert obs.sample_traces == 64
         vals = [obs.statement_begin(ast.Select) for _ in range(128)]
@@ -348,7 +331,7 @@ class TestObservability:
     def test_slow_query_threshold_forces_full_sampling(self):
         # A slow-query threshold must see every statement's duration
         # and wait breakdown, so it forces both sample periods to 1.
-        obs = Observability(metrics=True, tracing=True, slow_query_threshold=0.5)
+        obs = Observability(slow_query_threshold=0.5)
         assert obs.sample_statements == 1
         assert obs.sample_traces == 1
         assert all(obs.statement_begin(ast.Select) > 0 for _ in range(20))
@@ -364,14 +347,17 @@ class TestObservability:
             Observability(sample_statements=0)
         with pytest.raises(ValueError):
             Observability(sample_statements=12)
-        obs = Observability(metrics=True, tracing=False, sample_statements=1)
+        obs = Observability(sample_statements=1)
         assert all(obs.statement_begin(ast.Select) for _ in range(5))
 
     def test_wal_flush_and_rows(self):
-        obs = Observability(metrics=True, tracing=False)
+        obs = Observability()
         obs.wal_flush(7, 4)
         obs.add_rows("insert", 3)
         obs.add_rows("delete", 0)  # zero rows: no sample
+        (instant,) = obs.trace.events()
+        assert instant.name == "wal.flush"
+        assert instant.args == {"txn_id": 7, "records": 4}
         snap = obs.snapshot()
         assert snap["repro_wal_batches_total"]["samples"][0]["value"] == 1
         assert snap["repro_wal_batch_records"]["samples"][0]["sum"] == 4
@@ -463,11 +449,10 @@ class TestExport:
         assert doc["c_total"]["samples"][0]["value"] == 1
 
     def test_http_endpoint(self):
-        r = MetricRegistry()
-        r.counter("served_total").inc(9)
-        trace = TraceLog()
-        trace.instant("hello")
-        with MetricsServer(r, trace=trace) as server:
+        obs = Observability()
+        obs.registry.counter("served_total").inc(9)
+        obs.trace.instant("hello")
+        with MetricsServer(obs) as server:
             body = urllib.request.urlopen(server.url, timeout=5).read()
             assert b"served_total 9" in body
             doc = json.loads(
