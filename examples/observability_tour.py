@@ -49,11 +49,12 @@ from repro.net import BullfrogServer, ServerConfig, connect
 from repro.obs import (
     Observability,
     TraceLog,
-    default_rules,
     merge_chrome,
+    rate_rule,
     render_prometheus,
 )
 from repro.obs.console import render_top
+from repro.obs.history import DEADLOCKS
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -150,16 +151,17 @@ def run_incident() -> None:
     """Act 3: a deadlock storm trips a health rule; the flight recorder
     black-boxes the moment.
 
-    The ``deadlock_rate`` bound is tightened to 0.5/s so a handful of
-    manufactured deadlocks breaches it deterministically; production
-    defaults are an order of magnitude looser.
+    The act builds its own one-rule list: ``deadlock_rate`` above
+    0.5/s over 2 s, so a handful of manufactured deadlocks breaches it
+    deterministically; the stock rule (``default_rules()``) is an order
+    of magnitude looser.
     """
     obs = Observability()
     db = Database(obs=obs)
     history, health, flight = obs.attach_monitoring(
         db,
         interval=0.05,
-        rules=default_rules(deadlocks_per_sec=0.5, window=2.0),
+        rules=[rate_rule("deadlock_rate", DEADLOCKS, 0.5, window=2.0)],
         incident_dir=os.path.join(RESULTS, "incidents"),
         start=False,  # sampled by hand so the breach timing is exact
     )
@@ -205,9 +207,8 @@ def run_incident() -> None:
     summary = history.summary()
     summary["health"] = health.report(max_age=1.0)
     print(render_top(summary))
-    bundles = flight.incidents()
-    assert bundles, "the breach must have produced an incident bundle"
-    bundle = bundles[-1]
+    assert flight.dumps_written == 1, "one storm must write exactly one bundle"
+    bundle = flight.last_dump_path
     manifest = json.load(open(os.path.join(bundle, "manifest.json")))
     print(f"incident bundle ({manifest['reason']}): {bundle}")
     for name in sorted(manifest["files"]):

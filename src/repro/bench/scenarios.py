@@ -86,10 +86,6 @@ class ExperimentResult:
         after = self.migration_started_at or 0.0
         return self.driver.latency_values(txn_type, after=after)
 
-    def tps_between(self, start: float, end: float) -> float:
-        points = [v for t, v in self.throughput if start <= t < end]
-        return sum(points) / len(points) if points else 0.0
-
 
 class AdaptiveClient:
     """A TPC-C terminal that survives the big flip: it consults the

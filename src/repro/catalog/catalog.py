@@ -496,10 +496,6 @@ class Catalog:
         with self._latch:
             return name in self._virtual
 
-    def virtual_tables(self) -> list[VirtualTable]:
-        with self._latch:
-            return list(self._virtual.values())
-
     # ------------------------------------------------------------------
     # Indexes (global namespace, PostgreSQL-style)
     # ------------------------------------------------------------------

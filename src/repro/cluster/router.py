@@ -58,6 +58,7 @@ from ..errors import (
     TransactionError,
 )
 from ..exec.plan import _OrderKey as OrderKey
+from ..exec.rewrite import split_conjuncts
 from ..net.client import Connection, ConnectionPool
 from ..obs import console
 from ..obs.sysviews import _BOOL, _FLOAT, _INT, _TEXT  # the views' column types
@@ -150,14 +151,6 @@ class RoutePlan:
 # ----------------------------------------------------------------------
 # Statement analysis
 # ----------------------------------------------------------------------
-def _conjuncts(expr: Any):
-    if isinstance(expr, ast.BinaryOp) and expr.op.upper() == "AND":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
-
-
 def _key_from_where(where: Any, pcols: set[str]) -> _Source | None:
     """Find ``partition_col = ?`` (or literal) among top-level AND
     conjuncts.  Any partitioned table in the query works — the TPC-C
@@ -165,7 +158,7 @@ def _key_from_where(where: Any, pcols: set[str]) -> _Source | None:
     columns pins the same shard."""
     if where is None:
         return None
-    for conjunct in _conjuncts(where):
+    for conjunct in split_conjuncts(where):
         if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
             continue
         for col, other in (

@@ -123,7 +123,7 @@ class BackgroundMigrator:
                                 "background.pass", start, cat="background", **context
                             )
                 except TransactionAborted:
-                    # A migration txn lost a lock conflict (wait-die) or
+                    # A migration txn lost a lock conflict (deadlock victim) or
                     # a fault fired.  The abort hooks already released
                     # the claims; retry on the next round instead of
                     # letting the background thread die.

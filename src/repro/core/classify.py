@@ -37,10 +37,6 @@ class MigrationCategory(Enum):
     def uses_bitmap(self) -> bool:
         return self in (MigrationCategory.ONE_TO_ONE, MigrationCategory.ONE_TO_N)
 
-    @property
-    def uses_hashmap(self) -> bool:
-        return not self.uses_bitmap
-
 
 @dataclass
 class OutputSpec:

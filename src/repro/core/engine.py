@@ -667,7 +667,7 @@ class LazyMigrationEngine:
             session.commit()
         except BaseException:
             # Usually the lock manager already aborted the txn
-            # (wait-die) and the abort hook released our claims.  But an
+            # (deadlock victim) and the abort hook released our claims.  But an
             # exception from any other source (fault injection, failed
             # production, a conflict surfacing at commit) leaves the txn
             # ACTIVE and its locks held — roll back so nothing leaks.

@@ -261,24 +261,3 @@ class FaultInjector:
         assert matched.action is FaultAction.CRASH
         self.crashed.set()
         raise SimulatedCrash(point)
-
-
-# Convenience constructors used throughout the stress suite ------------
-
-
-def abort_once(point: str, after: int = 0) -> FaultPlan:
-    return FaultPlan([FaultRule(point, FaultAction.ABORT, times=1, after=after)])
-
-
-def abort_every(point: str, times: int, after: int = 0) -> FaultPlan:
-    return FaultPlan([FaultRule(point, FaultAction.ABORT, times=times, after=after)])
-
-
-def crash_at(point: str, after: int = 0) -> FaultPlan:
-    return FaultPlan([FaultRule(point, FaultAction.CRASH, times=1, after=after)])
-
-
-def slow_down(point: str, latency: float, times: int | None = None) -> FaultPlan:
-    return FaultPlan(
-        [FaultRule(point, FaultAction.LATENCY, times=times, latency=latency)]
-    )

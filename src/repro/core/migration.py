@@ -53,12 +53,6 @@ class MigrationSpec:
             tables.extend(unit.output_tables)
         return tuple(dict.fromkeys(tables))
 
-    def unit_for_output(self, table_name: str) -> UnitPlan | None:
-        for unit in self.units:
-            if table_name in unit.output_tables:
-                return unit
-        return None
-
     def describe(self) -> str:
         """Human-readable summary (used by examples and logs)."""
         lines = [f"migration {self.migration_id!r}:"]

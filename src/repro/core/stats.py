@@ -265,11 +265,6 @@ class MigrationStats:
         with self._latch:
             return self._tuples_rate
 
-    def granules_per_second(self) -> float:
-        """EWMA migration throughput in granules/second."""
-        with self._latch:
-            return self._granules_rate
-
     def last_advance_seconds(self) -> float | None:
         """Seconds since the migration last moved a granule or tuple;
         ``None`` before the first advance.  Falls back to the start

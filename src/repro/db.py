@@ -66,9 +66,7 @@ from .obs.tracectx import (
 )
 from .sql import ast_nodes as ast
 from .sql.parser import parse_statement
-from .storage.page import DEFAULT_PAGE_CAPACITY
 from .txn.locks import LockMode
-from .txn.locks import DeadlockPolicy
 from .txn.manager import IsolationLevel, Transaction, TransactionManager
 from .types import SqlType, TypeKind, text_type
 
@@ -198,9 +196,7 @@ class Database:
 
     def __init__(
         self,
-        page_capacity: int = DEFAULT_PAGE_CAPACITY,
         lock_timeout: float = 10.0,
-        deadlock_policy: DeadlockPolicy = DeadlockPolicy.DETECT,
         obs: Observability | None = None,
         isolation: IsolationLevel | str | None = None,
     ) -> None:
@@ -212,10 +208,8 @@ class Database:
         self.default_isolation = (
             IsolationLevel.coerce(isolation) or IsolationLevel.READ_COMMITTED
         )
-        self.catalog = Catalog(default_page_capacity=page_capacity)
-        self.txns = TransactionManager(
-            lock_timeout=lock_timeout, deadlock_policy=deadlock_policy
-        )
+        self.catalog = Catalog()
+        self.txns = TransactionManager(lock_timeout=lock_timeout)
         self.planner = Planner(self.catalog)
         self.executor = Executor(self.catalog, self.planner)
         # Observability fans out from here: attaching one object at the

@@ -113,8 +113,8 @@ class TransactionAborted(TransactionError):
 
 
 class DeadlockAvoided(TransactionAborted):
-    """The lock manager killed this transaction under the wait-die policy
-    to avoid a deadlock.  The client may retry."""
+    """The lock manager killed this transaction because its lock request
+    closed a cycle in the waits-for graph.  The client may retry."""
 
 
 class LockTimeout(TransactionAborted):

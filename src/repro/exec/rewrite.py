@@ -108,17 +108,6 @@ def conjoin(conjuncts: Iterable[ast.Expr]) -> ast.Expr | None:
     return result
 
 
-def referenced_bindings(expr: ast.Expr) -> set[str | None]:
-    """The set of table bindings referenced by column refs in ``expr``.
-    Unqualified references contribute ``None`` — the planner resolves
-    those before using this."""
-    return {
-        node.table
-        for node in ast.walk(expr)
-        if isinstance(node, ast.ColumnRef)
-    }
-
-
 def has_params(expr: ast.Expr) -> bool:
     return any(isinstance(node, ast.Param) for node in ast.walk(expr))
 

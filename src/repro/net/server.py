@@ -141,8 +141,8 @@ class ServerConfig:
     drain_timeout: float = 5.0
     # Monitoring: when the Database runs instrumented, start() attaches
     # the metrics-history sampler + health engine + flight recorder
-    # (obs.attach_monitoring) so `\top` over the wire, /healthz, and
-    # incident bundles work out of the box.  No-op when obs is detached.
+    # (obs.attach_monitoring) so `\top` over the wire, the `health`
+    # verb, and incident bundles work out of the box.  No-op when obs is detached.
     monitor_interval: float = 0.25  # history sampling cadence (seconds)
     incident_dir: str | None = None  # flight-recorder output (default results/incidents)
     # Cluster two-phase epoch flip: how long a PREPARE may sit without

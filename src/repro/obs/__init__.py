@@ -6,8 +6,13 @@ Three parts (see DESIGN.md section 9):
   ``labels(**kv)`` child API, lock-striped per cell;
 * :mod:`repro.obs.trace` — a ring-buffer :class:`TraceLog` of typed
   span/instant events, exported as Chrome ``trace_event`` JSON;
-* :mod:`repro.obs.export` — Prometheus-text + JSON snapshot renders
-  and an optional stdlib HTTP endpoint.
+* :mod:`repro.obs.export` — Prometheus-text + JSON snapshot renders.
+
+On top of them sits the monitoring stack — :mod:`repro.obs.history`
+(sampler ring and its one derivation of rates and percentiles),
+:mod:`repro.obs.health` (one rule shape) and :mod:`repro.obs.flightrec`
+(incident bundles) — and every document any of it produces is read
+through one admin verb table, :mod:`repro.obs.console`.
 
 Attach an :class:`Observability` to a database and everything below it
 starts emitting::
@@ -38,22 +43,16 @@ from .observability import Observability, POINT_COUNTERS
 from .sysviews import SYSTEM_VIEW_NAMES, register_system_views
 from .history import HistorySample, MetricsHistory
 from .health import (
-    AbsenceRule,
     HealthEngine,
     HealthRule,
-    MigrationStalledRule,
-    PercentileRule,
-    RateRule,
-    ThresholdRule,
     default_rules,
+    migration_stalled_rule,
+    percentile_rule,
+    rate_rule,
+    threshold_rule,
 )
 from .flightrec import FlightRecorder
-from .export import (
-    MetricsServer,
-    render_prometheus,
-    snapshot_json,
-    start_metrics_server,
-)
+from .export import render_prometheus, snapshot_json
 
 __all__ = [
     "Counter",
@@ -77,15 +76,12 @@ __all__ = [
     "MetricsHistory",
     "HealthEngine",
     "HealthRule",
-    "ThresholdRule",
-    "RateRule",
-    "PercentileRule",
-    "AbsenceRule",
-    "MigrationStalledRule",
+    "threshold_rule",
+    "rate_rule",
+    "percentile_rule",
+    "migration_stalled_rule",
     "default_rules",
     "FlightRecorder",
-    "MetricsServer",
     "render_prometheus",
     "snapshot_json",
-    "start_metrics_server",
 ]

@@ -1,10 +1,10 @@
 """Black-box flight recorder: incident bundles on health breach.
 
-When a health rule transitions into ``critical`` (or an operator types
-``\\dump``, or SIGUSR1 arrives), the system's recent past is about to
-age out of the rings that hold it — the trace log, the metrics-history
-window, the slow-query ring.  The :class:`FlightRecorder` freezes all
-of it into one **atomic** on-disk bundle under
+When a health rule transitions into ``critical`` (or an operator sends
+the ``dump`` verb), the system's recent past is about to age out of
+the rings that hold it — the trace log, the metrics-history window,
+the slow-query ring.  The :class:`FlightRecorder` freezes all of it
+into one **atomic** on-disk bundle under
 ``results/incidents/<ts>-<reason>/``:
 
 * ``stacks.txt``       — every thread's Python stack via
@@ -12,8 +12,8 @@ of it into one **atomic** on-disk bundle under
   doing" a post-mortem starts from);
 * ``trace.json``       — the trace ring as a Chrome ``trace_event``
   document, loadable in Perfetto;
-* ``history.json``     — the metrics-history window (derived rows +
-  summary);
+* ``history.json``     — the last ``HISTORY_WINDOW`` seconds of metrics
+  history (derived rows + summary);
 * ``health.json``      — the health report that fired (or the current
   one, for manual dumps);
 * ``slow_queries.json``— the slow-query ring, newest last;
@@ -45,6 +45,9 @@ import traceback
 from typing import Any
 
 _TMP_PREFIX = ".tmp-"
+# Seconds of metrics history a bundle keeps: the run-up to a breach
+# (the default ring, 240 samples at 250 ms, holds exactly this much).
+HISTORY_WINDOW = 60.0
 
 
 def _bundle_bytes(path: str) -> int:
@@ -73,7 +76,6 @@ class FlightRecorder:
         min_interval: float = 30.0,
         max_incidents: int = 8,
         max_bytes: int = 64 * 1024 * 1024,
-        history_window: float | None = 60.0,
     ) -> None:
         if max_incidents < 1:
             raise ValueError("max_incidents must be at least 1")
@@ -83,7 +85,6 @@ class FlightRecorder:
         self.min_interval = min_interval
         self.max_incidents = max_incidents
         self.max_bytes = max_bytes
-        self.history_window = history_window
         self._latch = threading.Lock()
         self._last_dump_mono: float | None = None
         self._seq = 0
@@ -102,23 +103,6 @@ class FlightRecorder:
             f"health-{rule_result.get('rule', 'unknown')}",
             extra={"rule": rule_result, "report": report},
         )
-
-    def install_signal_handler(self, signum: int | None = None) -> bool:
-        """SIGUSR1-style operator trigger.  Only possible from the main
-        thread (the interpreter's rule, not ours); returns whether the
-        handler was installed."""
-        import signal
-
-        if signum is None:
-            signum = getattr(signal, "SIGUSR1", None)
-            if signum is None:  # platform without SIGUSR1
-                return False
-        if threading.current_thread() is not threading.main_thread():
-            return False
-        signal.signal(
-            signum, lambda _sig, _frame: self.dump("signal", force=True)
-        )
-        return True
 
     # ------------------------------------------------------------------
     # The dump
@@ -190,7 +174,7 @@ class FlightRecorder:
         yield "slow_queries.json", obs.slow_queries()
         history = obs.history
         if history is not None:
-            yield "history.json", history.to_json(self.history_window)
+            yield "history.json", history.to_json(HISTORY_WINDOW)
         health = obs.health
         if health is not None:
             yield "health.json", health.report(max_age=None)

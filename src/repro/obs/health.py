@@ -1,15 +1,17 @@
 """Declarative health rules over the metrics history.
 
-A :class:`HealthEngine` holds a list of rules, each a predicate over a
-trailing window of the :class:`~repro.obs.history.MetricsHistory` ring
-(threshold on a derived value, rate of a counter, absence of an
-expected series, migration-progress stall).  Evaluation produces a
-JSON-able report — one row per rule with its measured value, bound,
-and status — that drives three surfaces:
+A :class:`HealthEngine` holds a list of :class:`HealthRule` s, each a
+name, a ``measure`` over a trailing window of the
+:class:`~repro.obs.history.MetricsHistory` ring, a bound and a
+severity.  The stock kinds are constructors of that one class:
+:func:`threshold_rule` (any callable), :func:`rate_rule` (counter
+rate), :func:`percentile_rule` (histogram quantile) and
+:func:`migration_stalled_rule` (a running migration that moved
+nothing).  Evaluation produces a JSON-able report — one row per rule
+with its measured value, bound, and status — that drives three
+surfaces:
 
-* the ``/healthz`` endpoint on
-  :class:`~repro.obs.export.MetricsServer` (``200`` while no
-  critical-severity rule is breached, ``503`` otherwise);
+* the ``health`` admin verb (``health json`` is the report itself);
 * the ``bullfrog_stat_health`` system view;
 * **transition events**: a rule changing status emits a
   ``health.transition`` instant into the trace log (so an incident's
@@ -22,7 +24,7 @@ and status — that drives three surfaces:
 
 The engine re-evaluates as a history listener, i.e. on the sampling
 cadence — no second timer thread — and keeps the last report cached
-for cheap reads (``/healthz`` under load does not recompute per
+for cheap reads (a flood of ``health`` requests does not recompute per
 request).
 """
 
@@ -53,6 +55,9 @@ UNKNOWN = "unknown"
 # exist yet — e.g. no migration submitted — is not an incident).
 _RANK = {OK: 0, UNKNOWN: 0, WARN: 1, CRITICAL: 2}
 
+# What a rule's measure returns: ``(value, breached, detail)``.
+Measurement = tuple[float | None, bool | None, str]
+
 
 def overall_status(results: list[dict[str, Any]]) -> str:
     """The worst status among rule results; ``unknown`` never degrades
@@ -65,28 +70,19 @@ def overall_status(results: list[dict[str, Any]]) -> str:
     return overall
 
 
-class HealthContext:
-    """What a rule sees at evaluation time."""
-
-    __slots__ = ("history", "now", "engine")
-
-    def __init__(
-        self, history: MetricsHistory, now: float, engine: "HealthEngine"
-    ) -> None:
-        self.history = history
-        self.now = now
-        self.engine = engine
-
-
 class HealthRule:
-    """Base rule: subclasses implement :meth:`measure` returning
-    ``(value, breached, detail)`` — ``breached=None`` (typically with
-    ``value=None``) reports ``unknown``."""
+    """One health rule.  ``measure(history, window)`` returns
+    ``(value, breached, detail)``; ``breached=None`` (typically with
+    ``value=None``) reports ``unknown``, ``True`` the rule's
+    ``severity``.  ``bound`` is what the report shows beside the
+    value.  The stock kinds below are constructors of this class."""
 
     def __init__(
         self,
         name: str,
+        measure: Callable[[MetricsHistory, float], Measurement],
         *,
+        bound: float | None = None,
         severity: str = CRITICAL,
         window: float = 5.0,
         description: str = "",
@@ -94,21 +90,15 @@ class HealthRule:
         if severity not in (WARN, CRITICAL):
             raise ValueError(f"severity must be warn or critical, not {severity!r}")
         self.name = name
+        self.measure = measure
+        self.bound = bound
         self.severity = severity
         self.window = window
         self.description = description
 
-    def measure(
-        self, ctx: HealthContext
-    ) -> tuple[float | None, bool | None, str]:
-        raise NotImplementedError
-
-    def bound_repr(self) -> float | None:
-        return getattr(self, "bound", None)
-
-    def evaluate(self, ctx: HealthContext) -> dict[str, Any]:
+    def evaluate(self, history: MetricsHistory) -> dict[str, Any]:
         try:
-            value, breached, detail = self.measure(ctx)
+            value, breached, detail = self.measure(history, self.window)
         except Exception as exc:  # a broken rule is unknown, not fatal
             value, breached, detail = None, None, f"rule error: {exc!r}"
         if breached is None:
@@ -122,171 +112,131 @@ class HealthRule:
             "severity": self.severity,
             "status": status,
             "value": value,
-            "bound": self.bound_repr(),
+            "bound": self.bound,
             "window_seconds": self.window,
             "detail": detail,
         }
 
 
-class ThresholdRule(HealthRule):
-    """``value_fn(ctx) > bound`` breaches.  The workhorse: ad-hoc rules
-    (an embedding application's, a test's) are thresholds over
+def _above(
+    value: float | None, bound: float, detail: str, missing: str
+) -> Measurement:
+    if value is None:
+        return None, None, missing
+    return value, value > bound, detail
+
+
+def threshold_rule(
+    name: str,
+    value_fn: Callable[[MetricsHistory], float | None],
+    bound: float,
+    **kwargs: Any,
+) -> HealthRule:
+    """``value_fn(history) > bound`` breaches.  The workhorse: ad-hoc
+    rules (an embedding application's, a test's) are thresholds over
     arbitrary callables."""
-
-    def __init__(
-        self,
-        name: str,
-        value_fn: Callable[[HealthContext], float | None],
-        bound: float,
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(name, **kwargs)
-        self.value_fn = value_fn
-        self.bound = bound
-
-    def measure(self, ctx: HealthContext):
-        value = self.value_fn(ctx)
-        if value is None:
-            return None, None, "no reading"
-        return value, value > self.bound, ""
+    return HealthRule(
+        name,
+        lambda history, _window: _above(value_fn(history), bound, "", "no reading"),
+        bound=bound,
+        **kwargs,
+    )
 
 
-class RateRule(HealthRule):
+def rate_rule(name: str, metric: str, bound: float, **kwargs: Any) -> HealthRule:
     """Per-second increase of a registry counter over the window
     exceeds the bound (reset-aware, like everything in history)."""
+    return HealthRule(
+        name,
+        lambda history, window: _above(
+            history.rate(metric, window),
+            bound,
+            f"rate of {metric}",
+            "fewer than two samples in window",
+        ),
+        bound=bound,
+        **kwargs,
+    )
 
-    def __init__(self, name: str, metric: str, bound: float, **kwargs: Any) -> None:
-        super().__init__(name, **kwargs)
-        self.metric = metric
-        self.bound = bound
 
-    def measure(self, ctx: HealthContext):
-        value = ctx.history.rate(self.metric, self.window)
-        if value is None:
-            return None, None, "fewer than two samples in window"
-        return value, value > self.bound, f"rate of {self.metric}"
-
-
-class PercentileRule(HealthRule):
+def percentile_rule(
+    name: str, metric: str, q: float, bound_ms: float, **kwargs: Any
+) -> HealthRule:
     """Window quantile of a latency histogram, in milliseconds,
     exceeds the bound (e.g. lock-wait p99 > 250 ms)."""
 
-    def __init__(
-        self, name: str, metric: str, q: float, bound_ms: float, **kwargs: Any
-    ) -> None:
-        super().__init__(name, **kwargs)
-        self.metric = metric
-        self.q = q
-        self.bound = bound_ms
+    def measure(history: MetricsHistory, window: float) -> Measurement:
+        seconds = history.percentile(metric, q, window)
+        return _above(
+            None if seconds is None else seconds * 1e3,
+            bound_ms,
+            f"p{int(q * 100)} of {metric}",
+            "no observations in window",
+        )
 
-    def measure(self, ctx: HealthContext):
-        seconds = ctx.history.percentile(self.metric, self.q, self.window)
-        if seconds is None:
-            return None, None, "no observations in window"
-        value = seconds * 1e3
-        return value, value > self.bound, f"p{int(self.q * 100)} of {self.metric}"
+    return HealthRule(name, measure, bound=bound_ms, **kwargs)
 
 
-class AbsenceRule(HealthRule):
-    """An expected series has no reading — the inverse predicate: the
-    metric *disappearing* is the breach (a scrape target gone dark, a
-    heartbeat gauge nobody set).  Grace: unknown until the history has
-    a sample at all."""
+def _migration_stalled(history: MetricsHistory, window: float) -> Measurement:
+    latest = history.latest()
+    if latest is None:
+        return None, None, "no samples yet"
+    if not latest.gauges.get(MIGRATION_RUNNING):
+        return 0.0, False, "no migration running"
+    fraction = latest.gauges.get(MIGRATION_FRACTION)
+    if fraction is not None and fraction >= 1.0:
+        return 0.0, False, "migration complete"
+    samples = history.samples(window)
+    if len(samples) < 2 or (samples[-1].mono - samples[0].mono) < window * 0.5:
+        return None, None, "window not yet covered"
+    tuples = history.rate(MIGRATION_TUPLES, window) or 0.0
+    granules = history.rate(MIGRATION_GRANULES, window) or 0.0
+    moved = tuples + granules
+    return (
+        moved,
+        moved <= 0.0,
+        f"running migration advanced {moved:.1f} units/s over {window:.0f}s",
+    )
 
-    def __init__(self, name: str, metric: str, **kwargs: Any) -> None:
-        super().__init__(name, **kwargs)
-        self.metric = metric
 
-    def measure(self, ctx: HealthContext):
-        if ctx.history.latest() is None:
-            return None, None, "no samples yet"
-        value = ctx.history.value(self.metric)
-        if value is None:
-            return None, True, f"{self.metric} absent from newest sample"
-        return value, False, ""
-
-
-class MigrationStalledRule(HealthRule):
+def migration_stalled_rule(
+    name: str = "migration_stalled", window: float = 10.0, **kwargs: Any
+) -> HealthRule:
     """A migration reports itself running and incomplete, yet moved no
     granules and no tuples across the whole window — the lazy
     migration's claim loop (foreground) and the background migrator
     have both gone quiet.  This is the paper's failure mode worth an
     incident bundle: progress gauges frozen while ETA claims
     otherwise."""
-
-    def __init__(self, name: str = "migration_stalled", **kwargs: Any) -> None:
-        kwargs.setdefault("window", 10.0)
-        super().__init__(name, **kwargs)
-        self.bound = 0.0
-
-    def measure(self, ctx: HealthContext):
-        history = ctx.history
-        latest = history.latest()
-        if latest is None:
-            return None, None, "no samples yet"
-        running = latest.gauges.get(MIGRATION_RUNNING)
-        if not running:
-            return 0.0, False, "no migration running"
-        fraction = latest.gauges.get(MIGRATION_FRACTION)
-        if fraction is not None and fraction >= 1.0:
-            return 0.0, False, "migration complete"
-        samples = history.samples(self.window)
-        if len(samples) < 2 or (
-            samples[-1].mono - samples[0].mono
-        ) < self.window * 0.5:
-            return None, None, "window not yet covered"
-        tuples = history.rate(MIGRATION_TUPLES, self.window) or 0.0
-        granules = history.rate(MIGRATION_GRANULES, self.window) or 0.0
-        moved = tuples + granules
-        return (
-            moved,
-            moved <= 0.0,
-            f"running migration advanced {moved:.1f} units/s over "
-            f"{self.window:.0f}s",
-        )
+    return HealthRule(name, _migration_stalled, bound=0.0, window=window, **kwargs)
 
 
-def default_rules(
-    *,
-    serialization_failures_per_sec: float = 10.0,
-    deadlocks_per_sec: float = 5.0,
-    lock_wait_p99_ms: float = 250.0,
-    migration_stall_window: float = 10.0,
-    window: float = 5.0,
-) -> list[HealthRule]:
-    """The stock rule set from the issue's examples.  Bounds are
-    deliberately generous — a healthy system under TPC-C load stays
-    ``ok`` — and each is a constructor knob for deployments (and for
-    tests, which tighten one to force a breach)."""
+def default_rules() -> list[HealthRule]:
+    """The stock rule set.  Bounds are deliberately generous — a
+    healthy system under TPC-C load stays ``ok``; a caller that needs
+    tighter ones builds its own list from the constructors above."""
     return [
-        RateRule(
+        rate_rule(
             "serialization_failures",
             SERIALIZATION_FAILURES,
-            serialization_failures_per_sec,
-            severity=CRITICAL,
-            window=window,
+            10.0,
             description="snapshot-isolation first-updater-wins aborts/sec",
         ),
-        RateRule(
+        rate_rule(
             "deadlock_rate",
             DEADLOCKS,
-            deadlocks_per_sec,
-            severity=CRITICAL,
-            window=window,
+            5.0,
             description="deadlock-victim aborts/sec",
         ),
-        PercentileRule(
+        percentile_rule(
             "lock_wait_p99",
             LOCK_WAIT_SECONDS,
             0.99,
-            lock_wait_p99_ms,
+            250.0,
             severity=WARN,
-            window=window,
             description="contended lock-acquisition p99",
         ),
-        MigrationStalledRule(
-            window=migration_stall_window,
-            severity=CRITICAL,
+        migration_stalled_rule(
             description="running migration moved nothing all window",
         ),
     ]
@@ -352,8 +302,7 @@ class HealthEngine:
     # ------------------------------------------------------------------
     def evaluate(self, now: float | None = None) -> dict[str, Any]:
         now = time.time() if now is None else now
-        ctx = HealthContext(self.history, now, self)
-        results = [rule.evaluate(ctx) for rule in self.rules]
+        results = [rule.evaluate(self.history) for rule in self.rules]
         fired: list[dict[str, Any]] = []
         with self._latch:
             for result in results:
@@ -405,8 +354,8 @@ class HealthEngine:
     # ------------------------------------------------------------------
     def report(self, max_age: float | None = None) -> dict[str, Any]:
         """The last evaluation, re-run when absent or older than
-        ``max_age`` seconds (``/healthz`` passes ~1s so request floods
-        read the cache)."""
+        ``max_age`` seconds (the ``health`` verb passes ~1s so request
+        floods read the cache)."""
         current = self._report
         if current is not None and (
             max_age is None or time.time() - current["ts"] <= max_age
@@ -421,24 +370,22 @@ class HealthEngine:
 
     @property
     def healthy(self) -> bool:
-        """False only on a breached critical rule — the ``/healthz``
-        predicate (warn degrades the report, not the status code)."""
+        """False only on a breached critical rule (warn degrades the
+        report's status, not this)."""
         return self.status != CRITICAL
 
 
 __all__ = [
-    "AbsenceRule",
     "CRITICAL",
-    "HealthContext",
     "HealthEngine",
     "HealthRule",
-    "MigrationStalledRule",
     "OK",
-    "PercentileRule",
-    "RateRule",
-    "ThresholdRule",
     "UNKNOWN",
     "WARN",
     "default_rules",
+    "migration_stalled_rule",
     "overall_status",
+    "percentile_rule",
+    "rate_rule",
+    "threshold_rule",
 ]

@@ -1,6 +1,6 @@
 """Metrics time-series history: a background sampler over the registry.
 
-Every surface PRs 2/4/8 built — registry snapshots, ``bullfrog_stat_*``
+Every other observability surface — registry snapshots, ``bullfrog_stat_*``
 views, Prometheus text — is *point-in-time*: cumulative counters since
 process start.  An operator watching a lazy migration degrade needs
 rates and trends ("QPS fell when the claim loop went hot", "lock-wait
@@ -12,18 +12,22 @@ adds that dimension:
   :class:`~repro.obs.observability.Observability` bundle's registry and
   wait-class totals every ``interval`` seconds into a fixed-width ring
   of :class:`HistorySample` snapshots (counters merged per family and
-  kept per label child, gauges, and histogram bucket states).  The ring is a ``deque(maxlen=capacity)``:
-  appends are GIL-atomic, readers copy, nothing blocks the sampler.
+  kept per label child, gauges, and histogram bucket states).  The
+  ring is a ``deque(maxlen=capacity)``: appends are GIL-atomic,
+  readers copy, nothing blocks the sampler.
 * **Window queries** over the ring: :meth:`MetricsHistory.rate` (sum of
   positive adjacent deltas — a counter that *shrinks* between samples
   was reset, e.g. a registry replaced under a live sampler, and the
   post-reset value counts from zero rather than poisoning the rate
-  with a huge negative), :meth:`MetricsHistory.percentile` (histogram
-  bucket-count deltas between the window's endpoints, linearly
-  interpolated within the bucket), :meth:`MetricsHistory.summary` (the
-  headline numbers ``\\top`` renders), and :meth:`MetricsHistory.rows`
-  (per-sample derived rows backing the ``bullfrog_stat_history`` view
-  and the ``/metrics/history`` endpoint).
+  with a huge negative) and :meth:`MetricsHistory.percentile`
+  (histogram bucket-count deltas between the window's endpoints,
+  linearly interpolated within the bucket).
+* **One derivation** of the headline numbers (rates, p50/p95/p99,
+  lock-wait p99, wait ms/s) from a run of samples: :func:`_derive`.
+  :meth:`MetricsHistory.summary` applies it to the trailing window
+  (what ``\\top`` renders), :meth:`MetricsHistory.rows` to each
+  adjacent sample pair (the ``bullfrog_stat_history`` view and the
+  ``history`` verb).
 * **Listeners**: the health engine registers one and is re-evaluated on
   the sampling cadence, which is what turns "rule over a history
   window" into a live breach signal without a second timer thread.
@@ -137,6 +141,79 @@ def percentile_from_buckets(
         running += count
         lo = bound
     return bounds[-1]
+
+
+def _span(samples: list[HistorySample]) -> float:
+    """Seconds between the first and last sample (0.0 with fewer than
+    two)."""
+    return samples[-1].mono - samples[0].mono if len(samples) >= 2 else 0.0
+
+
+def _rate(samples: list[HistorySample], name: str) -> float | None:
+    """Per-second reset-aware increase of counter ``name`` across the
+    samples; ``None`` with fewer than two or no elapsed time."""
+    dt = _span(samples)
+    if dt <= 0.0:
+        return None
+    return sum_positive_deltas(s.counters.get(name, 0.0) for s in samples) / dt
+
+
+def _percentile(
+    samples: list[HistorySample], name: str, q: float
+) -> float | None:
+    """Quantile of histogram ``name`` across the samples: bucket-count
+    deltas between the first and last sample holding it, interpolated
+    within the landing bucket.  A shrinking bucket count means the
+    registry was reset in between; the newest cumulative state stands
+    in alone (everything it holds arrived after the reset)."""
+    held = [s.hists[name] for s in samples if name in s.hists]
+    if not held:
+        return None
+    bounds, new_counts, _, _ = held[-1]
+    if len(held) == 1 or len(held[0][1]) != len(new_counts):
+        return percentile_from_buckets(bounds, list(new_counts), q)
+    deltas = [n - o for n, o in zip(new_counts, held[0][1])]
+    if any(d < 0 for d in deltas):  # reset in between
+        deltas = list(new_counts)
+    return percentile_from_buckets(bounds, deltas, q)
+
+
+def _wait_rates(samples: list[HistorySample]) -> dict[str, float]:
+    """Wait-class milliseconds accrued per second of wall time across
+    the samples."""
+    dt = _span(samples)
+    if dt <= 0.0:
+        return {}
+    out: dict[str, float] = {}
+    for cls in set(samples[0].waits) | set(samples[-1].waits):
+        seconds = sum_positive_deltas(s.waits.get(cls, (0, 0.0))[1] for s in samples)
+        out[cls] = seconds * 1e3 / dt
+    return out
+
+
+def _ms(seconds: float | None) -> float | None:
+    return None if seconds is None else seconds * 1e3
+
+
+def _derive(samples: list[HistorySample]) -> dict[str, Any]:
+    """The headline numbers over a run of samples, oldest first: the
+    counter rates, statement p50/p95/p99 and lock-wait p99 in ms, and
+    wait-class ms per second.  :meth:`MetricsHistory.summary` applies
+    it to a window, :meth:`MetricsHistory.rows` to each adjacent pair,
+    so the two surfaces cannot disagree."""
+    return {
+        "qps": _rate(samples, STATEMENTS_TOTAL),
+        "commits_per_sec": _rate(samples, TXN_COMMITS),
+        "aborts_per_sec": _rate(samples, TXN_ABORTS),
+        "deadlocks_per_sec": _rate(samples, DEADLOCKS),
+        "serialization_failures_per_sec": _rate(samples, SERIALIZATION_FAILURES),
+        "wal_batches_per_sec": _rate(samples, WAL_BATCHES),
+        "p50_ms": _ms(_percentile(samples, STATEMENT_SECONDS, 0.50)),
+        "p95_ms": _ms(_percentile(samples, STATEMENT_SECONDS, 0.95)),
+        "p99_ms": _ms(_percentile(samples, STATEMENT_SECONDS, 0.99)),
+        "lock_wait_p99_ms": _ms(_percentile(samples, LOCK_WAIT_SECONDS, 0.99)),
+        "wait_ms_per_sec": _wait_rates(samples),
+    }
 
 
 class MetricsHistory:
@@ -295,29 +372,11 @@ class MetricsHistory:
         except IndexError:
             return None
 
-    def value(self, name: str) -> float | None:
-        """The newest scraped value of a counter or gauge (flat key)."""
-        latest = self.latest()
-        if latest is None:
-            return None
-        if name in latest.gauges:
-            return latest.gauges[name]
-        return latest.counters.get(name)
-
     def rate(self, name: str, window: float | None = None) -> float | None:
         """Per-second increase of counter ``name`` over the window,
         reset-aware (see :func:`sum_positive_deltas`).  ``None`` until
         two samples exist or when no time has passed."""
-        samples = self.samples(window)
-        if len(samples) < 2:
-            return None
-        dt = samples[-1].mono - samples[0].mono
-        if dt <= 0.0:
-            return None
-        increase = sum_positive_deltas(
-            s.counters.get(name, 0.0) for s in samples
-        )
-        return increase / dt
+        return _rate(self.samples(window), name)
 
     def delta(self, name: str, window: float | None = None) -> float | None:
         """Reset-aware total increase of counter ``name`` over the
@@ -330,159 +389,61 @@ class MetricsHistory:
     def percentile(
         self, name: str, q: float, window: float | None = None
     ) -> float | None:
-        """Quantile of histogram ``name`` over the window: bucket-count
-        deltas between the window's endpoint samples, interpolated
-        within the landing bucket.  A shrinking bucket count means the
-        registry was reset mid-window; the newest sample's cumulative
-        state stands in alone (everything it holds arrived after the
-        reset)."""
+        """Quantile of histogram ``name`` over the window, in seconds
+        (see :func:`_percentile`)."""
         if not 0.0 < q <= 1.0:
             raise ValueError("q must be in (0, 1]")
-        samples = self.samples(window)
-        newest = None
-        for sample in reversed(samples):
-            if name in sample.hists:
-                newest = sample
-                break
-        if newest is None:
-            return None
-        oldest = None
-        for sample in samples:
-            if sample is newest:
-                break
-            if name in sample.hists:
-                oldest = sample
-                break
-        bounds, new_counts, _, _ = newest.hists[name]
-        if oldest is None:
-            return percentile_from_buckets(bounds, list(new_counts), q)
-        _, old_counts, _, _ = oldest.hists[name]
-        if len(old_counts) != len(new_counts):
-            return percentile_from_buckets(bounds, list(new_counts), q)
-        deltas = [n - o for n, o in zip(new_counts, old_counts)]
-        if any(d < 0 for d in deltas):  # reset mid-window
-            deltas = list(new_counts)
-        return percentile_from_buckets(bounds, deltas, q)
-
-    def wait_rates(
-        self, window: float | None = None
-    ) -> dict[str, float]:
-        """Wait-class milliseconds accrued per second of wall time over
-        the window."""
-        samples = self.samples(window)
-        if len(samples) < 2:
-            return {}
-        dt = samples[-1].mono - samples[0].mono
-        if dt <= 0.0:
-            return {}
-        classes: set[str] = set()
-        for s in (samples[0], samples[-1]):
-            classes.update(s.waits)
-        out: dict[str, float] = {}
-        for cls in classes:
-            seconds = sum_positive_deltas(
-                s.waits.get(cls, (0, 0.0))[1] for s in samples
-            )
-            out[cls] = seconds * 1e3 / dt
-        return out
+        return _percentile(self.samples(window), name, q)
 
     # ------------------------------------------------------------------
     # Derived surfaces
     # ------------------------------------------------------------------
     def summary(self, window: float = 5.0) -> dict[str, Any]:
-        """The headline numbers ``\\top`` renders and the health rules
-        read: throughput rates, latency percentiles, wait-class
-        breakdown, and migration progress over the trailing window."""
+        """The headline numbers ``\\top`` renders over the trailing
+        window, plus the newest sample's migration-progress gauges."""
         samples = self.samples(window)
         latest = samples[-1] if samples else None
-        span = (
-            samples[-1].mono - samples[0].mono if len(samples) >= 2 else 0.0
-        )
-
-        def ms(value: float | None) -> float | None:
-            return None if value is None else value * 1e3
-
         gauges = latest.gauges if latest is not None else {}
         return {
             "ts": latest.ts if latest is not None else None,
-            "window_seconds": span,
+            "window_seconds": _span(samples),
             "samples": len(samples),
             "interval": self.interval,
-            "qps": self.rate(STATEMENTS_TOTAL, window),
-            "commits_per_sec": self.rate(TXN_COMMITS, window),
-            "aborts_per_sec": self.rate(TXN_ABORTS, window),
-            "deadlocks_per_sec": self.rate(DEADLOCKS, window),
-            "serialization_failures_per_sec": self.rate(
-                SERIALIZATION_FAILURES, window
-            ),
-            "wal_batches_per_sec": self.rate(WAL_BATCHES, window),
-            "p50_ms": ms(self.percentile(STATEMENT_SECONDS, 0.50, window)),
-            "p95_ms": ms(self.percentile(STATEMENT_SECONDS, 0.95, window)),
-            "p99_ms": ms(self.percentile(STATEMENT_SECONDS, 0.99, window)),
-            "lock_wait_p99_ms": ms(
-                self.percentile(LOCK_WAIT_SECONDS, 0.99, window)
-            ),
-            "wait_ms_per_sec": self.wait_rates(window),
+            **_derive(samples),
             "migration": {
                 "running": gauges.get(MIGRATION_RUNNING),
                 "fraction": gauges.get(MIGRATION_FRACTION),
                 "tuples_per_sec": gauges.get(MIGRATION_TUPLE_RATE),
                 "eta_seconds": gauges.get(MIGRATION_ETA),
-                "tuples_rate_window": self.rate(MIGRATION_TUPLES, window),
-                "granules_rate_window": self.rate(MIGRATION_GRANULES, window),
             },
         }
 
     def rows(self, window: float | None = None) -> list[dict[str, Any]]:
         """One derived row per adjacent sample pair, oldest first — the
-        shape behind ``bullfrog_stat_history`` and
-        ``/metrics/history``.  Rates are pairwise (this row's sample vs
-        the previous), percentiles interpolate the pair's bucket
-        deltas, and migration numbers are the row's gauge readings."""
+        shape behind ``bullfrog_stat_history`` and the ``history``
+        verb.  Each row is :func:`_derive` over its pair; migration
+        numbers are the row's gauge readings."""
         samples = self.samples(window)
         rows: list[dict[str, Any]] = []
         for prev, cur in zip(samples, samples[1:]):
             dt = cur.mono - prev.mono
             if dt <= 0.0:
                 continue
-
-            def crate(name: str) -> float:
-                new = cur.counters.get(name, 0.0)
-                delta = new - prev.counters.get(name, 0.0)
-                return (delta if delta >= 0.0 else new) / dt
-
-            def pair_pct(name: str, q: float) -> float | None:
-                pair = cur.hists.get(name)
-                if pair is None:
-                    return None
-                bounds, new_counts, _, _ = pair
-                old = prev.hists.get(name)
-                if old is None or len(old[1]) != len(new_counts):
-                    deltas = list(new_counts)
-                else:
-                    deltas = [n - o for n, o in zip(new_counts, old[1])]
-                    if any(d < 0 for d in deltas):
-                        deltas = list(new_counts)
-                seconds = percentile_from_buckets(bounds, deltas, q)
-                return None if seconds is None else seconds * 1e3
-
-            waits: dict[str, float] = {}
-            for cls, (_, total) in cur.waits.items():
-                delta = total - prev.waits.get(cls, (0, 0.0))[1]
-                waits[cls] = (delta if delta >= 0.0 else total) * 1e3 / dt
+            derived = _derive([prev, cur])
+            waits = derived["wait_ms_per_sec"]
             rows.append(
                 {
                     "ts": cur.ts,
                     "dt_seconds": dt,
-                    "qps": crate(STATEMENTS_TOTAL),
-                    "commits_per_sec": crate(TXN_COMMITS),
-                    "aborts_per_sec": crate(TXN_ABORTS),
-                    "deadlocks_per_sec": crate(DEADLOCKS),
-                    "wal_batches_per_sec": crate(WAL_BATCHES),
-                    "p50_ms": pair_pct(STATEMENT_SECONDS, 0.50),
-                    "p95_ms": pair_pct(STATEMENT_SECONDS, 0.95),
-                    "p99_ms": pair_pct(STATEMENT_SECONDS, 0.99),
-                    "lock_wait_p99_ms": pair_pct(LOCK_WAIT_SECONDS, 0.99),
+                    "qps": derived["qps"],
+                    "commits_per_sec": derived["commits_per_sec"],
+                    "aborts_per_sec": derived["aborts_per_sec"],
+                    "deadlocks_per_sec": derived["deadlocks_per_sec"],
+                    "wal_batches_per_sec": derived["wal_batches_per_sec"],
+                    "p50_ms": derived["p50_ms"],
+                    "p95_ms": derived["p95_ms"],
+                    "p99_ms": derived["p99_ms"],
+                    "lock_wait_p99_ms": derived["lock_wait_p99_ms"],
                     "lock_wait_ms_per_sec": waits.get("lock"),
                     "migration_wait_ms_per_sec": waits.get("migration"),
                     "migration_fraction": cur.gauges.get(MIGRATION_FRACTION),
@@ -495,8 +456,9 @@ class MetricsHistory:
         return rows
 
     def to_json(self, window: float | None = None) -> dict[str, Any]:
-        """The ``/metrics/history`` document: config, derived rows, and
-        the trailing-window summary."""
+        """The ``history json`` document (and an incident bundle's
+        ``history.json``): config, derived rows, and the
+        trailing-window summary."""
         return {
             "interval": self.interval,
             "capacity": self.capacity,

@@ -245,8 +245,8 @@ class Observability:
         }
         self.deadlocks_total = self.registry.counter(
             "repro_deadlock_aborts_total",
-            "lock acquisitions aborted by deadlock handling "
-            "(DETECT victim or WAIT_DIE death)",
+            "lock acquisitions aborted by deadlock detection "
+            "(the requester that closed a waits-for cycle)",
         ).cell()
         self.lock_timeouts_total = self.registry.counter(
             "repro_lock_timeouts_total",

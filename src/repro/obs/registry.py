@@ -445,7 +445,7 @@ class MetricRegistry:
     # -- snapshots -----------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
         """JSON-able view of every family: the shape embedded in bench
-        artifacts and served by the ``/metrics.json`` endpoint."""
+        artifacts and answered by the ``metrics json`` verb."""
         out: dict[str, Any] = {}
         for family in self.families():
             samples = []

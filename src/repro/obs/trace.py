@@ -229,18 +229,6 @@ class TraceLog:
     def to_chrome_json(self, pid: int = 1) -> str:
         return json.dumps(self.to_chrome(pid), default=str)
 
-    def to_event_log(self) -> str:
-        """Plain-text event log, one line per event, oldest first."""
-        lines = []
-        for event in self.events():
-            dur = f" dur={event.dur / 1000:.3f}ms" if event.ph == "X" else ""
-            args = f" {event.args}" if event.args else ""
-            lines.append(
-                f"{event.ts / 1000:12.3f}ms [{event.tid}] "
-                f"{event.ph} {event.name}{dur}{args}"
-            )
-        return "\n".join(lines)
-
 
 def merge_chrome(
     documents: list[dict[str, Any]],

@@ -98,11 +98,6 @@ class Page:
         else:
             self._slots[slot] = TupleVersion(row, stamp, prev=head)
 
-    def truncate_to(self, length: int) -> None:
-        """Drop trailing slots (used only when undoing an insert that was
-        the last slot appended)."""
-        del self._slots[length:]
-
     def iter_live(self) -> Iterator[tuple[int, Row]]:
         """Yield (slot, row) for every currently-live tuple."""
         for slot, head in enumerate(self._slots):

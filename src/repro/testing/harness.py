@@ -27,7 +27,7 @@ fatal-to-everyone — the injector's ``crashed`` event is the global
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ..core.engine import LazyMigrationEngine, MigrationHandle
 from ..core.faults import FaultInjector, FaultPlan, SimulatedCrash
@@ -196,15 +196,3 @@ class FaultHarness:
             self.engine.shutdown()
         self.db.txns.faults = None
         self.db.txns.wal.faults = None
-
-
-def select_clients(statements: Sequence[tuple[str, Callable[[int, int], list]]]) -> ClientOp:
-    """Build a read-only client op from (sql, param_fn) pairs; the
-    param_fn maps (client_index, iteration) to the parameter list.
-    Read-only workloads keep value-level invariant checking exact."""
-
-    def ops(session: Session, index: int, iteration: int) -> None:
-        for sql, param_fn in statements:
-            session.execute(sql, param_fn(index, iteration))
-
-    return ops

@@ -1,11 +1,10 @@
 """Transactions: locking, write-ahead logging, and the transaction manager."""
 
-from .locks import DeadlockPolicy, LockManager, LockMode
+from .locks import LockManager, LockMode
 from .wal import LogOp, LogRecord, RedoLog
 from .manager import IsolationLevel, Transaction, TransactionManager, TxnState
 
 __all__ = [
-    "DeadlockPolicy",
     "LockManager",
     "LockMode",
     "LogOp",

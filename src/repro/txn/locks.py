@@ -6,18 +6,14 @@ for tuple-level locks.  Modes follow the classic hierarchy:
 
     IS < IX < S < X   (SIX omitted; the engine does not need it)
 
-Two deadlock policies are supported:
+Deadlocks are detected: blocked requesters register edges in a global
+waits-for graph; a cycle check runs before sleeping and the requester
+that *closes* a cycle dies (:class:`repro.errors.DeadlockAvoided`).
+Everyone else queues, which is what makes the eager-migration baseline
+behave like the paper's: client transactions pile up behind the
+migration's exclusive table locks instead of failing fast.
 
-* ``DETECT`` (default) — blocked requesters register edges in a global
-  waits-for graph; a cycle check runs before sleeping and the requester
-  that *closes* a cycle dies (:class:`repro.errors.DeadlockAvoided`).
-  Everyone else queues, which is what makes the eager-migration
-  baseline behave like the paper's: client transactions pile up behind
-  the migration's exclusive table locks instead of failing fast.
-* ``WAIT_DIE`` — the classic timestamp scheme (older waits, younger
-  dies); cheaper, never builds the graph.
-
-A configurable timeout bounds pathological waits under either policy.
+A configurable timeout bounds pathological waits.
 
 The lock table holds an entry only while it is worth keeping: a tuple
 resource's entry is dropped when its last holder releases it, unless
@@ -31,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Any, Hashable
 
 from ..errors import DeadlockAvoided, LockTimeout
@@ -46,11 +42,6 @@ class LockMode(IntEnum):
     IX = 1
     S = 2
     X = 3
-
-
-class DeadlockPolicy(Enum):
-    DETECT = "detect"
-    WAIT_DIE = "wait-die"
 
 
 # _COMPATIBLE[held][requested]
@@ -144,13 +135,8 @@ class _WaitsForGraph:
 class LockManager:
     """Central lock table shared by all transactions of a database."""
 
-    def __init__(
-        self,
-        timeout: float = 10.0,
-        policy: DeadlockPolicy = DeadlockPolicy.DETECT,
-    ) -> None:
+    def __init__(self, timeout: float = 10.0) -> None:
         self.timeout = timeout
-        self.policy = policy
         self._entries: dict[Hashable, _LockEntry] = {}
         self._spare: list[_LockEntry] = []
         self._latch = threading.Lock()
@@ -276,9 +262,8 @@ class LockManager:
                 if not waited:
                     wait_started = time.monotonic()
                 entry.last_blockers = blockers
-                if self.policy is DeadlockPolicy.WAIT_DIE:
-                    # Only wait for strictly older holders.
-                    if any(other < txn_id for other in conflicting):
+                if not waited:
+                    if self._waits_for.would_deadlock(txn_id, conflicting):
                         self._record_wait(
                             entry,
                             resource,
@@ -287,25 +272,11 @@ class LockManager:
                             deadlock=True,
                         )
                         raise DeadlockAvoided(
-                            f"transaction {txn_id} dies waiting for lock "
-                            f"on {resource!r} held by older transaction(s)"
+                            f"deadlock detected: transaction {txn_id} "
+                            f"waiting on {resource!r} closes a cycle"
                         )
                 else:
-                    if not waited:
-                        if self._waits_for.would_deadlock(txn_id, conflicting):
-                            self._record_wait(
-                                entry,
-                                resource,
-                                time.monotonic() - wait_started,
-                                blockers,
-                                deadlock=True,
-                            )
-                            raise DeadlockAvoided(
-                                f"deadlock detected: transaction {txn_id} "
-                                f"waiting on {resource!r} closes a cycle"
-                            )
-                    else:
-                        self._waits_for.update(txn_id, conflicting)
+                    self._waits_for.update(txn_id, conflicting)
                 waited = True
                 if deadline is None:
                     deadline = time.monotonic() + self.timeout

@@ -18,7 +18,7 @@ from typing import Any, Callable, Hashable
 from ..errors import TransactionAborted, TransactionError
 from ..storage.tid import Tid
 from ..storage.version import CommitStamp
-from .locks import DeadlockPolicy, LockManager, LockMode
+from .locks import LockManager, LockMode
 from .wal import LogOp, RedoLog
 
 Row = tuple[Any, ...]
@@ -150,11 +150,6 @@ class Transaction:
         self._check_active()
         self._redo.append((LogOp.MIGRATE, (migration_id, input_table, granules)))
 
-    def add_undo(self, action: Callable[[], None]) -> None:
-        """Register an arbitrary physical inverse action (DDL paths)."""
-        self._check_active()
-        self._undo.append(action)
-
     def on_commit(self, hook: Callable[[], None]) -> None:
         self._check_active()
         self._commit_hooks.append(hook)
@@ -271,12 +266,8 @@ class Transaction:
 class TransactionManager:
     """Issues transaction ids and owns the shared lock manager + WAL."""
 
-    def __init__(
-        self,
-        lock_timeout: float = 10.0,
-        deadlock_policy: DeadlockPolicy = DeadlockPolicy.DETECT,
-    ) -> None:
-        self.locks = LockManager(timeout=lock_timeout, policy=deadlock_policy)
+    def __init__(self, lock_timeout: float = 10.0) -> None:
+        self.locks = LockManager(timeout=lock_timeout)
         self.wal = RedoLog()
         # Optional fault injector (repro.core.faults.FaultInjector);
         # None in production — commit/abort guard with ``is not None``.

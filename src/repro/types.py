@@ -37,10 +37,6 @@ class TypeKind(Enum):
     TIMESTAMP = "TIMESTAMP"
 
 
-_NUMERIC_KINDS = {TypeKind.INT, TypeKind.BIGINT, TypeKind.FLOAT, TypeKind.DECIMAL}
-_STRING_KINDS = {TypeKind.CHAR, TypeKind.VARCHAR, TypeKind.TEXT}
-_TEMPORAL_KINDS = {TypeKind.DATE, TypeKind.TIMESTAMP}
-
 _INT_MIN, _INT_MAX = -(2**31), 2**31 - 1
 _BIGINT_MIN, _BIGINT_MAX = -(2**63), 2**63 - 1
 
@@ -58,21 +54,6 @@ class SqlType:
     length: int | None = None
     precision: int | None = None
     scale: int | None = None
-
-    # ------------------------------------------------------------------
-    # Classification helpers
-    # ------------------------------------------------------------------
-    @property
-    def is_numeric(self) -> bool:
-        return self.kind in _NUMERIC_KINDS
-
-    @property
-    def is_string(self) -> bool:
-        return self.kind in _STRING_KINDS
-
-    @property
-    def is_temporal(self) -> bool:
-        return self.kind in _TEMPORAL_KINDS
 
     # ------------------------------------------------------------------
     # Coercion

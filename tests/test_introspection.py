@@ -16,7 +16,7 @@ from repro.errors import (
 )
 from repro.obs import SYSTEM_VIEW_NAMES, Observability
 from repro.tpcc import split_migration_ddl
-from repro.txn.locks import DeadlockPolicy, LockManager, LockMode
+from repro.txn.locks import LockManager, LockMode
 
 
 def make_source_db(rows=50):
@@ -363,10 +363,10 @@ class TestLockWaitProfiling:
 
 
 class TestDeadlockProfiling:
-    def _three_txn_cycle(self, policy):
+    def _three_txn_cycle(self):
         """Force T1->T2->T3->T1 over three resources; return the lock
         manager and the DeadlockAvoided errors raised (by txn id)."""
-        locks = LockManager(timeout=10.0, policy=policy)
+        locks = LockManager(timeout=10.0)
         a, b, c = ("table", "a"), ("table", "b"), ("table", "c")
         locks.acquire(1, a, LockMode.X)
         locks.acquire(2, b, LockMode.X)
@@ -402,7 +402,7 @@ class TestDeadlockProfiling:
         return locks, (a, b, c), died
 
     def test_detect_policy_aborts_cycle_closer(self):
-        locks, (a, b, c), died = self._three_txn_cycle(DeadlockPolicy.DETECT)
+        locks, (a, b, c), died = self._three_txn_cycle()
         assert died, "someone must die to break the cycle"
         total_aborts = sum(r["deadlock_aborts"] for r in locks.snapshot())
         assert total_aborts == len(died)
@@ -413,21 +413,11 @@ class TestDeadlockProfiling:
                   if r["resource"] == repr(waited_on)]
         assert row["deadlock_aborts"] >= 1
 
-    def test_wait_die_policy_kills_younger(self):
-        locks, (a, b, c), died = self._three_txn_cycle(DeadlockPolicy.WAIT_DIE)
-        # Wait-die: anyone blocked by an older txn dies immediately, so
-        # the cycle can never form.  T2 (waits for younger T3's c) may
-        # survive; T3 (waits for older T1's a) always dies.
-        assert 3 in died
-        assert 1 not in died  # oldest never dies under wait-die
-        total_aborts = sum(r["deadlock_aborts"] for r in locks.snapshot())
-        assert total_aborts == len(died)
-
     def test_deadlock_counters_reach_view_and_registry(self):
         """End to end: a deadlock between two sessions shows up in the
         registry counter and in ``bullfrog_stat_locks`` via plain SQL."""
         obs = Observability()
-        db = Database(obs=obs, deadlock_policy=DeadlockPolicy.DETECT)
+        db = Database(obs=obs)
         s1, s2 = db.connect(), db.connect()
         s1.execute("CREATE TABLE t1 (id INT PRIMARY KEY)")
         s1.execute("CREATE TABLE t2 (id INT PRIMARY KEY)")

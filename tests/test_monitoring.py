@@ -1,5 +1,5 @@
 """Tests for the monitoring stack: metrics-history ring, health rules,
-the flight recorder, `/healthz`, and the ``\\top`` monitor (PR 9).
+the flight recorder, and the ``\\top`` monitor.
 """
 
 from __future__ import annotations
@@ -8,8 +8,6 @@ import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 from hypothesis import given
@@ -21,12 +19,11 @@ from repro.obs import (
     HealthEngine,
     MetricsHistory,
     Observability,
-    PercentileRule,
-    RateRule,
-    ThresholdRule,
-    default_rules,
+    migration_stalled_rule,
+    percentile_rule,
+    rate_rule,
+    threshold_rule,
 )
-from repro.obs.export import MetricsServer
 from repro.obs.health import CRITICAL, OK, UNKNOWN, WARN
 from repro.obs.history import (
     SERIALIZATION_FAILURES,
@@ -212,6 +209,43 @@ class TestHistoryRing:
         assert "qps" in doc["rows"][0]
         assert "qps" in doc["summary"]
 
+    def test_rows_and_summary_agree_on_one_pair(self):
+        """With exactly two samples, the single history row and the
+        whole-ring summary are the same derivation over the same pair."""
+        obs = Observability()
+        obs.registry.gauge("bullfrog_migration_progress_fraction").set(0.1)
+        history = MetricsHistory(obs, interval=0.01, capacity=8)
+        history.sample_now()
+        obs.statements_total.labels(stmt="select").inc(7)
+        obs.count("txn.commit", 3)
+        obs.count("txn.abort")
+        obs.count("wal.flush", 2)
+        obs.count_deadlock()
+        for seconds in (0.001, 0.004, 0.02, 0.3):
+            obs.statement_latency.labels(stmt="select").observe(seconds)
+        obs.lock_wait_latency.labels(resource="tuple").observe(0.05)
+        obs.record_wait("lock", 0.05)
+        obs.record_wait("migration", 0.01)
+        obs.registry.gauge("bullfrog_migration_progress_fraction").set(0.6)
+        obs.registry.gauge("bullfrog_migration_tuples_per_second").set(40.0)
+        obs.registry.gauge("bullfrog_migration_eta_seconds").set(2.5)
+        time.sleep(0.01)
+        history.sample_now()
+        (row,) = history.rows()
+        summary = history.summary(float("inf"))
+        expected = {
+            "ts": summary["ts"],
+            "dt_seconds": summary["window_seconds"],
+            "lock_wait_ms_per_sec": summary["wait_ms_per_sec"]["lock"],
+            "migration_wait_ms_per_sec": summary["wait_ms_per_sec"]["migration"],
+            "migration_fraction": summary["migration"]["fraction"],
+            "migration_tuples_per_sec": summary["migration"]["tuples_per_sec"],
+            "migration_eta_seconds": summary["migration"]["eta_seconds"],
+        }
+        for key, value in row.items():
+            assert value == expected.get(key, summary.get(key)), key
+            assert value is not None and value != 0, key
+
 
 # ======================================================================
 # Health rules
@@ -230,7 +264,7 @@ class TestHealthRules:
         level = {"value": 0.0}
         engine = HealthEngine(
             history,
-            [ThresholdRule("load", lambda ctx: level["value"], bound=10.0)],
+            [threshold_rule("load", lambda history: level["value"], bound=10.0)],
         )
         fired: list[dict] = []
         engine.on_breach(lambda result, report: fired.append(result))
@@ -261,7 +295,7 @@ class TestHealthRules:
         history = _fresh_history(obs)
         engine = HealthEngine(
             history,
-            [RateRule("ser_failures", SERIALIZATION_FAILURES, bound=0.0)],
+            [rate_rule("ser_failures", SERIALIZATION_FAILURES, bound=0.0)],
         )
         history.sample_now()
         time.sleep(0.02)
@@ -280,7 +314,7 @@ class TestHealthRules:
         history = _fresh_history()
         engine = HealthEngine(
             history,
-            [PercentileRule("lat", "no_such_seconds", 0.99, 100.0)],
+            [percentile_rule("lat", "no_such_seconds", 0.99, 100.0)],
         )
         history.sample_now()
         report = engine.evaluate()
@@ -291,19 +325,19 @@ class TestHealthRules:
         history = _fresh_history()
         engine = HealthEngine(
             history,
-            [ThresholdRule("w", lambda ctx: 5.0, bound=1.0, severity=WARN)],
+            [threshold_rule("w", lambda history: 5.0, bound=1.0, severity=WARN)],
         )
         history.sample_now()
         report = engine.evaluate()
         assert report["status"] == WARN
-        assert engine.healthy  # only critical flips /healthz
+        assert engine.healthy  # only critical flips healthy
 
     def test_migration_stalled_rule_breaches_on_frozen_gauges(self):
         obs = Observability()
         obs.registry.gauge("bullfrog_migration_running").set(1)
         obs.registry.gauge("bullfrog_migration_progress_fraction").set(0.4)
         history = MetricsHistory(obs, interval=0.01, capacity=64)
-        rules = default_rules(migration_stall_window=0.1)
+        rules = [migration_stalled_rule(window=0.1)]
         engine = HealthEngine(history, rules)
         history.sample_now()
         time.sleep(0.08)
@@ -317,7 +351,7 @@ class TestHealthRules:
     def test_health_follows_sampling_cadence_via_listener(self):
         history = _fresh_history()
         engine = HealthEngine(
-            history, [ThresholdRule("t", lambda ctx: 0.0, bound=1.0)]
+            history, [threshold_rule("t", lambda history: 0.0, bound=1.0)]
         ).attach()
         assert engine.status == UNKNOWN  # nothing evaluated yet
         history.sample_now()  # listener evaluates on the scrape
@@ -359,88 +393,6 @@ class TestMonitoringViews:
         assert "serialization_failures" in names
         assert all(row[1] in (OK, WARN, CRITICAL, UNKNOWN) for row in health_rows)
         obs.close()
-
-
-# ======================================================================
-# /healthz + /metrics/history on the MetricsServer (satellite b)
-# ======================================================================
-
-
-def _get(url: str):
-    try:
-        with urllib.request.urlopen(url, timeout=5) as response:
-            return response.status, response.read()
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read()
-
-
-class TestMetricsServerLiveness:
-    def test_healthz_exists_as_liveness_surface(self):
-        """Regression for the gap this PR closes: MetricsServer served
-        /metrics but had no liveness endpoint at all — a load balancer
-        probing /healthz got a 404 (this test fails on the pre-PR
-        server)."""
-        with MetricsServer(Observability()) as server:
-            status, body = _get(f"http://{server.host}:{server.port}/healthz")
-            assert status == 200
-            assert json.loads(body)["status"] == "ok"
-
-    def test_healthz_reflects_health_engine(self):
-        obs = Observability()
-        history = _fresh_history(obs)
-        level = {"value": 0.0}
-        obs.health = HealthEngine(
-            history,
-            [ThresholdRule("load", lambda ctx: level["value"], bound=1.0)],
-        )
-        engine = obs.health
-        history.sample_now()
-        engine.evaluate()
-        with MetricsServer(obs) as server:
-            url = f"http://{server.host}:{server.port}/healthz"
-            status, body = _get(url)
-            assert status == 200
-            assert json.loads(body)["status"] == OK
-            level["value"] = 9.0
-            engine.evaluate()
-            status, body = _get(url)
-            assert status == 503
-            doc = json.loads(body)
-            assert doc["status"] == CRITICAL
-            assert doc["rules"][0]["rule"] == "load"
-
-    def test_healthz_503_while_draining_and_close_idempotent(self):
-        server = MetricsServer(Observability())
-        try:
-            url = f"http://{server.host}:{server.port}/healthz"
-            assert _get(url)[0] == 200
-            server.begin_drain()
-            status, body = _get(url)
-            assert status == 503
-            assert json.loads(body)["status"] == "draining"
-            # Other endpoints keep serving during the drain window.
-            assert _get(f"http://{server.host}:{server.port}/metrics")[0] == 200
-        finally:
-            server.close()
-        server.close()  # idempotent: second close is a no-op
-
-    def test_metrics_history_endpoint(self):
-        obs = Observability()
-        obs.statements_total.labels(stmt="select").inc(3)
-        history = obs.attach_history(interval=0.01, start=False)
-        history.sample_now()
-        time.sleep(0.01)
-        history.sample_now()
-        with MetricsServer(obs) as server:
-            base = f"http://{server.host}:{server.port}"
-            status, body = _get(f"{base}/metrics/history")
-            assert status == 200
-            doc = json.loads(body)
-            assert doc["samples_taken"] == 2 and len(doc["rows"]) == 1
-            status, _body = _get(f"{base}/metrics/history?seconds=9.5")
-            assert status == 200
-            status, _body = _get(f"{base}/metrics/history?seconds=bogus")
-            assert status == 400
 
 
 # ======================================================================
@@ -534,7 +486,7 @@ class TestFlightRecorder:
         )
         level = {"value": 0.0}
         health.add_rule(
-            ThresholdRule("test_breach", lambda ctx: level["value"], bound=1.0)
+            threshold_rule("test_breach", lambda history: level["value"], bound=1.0)
         )
         history.sample_now()  # ok everywhere
         level["value"] = 5.0
@@ -755,9 +707,9 @@ class TestIncidentUnderMigration:
         # deterministic stand-in for "serialization failures > X" that
         # does not depend on winning a race.
         health.add_rule(
-            ThresholdRule(
+            threshold_rule(
                 "qps_ceiling",
-                lambda ctx: ctx.history.rate(STATEMENTS_TOTAL, 2.0),
+                lambda history: history.rate(STATEMENTS_TOTAL, 2.0),
                 bound=0.0,
             )
         )

@@ -8,7 +8,7 @@ Covers the unified observability contracts:
   eviction keeps the newest history, Chrome JSON round-trips;
 * :class:`Observability` emission points and statement sampling;
 * ``MigrationStats`` as a registry view (frozen snapshot key set);
-* Prometheus / JSON / HTTP export surfaces end to end on a real lazy
+* Prometheus / JSON export surfaces end to end on a real lazy
   migration with foreground and background work.
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.request
 
 import pytest
 
@@ -25,7 +24,6 @@ from repro import BackgroundConfig, Database, LazyMigrationEngine
 from repro.core.stats import MigrationStats
 from repro.obs import (
     MetricRegistry,
-    MetricsServer,
     Observability,
     TraceLog,
     render_prometheus,
@@ -447,29 +445,6 @@ class TestExport:
         r.counter("c_total").inc()
         doc = json.loads(snapshot_json(r))
         assert doc["c_total"]["samples"][0]["value"] == 1
-
-    def test_http_endpoint(self):
-        obs = Observability()
-        obs.registry.counter("served_total").inc(9)
-        obs.trace.instant("hello")
-        with MetricsServer(obs) as server:
-            body = urllib.request.urlopen(server.url, timeout=5).read()
-            assert b"served_total 9" in body
-            doc = json.loads(
-                urllib.request.urlopen(
-                    f"http://{server.host}:{server.port}/metrics.json",
-                    timeout=5,
-                ).read()
-            )
-            assert doc["served_total"]["samples"][0]["value"] == 9
-            chrome = json.loads(
-                urllib.request.urlopen(
-                    f"http://{server.host}:{server.port}/trace", timeout=5
-                ).read()
-            )
-            assert any(
-                e["name"] == "hello" for e in chrome["traceEvents"]
-            )
 
 
 # ======================================================================

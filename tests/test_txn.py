@@ -9,7 +9,6 @@ from repro.catalog import Catalog, Column, PrimaryKey, TableSchema
 from repro.errors import DeadlockAvoided, LockTimeout, TransactionAborted, TransactionError
 from repro.storage import Tid
 from repro.txn import (
-    DeadlockPolicy,
     LockManager,
     LockMode,
     LogOp,
@@ -185,7 +184,7 @@ class TestLockTableReclamation:
 
 class TestDeadlockHandling:
     def test_detect_policy_finds_cycle(self):
-        lm = LockManager(timeout=5.0, policy=DeadlockPolicy.DETECT)
+        lm = LockManager(timeout=5.0)
         lm.acquire(1, "a", LockMode.X)
         lm.acquire(2, "b", LockMode.X)
         failures = []
@@ -211,28 +210,6 @@ class TestDeadlockHandling:
             lm.release(2, "b")  # unblock txn 1
         assert done.wait(5.0)
         assert died_here or failures
-        thread.join()
-
-    def test_wait_die_policy(self):
-        lm = LockManager(timeout=1.0, policy=DeadlockPolicy.WAIT_DIE)
-        lm.acquire(1, "r", LockMode.X)
-        with pytest.raises(DeadlockAvoided):
-            lm.acquire(2, "r", LockMode.S)  # younger dies immediately
-
-    def test_wait_die_older_waits(self):
-        lm = LockManager(timeout=5.0, policy=DeadlockPolicy.WAIT_DIE)
-        lm.acquire(2, "r", LockMode.X)
-        acquired = threading.Event()
-
-        def older():
-            lm.acquire(1, "r", LockMode.S)
-            acquired.set()
-
-        thread = threading.Thread(target=older)
-        thread.start()
-        time.sleep(0.05)
-        lm.release(2, "r")
-        assert acquired.wait(2.0)
         thread.join()
 
 
