@@ -346,22 +346,16 @@ class VirtualTable:
 class Catalog:
     """Thread-safe name registry with retired-table tracking."""
 
-    def __init__(self, default_page_capacity: int = DEFAULT_PAGE_CAPACITY) -> None:
+    def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._views: dict[str, View] = {}
         self._virtual: dict[str, VirtualTable] = {}
         self._latch = threading.RLock()
-        self.default_page_capacity = default_page_capacity
 
     # ------------------------------------------------------------------
     # Tables
     # ------------------------------------------------------------------
-    def create_table(
-        self,
-        schema: TableSchema,
-        if_not_exists: bool = False,
-        page_capacity: int | None = None,
-    ) -> Table:
+    def create_table(self, schema: TableSchema, if_not_exists: bool = False) -> Table:
         with self._latch:
             if (
                 schema.name in self._tables
@@ -373,7 +367,7 @@ class Catalog:
                 raise DuplicateObjectError(
                     f"relation {schema.name!r} already exists"
                 )
-            table = Table(schema, page_capacity or self.default_page_capacity)
+            table = Table(schema)
             self._tables[schema.name] = table
             return table
 

@@ -330,10 +330,12 @@ class LazyMigrationEngine:
         """Register the migration and perform the logical switch.
 
         ``resume=True`` attaches to output tables/views that already
-        exist — the crash-recovery path (section 3.5): after REDO data
-        replay re-creates outputs with their pre-crash contents, the
-        migration is re-submitted with ``resume=True`` and the trackers
-        restored via :func:`repro.core.recovery.rebuild_trackers`.
+        exist — the crash-recovery path (section 3.5): a crash loses
+        only the volatile trackers (heap data survives; the redo log
+        holds MIGRATE records, no row data), so the migration is
+        re-submitted with ``resume=True`` over its surviving outputs and
+        the trackers are restored from those records via
+        :func:`repro.core.recovery.rebuild_trackers`.
         """
         if self.spec is not None:
             raise MigrationStateError(

@@ -85,7 +85,6 @@ class HealthRule:
         bound: float | None = None,
         severity: str = CRITICAL,
         window: float = 5.0,
-        description: str = "",
     ) -> None:
         if severity not in (WARN, CRITICAL):
             raise ValueError(f"severity must be warn or critical, not {severity!r}")
@@ -94,7 +93,6 @@ class HealthRule:
         self.bound = bound
         self.severity = severity
         self.window = window
-        self.description = description
 
     def evaluate(self, history: MetricsHistory) -> dict[str, Any]:
         try:
@@ -216,29 +214,16 @@ def default_rules() -> list[HealthRule]:
     healthy system under TPC-C load stays ``ok``; a caller that needs
     tighter ones builds its own list from the constructors above."""
     return [
-        rate_rule(
-            "serialization_failures",
-            SERIALIZATION_FAILURES,
-            10.0,
-            description="snapshot-isolation first-updater-wins aborts/sec",
-        ),
-        rate_rule(
-            "deadlock_rate",
-            DEADLOCKS,
-            5.0,
-            description="deadlock-victim aborts/sec",
-        ),
+        # Snapshot-isolation first-updater-wins aborts/sec.
+        rate_rule("serialization_failures", SERIALIZATION_FAILURES, 10.0),
+        # Deadlock-victim aborts/sec.
+        rate_rule("deadlock_rate", DEADLOCKS, 5.0),
+        # Contended lock-acquisition p99.
         percentile_rule(
-            "lock_wait_p99",
-            LOCK_WAIT_SECONDS,
-            0.99,
-            250.0,
-            severity=WARN,
-            description="contended lock-acquisition p99",
+            "lock_wait_p99", LOCK_WAIT_SECONDS, 0.99, 250.0, severity=WARN
         ),
-        migration_stalled_rule(
-            description="running migration moved nothing all window",
-        ),
+        # A running migration moved nothing all window.
+        migration_stalled_rule(),
     ]
 
 
@@ -367,12 +352,6 @@ class HealthEngine:
     def status(self) -> str:
         report = self._report
         return report["status"] if report is not None else UNKNOWN
-
-    @property
-    def healthy(self) -> bool:
-        """False only on a breached critical rule (warn degrades the
-        report's status, not this)."""
-        return self.status != CRITICAL
 
 
 __all__ = [

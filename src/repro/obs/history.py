@@ -378,14 +378,6 @@ class MetricsHistory:
         two samples exist or when no time has passed."""
         return _rate(self.samples(window), name)
 
-    def delta(self, name: str, window: float | None = None) -> float | None:
-        """Reset-aware total increase of counter ``name`` over the
-        window (the numerator of :meth:`rate`)."""
-        samples = self.samples(window)
-        if len(samples) < 2:
-            return None
-        return sum_positive_deltas(s.counters.get(name, 0.0) for s in samples)
-
     def percentile(
         self, name: str, q: float, window: float | None = None
     ) -> float | None:

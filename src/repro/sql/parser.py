@@ -276,7 +276,7 @@ class _Parser:
     def parse_from_item(self) -> ast.FromItem:
         item = self.parse_from_primary()
         while True:
-            kind = self._peek_join_kind()
+            kind = self._next_join_kind()
             if kind is None:
                 return item
             self._consume_join_keywords()
@@ -291,7 +291,7 @@ class _Parser:
                     raise ParseError("JOIN requires an ON or USING clause")
             item = ast.Join(kind, item, right, condition)
 
-    def _peek_join_kind(self) -> str | None:
+    def _next_join_kind(self) -> str | None:
         if self.peek_keyword("JOIN"):
             return "INNER"
         if self.peek_keyword("INNER") and self.peek_keyword("JOIN", offset=1):

@@ -1,4 +1,4 @@
-"""Lock manager: strict two-phase locking with deadlock handling.
+"""Lock manager: strict two-phase locking with deadlock detection.
 
 Resources are hashable keys — the transaction manager uses
 ``("table", name)`` for table-level locks and ``("tuple", name, tid)``
@@ -6,35 +6,40 @@ for tuple-level locks.  Modes follow the classic hierarchy:
 
     IS < IX < S < X   (SIX omitted; the engine does not need it)
 
+One latch, ``LockManager._latch``, guards the table of entries and the
+state of every entry, so an uncontended acquire or release is one latch
+round trip and a few dict operations.  An entry gets a
+``threading.Condition`` over that same latch on its first wait; waiting
+releases the latch.  Re-requests of a lock a transaction already holds
+seldom get here: :class:`repro.txn.manager.Transaction` keeps its own
+resource -> mode table and answers covered requests (:func:`covers`)
+from it.
+
 Deadlocks are detected: blocked requesters register edges in a global
-waits-for graph; a cycle check runs before sleeping and the requester
-that *closes* a cycle dies (:class:`repro.errors.DeadlockAvoided`).
-Everyone else queues, which is what makes the eager-migration baseline
-behave like the paper's: client transactions pile up behind the
-migration's exclusive table locks instead of failing fast.
+waits-for graph (latched after the table latch, never before); a cycle
+check runs before every sleep, since the holders may change while a
+requester sleeps, and the requester that *closes* a cycle dies
+(:class:`repro.errors.DeadlockAvoided`).  Everyone else queues, which
+is what makes the eager-migration baseline behave like the paper's:
+client transactions pile up behind the migration's exclusive table
+locks instead of failing fast.  A configurable timeout bounds
+pathological waits.
 
-A configurable timeout bounds pathological waits.
-
-The lock table holds an entry only while it is worth keeping: a tuple
-resource's entry is dropped when its last holder releases it, unless
-someone waits on it or it was ever contended (its wait-profiling
+A tuple resource's entry is dropped when its last holder releases it,
+unless someone waits on it or it was ever contended (its wait-profiling
 counters are what ``bullfrog_stat_locks`` reports).  Table entries,
-few and hot, stay.
+few and hot, stay.  Observability hooks run after the latch is
+released.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Hashable
+from typing import Any, Hashable, Iterable
 
 from ..errors import DeadlockAvoided, LockTimeout
-
-# Reclaimed entries kept for reuse: building a Condition per tuple lock
-# would otherwise be paid on every uncontended acquire.
-_SPARE_ENTRIES = 64
 
 
 class LockMode(IntEnum):
@@ -69,25 +74,45 @@ def supremum(a: LockMode, b: LockMode) -> LockMode:
     return _SUPREMUM.get((min(a, b), max(a, b)), max(a, b))
 
 
-@dataclass
+def covers(held: LockMode, mode: LockMode) -> bool:
+    """True if holding ``held`` already grants a request for ``mode``."""
+    return held >= mode and not (held == LockMode.IX and mode == LockMode.S)
+
+
 class _LockEntry:
-    """State of one lockable resource.
+    """State of one lockable resource, guarded by the manager's latch.
 
     Beyond the live lock state, each entry accumulates wait-profiling
-    counters (updated only on the contended path, under ``condition``):
-    cumulative wait time, wait events, aborts attributed to this
-    resource, and the holder set observed by the most recent waiter
-    (blocker attribution for ``bullfrog_stat_locks``).
+    counters (updated only on the contended path): cumulative wait
+    time, wait events, aborts attributed to this resource, and the
+    holder set observed by the most recent waiter (blocker attribution
+    for ``bullfrog_stat_locks``).
     """
 
-    holders: dict[int, LockMode] = field(default_factory=dict)
-    condition: threading.Condition = field(default_factory=threading.Condition)
-    waiting: int = 0
-    wait_count: int = 0
-    wait_seconds: float = 0.0
-    deadlock_aborts: int = 0
-    timeouts: int = 0
-    last_blockers: tuple[int, ...] = ()
+    __slots__ = (
+        "holders",
+        "reclaim",
+        "condition",
+        "waiting",
+        "wait_count",
+        "wait_seconds",
+        "deadlock_aborts",
+        "timeouts",
+        "last_blockers",
+    )
+
+    def __init__(self, holders: dict[int, LockMode], resource: Hashable) -> None:
+        self.holders = holders
+        # Tuple entries leave the table once idle and never contended.
+        self.reclaim = resource_class(resource) == "tuple"
+        # Built on the first wait, over the manager's latch.
+        self.condition: threading.Condition | None = None
+        self.waiting = 0
+        self.wait_count = 0
+        self.wait_seconds = 0.0
+        self.deadlock_aborts = 0
+        self.timeouts = 0
+        self.last_blockers: tuple[int, ...] = ()
 
 
 def resource_class(resource: Hashable) -> str:
@@ -123,10 +148,6 @@ class _WaitsForGraph:
                 stack.extend(self._edges.get(node, ()))
             return False
 
-    def update(self, waiter: int, holders: set[int]) -> None:
-        with self._latch:
-            self._edges[waiter] = set(holders)
-
     def clear(self, waiter: int) -> None:
         with self._latch:
             self._edges.pop(waiter, None)
@@ -138,75 +159,12 @@ class LockManager:
     def __init__(self, timeout: float = 10.0) -> None:
         self.timeout = timeout
         self._entries: dict[Hashable, _LockEntry] = {}
-        self._spare: list[_LockEntry] = []
         self._latch = threading.Lock()
         self._waits_for = _WaitsForGraph()
         # Optional observability (repro.obs.Observability), set by the
         # Database when one is attached; None keeps the uncontended
         # acquire path free of any accounting.
         self.obs: Any = None
-
-    def _entry(self, resource: Hashable) -> _LockEntry:
-        with self._latch:
-            entry = self._entries.get(resource)
-            if entry is None:
-                entry = self._spare.pop() if self._spare else _LockEntry()
-                self._entries[resource] = entry
-            return entry
-
-    def _reclaim(self, resource: Hashable, entry: _LockEntry) -> None:
-        """Drop ``entry`` from the table if it is idle and was never
-        contended, keeping it as a spare.  Called with
-        ``entry.condition`` held, which is what :meth:`acquire`
-        re-validates under."""
-        if (
-            entry.holders
-            or entry.waiting
-            or entry.wait_count
-            or entry.deadlock_aborts
-            or entry.timeouts
-            or resource_class(resource) != "tuple"
-        ):
-            return
-        with self._latch:
-            if self._entries.get(resource) is entry:
-                del self._entries[resource]
-                if len(self._spare) < _SPARE_ENTRIES:
-                    self._spare.append(entry)
-
-    def _peek(self, resource: Hashable) -> _LockEntry | None:
-        """The entry for ``resource`` if one exists — unlike
-        :meth:`_entry`, read-only probes must not materialize entries as
-        a side effect (they would grow ``_entries`` unboundedly)."""
-        with self._latch:
-            return self._entries.get(resource)
-
-    def _record_wait(
-        self,
-        entry: _LockEntry,
-        resource: Hashable,
-        seconds: float,
-        blockers: tuple[int, ...],
-        deadlock: bool = False,
-        timeout: bool = False,
-    ) -> None:
-        """Account one finished wait (successful or aborted).  Called
-        with ``entry.condition`` held; only ever reached on the
-        contended path."""
-        entry.wait_count += 1
-        entry.wait_seconds += seconds
-        entry.last_blockers = blockers
-        if deadlock:
-            entry.deadlock_aborts += 1
-        if timeout:
-            entry.timeouts += 1
-        obs = self.obs
-        if obs is not None:
-            obs.observe_lock_wait(resource_class(resource), seconds, blockers)
-            if deadlock:
-                obs.count_deadlock()
-            if timeout:
-                obs.count_lock_timeout()
 
     # ------------------------------------------------------------------
     # Acquire / release
@@ -218,27 +176,48 @@ class LockManager:
         transaction already held a covering mode.  Raises
         DeadlockAvoided or LockTimeout.
         """
-        while True:
-            entry = self._entry(resource)
-            with entry.condition:
-                # A release may have reclaimed the entry between the
-                # lookup and taking its condition: then look again.
-                if self._entries.get(resource) is entry:
-                    return self._acquire(entry, txn_id, resource, mode)
+        with self._latch:
+            entry = self._entries.get(resource)
+            if entry is None:
+                self._entries[resource] = _LockEntry({txn_id: mode}, resource)
+                return True
+            holders = entry.holders
+            held = holders.get(txn_id)
+            if held is not None and covers(held, mode):
+                return False
+            target = mode if held is None else supremum(held, mode)
+            for other, other_mode in holders.items():
+                if other != txn_id and not _COMPATIBLE[other_mode][target]:
+                    break
+            else:
+                holders[txn_id] = target
+                return True
+            seconds, blockers, error = self._wait(entry, txn_id, resource, target)
+        obs = self.obs
+        if obs is not None:
+            obs.observe_lock_wait(resource_class(resource), seconds, blockers)
+            if isinstance(error, DeadlockAvoided):
+                obs.count_deadlock()
+            elif isinstance(error, LockTimeout):
+                obs.count_lock_timeout()
+        if error is not None:
+            raise error
+        return True
 
-    def _acquire(
-        self, entry: _LockEntry, txn_id: int, resource: Hashable, mode: LockMode
-    ) -> bool:
-        """:meth:`acquire` on the registered entry, its condition held."""
-        held = entry.holders.get(txn_id)
-        if held is not None and held >= mode and not (
-            held == LockMode.IX and mode == LockMode.S
-        ):
-            return False
-        target = mode if held is None else supremum(held, mode)
-        deadline = None
-        waited = False
-        wait_started = 0.0
+    def _wait(
+        self, entry: _LockEntry, txn_id: int, resource: Hashable, target: LockMode
+    ) -> tuple[float, tuple[int, ...], Exception | None]:
+        """The contended path of :meth:`acquire`, entered and left with
+        the latch held: wait until ``target`` is grantable, the request
+        closes a deadlock cycle, or the timeout passes.  Returns the
+        wait's duration, the last blockers seen and the error to raise
+        (None once granted); the entry's counters are already updated."""
+        started = time.monotonic()
+        deadline = started + self.timeout
+        if entry.condition is None:
+            entry.condition = threading.Condition(self._latch)
+        error: Exception | None = None
+        blockers: tuple[int, ...] = ()
         try:
             while True:
                 conflicting = {
@@ -247,130 +226,93 @@ class LockManager:
                     if other != txn_id and not _COMPATIBLE[other_mode][target]
                 }
                 if not conflicting:
-                    if waited:
-                        self._record_wait(
-                            entry,
-                            resource,
-                            time.monotonic() - wait_started,
-                            entry.last_blockers,
-                        )
                     entry.holders[txn_id] = target
-                    return True
-                # Contended path: everything below (including the
-                # profiling) is off the uncontended fast path.
+                    break
                 blockers = tuple(sorted(conflicting))
-                if not waited:
-                    wait_started = time.monotonic()
                 entry.last_blockers = blockers
-                if not waited:
-                    if self._waits_for.would_deadlock(txn_id, conflicting):
-                        self._record_wait(
-                            entry,
-                            resource,
-                            time.monotonic() - wait_started,
-                            blockers,
-                            deadlock=True,
-                        )
-                        raise DeadlockAvoided(
-                            f"deadlock detected: transaction {txn_id} "
-                            f"waiting on {resource!r} closes a cycle"
-                        )
-                else:
-                    self._waits_for.update(txn_id, conflicting)
-                waited = True
-                if deadline is None:
-                    deadline = time.monotonic() + self.timeout
+                if self._waits_for.would_deadlock(txn_id, conflicting):
+                    entry.deadlock_aborts += 1
+                    error = DeadlockAvoided(
+                        f"deadlock detected: transaction {txn_id} "
+                        f"waiting on {resource!r} closes a cycle"
+                    )
+                    break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    self._record_wait(
-                        entry,
-                        resource,
-                        time.monotonic() - wait_started,
-                        blockers,
-                        timeout=True,
-                    )
-                    raise LockTimeout(
+                    entry.timeouts += 1
+                    error = LockTimeout(
                         f"transaction {txn_id} timed out waiting for "
                         f"{target.name} lock on {resource!r}"
                     )
+                    break
                 entry.waiting += 1
                 try:
                     entry.condition.wait(min(remaining, 0.2))
                 finally:
                     entry.waiting -= 1
         finally:
-            if waited:
-                self._waits_for.clear(txn_id)
+            self._waits_for.clear(txn_id)
+        seconds = time.monotonic() - started
+        entry.wait_count += 1
+        entry.wait_seconds += seconds
+        entry.last_blockers = blockers
+        return seconds, blockers, error
 
     def release(self, txn_id: int, resource: Hashable) -> None:
-        entry = self._peek(resource)
-        if entry is None:
-            return
-        with entry.condition:
-            if entry.holders.pop(txn_id, None) is None:
-                return
-            if entry.waiting:
-                entry.condition.notify_all()
-            else:
-                self._reclaim(resource, entry)
+        self.release_all(txn_id, (resource,))
 
-    def release_all(self, txn_id: int, resources: list[Hashable]) -> None:
-        for resource in resources:
-            self.release(txn_id, resource)
+    def release_all(self, txn_id: int, resources: Iterable[Hashable]) -> None:
+        """Release every resource in ``resources`` under one latch hold,
+        waking only the entries someone waits on."""
+        entries = self._entries
+        with self._latch:
+            for resource in resources:
+                entry = entries.get(resource)
+                if entry is None or entry.holders.pop(txn_id, None) is None:
+                    continue
+                if entry.waiting:
+                    entry.condition.notify_all()
+                elif entry.reclaim and not (entry.holders or entry.wait_count):
+                    del entries[resource]
 
     # ------------------------------------------------------------------
     # Introspection (tests / stats)
     # ------------------------------------------------------------------
     def held_mode(self, txn_id: int, resource: Hashable) -> LockMode | None:
-        entry = self._peek(resource)
-        if entry is None:
-            return None
-        with entry.condition:
-            return entry.holders.get(txn_id)
+        with self._latch:
+            entry = self._entries.get(resource)
+            return None if entry is None else entry.holders.get(txn_id)
 
     def waiter_count(self, resource: Hashable) -> int:
-        entry = self._peek(resource)
-        if entry is None:
-            return 0
-        with entry.condition:
-            return entry.waiting
+        with self._latch:
+            entry = self._entries.get(resource)
+            return 0 if entry is None else entry.waiting
 
     def snapshot(self) -> list[dict[str, Any]]:
         """Per-resource lock state + wait-profiling counters for
-        ``bullfrog_stat_locks``.
-
-        Entries that are idle and were never contended are skipped:
-        table entries are kept while idle, and a tuple entry between its
-        last release and its reclamation can be seen here too.
-        """
+        ``bullfrog_stat_locks``.  Idle table entries that were never
+        contended are skipped."""
         with self._latch:
-            items = list(self._entries.items())
-        rows: list[dict[str, Any]] = []
-        for resource, entry in items:
-            with entry.condition:
-                holders = dict(entry.holders)
-                waiting = entry.waiting
-                wait_count = entry.wait_count
-                wait_seconds = entry.wait_seconds
-                deadlock_aborts = entry.deadlock_aborts
-                timeouts = entry.timeouts
-                last_blockers = entry.last_blockers
-            if not holders and not waiting and not wait_count and not (
-                deadlock_aborts or timeouts
-            ):
-                continue
-            rows.append(
-                {
-                    "resource_class": resource_class(resource),
-                    "resource": repr(resource),
-                    "holders": sorted(holders),
-                    "modes": [holders[t].name for t in sorted(holders)],
-                    "waiters": waiting,
-                    "wait_count": wait_count,
-                    "wait_seconds": wait_seconds,
-                    "deadlock_aborts": deadlock_aborts,
-                    "timeouts": timeouts,
-                    "last_blockers": list(last_blockers),
-                }
-            )
-        return rows
+            items = [
+                (resource, dict(entry.holders), entry.waiting, entry.wait_count,
+                 entry.wait_seconds, entry.deadlock_aborts, entry.timeouts,
+                 entry.last_blockers)
+                for resource, entry in self._entries.items()
+                if entry.holders or entry.wait_count or entry.waiting
+            ]
+        return [
+            {
+                "resource_class": resource_class(resource),
+                "resource": repr(resource),
+                "holders": sorted(holders),
+                "modes": [holders[t].name for t in sorted(holders)],
+                "waiters": waiting,
+                "wait_count": wait_count,
+                "wait_seconds": wait_seconds,
+                "deadlock_aborts": deadlock_aborts,
+                "timeouts": timeouts,
+                "last_blockers": list(last_blockers),
+            }
+            for (resource, holders, waiting, wait_count, wait_seconds,
+                 deadlock_aborts, timeouts, last_blockers) in items
+        ]

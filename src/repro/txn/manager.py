@@ -18,7 +18,7 @@ from typing import Any, Callable, Hashable
 from ..errors import TransactionAborted, TransactionError
 from ..storage.tid import Tid
 from ..storage.version import CommitStamp
-from .locks import LockManager, LockMode
+from .locks import LockManager, LockMode, covers, supremum
 from .wal import LogOp, RedoLog
 
 Row = tuple[Any, ...]
@@ -33,10 +33,14 @@ class TxnState(Enum):
 class IsolationLevel(Enum):
     """Isolation modes offered by :meth:`TransactionManager.begin`.
 
-    READ_COMMITTED is the pre-MVCC behavior: strict 2PL with short read
-    locks.  SNAPSHOT reads a consistent version-chain snapshot taken at
-    ``begin`` without read locks; writes still take 2PL write locks and
-    conflict first-committer-wins (SQLSTATE 40001 on loss).
+    READ_COMMITTED is the pre-MVCC behavior, and despite its name it
+    reads uncommitted data: a read takes a table IS lock and no tuple
+    lock, so it sees another transaction's uncommitted inserts and
+    updates (ROADMAP item 3).  Writes take a table IX lock, and updates
+    and deletes a tuple X lock, held to commit.  SNAPSHOT reads a
+    consistent version-chain snapshot taken at ``begin`` without read
+    locks; writes still take 2PL write locks and conflict
+    first-committer-wins (SQLSTATE 40001 on loss).
     """
 
     READ_COMMITTED = "read_committed"
@@ -79,7 +83,9 @@ class Transaction:
         #: them atomically), abort marks it aborted.
         self.stamp = CommitStamp(txn_id=txn_id)
         self._manager = manager
-        self._locks: list[Hashable] = []
+        # resource -> mode held (the local lock table): every resource
+        # here is held in the shared lock manager at least this strongly.
+        self._locks: dict[Hashable, LockMode] = {}
         self._undo: list[Callable[[], None]] = []
         self._redo: list[tuple[LogOp, Any]] = []
         # (table, tid) of every tuple this txn updated or deleted: the
@@ -105,24 +111,25 @@ class Transaction:
     # Locking
     # ------------------------------------------------------------------
     def lock_table(self, table_name: str, mode: LockMode) -> None:
-        self._check_active()
-        resource = ("table", table_name)
-        try:
-            if self._manager.locks.acquire(self.id, resource, mode):
-                self._locks.append(resource)
-        except TransactionAborted:
-            self.abort()
-            raise
+        self._lock(("table", table_name), mode)
 
     def lock_tuple(self, table_name: str, tid: Tid, mode: LockMode) -> None:
+        self._lock(("tuple", table_name, tid), mode)
+
+    def _lock(self, resource: Hashable, mode: LockMode) -> None:
+        """Take ``mode`` on ``resource`` unless the mode already held
+        covers it: a covered re-request never reaches the shared lock
+        manager."""
         self._check_active()
-        resource = ("tuple", table_name, tid)
+        held = self._locks.get(resource)
+        if held is not None and covers(held, mode):
+            return
         try:
-            if self._manager.locks.acquire(self.id, resource, mode):
-                self._locks.append(resource)
+            self._manager.locks.acquire(self.id, resource, mode)
         except TransactionAborted:
             self.abort()
             raise
+        self._locks[resource] = mode if held is None else supremum(held, mode)
 
     # ------------------------------------------------------------------
     # Undo / redo recording (called by the DML executor)

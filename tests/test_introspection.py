@@ -362,6 +362,53 @@ class TestLockWaitProfiling:
         assert cell.sum > 0.0
 
 
+    def test_commit_wakes_a_tuple_waiter_in_one_release(self, monkeypatch):
+        """A writer blocked on a tuple is woken by the holder's commit,
+        which releases every lock it holds in one ``release_all``; while
+        it waits, ``bullfrog_stat_locks`` shows the holder and one
+        waiter on that tuple."""
+        db = Database()
+        s = db.connect(isolation="read_committed")
+        s.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        for i in range(3):
+            s.execute("INSERT INTO t VALUES (?, ?)", [i, 0])
+        tid = next(t for t, row in db.catalog.table("t").heap.scan() if row[0] == 1)
+        holder = db.connect(isolation="read_committed")
+        holder.begin()
+        for i in range(3):
+            holder.execute("UPDATE t SET v = v + 1 WHERE id = ?", [i])
+        holder_id = holder._txn.id
+        waiter = threading.Thread(
+            target=db.connect(isolation="read_committed").execute,
+            args=("UPDATE t SET v = v + 10 WHERE id = 1",),
+        )
+        waiter.start()
+        deadline = time.monotonic() + 5.0
+        while db.txns.locks.waiter_count(("tuple", "t", tid)) == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        rows = s.execute(
+            "SELECT holders, modes, waiters FROM bullfrog_stat_locks "
+            "WHERE resource = ?",
+            [repr(("tuple", "t", tid))],
+        ).rows
+        assert rows == [(str(holder_id), "X", 1)]
+        releases: list = []
+        real = db.txns.locks.release_all
+
+        def release_all(txn_id, resources):
+            releases.append((txn_id, len(resources)))
+            return real(txn_id, resources)
+
+        monkeypatch.setattr(db.txns.locks, "release_all", release_all)
+        holder.commit()
+        waiter.join(5.0)
+        assert not waiter.is_alive()
+        # One table lock and three tuple locks, released in one call.
+        assert [r for r in releases if r[0] == holder_id] == [(holder_id, 4)]
+        assert s.execute("SELECT v FROM t WHERE id = 1").scalar() == 11
+
+
 class TestDeadlockProfiling:
     def _three_txn_cycle(self):
         """Force T1->T2->T3->T1 over three resources; return the lock

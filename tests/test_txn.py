@@ -213,6 +213,202 @@ class TestDeadlockHandling:
         thread.join()
 
 
+class TestDeadlockOnHolderChange:
+    def test_cycle_formed_while_waiting_is_detected(self):
+        """T1 waits for X on r behind T2's S.  T3 then takes S on r
+        (compatible with T2) and waits on T1's lock on a: the cycle
+        T1 -> T3 -> T1 exists only through a holder T1 did not see when
+        it began to wait.  T1's next check must find it (DeadlockAvoided
+        well before the timeout), not sleep until LockTimeout."""
+        lm = LockManager(timeout=10.0)
+        lm.acquire(1, "a", LockMode.X)
+        lm.acquire(2, "r", LockMode.S)
+        outcome: dict = {}
+
+        def run(txn_id, resource, mode):
+            started = time.monotonic()
+            try:
+                lm.acquire(txn_id, resource, mode)
+                outcome[txn_id] = "granted"
+            except (DeadlockAvoided, LockTimeout) as exc:
+                outcome[txn_id] = type(exc)
+                lm.release_all(txn_id, ["a", "r"])
+            outcome[txn_id, "seconds"] = time.monotonic() - started
+
+        t1 = threading.Thread(target=run, args=(1, "r", LockMode.X))
+        t1.start()
+        deadline = time.monotonic() + 5.0
+        while lm.waiter_count("r") == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert lm.acquire(3, "r", LockMode.S)  # granted beside T2
+        t3 = threading.Thread(target=run, args=(3, "a", LockMode.X))
+        t3.start()
+        while lm.waiter_count("a") == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        lm.release(2, "r")
+        t1.join(5.0)
+        t3.join(5.0)
+        assert outcome[1] is DeadlockAvoided
+        assert outcome[1, "seconds"] < 2.0
+        assert outcome[3] == "granted"
+
+
+def counting_acquires(lm: LockManager, monkeypatch) -> list:
+    """Record every request that reaches the shared lock manager."""
+    calls: list = []
+    real = lm.acquire
+
+    def acquire(txn_id, resource, mode):
+        calls.append((txn_id, resource, mode))
+        return real(txn_id, resource, mode)
+
+    monkeypatch.setattr(lm, "acquire", acquire)
+    return calls
+
+
+class TestLocalLockTable:
+    """A transaction answers requests its held mode covers from its own
+    resource -> mode table; only the rest reach the shared manager."""
+
+    @pytest.mark.parametrize(
+        "held,requested",
+        [
+            (LockMode.IX, LockMode.IS),
+            (LockMode.X, LockMode.IX),
+            (LockMode.IS, LockMode.IS),
+            (LockMode.IX, LockMode.IX),
+            (LockMode.S, LockMode.S),
+            (LockMode.X, LockMode.X),
+        ],
+    )
+    def test_covered_reacquire_never_reaches_the_manager(
+        self, monkeypatch, held, requested
+    ):
+        tm = TransactionManager()
+        calls = counting_acquires(tm.locks, monkeypatch)
+        txn = tm.begin()
+        tid = Tid(0, 1)
+        txn.lock_table("t", held)
+        txn.lock_tuple("t", tid, held)
+        assert len(calls) == 2
+        for _ in range(3):
+            txn.lock_table("t", requested)
+            txn.lock_tuple("t", tid, requested)
+        assert len(calls) == 2
+        assert txn._locks == {("table", "t"): held, ("tuple", "t", tid): held}
+        assert tm.locks.held_mode(txn.id, ("table", "t")) is held
+        txn.commit()
+        assert tm.locks.held_mode(txn.id, ("table", "t")) is None
+
+    def test_ix_then_s_reaches_the_manager_and_ends_as_x(self, monkeypatch):
+        tm = TransactionManager()
+        calls = counting_acquires(tm.locks, monkeypatch)
+        txn = tm.begin()
+        txn.lock_table("t", LockMode.IX)
+        txn.lock_table("t", LockMode.S)
+        assert [mode for _txn, _res, mode in calls] == [LockMode.IX, LockMode.S]
+        assert txn._locks == {("table", "t"): LockMode.X}
+        assert tm.locks.held_mode(txn.id, ("table", "t")) is LockMode.X
+        # X now covers everything: nothing further reaches the manager.
+        txn.lock_table("t", LockMode.S)
+        txn.lock_table("t", LockMode.IX)
+        assert len(calls) == 2
+        txn.commit()
+
+    def test_upgrade_is_recorded_as_the_supremum(self):
+        tm = TransactionManager()
+        txn = tm.begin()
+        txn.lock_table("t", LockMode.IS)
+        txn.lock_table("t", LockMode.IX)
+        assert txn._locks == {("table", "t"): LockMode.IX}
+        txn.lock_table("t", LockMode.S)
+        assert txn._locks == {("table", "t"): LockMode.X}
+        assert tm.locks.held_mode(txn.id, ("table", "t")) is LockMode.X
+        txn.abort()
+        assert tm.locks.snapshot() == []
+
+    def test_cross_locked_tuples_deadlock_fast(self):
+        """Two transactions X-lock one tuple each, then request the
+        other's: the request that closes the cycle dies with
+        DeadlockAvoided long before the 10 s timeout, its transaction
+        is rolled back, and the survivor gets its lock."""
+        tm = TransactionManager(lock_timeout=10.0)
+        a, b = Tid(0, 1), Tid(0, 2)
+        t1, t2 = tm.begin(), tm.begin()
+        t1.lock_tuple("t", a, LockMode.X)
+        t2.lock_tuple("t", b, LockMode.X)
+        outcome: dict = {}
+
+        def first():
+            try:
+                t1.lock_tuple("t", b, LockMode.X)  # waits on t2
+                outcome["t1"] = "granted"
+            except TransactionAborted as exc:
+                outcome["t1"] = exc
+
+        thread = threading.Thread(target=first)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while tm.locks.waiter_count(("tuple", "t", b)) == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        started = time.monotonic()
+        with pytest.raises(DeadlockAvoided):
+            t2.lock_tuple("t", a, LockMode.X)  # closes the cycle
+        assert time.monotonic() - started < 2.0
+        assert t2.state is TxnState.ABORTED
+        thread.join(5.0)
+        assert outcome["t1"] == "granted"
+        (row,) = [
+            r for r in tm.locks.snapshot() if r["resource"] == repr(("tuple", "t", a))
+        ]
+        assert row["deadlock_aborts"] == 1
+        assert row["timeouts"] == 0
+        assert tm.locks.held_mode(t1.id, ("tuple", "t", b)) is LockMode.X
+        t1.commit()
+
+    def test_eager_x_lock_waits_for_a_locally_covered_ix(self, monkeypatch):
+        """The eager migration's X table lock must wait for an open
+        transaction whose second IX on the table was answered locally,
+        and proceed once that transaction commits."""
+        from repro import Database
+        from repro.core import EagerMigration
+
+        db = Database()
+        s = db.connect(isolation="read_committed")
+        s.execute("CREATE TABLE src (id INT PRIMARY KEY, v INT)")
+        for i in range(20):
+            s.execute("INSERT INTO src VALUES (?, ?)", [i, i])
+        calls = counting_acquires(db.txns.locks, monkeypatch)
+        s.begin()
+        s.execute("UPDATE src SET v = v + 1 WHERE id = 1")
+        s.execute("UPDATE src SET v = v + 1 WHERE id = 2")
+        table_calls = [c for c in calls if c[1] == ("table", "src")]
+        assert [mode for _txn, _res, mode in table_calls] == [LockMode.IX]
+        done = threading.Event()
+
+        def migrate():
+            EagerMigration(db).submit(
+                "m", "CREATE TABLE dst (id INT PRIMARY KEY, v INT);"
+                "INSERT INTO dst (id, v) SELECT id, v FROM src;"
+            )
+            done.set()
+
+        thread = threading.Thread(target=migrate)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while db.txns.locks.waiter_count(("table", "src")) == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert not done.is_set()
+        s.commit()
+        thread.join(10.0)
+        assert done.is_set()
+        assert s.execute("SELECT v FROM dst WHERE id = 2").scalar() == 3
+
+
 def make_table(name="t"):
     catalog = Catalog()
     schema = TableSchema(
