@@ -349,7 +349,7 @@ class RouterDatabase(Database):
         shard_map = self.shard_map
         stmt = handle.ast
         if isinstance(stmt, ast.Explain):
-            inner = self._analyze(Statement(stmt.query))
+            inner = self.route_plan(handle.explained)
             # EXPLAIN of a routed query: one shard's plan is as good as
             # another's (identical schemas).
             return inner if inner.mode == LOCAL else RoutePlan(ANY)

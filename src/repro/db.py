@@ -142,6 +142,9 @@ class Statement:
       runner calls.  Names, not bound methods: they are resolved on
       the executor per call, so wrapping ``Executor.run_select`` later
       still takes effect;
+    * ``explained`` — for an EXPLAIN, the handle of the query it
+      explains (built with this one, so its plan, migration scope and
+      route are cached like any statement's), else ``None``;
     * ``route`` — the router's cached ``RoutePlan`` (unused elsewhere);
     * ``wire_header`` — bullfrogd's cached ROW_HEADER frame (unused
       elsewhere);
@@ -151,7 +154,8 @@ class Statement:
 
     __slots__ = (
         "sql", "ast", "ast_type", "txn_op", "kind", "tables", "run",
-        "runner", "route", "wire_header", "migration", "_artifacts",
+        "runner", "explained", "route", "wire_header", "migration",
+        "_artifacts",
     )
 
     def __init__(self, node: ast.Statement, sql: str | None = None) -> None:
@@ -165,6 +169,7 @@ class Statement:
         self.kind, self.run, self.runner = _RUNNERS.get(ast_type, _UNSUPPORTED)
         if ast_type is ast.Select and node.for_update:
             self.runner = "run_select_for_update"
+        self.explained = Statement(node.query) if ast_type is ast.Explain else None
         self.route: Any = None
         self.wire_header: tuple[list[str], bytes] | None = None
         self.migration: Any = None
@@ -602,28 +607,21 @@ class Session:
     def _run_explain(self, handle: Statement, ctx: ExecutionContext) -> Result:
         """Runner for a parsed ``EXPLAIN [ANALYZE] SELECT``.
 
-        Both forms plan afresh instead of using a handle's artifact:
-        ANALYZE wraps a throwaway instrumented clone anyway, and the
-        plain form is rare enough that caching would only let an
-        ``EXPLAIN`` pin a plan the next real query then shares.
+        EXPLAIN shows the plan that the query's own handle runs: the
+        artifact of ``handle.explained``, planned once per schema epoch
+        like any repeated SELECT.  ANALYZE executes an instrumented
+        clone of that plan, so the shared plan is never touched.
 
         EXPLAIN is deliberately not a statement ``_run_statement``
-        intercepts; ANALYZE invokes the interceptor *itself*, under a
-        timer, so the migrate-stall cost a client would have paid for
-        this query shows up as its own summary line instead of
-        disappearing before planning.
+        intercepts; ANALYZE hands the explained handle to the
+        interceptor *itself* (so its migration scope, too, is compiled
+        once per epoch), under a timer, so the migrate-stall cost a
+        client would have paid for this query shows up as its own
+        summary line instead of disappearing before planning.
         """
-        stmt, params = handle.ast, ctx.params
-        query = stmt.query
-        if not stmt.analyze:
-            planned = self.db.planner.plan_select(query, self.allow_retired)
-            lines = planned.node.explain()
-            return Result(
-                "EXPLAIN",
-                rows=[(line,) for line in lines],
-                columns=["QUERY PLAN"],
-                rowcount=len(lines),
-            )
+        query = handle.explained
+        if not handle.ast.analyze:
+            return _plan_result(self._explained_plan(query).node.explain())
 
         interceptor = self.db._interceptor
         stall_seconds = 0.0
@@ -633,7 +631,7 @@ class Session:
             stats = getattr(engine, "stats", None)
             before = stats.snapshot() if stats is not None else None
             start = time.perf_counter()
-            interceptor(self, Statement(query), params)
+            interceptor(self, query, ctx.params)
             stall_seconds = time.perf_counter() - start
             # ctx predates the interceptor: hand its snapshot overlay on.
             ctx.overlay = self._pending_overlay
@@ -644,7 +642,7 @@ class Session:
                     after["tuples_migrated"] - before["tuples_migrated"],
                 )
 
-        planned = self.db.planner.plan_select(query, self.allow_retired)
+        planned = self._explained_plan(query)
         start = time.perf_counter()
         _rows, root = self.db.executor.run_analyze(planned, ctx)
         exec_seconds = time.perf_counter() - start
@@ -663,12 +661,13 @@ class Session:
                 f"Trace: trace_id={trace_ctx.trace_id} "
                 f"span_id={trace_ctx.span_id}"
             )
-        return Result(
-            "EXPLAIN",
-            rows=[(line,) for line in lines],
-            columns=["QUERY PLAN"],
-            rowcount=len(lines),
-        )
+        return _plan_result(lines)
+
+    def _explained_plan(self, handle: Statement) -> PlannedQuery:
+        """The plan ``handle`` runs, for EXPLAIN: its artifact."""
+        if handle.runner != "run_select":
+            raise ExecutionError("EXPLAIN supports plain SELECT statements only")
+        return handle.artifact(self)
 
     # ------------------------------------------------------------------
     # DDL
@@ -806,12 +805,15 @@ class Session:
     # Introspection helpers
     # ------------------------------------------------------------------
     def explain(self, sql: str) -> str:
-        stmt = self.db.prepare(sql).ast
-        if isinstance(stmt, ast.Explain):
-            stmt = stmt.query
-        if not isinstance(stmt, ast.Select):
-            raise ExecutionError("EXPLAIN supports SELECT statements only")
-        return self.db.planner.explain(stmt, self.allow_retired)
+        """The plan of ``sql`` (with or without an ``EXPLAIN`` prefix):
+        the one its prepared handle runs."""
+        handle = self.db.prepare(sql)
+        return self._explained_plan(handle.explained or handle).explain()
+
+
+def _plan_result(lines: list[str]) -> Result:
+    rows = [(line,) for line in lines]
+    return Result("EXPLAIN", rows=rows, columns=["QUERY PLAN"], rowcount=len(rows))
 
 
 class _SessionTxn:

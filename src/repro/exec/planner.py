@@ -102,9 +102,6 @@ class Planner:
         ]
         return self._plan_table_scan(table, binding, layout, types, conjuncts)
 
-    def explain(self, select: ast.Select, allow_retired: bool = False) -> str:
-        return self.plan_select(select, allow_retired).explain()
-
     # ==================================================================
     # SELECT planning
     # ==================================================================

@@ -1,5 +1,11 @@
 """``bullfrogd``: an event-loop socket server in front of a Database.
 
+The server is the I/O half of a connection; the protocol half is a
+socket-free :class:`~repro.net.session.WireSession` per connection,
+which runs decoded frames on the connection's
+:class:`~repro.db.Session` and writes its replies into the outbound
+buffer here.
+
 One I/O thread accepts connections and runs a :mod:`selectors` loop
 over the *parked* ones — connections with no request in flight.  When
 a parked socket turns readable, the loop switches its READ interest
@@ -7,15 +13,14 @@ off, stamps the hand-off time and submits the connection to a
 **runner**; the loop never reads that socket itself.  The runner
 (:meth:`BullfrogServer._serve`) serves the connection from socket read
 to reply: ``recv`` into the input buffer, decode every complete frame,
-run the frames in order on the connection's dedicated
-:class:`~repro.db.Session`, flush the replies once per batch, and
-linger ``_HOT_POLL`` seconds for the next frame before parking the
-connection back on the selector.  A chatty client therefore runs
-request → reply on one thread, and a client that **pipelines** many
-frames before reading a reply gets the replies in request order,
-because a connection has at most one runner.  A parked connection
-costs one selector slot and a few KB — no thread — which is what lets
-one ``bullfrogd`` hold thousands of idle clients.
+feed the frames in order to the connection's machine, flush the
+replies once per batch, and linger ``_HOT_POLL_MS`` for the next frame
+before parking the connection back on the selector.  A chatty client
+therefore runs request → reply on one thread, and a client that
+**pipelines** many frames before reading a reply gets the replies in
+request order, because a connection has at most one runner.  A parked
+connection costs one selector slot and a few KB — no thread — which is
+what lets one ``bullfrogd`` hold thousands of idle clients.
 
 Runners come from a :class:`~concurrent.futures.ThreadPoolExecutor`
 sized ``max_connections``.  Its idle accounting spends one permit per
@@ -25,23 +30,7 @@ the lazy-migration skip-wait) holds its runner, and the frame that
 ends the wait — typically the lock holder's COMMIT — arrives on
 another connection, which must never queue behind the waiters.
 
-Prepared statements: PARSE stores ``db.prepare(sql)`` — the database's
-one :class:`~repro.db.Statement` handle for that text, shared with
-every other connection and with the embedded path — under the client's
-name; EXECUTE hands it to :meth:`Session.execute_statement` with the
-frame's inline parameters — no SQL text, no tokenizer, no parser, no
-lookup by text on the hot path.  A QUERY takes ``db.prepare(sql)``
-and then runs exactly like an EXECUTE.  The handle re-plans by itself
-after a schema-epoch bump and execution against a retired table still
-raises ``SchemaVersionError``, so the paper's front-end-restart story
-is unchanged for prepared clients.
-
-**One write per reply**: a statement's ROW_HEADER (encoded once per
-planned query and cached on it), ROW_BATCHes and COMPLETE are joined
-and queued by one ``_send`` — one lock, one byte count, one counter
-bump — and a pipelined batch of replies leaves in one flush.
-
-Connection lifecycle guarantees (unchanged from the threaded server):
+Connection lifecycle guarantees:
 
 * **Abrupt-disconnect cleanup** — any way a connection dies (reset,
   EOF mid-frame, protocol garbage, injected read/write fault, timeout
@@ -89,11 +78,11 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from functools import partial
+from typing import Any
 
-from .. import __version__ as _SERVER_VERSION
 from ..catalog.catalog import VirtualTable
-from ..db import FLIP_GATE_TIMEOUT, Database, Result, Session, Statement
+from ..db import Database
 from ..errors import (
     IdleTimeoutError,
     ProtocolError,
@@ -105,29 +94,20 @@ from ..errors import (
 from ..obs import console
 from ..obs.registry import NULL_METRIC
 from ..obs.sysviews import _BOOL, _FLOAT, _INT, _TEXT  # the views' column types
-from ..obs.tracectx import TraceContext
-from ..obs.tracectx import activate as _trace_activate
-from ..obs.tracectx import deactivate as _trace_deactivate
-from ..txn import IsolationLevel
 from . import protocol
+from .session import _FLUSH_HIWAT, WireSession
 
 _RECV_CHUNK = 65536
 
-# How long a runner lingers on its connection's socket after a batch,
-# hoping the next frame is already in flight.  A hit keeps the next
-# request on the same thread (no selector round trip, no hand-off) —
-# chatty connections get thread-per-connection latency while parked
-# ones cost only a selector slot.
-_HOT_POLL = 0.0005
-
-# Replies are flushed once per statement boundary, not once per frame;
-# this caps how much reply data may accumulate before an inline flush
-# (large result sets stream in HIWAT-sized writes).
-_FLUSH_HIWAT = 262144
+# How long (ms; ``poll`` counts whole milliseconds) a runner lingers on
+# its connection's socket after a batch, hoping the next frame is
+# already in flight.  A hit keeps the next request on the same thread
+# (no selector round trip, no hand-off) — chatty connections get
+# thread-per-connection latency while parked ones cost only a selector
+# slot.
+_HOT_POLL_MS = 1
 
 _BACKLOG = 16  # bounded TCP accept queue
-_BATCH_ROWS = 256  # result-set streaming granularity
-_MAX_PREPARED = 1024  # per-connection prepared-statement cap
 _TICK = 0.05  # event-loop bookkeeping cadence (seconds)
 
 
@@ -152,14 +132,15 @@ class ServerConfig:
 
 
 class _Connection:
-    """Server-side bookkeeping for one client socket.
+    """Server-side bookkeeping for one client socket; ``wire`` is its
+    protocol machine, whose sink is this connection's outbound buffer.
 
     A connection is either *parked* (READ interest on, no runner) or
     *owned* by exactly one runner (READ interest off).  ``lock`` guards
     ``owned`` and ``retired``: only the I/O thread hands a parked
     connection to a runner, only that runner parks it again, and any
     other thread may retire it only while it is parked.  Everything
-    else a runner touches — ``inbuf``, ``inbox``, the session — is the
+    else a runner touches — ``inbuf``, ``inbox``, the machine — is the
     owner's alone.  ``out_lock`` guards the outbound buffer and
     ``doomed`` (the loop drains write backlogs; kills come from the
     tick or ``shutdown``).  ``sel_mask`` is the current selector
@@ -167,26 +148,27 @@ class _Connection:
     """
 
     __slots__ = (
-        "id", "sock", "addr", "session", "state", "doomed",
-        "connected_at", "last_activity", "statements", "transactions",
+        "id", "sock", "addr", "session", "wire", "state", "doomed",
+        "connected_at", "last_activity",
         "bytes_in", "bytes_out", "out_hiwat", "inbuf", "inbox",
-        "owned", "handoff", "stmt_started", "retired",
-        "greeted", "trace", "trace_ctx", "prepared", "lock",
+        "owned", "handoff", "retired", "lock",
         "out_lock", "outbuf", "want_write", "sel_mask",
     )
 
-    def __init__(self, conn_id: int, sock: socket.socket, addr: Any,
-                 session: Session) -> None:
+    def __init__(self, server: "BullfrogServer", conn_id: int,
+                 sock: socket.socket, addr: Any) -> None:
         self.id = conn_id
         self.sock = sock
         self.addr = addr
-        self.session = session
+        self.session = server.db.connect()
+        self.wire = WireSession(
+            self.session, conn_id, partial(server._send, self),
+            server._rt_cells,
+        )
         self.state = "idle"  # idle | active | closing
         self.doomed: BaseException | None = None
         self.connected_at = time.monotonic()
         self.last_activity = self.connected_at
-        self.statements = 0
-        self.transactions = 0
         self.bytes_in = 0
         self.bytes_out = 0
         self.out_hiwat = 0  # outbound-buffer high-water mark (bytes)
@@ -197,14 +179,7 @@ class _Connection:
         # perf_counter of the loop's hand-off to a runner — what the
         # first batch's net_queue wait is measured from.
         self.handoff = time.perf_counter()
-        # monotonic start of the statement running now (None between
-        # statements); the tick enforces statement_timeout from it.
-        self.stmt_started: float | None = None
         self.retired = False
-        self.greeted = False
-        self.trace = False  # client asked for trace trailers (HELLO)
-        self.trace_ctx: TraceContext | None = None  # current request hop
-        self.prepared: dict[str, Statement] = {}  # PARSE name -> handle
         self.lock = threading.Lock()
         self.out_lock = threading.Lock()
         self.outbuf = bytearray()
@@ -270,14 +245,9 @@ class BullfrogServer:
     def _init_metrics(self) -> None:
         obs = self.db.obs
         if obs is None:
-            null = NULL_METRIC
-            self._m_accepted = null
-            self._m_rejected = null
-            self._m_active = null
-            self._m_bytes_in = null
-            self._m_bytes_out = null
-            self._m_disconnects = null
-            self._g_serving = null
+            self._m_accepted = self._m_rejected = self._m_active = NULL_METRIC
+            self._m_bytes_in = self._m_bytes_out = NULL_METRIC
+            self._m_disconnects = self._g_serving = NULL_METRIC
             self._rt_cells = {}
             return
         registry = obs.registry
@@ -315,8 +285,8 @@ class BullfrogServer:
         ).cell()
         rt = registry.histogram(
             "repro_net_request_seconds",
-            "server-side protocol round trip (frame decoded -> last "
-            "response byte handed to the kernel)",
+            "server-side time per client frame (dispatch -> reply "
+            "queued; the batch's flush is not included)",
             labelnames=("kind",),
         )
         self._rt_cells = {
@@ -341,8 +311,8 @@ class BullfrogServer:
                     now - conn.connected_at,
                     now - conn.last_activity,
                     conn.session.in_transaction,
-                    conn.statements,
-                    conn.transactions,
+                    conn.wire.statements,
+                    conn.wire.transactions,
                     conn.bytes_in,
                     conn.bytes_out,
                     len(conn.inbox),
@@ -425,23 +395,18 @@ class BullfrogServer:
             target=self._io_loop, daemon=True, name="bullfrogd-io"
         )
         self._io_thread.start()
-        self._attach_monitoring()
-        return self
-
-    def _attach_monitoring(self) -> None:
-        """Wire the history sampler / health engine / flight recorder
-        onto the database's observability bundle.  Skipped when
-        observability is detached — the zero-cost contract holds."""
+        # The history sampler, health engine and flight recorder; none
+        # when observability is detached (the zero-cost contract).
         obs = self.db.obs
-        if obs is None:
-            return
-        history = obs.history
-        self._monitor_owns_history = history is None or not history.running
-        obs.attach_monitoring(
-            self.db,
-            interval=self.config.monitor_interval,
-            incident_dir=self.config.incident_dir,
-        )
+        if obs is not None:
+            history = obs.history
+            self._monitor_owns_history = history is None or not history.running
+            obs.attach_monitoring(
+                self.db,
+                interval=self.config.monitor_interval,
+                incident_dir=self.config.incident_dir,
+            )
+        return self
 
     def monitor_summary(self) -> dict:
         """The ``top json`` payload (history summary + health report +
@@ -454,11 +419,6 @@ class BullfrogServer:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.shutdown()
         return False
-
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self.port is not None, "server not started"
-        return (self.config.host, self.port)
 
     def active_connections(self) -> int:
         with self._conns_latch:
@@ -538,11 +498,6 @@ class BullfrogServer:
                 self._sel_update(conn, conn.sel_mask | selectors.EVENT_READ)
             elif op == "close":
                 conn = req[1]
-                with conn.out_lock:
-                    try:
-                        self._flush_out_locked(conn)
-                    except OSError:
-                        pass
                 self._sel_update(conn, 0)
                 try:
                     conn.sock.close()
@@ -629,7 +584,7 @@ class BullfrogServer:
                 continue
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.setblocking(False)
-            conn = _Connection(conn_id, sock, addr, self.db.connect())
+            conn = _Connection(self, conn_id, sock, addr)
             with self._conns_latch:
                 self._conns[conn_id] = conn
             self._sel_update(conn, selectors.EVENT_READ)
@@ -691,17 +646,14 @@ class BullfrogServer:
             self._sel_update(conn, conn.sel_mask & ~selectors.EVENT_WRITE)
             conn.want_write = False
 
-    def _send(self, conn: _Connection, data: bytes, frames: int = 1) -> None:
-        """Queue ``frames`` whole response frames, already joined into
-        ``data`` — a statement's reply is one call: one ``out_lock``,
-        one byte count, one counter bump.  Replies accumulate in the
-        outbound buffer and are flushed at the next statement boundary
-        (``_flush_conn``), so one write syscall covers a whole reply —
-        or a whole pipelined batch of replies; the high-water mark
-        bounds buffering for huge result sets.  The ``net.write`` seam
-        still fires once per frame; a frame it fails takes the rest of
-        ``data`` with it (nothing of it is queued).  Raises OSError when
-        the connection is dead/killed."""
+    def _send(self, conn: _Connection, data: bytes, frames: int) -> int:
+        """The machine's sink: queue ``frames`` whole frames joined
+        into ``data`` under one ``out_lock``, one byte count and one
+        counter bump.  The buffer is flushed once per batch
+        (``_flush_conn``) or when it reaches ``_FLUSH_HIWAT``.  The
+        ``net.write`` seam fires once per frame; a frame it fails drops
+        the rest of ``data``.  Returns the bytes still buffered; raises
+        OSError when the connection is dead or killed."""
         faults = self.faults
         if faults is not None and "net.write" in faults.watching:
             for _ in range(frames):
@@ -722,13 +674,21 @@ class BullfrogServer:
                 conn.out_hiwat = buffered
             if buffered >= _FLUSH_HIWAT:
                 self._flush_out_locked(conn)
+                buffered = len(outbuf)
         conn.bytes_out += len(data)
         self._m_bytes_out.inc(len(data))
+        return buffered
 
     def _flush_conn(self, conn: _Connection) -> None:
         """Hand buffered replies to the kernel; if it cannot take them
-        all, arm the event loop's WRITE path to drain the rest.  Raises
-        OSError on a dead socket."""
+        all, arm the event loop's WRITE path to drain the rest.  The
+        write of a batch whose last request the client traces is that
+        request's ``net.flush`` span.  Raises OSError on a dead
+        socket."""
+        ctx = conn.wire.trace_ctx
+        if ctx is not None:
+            trace = self.db.obs.trace  # a hop exists only with obs on
+            flush_us = trace.now_us()
         with conn.out_lock:
             if conn.doomed is not None:
                 return
@@ -737,24 +697,12 @@ class BullfrogServer:
         if pending and not conn.want_write:
             self._ioq.append(("want_write", conn))
             self._wake()
-
-    def _send_error(
-        self, conn: _Connection, exc: BaseException,
-        send: Callable[[_Connection, bytes], None] | None = None,
-    ) -> None:
-        """Every ERROR frame to an admitted connection is built here:
-        the structured error plus the session's transaction flag (the
-        client's ``in_transaction`` is server-authoritative).  ``send``
-        defaults to the buffered ``_send``."""
-        frame = protocol.encode_error(exc, conn.session.in_transaction)
-        (send or self._send)(conn, frame)
-
-    def _try_send(self, conn: _Connection, frame: bytes) -> None:
-        try:
-            self._send(conn, frame)
-            self._flush_conn(conn)
-        except OSError:
-            pass
+        if ctx is not None:
+            trace.complete(
+                "net.flush", flush_us, cat="net",
+                args={"trace": ctx.trace_id, "parent": ctx.span_id,
+                      "conn": conn.id},
+            )
 
     # ------------------------------------------------------------------
     # Runner: one connection from socket read to reply
@@ -762,22 +710,22 @@ class BullfrogServer:
     def _serve(self, conn: _Connection) -> None:
         """Serve an owned connection until it parks or retires.  Each
         batch: read what the socket has, decode every complete frame,
-        run them in order, flush once (after the last frame), then
-        linger ``_HOT_POLL`` for the next batch.  The first batch has
+        feed them in order to the machine, flush once, then linger
+        ``_HOT_POLL_MS`` for the next batch.  The first batch has
         waited since the loop's hand-off — what ``net_queue`` prices."""
         ready = conn.handoff
         try:
             while True:
                 cause, error = self._recv_frames(conn)
-                if not self._run_frames(conn, ready):
-                    return
-                if error is not None:
+                retire = self._run_frames(conn, ready) if conn.inbox else None
+                if retire is None and error is not None:
                     # Garbage framing: the frames before it have run;
                     # answer with a structured 08P01 frame, then hang up.
-                    self._send_error(conn, error, self._try_send)
-                if cause is not None:
+                    conn.wire.farewell(error)
+                retire = retire or cause
+                if retire is not None:
                     self._retire(
-                        conn, "killed" if conn.doomed is not None else cause
+                        conn, "killed" if conn.doomed is not None else retire
                     )
                     return
                 if not self._hot_poll(conn):
@@ -785,7 +733,7 @@ class BullfrogServer:
                     return
                 ready = time.perf_counter()
         except BaseException:
-            # _handle_frame answers every Exception a frame raises, so
+            # The machine answers every Exception a frame raises, so
             # this is a simulated crash or a server bug.  The executor
             # would file it in a future nobody reads: report it here.
             sys.excepthook(*sys.exc_info())
@@ -849,44 +797,45 @@ class BullfrogServer:
             cause = "protocol_error"  # the peer hung up mid-frame
         return cause, error
 
-    def _run_frames(self, conn: _Connection, ready: float) -> bool:
-        """Run the decoded frames in order; False once the connection
-        has been retired."""
+    def _run_frames(self, conn: _Connection, ready: float) -> str | None:
+        """Feed the decoded frames to the machine in order, then flush
+        their replies in one write.  Returns why the connection must
+        retire, ``None`` while it lives."""
         inbox = conn.inbox
+        wire = conn.wire
         while inbox:
             ftype, payload = inbox.popleft()
             conn.state = "active"
-            if not self._handle_frame(conn, ftype, payload, ready):
-                return False
+            cause = wire.feed(ftype, payload, ready)
             conn.state = "idle"
+            if cause is not None:
+                return cause
             if conn.doomed is not None:
-                self._retire(conn, "killed")
-                return False
+                return "killed"
             if self._draining.is_set() and not conn.session.in_transaction:
                 # Drain point: this connection's transaction (if any)
                 # just finished; retire it politely.
-                self._send_error(
-                    conn, ServerShutdownError("server is shutting down"),
-                    self._try_send,
-                )
-                self._retire(conn, "shutdown")
-                return False
-        return True
+                wire.farewell(ServerShutdownError("server is shutting down"))
+                return "shutdown"
+        try:
+            self._flush_conn(conn)
+        except OSError:
+            return "abrupt_disconnect"
+        return None
 
     def _hot_poll(self, conn: _Connection) -> bool:
-        """Linger on the owned connection's socket before parking.  A
-        hit keeps the next request → reply exchange on this thread,
-        with no selector round trip and no hand-off — a busy terminal
-        gets thread-per-connection latency while parked connections
-        still cost only a selector slot.  True when the socket turned
-        readable (new frames, or a disconnect to act on)."""
+        """Linger ``_HOT_POLL_MS`` on the owned connection's socket
+        before parking; True when it turned readable (new frames, or a
+        disconnect to act on).  ``poll``, because ``select`` refuses a
+        descriptor at or above ``FD_SETSIZE``."""
         if conn.doomed is not None or self._draining.is_set():
             return False
+        poller = select.poll()
         try:
-            readable, _, _ = select.select([conn.sock], [], [], _HOT_POLL)
+            poller.register(conn.sock, select.POLLIN)
+            return bool(poller.poll(_HOT_POLL_MS))
         except (OSError, ValueError):
             return False
-        return bool(readable)
 
     def _park(self, conn: _Connection) -> None:
         """Release ownership and hand the socket back to the event loop
@@ -903,9 +852,16 @@ class BullfrogServer:
         """The single disconnect path: roll back, release, deregister.
         ``Session.close()`` aborts any open transaction, which releases
         every lock the connection held.  Callers own the connection —
-        its runner, or ``_retire_parked`` after winning it."""
+        its runner, or ``_retire_parked`` after winning it.  What the
+        connection still buffers (a farewell frame, say) goes out first,
+        as far as the kernel takes it."""
         conn.retired = True
         conn.state = "closing"
+        with conn.out_lock:
+            try:
+                self._flush_out_locked(conn)
+            except OSError:
+                pass
         conn.session.close()
         with self._conns_latch:
             self._conns.pop(conn.id, None)
@@ -933,338 +889,6 @@ class BullfrogServer:
         if farewell is not None:
             self._kill(conn, farewell)
         self._retire(conn, cause)
-
-    # ------------------------------------------------------------------
-    # Frame execution
-    # ------------------------------------------------------------------
-    def _handle_frame(
-        self, conn: _Connection, ftype: int, payload: bytes, enq_ts: float
-    ) -> bool:
-        """Dispatch one frame; returns False when the connection was
-        retired (protocol violation, CLOSE, dead socket)."""
-        try:
-            if not conn.greeted and ftype != protocol.HELLO:
-                # Client-initiated handshake: the first frame must be a
-                # HELLO; the WELCOME answers it (version + epoch + id).
-                raise ProtocolError(
-                    f"expected HELLO, got frame type 0x{ftype:02x}"
-                )
-            if ftype == protocol.CLOSE:
-                self._retire(conn, "client_close")
-                return False
-            began = time.monotonic()
-            kind = self._dispatch(conn, ftype, payload, enq_ts)
-            ctx, conn.trace_ctx = conn.trace_ctx, None
-            if not conn.inbox:
-                # Statement boundary with nothing else queued: push the
-                # buffered reply (or the whole pipelined batch of
-                # replies) to the kernel in one write.  The peek is
-                # exact — only this runner appends to the inbox.
-                obs = self.db.obs
-                if ctx is not None and obs is not None:
-                    flush_us = obs.trace.now_us()
-                    self._flush_conn(conn)
-                    obs.trace.complete(
-                        "net.flush", flush_us, cat="net",
-                        args={"trace": ctx.trace_id,
-                              "parent": ctx.span_id,
-                              "conn": conn.id},
-                    )
-                else:
-                    self._flush_conn(conn)
-            observe = self._rt_cells.get(kind)
-            if observe is not None:
-                observe(time.monotonic() - began)
-            return True
-        except ProtocolError as exc:
-            self._send_error(conn, exc, self._try_send)
-            self._retire(conn, "protocol_error")
-            return False
-        except OSError:
-            self._retire(
-                conn, "killed" if conn.doomed is not None else "abrupt_disconnect"
-            )
-            return False
-        except Exception as exc:  # noqa: BLE001 - last-resort server guard
-            self._send_error(conn, exc, self._try_send)
-            self._retire(conn, "internal_error")
-            return False
-
-    def _continue_trace(
-        self, conn: _Connection, trace: tuple[int, int] | None,
-        enq_ts: float,
-    ) -> TraceContext | None:
-        """Continue the client's trace as this request's server hop: a
-        context carrying the wire ``trace_id``, parented on the
-        client-side span, with the frame's wait since its batch was
-        ready (the loop's hand-off, or the runner's own read on the hot
-        path) already recorded as ``net_queue`` wait (it happened before
-        any statement context existed, and the shared accumulator hands
-        it down)."""
-        if trace is None:
-            return None
-        obs = self.db.obs
-        if obs is None:
-            return None
-        ctx = TraceContext(trace[0], None, trace[1])
-        queued = max(0.0, time.perf_counter() - enq_ts)
-        obs.record_wait("net_queue", queued, ctx)
-        end_us = obs.trace.now_us()
-        obs.trace.complete(
-            "net.queue", end_us - queued * 1e6, cat="net",
-            args={
-                "trace": ctx.trace_id, "span": ctx.span_id,
-                "parent": ctx.parent_id, "conn": conn.id,
-                "wait": "net_queue",
-            },
-            end_us=end_us,
-        )
-        conn.trace_ctx = ctx
-        return ctx
-
-    def _dispatch(
-        self, conn: _Connection, ftype: int, payload: bytes, enq_ts: float
-    ) -> str:
-        gate = self.db.flip_gate
-        if (
-            not gate.is_set()
-            and not conn.session.in_transaction
-            and ftype in (protocol.QUERY, protocol.EXECUTE, protocol.TXN)
-        ):
-            # Epoch flip in progress: hold *new* work (autocommit
-            # statements, BEGINs) at the gate until COMMIT/ABORT
-            # reopens it.  Statements inside an already-open
-            # transaction pass — they must be able to reach their
-            # COMMIT, or the flip could deadlock against 2PL locks.
-            # (COMMIT/ROLLBACK frames on an idle session are errors
-            # either way, so gating them too is harmless.)
-            gate.wait(FLIP_GATE_TIMEOUT)
-        if ftype == protocol.EXECUTE:
-            frame = protocol.decode_execute(payload)
-            handle = conn.prepared.get(frame["name"])
-            if handle is None:
-                self._send_error(conn, ProtocolError(
-                    f"unknown prepared statement {frame['name']!r}"
-                ))
-                return "execute"
-            self._run_statement(
-                conn, handle, frame["params"],
-                self._continue_trace(conn, frame["trace"], enq_ts),
-            )
-            return "execute"
-        if ftype == protocol.QUERY:
-            frame = protocol.decode_query(payload)
-            self._run_statement(
-                conn, frame["sql"], frame["params"],
-                self._continue_trace(conn, frame["trace"], enq_ts),
-            )
-            return "query"
-        if ftype == protocol.PARSE:
-            frame = protocol.decode_parse(payload)
-            name, sql = frame["name"], frame["sql"]
-            try:
-                if (
-                    name not in conn.prepared
-                    and len(conn.prepared) >= _MAX_PREPARED
-                ):
-                    raise ProtocolError(
-                        f"prepared-statement cache full "
-                        f"({_MAX_PREPARED}); PARSE rejected"
-                    )
-                conn.prepared[name] = self.db.prepare(sql)
-            except ReproError as exc:
-                self._send_error(conn, exc)
-                return "parse"
-            self._send(conn, protocol.encode_parse_ok(name))
-            return "parse"
-        if ftype == protocol.TXN:
-            frame = protocol.decode_txn(payload)
-            self._run_txn(
-                conn, frame["op"],
-                self._continue_trace(conn, frame["trace"], enq_ts),
-            )
-            return "txn"
-        if ftype == protocol.META:
-            command = protocol.decode_meta(payload)["command"]
-            try:
-                text = console.run(self.db, command)
-            except ReproError as exc:
-                self._send_error(conn, exc)
-                return "meta"
-            self._send(conn, protocol.encode_meta_result(text))
-            return "meta"
-        if ftype == protocol.PING:
-            self._send(conn, protocol.encode_pong(self.db.epoch))
-            return "ping"
-        if ftype == protocol.HELLO:
-            # The handshake (a repeated one is harmless: re-welcome).
-            hello = protocol.decode_hello(payload)
-            if hello["version"] != protocol.PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"protocol version mismatch: client v{hello['version']}, "
-                    f"server v{protocol.PROTOCOL_VERSION}"
-                )
-            self._apply_hello_options(conn, hello.get("options") or {})
-            # The capabilities trailer goes only to clients that asked
-            # for tracing — an old client's decode_welcome would reject
-            # the extra byte.
-            self._send(conn, protocol.encode_welcome(
-                _SERVER_VERSION, self.db.epoch, conn.id,
-                capabilities=protocol.CAP_TRACE if conn.trace else 0,
-            ))
-            conn.greeted = True
-            return "hello"
-        raise ProtocolError(f"unexpected frame type 0x{ftype:02x} from client")
-
-    def _apply_hello_options(
-        self, conn: _Connection, options: dict[str, str]
-    ) -> None:
-        """Session options carried on the HELLO trailer:
-        ``isolation`` (``snapshot`` / ``read_committed``) and ``trace``
-        (the client wants trace trailers; the WELCOME answers with
-        ``CAP_TRACE``).  Unknown keys are ignored for forward
-        compatibility."""
-        isolation = options.get("isolation")
-        if isolation is not None:
-            try:
-                level = IsolationLevel.coerce(isolation)
-            except ValueError as exc:
-                raise ProtocolError(str(exc)) from None
-            if level is not None:
-                conn.session.isolation = level
-        if options.get("trace") not in (None, "0", ""):
-            conn.trace = True
-
-    def _run_statement(
-        self,
-        conn: _Connection,
-        handle: Statement | str,
-        params: Sequence[Any],
-        ctx: TraceContext | None,
-    ) -> None:
-        """Execute one statement — EXECUTE's PARSEd handle, or QUERY's
-        SQL text, prepared here so that a parse error is counted, timed
-        and traced like any other statement error — and queue its
-        reply.  The start stamp is what the loop's tick measures
-        ``statement_timeout`` against.  A non-None ``ctx`` (the
-        continued client trace) is parked on the session so
-        ``execute_statement`` forks its statement span under the server
-        hop, and the hop itself is recorded as ``server.execute``."""
-        conn.statements += 1
-        conn.stmt_started = time.monotonic()
-        obs = self.db.obs if ctx is not None else None
-        if obs is not None:
-            start_us = obs.trace.now_us()
-            conn.session._request_ctx = ctx
-        try:
-            if isinstance(handle, str):
-                handle = self.db.prepare(handle)
-            result = conn.session.execute_statement(handle, params)
-        except ReproError as exc:
-            if conn.doomed is None:
-                self._send_error(conn, exc)
-            return
-        finally:
-            conn.stmt_started = None
-            if obs is not None:
-                conn.session._request_ctx = None
-                obs.trace.complete(
-                    "server.execute", start_us, cat="net",
-                    args={"trace": ctx.trace_id, "span": ctx.span_id,
-                          "parent": ctx.parent_id, "conn": conn.id},
-                )
-        if conn.doomed is not None:
-            return
-        self._send_result(conn, handle, result)
-
-    def _send_result(
-        self, conn: _Connection, handle: Statement, result: Result
-    ) -> None:
-        """ROW_HEADER, the ROW_BATCHes and COMPLETE, queued by one
-        ``_send``.  A result too big for that streams: a chunk is queued
-        — and ``_send`` flushes it — whenever it would fill the outbound
-        buffer to ``_FLUSH_HIWAT``, so the buffer never holds more than
-        the high-water mark plus one batch."""
-        complete = protocol.encode_complete(
-            result.statement,
-            result.rowcount,
-            conn.session.in_transaction,
-            self.db.epoch,
-        )
-        if not result.columns:
-            self._send(conn, complete)
-            return
-        frames = [self._row_header(handle, result)]
-        size = len(frames[0])
-        room = _FLUSH_HIWAT - len(conn.outbuf)
-        rows = result.rows
-        for start in range(0, len(rows), _BATCH_ROWS):
-            batch = protocol.encode_row_batch(rows[start : start + _BATCH_ROWS])
-            frames.append(batch)
-            size += len(batch)
-            if size >= room:
-                self._send(conn, b"".join(frames), len(frames))
-                frames = []
-                size = 0
-                room = _FLUSH_HIWAT - len(conn.outbuf)
-        frames.append(complete)
-        self._send(conn, b"".join(frames), len(frames))
-
-    @staticmethod
-    def _row_header(handle: Statement, result: Result) -> bytes:
-        """The result's ROW_HEADER frame, encoded once per planned
-        query: a SELECT's ``Result.columns`` *is* its ``PlannedQuery``'s
-        ``names`` list, built afresh with every plan, so a header cached
-        on the handle next to that list describes exactly the results
-        of its plan.  A re-plan (every schema epoch) brings a new list
-        and the header is encoded again; so is every result whose
-        columns are built per call (EXPLAIN, a routed statement)."""
-        cached = handle.wire_header
-        if cached is not None and cached[0] is result.columns:
-            return cached[1]
-        header = protocol.encode_row_header(result.statement, result.columns)
-        handle.wire_header = (result.columns, header)
-        return header
-
-    def _run_txn(
-        self, conn: _Connection, op: int,
-        ctx: TraceContext | None = None,
-    ) -> None:
-        session = conn.session
-        obs = self.db.obs if ctx is not None else None
-        if obs is not None:
-            # Transaction control skips execute_statement, so the hop
-            # context is activated here directly — COMMIT's WAL append
-            # (and its ``wal`` wait) lands under the client's trace.
-            start_us = obs.trace.now_us()
-            token = _trace_activate(ctx)
-        try:
-            if op == protocol.TXN_BEGIN:
-                session.begin()
-                tag = "BEGIN"
-            elif op == protocol.TXN_COMMIT:
-                session.commit()
-                conn.transactions += 1
-                tag = "COMMIT"
-            else:
-                session.rollback()
-                conn.transactions += 1
-                tag = "ROLLBACK"
-        except ReproError as exc:
-            self._send_error(conn, exc)
-            return
-        finally:
-            if obs is not None:
-                _trace_deactivate(token)
-                obs.trace.complete(
-                    "server.txn", start_us, cat="net",
-                    args={"trace": ctx.trace_id, "span": ctx.span_id,
-                          "parent": ctx.parent_id, "conn": conn.id,
-                          "op": op},
-                )
-        self._send(conn, protocol.encode_complete(
-            tag, 0, session.in_transaction, self.db.epoch
-        ))
 
     # ------------------------------------------------------------------
     # Kills and timeouts
@@ -1316,7 +940,7 @@ class BullfrogServer:
         if stmt_timeout is None and idle_timeout is None:
             return
         for conn in conns:
-            started = conn.stmt_started
+            started = conn.wire.stmt_started
             if (
                 stmt_timeout is not None and started is not None
                 and now - started > stmt_timeout and conn.doomed is None
@@ -1378,7 +1002,7 @@ class BullfrogServer:
                 self._epoch_abort_timer.cancel()
             timer = threading.Timer(
                 self.config.epoch_prepare_timeout,
-                self._epoch_auto_abort, (token,),
+                self._epoch_release, (token,),
             )
             timer.daemon = True
             timer.start()
@@ -1424,11 +1048,6 @@ class BullfrogServer:
                 self._epoch_abort_timer = None
             self.db.flip_gate.set()
             return True
-
-    def _epoch_auto_abort(self, token: str) -> None:
-        """The coordinator never sent phase 2: reopen unilaterally (the
-        router's next prepare starts a fresh round)."""
-        self._epoch_release(token)
 
     def _verb_migrate(self, _db: Database, arg: str) -> str:
         parts = arg.split()

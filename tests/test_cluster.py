@@ -517,6 +517,29 @@ def test_router_begin_failure_undoes_the_statement_sent_with_it(
     assert held_locks(cluster.shard_dbs[0]) == 0
 
 
+def test_explain_runs_where_its_query_would(cluster, router_conn, monkeypatch):
+    """EXPLAIN is routed like the query it explains: of a router view
+    it runs on the router, of a mapped table on a shard (which holds
+    the table; the router holds none)."""
+    view = "EXPLAIN SELECT shard FROM bullfrog_stat_shards"
+    table = "EXPLAIN ANALYZE SELECT w_ytd FROM warehouse WHERE w_id = 3"
+    reached: list[str] = []
+    for shard_db in cluster.shard_dbs:
+        def spy(sql, prepare=shard_db.prepare):
+            reached.append(sql)
+            return prepare(sql)
+
+        monkeypatch.setattr(shard_db, "prepare", spy)
+    rdb = cluster.router_db
+    assert rdb.route_plan(rdb.prepare(view)).mode == LOCAL
+    assert rdb.route_plan(rdb.prepare(table)).mode == ANY
+    lines = [line for (line,) in router_conn.execute(view).rows]
+    assert any("bullfrog_stat_shards" in line for line in lines)
+    lines = [line for (line,) in router_conn.execute(table).rows]
+    assert any("warehouse" in line and "rows=1" in line for line in lines)
+    assert view not in reached and table in reached
+
+
 def test_router_transaction_ends_when_its_shard_dies_while_binding(cluster):
     """A shard connection killed during the transaction's first
     statement (here as a statement timeout would kill it) takes the

@@ -119,6 +119,44 @@ class TestExplainStatement:
         # And the instrumented scan saw the freshly migrated row.
         assert any("actual time" in line and "rows=1" in line for line in lines)
 
+    def test_analyze_plans_and_scopes_once_per_epoch(self, monkeypatch):
+        """EXPLAIN ANALYZE runs the plan and the migration scope of the
+        query's own handle: 20 runs of one SQL text during a lazy
+        migration plan the SELECT and compile its scope once each, and
+        a DDL between runs makes the next run re-plan once."""
+        from repro.core.predicates import PredicateTransfer
+        from repro.exec.planner import Planner
+
+        db, _ = make_source_db(rows=200)
+        engine = LazyMigrationEngine(db, background=BackgroundConfig(enabled=False))
+        engine.submit("m", SPLIT_DDL)
+        sql = "EXPLAIN ANALYZE SELECT v FROM left_part WHERE id = ?"
+        query = db.prepare(sql).explained.ast
+        calls = {"plan": 0, "scope": 0}
+        plan_select = Planner.plan_select
+        compile_scope = PredicateTransfer.compile_scope
+
+        def counting_plan(planner, select, *args, **kwargs):
+            calls["plan"] += select is query
+            return plan_select(planner, select, *args, **kwargs)
+
+        def counting_scope(transfer, stmt):
+            calls["scope"] += stmt is query
+            return compile_scope(transfer, stmt)
+
+        monkeypatch.setattr(Planner, "plan_select", counting_plan)
+        monkeypatch.setattr(PredicateTransfer, "compile_scope", counting_scope)
+        session = db.connect()
+        for i in range(20):
+            lines = plan_lines(session.execute(sql, (i,)))
+            assert any("rows=1" in line for line in lines)
+        assert calls == {"plan": 1, "scope": 1}
+        assert not engine.is_complete
+        session.execute("CREATE TABLE unrelated (a INT PRIMARY KEY)")
+        for i in range(20, 40):
+            session.execute(sql, (i,))
+        assert calls == {"plan": 2, "scope": 2}
+
     def test_analyze_already_migrated_scope_reports_zero_delta(self):
         db, _ = make_source_db()
         engine = LazyMigrationEngine(db, background=BackgroundConfig(enabled=False))

@@ -493,7 +493,7 @@ def test_runner_serves_a_socketpair_without_the_event_loop():
         served, client = socket.socketpair()
         served.setblocking(False)
         client.setblocking(False)
-        return _Connection(conn_id, served, None, db.connect()), client
+        return _Connection(srv, conn_id, served, None), client
 
     conn, client = open_conn(1)
     try:
@@ -534,6 +534,76 @@ def test_runner_serves_a_socketpair_without_the_event_loop():
     finally:
         conn.sock.close()
         client.close()
+
+
+def test_linger_sees_a_frame_on_a_descriptor_above_fd_setsize():
+    """``select`` refuses a descriptor at or above ``FD_SETSIZE``
+    (1024); the runner's linger must still see a frame pending on one,
+    or such a connection would park after every batch."""
+    import os
+    import resource
+
+    from repro.net.server import _Connection
+
+    def is_open(fd):
+        try:
+            os.fstat(fd)
+        except OSError:
+            return False
+        return True
+
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    high = next((fd for fd in range(1100, min(soft, 1400)) if not is_open(fd)), None)
+    if high is None:
+        pytest.skip(f"RLIMIT_NOFILE ({soft}) allows no descriptor above 1100")
+    db = Database()
+    srv = BullfrogServer(db, ServerConfig(port=0))
+    low, client = socket.socketpair()
+    os.dup2(low.fileno(), high)
+    low.close()
+    served = socket.socket(fileno=high)
+    served.setblocking(False)
+    conn = _Connection(srv, 1, served, None)
+    try:
+        assert not srv._hot_poll(conn)
+        client.sendall(protocol.encode_ping())
+        assert srv._hot_poll(conn)
+    finally:
+        conn.session.close()
+        served.close()
+        client.close()
+
+
+def _plan_shape(result):
+    """A QUERY PLAN result's lines with every number blanked (timings
+    differ between runs) and the sampled ``Trace:`` line dropped."""
+    import re
+
+    assert result.columns == ["QUERY PLAN"]
+    return [
+        re.sub(r"\d+(\.\d+)?", "#", line)
+        for (line,) in result.rows
+        if not line.startswith("Trace:")
+    ]
+
+
+def test_explain_over_the_wire_matches_embedded(server):
+    """EXPLAIN and EXPLAIN ANALYZE come back over bullfrogd — as QUERY
+    and as PARSE/EXECUTE — as the same ``QUERY PLAN`` rows an embedded
+    session gets."""
+    db, srv = server
+    embedded = db.connect()
+    embedded.execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+    embedded.execute("INSERT INTO t VALUES (1, 'one')")
+    with connect("127.0.0.1", srv.port) as conn:
+        for sql in (
+            "EXPLAIN SELECT v FROM t WHERE id = ?",
+            "EXPLAIN ANALYZE SELECT v FROM t WHERE id = ?",
+        ):
+            want = _plan_shape(embedded.execute(sql, (1,)))
+            assert any("Index Scan" in line for line in want)
+            assert _plan_shape(conn.execute(sql, (1,))) == want
+            assert _plan_shape(conn.prepare(sql).execute((1,))) == want
 
 
 def test_hello_of_another_protocol_version_is_refused(server):
@@ -861,7 +931,7 @@ def test_row_header_comes_from_the_plan_that_produced_the_result():
     admin.execute("INSERT INTO w VALUES (1, 10)")
     session = db.connect()
     handle = db.prepare("SELECT * FROM w")
-    row_header = BullfrogServer._row_header
+    from repro.net.session import _row_header as row_header
 
     def header_columns(result):
         frame = row_header(handle, result)
@@ -928,7 +998,7 @@ def test_large_result_streams_within_the_high_water_mark(server):
     """A 20k-row SELECT is not built into one write: it goes out in
     chunks, so the outbound buffer never holds more than
     ``_FLUSH_HIWAT`` plus one ROW_BATCH."""
-    from repro.net.server import _BATCH_ROWS, _FLUSH_HIWAT
+    from repro.net.session import _BATCH_ROWS, _FLUSH_HIWAT
 
     db, srv = server
     rows = [(i, f"row-{i:08d}-" + "x" * 30) for i in range(20_000)]

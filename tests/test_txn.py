@@ -86,9 +86,11 @@ class TestLockCompatibility:
 
 
 class TestLockTableReclamation:
-    """Idle, never-contended tuple entries leave the lock table (the
-    parent kept one ``_LockEntry`` with its own Condition per tuple ever
-    locked)."""
+    """A tuple's ``_LockEntry`` leaves ``LockManager._entries`` when its
+    last holder releases it, unless it has waiters or was ever
+    contended, so the table holds held and contended resources, not
+    every tuple ever locked.  Entries share the manager's one latch; a
+    ``Condition`` over it is made only on an entry's first wait."""
 
     def test_distinct_tuple_locks_leave_the_table_bounded(self):
         from repro import Database
@@ -103,14 +105,15 @@ class TestLockTableReclamation:
         for i in range(300):
             s.execute("UPDATE t SET v = v + 1 WHERE id = ?", [i])
         tuples = [r for r in db.txns.locks._entries if r[0] == "tuple"]
-        assert tuples == []  # parent: 300
+        assert tuples == []  # one entry per tuple would leave 300
         assert len(db.txns.locks._entries) <= 1  # the table's own entry
 
     def test_churn_never_admits_two_x_holders(self):
         """Threads hammer X locks over a shared set of tuples, so
-        entries are reclaimed, reused from the spare list and
-        re-registered under other resources while other threads look
-        them up; at no point may two transactions hold one tuple."""
+        never-contended entries leave the table at their last release
+        and are made afresh at the next acquire while other threads
+        wait on, grant and drop entries under the same latch; at no
+        point may two transactions hold one tuple."""
         import random
         import sys
 
