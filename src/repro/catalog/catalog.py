@@ -12,7 +12,7 @@ transactions may still read them.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterator
+from typing import Any, Callable
 
 from ..errors import (
     CheckViolation,
@@ -22,10 +22,10 @@ from ..errors import (
     UniqueViolation,
     UnknownObjectError,
 )
-from ..exec.expressions import RowLayout, compile_expr, predicate_satisfied
+from ..exec.expressions import RowLayout, compile_expr, key_getter
 from ..sql import ast_nodes as ast
 from ..storage.heap import HeapTable
-from ..storage.index import HashIndex, Index, OrderedIndex
+from ..storage.index import HashIndex, Index, OrderedIndex, duplicate_key
 from ..storage.page import DEFAULT_PAGE_CAPACITY
 from ..storage.tid import Tid
 from ..storage.version import BOOTSTRAP_STAMP, CommitStamp
@@ -47,7 +47,9 @@ class Table:
         self.indexes: dict[str, Index] = {}
         self.retired = False
         self._compiled_checks: list[tuple[str, Any]] | None = None
-        self._index_positions: dict[str, list[int]] = {}
+        # (index, key getter) per index, rebuilt when an index or the
+        # column layout changes: writes read keys with no lookups.
+        self._keyed: list[tuple[Index, Callable[[Row], Row]]] = []
         # TIDs whose *older* versions are no longer reachable through
         # the indexes (versioned deletes, key-changing updates).  The
         # indexes track the current heads only; snapshot index scans add
@@ -90,28 +92,30 @@ class Table:
         else:
             index = HashIndex(name, self.schema.name, columns, unique)
         # Build from existing rows.
-        positions = [self.schema.column_index(c) for c in columns]
+        key_of = self.key_getter(index)
         for tid, row in self.heap.scan():
-            index.insert(tuple(row[p] for p in positions), tid)
+            index.insert(key_of(row), tid)
         self.indexes[name] = index
+        self._rekey()
         return index
 
     def drop_index(self, name: str) -> None:
         if name not in self.indexes:
             raise UnknownObjectError(f"index {name!r} does not exist")
         del self.indexes[name]
-        self._index_positions.pop(name, None)
+        self._rekey()
 
-    def index_key(self, index: Index, row: Row) -> tuple[Any, ...]:
-        positions = self._index_positions.get(index.name)
-        if positions is None:
-            positions = [self.schema.column_index(c) for c in index.columns]
-            self._index_positions[index.name] = positions
-        return tuple(row[p] for p in positions)
+    def key_getter(self, index: Index) -> Callable[[Row], Row]:
+        """``get(row)`` -> ``index``'s key of a stored row, for the
+        current column layout."""
+        return key_getter([self.schema.column_index(c) for c in index.columns])
+
+    def _rekey(self) -> None:
+        self._keyed = [(index, self.key_getter(index)) for index in self.indexes.values()]
 
     def invalidate_caches(self) -> None:
-        """Drop derived per-schema caches after an ALTER."""
-        self._index_positions.clear()
+        """Rebuild derived per-schema state after an ALTER."""
+        self._rekey()
         self._compiled_checks = None
 
     def find_index(self, columns: tuple[str, ...]) -> Index | None:
@@ -188,19 +192,23 @@ class Table:
     # Physical mutation (constraint-checked; undo handled by caller)
     # ------------------------------------------------------------------
     def physical_insert(self, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP) -> Tid:
-        """Insert a coerced row; maintains all indexes.  On a unique
-        violation partway through index maintenance, already-updated
-        indexes are rolled back before re-raising."""
+        """Insert a coerced row; maintains all indexes.  Unique keys are
+        probed first, so a rejected row takes no heap slot; if a racing
+        insert wins a key after the probe, updated indexes are rolled
+        back and the slot tombstoned before re-raising."""
         self.enforce_checks(row)
+        keys = [(index, key_of(row)) for index, key_of in self._keyed]
+        for index, key in keys:
+            if index.unique and None not in key and index.contains(key):
+                raise duplicate_key(index, key)
         tid = self.heap.insert(row, stamp)
-        inserted: list[tuple[Index, tuple[Any, ...]]] = []
+        done = 0
         try:
-            for index in self.indexes.values():
-                key = self.index_key(index, row)
+            for index, key in keys:
                 index.insert(key, tid)
-                inserted.append((index, key))
+                done += 1
         except UniqueViolation:
-            for index, key in inserted:
+            for index, key in keys[:done]:
                 index.delete(key, tid)
             self.heap.delete(tid, stamp)
             raise
@@ -215,9 +223,9 @@ class Table:
         if old_row is None:
             raise UnknownObjectError(f"tuple {tid} of {self.schema.name} is gone")
         changed: list[tuple[Index, tuple[Any, ...], tuple[Any, ...]]] = []
-        for index in self.indexes.values():
-            old_key = self.index_key(index, old_row)
-            new_key = self.index_key(index, new_row)
+        for index, key_of in self._keyed:
+            old_key = key_of(old_row)
+            new_key = key_of(new_row)
             if old_key == new_key:
                 continue
             index.delete(old_key, tid)
@@ -239,8 +247,8 @@ class Table:
 
     def physical_delete(self, tid: Tid, stamp: CommitStamp = BOOTSTRAP_STAMP) -> Row:
         old_row = self.heap.delete(tid, stamp)
-        for index in self.indexes.values():
-            index.delete(self.index_key(index, old_row), tid)
+        for index, key_of in self._keyed:
+            index.delete(key_of(old_row), tid)
         if stamp is not BOOTSTRAP_STAMP:
             # Bootstrap deletes (loader, DDL) leave no older version
             # any snapshot could want; versioned deletes do.
@@ -252,8 +260,8 @@ class Table:
     ) -> None:
         """Undo of a delete."""
         self.heap.restore(tid, row, stamp)
-        for index in self.indexes.values():
-            index.insert(self.index_key(index, row), tid)
+        for index, key_of in self._keyed:
+            index.insert(key_of(row), tid)
 
     def physical_unindex(
         self, tid: Tid, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP
@@ -262,8 +270,8 @@ class Table:
         aborted version was never visible to any snapshot, so it is not
         recorded as unindexed."""
         self.heap.delete(tid, stamp)
-        for index in self.indexes.values():
-            index.delete(self.index_key(index, row), tid)
+        for index, key_of in self._keyed:
+            index.delete(key_of(row), tid)
 
     # ------------------------------------------------------------------
     # Snapshot support

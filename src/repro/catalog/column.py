@@ -22,7 +22,3 @@ class Column:
     not_null: bool = False
     default: Any = None
     has_default: bool = False
-
-    def coerce(self, value: Any) -> Any:
-        """Coerce ``value`` into this column's declared type."""
-        return self.type.coerce(value)

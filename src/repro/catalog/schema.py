@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from functools import cached_property
+from typing import Any, Callable, Sequence
 
 from ..errors import NotNullViolation, UnknownObjectError
 from .column import Column
 from .constraints import Check, Constraint, ForeignKey, PrimaryKey, Unique
+
+Row = tuple[Any, ...]
 
 
 @dataclass(frozen=True)
@@ -25,6 +28,7 @@ class TableSchema:
     uniques: tuple[Unique, ...] = ()
     checks: tuple[Check, ...] = ()
     foreign_keys: tuple[ForeignKey, ...] = ()
+    _row_makers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -56,38 +60,61 @@ class TableSchema:
         raise UnknownObjectError(f"table {self.name} has no column {name!r}")
 
     # ------------------------------------------------------------------
-    # Row validation (type coercion + NOT NULL); uniqueness and checks
+    # Row building (type coercion + NOT NULL); uniqueness and checks
     # are enforced by the storage/executor layers which have row context.
     # ------------------------------------------------------------------
-    def coerce_row(self, values: dict[str, Any]) -> tuple[Any, ...]:
-        """Build a full storage tuple from a column->value mapping.
+    @cached_property
+    def not_null_positions(self) -> tuple[int, ...]:
+        """Positions of the NOT NULL columns, primary-key columns included."""
+        pk = self.primary_key.columns if self.primary_key else ()
+        return tuple(
+            position for position, column in enumerate(self.columns)
+            if column.not_null or column.name in pk
+        )
 
-        Missing columns take their default (or NULL).  Unknown keys
-        raise.  NOT NULL is enforced here because it needs no other
-        rows.
-        """
-        unknown = set(values) - set(self.column_names)
-        if unknown:
-            raise UnknownObjectError(
-                f"table {self.name} has no column(s) {sorted(unknown)!r}"
-            )
-        row: list[Any] = []
-        pk_columns = set(self.primary_key.columns) if self.primary_key else set()
-        for column in self.columns:
-            if column.name in values:
-                value = column.coerce(values[column.name])
-            elif column.has_default:
-                value = column.coerce(column.default)
-            else:
-                value = None
-            if value is None and (column.not_null or column.name in pk_columns):
+    def check_not_null(self, row: Sequence[Any]) -> None:
+        """Raise NotNullViolation for the first NOT NULL column ``row``
+        holds NULL in."""
+        for position in self.not_null_positions:
+            if row[position] is None:
+                name = self.columns[position].name
                 raise NotNullViolation(
-                    f"null value in column {column.name!r} of table "
+                    f"null value in column {name!r} of table "
                     f"{self.name} violates not-null constraint",
-                    constraint=f"{self.name}_{column.name}_not_null",
+                    constraint=f"{self.name}_{name}_not_null",
                 )
-            row.append(value)
-        return tuple(row)
+
+    def row_maker(self, columns: Sequence[str]) -> Callable[[Sequence[Any]], Row]:
+        """``build(values)`` -> the storage tuple for ``values`` given in
+        ``columns`` order: each coerced by its column's compiled coercer,
+        every other column at its (already coerced) default or NULL, NOT
+        NULL enforced.  Built once per column list (unknown names raise
+        here) and cached on this schema, which ALTER replaces."""
+        key = tuple(columns)
+        build = self._row_makers.get(key)
+        if build is not None:
+            return build
+        targets = [
+            (position, self.columns[position].type.coercer)
+            for position in map(self.column_index, key)
+        ]
+        template = [
+            column.type.coerce(column.default) if column.has_default else None
+            for column in self.columns
+        ]
+        check = self.check_not_null if self.not_null_positions else None
+
+        def build(values: Sequence[Any]) -> Row:
+            full = template.copy()
+            for (position, coerce), value in zip(targets, values):
+                full[position] = coerce(value)
+            row = tuple(full)
+            if check is not None:
+                check(row)
+            return row
+
+        self._row_makers[key] = build
+        return build
 
     def row_to_dict(self, row: tuple[Any, ...]) -> dict[str, Any]:
         return dict(zip(self.column_names, row))

@@ -197,15 +197,16 @@ class UnitRuntime:
         consume the result as an overlay instead of waiting for the
         granules to migrate."""
         assert self.projection is not None
-        schemas = [output.table.schema for output in self.projection.outputs]
+        outputs = [
+            (out.table.schema.name, out.table.schema.row_maker(out.column_names))
+            for out in self.projection.outputs
+        ]
         rows_by_output: dict[str, list[tuple]] = {}
         for values in self.projection.project(
             self.granule_rows(granules, snapshot_ts)
         ):
-            for schema, row_values in zip(schemas, values):
-                rows_by_output.setdefault(schema.name, []).append(
-                    schema.coerce_row(row_values)
-                )
+            for (name, build), row_values in zip(outputs, values):
+                rows_by_output.setdefault(name, []).append(build(row_values))
         return rows_by_output
 
     def project_keys(
@@ -226,9 +227,9 @@ class UnitRuntime:
                 if not result.rows:
                     continue
                 schema = self.catalog.table(output.table).schema
+                build = schema.row_maker(output.column_names)
                 rows_by_output.setdefault(output.table, []).extend(
-                    schema.coerce_row(dict(zip(output.column_names, row)))
-                    for row in result.rows
+                    map(build, result.rows)
                 )
         return rows_by_output
 

@@ -223,15 +223,16 @@ class MultiStepMigration:
         if old_row is not None:
             for values in projection.project([old_row]):
                 for output, row_values in zip(projection.outputs, values):
-                    self._delete_by_key(ctx, output.table, row_values)
+                    self._delete_by_key(ctx, output, row_values)
         if new_row is not None:
             projection.insert_projected(
                 [new_row], self.db.executor, ctx, on_conflict=True
             )
 
-    def _delete_by_key(self, ctx, out_table, values) -> None:
+    def _delete_by_key(self, ctx, output, values: tuple) -> None:
+        out_table = output.table
         unique_set = out_table.schema.unique_column_sets()[0]
-        key = tuple(values[c] for c in unique_set)
+        key = tuple(values[output.column_names.index(c)] for c in unique_set)
         index = out_table.find_index(tuple(unique_set))
         tids = index.lookup(key) if index is not None else []
         for tid in tids:
@@ -316,7 +317,8 @@ class MultiStepMigration:
                 ):
                     for output, row_values in zip(projection.outputs, values):
                         executor.insert_rows(
-                            output.table, [row_values], ctx, on_conflict_skip=True
+                            output.table, output.column_names, [row_values], ctx,
+                            on_conflict_skip=True,
                         )
                     copied += 1
                 session.commit()

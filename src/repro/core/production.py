@@ -21,7 +21,12 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from ..db import Database, build_schema, planned_schema
-from ..exec.expressions import RowLayout, compile_expr, predicate_satisfied
+from ..exec.expressions import (
+    RowLayout,
+    compile_expr,
+    compile_projection,
+    predicate_satisfied,
+)
 from ..exec.plan import ExecutionContext
 from ..sql import ast_nodes as ast
 from ..sql.render import render_statement
@@ -148,12 +153,13 @@ class KeyStatements:
 class _OutputRuntime:
     table: Any  # catalog Table
     column_names: tuple[str, ...]
-    fns: list  # compiled projections over the combined anchor(+aux) layout
+    project: Any  # (combined anchor(+aux) row, params) -> values tuple
 
 
 class RowProjection:
     """A bitmap unit's production pipeline, compiled once: anchor row →
-    aux (PK-side) join → static filter → one value dict per output."""
+    aux (PK-side) join → static filter → one values tuple per output, in
+    that output's ``column_names`` order."""
 
     def __init__(self, catalog, plan: UnitPlan) -> None:
         anchor_schema = catalog.table(plan.anchor).schema
@@ -193,8 +199,8 @@ class RowProjection:
         self.outputs = [
             _OutputRuntime(
                 catalog.table(output.table),
-                output.column_names,
-                [compile_expr(item, layout) for item in output.items],
+                tuple(output.column_names),
+                compile_projection(output.items, layout),
             )
             for output in plan.outputs
         ]
@@ -217,10 +223,10 @@ class RowProjection:
             if tuple(aux_row[p] for p in self._aux_lookup_positions) == key:
                 yield row + aux_row
 
-    def project(self, rows: Iterable[tuple]) -> Iterator[list[dict]]:
+    def project(self, rows: Iterable[tuple]) -> Iterator[list[tuple]]:
         """For every joined anchor row that passes the static filter,
-        yield its output rows: one ``{column: value}`` dict per output,
-        parallel to :attr:`outputs`.  Reads only; every consumer — lazy
+        yield its output rows: one values tuple per output, parallel to
+        :attr:`outputs`.  Reads only; every consumer — lazy
         production, the snapshot overlay, the multi-step copier and
         dual-write hooks, the invariant checker — iterates this."""
         static_fn = self.static_fn
@@ -231,13 +237,7 @@ class RowProjection:
                     static_fn(combined, ())
                 ):
                     continue
-                yield [
-                    {
-                        name: fn(combined, ())
-                        for name, fn in zip(output.column_names, output.fns)
-                    }
-                    for output in outputs
-                ]
+                yield [output.project(combined, ()) for output in outputs]
 
     def insert_projected(
         self,
@@ -250,7 +250,7 @@ class RowProjection:
         table, inside ``ctx``'s transaction.  Returns ``(produced,
         duplicates)``: joined rows that produced output, and output rows
         an ``on_conflict`` insert skipped because they already existed."""
-        batches: list[list[dict]] = [[] for _ in self.outputs]
+        batches: list[list[tuple]] = [[] for _ in self.outputs]
         produced = 0
         for values in self.project(rows):
             for batch, row_values in zip(batches, values):
@@ -260,7 +260,8 @@ class RowProjection:
         for output, batch in zip(self.outputs, batches):
             if batch:
                 inserted = executor.insert_rows(
-                    output.table, batch, ctx, on_conflict_skip=on_conflict
+                    output.table, output.column_names, batch, ctx,
+                    on_conflict_skip=on_conflict,
                 )
                 duplicates += len(batch) - inserted
         return produced, duplicates

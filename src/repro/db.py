@@ -684,14 +684,12 @@ class Session:
     def _create_table_as(self, stmt: ast.CreateTable, ctx: ExecutionContext) -> Result:
         planned = self.db.planner.plan_select(stmt.as_select, self.allow_retired)
         schema = planned_schema(stmt.name, planned)
-        columns = schema.columns
         table = self.db.catalog.create_table(schema, if_not_exists=stmt.if_not_exists)
         self.db.bump_epoch()
+        build = schema.row_maker(schema.column_names)
         count = 0
         for row in planned.run(ctx):
-            coerced = tuple(
-                column.coerce(value) for column, value in zip(columns, row)
-            )
+            coerced = build(row)
             tid = table.physical_insert(coerced)
             if ctx.txn is not None:
                 ctx.txn.record_insert(table, tid, coerced)
@@ -796,8 +794,10 @@ class Session:
             # In force from here even if an existing row fails below:
             # re-plan statements now (an INSERT's FK-parent migration).
             self.db.bump_epoch()
+            duties = self.db.executor._parent_duties(table)
             for _tid, row in table.heap.scan():
-                self.db.executor._check_fk_parents(table, row, ctx)
+                for _watch, check in duties:
+                    check(None, row, ctx)
         else:
             raise ExecutionError(f"unsupported constraint kind {constraint.kind!r}")
 

@@ -10,15 +10,15 @@ calls ``insert_rows`` directly when materializing migrated tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from ..errors import (
     ExecutionError,
     ForeignKeyViolation,
-    NotNullViolation,
     SerializationFailure,
     UniqueViolation,
+    UnknownObjectError,
 )
 from typing import TYPE_CHECKING
 
@@ -30,7 +30,7 @@ from ..sql import ast_nodes as ast
 from ..storage.tid import Tid
 from ..storage.version import BOOTSTRAP_STAMP
 from ..txn.locks import LockMode
-from .expressions import RowLayout, compile_expr, compile_projection
+from .expressions import RowLayout, compile_expr, compile_projection, key_getter
 from .plan import AnalyzedNode, ExecutionContext, TableScan, instrument_plan
 from .planner import PlannedQuery, Planner
 
@@ -40,21 +40,24 @@ Row = tuple[Any, ...]
 @dataclass(slots=True)
 class PreparedDml:
     """The executor's artifact for one DML statement shape: the target
-    table's name, the compiled locked scan (or INSERT source) and every
-    expression compiled once.  Executions bind parameters per call; the
-    statement handle (:class:`repro.db.Statement`) keeps one per schema
-    epoch and ``allow_retired`` flavour."""
+    table's name, the compiled locked scan (or INSERT source), every
+    expression compiled once and all else fixed for the schema epoch
+    (row maker, coercers, NOT NULL check, FK duties).  Executions bind
+    parameters per call; the statement handle (:class:`repro.db.
+    Statement`) keeps one per schema epoch and ``allow_retired`` flavour."""
 
     table: str
     # UPDATE / DELETE: ctx -> [(tid, row)] of X-locked qualifying
     # tuples; SELECT ... FOR UPDATE: ctx -> projected rows.
     scan: Any = None
-    assignments: list | None = None  # UPDATE: [(position, fn)]
+    assignments: list | None = None  # UPDATE: [(position, coerce, fn)]
     names: list[str] | None = None  # FOR UPDATE output column names
-    columns: Sequence[str] | None = None  # INSERT target columns
+    build: Any = None  # INSERT: the target's row maker for its columns
     row_fns: list | None = None  # INSERT ... VALUES: one fn list per row
     query: PlannedQuery | None = None  # INSERT ... SELECT source plan
     on_conflict_skip: bool = False
+    check_not_null: Any = None  # UPDATE: the target schema's NOT NULL check
+    duties: list = field(default_factory=list)  # FK: Executor._parent_duties
 
 
 class Executor:
@@ -125,8 +128,9 @@ class Executor:
             )
         prepared = PreparedDml(
             stmt.table,
-            columns=columns,
+            build=table.schema.row_maker(columns),
             on_conflict_skip=stmt.on_conflict_do_nothing,
+            duties=self._parent_duties(table),
         )
         if stmt.query is not None:
             prepared.query = self.planner.plan_select(stmt.query, allow_retired)
@@ -155,19 +159,29 @@ class Executor:
             stmt.table, stmt.alias, stmt.where, allow_retired
         )
         layout = scan.layout
+        schema = table.schema
+        positions = [schema.column_index(column) for column, _ in stmt.assignments]
         assignments = [
-            (table.schema.column_index(column), compile_expr(expr, layout))
-            for column, expr in stmt.assignments
+            (p, schema.columns[p].type.coercer, compile_expr(expr, layout))
+            for p, (_column, expr) in zip(positions, stmt.assignments)
         ]
+        assigned = set(positions)
         return PreparedDml(
-            stmt.table, self._locked_scan(scan), assignments=assignments
+            stmt.table,
+            self._locked_scan(scan),
+            assignments=assignments,
+            check_not_null=schema.check_not_null,
+            duties=self._parent_duties(table, assigned) + self._child_duties(table, assigned),
         )
 
     def _prepare_delete(self, stmt: ast.Delete, allow_retired: bool) -> PreparedDml:
+        table = self.catalog.table_checked(stmt.table, allow_retired)
         scan = self.planner.plan_dml_scan(
             stmt.table, stmt.alias, stmt.where, allow_retired
         )
-        return PreparedDml(stmt.table, self._locked_scan(scan))
+        return PreparedDml(
+            stmt.table, self._locked_scan(scan), duties=self._child_duties(table)
+        )
 
     # ==================================================================
     # Snapshot-isolation write conflicts (first-updater-wins)
@@ -207,7 +221,10 @@ class Executor:
         scan qualifies, X-locked, re-read and re-filtered *after* the
         lock — it may have changed (or gone) while we waited, so a
         concurrent writer cannot slip between read and write — as
-        ``(tid, row)`` pairs, or as ``project(row, params)`` rows."""
+        ``(tid, row)`` pairs, or as ``project(row, params)`` rows.  A
+        tuple whose head another transaction wrote and has not committed
+        is skipped: holding the X lock, that write can only be an insert
+        (inserts take no tuple lock), and its writer may yet undo it."""
         qualifying = scan.compile_tids()
         table = scan.table
         name = table.schema.name
@@ -220,14 +237,18 @@ class Executor:
             txn = ctx.txn
             params = ctx.params
             snapshot = ctx.snapshot_ts is not None and txn is not None
+            own = txn.stamp if txn is not None else None
             out = []
             for tid, _row in qualifying(ctx):
                 if txn is not None:
                     txn.lock_tuple(name, tid, LockMode.X)
                 if snapshot:
                     check_conflict(table, tid, ctx)
-                row = heap.read(tid)
-                if row is None:
+                version = heap.read_version(tid)
+                row, stamp = version.row, version.stamp
+                if row is None or (
+                    stamp.ts is None and stamp is not own and not stamp.aborted
+                ):
                     continue
                 if filter_fn is not None and filter_fn(row, params) is not True:
                     continue
@@ -272,44 +293,56 @@ class Executor:
     # ==================================================================
     def run_insert(self, prepared: PreparedDml, ctx: ExecutionContext) -> int:
         table = self.catalog.table_checked(prepared.table, ctx.allow_retired)
-        source_rows: Iterable[Row]
+        source_rows: Iterable[Sequence[Any]]
         if prepared.query is not None:
             source_rows = prepared.query.run(ctx)
         else:
             params = ctx.params
             source_rows = (
-                tuple(fn((), params) for fn in row_fns)
-                for row_fns in prepared.row_fns
+                [fn((), params) for fn in row_fns] for row_fns in prepared.row_fns
             )
-        columns = prepared.columns
-        value_dicts = (dict(zip(columns, row)) for row in source_rows)
-        return self.insert_rows(
-            table, value_dicts, ctx, on_conflict_skip=prepared.on_conflict_skip
+        return self._insert(
+            table, prepared.build, prepared.duties, source_rows, ctx,
+            prepared.on_conflict_skip,
         )
 
     def insert_rows(
         self,
         table: "Table",
-        value_dicts: Iterable[dict[str, Any]],
+        columns: Sequence[str],
+        rows: Iterable[Sequence[Any]],
         ctx: ExecutionContext,
         on_conflict_skip: bool = False,
     ) -> int:
-        """Shared insert path: coercion, NOT NULL, CHECK, UNIQUE (via
-        unique indexes), and FK-parent checks.  Returns rows inserted."""
-        ctx.lock_table(table.schema.name, LockMode.IX)
+        """Insert ``rows``, tuples of values in ``columns`` order, with
+        every check a prepared INSERT runs.  Returns rows inserted."""
+        return self._insert(
+            table, table.schema.row_maker(columns), self._parent_duties(table),
+            rows, ctx, on_conflict_skip,
+        )
+
+    def _insert(self, table: "Table", build, duties: list, rows, ctx, on_conflict_skip) -> int:
+        """The one insert path: coercion and NOT NULL (``build``), FK
+        parents, then CHECK and UNIQUE (via unique indexes) in
+        ``physical_insert``."""
+        name = table.schema.name
+        ctx.lock_table(name, LockMode.IX)
+        txn = ctx.txn
+        stamp = self._write_stamp(ctx)
         inserted = 0
-        for values in value_dicts:
-            row = table.schema.coerce_row(values)
-            self._check_fk_parents(table, row, ctx)
+        for values in rows:
+            row = build(values)
+            for _watch, check in duties:
+                check(None, row, ctx)
             try:
-                tid = table.physical_insert(row, self._write_stamp(ctx))
+                tid = table.physical_insert(row, stamp)
             except UniqueViolation:
                 if on_conflict_skip:
                     continue
                 raise
-            if ctx.txn is not None:
-                ctx.txn.record_insert(table, tid, row)
-            ctx.fire_row_hooks(table.schema.name, "INSERT", tid, None, row)
+            if txn is not None:
+                txn.record_insert(table, tid, row)
+            ctx.fire_row_hooks(name, "INSERT", tid, None, row)
             inserted += 1
         if self.obs is not None:
             self.obs.add_rows("insert", inserted)
@@ -320,31 +353,29 @@ class Executor:
     # ==================================================================
     def run_update(self, prepared: PreparedDml, ctx: ExecutionContext) -> int:
         table = self.catalog.table_checked(prepared.table, ctx.allow_retired)
+        name = table.schema.name
         assignments = prepared.assignments
+        check_not_null = prepared.check_not_null
+        duties = prepared.duties
+        params = ctx.params
+        txn = ctx.txn
+        stamp = self._write_stamp(ctx)
         updated = 0
         for tid, row in prepared.scan(ctx):
-            new_row = list(row)
-            for position, fn in assignments:
-                new_row[position] = table.schema.columns[position].coerce(
-                    fn(row, ctx.params)
-                )
-            self._check_not_null(table, new_row)
-            new_tuple = tuple(new_row)
-            changed_positions = {
-                position for position, _fn in assignments
-                if new_tuple[position] != row[position]
-            }
-            if changed_positions:
-                self._check_fk_parents(
-                    table, new_tuple, ctx, only_positions=changed_positions
-                )
-                self._check_fk_children_on_change(
-                    table, row, new_tuple, changed_positions, ctx
-                )
-            old_row = table.physical_update(tid, new_tuple, self._write_stamp(ctx))
-            if ctx.txn is not None:
-                ctx.txn.record_update(table, tid, old_row, new_tuple)
-            ctx.fire_row_hooks(table.schema.name, "UPDATE", tid, old_row, new_tuple)
+            new = list(row)
+            for position, coerce, fn in assignments:
+                new[position] = coerce(fn(row, params))
+            new_row = tuple(new)
+            check_not_null(new_row)
+            for watch, check in duties:
+                for position in watch:
+                    if new_row[position] != row[position]:
+                        check(row, new_row, ctx)
+                        break
+            old_row = table.physical_update(tid, new_row, stamp)
+            if txn is not None:
+                txn.record_update(table, tid, old_row, new_row)
+            ctx.fire_row_hooks(name, "UPDATE", tid, old_row, new_row)
             updated += 1
         if self.obs is not None:
             self.obs.add_rows("update", updated)
@@ -355,9 +386,11 @@ class Executor:
     # ==================================================================
     def run_delete(self, prepared: PreparedDml, ctx: ExecutionContext) -> int:
         table = self.catalog.table_checked(prepared.table, ctx.allow_retired)
+        duties = prepared.duties
         deleted = 0
         for tid, row in prepared.scan(ctx):
-            self._check_no_fk_children(table, row, ctx)
+            for _watch, check in duties:
+                check(row, None, ctx)
             old_row = table.physical_delete(tid, self._write_stamp(ctx))
             if ctx.txn is not None:
                 ctx.txn.record_delete(table, tid, old_row)
@@ -368,146 +401,79 @@ class Executor:
         return deleted
 
     # ==================================================================
-    # Constraint helpers
+    # Foreign-key duties, resolved once per schema epoch (adding an FK,
+    # index or table is DDL: it re-prepares).  A duty is ``(watch,
+    # check)``, ``check(old, new, ctx)`` raising ForeignKeyViolation.  An
+    # INSERT or DELETE (``assigned`` None) runs every duty; an UPDATE
+    # owes those whose key meets ``assigned``, run if ``watch`` changed.
     # ==================================================================
-    def _check_not_null(self, table: "Table", row: Sequence[Any]) -> None:
-        pk_columns = (
-            set(table.schema.primary_key.columns)
-            if table.schema.primary_key
-            else set()
-        )
-        for position, column in enumerate(table.schema.columns):
-            if row[position] is None and (column.not_null or column.name in pk_columns):
-                raise NotNullViolation(
-                    f"null value in column {column.name!r} of table "
-                    f"{table.schema.name} violates not-null constraint",
-                    constraint=f"{table.schema.name}_{column.name}_not_null",
-                )
-
-    def _check_fk_parents(
-        self,
-        table: "Table",
-        row: Row,
-        ctx: ExecutionContext,
-        only_positions: set[int] | None = None,
-    ) -> None:
-        """Every FK of ``table``: the referenced parent row must exist.
-        SQL semantics: a FK with any NULL component passes."""
-        for fk in table.schema.foreign_keys:
-            positions = [table.schema.column_index(c) for c in fk.columns]
-            if only_positions is not None and not (
-                set(positions) & only_positions
-            ):
+    def _parent_duties(self, table: "Table", assigned: set[int] | None = None) -> list:
+        """The row's FK keys must name existing parent rows."""
+        schema = table.schema
+        duties = []
+        for fk in schema.foreign_keys:
+            positions = [schema.column_index(c) for c in fk.columns]
+            watch = () if assigned is None else tuple(set(positions) & assigned)
+            if assigned is not None and not watch:
                 continue
-            key = tuple(row[p] for p in positions)
-            if any(part is None for part in key):
-                continue
-            if not self._parent_exists(fk, key, ctx):
-                raise ForeignKeyViolation(
-                    f"insert or update on table {table.schema.name!r} "
-                    f"violates foreign key constraint to {fk.ref_table!r} "
-                    f"(key {key!r} is not present)",
-                    constraint=fk.name or f"{table.schema.name}_fk_{fk.ref_table}",
-                )
+            message = (
+                f"insert or update on table {schema.name!r} violates "
+                f"foreign key constraint to {fk.ref_table!r}"
+            )
+            duties.append((watch, _fk_check(
+                key_getter(positions), self._parent_probe(fk), True,
+                message, fk.name or f"{schema.name}_fk_{fk.ref_table}",
+            )))
+        return duties
 
-    def _parent_exists(self, fk: ForeignKey, key: tuple, ctx: ExecutionContext) -> bool:
-        parent = self.catalog.table_checked(fk.ref_table, allow_retired=True)
-        ref_columns = fk.ref_columns
-        if not ref_columns:
-            if parent.schema.primary_key is None:
-                raise ExecutionError(
-                    f"foreign key references table {fk.ref_table!r} which "
-                    "has no primary key"
-                )
-            ref_columns = parent.schema.primary_key.columns
-        ctx.lock_table(parent.schema.name, LockMode.IS)
-        index = parent.find_index(ref_columns)
-        if index is not None:
-            ordered_key = _reorder_key(fk, ref_columns, index.columns, key)
-            return index.contains(ordered_key)
-        positions = [parent.schema.column_index(c) for c in ref_columns]
-        for _tid, row in parent.heap.scan():
-            if tuple(row[p] for p in positions) == key:
-                return True
-        return False
+    def _parent_probe(self, fk: ForeignKey):
+        """``exists(key, ctx)`` on ``fk``'s parent, resolved now — or,
+        with no parent to resolve, per call, so the error surfaces only
+        where a key needs the parent."""
+        def resolve():
+            parent = self.catalog.table_checked(fk.ref_table, allow_retired=True)
+            ref_columns = fk.ref_columns
+            if not ref_columns:
+                if parent.schema.primary_key is None:
+                    raise ExecutionError(
+                        f"foreign key references table {fk.ref_table!r} which "
+                        "has no primary key"
+                    )
+                ref_columns = parent.schema.primary_key.columns
+            return _key_probe(parent, ref_columns)
 
-    def _referencing_fks(self, table_name: str) -> list[tuple[Table, ForeignKey]]:
-        refs: list[tuple[Table, ForeignKey]] = []
+        try:
+            return resolve()
+        except (ExecutionError, UnknownObjectError):
+            return lambda key, ctx: resolve()(key, ctx)
+
+    def _child_duties(self, table: "Table", assigned: set[int] | None = None) -> list:
+        """RESTRICT: no child row may still reference the old key."""
+        schema = table.schema
+        pk = schema.primary_key.columns if schema.primary_key else ()
+        duties = []
         for child in self.catalog.tables():
             for fk in child.schema.foreign_keys:
-                if fk.ref_table == table_name:
-                    refs.append((child, fk))
-        return refs
-
-    def _check_no_fk_children(self, table: "Table", row: Row, ctx: ExecutionContext) -> None:
-        """RESTRICT semantics on delete: no child row may reference the
-        row being deleted."""
-        for child, fk in self._referencing_fks(table.schema.name):
-            ref_columns = fk.ref_columns or (
-                table.schema.primary_key.columns if table.schema.primary_key else ()
-            )
-            if not ref_columns:
-                continue
-            parent_key = tuple(
-                row[table.schema.column_index(c)] for c in ref_columns
-            )
-            if any(part is None for part in parent_key):
-                continue
-            if self._child_exists(child, fk, ref_columns, parent_key, ctx):
-                raise ForeignKeyViolation(
-                    f"update or delete on table {table.schema.name!r} "
-                    f"violates foreign key constraint on {child.schema.name!r}",
-                    constraint=fk.name or f"{child.schema.name}_fk_{table.schema.name}",
+                ref_columns = fk.ref_columns or pk
+                if fk.ref_table != schema.name or not ref_columns:
+                    continue
+                positions = [schema.column_index(c) for c in ref_columns]
+                watch = () if assigned is None else tuple(set(positions) & assigned)
+                if assigned is not None and not watch:
+                    continue
+                child_name = child.schema.name
+                message = (
+                    f"update or delete on table {schema.name!r} violates "
+                    f"foreign key constraint on {child_name!r}"
+                    if assigned is None else
+                    f"update on table {schema.name!r} would orphan rows "
+                    f"of {child_name!r}"
                 )
-
-    def _check_fk_children_on_change(
-        self,
-        table: "Table",
-        old_row: Row,
-        new_row: Row,
-        changed_positions: set[int],
-        ctx: ExecutionContext,
-    ) -> None:
-        """If an UPDATE changes referenced key columns, enforce RESTRICT."""
-        for child, fk in self._referencing_fks(table.schema.name):
-            ref_columns = fk.ref_columns or (
-                table.schema.primary_key.columns if table.schema.primary_key else ()
-            )
-            positions = [table.schema.column_index(c) for c in ref_columns]
-            if not (set(positions) & changed_positions):
-                continue
-            parent_key = tuple(old_row[p] for p in positions)
-            if any(part is None for part in parent_key):
-                continue
-            if self._child_exists(child, fk, ref_columns, parent_key, ctx):
-                raise ForeignKeyViolation(
-                    f"update on table {table.schema.name!r} would orphan "
-                    f"rows of {child.schema.name!r}",
-                    constraint=fk.name or f"{child.schema.name}_fk_{table.schema.name}",
-                )
-
-    def _child_exists(
-        self,
-        child: "Table",
-        fk: ForeignKey,
-        ref_columns: tuple[str, ...],
-        parent_key: tuple,
-        ctx: ExecutionContext,
-    ) -> bool:
-        ctx.lock_table(child.schema.name, LockMode.IS)
-        index = child.find_index(fk.columns)
-        if index is not None:
-            # Align parent key order with the child's FK column order.
-            by_ref = dict(zip(ref_columns, parent_key))
-            ordered = tuple(
-                by_ref[ref_columns[fk.columns.index(c)]] for c in index.columns
-            )
-            return index.contains(ordered)
-        positions = [child.schema.column_index(c) for c in fk.columns]
-        for _tid, row in child.heap.scan():
-            if tuple(row[p] for p in positions) == parent_key:
-                return True
-        return False
+                duties.append((watch, _fk_check(
+                    key_getter(positions), _key_probe(child, fk.columns), False,
+                    message, fk.name or f"{child_name}_fk_{schema.name}",
+                )))
+        return duties
 
 
 _PREPARERS = {
@@ -518,17 +484,39 @@ _PREPARERS = {
 }
 
 
-def _reorder_key(
-    fk: ForeignKey,
-    ref_columns: tuple[str, ...],
-    index_columns: tuple[str, ...],
-    key: tuple,
-) -> tuple:
-    """FK key values arrive in ``fk.columns`` order mapped onto
-    ``ref_columns``; the index may declare its columns in a different
-    order."""
-    by_column = dict(zip(ref_columns, key))
-    return tuple(by_column[c] for c in index_columns)
+def _fk_check(key_of, exists, parent: bool, message: str, constraint: str):
+    """A parent duty's check raises unless ``new``'s key has its parent
+    row; a child duty's if ``old``'s key still has a child row.  Keys
+    with a NULL part pass."""
+    def check(old: Row | None, new: Row | None, ctx: ExecutionContext) -> None:
+        key = key_of(new if parent else old)
+        if None not in key and exists(key, ctx) is not parent:
+            detail = f" (key {key!r} is not present)" if parent else ""
+            raise ForeignKeyViolation(message + detail, constraint=constraint)
+
+    return check
+
+
+def _key_probe(table: "Table", columns: tuple[str, ...]):
+    """``exists(key, ctx)``: has ``table`` a row whose ``columns`` equal
+    ``key``?  IS-locks the table; reads an index on them, else scans."""
+    name = table.schema.name
+    index = table.find_index(columns)
+    if index is not None:
+        order = [columns.index(c) for c in index.columns]
+
+        def exists(key: tuple, ctx: ExecutionContext) -> bool:
+            ctx.lock_table(name, LockMode.IS)
+            return index.contains(tuple([key[i] for i in order]))
+
+        return exists
+    key_of = key_getter([table.schema.column_index(c) for c in columns])
+
+    def scan(key: tuple, ctx: ExecutionContext) -> bool:
+        ctx.lock_table(name, LockMode.IS)
+        return any(key_of(row) == key for _tid, row in table.heap.scan())
+
+    return scan
 
 
 def _item_default_name(expr: ast.Expr, index: int) -> str:

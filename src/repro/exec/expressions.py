@@ -425,8 +425,8 @@ def compile_expr(expr: ast.Expr, layout: RowLayout) -> CompiledExpr:
         return _compile_function(expr, layout)
     if isinstance(expr, ast.Cast):
         inner = compile_expr(expr.operand, layout)
-        target = expr.target
-        return lambda row, params: target.coerce(inner(row, params))
+        coerce = expr.target.coercer
+        return lambda row, params: coerce(inner(row, params))
     if isinstance(expr, ast.Extract):
         inner = compile_expr(expr.operand, layout)
         field = expr.field
@@ -519,6 +519,15 @@ def _compile_case(expr: ast.CaseExpr, layout: RowLayout) -> CompiledExpr:
         return default(row, params) if default is not None else None
 
     return eval_case
+
+
+def key_getter(positions: Sequence[int]) -> Callable[[Row], Row]:
+    """``get(row)`` -> the tuple of ``row``'s values at ``positions`` (an
+    index or FK key): an ``itemgetter``, a tuple for one position too."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    return operator.itemgetter(*positions)
 
 
 def compile_projection(

@@ -342,12 +342,13 @@ class IndexScanNode(TableScan):
         residual filter, all evaluated on every row as the compiled
         ``AND`` does.  Built per such execution, from what the plan
         already holds: a cached plan carries nothing for it."""
-        table, index, residual = self.table, self.index, self.filter_fn
+        table, residual = self.table, self.filter_fn
+        key_of = table.key_getter(self.index)
 
         def every_conjunct(row: Row, params: Sequence[Any]) -> bool:
             equal = [
                 compare_values(value, part)
-                for value, part in zip(table.index_key(index, row), key)
+                for value, part in zip(key_of(row), key)
             ]
             passed = True if residual is None else residual(row, params)
             return passed is True and all(found == 0 for found in equal)
@@ -406,7 +407,7 @@ class IndexScanNode(TableScan):
         index is unversioned); the residual filter re-checks the range."""
         table = self.table
         heap = table.heap
-        index = self.index
+        key_of = table.key_getter(self.index)
         width = self.key_width
 
         def pairs(ctx: ExecutionContext, key: tuple):
@@ -418,7 +419,7 @@ class IndexScanNode(TableScan):
             snapshot_ts, own_stamp = ctx.snapshot_ts, ctx.own_stamp
             for tid in tids:
                 row = heap.read_snapshot(tid, snapshot_ts, own_stamp)
-                if row is not None and table.index_key(index, row)[:width] == key:
+                if row is not None and key_of(row)[:width] == key:
                     yield tid, row
 
         return pairs
@@ -442,6 +443,7 @@ class IndexScanNode(TableScan):
         # so a plain loop over the lookup beats building the sink's
         # iterators.
         point = index.unique and width == len(index.columns)
+        key_of = table.key_getter(index)
 
         def index_scan(ctx: ExecutionContext) -> list:
             params = ctx.params
@@ -465,7 +467,7 @@ class IndexScanNode(TableScan):
                 return out
             overlay = [
                 row for row in ctx.overlay_rows(name)
-                if table.index_key(index, row)[:width] == key
+                if key_of(row)[:width] == key
             ]
             rows = map(_second, snapshot_pairs(ctx, key))
             return sink(chain(rows, overlay), params)

@@ -33,18 +33,11 @@ class HashIndex:
         with self._latch:
             return sum(len(tids) for tids in self._entries.values())
 
-    @staticmethod
-    def _has_null(key: Key) -> bool:
-        return any(part is None for part in key)
-
     def insert(self, key: Key, tid: Tid) -> None:
         with self._latch:
             existing = self._entries.get(key)
-            if self.unique and not self._has_null(key) and existing:
-                raise UniqueViolation(
-                    f"duplicate key {key!r} violates unique index {self.name}",
-                    constraint=self.name,
-                )
+            if self.unique and existing and None not in key:
+                raise duplicate_key(self, key)
             if existing is None:
                 self._entries[key] = {tid}
             else:
@@ -76,26 +69,39 @@ class HashIndex:
             self._entries.clear()
 
 
+def duplicate_key(index: "Index", key: Key) -> UniqueViolation:
+    """What a unique index raises for a key it already holds."""
+    return UniqueViolation(
+        f"duplicate key {key!r} violates unique index {index.name}",
+        constraint=index.name,
+    )
+
+
+_NULL_SLOTS = (1, "NoneType", None)
+
+
 def _sort_key(key: Key) -> tuple:
     """Total-order form of a key, so heterogeneous/NULL keys sort
-    deterministically and bisect compares plain tuples at C speed.
+    deterministically and bisect compares plain tuples at C speed: one
+    flat tuple, three slots per part — ``(0, type name, value)``, or
+    ``(1, "NoneType", None)`` for NULL.
 
     NULLs sort last (PostgreSQL default for ASC).  Values of different
     types compare by type name first — the engine never relies on
     cross-type ordering, this only keeps bisect from raising.
     """
-    return tuple(
-        (1, "NoneType", None) if part is None else (0, type(part).__name__, part)
-        for part in key
-    )
+    flat: list = []
+    for part in key:
+        flat += _NULL_SLOTS if part is None else (0, type(part).__name__, part)
+    return tuple(flat)
 
 
 # Appended to a sort key, sorts after every key that extends it: the
 # exclusive end of "this key, then anything".  ``_NULLS`` sorts before
 # a NULL next part and after every value: the end of a lower-bounded
 # span, which no NULL satisfies.
-_AFTER = ((2,),)
-_NULLS = ((1,),)
+_AFTER = (2,)
+_NULLS = (1,)
 
 
 class OrderedIndex:
@@ -122,12 +128,9 @@ class OrderedIndex:
         sort_key = _sort_key(key)
         with self._latch:
             position = bisect.bisect_left(self._sort_keys, sort_key)
-            if self.unique and not any(part is None for part in key):
+            if self.unique and None not in key:
                 if position < len(self._pairs) and self._pairs[position][0] == key:
-                    raise UniqueViolation(
-                        f"duplicate key {key!r} violates unique index {self.name}",
-                        constraint=self.name,
-                    )
+                    raise duplicate_key(self, key)
             self._sort_keys.insert(position, sort_key)
             self._pairs.insert(position, (key, tid))
 

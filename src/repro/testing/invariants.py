@@ -155,11 +155,12 @@ class InvariantChecker:
         expected: dict[str, Counter] = {
             out.table.schema.name: Counter() for out in outputs
         }
+        # Laid out and coerced by the insert path's own row makers, so
+        # multisets compare equal to raw heap rows.
+        builds = [out.table.schema.row_maker(out.column_names) for out in outputs]
         for values in runtime.projection.project(runtime.granule_rows(migrated)):
-            for out, row_values in zip(outputs, values):
-                expected[out.table.schema.name][
-                    _schema_ordered(out.table, row_values)
-                ] += 1
+            for out, build, row_values in zip(outputs, builds, values):
+                expected[out.table.schema.name][build(row_values)] += 1
         return expected
 
     # ------------------------------------------------------------------
@@ -208,9 +209,9 @@ class InvariantChecker:
             _inserts, selects, params = runtime.key_statements.bind(key)
             for output, sql in zip(runtime.plan.outputs, selects):
                 table = self.db.catalog.table(output.table)
+                build = table.schema.row_maker(output.column_names)
                 for row in session.execute(sql, params).rows:
-                    values = dict(zip(output.column_names, row))
-                    expected[output.table][_schema_ordered(table, values)] += 1
+                    expected[output.table][build(row)] += 1
         return expected
 
     # ------------------------------------------------------------------
@@ -424,13 +425,3 @@ class ClusterInvariantChecker:
                         f"({sum(rows.values())} rows vs "
                         f"{sum(reference.values())} on the reference shard)",
                     )
-
-
-def _schema_ordered(table: Any, values: dict[str, Any]) -> tuple:
-    """Lay out produced values in the output table's physical column
-    order, coerced the way the insert path coerces them, so multisets
-    compare equal to raw heap rows."""
-    return tuple(
-        column.coerce(values[column.name]) if column.name in values else None
-        for column in table.schema.columns
-    )

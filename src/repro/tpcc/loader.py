@@ -94,7 +94,10 @@ def load_tpcc(
     def bulk(table_name: str, rows: list[dict]) -> None:
         session.begin()
         ctx = session._context()
-        executor.insert_rows(catalog.table(table_name), rows, ctx)
+        executor.insert_rows(  # every row literal names the same columns, in order
+            catalog.table(table_name), tuple(rows[0]) if rows else (),
+            [tuple(row.values()) for row in rows], ctx,
+        )
         session.commit()
 
     # ------------------------------------------------------------ item

@@ -17,7 +17,8 @@ import datetime
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from typing import Any
+from functools import cached_property
+from typing import Any, Callable
 
 from .errors import TypeError_
 
@@ -66,10 +67,14 @@ class SqlType:
         :class:`repro.errors.TypeError_` when the value cannot be
         represented.
         """
-        if value is None:
-            return None
-        coercer = _COERCERS[self.kind]
-        return coercer(self, value)
+        return self.coercer(value)
+
+    @cached_property
+    def coercer(self) -> Callable[[Any], Any]:
+        """:meth:`coerce` compiled once: a value of the stored type that
+        needs no conversion returns after one type check; anything else
+        takes the per-kind function (same results and messages)."""
+        return _compile_coercer(self)
 
     def render(self) -> str:
         """Render this type back to SQL text."""
@@ -230,9 +235,13 @@ def _coerce_timestamp(sql_type: SqlType, value: Any) -> datetime.datetime:
     raise TypeError_(f"cannot store {type(value).__name__} in {sql_type}")
 
 
+_INT_RANGES = {
+    TypeKind.INT: (_INT_MIN, _INT_MAX), TypeKind.BIGINT: (_BIGINT_MIN, _BIGINT_MAX),
+}
+
 _COERCERS = {
-    TypeKind.INT: lambda t, v: _coerce_int(t, v, _INT_MIN, _INT_MAX),
-    TypeKind.BIGINT: lambda t, v: _coerce_int(t, v, _BIGINT_MIN, _BIGINT_MAX),
+    TypeKind.INT: lambda t, v: _coerce_int(t, v, *_INT_RANGES[TypeKind.INT]),
+    TypeKind.BIGINT: lambda t, v: _coerce_int(t, v, *_INT_RANGES[TypeKind.BIGINT]),
     TypeKind.FLOAT: _coerce_float,
     TypeKind.DECIMAL: _coerce_decimal,
     TypeKind.CHAR: _coerce_char,
@@ -251,6 +260,45 @@ STORED_TYPES: dict[TypeKind, type] = {
     TypeKind.CHAR: str, TypeKind.VARCHAR: str, TypeKind.TEXT: str,
     TypeKind.DATE: datetime.date, TypeKind.TIMESTAMP: datetime.datetime,
 }
+
+
+def _compile_coercer(t: SqlType) -> Callable[[Any], Any]:
+    kind, slow = t.kind, _COERCERS[t.kind]
+    if kind is TypeKind.DECIMAL and (t.scale is not None or t.precision is not None):
+        quantum = Decimal(1).scaleb(-t.scale) if t.scale is not None else None
+        # The slow path's integral-digit bound, as ``adjusted() + 1``.
+        limit = t.precision - (t.scale or 0) if t.precision is not None else None
+
+        def coerce_decimal(v: Any) -> Any:
+            if type(v) is Decimal and v.is_finite():
+                if quantum is not None:
+                    v = v.quantize(quantum)
+                if limit is None or v.adjusted() < limit:
+                    return v
+            return None if v is None else slow(t, v)
+
+        return coerce_decimal
+    if kind is TypeKind.CHAR or kind is TypeKind.VARCHAR:
+        strip, length = kind is TypeKind.CHAR, t.length
+
+        def coerce_string(v: Any) -> Any:
+            if type(v) is str:
+                if strip:
+                    v = v.rstrip(" ")
+                if length is None or len(v) <= length:
+                    return v
+            return None if v is None else slow(t, v)
+
+        return coerce_string
+    exact = STORED_TYPES[kind]
+    lo, hi = _INT_RANGES.get(kind, (None, None))
+
+    def coerce(v: Any) -> Any:
+        if type(v) is exact and (lo is None or lo <= v <= hi):
+            return v
+        return None if v is None else slow(t, v)
+
+    return coerce
 
 
 # ----------------------------------------------------------------------

@@ -51,13 +51,13 @@ class TestTableSchema:
 
     def test_coerce_row_defaults_and_nulls(self):
         schema = simple_schema()
-        row = schema.coerce_row({"id": 1})
+        row = schema.row_maker(("id",))((1,))
         assert row == (1, None, 0)
 
     def test_coerce_row_not_null(self):
         schema = simple_schema()
         with pytest.raises(NotNullViolation):
-            schema.coerce_row({"name": "x"})  # id missing
+            schema.row_maker(("name",))(("x",))  # id missing
 
     def test_pk_columns_implicitly_not_null(self):
         schema = TableSchema(
@@ -66,11 +66,11 @@ class TestTableSchema:
             primary_key=PrimaryKey(("id",)),
         )
         with pytest.raises(NotNullViolation):
-            schema.coerce_row({})
+            schema.row_maker(())(())
 
     def test_coerce_row_unknown_column(self):
         with pytest.raises(UnknownObjectError):
-            simple_schema().coerce_row({"id": 1, "bogus": 2})
+            simple_schema().row_maker(("id", "bogus"))
 
     def test_row_to_dict(self):
         schema = simple_schema()

@@ -115,9 +115,7 @@ class TestRowHooks:
         def mirror_hook(ctx, op, tid, old, new):
             if op == "INSERT":
                 executor.insert_rows(
-                    catalog.table("mirror"),
-                    [{"id": new[0], "v": new[1]}],
-                    ctx,
+                    catalog.table("mirror"), ("id", "v"), [(new[0], new[1])], ctx
                 )
 
         db.add_row_hook("t", mirror_hook)
