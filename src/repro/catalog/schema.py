@@ -10,8 +10,6 @@ from ..errors import NotNullViolation, UnknownObjectError
 from .column import Column
 from .constraints import Check, Constraint, ForeignKey, PrimaryKey, Unique
 
-Row = tuple[Any, ...]
-
 
 @dataclass(frozen=True)
 class TableSchema:
@@ -84,12 +82,10 @@ class TableSchema:
                     constraint=f"{self.name}_{name}_not_null",
                 )
 
-    def row_maker(self, columns: Sequence[str]) -> Callable[[Sequence[Any]], Row]:
-        """``build(values)`` -> the storage tuple for ``values`` given in
-        ``columns`` order: each coerced by its column's compiled coercer,
-        every other column at its (already coerced) default or NULL, NOT
-        NULL enforced.  Built once per column list (unknown names raise
-        here) and cached on this schema, which ALTER replaces."""
+    def row_maker(self, columns: Sequence[str]) -> Callable[[Sequence[Any]], tuple]:
+        """``build(values)`` -> the storage tuple for ``values`` in ``columns``
+        order: coerced, other columns at their default or NULL, NOT NULL
+        enforced.  Cached per column list on this schema (ALTER replaces it)."""
         key = tuple(columns)
         build = self._row_makers.get(key)
         if build is not None:
@@ -104,7 +100,7 @@ class TableSchema:
         ]
         check = self.check_not_null if self.not_null_positions else None
 
-        def build(values: Sequence[Any]) -> Row:
+        def build(values: Sequence[Any]) -> tuple:
             full = template.copy()
             for (position, coerce), value in zip(targets, values):
                 full[position] = coerce(value)

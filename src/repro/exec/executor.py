@@ -221,10 +221,8 @@ class Executor:
         scan qualifies, X-locked, re-read and re-filtered *after* the
         lock — it may have changed (or gone) while we waited, so a
         concurrent writer cannot slip between read and write — as
-        ``(tid, row)`` pairs, or as ``project(row, params)`` rows.  A
-        tuple whose head another transaction wrote and has not committed
-        is skipped: holding the X lock, that write can only be an insert
-        (inserts take no tuple lock), and its writer may yet undo it."""
+        ``(tid, row)`` pairs, or as ``project(row, params)`` rows.  An
+        open transaction's insert (no tuple lock) is awaited first."""
         qualifying = scan.compile_tids()
         table = scan.table
         name = table.schema.name
@@ -237,18 +235,17 @@ class Executor:
             txn = ctx.txn
             params = ctx.params
             snapshot = ctx.snapshot_ts is not None and txn is not None
-            own = txn.stamp if txn is not None else None
             out = []
             for tid, _row in qualifying(ctx):
                 if txn is not None:
                     txn.lock_tuple(name, tid, LockMode.X)
+                    stamp = heap.read_version(tid).stamp
+                    if stamp.ts is None and stamp is not txn.stamp:
+                        txn.wait_for(stamp)
                 if snapshot:
                     check_conflict(table, tid, ctx)
-                version = heap.read_version(tid)
-                row, stamp = version.row, version.stamp
-                if row is None or (
-                    stamp.ts is None and stamp is not own and not stamp.aborted
-                ):
+                row = heap.read(tid)
+                if row is None:
                     continue
                 if filter_fn is not None and filter_fn(row, params) is not True:
                     continue
@@ -328,6 +325,8 @@ class Executor:
         name = table.schema.name
         ctx.lock_table(name, LockMode.IX)
         txn = ctx.txn
+        if txn is not None:
+            txn.lock_self()
         stamp = self._write_stamp(ctx)
         inserted = 0
         for values in rows:

@@ -94,10 +94,9 @@ def load_tpcc(
     def bulk(table_name: str, rows: list[dict]) -> None:
         session.begin()
         ctx = session._context()
-        executor.insert_rows(  # every row literal names the same columns, in order
-            catalog.table(table_name), tuple(rows[0]) if rows else (),
-            [tuple(row.values()) for row in rows], ctx,
-        )
+        columns = tuple(rows[0]) if rows else ()
+        values = [tuple([row[c] for c in columns]) for row in rows]
+        executor.insert_rows(catalog.table(table_name), columns, values, ctx)
         session.commit()
 
     # ------------------------------------------------------------ item

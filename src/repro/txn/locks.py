@@ -1,8 +1,7 @@
 """Lock manager: strict two-phase locking with deadlock detection.
 
-Resources are hashable keys — the transaction manager uses
-``("table", name)`` for table-level locks and ``("tuple", name, tid)``
-for tuple-level locks.  Modes follow the classic hierarchy:
+Resources are hashable keys: ``("table", name)``, ``("tuple", name, tid)``
+and an inserter's ``("txn", id)``.  Modes follow the classic hierarchy:
 
     IS < IX < S < X   (SIX omitted; the engine does not need it)
 
@@ -25,7 +24,7 @@ client transactions pile up behind the migration's exclusive table
 locks instead of failing fast.  A configurable timeout bounds
 pathological waits.
 
-A tuple resource's entry is dropped when its last holder releases it,
+A tuple or txn entry is dropped when its last holder releases it,
 unless someone waits on it or it was ever contended (its wait-profiling
 counters are what ``bullfrog_stat_locks`` reports).  Table entries,
 few and hot, stay.  Observability hooks run after the latch is
@@ -103,8 +102,8 @@ class _LockEntry:
 
     def __init__(self, holders: dict[int, LockMode], resource: Hashable) -> None:
         self.holders = holders
-        # Tuple entries leave the table once idle and never contended.
-        self.reclaim = resource_class(resource) == "tuple"
+        # Tuple and txn entries leave once idle and never contended.
+        self.reclaim = resource_class(resource) != "table"
         # Built on the first wait, over the manager's latch.
         self.condition: threading.Condition | None = None
         self.waiting = 0

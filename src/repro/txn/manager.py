@@ -36,8 +36,9 @@ class IsolationLevel(Enum):
     READ_COMMITTED is the pre-MVCC behavior, and despite its name it
     reads uncommitted data: a read takes a table IS lock and no tuple
     lock, so it sees another transaction's uncommitted inserts and
-    updates (ROADMAP item 3).  Writes take a table IX lock, and updates
-    and deletes a tuple X lock, held to commit.  SNAPSHOT reads a
+    updates (ROADMAP item 3).  Writes take a table IX lock, updates and
+    deletes a tuple X lock, held to commit; a writer waits for an open
+    inserter (:meth:`Transaction.wait_for`).  SNAPSHOT reads a
     consistent version-chain snapshot taken at ``begin`` without read
     locks; writes still take 2PL write locks and conflict
     first-committer-wins (SQLSTATE 40001 on loss).
@@ -130,6 +131,14 @@ class Transaction:
             self.abort()
             raise
         self._locks[resource] = mode if held is None else supremum(held, mode)
+
+    def lock_self(self) -> None:
+        """Taken before a first insert; a writer meeting its rows waits."""
+        self._lock(("txn", self.id), LockMode.X)
+
+    def wait_for(self, stamp: CommitStamp) -> None:
+        """Block until ``stamp``'s transaction commits or rolls back."""
+        self._lock(("txn", stamp.txn_id), LockMode.S)
 
     # ------------------------------------------------------------------
     # Undo / redo recording (called by the DML executor)

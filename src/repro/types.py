@@ -235,9 +235,8 @@ def _coerce_timestamp(sql_type: SqlType, value: Any) -> datetime.datetime:
     raise TypeError_(f"cannot store {type(value).__name__} in {sql_type}")
 
 
-_INT_RANGES = {
-    TypeKind.INT: (_INT_MIN, _INT_MAX), TypeKind.BIGINT: (_BIGINT_MIN, _BIGINT_MAX),
-}
+_INT_RANGES = {TypeKind.INT: (_INT_MIN, _INT_MAX),
+               TypeKind.BIGINT: (_BIGINT_MIN, _BIGINT_MAX)}
 
 _COERCERS = {
     TypeKind.INT: lambda t, v: _coerce_int(t, v, *_INT_RANGES[TypeKind.INT]),

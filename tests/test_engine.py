@@ -758,6 +758,62 @@ class TestConcurrencyRegressions:
         assert runtime.tracker.migrated_count == 40
         assert engine.stats.skip_waits >= 1
 
+    def test_on_conflict_update_waits_for_inflight_migration(self):
+        """ON_CONFLICT takes no granule claim, so a client's foreground
+        migration can skip rows another migration transaction inserted
+        and has not committed, then mark the granule migrated.  The
+        client's UPDATE of such a row must wait for that transaction and
+        apply, not find the row foreign and report 0 rows."""
+        from repro.core import FaultAction, FaultInjector, FaultPlan, FaultRule
+
+        held, release = threading.Event(), threading.Event()
+
+        def hold(_ctx):
+            held.set()
+            release.wait(10)
+
+        db, s = make_source_db(rows=20)
+        engine = LazyMigrationEngine(
+            db,
+            background=no_background(),
+            conflict_mode=ConflictMode.ON_CONFLICT,
+            faults=FaultInjector(FaultPlan([FaultRule(
+                "migrate.after_produce", FaultAction.CALLBACK, callback=hold,
+            )])),
+        )
+        engine.submit("m", SPLIT_DDL)
+        result, errors = {}, []
+
+        def run(key, sql):
+            try:
+                result[key] = db.connect().execute(sql)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        migrator = threading.Thread(
+            target=run, args=("read", "SELECT v FROM left_part WHERE id = 7")
+        )
+        migrator.start()
+        assert held.wait(10)
+        writer = threading.Thread(
+            target=run, args=("update", "UPDATE left_part SET v = v + 1 WHERE id = 7")
+        )
+        writer.start()
+        # Blocked on the migration transaction's own lock, not finished.
+        while not any(
+            row["waiters"] and row["resource"].startswith("('txn'")
+            for row in db.txns.locks.snapshot()
+        ):
+            assert writer.is_alive(), "the UPDATE did not wait for the migration"
+            time.sleep(0.001)
+        release.set()
+        migrator.join(10)
+        writer.join(10)
+        assert not errors
+        assert result["update"].rowcount == 1
+        assert s.execute("SELECT v FROM left_part WHERE id = 7").rows == [(71,)]
+        assert s.execute("SELECT COUNT(*) FROM left_part WHERE id = 7").scalar() == 1
+
     def test_background_stop_joins_threads(self):
         """stop() must join its worker threads (with a timeout), not
         just set the stop flag and return while a pass is mid-flight."""

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import datetime
 import random
+import threading
+import time
 from decimal import Decimal
 
 import pytest
@@ -292,25 +294,43 @@ def test_ordered_index_order_and_spans_match_a_sorted_reference():
 
 
 # ----------------------------------------------------------------------
-# A write does not take over another transaction's uncommitted insert
+# A write waits for another transaction's uncommitted insert
 # ----------------------------------------------------------------------
-def test_dml_skips_a_row_another_transaction_has_not_committed():
-    """Inserts take no tuple lock, so an UPDATE, DELETE or SELECT ... FOR
-    UPDATE can lock a row whose writer may still roll it back; such a
-    row is not yet committed and is skipped, as PostgreSQL's READ
-    COMMITTED would not see it."""
-    db = Database()
+def _wait_for_waiter(db, resource, thread):
+    """Return once ``thread`` is blocked on ``resource``; fail if it
+    finishes first, i.e. did not wait."""
+    locks = db.txns.locks
+    while locks.waiter_count(resource) == 0:
+        assert thread.is_alive(), "the write did not wait"
+        time.sleep(0.001)
+
+
+@pytest.mark.parametrize("outcome", ["COMMIT", "ROLLBACK"])
+def test_write_waits_for_an_uncommitted_insert(outcome):
+    """An INSERT X-locks the tuple it creates, so an UPDATE of that row
+    by another transaction waits for the inserter, then applies to the
+    committed row or finds it gone — it never takes over a row whose
+    writer may still roll it back."""
+    db = Database(isolation="read_committed")
     a, b = db.connect(), db.connect()
     a.execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
     a.execute("INSERT INTO t VALUES (1, 10)")
     a.execute("BEGIN")
     a.execute("INSERT INTO t VALUES (2, 20)")
-    assert b.execute("UPDATE t SET b = 99 WHERE a = 2").rowcount == 0
-    assert b.execute("UPDATE t SET b = b + 1").rowcount == 1
-    assert b.execute("DELETE FROM t WHERE a = 2").rowcount == 0
-    b.execute("BEGIN")
-    assert b.execute("SELECT a FROM t WHERE a >= 1 FOR UPDATE").rows == [(1,)]
-    b.execute("COMMIT")
-    a.execute("UPDATE t SET b = 21 WHERE a = 2")  # its own row: visible
-    a.execute("ROLLBACK")
-    assert b.execute("SELECT a, b FROM t ORDER BY a").rows == [(1, 11)]
+    result = {}
+    writer = threading.Thread(
+        target=lambda: result.update(
+            n=b.execute("UPDATE t SET b = 99 WHERE a = 2").rowcount
+        )
+    )
+    writer.start()
+    _wait_for_waiter(db, ("txn", a._txn.id), writer)
+    a.execute(outcome)
+    writer.join(10)
+    assert not writer.is_alive()
+    if outcome == "COMMIT":
+        assert result["n"] == 1
+        assert b.execute("SELECT a, b FROM t ORDER BY a").rows == [(1, 10), (2, 99)]
+    else:
+        assert result["n"] == 0
+        assert b.execute("SELECT a, b FROM t ORDER BY a").rows == [(1, 10)]
