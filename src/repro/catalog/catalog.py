@@ -26,8 +26,6 @@ from ..exec.expressions import RowLayout, compile_expr, key_getter
 from ..sql import ast_nodes as ast
 from ..storage.heap import HeapTable
 from ..storage.index import HashIndex, Index, OrderedIndex, duplicate_key
-from ..storage.page import DEFAULT_PAGE_CAPACITY
-from ..storage.tid import Tid
 from ..storage.version import BOOTSTRAP_STAMP, CommitStamp
 from .schema import TableSchema
 
@@ -37,13 +35,9 @@ Row = tuple[Any, ...]
 class Table:
     """A physical table: schema + heap + indexes + compiled checks."""
 
-    def __init__(
-        self,
-        schema: TableSchema,
-        page_capacity: int = DEFAULT_PAGE_CAPACITY,
-    ) -> None:
+    def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self.heap = HeapTable(schema.name, page_capacity)
+        self.heap = HeapTable(schema.name)
         self.indexes: dict[str, Index] = {}
         self.retired = False
         self._compiled_checks: list[tuple[str, Any]] | None = None
@@ -57,7 +51,7 @@ class Table:
         # predates the delete/key change still finds the row.  Trimmed
         # by :meth:`prune_tuple` / :meth:`prune_versions` once the chain
         # collapses.
-        self._unindexed: set[Tid] = set()
+        self._unindexed: set[int] = set()
         self._unindexed_latch = threading.Lock()
         self._auto_unique_indexes()
 
@@ -191,7 +185,7 @@ class Table:
     # ------------------------------------------------------------------
     # Physical mutation (constraint-checked; undo handled by caller)
     # ------------------------------------------------------------------
-    def physical_insert(self, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP) -> Tid:
+    def physical_insert(self, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP) -> int:
         """Insert a coerced row; maintains all indexes.  Unique keys are
         probed first, so a rejected row takes no heap slot; if a racing
         insert wins a key after the probe, updated indexes are rolled
@@ -215,7 +209,7 @@ class Table:
         return tid
 
     def physical_update(
-        self, tid: Tid, new_row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP
+        self, tid: int, new_row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP
     ) -> Row:
         """Overwrite the row at ``tid``; returns the old row."""
         self.enforce_checks(new_row)
@@ -245,7 +239,7 @@ class Table:
             self._note_unindexed(tid)
         return old_row
 
-    def physical_delete(self, tid: Tid, stamp: CommitStamp = BOOTSTRAP_STAMP) -> Row:
+    def physical_delete(self, tid: int, stamp: CommitStamp = BOOTSTRAP_STAMP) -> Row:
         old_row = self.heap.delete(tid, stamp)
         for index, key_of in self._keyed:
             index.delete(key_of(old_row), tid)
@@ -256,7 +250,7 @@ class Table:
         return old_row
 
     def physical_restore(
-        self, tid: Tid, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP
+        self, tid: int, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP
     ) -> None:
         """Undo of a delete."""
         self.heap.restore(tid, row, stamp)
@@ -264,7 +258,7 @@ class Table:
             index.insert(key_of(row), tid)
 
     def physical_unindex(
-        self, tid: Tid, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP
+        self, tid: int, row: Row, stamp: CommitStamp = BOOTSTRAP_STAMP
     ) -> None:
         """Undo of an insert: tombstone + remove index entries.  The
         aborted version was never visible to any snapshot, so it is not
@@ -276,11 +270,11 @@ class Table:
     # ------------------------------------------------------------------
     # Snapshot support
     # ------------------------------------------------------------------
-    def _note_unindexed(self, tid: Tid) -> None:
+    def _note_unindexed(self, tid: int) -> None:
         with self._unindexed_latch:
             self._unindexed.add(tid)
 
-    def unindexed_tids(self) -> tuple[Tid, ...]:
+    def unindexed_tids(self) -> tuple[int, ...]:
         """Candidate TIDs snapshot index scans must consider on top of
         the index entries (their visible versions may carry keys the
         index no longer maps)."""
@@ -289,7 +283,7 @@ class Table:
         with self._unindexed_latch:
             return tuple(self._unindexed)
 
-    def prune_tuple(self, tid: Tid, horizon_ts: int) -> None:
+    def prune_tuple(self, tid: int, horizon_ts: int) -> None:
         """Commit-time version GC for one tuple its writer superseded:
         cut its chain below ``horizon_ts`` and, once the chain is a
         single version (the indexes already reflect that head), drop it

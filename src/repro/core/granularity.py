@@ -2,11 +2,11 @@
 
 BullFrog tracks migration status at tuple granularity by default, but
 "also provides the capability to track migration and lock status at
-less granular levels (e.g. at a page level)".  A :class:`GranuleMapper`
-translates between heap tuple ordinals and bitmap granule ordinals;
-``granule_size = 1`` is tuple granularity, larger values group
-``granule_size`` consecutive tuple ordinals into one granule (the
-paper's figure 11 sweeps 1 / 64 / 128 / 256).
+less granular levels (e.g. at a page level)".  TID ``t`` belongs to
+granule ``t // granule_size``: ``granule_size = 1`` is tuple
+granularity, larger values group that many consecutive TIDs into one
+granule — a "page" of tuples (the paper's figure 11 sweeps 1 / 64 /
+128 / 256).
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..storage.heap import HeapTable
-from ..storage.tid import Tid
 
 
 @dataclass(frozen=True)
 class GranuleMapper:
-    """Maps tuple ordinals <-> granules for one heap table."""
+    """Groups one heap table's TIDs into granules of ``granule_size``."""
 
     heap: HeapTable
     granule_size: int = 1
@@ -30,15 +29,8 @@ class GranuleMapper:
 
     @property
     def granule_count(self) -> int:
-        """Number of granules covering every ordinal ever allocated."""
-        max_ordinal = self.heap.max_ordinal
-        return -(-max_ordinal // self.granule_size) if max_ordinal else 0
-
-    def granule_of_tid(self, tid: Tid) -> int:
-        return self.heap.ordinal(tid) // self.granule_size
-
-    def granule_of_ordinal(self, ordinal: int) -> int:
-        return ordinal // self.granule_size
+        """Number of granules covering every TID ever allocated."""
+        return -(-self.heap.max_ordinal // self.granule_size)
 
     def tuples_in(self, granule: int, snapshot_ts: int | None = None):
         """Yield (tid, row) for every live tuple covered by ``granule``.

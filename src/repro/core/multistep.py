@@ -176,10 +176,9 @@ class MultiStepMigration:
     def _install_hooks(self, unit: UnitPlan) -> None:
         if unit.category.uses_bitmap:
             anchor = unit.anchor
-            heap = self.db.catalog.table(anchor).heap
             state = self._bitmap_states[unit.unit_id]
 
-            def bitmap_hook(ctx, op, tid, old_row, new_row, _unit=unit, _state=state, _heap=heap):
+            def bitmap_hook(ctx, op, tid, old_row, new_row, _unit=unit, _state=state):
                 if self._complete_event.is_set():
                     return
                 # Inserts are always dual-written (idempotent against the
@@ -187,7 +186,7 @@ class MultiStepMigration:
                 # for already-copied rows — uncopied rows are left for the
                 # copier, which reads current data.  This gating is what
                 # produces the paper's growing dual-write cost.
-                if op == "INSERT" or _state.covered(_heap.ordinal(tid)):
+                if op == "INSERT" or _state.covered(tid):
                     self._apply_bitmap_change(ctx, _unit, op, old_row, new_row)
 
             self.db.add_row_hook(anchor, bitmap_hook)

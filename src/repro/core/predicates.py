@@ -344,7 +344,6 @@ class PredicateTransfer:
         scan = self.planner.plan_dml_scan(
             self.unit.anchor, self.unit.anchor_binding, predicate, allow_retired=True
         ).compile_tids()
-        heap = self.catalog.table(self.unit.anchor).heap
         size = self.granule_size
         catalog = self.catalog
 
@@ -353,10 +352,7 @@ class PredicateTransfer:
                 catalog=catalog, txn=None, allow_retired=True, lock_tables=False
             )
             ctx.params = params
-            granules = {
-                heap.ordinal(tid) // size
-                for tid, _row in scan(ctx)
-            }
+            granules = {tid // size for tid, _row in scan(ctx)}
             return Scope(granules=granules)
 
         return compute

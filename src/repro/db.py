@@ -46,6 +46,7 @@ from .errors import (
     CheckViolation,
     DuplicateObjectError,
     ExecutionError,
+    NotNullViolation,
     ReproError,
     SessionClosed,
     TransactionError,
@@ -682,9 +683,12 @@ class Session:
         return Result("CREATE TABLE")
 
     def _create_table_as(self, stmt: ast.CreateTable, ctx: ExecutionContext) -> Result:
+        if stmt.if_not_exists and self.db.catalog.has_table(stmt.name):
+            # PostgreSQL skips: the query does not run.
+            return Result("CREATE TABLE AS", rowcount=0)
         planned = self.db.planner.plan_select(stmt.as_select, self.allow_retired)
         schema = planned_schema(stmt.name, planned)
-        table = self.db.catalog.create_table(schema, if_not_exists=stmt.if_not_exists)
+        table = self.db.catalog.create_table(schema)
         self.db.bump_epoch()
         build = schema.row_maker(schema.column_names)
         count = 0
@@ -714,6 +718,12 @@ class Session:
             column = _column_from_def(column_def)
             new_schema = table.schema.with_column(column)
             default = column.default if column.has_default else None
+            if column.not_null and default is None and len(table):
+                raise NotNullViolation(
+                    f'column "{column.name}" of relation "{stmt.name}" '
+                    "contains null values",
+                    constraint=f"{stmt.name}_{column.name}_not_null",
+                )
             _rewrite_rows(table, lambda row: row + (default,))
             table.schema = new_schema
             table.invalidate_caches()

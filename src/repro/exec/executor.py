@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # avoid a circular import: catalog depends on exec.expression
 
 from ..catalog.constraints import ForeignKey
 from ..sql import ast_nodes as ast
-from ..storage.tid import Tid
 from ..storage.version import BOOTSTRAP_STAMP
 from ..txn.locks import LockMode
 from .expressions import RowLayout, compile_expr, compile_projection, key_getter
@@ -186,7 +185,7 @@ class Executor:
     # ==================================================================
     # Snapshot-isolation write conflicts (first-updater-wins)
     # ==================================================================
-    def _check_write_conflict(self, table: "Table", tid: Tid, ctx: ExecutionContext) -> None:
+    def _check_write_conflict(self, table: "Table", tid: int, ctx: ExecutionContext) -> None:
         """Under SNAPSHOT isolation (``ctx`` has a transaction and a
         snapshot), a write target whose newest committed version
         postdates our snapshot means another transaction won the

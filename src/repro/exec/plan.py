@@ -45,7 +45,6 @@ if TYPE_CHECKING:  # avoid a circular import: catalog depends on exec.expression
 
 from ..errors import InvalidRowCount, TypeError_
 from ..storage.index import Index
-from ..storage.tid import Tid
 from ..txn.locks import LockMode
 from ..txn.manager import Transaction
 from ..types import STORED_TYPES, SqlType
@@ -96,7 +95,7 @@ class ExecutionContext:
         return self.overlay.get(table_name, [])
 
     def fire_row_hooks(
-        self, table_name: str, op: str, tid: Tid, old_row, new_row
+        self, table_name: str, op: str, tid: int, old_row, new_row
     ) -> None:
         for hook in self.row_hooks.get(table_name, ()):
             hook(self, op, tid, old_row, new_row)
@@ -144,7 +143,7 @@ def _row_sink(
 
 def _pair_sink(
     filter_fn: CompiledExpr | None,
-) -> Callable[[Any, Sequence[Any]], list[tuple[Tid, Row]]]:
+) -> Callable[[Any, Sequence[Any]], list[tuple[int, Row]]]:
     """:func:`_row_sink` for the DML form: keeps ``(tid, row)``."""
     if filter_fn is None:
         return lambda pairs, params: [
@@ -178,7 +177,7 @@ class TableScan(PlanNode):
     def compile(self, project: Projection | None = None) -> Compiled:
         raise NotImplementedError
 
-    def compile_tids(self) -> Callable[["ExecutionContext"], list[tuple[Tid, Row]]]:
+    def compile_tids(self) -> Callable[["ExecutionContext"], list[tuple[int, Row]]]:
         raise NotImplementedError
 
 
@@ -209,24 +208,21 @@ class SeqScanNode(TableScan):
         def seq_scan(ctx: ExecutionContext) -> list:
             ctx.lock_table(name, LockMode.IS)
             snapshot_ts = ctx.snapshot_ts
+            rows = map(_second, heap.scan(snapshot_ts, ctx.own_stamp))
             if snapshot_ts is None:
-                return sink(map(_second, heap.scan()), ctx.params)
-            rows = map(_second, heap.scan_snapshot(snapshot_ts, ctx.own_stamp))
+                return sink(rows, ctx.params)
             return sink(chain(rows, ctx.overlay_rows(name)), ctx.params)
 
         return seq_scan
 
-    def compile_tids(self) -> Callable[["ExecutionContext"], list[tuple[Tid, Row]]]:
+    def compile_tids(self) -> Callable[["ExecutionContext"], list[tuple[int, Row]]]:
         name = self.table.schema.name
         heap = self.table.heap
         sink = _pair_sink(self.filter_fn)
 
-        def seq_scan_tids(ctx: ExecutionContext) -> list[tuple[Tid, Row]]:
+        def seq_scan_tids(ctx: ExecutionContext) -> list[tuple[int, Row]]:
             ctx.lock_table(name, LockMode.IS)
-            snapshot_ts = ctx.snapshot_ts
-            if snapshot_ts is None:
-                return sink(heap.scan(), ctx.params)
-            return sink(heap.scan_snapshot(snapshot_ts, ctx.own_stamp), ctx.params)
+            return sink(heap.scan(ctx.snapshot_ts, ctx.own_stamp), ctx.params)
 
         return seq_scan_tids
 
@@ -379,7 +375,7 @@ class IndexScanNode(TableScan):
 
         return bounds
 
-    def _lookup(self) -> Callable[[tuple, Sequence[Any]], list[Tid]]:
+    def _lookup(self) -> Callable[[tuple, Sequence[Any]], list[int]]:
         """``(key, params) -> TIDs``: an equality lookup for the full
         key, else the ``prefix_scan`` span of an ordered index, bounded
         when this execution's bound values allow it."""
@@ -390,7 +386,7 @@ class IndexScanNode(TableScan):
         if bounds is None:
             return lambda key, params: list(map(_second, index.prefix_scan(key)))
 
-        def lookup(key: tuple, params: Sequence[Any]) -> list[Tid]:
+        def lookup(key: tuple, params: Sequence[Any]) -> list[int]:
             span = bounds(params)
             if span is None:
                 return list(map(_second, index.prefix_scan(key)))
@@ -398,7 +394,7 @@ class IndexScanNode(TableScan):
 
         return lookup
 
-    def _snapshot_pairs(self, lookup: Callable[[tuple, Sequence[Any]], list[Tid]]):
+    def _snapshot_pairs(self, lookup: Callable[[tuple, Sequence[Any]], list[int]]):
         """SNAPSHOT candidates as ``pairs(ctx, key)``: the index maps
         current heads only.  Rows deleted or re-keyed after the snapshot
         fell out of it, but their older versions may still be visible —
@@ -474,7 +470,7 @@ class IndexScanNode(TableScan):
 
         return index_scan
 
-    def compile_tids(self) -> Callable[["ExecutionContext"], list[tuple[Tid, Row]]]:
+    def compile_tids(self) -> Callable[["ExecutionContext"], list[tuple[int, Row]]]:
         name = self.table.schema.name
         heap = self.table.heap
         key_fn = self.key_fn
@@ -484,7 +480,7 @@ class IndexScanNode(TableScan):
         snapshot_pairs = self._snapshot_pairs(lookup)
         sink = _pair_sink(self.filter_fn)
 
-        def index_scan_tids(ctx: ExecutionContext) -> list[tuple[Tid, Row]]:
+        def index_scan_tids(ctx: ExecutionContext) -> list[tuple[int, Row]]:
             params = ctx.params
             key = key_fn((), params)
             if type(key[0]) is not first and tuple(map(type, key)) != stored:

@@ -1,19 +1,14 @@
-"""Physical storage: TIDs, slotted pages, heap tables, and indexes."""
+"""Physical storage: heap tables of version chains, and indexes."""
 
-from .tid import Tid
 from .version import BOOTSTRAP_STAMP, CommitStamp, TupleVersion, visible_version
-from .page import DEFAULT_PAGE_CAPACITY, Page
 from .heap import HeapTable
 from .index import HashIndex, Index, OrderedIndex
 
 __all__ = [
-    "Tid",
     "BOOTSTRAP_STAMP",
     "CommitStamp",
     "TupleVersion",
     "visible_version",
-    "Page",
-    "DEFAULT_PAGE_CAPACITY",
     "HeapTable",
     "HashIndex",
     "OrderedIndex",

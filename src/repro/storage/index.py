@@ -13,7 +13,6 @@ import threading
 from typing import Any
 
 from ..errors import UniqueViolation
-from .tid import Tid
 
 Key = tuple[Any, ...]
 
@@ -26,14 +25,14 @@ class HashIndex:
         self.table = table
         self.columns = columns
         self.unique = unique
-        self._entries: dict[Key, set[Tid]] = {}
+        self._entries: dict[Key, set[int]] = {}
         self._latch = threading.RLock()
 
     def __len__(self) -> int:
         with self._latch:
             return sum(len(tids) for tids in self._entries.values())
 
-    def insert(self, key: Key, tid: Tid) -> None:
+    def insert(self, key: Key, tid: int) -> None:
         with self._latch:
             existing = self._entries.get(key)
             if self.unique and existing and None not in key:
@@ -43,7 +42,7 @@ class HashIndex:
             else:
                 existing.add(tid)
 
-    def delete(self, key: Key, tid: Tid) -> None:
+    def delete(self, key: Key, tid: int) -> None:
         with self._latch:
             tids = self._entries.get(key)
             if tids is None:
@@ -52,7 +51,7 @@ class HashIndex:
             if not tids:
                 del self._entries[key]
 
-    def lookup(self, key: Key) -> list[Tid]:
+    def lookup(self, key: Key) -> list[int]:
         with self._latch:
             return list(self._entries.get(key, ()))
 
@@ -118,13 +117,13 @@ class OrderedIndex:
         self.columns = columns
         self.unique = unique
         self._sort_keys: list[tuple] = []
-        self._pairs: list[tuple[Key, Tid]] = []
+        self._pairs: list[tuple[Key, int]] = []
         self._latch = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._pairs)
 
-    def insert(self, key: Key, tid: Tid) -> None:
+    def insert(self, key: Key, tid: int) -> None:
         sort_key = _sort_key(key)
         with self._latch:
             position = bisect.bisect_left(self._sort_keys, sort_key)
@@ -134,7 +133,7 @@ class OrderedIndex:
             self._sort_keys.insert(position, sort_key)
             self._pairs.insert(position, (key, tid))
 
-    def delete(self, key: Key, tid: Tid) -> None:
+    def delete(self, key: Key, tid: int) -> None:
         sort_key = _sort_key(key)
         with self._latch:
             position = bisect.bisect_left(self._sort_keys, sort_key)
@@ -145,7 +144,7 @@ class OrderedIndex:
                     return
                 position += 1
 
-    def _span(self, start: tuple, stop: tuple) -> list[tuple[Key, Tid]]:
+    def _span(self, start: tuple, stop: tuple) -> list[tuple[Key, int]]:
         """The entries whose sort keys lie in ``[start, stop)``, copied
         under the latch so callers iterate without holding it.  Both
         ends are bisected; ``start > stop`` is an empty span."""
@@ -155,7 +154,7 @@ class OrderedIndex:
                 bisect.bisect_left(keys, start):bisect.bisect_left(keys, stop)
             ]
 
-    def lookup(self, key: Key) -> list[Tid]:
+    def lookup(self, key: Key) -> list[int]:
         sort_key = _sort_key(key)
         return [tid for _key, tid in self._span(sort_key, sort_key + _AFTER)]
 
@@ -169,7 +168,7 @@ class OrderedIndex:
         high: Any = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> list[tuple[Key, Tid]]:
+    ) -> list[tuple[Key, int]]:
         """(key, tid) for every entry whose key starts with ``prefix`` (a
         leading subset of the index columns) and whose next column lies
         between ``low`` and ``high`` — ``None`` leaves that end open, and

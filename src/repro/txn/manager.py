@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Any, Callable, Hashable
 
 from ..errors import TransactionAborted, TransactionError
-from ..storage.tid import Tid
 from ..storage.version import CommitStamp
 from .locks import LockManager, LockMode, covers, supremum
 from .wal import LogOp, RedoLog
@@ -91,7 +90,7 @@ class Transaction:
         self._redo: list[tuple[LogOp, Any]] = []
         # (table, tid) of every tuple this txn updated or deleted: the
         # chains whose older versions commit prunes.
-        self._superseded: list[tuple[Any, Tid]] = []
+        self._superseded: list[tuple[Any, int]] = []
         self._commit_hooks: list[Callable[[], None]] = []
         self._abort_hooks: list[Callable[[], None]] = []
 
@@ -114,7 +113,7 @@ class Transaction:
     def lock_table(self, table_name: str, mode: LockMode) -> None:
         self._lock(("table", table_name), mode)
 
-    def lock_tuple(self, table_name: str, tid: Tid, mode: LockMode) -> None:
+    def lock_tuple(self, table_name: str, tid: int, mode: LockMode) -> None:
         self._lock(("tuple", table_name, tid), mode)
 
     def _lock(self, resource: Hashable, mode: LockMode) -> None:
@@ -143,18 +142,18 @@ class Transaction:
     # ------------------------------------------------------------------
     # Undo / redo recording (called by the DML executor)
     # ------------------------------------------------------------------
-    def record_insert(self, table, tid: Tid, row: Row) -> None:
+    def record_insert(self, table, tid: int, row: Row) -> None:
         self._check_active()
         stamp = self.stamp
         self._undo.append(lambda: table.physical_unindex(tid, row, stamp=stamp))
 
-    def record_update(self, table, tid: Tid, old_row: Row, new_row: Row) -> None:
+    def record_update(self, table, tid: int, old_row: Row, new_row: Row) -> None:
         self._check_active()
         stamp = self.stamp
         self._undo.append(lambda: table.physical_update(tid, old_row, stamp=stamp))
         self._superseded.append((table, tid))
 
-    def record_delete(self, table, tid: Tid, old_row: Row) -> None:
+    def record_delete(self, table, tid: int, old_row: Row) -> None:
         self._check_active()
         stamp = self.stamp
         self._undo.append(lambda: table.physical_restore(tid, old_row, stamp=stamp))

@@ -6,7 +6,6 @@ from repro import Database
 from repro.core import MigrationCategory, parse_migration
 from repro.core.granularity import GranuleMapper
 from repro.errors import UnsupportedMigrationError
-from repro.storage import Tid
 
 
 @pytest.fixture
@@ -221,8 +220,7 @@ class TestGranuleMapper:
         heap = db.catalog.table("cust").heap
         mapper = GranuleMapper(heap, granule_size=1)
         assert mapper.granule_count == 10
-        assert mapper.granule_of_ordinal(7) == 7
-        assert len(list(mapper.tuples_in(3))) == 1
+        assert [tid for tid, _row in mapper.tuples_in(7)] == [7]
 
     def test_page_granularity(self, db, s):
         for i in range(10):
@@ -230,7 +228,7 @@ class TestGranuleMapper:
         heap = db.catalog.table("cust").heap
         mapper = GranuleMapper(heap, granule_size=4)
         assert mapper.granule_count == 3  # ceil(10 / 4)
-        assert mapper.granule_of_ordinal(7) == 1
+        assert [tid for tid, _row in mapper.tuples_in(1)] == [4, 5, 6, 7]
         assert len(list(mapper.tuples_in(0))) == 4
         assert len(list(mapper.tuples_in(2))) == 2
 
@@ -240,10 +238,13 @@ class TestGranuleMapper:
             GranuleMapper(heap, granule_size=0)
 
     def test_granule_of_tid(self, db, s):
-        s.execute("INSERT INTO cust VALUES (1, 'x', 0, 'y')")
+        for i in range(5):
+            s.execute("INSERT INTO cust VALUES (?, 'x', 0, 'y')", [i])
         heap = db.catalog.table("cust").heap
         mapper = GranuleMapper(heap, granule_size=2)
-        assert mapper.granule_of_tid(Tid(0, 0)) == 0
+        for granule in range(mapper.granule_count):
+            tids = [tid for tid, _row in mapper.tuples_in(granule)]
+            assert tids and all(tid // 2 == granule for tid in tids)
 
 
 class TestFkPkJoinOptions:

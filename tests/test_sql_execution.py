@@ -467,6 +467,33 @@ class TestDdlStatements:
         s.execute("INSERT INTO emp (id, name) VALUES (10, 'x')")
         assert s.execute("SELECT bonus FROM emp WHERE id = 10").scalar() == 5
 
+    def test_alter_add_not_null_column_rejected_on_rows(self, db):
+        """PostgreSQL refuses a NOT NULL column with no default on a
+        table with rows; table and schema stay as they were."""
+        s = db.connect()
+        s.execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+        s.execute("INSERT INTO t VALUES (1, 10)")
+        schema = db.catalog.table("t").schema
+        with pytest.raises(NotNullViolation, match='column "c" of relation "t" contains null values'):
+            s.execute("ALTER TABLE t ADD COLUMN c INT NOT NULL")
+        assert db.catalog.table("t").schema is schema
+        assert s.execute("SELECT * FROM t").rows == [(1, 10)]
+        s.execute("UPDATE t SET b = 11 WHERE a = 1")
+        s.execute("ALTER TABLE t ADD COLUMN c INT NOT NULL DEFAULT 7")
+        assert s.execute("SELECT * FROM t").rows == [(1, 11, 7)]
+        s.execute("CREATE TABLE e (a INT PRIMARY KEY)")
+        s.execute("ALTER TABLE e ADD COLUMN c INT NOT NULL")
+        with pytest.raises(NotNullViolation):
+            s.execute("INSERT INTO e (a) VALUES (1)")
+
+    def test_ctas_if_not_exists_skips_an_existing_table(self, db):
+        s = db.connect()
+        s.execute("CREATE TABLE u (a INT, b VARCHAR(3))")
+        result = s.execute("CREATE TABLE IF NOT EXISTS u AS SELECT 'xyzw' AS b, 2.5 AS a")
+        assert result.rowcount == 0
+        assert s.execute("SELECT * FROM u").rows == []
+        assert db.catalog.table("u").schema.column_names == ("a", "b")
+
     def test_alter_drop_column(self, s):
         s.execute("ALTER TABLE emp DROP COLUMN hired")
         with pytest.raises(UnknownObjectError):

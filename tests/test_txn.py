@@ -7,7 +7,6 @@ import pytest
 
 from repro.catalog import Catalog, Column, PrimaryKey, TableSchema
 from repro.errors import DeadlockAvoided, LockTimeout, TransactionAborted, TransactionError
-from repro.storage import Tid
 from repro.txn import (
     LockManager,
     LockMode,
@@ -118,7 +117,7 @@ class TestLockTableReclamation:
         import sys
 
         lm = LockManager(timeout=10.0)
-        resources = [("tuple", "t", Tid(0, n)) for n in range(64)]
+        resources = [("tuple", "t", n) for n in range(64)]
         holder: dict = {}
         check = threading.Lock()
         violations: list = []
@@ -292,7 +291,7 @@ class TestLocalLockTable:
         tm = TransactionManager()
         calls = counting_acquires(tm.locks, monkeypatch)
         txn = tm.begin()
-        tid = Tid(0, 1)
+        tid = 1
         txn.lock_table("t", held)
         txn.lock_tuple("t", tid, held)
         assert len(calls) == 2
@@ -338,7 +337,7 @@ class TestLocalLockTable:
         DeadlockAvoided long before the 10 s timeout, its transaction
         is rolled back, and the survivor gets its lock."""
         tm = TransactionManager(lock_timeout=10.0)
-        a, b = Tid(0, 1), Tid(0, 2)
+        a, b = 1, 2
         t1, t2 = tm.begin(), tm.begin()
         t1.lock_tuple("t", a, LockMode.X)
         t2.lock_tuple("t", b, LockMode.X)

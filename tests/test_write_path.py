@@ -25,7 +25,6 @@ from repro.errors import (
     UniqueViolation,
 )
 from repro.storage.index import OrderedIndex
-from repro.storage.tid import Tid
 
 
 @pytest.fixture
@@ -264,9 +263,8 @@ def test_ordered_index_order_and_spans_match_a_sorted_reference():
     entries = []
     for n in range(400):
         key = (rng.choice(first), rng.choice(second), rng.choice(third))
-        tid = Tid(n // 50, n % 50)
-        index.insert(key, tid)
-        entries.append((key, tid))
+        index.insert(key, n)
+        entries.append((key, n))
     reference = sorted(entries, key=lambda entry: _ranks(entry[0]))
     assert [_ranks(k) for k in index.keys()] == [_ranks(k) for k, _ in reference]
     for key, _tid in entries[:40]:
