@@ -12,6 +12,47 @@ from repro.errors import StorageError, UniqueViolation
 from repro.storage import CommitStamp, HashIndex, HeapTable, OrderedIndex
 
 
+class TestPage:
+    """The slot operations a page used to hold — append, read, write,
+    delete, restore, live iteration — now act on the heap's one list of
+    chain heads, so they are checked there."""
+
+    def test_append_and_read(self):
+        heap = HeapTable("t")
+        heap.insert((0,))
+        tid = heap.insert((1, "a"))
+        assert tid == 1 and heap.max_ordinal == 2
+        assert heap.read(tid) == (1, "a")
+        assert heap.read_version(tid).row == (1, "a")
+
+    def test_delete_restore(self):
+        stamp = CommitStamp(txn_id=1)
+        heap = HeapTable("t")
+        tid = heap.insert((1,))
+        assert heap.delete(tid, stamp) == (1,)
+        assert heap.read(tid) is None
+        heap.restore(tid, (1,), stamp)
+        assert heap.read(tid) == (1,)
+        assert len(heap) == 1
+
+    def test_write_to_tombstone_rejected(self):
+        heap = HeapTable("t")
+        tid = heap.insert((1,))
+        heap.delete(tid)
+        with pytest.raises(StorageError):
+            heap.update(tid, (2,), CommitStamp(txn_id=1))
+        assert heap.read(tid) is None
+        assert len(heap) == 0
+
+    def test_iter_live_skips_tombstones(self):
+        heap = HeapTable("t")
+        t0 = heap.insert((1,))
+        t1 = heap.insert((2,))
+        heap.delete(t0)
+        assert list(heap.scan()) == [(t1, (2,))]
+        assert list(heap.scan_range(0, 2)) == [(t1, (2,))]
+
+
 class TestHeapTable:
     def test_insert_read(self):
         heap = HeapTable("t")
