@@ -120,16 +120,6 @@ class Table:
                 return index
         return None
 
-    def find_prefix_index(self, columns: frozenset[str]) -> Index | None:
-        """An index whose full key is a subset of ``columns`` — usable for
-        an equality lookup given bindings for all of ``columns``."""
-        best: Index | None = None
-        for index in self.indexes.values():
-            if frozenset(index.columns) <= columns:
-                if best is None or len(index.columns) > len(best.columns):
-                    best = index
-        return best
-
     def find_equality_index(
         self, columns: frozenset[str]
     ) -> tuple[Index, tuple[str, ...]] | None:
@@ -140,7 +130,11 @@ class Table:
         index (served via ``prefix_scan``).  Prefers full-key matches,
         then longer prefixes.
         """
-        exact = self.find_prefix_index(columns)
+        exact = max(
+            (i for i in self.indexes.values() if frozenset(i.columns) <= columns),
+            key=lambda index: len(index.columns),
+            default=None,
+        )
         if exact is not None:
             return exact, exact.columns
         best: tuple[Index, tuple[str, ...]] | None = None

@@ -84,7 +84,6 @@ class MigrationController:
         strategy: Strategy = Strategy.LAZY,
         conflict_mode: ConflictMode = ConflictMode.TRACKER,
         granule_size: int = 1,
-        tracker_partitions: int = 16,
         background: BackgroundConfig | None = None,
         multistep_chunk: int = 256,
         multistep_interval: float = 0.002,
@@ -100,7 +99,6 @@ class MigrationController:
             engine = LazyMigrationEngine(
                 self.db,
                 granule_size=granule_size,
-                tracker_partitions=tracker_partitions,
                 conflict_mode=conflict_mode,
                 background=background,
                 big_flip=big_flip,

@@ -27,6 +27,7 @@ from enum import Enum
 from typing import Any, Sequence
 
 from ..db import Database, Session, Statement
+from ..exec.plan import ExecutionContext
 from ..errors import (
     MigrationError,
     MigrationStateError,
@@ -46,6 +47,10 @@ from .migration import MigrationSpec, parse_migration
 from .predicates import PredicateTransfer, Scope
 from .production import KeyStatements, RowProjection, create_outputs
 from .stats import MigrationStats
+
+
+# Latch partitions of every tracker (MigrationBitmap / MigrationHashMap).
+TRACKER_PARTITIONS = 16
 
 
 class ConflictMode(Enum):
@@ -89,14 +94,12 @@ class UnitRuntime:
             self.mapper: GranuleMapper | None = GranuleMapper(
                 self.anchor_table.heap, granule_size
             )
-            self.projection: RowProjection | None = RowProjection(self.catalog, plan)
-            self.outputs_runtime = self.projection.outputs
+            self.projection: RowProjection | None = RowProjection(engine.db, plan)
             self._produce, self._release = "produce_bitmap_granules", "reset"
             self.units_in = self._granules_in
             self.project = self.project_granules
         else:
             self.mapper = self.projection = None
-            self.outputs_runtime = []
             self.key_statements = KeyStatements(
                 plan, on_conflict=engine.conflict_mode is ConflictMode.ON_CONFLICT
             )
@@ -108,17 +111,20 @@ class UnitRuntime:
     def new_tracker(self) -> MigrationBitmap | MigrationHashMap:
         """A fresh, empty tracker for this unit (submit; crash recovery
         re-creates the volatile state the same way)."""
-        partitions = self.engine.tracker_partitions
-        if self.mapper is not None:
-            return MigrationBitmap(self.mapper.granule_count, partitions=partitions)
-        return MigrationHashMap(partitions=partitions)
+        if self.mapper is None:
+            return MigrationHashMap(partitions=TRACKER_PARTITIONS)
+        return MigrationBitmap(self.mapper.granule_count, partitions=TRACKER_PARTITIONS)
 
     # ------------------------------------------------------------------
     # Scope -> units
     # ------------------------------------------------------------------
     def _granules_in(self, scope: Scope, unmigrated_only: bool = False) -> Sequence:
+        """The scope's granules the migration owns: those below the
+        tracker's size.  Rows inserted after submit lie past it and
+        belong to the application (section 4.2)."""
         if not scope.full:
-            return sorted(scope.granules)
+            size = self.tracker.size
+            return sorted(g for g in scope.granules if g < size)
         if unmigrated_only:
             return list(self.tracker.iter_unmigrated())
         return range(self.tracker.size)
@@ -147,12 +153,14 @@ class UnitRuntime:
         swap ``produce_bitmap_granules`` / ``produce_keys`` there."""
         return getattr(self, self._produce)(units, session)
 
-    def granule_rows(self, granules: Sequence[int], snapshot_ts: int | None = None):
-        """The anchor tuples ``granules`` cover: current heads, or the
-        versions visible at ``snapshot_ts``."""
+    def granule_rows(self, granules: Sequence[int], ctx: ExecutionContext):
+        """The anchor tuples ``granules`` cover, as ``ctx`` reads them:
+        current heads, or the versions of its snapshot."""
         assert self.mapper is not None
+        tuples_in = self.mapper.tuples_in
+        snapshot_ts, own_stamp = ctx.snapshot_ts, ctx.own_stamp
         for granule in granules:
-            for _tid, row in self.mapper.tuples_in(granule, snapshot_ts=snapshot_ts):
+            for _tid, row in tuples_in(granule, snapshot_ts, own_stamp):
                 yield row
 
     def produce_bitmap_granules(
@@ -164,7 +172,7 @@ class UnitRuntime:
         ctx = session._context()
         ctx.params = ()
         produced, duplicates = self.projection.insert_projected(
-            self.granule_rows(granules),
+            self.granule_rows(granules, ctx),
             self.engine.db.executor,
             ctx,
             on_conflict=self.engine.conflict_mode is ConflictMode.ON_CONFLICT,
@@ -186,51 +194,42 @@ class UnitRuntime:
         return produced
 
     # ------------------------------------------------------------------
-    # Snapshot-overlay projection (read-only production)
+    # Read-only production: the snapshot overlay and the invariant checker
     # ------------------------------------------------------------------
     def project_granules(
-        self, granules: Sequence[int], snapshot_ts: int
+        self, granules: Sequence[int], ctx: ExecutionContext
     ) -> dict[str, list[tuple]]:
         """Compute the output rows the given granules *would* produce,
-        from the input tuple versions visible at ``snapshot_ts``.
-        Nothing is written, locked, or claimed — snapshot readers
-        consume the result as an overlay instead of waiting for the
-        granules to migrate."""
+        from the input rows ``ctx`` reads.  Nothing is written, locked,
+        or claimed — snapshot readers consume the result as an overlay
+        instead of waiting for the granules to migrate."""
         assert self.projection is not None
         outputs = [
             (out.table.schema.name, out.table.schema.row_maker(out.column_names))
             for out in self.projection.outputs
         ]
         rows_by_output: dict[str, list[tuple]] = {}
-        for values in self.projection.project(
-            self.granule_rows(granules, snapshot_ts)
-        ):
+        for values in self.projection.project(self.granule_rows(granules, ctx), ctx):
             for (name, build), row_values in zip(outputs, values):
                 rows_by_output.setdefault(name, []).append(build(row_values))
         return rows_by_output
 
     def project_keys(
-        self, keys: Sequence[tuple], snapshot_ts: int
+        self, keys: Sequence[tuple], ctx: ExecutionContext
     ) -> dict[str, list[tuple]]:
         """Hashmap counterpart of :meth:`project_granules`: run the bare
-        per-key SELECTs (no INSERT wrapper) on an internal session.
-        Input tables are retired and immutable under the big flip, so
-        their current heads equal the pre-migration image at any
-        snapshot."""
+        per-key SELECTs (no INSERT wrapper) in ``ctx``."""
         assert self.key_statements is not None
-        session = self.engine._internal_session()
+        db = self.engine.db
         rows_by_output: dict[str, list[tuple]] = {}
         for key in keys:
-            _inserts, selects, params = self.key_statements.bind(key)
+            _inserts, selects, ctx.params = self.key_statements.bind(key)
             for output, sql in zip(self.plan.outputs, selects):
-                result = session.execute(sql, params)
-                if not result.rows:
-                    continue
-                schema = self.catalog.table(output.table).schema
-                build = schema.row_maker(output.column_names)
-                rows_by_output.setdefault(output.table, []).extend(
-                    map(build, result.rows)
-                )
+                rows = db.executor.run_select(db.prepare(sql).prepared(db, True), ctx)
+                if rows:
+                    schema = self.catalog.table(output.table).schema
+                    build = schema.row_maker(output.column_names)
+                    rows_by_output.setdefault(output.table, []).extend(map(build, rows))
         return rows_by_output
 
     # ------------------------------------------------------------------
@@ -276,7 +275,6 @@ class LazyMigrationEngine:
         self,
         db: Database,
         granule_size: int = 1,
-        tracker_partitions: int = 16,
         conflict_mode: ConflictMode = ConflictMode.TRACKER,
         background: BackgroundConfig | None = None,
         skip_wait_timeout: float = 30.0,
@@ -295,7 +293,6 @@ class LazyMigrationEngine:
         # so attaching once at the Database covers the engine too.
         self.obs = obs if obs is not None else getattr(db, "obs", None)
         self.granule_size = granule_size
-        self.tracker_partitions = tracker_partitions
         self.conflict_mode = conflict_mode
         # tracking_enabled=False removes the claim/latch protocol and
         # keeps only completion bookkeeping — the paper's section 4.4.1
@@ -482,14 +479,9 @@ class LazyMigrationEngine:
         without a stamp (recovery rebuild, pre-MVCC trackers) replayed
         under the bootstrap stamp and is visible to every snapshot."""
         stamp = tracker.stamp_of(granule)
-        if stamp is not None:
-            ts = getattr(stamp, "ts", None)
-            return (
-                ts is not None
-                and not getattr(stamp, "aborted", False)
-                and ts <= snapshot_ts
-            )
-        return tracker.is_migrated(granule)
+        if stamp is None:
+            return tracker.is_migrated(granule)
+        return stamp.ts is not None and not stamp.aborted and stamp.ts <= snapshot_ts
 
     def _prepare_snapshot_read(
         self,
@@ -505,6 +497,11 @@ class LazyMigrationEngine:
         output rows are invisible at this snapshot and the overlay rows
         (projected from input versions visible at the snapshot) cannot
         double-count with them."""
+        txn = session._txn
+        ctx = ExecutionContext(
+            self.db.catalog, None, allow_retired=True, snapshot_ts=snapshot_ts,
+            own_stamp=txn.stamp if txn is not None else None,
+        )
         overlay: dict[str, list[tuple]] = {}
         for runtime, scope in self._scopes(handle, params):
             tracker = runtime.tracker
@@ -515,7 +512,7 @@ class LazyMigrationEngine:
             ]
             if not pending:
                 continue
-            for name, rows in runtime.project(pending, snapshot_ts).items():
+            for name, rows in runtime.project(pending, ctx).items():
                 overlay.setdefault(name, []).extend(rows)
         session._pending_overlay = overlay or None
         if self.obs is not None and overlay:
@@ -649,7 +646,10 @@ class LazyMigrationEngine:
         tracker = runtime.tracker
         unit = runtime.plan.unit_id
         count = len(granules)
-        session = self._internal_session()
+        # The engine's own session: not a client (no interception, no
+        # statement stats), may read retired inputs.
+        session = self.db.connect(allow_retired=True)
+        session.internal = True
         session.begin()
         txn = session._txn
         assert txn is not None
@@ -703,13 +703,6 @@ class LazyMigrationEngine:
         faults = self.faults
         if faults is not None and point in faults.watching:
             faults.fire(point, **context)
-
-    def _internal_session(self) -> Session:
-        """A session for the engine's own statements: not a client (no
-        interception, no statement stats), may read retired inputs."""
-        session = self.db.connect(allow_retired=True)
-        session.internal = True
-        return session
 
     # ==================================================================
     # Completion

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..storage.heap import HeapTable
+from ..storage.version import CommitStamp
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,16 @@ class GranuleMapper:
         """Number of granules covering every TID ever allocated."""
         return -(-self.heap.max_ordinal // self.granule_size)
 
-    def tuples_in(self, granule: int, snapshot_ts: int | None = None):
-        """Yield (tid, row) for every live tuple covered by ``granule``.
-
-        With ``snapshot_ts`` the scan reads the tuple versions visible
-        at that timestamp instead of the current heads (snapshot-overlay
-        projection for in-flight granules)."""
+    def tuples_in(
+        self,
+        granule: int,
+        snapshot_ts: int | None = None,
+        own_stamp: CommitStamp | None = None,
+    ):
+        """Yield (tid, row) for every live tuple covered by ``granule``:
+        the current heads, or with ``snapshot_ts`` the versions visible
+        at that timestamp, ``own_stamp``'s own writes included (what a
+        snapshot reader's overlay projects)."""
         start = granule * self.granule_size
         end = start + self.granule_size
-        return self.heap.scan_range(start, end, snapshot_ts=snapshot_ts)
+        return self.heap.scan_range(start, end, snapshot_ts, own_stamp)

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import Any
 
 from ..db import Database, Session
 from ..errors import MigrationStateError, UnsupportedMigrationError
+from ..exec.expressions import key_getter
 from ..exec.plan import ExecutionContext
 from ..sql import ast_nodes as ast
 from .classify import UnitPlan
@@ -113,7 +115,7 @@ class MultiStepMigration:
         self._bitmap_states: dict[str, _BitmapUnitState] = {}
         self._keyed_states: dict[str, _KeyedUnitState] = {}
         self._projections: dict[str, RowProjection] = {}  # bitmap units
-        self._unit_sql: dict[str, dict[str, Any]] = {}  # keyed units
+        self._unit_sql: dict[str, dict[str, Any]] = {}
 
     # ==================================================================
     # Submission
@@ -153,15 +155,24 @@ class MultiStepMigration:
                     "supported; use the lazy or eager strategy"
                 )
             self._bitmap_states[unit.unit_id] = _BitmapUnitState()
+            # Per output: the dual-written DELETE by its first unique
+            # key, and ``key_of(values)`` picking that key's parameters.
+            deletes = []
             for output in unit.outputs:
-                table = self.db.catalog.table(output.table)
-                if not table.schema.unique_column_sets():
+                keys = self.db.catalog.table(output.table).schema.unique_column_sets()
+                if not keys:
                     raise UnsupportedMigrationError(
                         f"multi-step migration requires a unique constraint "
                         f"on output table {output.table!r} (for idempotent "
                         "copy + dual writes)"
                     )
-            self._projections[unit.unit_id] = RowProjection(self.db.catalog, unit)
+                where = " AND ".join(f"{c} = ?" for c in keys[0])
+                deletes.append((
+                    f"DELETE FROM {output.table} WHERE {where}",
+                    key_getter([output.column_names.index(c) for c in keys[0]]),
+                ))
+            self._projections[unit.unit_id] = RowProjection(self.db, unit)
+            self._unit_sql[unit.unit_id] = {"unique_deletes": deletes}
         else:
             self._keyed_states[unit.unit_id] = _KeyedUnitState()
             # Per-key INSERT..SELECT (recompute) and DELETE statements.
@@ -217,57 +228,49 @@ class MultiStepMigration:
     ) -> None:
         """Dual-write one anchor-row change into the shadow outputs:
         delete the outputs derived from the old version (by unique key),
-        insert the outputs derived from the new version."""
+        insert the outputs derived from the new version, all in the
+        client's transaction."""
         projection = self._projections[unit.unit_id]
         if old_row is not None:
-            for values in projection.project([old_row]):
-                for output, row_values in zip(projection.outputs, values):
-                    self._delete_by_key(ctx, output, row_values)
+            deletes = self._unit_sql[unit.unit_id]["unique_deletes"]
+            self._run_in_client_txn(ctx, [
+                (sql, key_of(row_values))
+                for values in projection.project([old_row], ctx)
+                for (sql, key_of), row_values in zip(deletes, values)
+            ])
         if new_row is not None:
             projection.insert_projected(
                 [new_row], self.db.executor, ctx, on_conflict=True
             )
 
-    def _delete_by_key(self, ctx, output, values: tuple) -> None:
-        out_table = output.table
-        unique_set = out_table.schema.unique_column_sets()[0]
-        key = tuple(values[output.column_names.index(c)] for c in unique_set)
-        index = out_table.find_index(tuple(unique_set))
-        tids = index.lookup(key) if index is not None else []
-        for tid in tids:
-            row = out_table.heap.read(tid)
-            if row is None:
-                continue
-            if ctx.txn is not None:
-                from ..txn.locks import LockMode
-
-                ctx.txn.lock_tuple(out_table.schema.name, tid, LockMode.X)
-            row = out_table.heap.read(tid)
-            if row is None:
-                continue
-            old = out_table.physical_delete(tid)
-            if ctx.txn is not None:
-                ctx.txn.record_delete(out_table, tid, old)
-
     def _recompute_group(self, ctx: ExecutionContext, unit: UnitPlan, key: tuple) -> None:
         """Delete + re-materialize one group's output rows inside the
         client's transaction (sees the client's own in-flight change)."""
-        sql = self._unit_sql[unit.unit_id]
-        session = Session(self.db, allow_retired=True)
-        session.internal = True
-        session._txn = ctx.txn  # join the client's transaction
-        inserts, _selects, params = sql["keys"].bind(key)
+        unit_sql = self._unit_sql[unit.unit_id]
+        inserts, _selects, params = unit_sql["keys"].bind(key)
         if None in key:
             nulls = tuple(part is None for part in key)
             deletes = _build_key_deletes(unit, nulls)
             key = tuple(part for part in key if part is not None)
         else:
-            deletes = sql["key_deletes"]
-        for delete_sql in deletes:
-            session.execute(delete_sql, key)
-        for insert_sql in inserts:
-            session.execute(insert_sql, params)
-        session._txn = None
+            deletes = unit_sql["key_deletes"]
+        statements = [(sql, key) for sql in deletes] + [(sql, params) for sql in inserts]
+        self._run_in_client_txn(ctx, statements)
+
+    def _run_in_client_txn(self, ctx: ExecutionContext, statements: list) -> None:
+        """Run ``(sql, params)`` statements through the executor in the
+        client's transaction — its locks, stamp and undo, so they commit
+        or roll back with it — reading current rows, not the client's
+        snapshot: a dual write must see what the copier committed after
+        that snapshot was taken."""
+        db = self.db
+        current = replace(
+            ctx, allow_retired=True, snapshot_ts=None, own_stamp=None, overlay=None
+        )
+        for sql, params in statements:
+            current.params = params
+            handle = db.prepare(sql)
+            getattr(db.executor, handle.runner)(handle.prepared(db, True), current)
 
     # ==================================================================
     # Background copier
@@ -312,7 +315,7 @@ class MultiStepMigration:
                 ctx = session._context()
                 copied = 0
                 for values in projection.project(
-                    row for _tid, row in heap.scan_range(start, chunk_end)
+                    (row for _tid, row in heap.scan_range(start, chunk_end)), ctx
                 ):
                     for output, row_values in zip(projection.outputs, values):
                         executor.insert_rows(

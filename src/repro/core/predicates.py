@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..sql import ast_nodes as ast
-from ..exec.expressions import RowLayout, compile_expr, predicate_satisfied
+from ..exec.expressions import key_getter
 from ..exec.plan import ExecutionContext
 from ..exec.rewrite import (
     EquivalenceClasses,
@@ -340,22 +340,23 @@ class PredicateTransfer:
             return self._compile_group_scope(conjuncts)
         return self._compile_join_scope(conjuncts)
 
-    def _compile_bitmap_scope(self, predicate: ast.Expr) -> ScopeFn:
+    def _compile_scan(self, table_name: str, binding: str, predicate: ast.Expr):
+        """fn(params) -> the (tid, row) pairs of ``table_name`` that
+        satisfy ``predicate``: one planned scan over the current heads,
+        taking no locks."""
         scan = self.planner.plan_dml_scan(
-            self.unit.anchor, self.unit.anchor_binding, predicate, allow_retired=True
+            table_name, binding, predicate, allow_retired=True
         ).compile_tids()
-        size = self.granule_size
         catalog = self.catalog
+        return lambda params: scan(ExecutionContext(
+            catalog=catalog, txn=None, params=params, allow_retired=True,
+            lock_tables=False,
+        ))
 
-        def compute(params: Sequence[Any]) -> Scope:
-            ctx = ExecutionContext(
-                catalog=catalog, txn=None, allow_retired=True, lock_tables=False
-            )
-            ctx.params = params
-            granules = {tid // size for tid, _row in scan(ctx)}
-            return Scope(granules=granules)
-
-        return compute
+    def _compile_bitmap_scope(self, predicate: ast.Expr) -> ScopeFn:
+        scan = self._compile_scan(self.unit.anchor, self.unit.anchor_binding, predicate)
+        size = self.granule_size
+        return lambda params: Scope(granules={tid // size for tid, _row in scan(params)})
 
     def _compile_group_scope(self, conjuncts: list[ast.Expr]) -> ScopeFn:
         unit = self.unit
@@ -397,17 +398,17 @@ class PredicateTransfer:
         # AND SOME other-side row matches the other-side predicate —
         # when both sides filter, the needed keys are the intersection.
         # Enumerate ONE side and probe the other per candidate key
-        # (index point lookups), never a second full enumeration.
+        # (one planned scan per key), never a second full enumeration.
         collect_anchor = self._compile_key_collector(
             unit.anchor, unit.anchor_binding, anchor_pred, jk.anchor_columns
         )
         if other_pred is None:
             return lambda params: Scope(keys=collect_anchor(params))
-        probe_other = self._compile_key_probe(
+        filter_other = self._compile_key_filter(
             jk.other_table, jk.other_binding, other_pred, jk.other_columns
         )
         return lambda params: Scope(
-            keys={k for k in collect_anchor(params) if probe_other(k, params)}
+            keys=filter_other(collect_anchor(params), params)
         )
 
     def _pinned_scope(
@@ -432,56 +433,33 @@ class PredicateTransfer:
 
         return compute
 
-    def _compile_key_probe(
+    def _compile_key_filter(
         self,
         table_name: str,
         binding: str,
         predicate: ast.Expr,
         key_columns: tuple[str, ...],
     ):
-        """fn(key, params) -> bool: does any row of ``table_name`` with
-        the given join-key value satisfy ``predicate``?  Served by an
-        index on the key columns when one exists."""
-        table = self.catalog.table(table_name)
-        layout = RowLayout.for_table(binding, table.schema.column_names)
-        pred_fn = compile_expr(predicate, layout)
-        choice = table.find_equality_index(frozenset(key_columns))
-        key_positions = [table.schema.column_index(c) for c in key_columns]
+        """fn(keys, params) -> the keys some row of ``table_name`` that
+        satisfies ``predicate`` has: one planned scan of ``predicate AND
+        key_column = ?`` per key, bound after the statement's own
+        parameters.  A key with a NULL part matches no row (SQL ``=``),
+        as in :meth:`_pinned_scope`, and is not probed."""
+        first = 1 + max(
+            (node.index for node in ast.walk(predicate) if isinstance(node, ast.Param)),
+            default=-1,
+        )
+        keyed = conjoin([predicate] + [
+            ast.BinaryOp("=", ast.ColumnRef(column, binding), ast.Param(first + i))
+            for i, column in enumerate(key_columns)
+        ])
+        scan = self._compile_scan(table_name, binding, keyed)
 
-        if choice is not None:
-            index, used = choice
-            order = [key_columns.index(c) for c in used]
+        def matching(keys: set[tuple], params: Sequence[Any]) -> set[tuple]:
+            head = tuple(params[:first])
+            return {key for key in keys if None not in key and scan(head + key)}
 
-            def probe(key: tuple, params: Sequence[Any]) -> bool:
-                lookup_key = tuple(key[i] for i in order)
-                if len(used) < len(index.columns):
-                    candidates = [
-                        tid for _k, tid in index.prefix_scan(lookup_key)
-                    ]
-                else:
-                    candidates = index.lookup(lookup_key)
-                for tid in candidates:
-                    row = table.heap.read(tid)
-                    if row is None:
-                        continue
-                    if (
-                        tuple(row[p] for p in key_positions) == key
-                        and predicate_satisfied(pred_fn(row, params))
-                    ):
-                        return True
-                return False
-
-            return probe
-
-        def probe_scan(key: tuple, params: Sequence[Any]) -> bool:
-            for _tid, row in table.heap.scan():
-                if tuple(row[p] for p in key_positions) == key and (
-                    predicate_satisfied(pred_fn(row, params))
-                ):
-                    return True
-            return False
-
-        return probe_scan
+        return matching
 
     def _compile_key_collector(
         self,
@@ -490,24 +468,10 @@ class PredicateTransfer:
         predicate: ast.Expr,
         key_columns: tuple[str, ...],
     ):
-        scan = self.planner.plan_dml_scan(
-            table_name, binding, predicate, allow_retired=True
-        ).compile_tids()
-        table = self.catalog.table(table_name)
-        positions = [table.schema.column_index(c) for c in key_columns]
-        catalog = self.catalog
-
-        def collect(params: Sequence[Any]) -> set[tuple]:
-            ctx = ExecutionContext(
-                catalog=catalog, txn=None, allow_retired=True, lock_tables=False
-            )
-            ctx.params = params
-            return {
-                tuple(row[p] for p in positions)
-                for _tid, row in scan(ctx)
-            }
-
-        return collect
+        scan = self._compile_scan(table_name, binding, predicate)
+        schema = self.catalog.table(table_name).schema
+        key_of = key_getter([schema.column_index(c) for c in key_columns])
+        return lambda params: {key_of(row) for _tid, row in scan(params)}
 
 
 def _pinned_value_getters(

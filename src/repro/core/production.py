@@ -17,7 +17,7 @@ The three things every strategy needs live here and nowhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Iterator
 
 from ..db import Database, build_schema, planned_schema
@@ -25,9 +25,11 @@ from ..exec.expressions import (
     RowLayout,
     compile_expr,
     compile_projection,
+    key_getter,
     predicate_satisfied,
 )
 from ..exec.plan import ExecutionContext
+from ..exec.rewrite import conjoin
 from ..sql import ast_nodes as ast
 from ..sql.render import render_statement
 from .classify import OutputSpec, UnitPlan
@@ -159,38 +161,26 @@ class _OutputRuntime:
 class RowProjection:
     """A bitmap unit's production pipeline, compiled once: anchor row →
     aux (PK-side) join → static filter → one values tuple per output, in
-    that output's ``column_names`` order."""
+    that output's ``column_names`` order.  The aux join is one planned
+    ``aux_column = ?`` scan, run in the caller's execution context."""
 
-    def __init__(self, catalog, plan: UnitPlan) -> None:
+    def __init__(self, db: Database, plan: UnitPlan) -> None:
+        catalog = db.catalog
         anchor_schema = catalog.table(plan.anchor).schema
         layout = RowLayout.for_table(plan.anchor_binding, anchor_schema.column_names)
-        self.aux_table = None
-        self._aux_positions: list[int] = []
-        self._aux_index = None
-        self._aux_lookup_positions: list[int] = []
+        self.aux_scan = None
         if plan.aux is not None:
-            self.aux_table = catalog.table(plan.aux.table)
-            layout = layout.extend(
-                RowLayout.for_table(
-                    plan.aux.binding, self.aux_table.schema.column_names
-                )
-            )
-            self._aux_positions = [
-                anchor_schema.column_index(a) for a, _b in plan.aux.pairs
-            ]
-            aux_cols = tuple(b for _a, b in plan.aux.pairs)
-            self._aux_index = self.aux_table.find_prefix_index(frozenset(aux_cols))
-            if self._aux_index is not None:
-                # Key order must follow the index's column order.
-                by_aux = {b: a for a, b in plan.aux.pairs}
-                self._aux_positions = [
-                    anchor_schema.column_index(by_aux[c])
-                    for c in self._aux_index.columns
-                ]
-            else:
-                self._aux_lookup_positions = [
-                    self.aux_table.schema.column_index(b) for _a, b in plan.aux.pairs
-                ]
+            aux = plan.aux
+            by_key = conjoin([
+                ast.BinaryOp("=", ast.ColumnRef(column, aux.binding), ast.Param(i))
+                for i, (_anchor_column, column) in enumerate(aux.pairs)
+            ])
+            self.aux_scan = db.planner.plan_dml_scan(
+                aux.table, aux.binding, by_key, allow_retired=True
+            ).compile_tids()
+            self._aux_key = key_getter([anchor_schema.column_index(a) for a, _b in aux.pairs])
+            aux_columns = catalog.table(aux.table).schema.column_names
+            layout = layout.extend(RowLayout.for_table(aux.binding, aux_columns))
         self.static_fn = (
             compile_expr(plan.static_filter, layout)
             if plan.static_filter is not None
@@ -205,39 +195,35 @@ class RowProjection:
             for output in plan.outputs
         ]
 
-    def joined_rows(self, row: tuple) -> Iterator[tuple]:
-        """Anchor row extended by its aux (PK-side) match, inner-join
+    def _joined(self, rows: Iterable[tuple], ctx: ExecutionContext) -> Iterator[tuple]:
+        """Anchor rows extended by their aux (PK-side) matches, inner-join
         semantics: rows without a match produce nothing but are still
-        considered migrated (section 3.6)."""
-        if self.aux_table is None:
-            yield row
-            return
-        key = tuple(row[p] for p in self._aux_positions)
-        if self._aux_index is not None:
-            for tid in self._aux_index.lookup(key):
-                aux_row = self.aux_table.heap.read(tid)
-                if aux_row is not None:
-                    yield row + aux_row
-            return
-        for _tid, aux_row in self.aux_table.heap.scan():
-            if tuple(aux_row[p] for p in self._aux_lookup_positions) == key:
+        considered migrated (section 3.6).  The aux rows are the ones
+        ``ctx`` reads: current heads, or the versions of its snapshot."""
+        scan, key_of = self.aux_scan, self._aux_key
+        aux_ctx = replace(ctx)
+        for row in rows:
+            aux_ctx.params = key_of(row)
+            for _tid, aux_row in scan(aux_ctx):
                 yield row + aux_row
 
-    def project(self, rows: Iterable[tuple]) -> Iterator[list[tuple]]:
+    def project(
+        self, rows: Iterable[tuple], ctx: ExecutionContext
+    ) -> Iterator[list[tuple]]:
         """For every joined anchor row that passes the static filter,
         yield its output rows: one values tuple per output, parallel to
         :attr:`outputs`.  Reads only; every consumer — lazy
         production, the snapshot overlay, the multi-step copier and
-        dual-write hooks, the invariant checker — iterates this."""
+        dual-write hooks, the invariant checker — iterates this in its
+        own context."""
         static_fn = self.static_fn
         outputs = self.outputs
+        if self.aux_scan is not None:
+            rows = self._joined(rows, ctx)
         for row in rows:
-            for combined in self.joined_rows(row):
-                if static_fn is not None and not predicate_satisfied(
-                    static_fn(combined, ())
-                ):
-                    continue
-                yield [output.project(combined, ()) for output in outputs]
+            if static_fn is not None and not predicate_satisfied(static_fn(row, ())):
+                continue
+            yield [output.project(row, ()) for output in outputs]
 
     def insert_projected(
         self,
@@ -252,7 +238,7 @@ class RowProjection:
         an ``on_conflict`` insert skipped because they already existed."""
         batches: list[list[tuple]] = [[] for _ in self.outputs]
         produced = 0
-        for values in self.project(rows):
+        for values in self.project(rows, ctx):
             for batch, row_values in zip(batches, values):
                 batch.append(row_values)
             produced += 1

@@ -184,13 +184,16 @@ class Statement:
         — built on first use and again after every epoch bump, so a
         statement prepared before a DDL or a migration flip re-plans
         (and meets ``SchemaVersionError`` if its table was retired)."""
-        db = session.db
-        flavour = session.allow_retired
+        return self.prepared(session.db, session.allow_retired)
+
+    def prepared(self, db: "Database", allow_retired: bool) -> Any:
+        """:meth:`artifact` for a caller that runs it in a context of its
+        own, not a session's: the migration engines' reads and writes."""
         epoch = db._epoch
-        entry = self._artifacts[flavour]
+        entry = self._artifacts[allow_retired]
         if entry is None or entry[0] != epoch:
-            entry = (epoch, db.executor.prepare(self.ast, flavour))
-            self._artifacts[flavour] = entry
+            entry = (epoch, db.executor.prepare(self.ast, allow_retired))
+            self._artifacts[allow_retired] = entry
         return entry[1]
 
 

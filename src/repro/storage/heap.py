@@ -198,9 +198,3 @@ class HeapTable:
                 for head in self._heads[start : start + _PRUNE_STRETCH]:
                     pruned += prune_chain(head, horizon_ts)
         return pruned
-
-    def clear(self) -> None:
-        """Drop every tuple (table truncation / drop)."""
-        with self._latch:
-            self._heads = []  # a running scan keeps walking the old list
-            self._live_count = 0

@@ -63,10 +63,6 @@ class HashIndex:
         with self._latch:
             return list(self._entries)
 
-    def clear(self) -> None:
-        with self._latch:
-            self._entries.clear()
-
 
 def duplicate_key(index: "Index", key: Key) -> UniqueViolation:
     """What a unique index raises for a key it already holds."""
@@ -192,11 +188,6 @@ class OrderedIndex:
     def keys(self) -> list[Key]:
         with self._latch:
             return [key for key, _tid in self._pairs]
-
-    def clear(self) -> None:
-        with self._latch:
-            self._sort_keys.clear()
-            self._pairs.clear()
 
 
 Index = HashIndex | OrderedIndex

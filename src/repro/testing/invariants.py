@@ -40,6 +40,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Any, Hashable
 
 from ..errors import ReproError
+from ..exec.plan import ExecutionContext
 
 if TYPE_CHECKING:
     from ..core.engine import LazyMigrationEngine, UnitRuntime
@@ -143,24 +144,25 @@ class InvariantChecker:
             )
         if structural_only:
             return
-        expected = self._bitmap_expected_rows(runtime, migrated)
-        self._compare_outputs(runtime, expected, report)
+        self._compare_outputs(runtime, self._expected_rows(runtime, migrated), report)
 
-    def _bitmap_expected_rows(
-        self, runtime: "UnitRuntime", migrated: list[int]
+    def _expected_rows(
+        self, runtime: "UnitRuntime", migrated: list[Hashable]
     ) -> dict[str, Counter]:
-        """Ground truth: project exactly the migrated granules' tuples
-        through the unit's compiled production pipeline."""
-        outputs = runtime.outputs_runtime
+        """Ground truth: the unit's own read-only production
+        (:meth:`UnitRuntime.project`) of exactly the migrated granules
+        or groups, over the inputs' current rows.  Rows are laid out and
+        coerced by the insert path's own row makers, so multisets
+        compare equal to raw heap rows."""
+        ctx = ExecutionContext(
+            catalog=self.db.catalog, txn=None, allow_retired=True,
+            lock_tables=False,
+        )
         expected: dict[str, Counter] = {
-            out.table.schema.name: Counter() for out in outputs
+            output.table: Counter() for output in runtime.plan.outputs
         }
-        # Laid out and coerced by the insert path's own row makers, so
-        # multisets compare equal to raw heap rows.
-        builds = [out.table.schema.row_maker(out.column_names) for out in outputs]
-        for values in runtime.projection.project(runtime.granule_rows(migrated)):
-            for out, build, row_values in zip(outputs, builds, values):
-                expected[out.table.schema.name][build(row_values)] += 1
+        for name, rows in runtime.project(migrated, ctx).items():
+            expected[name].update(rows)
         return expected
 
     # ------------------------------------------------------------------
@@ -191,28 +193,7 @@ class InvariantChecker:
             )
         if structural_only:
             return
-        expected = self._hashmap_expected_rows(runtime, migrated)
-        self._compare_outputs(runtime, expected, report, hashmap=True)
-
-    def _hashmap_expected_rows(
-        self, runtime: "UnitRuntime", migrated: list[Hashable]
-    ) -> dict[str, Counter]:
-        """Ground truth: re-run each migrated group's pre-rendered
-        SELECT against the (immutable, retired) old tables."""
-        session = self.db.connect(allow_retired=True)
-        session.internal = True
-        expected: dict[str, Counter] = {
-            output.table: Counter() for output in runtime.plan.outputs
-        }
-        assert runtime.key_statements is not None
-        for key in migrated:
-            _inserts, selects, params = runtime.key_statements.bind(key)
-            for output, sql in zip(runtime.plan.outputs, selects):
-                table = self.db.catalog.table(output.table)
-                build = table.schema.row_maker(output.column_names)
-                for row in session.execute(sql, params).rows:
-                    expected[output.table][build(row)] += 1
-        return expected
+        self._compare_outputs(runtime, self._expected_rows(runtime, migrated), report)
 
     # ------------------------------------------------------------------
     # Shared output comparison
@@ -222,7 +203,6 @@ class InvariantChecker:
         runtime: "UnitRuntime",
         expected: dict[str, Counter],
         report: InvariantReport,
-        hashmap: bool = False,
     ) -> None:
         unit = runtime.plan.unit_id
         for table_name, want in expected.items():

@@ -233,6 +233,75 @@ class TestMultiStep:
         grown = {k: n for k, n in after.items() if n > before.get(k, 0)}
         assert grown == {}
 
+    def test_rolled_back_dual_write_keeps_the_copied_row(self):
+        """A dual-written DELETE runs in the client's transaction: its
+        rollback restores the copied row for readers at every isolation
+        level (a tombstone written outside the transaction stayed
+        committed for snapshot readers)."""
+        db, s = make_db(rows=3)
+        multistep = MultiStepMigration(db, chunk=1, interval=2.0, big_flip=False)
+        multistep.submit(
+            "m",
+            "CREATE TABLE out (id INT PRIMARY KEY, w INT);"
+            "INSERT INTO out (id, w) SELECT id, v * 10 FROM src;",
+        )
+        try:
+            deadline = time.monotonic() + 10
+            while s.execute("SELECT COUNT(*) FROM out").scalar() == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            client = db.connect(isolation="read_committed")
+            client.execute("BEGIN")
+            client.execute("UPDATE src SET v = 99 WHERE id = 0")
+            client.execute("ROLLBACK")
+            sql = "SELECT id, w FROM out WHERE id = 0"
+            for isolation in ("snapshot", "read_committed", "snapshot"):
+                reader = db.connect(isolation=isolation)
+                assert reader.execute(sql).rows == [(0, 0)], isolation
+        finally:
+            multistep.stop()
+
+    @pytest.mark.parametrize(
+        "ddl, read, expected",
+        [
+            (
+                "CREATE TABLE out (id INT PRIMARY KEY, w INT);"
+                "INSERT INTO out (id, w) SELECT id, v * 10 FROM src;",
+                "SELECT w FROM out WHERE id = 0",
+                990,
+            ),
+            (
+                "CREATE TABLE out (grp INT PRIMARY KEY, total INT);"
+                "INSERT INTO out (grp, total) SELECT grp, SUM(v) FROM src GROUP BY grp;",
+                "SELECT total FROM out WHERE grp = 0",
+                99 + 4 + 8,
+            ),
+        ],
+        ids=["bitmap", "keyed"],
+    )
+    def test_dual_write_from_an_older_snapshot_sees_the_copied_rows(
+        self, ddl, read, expected
+    ):
+        """A snapshot taken before the copier reached a row does not hide
+        that row from the dual write: the shadow ends equal to the
+        source, not stale."""
+        db, s = make_db(rows=3 * 4)
+        client = db.connect(isolation="snapshot")
+        client.execute("BEGIN")
+        client.execute("SELECT COUNT(*) FROM src")
+        multistep = MultiStepMigration(db, chunk=12, interval=2.0, big_flip=False)
+        multistep.submit("m", ddl)
+        try:
+            deadline = time.monotonic() + 10
+            while s.execute("SELECT COUNT(*) FROM out").scalar() == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            client.execute("UPDATE src SET v = 99 WHERE id = 0")
+            client.execute("COMMIT")
+            assert s.execute(read).scalar() == expected
+        finally:
+            multistep.stop()
+
     def test_keyed_unit_group_recompute(self):
         """Aggregate shadow: a write to a copied group recomputes it."""
         db, s = make_db(rows=200)

@@ -212,6 +212,22 @@ class TestLazyBehaviour:
         derived = "SELECT COUNT(*) FROM (SELECT id FROM left_part WHERE id < 5) x"
         assert s.execute(derived).scalar() == 5
 
+    @pytest.mark.parametrize("isolation", ["read_committed", "snapshot"])
+    def test_row_inserted_after_the_flip_is_not_migrated(self, isolation):
+        """Without the big flip the application keeps writing the inputs;
+        a row inserted after submit lies past the bitmap and belongs to
+        the application (section 4.2), not to the migration."""
+        db, s = make_source_db(rows=4)
+        engine = LazyMigrationEngine(
+            db, background=no_background(), big_flip=False
+        )
+        engine.submit("m", "CREATE TABLE t2 AS SELECT id, grp, v * 2 AS v2 FROM src")
+        s.execute("INSERT INTO src VALUES (10, 1, 7, 'x')")
+        reader = db.connect(isolation=isolation)
+        assert reader.execute("SELECT id, v2 FROM t2 WHERE id = 10").rows == []
+        assert reader.execute("SELECT COUNT(*) FROM t2").scalar() == 4
+        assert engine.units[0].tracker.size == 4
+
     def test_aggregate_unit_lazy_group(self):
         db, s = make_source_db()
         engine = LazyMigrationEngine(

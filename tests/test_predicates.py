@@ -245,6 +245,24 @@ class TestJoinScope:
         # items in w=1 -> {0,1,2,3}; intersection bounds the migration.
         assert scope.keys == {(0,), (1,), (2,)}
 
+    def test_probe_binds_keys_after_params_and_null_keys_match_nothing(self, env):
+        """The other side is probed with SQL ``=``: a NULL join value
+        names no group, though both sides hold one."""
+        db, s = env
+        s.execute("CREATE TABLE l (id INT PRIMARY KEY, k INT, tag INT)")
+        s.execute("CREATE TABLE r (id INT PRIMARY KEY, k INT, qty INT)")
+        for i, k in enumerate((None, 3, 4)):
+            s.execute("INSERT INTO l VALUES (?, ?, 7)", [i, k])
+            s.execute("INSERT INTO r VALUES (?, ?, ?)", [i, k, 50 if k != 4 else 60])
+        _unit, transfer = transfer_for(
+            db,
+            "CREATE TABLE lr AS SELECT l.id AS lid, l.tag, r.id AS rid, r.qty "
+            "FROM l, r WHERE l.k = r.k",
+        )
+        stmt = parse_statement("SELECT * FROM lr WHERE tag = ? AND qty = ?")
+        assert scope_for(transfer, stmt, (7, 50)).keys == {(3,)}
+        assert scope_for(transfer, stmt, (7, 60)).keys == {(4,)}
+
     def test_no_predicates_full(self, env):
         db, s = env
         _unit, transfer = transfer_for(db, self.DDL)

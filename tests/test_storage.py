@@ -238,13 +238,6 @@ class TestHeapTable:
         assert tids == list(range(9))
         assert heap.max_ordinal == 9
 
-    def test_clear(self):
-        heap = HeapTable("t")
-        heap.insert((1,))
-        heap.clear()
-        assert len(heap) == 0
-        assert heap.max_ordinal == 0
-
     def test_concurrent_inserts_unique_tids(self):
         heap = HeapTable("t")
         collected: list[list[int]] = [[] for _ in range(4)]
