@@ -35,7 +35,6 @@ from ..errors import (
 )
 from ..obs import Observability
 from ..obs.tracectx import current as _trace_current
-from ..sql import ast_nodes as ast
 from ..txn import IsolationLevel
 from .background import BackgroundConfig, BackgroundMigrator
 from .bitmap import Claim, MigrationBitmap
@@ -405,16 +404,16 @@ class LazyMigrationEngine:
         if self._complete_event.is_set():
             return
         if (
-            handle.ast_type is ast.Select
+            handle.runner == "run_select"
             and self.tracking_enabled
             and self.conflict_mode is ConflictMode.TRACKER
         ):
             # Snapshot readers never wait on migration: instead of
             # migrating the statement's scope synchronously, pin a
             # snapshot timestamp and serve not-yet-visibly-migrated
-            # granules from a pre-migration overlay.  DML still takes
-            # the synchronous path below — writes must target the real
-            # output rows under 2PL.
+            # granules from a pre-migration overlay.  DML and SELECT ...
+            # FOR UPDATE still take the synchronous path below — writes
+            # and row locks must target the real output rows.
             snapshot_ts = self._snapshot_ts_for(session)
             if snapshot_ts is not None:
                 self._prepare_snapshot_read(session, handle, params, snapshot_ts)
@@ -459,10 +458,9 @@ class LazyMigrationEngine:
         if txn is not None:
             return txn.snapshot_ts  # None for read-committed txns
         if session.effective_isolation is IsolationLevel.SNAPSHOT:
-            # Autocommit: the implicit transaction must read at the very
-            # timestamp the overlay is computed against, and version GC
-            # must not cut below it before that transaction begins —
-            # the session unpins once it has.
+            # Autocommit: the read (no transaction, ``Session._run_read``)
+            # runs at the very timestamp the overlay is computed against,
+            # and the pin keeps version GC above it until the read ends.
             ts = self.db.txns.pin_snapshot()
             session._pending_snapshot_ts = ts
             return ts

@@ -350,7 +350,6 @@ class PredicateTransfer:
         catalog = self.catalog
         return lambda params: scan(ExecutionContext(
             catalog=catalog, txn=None, params=params, allow_retired=True,
-            lock_tables=False,
         ))
 
     def _compile_bitmap_scope(self, predicate: ast.Expr) -> ScopeFn:

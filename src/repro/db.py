@@ -91,7 +91,7 @@ class Result:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
 
-_MAX_STATEMENTS = 10_000  # handles a Database keeps (one per SQL text)
+_MAX_STATEMENTS = 1_024  # handles a Database keeps (one per SQL text)
 # How long new work (and a router's mixed-epoch scatter retry) waits at
 # a closed ``Database.flip_gate`` before running anyway.
 FLIP_GATE_TIMEOUT = 30.0
@@ -302,8 +302,10 @@ class Database:
 
     def prepare(self, sql: str) -> Statement:
         """The handle for ``sql`` — the same object on every call while
-        the cache has room, so nothing about a repeated statement is
-        worked out twice."""
+        it stays cached, so nothing about a repeated statement is worked
+        out twice.  The cache keeps the newest ``_MAX_STATEMENTS`` texts:
+        a full cache drops its oldest entry (about 9 KB of AST and plan)
+        for each new one, so one-shot texts cannot pin memory."""
         handle = self._statements.get(sql)
         if handle is not None:
             return handle
@@ -318,9 +320,11 @@ class Database:
         else:
             node = parse_statement(sql)
         handle = Statement(node, sql)
+        statements = self._statements
         with self._cache_latch:
-            if len(self._statements) < _MAX_STATEMENTS:
-                handle = self._statements.setdefault(sql, handle)
+            if sql not in statements and len(statements) >= _MAX_STATEMENTS:
+                del statements[next(iter(statements))]
+            handle = statements.setdefault(sql, handle)
         return handle
 
     def parse(self, sql: str) -> ast.Statement:
@@ -344,12 +348,12 @@ class Session:
         # migration engines themselves to avoid recursion.
         self.internal = False
         self._closed = False
-        # Set by the migration interceptor for a snapshot SELECT: the
-        # snapshot timestamp it pinned (``TransactionManager.
-        # pin_snapshot``) *before* computing overlay state, and the
-        # pre-migration row overlay for not-yet-visible granules.
-        # Consumed by the statement's transaction begin / execution
-        # context, and released when the statement ends.
+        # An autocommit snapshot SELECT's timestamp (``TransactionManager.
+        # pin_snapshot``), pinned by the migration interceptor before it
+        # computes overlay state or else by ``_run_read``, and the
+        # interceptor's pre-migration row overlay for not-yet-visible
+        # granules.  Consumed by the statement's execution context and
+        # released when the statement ends.
         self._pending_snapshot_ts: int | None = None
         self._pending_overlay: dict[str, list[tuple]] | None = None
         # Propagated request trace context: ``bullfrogd`` parks the
@@ -532,13 +536,10 @@ class Session:
 
             if self.in_transaction:
                 return self._dispatch(handle, params)
-            # Autocommit: wrap in a transaction.  A snapshot timestamp
-            # the interceptor pinned (before it computed overlay state)
-            # carries into the transaction so both agree on visibility.
-            txn = self.db.txns.begin(
-                isolation=self.effective_isolation,
-                snapshot_ts=self._pending_snapshot_ts,
-            )
+            if handle.runner == "run_select" and not self.internal:
+                return self._run_read(handle, params)
+            # Any other autocommit statement runs in a transaction.
+            txn = self.db.txns.begin(isolation=self.effective_isolation)
             self._txn = txn
             try:
                 result = self._dispatch(handle, params)
@@ -554,12 +555,42 @@ class Session:
         finally:
             # Overlay state and the pinned snapshot are per-statement:
             # never leak them into the next.  The pin has held the GC
-            # horizon until the transaction registered its snapshot.
+            # horizon for the whole read.
             pinned = self._pending_snapshot_ts
             if pinned is not None:
                 self._pending_snapshot_ts = None
                 self.db.txns.unpin_snapshot(pinned)
             self._pending_overlay = None
+
+    def _run_read(self, handle: Statement, params: Sequence[Any]) -> Result:
+        """An autocommit SELECT, which is not a transaction: nothing is
+        registered, logged or committed, so it is not in
+        ``bullfrog_stat_activity`` and not counted by
+        ``repro_txn_commits_total``.
+
+        Under SNAPSHOT it reads at the timestamp the migration
+        interceptor pinned (with its overlay), else pins one, and takes
+        no lock; ``_run_statement`` unpins it when the read returns.
+        Under READ_COMMITTED it reads head versions and takes its table
+        IS locks under a statement owner id (shown in
+        ``bullfrog_stat_locks``), so ALTER TABLE and the eager baseline
+        wait for it, and drops them together when it returns."""
+        db = self.db
+        ctx = ExecutionContext(
+            db.catalog, None, params, self.allow_retired, row_hooks=db._row_hooks
+        )
+        if self.isolation is IsolationLevel.SNAPSHOT:
+            ts = self._pending_snapshot_ts
+            if ts is None:
+                ts = self._pending_snapshot_ts = db.txns.pin_snapshot()
+            ctx.snapshot_ts = ts
+            ctx.overlay = self._pending_overlay
+            return handle.run(self, handle, ctx)
+        locks = ctx.statement_locks = db.txns.statement_locks()
+        try:
+            return handle.run(self, handle, ctx)
+        finally:
+            locks.release()
 
     # ------------------------------------------------------------------
     def _context(self) -> ExecutionContext:

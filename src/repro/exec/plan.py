@@ -23,7 +23,9 @@ lock — enough to make eager migration's exclusive table lock block all
 access, which is the downtime behaviour the paper measures — while
 tuple-level X locks are taken by DML in the executor.  Readers do not
 take tuple locks (read-committed-style), standing in for PostgreSQL's
-MVCC snapshot reads.
+MVCC snapshot reads.  An autocommit SELECT has no transaction; it takes
+the same IS locks under a statement owner
+(``ExecutionContext.statement_locks``).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ if TYPE_CHECKING:  # avoid a circular import: catalog depends on exec.expression
 from ..errors import InvalidRowCount, TypeError_
 from ..storage.index import Index
 from ..txn.locks import LockMode
-from ..txn.manager import Transaction
+from ..txn.manager import StatementLocks, Transaction
 from ..types import STORED_TYPES, SqlType
 from .expressions import CompiledExpr, RowLayout, compare_values, predicate_satisfied
 from .operators import OperatorStats
@@ -66,7 +68,10 @@ class ExecutionContext:
     txn: Transaction | None
     params: Sequence[Any] = ()
     allow_retired: bool = False  # migration-internal txns may read old schema
-    lock_tables: bool = True
+    # The table locks of a statement that runs with no transaction (an
+    # autocommit READ_COMMITTED SELECT).  With neither this nor ``txn``
+    # the context takes no locks: the engines' scope probes and checks.
+    statement_locks: StatementLocks | None = None
     # Row-change hooks: table name -> [fn(ctx, op, tid, old_row, new_row)].
     # The multi-step migration baseline registers trigger-style dual-write
     # hooks here; BullFrog itself does not use them.
@@ -84,10 +89,13 @@ class ExecutionContext:
     overlay: dict[str, list[Row]] | None = None
 
     def lock_table(self, name: str, mode: LockMode) -> None:
-        if self.txn is not None and self.lock_tables:
-            if self.snapshot_ts is not None and mode is LockMode.IS:
-                return  # snapshot reads take no read locks
-            self.txn.lock_table(name, mode)
+        txn = self.txn
+        if txn is not None:
+            # Snapshot reads take no read locks.
+            if self.snapshot_ts is None or mode is not LockMode.IS:
+                txn.lock_table(name, mode)
+        elif self.statement_locks is not None:
+            self.statement_locks.lock_table(name, mode)
 
     def overlay_rows(self, table_name: str) -> list[Row]:
         if self.overlay is None:

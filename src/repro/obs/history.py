@@ -198,7 +198,9 @@ def _ms(seconds: float | None) -> float | None:
 def _derive(samples: list[HistorySample]) -> dict[str, Any]:
     """The headline numbers over a run of samples, oldest first: the
     counter rates, statement p50/p95/p99 and lock-wait p99 in ms, and
-    wait-class ms per second.  :meth:`MetricsHistory.summary` applies
+    wait-class ms per second.  ``qps`` counts statements and
+    ``commits_per_sec`` transactions, which an autocommit SELECT is
+    not.  :meth:`MetricsHistory.summary` applies
     it to a window, :meth:`MetricsHistory.rows` to each adjacent pair,
     so the two surfaces cannot disagree."""
     return {

@@ -5,7 +5,9 @@ producer snapshots live engine/txn/lock state at scan time, so plain
 ``SELECT``s (and the TPC-C driver) can join operational telemetry
 against data tables mid-migration:
 
-* ``bullfrog_stat_activity``   — in-flight transactions;
+* ``bullfrog_stat_activity``   — in-flight transactions.  An
+  autocommit SELECT is not one, so it is not listed; its IS lock shows
+  in ``bullfrog_stat_locks`` under the statement's owner id;
 * ``bullfrog_stat_migrations`` — one row per migration unit with
   bitmap-derived completion fraction, EWMA tuples/sec, and ETA;
 * ``bullfrog_stat_locks``      — per-resource lock state + wait

@@ -154,10 +154,7 @@ class InvariantChecker:
         or groups, over the inputs' current rows.  Rows are laid out and
         coerced by the insert path's own row makers, so multisets
         compare equal to raw heap rows."""
-        ctx = ExecutionContext(
-            catalog=self.db.catalog, txn=None, allow_retired=True,
-            lock_tables=False,
-        )
+        ctx = ExecutionContext(catalog=self.db.catalog, txn=None, allow_retired=True)
         expected: dict[str, Counter] = {
             output.table: Counter() for output in runtime.plan.outputs
         }

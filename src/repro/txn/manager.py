@@ -41,6 +41,12 @@ class IsolationLevel(Enum):
     consistent version-chain snapshot taken at ``begin`` without read
     locks; writes still take 2PL write locks and conflict
     first-committer-wins (SQLSTATE 40001 on loss).
+
+    An autocommit SELECT is not a transaction at either level.  Under
+    READ_COMMITTED it takes its table IS locks under a statement owner
+    id (:class:`StatementLocks`) and drops them when it returns; under
+    SNAPSHOT it reads at a pinned timestamp
+    (:meth:`TransactionManager.pin_snapshot`) and takes no lock.
     """
 
     READ_COMMITTED = "read_committed"
@@ -185,10 +191,9 @@ class Transaction:
         if obs is not None:
             if wrote:
                 # Read-only commits stay instant-free: the statement
-                # span already bounds them, and one instant per
-                # autocommit SELECT was a top line item in the <5%
-                # tracing budget.  Write commits keep the instant (it
-                # carries the redo size next to the wal.append span).
+                # span already bounds them.  Write commits keep the
+                # instant (it carries the redo size next to the
+                # wal.append span).
                 obs.emit("txn.commit", txn_id=self.id, records=len(self._redo))
             else:
                 obs.inc_txn_commit()
@@ -278,6 +283,32 @@ class Transaction:
         return False
 
 
+class StatementLocks:
+    """The table locks of a statement that is not a transaction: an
+    autocommit READ_COMMITTED SELECT.  It holds its IS locks in the
+    shared lock manager under its own owner id, so DDL and the eager
+    baseline's X locks wait for it, and :meth:`release` drops them all
+    in one latch hold when the statement ends."""
+
+    __slots__ = ("id", "_manager", "_locks")
+
+    def __init__(self, owner_id: int, manager: LockManager) -> None:
+        self.id = owner_id
+        self._manager = manager
+        self._locks: dict[Hashable, LockMode] = {}
+
+    def lock_table(self, table_name: str, mode: LockMode) -> None:
+        resource = ("table", table_name)
+        held = self._locks.get(resource)
+        if held is not None and covers(held, mode):
+            return
+        self._manager.acquire(self.id, resource, mode)
+        self._locks[resource] = mode if held is None else supremum(held, mode)
+
+    def release(self) -> None:
+        self._manager.release_all(self.id, self._locks)
+
+
 class TransactionManager:
     """Issues transaction ids and owns the shared lock manager + WAL."""
 
@@ -292,7 +323,7 @@ class TransactionManager:
         self.obs: Any = None
         self._next_id = itertools.count(1)
         self._active: dict[int, Transaction] = {}
-        # Snapshot timestamps read for a transaction not begun yet
+        # Snapshot timestamps held by statements, not transactions
         # (ts -> count): see pin_snapshot.
         self._pins: dict[int, int] = {}
         # Orders transaction registration, snapshot clock reads and GC
@@ -304,15 +335,10 @@ class TransactionManager:
         self._last_commit_ts = 0
 
     def begin(
-        self,
-        isolation: IsolationLevel | str = IsolationLevel.READ_COMMITTED,
-        snapshot_ts: int | None = None,
+        self, isolation: IsolationLevel | str = IsolationLevel.READ_COMMITTED
     ) -> Transaction:
-        """Start a transaction.  For SNAPSHOT isolation, ``snapshot_ts``
-        fixes the snapshot (a caller that already read the clock — e.g.
-        the statement interceptor, through :meth:`pin_snapshot` — passes
-        it so the snapshot and any derived state agree); by default the
-        current clock is read.  Reading the clock and registering the
+        """Start a transaction.  A SNAPSHOT transaction's snapshot is the
+        current clock.  Reading the clock and registering the
         transaction are one step under the latch, so a concurrent
         :meth:`oldest_snapshot_ts` either sees the snapshot or ran before
         the clock was read."""
@@ -320,11 +346,15 @@ class TransactionManager:
         txn = Transaction(next(self._next_id), self, isolation=level)
         with self._latch:
             if level is IsolationLevel.SNAPSHOT:
-                txn.snapshot_ts = (
-                    self.current_ts() if snapshot_ts is None else snapshot_ts
-                )
+                txn.snapshot_ts = self.current_ts()
             self._active[txn.id] = txn
         return txn
+
+    def statement_locks(self) -> StatementLocks:
+        """The lock owner of one statement that runs with no transaction
+        (an autocommit SELECT), its id drawn from the transaction id
+        counter so it never collides with a transaction's."""
+        return StatementLocks(next(self._next_id), self.locks)
 
     # ------------------------------------------------------------------
     # Commit-timestamp clock
@@ -336,10 +366,10 @@ class TransactionManager:
             return self._last_commit_ts
 
     def pin_snapshot(self) -> int:
-        """Read the clock for a snapshot whose transaction begins later,
-        holding the GC horizon at it until :meth:`unpin_snapshot` — the
-        migration interceptor computes a snapshot read's overlay before
-        the statement's transaction exists."""
+        """Read the clock for a snapshot no transaction holds, holding
+        the GC horizon at it until :meth:`unpin_snapshot`: an autocommit
+        SNAPSHOT SELECT reads at a pinned timestamp, and the migration
+        interceptor computes that read's overlay against the same one."""
         with self._latch:
             ts = self.current_ts()
             self._pins[ts] = self._pins.get(ts, 0) + 1

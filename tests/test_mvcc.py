@@ -339,19 +339,17 @@ class TestVersionGC:
         si.execute("COMMIT")
 
     def test_pinned_snapshot_holds_the_gc_horizon(self):
-        """A snapshot read from the clock before its transaction begins
-        (the interceptor's pin) bounds GC like an active snapshot."""
+        """A snapshot no transaction holds (an autocommit read's pin)
+        bounds GC like an active snapshot."""
         db, s = make_kv_db()
         table = db.catalog.table("t")
         ts = db.txns.pin_snapshot()
         s.execute("UPDATE t SET v = 11 WHERE id = 1")
         s.execute("UPDATE t SET v = 12 WHERE id = 1")
         table.prune_versions(db.txns.oldest_snapshot_ts())
-        txn = db.txns.begin(IsolationLevel.SNAPSHOT, snapshot_ts=ts)
-        db.txns.unpin_snapshot(ts)
         tid = next(t for t, row in table.heap.scan() if row[0] == 1)
-        assert table.heap.read_snapshot(tid, txn.snapshot_ts) == (1, 10)
-        txn.commit()
+        assert table.heap.read_snapshot(tid, ts) == (1, 10)
+        db.txns.unpin_snapshot(ts)
         assert db.txns.oldest_snapshot_ts() == db.txns.current_ts()
 
     def test_begin_reads_the_clock_and_registers_in_one_step(self, monkeypatch):
@@ -554,6 +552,40 @@ class TestMigrationSnapshotReads:
         si.execute("UPDATE left_part SET v = -1 WHERE id = 3")
         assert engine.stats.tuples_migrated >= 1
         assert s.execute("SELECT v FROM left_part WHERE id = 3").scalar() == -1
+
+    def test_snapshot_select_for_update_migrates_synchronously(self):
+        """FOR UPDATE locks real output rows, so it is not served from
+        the overlay: an autocommit one migrates its scope first (the
+        parent sent it down the overlay path and its locked scan, which
+        never reads the overlay, returned [])."""
+        db, _ = make_source_db()
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", SPLIT_DDL)
+        si = db.connect(isolation="snapshot")
+        sql = "SELECT v FROM left_part WHERE id = 3 FOR UPDATE"
+        assert si.execute(sql).rows == [(30,)]
+        assert engine.stats.tuples_migrated >= 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3 step 3: inside a SNAPSHOT transaction the "
+        "migration commits the output row after the snapshot, so the "
+        "statement's snapshot scan does not see it",
+    )
+    @pytest.mark.parametrize("sql,expected", [
+        ("UPDATE left_part SET v = v + 1 WHERE id = 3", (1, [])),
+        ("DELETE FROM left_part WHERE id = 3", (1, [])),
+        ("SELECT v FROM left_part WHERE id = 3 FOR UPDATE", (1, [(30,)])),
+    ], ids=["update", "delete", "for-update"])
+    def test_snapshot_txn_writes_an_unmigrated_row(self, sql, expected):
+        db, _ = make_source_db()
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", SPLIT_DDL)
+        si = db.connect(isolation="snapshot")
+        si.execute("BEGIN")
+        result = si.execute(sql)
+        si.execute("COMMIT")
+        assert (result.rowcount, result.rows) == expected
 
     def test_invariants_clean_after_si_traffic(self):
         db, s = make_source_db()

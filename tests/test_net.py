@@ -83,9 +83,7 @@ def seed_table(conn):
 
 
 def active_txn_count(db):
-    """ACTIVE transactions that own work (locks or redo).  The reading
-    statement itself shows up in the view as an empty ACTIVE txn, so
-    plain row-counting would never reach zero."""
+    """ACTIVE transactions that own work (locks or redo)."""
     s = db.connect()
     rows = s.execute("SELECT * FROM bullfrog_stat_activity").dicts()
     return sum(1 for r in rows if r["locks_held"] or r["redo_records"])

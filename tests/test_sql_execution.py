@@ -698,6 +698,61 @@ class TestPreparedStatements:
             "a", "b", "c",
         }
 
+    def test_one_shot_texts_do_not_pin_handles(self, db, s):
+        """A full statement cache drops its oldest text for each new
+        one: 3,000 distinct literal SELECTs leave at most 1,024 handles,
+        and a hot text executed among them still answers correctly."""
+        hot = "SELECT name FROM emp WHERE id = ?"
+        names = ["ada", "bob", "cat", "dan", "eve"]
+        for i in range(3000):
+            key = i % 5 + 1
+            one_shot = f"SELECT name FROM emp WHERE id = {key} AND {i} >= 0"
+            assert s.execute(one_shot).rows == [(names[key - 1],)]
+            if i % 50 == 0:
+                assert s.execute(hot, [key]).rows == [(names[key - 1],)]
+        assert len(db._statements) <= 1024
+        assert s.execute(hot, [2]).rows == [("bob",)]
+
+    def test_eviction_under_concurrent_sessions(self, db, s):
+        """Eviction runs under the cache latch while hits read the dict
+        bare: threads preparing distinct texts and a shared hot one, with
+        a short switch interval, all answer correctly."""
+        import sys
+        import threading
+
+        names = ["ada", "bob", "cat", "dan", "eve"]
+        errors = []
+
+        def client(worker):
+            session = db.connect()
+            try:
+                for i in range(400):
+                    key = (i + worker) % 5 + 1
+                    rows = session.execute(
+                        f"SELECT name FROM emp WHERE id = {key} AND {worker} + {i} >= 0"
+                    ).rows
+                    hot = session.execute(
+                        "SELECT name FROM emp WHERE id = ?", [key]
+                    ).rows
+                    if rows != hot or hot != [(names[key - 1],)]:
+                        errors.append((worker, i, rows, hot))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(db._statements) <= 1024
+
     @pytest.mark.parametrize(
         "sql,params", CACHED_DML,
         ids=["select", "for-update", "insert-values", "insert-select",
