@@ -111,7 +111,7 @@ def bench_mode(isolation: str) -> dict:
                 break
             if runtime.tracker.try_begin(g) is not Claim.MIGRATE:
                 continue  # a racing reader already migrated it
-            rows = list(runtime.mapper.tuples_in(g))
+            rows = list(runtime.anchor_table.heap.scan_range(*runtime.mapper.bounds(g)))
             if not rows:
                 runtime.tracker.reset([g])
                 continue

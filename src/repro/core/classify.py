@@ -18,12 +18,12 @@ output tuples, which dictates the tracking structure:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import UnsupportedMigrationError
 from ..sql import ast_nodes as ast
-from ..exec.rewrite import qualify_columns, split_conjuncts
+from ..exec.rewrite import conjoin, qualify_columns, split_conjuncts
 from ..exec.expressions import RowLayout
 
 
@@ -82,7 +82,6 @@ class UnitPlan:
     aux: AuxJoin | None = None  # bitmap FK-PK join units
     group_columns: tuple[str, ...] = ()  # hashmap n:1 units
     join_key: JoinKeySpec | None = None  # hashmap n:n units
-    static_filter: ast.Expr | None = None  # extra WHERE retained in selects
 
     @property
     def input_tables(self) -> tuple[str, ...]:
@@ -223,7 +222,6 @@ def classify_statement(
             anchor=anchor,
             anchor_binding=binding,
             outputs=[output],
-            static_filter=_static_filter(all_conjuncts),
         )
 
     # Two-table join.
@@ -255,7 +253,6 @@ def classify_statement(
             anchor_binding=anchor_binding,
             outputs=[output],
             aux=aux,
-            static_filter=_static_filter(all_conjuncts),
         )
     if (left_unique or right_unique) and fkpk_join_mode != "value-hashmap":
         raise UnsupportedMigrationError(
@@ -367,13 +364,10 @@ def _rebuild_select(select, sources, items, conjuncts, group_by) -> ast.Select:
     all join conditions folded into WHERE."""
     from_items = tuple(ast.TableRef(name, binding if binding != name else None)
                        for name, binding in sources)
-    where = None
-    for conjunct in conjuncts:
-        where = conjunct if where is None else ast.BinaryOp("AND", where, conjunct)
     return ast.Select(
         items=tuple(items),
         from_items=from_items,
-        where=where,
+        where=conjoin(conjuncts),
         group_by=tuple(group_by),
         having=select.having,
         distinct=select.distinct,
@@ -405,22 +399,3 @@ def _covers_unique(table, columns: tuple[str, ...]) -> bool:
         set(unique_set) <= available
         for unique_set in table.schema.unique_column_sets()
     )
-
-
-def _static_filter(conjuncts: list[ast.Expr]) -> ast.Expr | None:
-    """Non-join conjuncts retained as a static filter (constraints added
-    during migration may drop rows — 1:1 'at most one' semantics)."""
-    static = [
-        c
-        for c in conjuncts
-        if not (
-            isinstance(c, ast.BinaryOp)
-            and c.op == "="
-            and isinstance(c.left, ast.ColumnRef)
-            and isinstance(c.right, ast.ColumnRef)
-        )
-    ]
-    result = None
-    for conjunct in static:
-        result = conjunct if result is None else ast.BinaryOp("AND", result, conjunct)
-    return result

@@ -16,14 +16,13 @@ StockLevel during the customer split).
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any
 
 from ..db import Database
 from ..errors import MigrationStateError
 from ..txn.locks import LockMode
 from .migration import MigrationSpec, parse_migration
-from .production import create_outputs, insert_select
+from .production import create_outputs, output_insert
 from .stats import MigrationStats
 
 
@@ -60,14 +59,11 @@ class EagerMigration:
             self.db.bump_epoch()
 
             # ... and fill them in full: the migration DDL's own
-            # INSERT .. SELECT, no key pinned.
+            # INSERT .. SELECT, nothing pinned.
             produced = 0
             for unit in spec.units:
                 for output in unit.outputs:
-                    insert_sql, _select, _copies = insert_select(
-                        unit, output, pin_key=False
-                    )
-                    produced += session.execute(insert_sql).rowcount
+                    produced += session.execute_statement(output_insert(output)).rowcount
             self.stats.add(tuples=produced)
 
             # Big flip at the end: the new schema becomes the only one.

@@ -44,7 +44,7 @@ from .granularity import GranuleMapper
 from .hashmap import MigrationHashMap
 from .migration import MigrationSpec, parse_migration
 from .predicates import PredicateTransfer, Scope
-from .production import KeyStatements, RowProjection, create_outputs
+from .production import Bound, Production, create_outputs
 from .stats import MigrationStats
 
 
@@ -85,26 +85,21 @@ class UnitRuntime:
         self.transfer = PredicateTransfer(
             plan, self.catalog, engine.db.planner, granule_size
         )
-        # Hashmap units: per-key INSERT..SELECT statements (the paper's
-        # rewritten migration DDL with injected predicates), and the bare
-        # per-key SELECTs read-only consumers run instead.
-        self.key_statements: KeyStatements | None = None
+        # The unit's rewritten migration DDL: per output, its INSERT ..
+        # SELECT pinned to a TID range (bitmap) or a group key (hashmap).
+        self.production = Production(
+            engine.db, plan, on_conflict=engine.conflict_mode is ConflictMode.ON_CONFLICT
+        )
         if plan.category.uses_bitmap:
             self.mapper: GranuleMapper | None = GranuleMapper(
                 self.anchor_table.heap, granule_size
             )
-            self.projection: RowProjection | None = RowProjection(engine.db, plan)
             self._produce, self._release = "produce_bitmap_granules", "reset"
             self.units_in = self._granules_in
-            self.project = self.project_granules
         else:
-            self.mapper = self.projection = None
-            self.key_statements = KeyStatements(
-                plan, on_conflict=engine.conflict_mode is ConflictMode.ON_CONFLICT
-            )
+            self.mapper = None
             self._produce, self._release = "produce_keys", "mark_aborted"
             self.units_in = self._keys_in
-            self.project = self.project_keys
         self.tracker = self.new_tracker()
 
     def new_tracker(self) -> MigrationBitmap | MigrationHashMap:
@@ -152,84 +147,32 @@ class UnitRuntime:
         swap ``produce_bitmap_granules`` / ``produce_keys`` there."""
         return getattr(self, self._produce)(units, session)
 
-    def granule_rows(self, granules: Sequence[int], ctx: ExecutionContext):
-        """The anchor tuples ``granules`` cover, as ``ctx`` reads them:
-        current heads, or the versions of its snapshot."""
-        assert self.mapper is not None
-        tuples_in = self.mapper.tuples_in
-        snapshot_ts, own_stamp = ctx.snapshot_ts, ctx.own_stamp
-        for granule in granules:
-            for _tid, row in tuples_in(granule, snapshot_ts, own_stamp):
-                yield row
-
     def produce_bitmap_granules(
         self, granules: Sequence[int], session: Session
     ) -> int:
-        """Bitmap units: project the granules' anchor tuples and insert
-        the results directly, TID-addressed (no SQL round trip)."""
-        assert self.projection is not None
-        ctx = session._context()
-        ctx.params = ()
-        produced, duplicates = self.projection.insert_projected(
-            self.granule_rows(granules, ctx),
-            self.engine.db.executor,
-            ctx,
-            on_conflict=self.engine.conflict_mode is ConflictMode.ON_CONFLICT,
-        )
+        """Bitmap units: one execution per output per TID range, one
+        range per run of adjacent granules."""
+        return self._insert(self.production.ranges(self.mapper.runs(granules)), session)
+
+    def produce_keys(self, keys: Sequence[tuple], session: Session) -> int:
+        """Hashmap units: one execution per output per group key."""
+        return self._insert(self.production.keys(keys), session)
+
+    def _insert(self, bound: Bound, session: Session) -> int:
+        produced, duplicates = self.production.produce(bound, session._context())
         if duplicates:
             self.engine.stats.add_duplicates(duplicates)
         return produced
 
-    def produce_keys(self, keys: Sequence[tuple], session: Session) -> int:
-        """Hashmap units: run the pre-rendered INSERT..SELECT of every
-        output with each group key bound as its parameters."""
-        assert self.key_statements is not None
-        produced = 0
-        for key in keys:
-            inserts, _selects, params = self.key_statements.bind(key)
-            for sql in inserts:
-                result = session.execute(sql, params)
-                produced += result.rowcount
-        return produced
-
-    # ------------------------------------------------------------------
-    # Read-only production: the snapshot overlay and the invariant checker
-    # ------------------------------------------------------------------
-    def project_granules(
-        self, granules: Sequence[int], ctx: ExecutionContext
-    ) -> dict[str, list[tuple]]:
-        """Compute the output rows the given granules *would* produce,
-        from the input rows ``ctx`` reads.  Nothing is written, locked,
-        or claimed — snapshot readers consume the result as an overlay
-        instead of waiting for the granules to migrate."""
-        assert self.projection is not None
-        outputs = [
-            (out.table.schema.name, out.table.schema.row_maker(out.column_names))
-            for out in self.projection.outputs
-        ]
-        rows_by_output: dict[str, list[tuple]] = {}
-        for values in self.projection.project(self.granule_rows(granules, ctx), ctx):
-            for (name, build), row_values in zip(outputs, values):
-                rows_by_output.setdefault(name, []).append(build(row_values))
-        return rows_by_output
-
-    def project_keys(
-        self, keys: Sequence[tuple], ctx: ExecutionContext
-    ) -> dict[str, list[tuple]]:
-        """Hashmap counterpart of :meth:`project_granules`: run the bare
-        per-key SELECTs (no INSERT wrapper) in ``ctx``."""
-        assert self.key_statements is not None
-        db = self.engine.db
-        rows_by_output: dict[str, list[tuple]] = {}
-        for key in keys:
-            _inserts, selects, ctx.params = self.key_statements.bind(key)
-            for output, sql in zip(self.plan.outputs, selects):
-                rows = db.executor.run_select(db.prepare(sql).prepared(db, True), ctx)
-                if rows:
-                    schema = self.catalog.table(output.table).schema
-                    build = schema.row_maker(output.column_names)
-                    rows_by_output.setdefault(output.table, []).extend(map(build, rows))
-        return rows_by_output
+    def project(self, units: Sequence, ctx: ExecutionContext) -> dict[str, list[tuple]]:
+        """Compute the output rows the given granules / group keys
+        *would* produce, from the input rows ``ctx`` reads.  Nothing is
+        written, locked, or claimed — snapshot readers consume the
+        result as an overlay instead of waiting for the units to
+        migrate, and the invariant checker as ground truth."""
+        production, mapper = self.production, self.mapper
+        bound = production.keys(units) if mapper is None else production.ranges(mapper.runs(units))
+        return production.project(bound, ctx)
 
     # ------------------------------------------------------------------
     # Claims and completion
@@ -355,7 +298,7 @@ class LazyMigrationEngine:
                     view_name, output.select, internal=True
                 )
 
-        # 4. Build runtime state (trackers, compiled projections).
+        # 4. Build runtime state (trackers, production statements).
         self.units = [UnitRuntime(self, unit) for unit in spec.units]
         for runtime in self.units:
             if isinstance(runtime.tracker, MigrationBitmap):

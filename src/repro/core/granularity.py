@@ -12,9 +12,9 @@ granule — a "page" of tuples (the paper's figure 11 sweeps 1 / 64 /
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..storage.heap import HeapTable
-from ..storage.version import CommitStamp
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,19 @@ class GranuleMapper:
         """Number of granules covering every TID ever allocated."""
         return -(-self.heap.max_ordinal // self.granule_size)
 
-    def tuples_in(
-        self,
-        granule: int,
-        snapshot_ts: int | None = None,
-        own_stamp: CommitStamp | None = None,
-    ):
-        """Yield (tid, row) for every live tuple covered by ``granule``:
-        the current heads, or with ``snapshot_ts`` the versions visible
-        at that timestamp, ``own_stamp``'s own writes included (what a
-        snapshot reader's overlay projects)."""
-        start = granule * self.granule_size
-        end = start + self.granule_size
-        return self.heap.scan_range(start, end, snapshot_ts, own_stamp)
+    def bounds(self, granule: int) -> tuple[int, int]:
+        """The TIDs ``[low, high)`` that ``granule`` covers."""
+        low = granule * self.granule_size
+        return low, low + self.granule_size
+
+    def runs(self, granules: Iterable[int]) -> list[list[int]]:
+        """The TID ranges ``[low, high)`` of ``granules``, adjacent ones
+        merged: sorted granules become one range per contiguous run."""
+        runs: list[list[int]] = []
+        for granule in granules:
+            low, high = self.bounds(granule)
+            if runs and runs[-1][1] == low:
+                runs[-1][1] = high
+            else:
+                runs.append([low, high])
+        return runs

@@ -29,14 +29,13 @@ import time
 from dataclasses import replace
 from typing import Any
 
-from ..db import Database, Session
+from ..db import Database, Session, Statement
 from ..errors import MigrationStateError, UnsupportedMigrationError
-from ..exec.expressions import key_getter
 from ..exec.plan import ExecutionContext
 from ..sql import ast_nodes as ast
 from .classify import UnitPlan
 from .migration import MigrationSpec, parse_migration
-from .production import KeyStatements, RowProjection, create_outputs
+from .production import Bound, Production, create_outputs, pin_key, split_key
 from .stats import MigrationStats
 
 _NOT_COPIED, _COPYING, _COPIED = 0, 1, 2
@@ -55,11 +54,9 @@ class _BitmapUnitState:
         with self.latch:
             return ordinal < self.hwm
 
-    def advance(self, new_hwm: int) -> int:
+    def advance(self, new_hwm: int) -> None:
         with self.latch:
-            old = self.hwm
             self.hwm = max(self.hwm, new_hwm)
-            return old
 
 
 class _KeyedUnitState:
@@ -112,10 +109,10 @@ class MultiStepMigration:
         self._complete_event = threading.Event()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._bitmap_states: dict[str, _BitmapUnitState] = {}
-        self._keyed_states: dict[str, _KeyedUnitState] = {}
-        self._projections: dict[str, RowProjection] = {}  # bitmap units
-        self._unit_sql: dict[str, dict[str, Any]] = {}
+        self._states: dict[str, Any] = {}  # _BitmapUnitState / _KeyedUnitState
+        self._productions: dict[str, Production] = {}
+        # (unit id, NULL pattern of the key) -> _build_key_deletes(...)
+        self._deletes: dict[tuple[str, tuple[bool, ...]], list] = {}
 
     # ==================================================================
     # Submission
@@ -146,48 +143,33 @@ class MultiStepMigration:
 
     # ------------------------------------------------------------------
     def _prepare_unit(self, unit: UnitPlan) -> None:
-        """Compile everything the copier and the dual-write hooks need
-        for ``unit``, once — nothing is compiled per row or per write."""
+        """Prepare everything the copier and the dual-write hooks need
+        for ``unit``, once — nothing is planned per row or per write."""
         if unit.category.uses_bitmap:
             if unit.aux is not None:
                 raise UnsupportedMigrationError(
                     "multi-step dual writes over FK-PK join migrations are not "
                     "supported; use the lazy or eager strategy"
                 )
-            self._bitmap_states[unit.unit_id] = _BitmapUnitState()
-            # Per output: the dual-written DELETE by its first unique
-            # key, and ``key_of(values)`` picking that key's parameters.
-            deletes = []
-            for output in unit.outputs:
-                keys = self.db.catalog.table(output.table).schema.unique_column_sets()
-                if not keys:
-                    raise UnsupportedMigrationError(
-                        f"multi-step migration requires a unique constraint "
-                        f"on output table {output.table!r} (for idempotent "
-                        "copy + dual writes)"
-                    )
-                where = " AND ".join(f"{c} = ?" for c in keys[0])
-                deletes.append((
-                    f"DELETE FROM {output.table} WHERE {where}",
-                    key_getter([output.column_names.index(c) for c in keys[0]]),
-                ))
-            self._projections[unit.unit_id] = RowProjection(self.db, unit)
-            self._unit_sql[unit.unit_id] = {"unique_deletes": deletes}
+            self._states[unit.unit_id] = _BitmapUnitState()
         else:
-            self._keyed_states[unit.unit_id] = _KeyedUnitState()
-            # Per-key INSERT..SELECT (recompute) and DELETE statements.
-            self._unit_sql[unit.unit_id] = {
-                "keys": KeyStatements(unit, on_conflict=True),
-                "key_deletes": _build_key_deletes(unit),
-            }
+            self._states[unit.unit_id] = _KeyedUnitState()
+        self._productions[unit.unit_id] = Production(self.db, unit, on_conflict=True)
+        self._key_deletes(unit)
+
+    def _key_deletes(self, unit: UnitPlan, nulls: tuple[bool, ...] = ()) -> list:
+        key = (unit.unit_id, nulls)
+        if key not in self._deletes:
+            self._deletes[key] = _build_key_deletes(self.db.catalog, unit, nulls)
+        return self._deletes[key]
 
     # ==================================================================
     # Dual-write hooks (triggers)
     # ==================================================================
     def _install_hooks(self, unit: UnitPlan) -> None:
+        production = self._productions[unit.unit_id]
+        state = self._states[unit.unit_id]
         if unit.category.uses_bitmap:
-            anchor = unit.anchor
-            state = self._bitmap_states[unit.unit_id]
 
             def bitmap_hook(ctx, op, tid, old_row, new_row, _unit=unit, _state=state):
                 if self._complete_event.is_set():
@@ -196,13 +178,20 @@ class MultiStepMigration:
                 # copier via ON CONFLICT); updates/deletes dual-write only
                 # for already-copied rows — uncopied rows are left for the
                 # copier, which reads current data.  This gating is what
-                # produces the paper's growing dual-write cost.
+                # produces the paper's growing dual-write cost.  The old
+                # version's outputs go by their unique key, copied from
+                # ``old_row``; the new version is the row's TID range.
                 if op == "INSERT" or _state.covered(tid):
-                    self._apply_bitmap_change(ctx, _unit, op, old_row, new_row)
+                    self._dual_write(ctx, [
+                        (delete, tuple(old_row[p] for p in positions))
+                        for delete, positions in self._key_deletes(_unit)
+                        if old_row is not None
+                    ], production, production.ranges(
+                        [] if new_row is None else [(tid, tid + 1)]
+                    ))
 
-            self.db.add_row_hook(anchor, bitmap_hook)
+            self.db.add_row_hook(unit.anchor, bitmap_hook)
         else:
-            state = self._keyed_states[unit.unit_id]
             for table_name, _binding, key_columns in unit.key_sides:
                 table = self.db.catalog.table(table_name)
                 positions = [table.schema.column_index(c) for c in key_columns]
@@ -213,64 +202,37 @@ class MultiStepMigration:
                 ):
                     if self._complete_event.is_set():
                         return
-                    keys = set()
-                    for row in (old_row, new_row):
-                        if row is not None:
-                            keys.add(tuple(row[p] for p in _positions))
+                    keys = {
+                        tuple(row[p] for p in _positions)
+                        for row in (old_row, new_row) if row is not None
+                    }
+                    # Recompute each copied group: delete its output rows,
+                    # then produce it again (with the client's change).
                     for key in keys:
                         if _state.wait_if_copying(key) == _COPIED:
-                            self._recompute_group(ctx, _unit, key)
+                            nulls, values = split_key(key)
+                            self._dual_write(ctx, [
+                                (delete, values)
+                                for delete, _positions in self._key_deletes(_unit, nulls)
+                            ], production, production.keys([key]))
 
                 self.db.add_row_hook(table_name, keyed_hook)
 
-    def _apply_bitmap_change(
-        self, ctx: ExecutionContext, unit: UnitPlan, op: str, old_row, new_row
+    def _dual_write(
+        self, ctx: ExecutionContext, deletes: list, production: Production, bound: Bound
     ) -> None:
-        """Dual-write one anchor-row change into the shadow outputs:
-        delete the outputs derived from the old version (by unique key),
-        insert the outputs derived from the new version, all in the
-        client's transaction."""
-        projection = self._projections[unit.unit_id]
-        if old_row is not None:
-            deletes = self._unit_sql[unit.unit_id]["unique_deletes"]
-            self._run_in_client_txn(ctx, [
-                (sql, key_of(row_values))
-                for values in projection.project([old_row], ctx)
-                for (sql, key_of), row_values in zip(deletes, values)
-            ])
-        if new_row is not None:
-            projection.insert_projected(
-                [new_row], self.db.executor, ctx, on_conflict=True
-            )
-
-    def _recompute_group(self, ctx: ExecutionContext, unit: UnitPlan, key: tuple) -> None:
-        """Delete + re-materialize one group's output rows inside the
-        client's transaction (sees the client's own in-flight change)."""
-        unit_sql = self._unit_sql[unit.unit_id]
-        inserts, _selects, params = unit_sql["keys"].bind(key)
-        if None in key:
-            nulls = tuple(part is None for part in key)
-            deletes = _build_key_deletes(unit, nulls)
-            key = tuple(part for part in key if part is not None)
-        else:
-            deletes = unit_sql["key_deletes"]
-        statements = [(sql, key) for sql in deletes] + [(sql, params) for sql in inserts]
-        self._run_in_client_txn(ctx, statements)
-
-    def _run_in_client_txn(self, ctx: ExecutionContext, statements: list) -> None:
-        """Run ``(sql, params)`` statements through the executor in the
-        client's transaction — its locks, stamp and undo, so they commit
-        or roll back with it — reading current rows, not the client's
-        snapshot: a dual write must see what the copier committed after
-        that snapshot was taken."""
+        """Run ``(DELETE, params)`` pairs, then produce ``bound``, in the
+        client's transaction — its locks, stamp and undo, so the dual
+        write commits or rolls back with it — reading current rows, not
+        the client's snapshot: a dual write must see what the copier
+        committed after that snapshot was taken."""
         db = self.db
         current = replace(
             ctx, allow_retired=True, snapshot_ts=None, own_stamp=None, overlay=None
         )
-        for sql, params in statements:
-            current.params = params
-            handle = db.prepare(sql)
-            getattr(db.executor, handle.runner)(handle.prepared(db, True), current)
+        for statement, current.params in deletes:
+            db.executor.run_delete(statement.prepared(db, True), current)
+        production.produce(bound, current)
 
     # ==================================================================
     # Background copier
@@ -289,16 +251,24 @@ class MultiStepMigration:
                     self._copy_keyed_unit(unit, session)
             if not self._stop.is_set():
                 self._switch_over()
-        except Exception:
+        except BaseException:
             if session.in_transaction:
                 session.rollback()
             raise
 
+    def _copy(self, session: Session, production: Production, bounds: list) -> int:
+        """One copy transaction: produce each of ``bounds`` in turn and
+        commit.  If anything raises, :meth:`_copier` rolls it back."""
+        session.begin()
+        ctx = session._context()
+        produced = sum(production.produce(bound, ctx)[0] for bound in bounds)
+        session.commit()
+        return produced
+
     def _copy_bitmap_unit(self, unit: UnitPlan, session: Session) -> None:
-        state = self._bitmap_states[unit.unit_id]
-        projection = self._projections[unit.unit_id]
+        state = self._states[unit.unit_id]
+        production = self._productions[unit.unit_id]
         heap = self.db.catalog.table(unit.anchor).heap
-        executor = self.db.executor
         while not self._stop.is_set():
             start = state.hwm
             end = heap.max_ordinal
@@ -306,37 +276,21 @@ class MultiStepMigration:
                 return  # caught up; post-copy inserts are dual-written
             chunk_end = min(start + self.chunk, end)
             state.advance(chunk_end)  # advance BEFORE copying the chunk
-            session.begin()
-            try:
-                # Row at a time, not one batch per chunk: each row is
-                # inserted right after it is read, so a concurrent
-                # dual-written DELETE has the narrowest window in which
-                # the copier could re-insert the row it just removed.
-                ctx = session._context()
-                copied = 0
-                for values in projection.project(
-                    (row for _tid, row in heap.scan_range(start, chunk_end)), ctx
-                ):
-                    for output, row_values in zip(projection.outputs, values):
-                        executor.insert_rows(
-                            output.table, output.column_names, [row_values], ctx,
-                            on_conflict_skip=True,
-                        )
-                    copied += 1
-                session.commit()
-                self.stats.add(granules=chunk_end - start, tuples=copied)
-            except BaseException:
-                if session.in_transaction:
-                    session.rollback()
-                raise
+            # Row at a time, not one TID range per chunk: each row is
+            # inserted right after it is read, so a concurrent
+            # dual-written DELETE has the narrowest window in which the
+            # copier could re-insert the row it just removed.
+            rows = [production.ranges([(tid, tid + 1)]) for tid in range(start, chunk_end)]
+            copied = self._copy(session, production, rows)
+            self.stats.add(granules=chunk_end - start, tuples=copied)
             if self.interval:
                 time.sleep(self.interval)
 
     def _copy_keyed_unit(self, unit: UnitPlan, session: Session) -> None:
-        state = self._keyed_states[unit.unit_id]
-        sql = self._unit_sql[unit.unit_id]
-        heap = self.db.catalog.table(unit.anchor).heap
+        state = self._states[unit.unit_id]
+        production = self._productions[unit.unit_id]
         table = self.db.catalog.table(unit.anchor)
+        heap = table.heap
         positions = [table.schema.column_index(c) for c in unit.key_columns]
         while not self._stop.is_set():
             progressed = False
@@ -350,20 +304,11 @@ class MultiStepMigration:
                     if not state.begin_copy(key):
                         continue
                     progressed = True
-                    session.begin()
                     try:
-                        inserts, _selects, params = sql["keys"].bind(key)
-                        produced = 0
-                        for insert_sql in inserts:
-                            produced += session.execute(insert_sql, params).rowcount
-                        session.commit()
-                        self.stats.add(granules=1, tuples=produced)
-                    except BaseException:
-                        if session.in_transaction:
-                            session.rollback()
-                        state.finish_copy(key)  # avoid wedging waiters
-                        raise
-                    state.finish_copy(key)
+                        produced = self._copy(session, production, [production.keys([key])])
+                    finally:
+                        state.finish_copy(key)  # on failure too: no wedged waiters
+                    self.stats.add(granules=1, tuples=produced)
                 start += self.chunk
                 if self.interval:
                     time.sleep(self.interval)
@@ -412,32 +357,45 @@ class MultiStepMigration:
         }
 
 
-def _build_key_deletes(unit: UnitPlan, nulls: tuple[bool, ...] = ()) -> list[str]:
-    """Per-key DELETE statements on the outputs of a hashmap unit: the
-    output columns corresponding to the unit's anchor-side key, each
-    ``= ?`` or, where ``nulls`` marks the key part NULL, ``IS NULL``."""
-    statements: list[str] = []
+def _build_key_deletes(catalog, unit: UnitPlan, nulls: tuple[bool, ...] = ()) -> list:
+    """Per output of ``unit``: ``(DELETE, anchor_positions)`` — the
+    DELETE of the output rows one anchor row or group key derived, by
+    the output columns that copy anchor columns, whose positions in the
+    anchor row give its parameters in order.  The key is the unit's
+    group key for hashmap units and the output's first unique key for
+    bitmap units; each of its columns must be a plain anchor column of
+    the output, or the unit cannot be dual-written.  A key part
+    ``nulls`` marks is pinned ``IS NULL``."""
+    anchor = catalog.table(unit.anchor).schema
+    deletes = []
     for output in unit.outputs:
-        out_key_cols: list[str] = []
-        for key_column in unit.key_columns:
-            match = None
-            for name, item in zip(output.column_names, output.items):
-                if (
-                    isinstance(item, ast.ColumnRef)
-                    and item.name == key_column
-                    and item.table == unit.anchor_binding
-                ):
-                    match = name
-                    break
-            if match is None:
+        copies = [
+            (name, item.name)
+            for name, item in zip(output.column_names, output.items)
+            if isinstance(item, ast.ColumnRef) and item.table == unit.anchor_binding
+        ]
+        if unit.category.uses_bitmap:
+            keys = catalog.table(output.table).schema.unique_column_sets()
+            if not keys:
                 raise UnsupportedMigrationError(
-                    f"multi-step migration needs output {output.table!r} to "
-                    f"expose key column {key_column!r} for group recompute"
+                    f"multi-step migration requires a unique constraint "
+                    f"on output table {output.table!r} (for idempotent "
+                    "copy + dual writes)"
                 )
-            out_key_cols.append(match)
-        where = " AND ".join(
-            f"{c} IS NULL" if position < len(nulls) and nulls[position] else f"{c} = ?"
-            for position, c in enumerate(out_key_cols)
-        )
-        statements.append(f"DELETE FROM {output.table} WHERE {where}")
-    return statements
+            source = dict(copies)
+            pairs = [(column, source.get(column)) for column in keys[0]]
+        else:
+            target = {column: name for name, column in reversed(copies)}
+            pairs = [(target.get(column), column) for column in unit.key_columns]
+        for name, column in pairs:
+            if name is None or column is None:
+                raise UnsupportedMigrationError(
+                    f"multi-step migration needs output {output.table!r} to copy "
+                    f"key column {name or column!r} straight from {unit.anchor!r}"
+                )
+        where = pin_key([ast.ColumnRef(name) for name, _c in pairs], nulls)
+        deletes.append((
+            Statement(ast.Delete(output.table, where)),
+            [anchor.column_index(column) for _n, column in pairs],
+        ))
+    return deletes

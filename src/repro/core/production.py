@@ -2,38 +2,33 @@
 
 Lazy, eager and multi-step migration run the *same* migration DDL; what
 differs is when and under which tracker the output rows are produced.
-The three things every strategy needs live here and nowhere else:
+The two things every strategy needs live here and nowhere else:
 
 * :func:`create_outputs` — the empty output tables (explicit schema or
   the planned SELECT's types) and their indexes;
-* :func:`insert_select` — the output's ``INSERT .. SELECT``, optionally
-  pinned to one group key by injected ``key_column = ?`` predicates (the
-  paper's rewritten migration DDL; hashmap-shaped units), bound to each
-  key through :class:`KeyStatements`;
-* :class:`RowProjection` — the compiled anchor row → (aux join) →
-  static filter → per-output projection pipeline (bitmap-shaped units),
-  compiled once per unit and consumed as one generator.
+* :class:`Production` — a unit's rewritten migration DDL (the paper's
+  injected predicates): per output, its own ``INSERT .. SELECT`` with one
+  predicate conjoined to the SELECT's WHERE — a TID range on the anchor
+  for bitmap units, ``key_column = ?`` per key column for hashmap units —
+  built as an AST and planned once per schema epoch.  ``produce`` runs
+  it in a migration's context, ``project`` runs only its SELECT.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, Iterator
+from dataclasses import replace
+from typing import Any, Iterable, Sequence
 
-from ..db import Database, build_schema, planned_schema
-from ..exec.expressions import (
-    RowLayout,
-    compile_expr,
-    compile_projection,
-    key_getter,
-    predicate_satisfied,
-)
+from ..db import Database, Statement, build_schema, planned_schema
 from ..exec.plan import ExecutionContext
 from ..exec.rewrite import conjoin
 from ..sql import ast_nodes as ast
-from ..sql.render import render_statement
 from .classify import OutputSpec, UnitPlan
 from .migration import MigrationSpec
+
+# What a production statement runs with: one statement per output, and
+# the parameters (a TID range or a group key) bound to all of them.
+Bound = Iterable[tuple[list[Statement], Sequence]]
 
 
 def create_outputs(db: Database, spec: MigrationSpec, resume: bool = False) -> None:
@@ -67,187 +62,116 @@ def create_outputs(db: Database, spec: MigrationSpec, resume: bool = False) -> N
         )
 
 
-def insert_select(
-    unit: UnitPlan,
-    output: OutputSpec,
-    pin_key: bool,
-    on_conflict: bool = False,
-    nulls: tuple[bool, ...] = (),
-) -> tuple[str, str, int]:
-    """Render ``INSERT INTO output .. SELECT`` for one output of ``unit``.
-
-    With ``pin_key`` the SELECT is restricted to one group key: every
-    key column on every input side (``unit.key_sides``) gets an injected
-    ``column = ?`` conjunct — ``column IS NULL`` instead where ``nulls``
-    marks the key part NULL — so callers bind the key's non-NULL parts,
-    ``copies`` times, as the parameters.  Returns ``(insert_sql,
-    select_sql, copies)`` — the bare SELECT is what read-only consumers
-    (snapshot overlay, the invariant checker) run to see what the insert
-    would produce.
-    """
-    sides = unit.key_sides if pin_key else ()
+def output_insert(
+    output: OutputSpec, pin: ast.Expr | None = None, on_conflict: bool = False
+) -> ast.Insert:
+    """``INSERT INTO output .. SELECT`` for one output, ``pin`` conjoined
+    to its SELECT's WHERE."""
     select = output.select
-    where = select.where
-    param_index = 0
-    for _table, binding, columns in sides:
-        for position, column in enumerate(columns):
-            ref = ast.ColumnRef(column, binding)
-            if position < len(nulls) and nulls[position]:
-                clause: ast.Expr = ast.IsNull(ref)
-            else:
-                clause = ast.BinaryOp("=", ref, ast.Param(param_index))
-                param_index += 1
-            where = clause if where is None else ast.BinaryOp("AND", where, clause)
-    pinned = ast.Select(
-        items=select.items,
-        from_items=select.from_items,
-        where=where,
-        group_by=select.group_by,
-        having=select.having,
-        distinct=select.distinct,
-    )
-    insert = ast.Insert(
-        table=output.table,
-        columns=output.column_names,
-        query=pinned,
+    where = conjoin(c for c in (select.where, pin) if c is not None)
+    return ast.Insert(
+        output.table, output.column_names, query=replace(select, where=where),
         on_conflict_do_nothing=on_conflict,
     )
-    return render_statement(insert), render_statement(pinned), len(sides)
 
 
-class KeyStatements:
-    """A hashmap unit's per-group-key statements: each output's pinned
-    ``INSERT .. SELECT`` and bare SELECT (:func:`insert_select`), bound
-    to one key at a time.  ``column = NULL`` matches nothing, so a key
-    with NULL parts — the NULL group, which the unpinned SELECT does
-    produce — is pinned by ``column IS NULL`` instead; that text depends
-    on which parts are NULL and is rendered on the first key that needs
-    it."""
+def pin_key(refs: Sequence[ast.ColumnRef], nulls: Sequence[bool] = ()) -> ast.Expr | None:
+    """``ref = ?`` per key part, parameters numbered in order — or
+    ``ref IS NULL`` where ``nulls`` marks the part NULL, since ``= NULL``
+    matches nothing and the NULL group is a group."""
+    nulls = nulls or (False,) * len(refs)
+    params = iter(range(len(refs)))
+    return conjoin(
+        ast.IsNull(ref) if null else ast.BinaryOp("=", ref, ast.Param(next(params)))
+        for ref, null in zip(refs, nulls)
+    )
 
-    def __init__(self, unit: UnitPlan, on_conflict: bool = False) -> None:
+
+def split_key(key: tuple) -> tuple[tuple[bool, ...], tuple]:
+    """``(nulls, values)``: a group key's NULL pattern (``()`` when no
+    part is NULL) and its non-NULL parts, the parameters of the
+    statement variant that pins that pattern."""
+    if None not in key:
+        return (), tuple(key)
+    return tuple(part is None for part in key), tuple(p for p in key if p is not None)
+
+
+class Production:
+    """One unit's production statements and the two ways to run them.
+
+    A bitmap unit is bound to TID ranges (:meth:`ranges`), each planned
+    as a TID range scan of the anchor (an FK-PK unit then probes the PK
+    side's index per anchor row); a hashmap unit to group keys
+    (:meth:`keys`).  A key with NULL parts needs its own ``IS NULL``
+    variant, built on first use and cached by NULL pattern."""
+
+    def __init__(self, db: Database, unit: UnitPlan, on_conflict: bool = False) -> None:
+        self.db = db
         self.unit = unit
         self.on_conflict = on_conflict
-        self.copies = len(unit.key_sides)
-        self._variants: dict[tuple[bool, ...], tuple[list[str], list[str]]] = {}
-        self.inserts, self.selects = self._variant(())
+        self._variants: dict[tuple[bool, ...], list[Statement]] = {}
 
-    def _variant(self, nulls: tuple[bool, ...]) -> tuple[list[str], list[str]]:
+    def statements(self, nulls: tuple[bool, ...] = ()) -> list[Statement]:
+        """Per output, its production statement (for a key whose parts
+        ``nulls`` marks NULL): parameters ``(low, high)`` or the key."""
         variant = self._variants.get(nulls)
         if variant is None:
-            rendered = [
-                insert_select(self.unit, output, True, self.on_conflict, nulls)
-                for output in self.unit.outputs
+            unit = self.unit
+            if unit.category.uses_bitmap:
+                pin = ast.TidRange(unit.anchor_binding, ast.Param(0), ast.Param(1))
+            else:
+                sides = unit.key_sides
+                refs = [ast.ColumnRef(c, binding) for _t, binding, cols in sides for c in cols]
+                pin = pin_key(refs, nulls * len(sides))
+            variant = self._variants[nulls] = [
+                Statement(output_insert(output, pin, self.on_conflict))
+                for output in unit.outputs
             ]
-            inserts, selects, _copies = zip(*rendered)
-            variant = self._variants[nulls] = (list(inserts), list(selects))
         return variant
 
-    def bind(self, key: tuple) -> tuple[list[str], list[str], tuple]:
-        """``(insert_sqls, select_sqls, params)`` pinned to ``key``."""
-        if None not in key:
-            return self.inserts, self.selects, tuple(key) * self.copies
-        inserts, selects = self._variant(tuple(part is None for part in key))
-        values = tuple(part for part in key if part is not None)
-        return inserts, selects, values * self.copies
+    def ranges(self, spans: Iterable[Sequence[int]]) -> Bound:
+        """Bitmap units: the statements bound to each TID range
+        ``[low, high)``."""
+        statements = self.statements()
+        return ((statements, span) for span in spans)
 
+    def keys(self, keys: Iterable[tuple]) -> Bound:
+        """Hashmap units: the statements bound to each group key, on
+        every input side that carries it."""
+        copies = len(self.unit.key_sides)
+        for key in keys:
+            nulls, values = split_key(key)
+            yield self.statements(nulls), values * copies
 
-@dataclass
-class _OutputRuntime:
-    table: Any  # catalog Table
-    column_names: tuple[str, ...]
-    project: Any  # (combined anchor(+aux) row, params) -> values tuple
+    def produce(self, bound: Bound, ctx: ExecutionContext) -> tuple[int, int]:
+        """Run the bound SELECTs in ``ctx`` — its transaction's locks,
+        snapshot and writes — and insert each output's rows in one batch.
+        Returns ``(produced, duplicates)``: the most rows one output got,
+        and the rows an ON CONFLICT insert skipped, summed over outputs."""
+        batches: dict[int, tuple[Any, list]] = {}
+        for index, prepared, rows in self._select(bound, ctx):
+            batches.setdefault(index, (prepared, []))[1].extend(rows)
+        run_insert = self.db.executor.run_insert
+        returned = [len(rows) for _prepared, rows in batches.values()]
+        inserted = [run_insert(prepared, ctx, rows) for prepared, rows in batches.values()]
+        return max(returned, default=0), sum(returned) - sum(inserted)
 
+    def project(self, bound: Bound, ctx: ExecutionContext) -> dict[str, list[tuple]]:
+        """The output rows the bound statements' SELECTs return in
+        ``ctx`` — a reader's snapshot, or current rows — as the insert
+        would store them, by output table.  Nothing is written."""
+        rows_by_output: dict[str, list[tuple]] = {}
+        for _index, prepared, rows in self._select(bound, ctx):
+            rows_by_output.setdefault(prepared.table, []).extend(map(prepared.build, rows))
+        return rows_by_output
 
-class RowProjection:
-    """A bitmap unit's production pipeline, compiled once: anchor row →
-    aux (PK-side) join → static filter → one values tuple per output, in
-    that output's ``column_names`` order.  The aux join is one planned
-    ``aux_column = ?`` scan, run in the caller's execution context."""
-
-    def __init__(self, db: Database, plan: UnitPlan) -> None:
-        catalog = db.catalog
-        anchor_schema = catalog.table(plan.anchor).schema
-        layout = RowLayout.for_table(plan.anchor_binding, anchor_schema.column_names)
-        self.aux_scan = None
-        if plan.aux is not None:
-            aux = plan.aux
-            by_key = conjoin([
-                ast.BinaryOp("=", ast.ColumnRef(column, aux.binding), ast.Param(i))
-                for i, (_anchor_column, column) in enumerate(aux.pairs)
-            ])
-            self.aux_scan = db.planner.plan_dml_scan(
-                aux.table, aux.binding, by_key, allow_retired=True
-            ).compile_tids()
-            self._aux_key = key_getter([anchor_schema.column_index(a) for a, _b in aux.pairs])
-            aux_columns = catalog.table(aux.table).schema.column_names
-            layout = layout.extend(RowLayout.for_table(aux.binding, aux_columns))
-        self.static_fn = (
-            compile_expr(plan.static_filter, layout)
-            if plan.static_filter is not None
-            else None
-        )
-        self.outputs = [
-            _OutputRuntime(
-                catalog.table(output.table),
-                tuple(output.column_names),
-                compile_projection(output.items, layout),
-            )
-            for output in plan.outputs
-        ]
-
-    def _joined(self, rows: Iterable[tuple], ctx: ExecutionContext) -> Iterator[tuple]:
-        """Anchor rows extended by their aux (PK-side) matches, inner-join
-        semantics: rows without a match produce nothing but are still
-        considered migrated (section 3.6).  The aux rows are the ones
-        ``ctx`` reads: current heads, or the versions of its snapshot."""
-        scan, key_of = self.aux_scan, self._aux_key
-        aux_ctx = replace(ctx)
-        for row in rows:
-            aux_ctx.params = key_of(row)
-            for _tid, aux_row in scan(aux_ctx):
-                yield row + aux_row
-
-    def project(
-        self, rows: Iterable[tuple], ctx: ExecutionContext
-    ) -> Iterator[list[tuple]]:
-        """For every joined anchor row that passes the static filter,
-        yield its output rows: one values tuple per output, parallel to
-        :attr:`outputs`.  Reads only; every consumer — lazy
-        production, the snapshot overlay, the multi-step copier and
-        dual-write hooks, the invariant checker — iterates this in its
-        own context."""
-        static_fn = self.static_fn
-        outputs = self.outputs
-        if self.aux_scan is not None:
-            rows = self._joined(rows, ctx)
-        for row in rows:
-            if static_fn is not None and not predicate_satisfied(static_fn(row, ())):
-                continue
-            yield [output.project(row, ()) for output in outputs]
-
-    def insert_projected(
-        self,
-        rows: Iterable[tuple],
-        executor,
-        ctx: ExecutionContext,
-        on_conflict: bool,
-    ) -> tuple[int, int]:
-        """Project ``rows`` and insert the results, one batch per output
-        table, inside ``ctx``'s transaction.  Returns ``(produced,
-        duplicates)``: joined rows that produced output, and output rows
-        an ``on_conflict`` insert skipped because they already existed."""
-        batches: list[list[tuple]] = [[] for _ in self.outputs]
-        produced = 0
-        for values in self.project(rows, ctx):
-            for batch, row_values in zip(batches, values):
-                batch.append(row_values)
-            produced += 1
-        duplicates = 0
-        for output, batch in zip(self.outputs, batches):
-            if batch:
-                inserted = executor.insert_rows(
-                    output.table, output.column_names, batch, ctx,
-                    on_conflict_skip=on_conflict,
-                )
-                duplicates += len(batch) - inserted
-        return produced, duplicates
+    def _select(self, bound: Bound, ctx: ExecutionContext):
+        """``(output index, prepared INSERT, rows)`` for every bound
+        statement whose SELECT returns rows in ``ctx``."""
+        db = self.db
+        for statements, ctx.params in bound:
+            for index, statement in enumerate(statements):
+                prepared = statement.prepared(db, True)
+                rows = db.executor.run_select(prepared.query, ctx)
+                if rows:
+                    yield index, prepared, rows

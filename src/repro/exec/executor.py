@@ -287,10 +287,16 @@ class Executor:
     # ==================================================================
     # INSERT
     # ==================================================================
-    def run_insert(self, prepared: PreparedDml, ctx: ExecutionContext) -> int:
+    def run_insert(
+        self, prepared: PreparedDml, ctx: ExecutionContext, rows: list | None = None
+    ) -> int:
+        """Returns rows inserted.  ``rows``: an INSERT ... SELECT's rows,
+        when the caller already ran ``prepared.query`` to count them."""
         table = self.catalog.table_checked(prepared.table, ctx.allow_retired)
         source_rows: Iterable[Sequence[Any]]
-        if prepared.query is not None:
+        if rows is not None:
+            source_rows = rows
+        elif prepared.query is not None:
             source_rows = prepared.query.run(ctx)
         else:
             params = ctx.params

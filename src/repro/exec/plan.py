@@ -190,7 +190,9 @@ class TableScan(PlanNode):
 
 
 class SeqScanNode(TableScan):
-    """Full scan of a base table with an optional residual filter."""
+    """Full scan of a base table with an optional residual filter; with
+    ``tid_low`` / ``tid_high`` (an injected ``TidRange``'s bounds) a TID
+    range scan of ``[low, high)``, which adds no overlay rows."""
 
     def __init__(
         self,
@@ -200,6 +202,9 @@ class SeqScanNode(TableScan):
         types: list[SqlType | None],
         filter_fn: CompiledExpr | None,
         filter_text: str = "",
+        tid_low: CompiledExpr | None = None,
+        tid_high: CompiledExpr | None = None,
+        tid_cond_text: str = "",
     ) -> None:
         self.table = table
         self.binding = binding
@@ -207,11 +212,32 @@ class SeqScanNode(TableScan):
         self.types = types
         self.filter_fn = filter_fn
         self.filter_text = filter_text
+        self.tid_low = tid_low
+        self.tid_high = tid_high
+        self.tid_cond_text = tid_cond_text
+
+    def _tid_range(self) -> Callable[["ExecutionContext"], Any]:
+        """``pairs(ctx)``: IS-lock the table, then the ``(tid, row)``
+        pairs of this execution's TID range, as ``ctx`` reads them."""
+        name, heap = self.table.schema.name, self.table.heap
+        low, high = self.tid_low, self.tid_high
+
+        def pairs(ctx: ExecutionContext):
+            ctx.lock_table(name, LockMode.IS)
+            params = ctx.params
+            return heap.scan_range(
+                low((), params), high((), params), ctx.snapshot_ts, ctx.own_stamp
+            )
+
+        return pairs
 
     def compile(self, project: Projection | None = None) -> Compiled:
         name = self.table.schema.name
         heap = self.table.heap
         sink = _row_sink(self.filter_fn, project)
+        if self.tid_low is not None:
+            pairs = self._tid_range()
+            return lambda ctx: sink(map(_second, pairs(ctx)), ctx.params)
 
         def seq_scan(ctx: ExecutionContext) -> list:
             ctx.lock_table(name, LockMode.IS)
@@ -227,6 +253,9 @@ class SeqScanNode(TableScan):
         name = self.table.schema.name
         heap = self.table.heap
         sink = _pair_sink(self.filter_fn)
+        if self.tid_low is not None:
+            pairs = self._tid_range()
+            return lambda ctx: sink(pairs(ctx), ctx.params)
 
         def seq_scan_tids(ctx: ExecutionContext) -> list[tuple[int, Row]]:
             ctx.lock_table(name, LockMode.IS)
@@ -236,7 +265,10 @@ class SeqScanNode(TableScan):
 
     def explain(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
-        lines = [f"{pad}Seq Scan on {self.table.schema.name} {self.binding}"]
+        label = "Seq Scan" if self.tid_low is None else "Tid Range Scan"
+        lines = [f"{pad}{label} on {self.table.schema.name} {self.binding}"]
+        if self.tid_cond_text:
+            lines.append(f"{pad}  TID Cond: {self.tid_cond_text}")
         if self.filter_text:
             lines.append(f"{pad}  Filter: {self.filter_text}")
         return lines
@@ -542,7 +574,9 @@ class DerivedNode(PlanNode):
 
 
 class NestedLoopJoinNode(PlanNode):
-    """Nested-loop join (inner or left outer) with optional condition."""
+    """Nested-loop join (inner or left outer) with optional condition.
+    With ``outer_key`` (inner only) the right side runs once per outer row
+    with parameters ``outer_key(left_row, params)``; a NULL part skips it."""
 
     def __init__(
         self,
@@ -553,6 +587,7 @@ class NestedLoopJoinNode(PlanNode):
         condition: CompiledExpr | None,
         kind: str = "INNER",
         condition_text: str = "",
+        outer_key: Projection | None = None,
     ) -> None:
         self.left = left
         self.right = right
@@ -561,6 +596,7 @@ class NestedLoopJoinNode(PlanNode):
         self.condition = condition
         self.kind = kind
         self.condition_text = condition_text
+        self.outer_key = outer_key
 
     def compile(self) -> Compiled:
         run_left = self.left.compile()
@@ -568,6 +604,24 @@ class NestedLoopJoinNode(PlanNode):
         condition = self.condition
         outer = self.kind == "LEFT"
         null_pad = (None,) * len(self.right.layout)
+        outer_key = self.outer_key
+        if outer_key is not None:
+
+            def index_loop(ctx: ExecutionContext) -> list:
+                params = ctx.params
+                probe = copy.copy(ctx)
+                out = []
+                for left_row in run_left(ctx):
+                    probe.params = key = outer_key(left_row, params)
+                    if None in key:
+                        continue
+                    for right_row in run_right(probe):
+                        combined = left_row + right_row
+                        if condition is None or predicate_satisfied(condition(combined, params)):
+                            out.append(combined)
+                return out
+
+            return index_loop
 
         def nested_loop(ctx: ExecutionContext) -> list:
             params = ctx.params

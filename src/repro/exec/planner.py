@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Any, Sequence
 
-from ..errors import ExecutionError, ParseError, UnknownObjectError
+from ..errors import ExecutionError, UnknownObjectError
 from ..sql import ast_nodes as ast
 from ..sql.render import render_expr
 from ..types import SqlType, TypeKind
@@ -36,6 +36,7 @@ from .rewrite import (
     conjoin,
     derive_equivalent_predicates,
     expand_views,
+    has_params,
     qualify_columns,
     split_conjuncts,
 )
@@ -65,6 +66,7 @@ class _Source:
 
     node: planlib.PlanNode
     bindings: frozenset[str]
+    conjuncts: tuple[ast.Expr, ...] = ()  # the filters pushed into it
 
 
 class Planner:
@@ -356,8 +358,12 @@ class Planner:
         sources = refined
 
         # 2. Greedy left-deep join order: prefer equi-connected sources.
-        current = sources[0]
-        remaining = sources[1:]
+        #    A TID-range source (a migration's granule run) goes first,
+        #    and its joins probe an index of the inner side per row.
+        ranged = [s for s in sources if isinstance(s.node, planlib.SeqScanNode)
+                  and s.node.tid_low is not None]
+        current = ranged[0] if ranged else sources[0]
+        remaining = [s for s in sources if s is not current]
         while remaining:
             chosen_index = 0
             for index, candidate in enumerate(remaining):
@@ -365,7 +371,7 @@ class Planner:
                     chosen_index = index
                     break
             nxt = remaining.pop(chosen_index)
-            current = self._join_pair(current, nxt, pending)
+            current = self._join_pair(current, nxt, pending, probe=bool(ranged))
 
         # 3. Anything left (e.g. predicates over no columns) as a filter.
         if pending:
@@ -386,7 +392,7 @@ class Planner:
             rebuilt = self._plan_table_scan(
                 node.table, node.binding, node.layout, node.types, conjuncts
             )
-            return _Source(rebuilt, source.bindings)
+            return _Source(rebuilt, source.bindings, tuple(conjuncts))
         predicate = conjoin(conjuncts)
         assert predicate is not None
         fn = compile_expr(predicate, node.layout)
@@ -405,7 +411,11 @@ class Planner:
         """Choose an index for equality conjuncts, else sequential scan.
         Under an ordered index's equality prefix, the first lower and
         upper range conjunct on the next column become the bounds of the
-        span it reads (they also stay in the residual filter)."""
+        span it reads (they also stay in the residual filter).  A
+        :class:`ast.TidRange` conjunct makes it a TID range scan."""
+        tids = next((c for c in conjuncts if isinstance(c, ast.TidRange)), None)
+        if tids is not None:
+            conjuncts = [c for c in conjuncts if c is not tids]
         eq_values: dict[str, ast.Expr] = {}
         eq_conjuncts: dict[str, ast.Expr] = {}
         for conjunct in conjuncts:
@@ -414,7 +424,7 @@ class Planner:
                 eq_values[column] = value
                 eq_conjuncts[column] = conjunct
         choice = None
-        if eq_values:
+        if eq_values and tids is None:
             choice = table.find_equality_index(frozenset(eq_values))
         if choice is not None:
             index, key_columns = choice
@@ -471,7 +481,7 @@ class Planner:
             )
         predicate = conjoin(conjuncts)
         filter_fn = compile_expr(predicate, layout) if predicate is not None else None
-        return planlib.SeqScanNode(
+        node = planlib.SeqScanNode(
             table,
             binding,
             layout,
@@ -479,9 +489,14 @@ class Planner:
             filter_fn,
             filter_text=render_expr(predicate) if predicate else "",
         )
+        if tids is not None:
+            node.tid_low = compile_expr(tids.low, RowLayout())
+            node.tid_high = compile_expr(tids.high, RowLayout())
+            node.tid_cond_text = render_expr(tids)[1:-1]
+        return node
 
     def _join_pair(
-        self, left: _Source, right: _Source, pending: list[ast.Expr]
+        self, left: _Source, right: _Source, pending: list[ast.Expr], probe: bool = False
     ) -> _Source:
         bindings = left.bindings | right.bindings
         applicable: list[ast.Expr] = []
@@ -518,6 +533,10 @@ class Planner:
                 if residual_expr is not None
                 else None
             )
+            looped = probe and self._index_probe(left, right, equi, residual, layout, types)
+            if looped:
+                looped.condition_text = condition_text
+                return _Source(looped, bindings)
             node: planlib.PlanNode = planlib.HashJoinNode(
                 left.node,
                 right.node,
@@ -540,6 +559,33 @@ class Planner:
                 condition_text=condition_text,
             )
         return _Source(node, bindings)
+
+    def _index_probe(
+        self, left: _Source, right: _Source, equi: list, residual: list,
+        layout: RowLayout, types: list[SqlType | None],
+    ) -> planlib.NestedLoopJoinNode | None:
+        """The join as one lookup per outer row in an equality index of
+        the inner base table, its equi-join columns bound as ``= ?``
+        parameters from the outer row; its own filters join the residual
+        condition.  ``None`` when the inner side is no base table, filters
+        on statement parameters, or has no such index."""
+        scan, columns = right.node, [r for _l, r in equi]
+        if (
+            not isinstance(scan, planlib.TableScan)
+            or not all(isinstance(c, ast.ColumnRef) for c in columns)
+            or any(has_params(c) for c in right.conjuncts)
+        ):
+            return None
+        keys = [ast.BinaryOp("=", c, ast.Param(i)) for i, c in enumerate(columns)]
+        inner = self._plan_table_scan(scan.table, scan.binding, scan.layout, scan.types, keys)
+        if not isinstance(inner, planlib.IndexScanNode):
+            return None
+        condition = conjoin(residual + list(right.conjuncts))
+        return planlib.NestedLoopJoinNode(
+            left.node, inner, layout, types,
+            compile_expr(condition, layout) if condition is not None else None,
+            outer_key=compile_projection([l for l, _r in equi], left.node.layout),
+        )
 
     # ------------------------------------------------------------------
     # Projection / aggregation
@@ -802,6 +848,8 @@ class Planner:
 
 
 def _conjunct_bindings(conjunct: ast.Expr) -> frozenset[str]:
+    if isinstance(conjunct, ast.TidRange):
+        return frozenset({conjunct.binding})
     return frozenset(
         node.table
         for node in ast.walk(conjunct)

@@ -130,6 +130,17 @@ class CaseExpr(Expr):
     default: Expr | None
 
 
+@dataclass(frozen=True)
+class TidRange(Expr):
+    """``low <= TID < high`` on the base table bound as ``binding``: the
+    granule predicate the migration engines inject into a unit's
+    production statement.  The parser never produces it."""
+
+    binding: str
+    low: Expr
+    high: Expr
+
+
 AGGREGATE_FUNCTIONS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 

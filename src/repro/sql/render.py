@@ -1,8 +1,6 @@
 """Render AST nodes back to SQL text.
 
-Used for EXPLAIN-style plan output, error messages, and for the BullFrog
-migration engine when it rewrites migration DDL into INSERT..SELECT
-statements with injected predicates (paper section 2.1).
+Used for EXPLAIN-style plan output, error messages and tooling.
 """
 
 from __future__ import annotations
@@ -60,6 +58,9 @@ def render_expr(expr: ast.Expr) -> str:
             parts.append(f"ELSE {render_expr(expr.default)}")
         parts.append("END")
         return " ".join(parts)
+    if isinstance(expr, ast.TidRange):
+        tid = f"{expr.binding}.ctid"
+        return f"({tid} >= {render_expr(expr.low)} AND {tid} < {render_expr(expr.high)})"
     raise TypeError(f"cannot render expression node {type(expr).__name__}")
 
 

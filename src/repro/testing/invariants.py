@@ -26,10 +26,11 @@ verifies each of them against ground truth recomputed from the old
    no duplicate key values — the structural half of check 3, still
    meaningful when values were mutated by client DML.
 
-Ground truth is recomputed with the unit's own compiled projections
-(bitmap units) or its pre-rendered per-key SELECTs (hashmap units), so
-the check is valid mid-migration, after injected aborts, and after
-crash recovery — not just at completion.  Value-level checks assume the
+Ground truth is recomputed by the unit's own production statements —
+each output's SELECT pinned to the migrated TID ranges or group keys
+(:meth:`UnitRuntime.project`) — so the check is valid mid-migration,
+after injected aborts, and after crash recovery — not just at
+completion.  Value-level checks assume the
 client workload did not mutate output rows; pass
 ``structural_only=True`` when it did (checks 1, 2 and 4 still run).
 """

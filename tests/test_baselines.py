@@ -179,17 +179,18 @@ class TestMultiStep:
         assert s.execute("SELECT COUNT(*) FROM a WHERE id = 1").scalar() == 0
 
     def test_projection_compiled_once_per_unit(self, monkeypatch):
-        """The copier and the dual-write hooks run the projection that
-        ``submit()`` compiled: no ``compile_expr`` per copied or
-        dual-written row, and no function- or module-level cache that
-        grows with the number of rows (the old per-row cache was keyed
-        on the id() of a per-call temporary, never hit, and leaked an
-        entry per row per output)."""
+        """The copier and the dual-write hooks run the statements that
+        ``submit()`` prepared: no ``Planner.plan_select`` or
+        ``Executor.prepare`` call per copied or dual-written row, and no
+        function- or module-level cache that grows with the number of
+        rows (an old per-row cache was keyed on the id() of a per-call
+        temporary, never hit, and leaked an entry per row per output)."""
         import inspect
 
         import repro.core.multistep as multistep_module
         import repro.core.production as production_module
-        import repro.exec.expressions as expressions_module
+        from repro.exec.executor import Executor
+        from repro.exec.planner import Planner
 
         def container_sizes():
             sizes = {}
@@ -211,24 +212,22 @@ class TestMultiStep:
         multistep = MultiStepMigration(db, chunk=16, interval=0.005)
         multistep.submit("m", SPLIT_DDL)
 
-        compiled = []
-        real_compile = expressions_module.compile_expr
+        calls = []
+        for owner, name in ((Planner, "plan_select"), (Executor, "prepare")):
+            def counting(self, *args, _real=getattr(owner, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(self, *args, **kwargs)
 
-        def counting_compile(*args, **kwargs):
-            compiled.append(args[0])
-            return real_compile(*args, **kwargs)
-
-        # Both the name production.py bound at import and the one a
-        # function-level import would pick up.
-        monkeypatch.setattr(expressions_module, "compile_expr", counting_compile)
-        monkeypatch.setattr(production_module, "compile_expr", counting_compile)
+            monkeypatch.setattr(owner, name, counting)
         before = container_sizes()
         for i in range(extra):  # inserts are always dual-written
             s.execute("INSERT INTO src VALUES (?, ?, ?)", [10_000 + i, i % 4, i])
         assert multistep.await_completion(timeout=60)
+        # At most the client's INSERT and each output's production
+        # INSERT .. SELECT and key DELETE, once each — not once per row.
+        assert len(calls) <= 7, calls
         assert s.execute("SELECT COUNT(*) FROM a").scalar() == rows + extra
         assert s.execute("SELECT COUNT(*) FROM b").scalar() == rows + extra
-        assert compiled == []
         after = container_sizes()
         grown = {k: n for k, n in after.items() if n > before.get(k, 0)}
         assert grown == {}

@@ -6,6 +6,7 @@ from repro import Database
 from repro.core import MigrationCategory, parse_migration
 from repro.core.granularity import GranuleMapper
 from repro.errors import UnsupportedMigrationError
+from repro.sql.render import render_expr
 
 
 @pytest.fixture
@@ -104,7 +105,8 @@ class TestClassification:
             "CREATE TABLE rich AS SELECT id, bal FROM cust WHERE bal > 100",
             db.catalog,
         )
-        assert spec.units[0].static_filter is not None
+        where = spec.units[0].outputs[0].select.where
+        assert render_expr(where) == "(cust.bal > 100)"
 
     def test_star_expansion(self, db, s):
         spec = parse_migration(
@@ -220,7 +222,7 @@ class TestGranuleMapper:
         heap = db.catalog.table("cust").heap
         mapper = GranuleMapper(heap, granule_size=1)
         assert mapper.granule_count == 10
-        assert [tid for tid, _row in mapper.tuples_in(7)] == [7]
+        assert mapper.bounds(7) == (7, 8)
 
     def test_page_granularity(self, db, s):
         for i in range(10):
@@ -228,9 +230,15 @@ class TestGranuleMapper:
         heap = db.catalog.table("cust").heap
         mapper = GranuleMapper(heap, granule_size=4)
         assert mapper.granule_count == 3  # ceil(10 / 4)
-        assert [tid for tid, _row in mapper.tuples_in(1)] == [4, 5, 6, 7]
-        assert len(list(mapper.tuples_in(0))) == 4
-        assert len(list(mapper.tuples_in(2))) == 2
+        assert [tid for tid, _row in heap.scan_range(*mapper.bounds(1))] == [4, 5, 6, 7]
+        assert len(list(heap.scan_range(*mapper.bounds(0)))) == 4
+        assert len(list(heap.scan_range(*mapper.bounds(2)))) == 2
+
+    def test_adjacent_granules_form_one_tid_range(self, db, s):
+        heap = db.catalog.table("cust").heap
+        mapper = GranuleMapper(heap, granule_size=4)
+        assert mapper.runs([0, 1, 2, 5, 7, 8]) == [[0, 12], [20, 24], [28, 36]]
+        assert mapper.runs([]) == []
 
     def test_invalid_granule_size(self, db, s):
         heap = db.catalog.table("cust").heap
@@ -243,7 +251,7 @@ class TestGranuleMapper:
         heap = db.catalog.table("cust").heap
         mapper = GranuleMapper(heap, granule_size=2)
         for granule in range(mapper.granule_count):
-            tids = [tid for tid, _row in mapper.tuples_in(granule)]
+            tids = [tid for tid, _row in heap.scan_range(*mapper.bounds(granule))]
             assert tids and all(tid // 2 == granule for tid in tids)
 
 

@@ -368,6 +368,165 @@ def forbid_front_end_work(monkeypatch):
     return calls
 
 
+FILTERED_SPLIT_DDL = """
+CREATE TABLE pos (id INT PRIMARY KEY, v INT);
+INSERT INTO pos (id, v) SELECT id, v FROM src WHERE v > 0;
+CREATE TABLE allrows (id INT PRIMARY KEY, v INT);
+INSERT INTO allrows (id, v) SELECT id, v FROM src{where};
+"""
+
+
+class TestCoalescedOutputs:
+    """A split's outputs are coalesced into one 1:n unit, but each is
+    produced by its own SELECT: a WHERE on one output filters that
+    output only."""
+
+    @staticmethod
+    def make():
+        db = Database(isolation="read_committed")
+        s = db.connect()
+        s.execute("CREATE TABLE src (id INT PRIMARY KEY, v INT)")
+        for pk, v in enumerate(range(-3, 3)):
+            s.execute("INSERT INTO src VALUES (?, ?)", [pk, v])
+        return db, s
+
+    @staticmethod
+    def ddl(where, filtered_first):
+        ddl = FILTERED_SPLIT_DDL.format(where=where)
+        if filtered_first:
+            return ddl
+        first, second = ddl.strip().split(";\nCREATE TABLE allrows")
+        return "CREATE TABLE allrows" + second + "\n" + first + ";"
+
+    @staticmethod
+    def outputs(s):
+        return [sorted(s.execute(f"SELECT * FROM {t}").rows) for t in ("pos", "allrows")]
+
+    def eager(self, ddl):
+        from repro.core import EagerMigration
+
+        db, s = self.make()
+        EagerMigration(db).submit("m", ddl)
+        return self.outputs(s)
+
+    @pytest.mark.parametrize("where", ["", " WHERE v < 0"], ids=["all", "negative"])
+    @pytest.mark.parametrize("filtered_first", [True, False], ids=["first", "last"])
+    @pytest.mark.parametrize("granule_size", [1, 4])
+    def test_lazy_equals_eager_per_output(self, where, filtered_first, granule_size):
+        ddl = self.ddl(where, filtered_first)
+        db, s = self.make()
+        engine = LazyMigrationEngine(
+            db, background=no_background(), granule_size=granule_size
+        )
+        engine.submit("m", ddl)
+        assert len(engine.units) == 1
+        assert engine.units[0].plan.category is MigrationCategory.ONE_TO_N
+        s.execute("SELECT * FROM pos WHERE id = 4")  # one granule first
+        assert self.outputs(s) == self.eager(ddl)
+        if not where:  # the most rows one output's SELECT returned
+            assert engine.stats.tuples_migrated == 6
+
+    @pytest.mark.parametrize("where", ["", " WHERE v < 0"], ids=["all", "negative"])
+    @pytest.mark.parametrize("filtered_first", [True, False], ids=["first", "last"])
+    def test_multistep_equals_eager(self, where, filtered_first):
+        from repro.core import MultiStepMigration
+
+        ddl = self.ddl(where, filtered_first)
+        db, s = self.make()
+        multistep = MultiStepMigration(db, chunk=4, interval=0.0)
+        multistep.submit("m", ddl)
+        assert multistep.await_completion(timeout=30)
+        assert self.outputs(s) == self.eager(ddl)
+
+    def test_checker_flags_a_corrupted_output(self):
+        from repro.testing.invariants import InvariantChecker
+
+        db, s = self.make()
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", self.ddl("", filtered_first=True))
+        s.execute("SELECT COUNT(*) FROM allrows")
+        checker = InvariantChecker(engine)
+        assert checker.check(expect_complete=True).violations == []
+        s.execute("DELETE FROM allrows WHERE v = -3")
+        violations = checker.check(expect_complete=True).violations
+        assert any("allrows: lost tuple (0, -3)" in v for v in violations), violations
+
+
+class TestProductionPlans:
+    def test_split_unit_scans_a_tid_range(self):
+        db, s = make_source_db()
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", SPLIT_DDL)
+        for statement in engine.units[0].production.statements():
+            plan = statement.prepared(db, True).query.explain()
+            assert "Tid Range Scan on src src" in plan, plan
+            assert "TID Cond: src.ctid >= ? AND src.ctid < ?" in plan, plan
+
+    def test_adjacent_granules_are_one_execution_per_output(self, monkeypatch):
+        """A chunk of 32 adjacent granules is one TID range: one SELECT
+        per output, not 32."""
+        from repro.exec.executor import Executor
+
+        db, s = make_source_db(rows=40)
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit("m", SPLIT_DDL)
+        ranges = []
+        run_select = Executor.run_select
+
+        def recording(self, planned, ctx):
+            ranges.append(list(ctx.params))
+            return run_select(self, planned, ctx)
+
+        monkeypatch.setattr(Executor, "run_select", recording)
+        engine.migrate_scope(engine.units[0], Scope(granules=set(range(32)) - {9}))
+        assert ranges == [[0, 9], [0, 9], [10, 32], [10, 32]]
+        assert len(db.catalog.table("left_part")) == 31
+
+    def test_fk_pk_granule_probes_the_dimension_index(self, monkeypatch):
+        """An FK-PK unit's granule reads its few matching PK-side rows
+        through the PK index, not a hash join over a full scan."""
+        from repro.storage.heap import HeapTable
+
+        db = Database(isolation="read_committed")
+        s = db.connect()
+        s.execute("CREATE TABLE dim (k INT PRIMARY KEY, label VARCHAR(10))")
+        s.execute("CREATE TABLE fact (id INT PRIMARY KEY, k INT, amt INT)")
+        for k in range(5000):
+            s.execute("INSERT INTO dim VALUES (?, ?)", [k, f"L{k}"])
+        for i in range(20):
+            s.execute("INSERT INTO fact VALUES (?, ?, ?)", [i, i * 7, i])
+        engine = LazyMigrationEngine(db, background=no_background())
+        engine.submit(
+            "m",
+            "CREATE TABLE denorm AS SELECT f.id AS fid, f.amt, d.label "
+            "FROM fact f, dim d WHERE f.k = d.k",
+        )
+        runtime = engine.units[0]
+        assert runtime.plan.aux is not None
+        dim_heap = db.catalog.table("dim").heap
+        dim_rows = []
+        read, scan_range = HeapTable.read, HeapTable.scan_range
+
+        def counting_read(self, tid):
+            if self is dim_heap:
+                dim_rows.append(tid)
+            return read(self, tid)
+
+        def counting_scan(self, *args, **kwargs):
+            for pair in scan_range(self, *args, **kwargs):
+                if self is dim_heap:
+                    dim_rows.append(pair[0])
+                yield pair
+
+        monkeypatch.setattr(HeapTable, "read", counting_read)
+        monkeypatch.setattr(HeapTable, "scan_range", counting_scan)
+        engine.migrate_scope(runtime, Scope(granules={3}))
+        assert s.execute("SELECT label FROM denorm WHERE fid = 3").rows == [("L21",)]
+        assert len(dim_rows) <= 3, len(dim_rows)
+        plan = runtime.production.statements()[0].prepared(db, True).query.explain()
+        assert "Index Scan using" in plan and "on dim d" in plan, plan
+
+
 class TestConstraintScope:
     """A write migrates every old row it could conflict with first:
     the union of its VALUES rows x unique keys (and SET-assigned keys),
@@ -713,6 +872,26 @@ class TestOnConflictMode:
         engine.migrate_scope(runtime, Scope(granules=set(range(10))))
         assert engine.stats.duplicate_attempts == 20  # 10 rows x 2 outputs
         assert s.execute("SELECT COUNT(*) FROM left_part").scalar() == 10
+
+    def test_hashmap_duplicate_work_detected_at_insert(self):
+        """The hashmap twin: a re-run group's ON CONFLICT insert skips
+        its already-migrated output row and counts it."""
+        from repro.core.hashmap import MigrationHashMap
+
+        db, s = make_source_db(rows=10)
+        engine = LazyMigrationEngine(
+            db,
+            background=no_background(),
+            conflict_mode=ConflictMode.ON_CONFLICT,
+        )
+        engine.submit("m", AGG_DDL)
+        runtime = engine.units[0]
+        keys = runtime.all_keys()
+        engine.migrate_scope(runtime, Scope(keys=keys))
+        runtime.tracker = MigrationHashMap()
+        engine.migrate_scope(runtime, Scope(keys=keys))
+        assert engine.stats.duplicate_attempts == 5  # 5 groups x 1 output
+        assert s.execute("SELECT COUNT(*) FROM grp_totals").scalar() == 5
 
 
 class TestTrackingDisabled:

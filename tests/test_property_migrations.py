@@ -61,6 +61,15 @@ CREATE TABLE part_b (id INT PRIMARY KEY, grp INT, w INT);
 INSERT INTO part_b (id, grp, w) SELECT id, grp, w FROM src;
 """
 
+# A split whose outputs keep different WHEREs: one 1:n unit, each output
+# produced by its own filtered SELECT.
+FILTERED_SPLIT_DDL = """
+CREATE TABLE part_a (id INT PRIMARY KEY, v INT);
+INSERT INTO part_a (id, v) SELECT id, v FROM src WHERE v > 0;
+CREATE TABLE part_b (id INT PRIMARY KEY, grp INT, w INT);
+INSERT INTO part_b (id, grp, w) SELECT id, grp, w FROM src WHERE v < 0;
+"""
+
 AGG_DDL = """
 CREATE TABLE sums (grp INT PRIMARY KEY, total INT, n INT);
 INSERT INTO sums (grp, total, n)
@@ -113,14 +122,17 @@ def run_multistep(rows, ddl, table):
     return read_outputs(s, table)
 
 
+splits_strategy = st.sampled_from([SPLIT_DDL, FILTERED_SPLIT_DDL])
+
+
 @pytest.mark.slow
 @_settings
-@given(rows=rows_strategy, queries=queries_strategy)
-def test_lazy_split_equals_eager(rows, queries):
-    lazy = run_lazy(rows, queries, SPLIT_DDL, "part_a", ConflictMode.TRACKER)
-    eager = run_eager(rows, SPLIT_DDL, "part_a")
+@given(rows=rows_strategy, queries=queries_strategy, ddl=splits_strategy)
+def test_lazy_split_equals_eager(rows, queries, ddl):
+    lazy = run_lazy(rows, queries, ddl, "part_a", ConflictMode.TRACKER)
+    eager = run_eager(rows, ddl, "part_a")
     assert lazy == eager
-    assert run_multistep(rows, SPLIT_DDL, "part_a") == eager
+    assert run_multistep(rows, ddl, "part_a") == eager
 
 
 @pytest.mark.slow
@@ -148,22 +160,21 @@ def test_on_conflict_mode_equals_eager(rows, queries):
     rows=rows_strategy,
     granule_size=st.sampled_from([1, 3, 8, 64]),
     queries=queries_strategy,
+    ddl=splits_strategy,
 )
-def test_any_granularity_equals_eager(rows, granule_size, queries):
+def test_any_granularity_equals_eager(rows, granule_size, queries, ddl):
     db, s = build_db(rows)
     engine = LazyMigrationEngine(
         db,
         background=BackgroundConfig(delay=0.01, chunk=16, interval=0.0),
         granule_size=granule_size,
     )
-    handle = engine.submit("m", SPLIT_DDL)
+    handle = engine.submit("m", ddl)
     for kind, value in queries:
         if kind == "id":
             s.execute("SELECT v FROM part_a WHERE id = ?", [value])
     assert handle.await_completion(timeout=60)
-    lazy = sorted(s.execute("SELECT id, v FROM part_a").rows)
-    eager = run_eager(rows, SPLIT_DDL, "part_a")[0]
-    assert lazy == eager
+    assert read_outputs(s, "part_a") == run_eager(rows, ddl, "part_a")
 
 
 # ----------------------------------------------------------------------
